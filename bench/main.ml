@@ -12,6 +12,13 @@
    text is captured per cell and replayed in cell order, so stdout is
    byte-identical for any N; cache/resume statistics go to stderr. *)
 
+(* Host time for the sidecar's wall_s and the campaign summary: monotonic
+   seconds since program start.  Sys.time would be process CPU time,
+   summed over every domain. *)
+let wall_clock =
+  let t0 = Monotonic_clock.now () in
+  fun () -> Int64.to_float (Int64.sub (Monotonic_clock.now ()) t0) *. 1e-9
+
 let order =
   [
     "e1"; "e2"; "e3"; "e4"; "e5"; "e6"; "e7"; "e8"; "e9"; "e10"; "e11";
@@ -74,10 +81,10 @@ let run_serial sidecar requested =
   List.iter
     (fun (id, e) ->
       let before = Obs.Global.snapshot () in
-      let t0 = Sys.time () in
+      let t0 = wall_clock () in
       let results = List.map (fun c -> c.Exec.Job.run ()) e.Exp.cells in
       e.Exp.render results;
-      let wall_s = Sys.time () -. t0 in
+      let wall_s = wall_clock () -. t0 in
       let after = Obs.Global.snapshot () in
       sidecar_line sidecar ~label:id ~wall_s (Obs.Global.diff ~before ~after))
     requested
@@ -108,7 +115,7 @@ let run_campaign sidecar trace_out requested jobs =
   in
   let cells = List.concat_map (fun (_, e) -> e.Exp.cells) requested in
   let outcomes, stats =
-    Exec.Campaign.run ~jobs ~salt ~cache ~manifest ~clock:Sys.time cells
+    Exec.Campaign.run ~jobs ~salt ~cache ~manifest ~clock:wall_clock cells
   in
   (* Deterministic merge: replay each experiment's captured cell output in
      cell order, then render its tables, exactly as the serial path would
@@ -121,10 +128,10 @@ let run_campaign sidecar trace_out requested jobs =
       cursor := !cursor + k;
       Array.iter (fun o -> Exec.Sink.emit o.Exec.Campaign.output) mine;
       let before = Obs.Global.snapshot () in
-      let t0 = Sys.time () in
+      let t0 = wall_clock () in
       e.Exp.render
         (Array.to_list (Array.map (fun o -> o.Exec.Campaign.result) mine));
-      let render_wall = Sys.time () -. t0 in
+      let render_wall = wall_clock () -. t0 in
       let render_delta =
         Obs.Global.diff ~before ~after:(Obs.Global.snapshot ())
       in

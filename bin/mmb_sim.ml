@@ -8,6 +8,14 @@
 
 open Cmdliner
 
+(* Host time for the outputs that report it (the campaign summary,
+   --trace-wall, the engine's per-category wall gauges): monotonic seconds
+   since program start.  Sys.time would be process CPU time, summed over
+   every domain.  The library reads no clock itself (lint D3). *)
+let wall_clock =
+  let t0 = Monotonic_clock.now () in
+  fun () -> Int64.to_float (Int64.sub (Monotonic_clock.now ()) t0) *. 1e-9
+
 (* --- Shared argument definitions ---------------------------------------- *)
 
 let topology =
@@ -279,7 +287,7 @@ let run_bmmb ~dual ~dyn ~fack ~fprog ~scheduler ~k ~seed ~check ~trace
         sim_ref := Some sim;
         (* Wall time is injected from outside the library (lint rule D3);
            it only feeds volatile gauges, never the default export. *)
-        Dsim.Sim.set_wall_clock sim Sys.time;
+        Dsim.Sim.set_wall_clock sim wall_clock;
         match (obs, progress) with
         | Some o, Some interval ->
             let interval = if interval <= 0. then 10. else interval in
@@ -574,7 +582,10 @@ let run_cmd =
   let action protocol topology gprime n k r extra fack fprog seed scheduler
       check trace trace_out provenance metrics progress svg dynamic epoch
       dyn_period churn_rate dyn_seed domains partitions =
-    match build_dual ~topology ~gprime ~n ~r ~extra ~seed with
+    match
+      Result.bind (Mmb.Scenario.check_ranges ~n ~k ~r ~extra ~fack ~fprog)
+        (fun () -> build_dual ~topology ~gprime ~n ~r ~extra ~seed)
+    with
     | Error e -> `Error (false, e)
     | Ok dual -> (
         (match svg with
@@ -708,37 +719,50 @@ let sweep_cmd =
       String.split_on_char ',' values
       |> List.filter_map (fun s -> int_of_string_opt (String.trim s))
     in
+    (* Every swept point passes the loader's range checks before the
+       first one runs, so a bad value fails the command up front. *)
+    let point v =
+      ( v,
+        (if param = "n" then v else n),
+        (if param = "k" then v else k),
+        (if param = "r" then v else r),
+        if param = "fack" then float_of_int v else fack )
+    in
+    let points = List.map point parsed in
+    let out_of_range (_, n, k, r, fack) =
+      match Mmb.Scenario.check_ranges ~n ~k ~r ~extra ~fack ~fprog with
+      | Ok () -> None
+      | Error e -> Some e
+    in
     if parsed = [] then `Error (false, "no valid sweep values")
-    else begin
-      Printf.printf "%8s  %10s  %10s  %10s\n" param "time" "bound" "ratio";
-      let run_one v =
-        let n = if param = "n" then v else n in
-        let k = if param = "k" then v else k in
-        let r = if param = "r" then v else r in
-        let fack = if param = "fack" then float_of_int v else fack in
-        match build_dual ~topology ~gprime ~n ~r ~extra ~seed with
-        | Error e -> prerr_endline e
-        | Ok dual -> (
-            match build_scheduler scheduler with
+    else
+      match List.find_map out_of_range points with
+      | Some e -> `Error (false, e)
+      | None ->
+          Printf.printf "%8s  %10s  %10s  %10s\n" param "time" "bound" "ratio";
+          let run_one (v, n, k, r, fack) =
+            match build_dual ~topology ~gprime ~n ~r ~extra ~seed with
             | Error e -> prerr_endline e
-            | Ok policy ->
-                let rng = Dsim.Rng.create ~seed in
-                let assignment =
-                  Mmb.Problem.random rng ~n:(Graphs.Dual.n dual) ~k
-                in
-                let res =
-                  Obs.Run.bmmb ~dual ~fack ~fprog ~policy ~assignment
-                    ~seed ()
-                in
-                Printf.printf "%8d  %10.1f  %10.1f  %10.2f\n" v
-                  res.Mmb.Runner.time res.Mmb.Runner.upper_bound
-                  (if res.Mmb.Runner.upper_bound > 0. then
-                     res.Mmb.Runner.time /. res.Mmb.Runner.upper_bound
-                   else 0.))
-      in
-      List.iter run_one parsed;
-      `Ok ()
-    end
+            | Ok dual -> (
+                match build_scheduler scheduler with
+                | Error e -> prerr_endline e
+                | Ok policy ->
+                    let rng = Dsim.Rng.create ~seed in
+                    let assignment =
+                      Mmb.Problem.random rng ~n:(Graphs.Dual.n dual) ~k
+                    in
+                    let res =
+                      Obs.Run.bmmb ~dual ~fack ~fprog ~policy ~assignment
+                        ~seed ()
+                    in
+                    Printf.printf "%8d  %10.1f  %10.1f  %10.2f\n" v
+                      res.Mmb.Runner.time res.Mmb.Runner.upper_bound
+                      (if res.Mmb.Runner.upper_bound > 0. then
+                         res.Mmb.Runner.time /. res.Mmb.Runner.upper_bound
+                       else 0.))
+          in
+          List.iter run_one points;
+          `Ok ()
   in
   let term =
     Term.(
@@ -758,7 +782,10 @@ let online_cmd =
     Arg.(value & opt float 0.01 & info [ "rate" ] ~docv:"RATE" ~doc)
   in
   let action topology gprime n k r extra fack fprog seed scheduler rate =
-    match build_dual ~topology ~gprime ~n ~r ~extra ~seed with
+    match
+      Result.bind (Mmb.Scenario.check_ranges ~n ~k ~r ~extra ~fack ~fprog)
+        (fun () -> build_dual ~topology ~gprime ~n ~r ~extra ~seed)
+    with
     | Error e -> `Error (false, e)
     | Ok dual -> (
         match build_scheduler scheduler with
@@ -1115,7 +1142,7 @@ let campaign_cmd =
       in
       let jobs = Exec.Pool.resolve_jobs ~requested:jobs in
       let outcomes, stats =
-        Exec.Campaign.run ~jobs ~salt ?cache ~manifest ~clock:Sys.time
+        Exec.Campaign.run ~jobs ~salt ?cache ~manifest ~clock:wall_clock
           job_list
       in
       Array.iter (fun o -> print_string o.Exec.Campaign.output) outcomes;

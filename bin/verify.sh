@@ -1,14 +1,21 @@
 #!/bin/sh
 # Tier-1 verify in one command (see ROADMAP.md).
 #
-#   bin/verify.sh           analyzers + build + tests + perf smoke
-#   bin/verify.sh --quick   analyzers + build + tests (skip perf smoke)
-#   bin/verify.sh --full    default + randomized-hash runtest + analyzer
-#                           fixture suites
-#   bin/verify.sh --tsan    multi-domain exec tests under ThreadSanitizer
-#                           (needs an OCaml >= 5.2 tsan opam switch; set
-#                           MMB_TSAN_SWITCH to name it explicitly; SKIPs
-#                           gracefully when none exists)
+#   bin/verify.sh           @lint @check @race, @hot, build, dune runtest,
+#                           and the trace smoke (run --trace-out/--provenance
+#                           + trace-validate)
+#   bin/verify.sh --full    default + randomized-hash runtest, the analyzer
+#                           fixture suites (@fixtures), the dyn suite, the
+#                           campaign and pdes determinism gates, and the
+#                           n = 10^6 partitioned grid run (EXPERIMENTS.md E18)
+#   bin/verify.sh --tsan    multi-domain exec and pdes tests under
+#                           ThreadSanitizer (needs an OCaml >= 5.2 tsan opam
+#                           switch; set MMB_TSAN_SWITCH to name it
+#                           explicitly; SKIPs gracefully when none exists)
+#
+# Performance is measured by the benchmark BENCHMARK.json declares
+# (bench/wallclock, see its README.md), not here; `dune runtest` runs its
+# smoke mode.
 #
 # Every gate runs even after a failure; a one-line-per-gate summary
 # table prints at the end and the exit code is 0 only if no gate failed.
@@ -17,10 +24,9 @@ cd "$(dirname "$0")/.."
 MODE=default
 case "${1:-}" in
   "") ;;
-  --quick) MODE=quick ;;
   --full)  MODE=full ;;
   --tsan)  MODE=tsan ;;
-  *) echo "usage: bin/verify.sh [--quick|--full|--tsan]" >&2; exit 2 ;;
+  *) echo "usage: bin/verify.sh [--full|--tsan]" >&2; exit 2 ;;
 esac
 
 SUMMARY=""
@@ -43,20 +49,6 @@ skip() {
   echo "== $1 (skipped: $2)"
   SUMMARY="${SUMMARY}SKIP  $1 ($2)
 "
-}
-
-# Like gate, but a failure is advisory: it WARNs in the summary and does
-# not fail the build (perf comparisons on shared runners are noisy).
-warn_gate() {
-  name=$1; shift
-  echo "== $name"
-  if "$@"; then
-    SUMMARY="${SUMMARY}PASS  ${name}
-"
-  else
-    SUMMARY="${SUMMARY}WARN  ${name} (advisory, not fatal)
-"
-  fi
 }
 
 if [ "$MODE" = tsan ]; then
@@ -90,31 +82,13 @@ else
   gate "dune build" dune build
   gate "dune runtest" dune runtest
 
-  if [ "$MODE" != quick ]; then
-    # Perf-suite smoke: asserts the benchmark harness runs end to end
-    # and emits parseable JSON (perf.exe self-validates under --smoke).
-    # Timings at smoke scale mean nothing and are discarded.
-    gate "bench/perf --smoke" \
-      sh -c 'dune exec bench/perf/perf.exe -- --smoke > /dev/null'
-
-    # Trace smoke: a tiny run must produce Perfetto and provenance
-    # exports that self-validate (schema + per-event shape).
-    gate "trace smoke (run --trace-out/--provenance + trace-validate)" \
-      sh -c 'T=$(mktemp -d) && trap "rm -rf $T" 0 &&
-        dune exec bin/mmb_sim.exe -- run -t line -n 10 -k 2 --seed 3 \
-          --trace-out "$T/trace.json" --provenance "$T/prov.jsonl" >/dev/null &&
-        dune exec bin/mmb_sim.exe -- trace-validate "$T/trace.json" "$T/prov.jsonl"'
-
-    # Perf-regression diff over the last two recorded BENCH_PERF entries.
-    # Advisory: entries come from different machines/sessions, so a drop
-    # is a prompt to re-measure, not proof of a regression.
-    warn_gate "perf-diff (last two BENCH_PERF.json entries)" \
-      sh -c 'dune exec bin/mmb_perf_diff.exe -- BENCH_PERF.json'
-  else
-    skip "bench/perf --smoke" "--quick"
-    skip "trace smoke (run --trace-out/--provenance + trace-validate)" "--quick"
-    skip "perf-diff (last two BENCH_PERF.json entries)" "--quick"
-  fi
+  # Trace smoke: a tiny run must produce Perfetto and provenance
+  # exports that self-validate (schema + per-event shape).
+  gate "trace smoke (run --trace-out/--provenance + trace-validate)" \
+    sh -c 'T=$(mktemp -d) && trap "rm -rf $T" 0 &&
+      dune exec bin/mmb_sim.exe -- run -t line -n 10 -k 2 --seed 3 \
+        --trace-out "$T/trace.json" --provenance "$T/prov.jsonl" >/dev/null &&
+      dune exec bin/mmb_sim.exe -- trace-validate "$T/trace.json" "$T/prov.jsonl"'
 
   if [ "$MODE" = full ]; then
     # Randomized hash seeds catch order-dependent Hashtbl traversals
@@ -152,12 +126,19 @@ else
           -k 3 --fack 8 --seed 3 --partitions 4 --domains 4 \
           --trace-out "$T/d4.jsonl" > /dev/null &&
         cmp "$T/d1.jsonl" "$T/d4.jsonl"'
+    # EXPERIMENTS.md E18's reproducer: the million-node grid on the
+    # partitioned engine's struct-of-arrays path must complete.
+    gate "E18 million-node grid (-n 1000000 --partitions 8 --domains 2)" \
+      sh -c 'out=$(dune exec bin/mmb_sim.exe -- run -t grid -n 1000000 \
+          -k 2 --fack 8 --seed 5 --partitions 8 --domains 2) &&
+        printf "%s\n" "$out" && printf "%s\n" "$out" | grep -qx "complete: true"'
   else
     skip "OCAMLRUNPARAM=R dune runtest --force" "run with --full"
     skip "dune build @fixtures" "run with --full"
     skip "dyn suite (test dyn)" "run with --full"
     skip "campaign determinism (churn_line --jobs 1 vs 4)" "run with --full"
     skip "pdes determinism (--partitions 4: --domains 1 vs 4 trace bytes)" "run with --full"
+    skip "E18 million-node grid (-n 1000000 --partitions 8 --domains 2)" "run with --full"
   fi
 fi
 

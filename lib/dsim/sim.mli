@@ -69,7 +69,7 @@ val executed_events : t -> int
     per-call share of this total equals the budget. *)
 
 val set_wall_clock : t -> (unit -> float) -> unit
-(** Inject a monotonic wall-clock source (e.g. [Sys.time]) used to
+(** Inject a monotonic wall-clock source, in seconds, used to
     attribute real time to handler categories.  The engine never reads
     ambient clocks itself (lint rule D3): without injection,
     {!category_stats} reports zero wall time but still counts events. *)

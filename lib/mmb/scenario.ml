@@ -176,6 +176,15 @@ let validate json =
           | Some _ -> Error "field \"sweep\" must be an object"))
   | _ -> Error "a scenario must be a JSON object"
 
+let check_ranges ~n ~k ~r ~extra ~fack ~fprog =
+  if n < 1 then Error "need n >= 1"
+  else if k < 0 then Error "need k >= 0"
+  else if not (fprog > 0. && fprog <= fack) then
+    Error "need 0 < fprog <= fack"
+  else if r < 1 then Error "need r >= 1"
+  else if extra < 0 then Error "need extra >= 0"
+  else Ok ()
+
 let of_json json =
   let* () = validate json in
   let* name = Dsim.Json.member_str json "name" ~default:"scenario" in
@@ -245,11 +254,8 @@ let of_json json =
      on every host. *)
   let* partitions = Dsim.Json.member_int json "partitions" ~default:0 in
   let partitions = if partitions = 0 then max domains 1 else partitions in
-  if n < 1 then Error "need n >= 1"
-  else if k < 0 then Error "need k >= 0"
-  else if repeat < 1 then Error "need repeat >= 1"
-  else if not (fprog > 0. && fprog <= fack) then
-    Error "need 0 < fprog <= fack"
+  let* () = check_ranges ~n ~k ~r ~extra ~fack ~fprog in
+  if repeat < 1 then Error "need repeat >= 1"
   else if dynamic <> None && protocol <> `Bmmb then
     Error
       "dynamic: protocol must be \"bmmb\" (FMMB's per-stage engines do not \

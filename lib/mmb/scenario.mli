@@ -107,6 +107,19 @@ val validate : Dsim.Json.t -> (unit, string) result
     with a message listing the full field vocabulary.  [of_json] and
     [expand] call this for you. *)
 
+val check_ranges :
+  n:int ->
+  k:int ->
+  r:int ->
+  extra:int ->
+  fack:float ->
+  fprog:float ->
+  (unit, string) result
+(** The numeric range checks {!of_json} applies to the fields the CLI
+    also takes as flags: [n >= 1], [k >= 0], [0 < fprog <= fack],
+    [r >= 1] and [extra >= 0].  [Error] names the first one violated.
+    Call it before {!build_dual}, which raises on values out of range. *)
+
 val of_json : Dsim.Json.t -> (spec, string) result
 val of_string : string -> (spec, string) result
 

@@ -112,6 +112,8 @@ let test_scenario_rejects_bad_config () =
       {|{"fprog": 5, "fack": 1}|};
       {|{"arrivals": "sometimes"}|};
       {|{"repeat": 0}|};
+      {|{"gprime": "r-restricted", "r": 0}|};
+      {|{"extra": -1}|};
       {|not json|};
     ]
 

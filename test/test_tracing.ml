@@ -1,7 +1,7 @@
-(* The observability exports (lib/obs Tracing/Provenance/Perf_diff and
-   lib/exec Telemetry): determinism of the trace files, the provenance
-   DAG's structural invariants, the perf-diff verdicts, and the
-   zero-allocation contract of Dsim.Trace dispatch when tracing is off. *)
+(* The observability exports (lib/obs Tracing/Provenance and lib/exec
+   Telemetry): determinism of the trace files, the provenance DAG's
+   structural invariants, and the zero-allocation contract of Dsim.Trace
+   dispatch when tracing is off. *)
 
 let rec rm_rf path =
   if Sys.file_exists path then
@@ -305,118 +305,6 @@ let test_campaign_telemetry_and_global_counters () =
     "wall trace of a fully-cached run has only metadata" 1
     (Obs.Tracing.event_count (Exec.Telemetry.wall_trace outcomes))
 
-(* --- Perf diff ------------------------------------------------------------- *)
-
-let perf_entry ~label benches =
-  {
-    Obs.Perf_diff.e_label = label;
-    e_benches =
-      List.map
-        (fun (id, events, rate, mw) ->
-          { Obs.Perf_diff.b_id = id; b_events = events; b_rate = rate; b_mw = mw })
-        benches;
-  }
-
-let statuses report =
-  List.map
-    (fun f ->
-      match f.Obs.Perf_diff.f_status with
-      | Obs.Perf_diff.Pass -> "pass"
-      | Obs.Perf_diff.Regression -> "regression"
-      | Obs.Perf_diff.Incomparable -> "incomparable")
-    report.Obs.Perf_diff.findings
-
-let test_perf_diff_verdicts () =
-  let base =
-    perf_entry ~label:"base"
-      [
-        ("steady", 100., 1000., 10.);
-        ("dropped", 100., 1000., 10.);
-        ("bloated", 100., 1000., 10.);
-        ("gone", 100., 1000., 10.);
-        ("zero", 0., 0., 0.);
-      ]
-  in
-  let cand =
-    perf_entry ~label:"cand"
-      [
-        ("steady", 100., 980., 10.);
-        ("dropped", 100., 500., 10.);
-        ("bloated", 100., 1000., 20.);
-        ("zero", 0., 0., 0.);
-      ]
-  in
-  let report = Obs.Perf_diff.compare_entries base cand in
-  Alcotest.(check (list string))
-    "verdicts"
-    [ "pass"; "regression"; "regression"; "incomparable"; "incomparable" ]
-    (statuses report);
-  Alcotest.(check int) "2 regressions" 2 (Obs.Perf_diff.regressions report);
-  Alcotest.(check int) "2 incomparable" 2 (Obs.Perf_diff.incomparable report)
-
-let test_perf_diff_equal_events_gate () =
-  let base = perf_entry ~label:"b" [ ("x", 100., 1000., Float.nan) ] in
-  let cand = perf_entry ~label:"c" [ ("x", 101., 1000., Float.nan) ] in
-  let report =
-    Obs.Perf_diff.compare_entries ~require_equal_events:true base cand
-  in
-  Alcotest.(check (list string))
-    "changed event count is incomparable" [ "incomparable" ] (statuses report);
-  let relaxed = Obs.Perf_diff.compare_entries base cand in
-  Alcotest.(check (list string))
-    "without the gate it passes" [ "pass" ] (statuses relaxed)
-
-let test_perf_diff_selectors () =
-  let entries =
-    [
-      perf_entry ~label:"seed baseline" [];
-      perf_entry ~label:"after: PR5" [];
-      perf_entry ~label:"after: PR7" [];
-    ]
-  in
-  let label = function
-    | Ok e -> e.Obs.Perf_diff.e_label
-    | Error e -> Alcotest.fail e
-  in
-  Alcotest.(check string)
-    "-1 is the newest" "after: PR7"
-    (label (Obs.Perf_diff.select entries (Obs.Perf_diff.Index (-1))));
-  Alcotest.(check string)
-    "-2 is the previous" "after: PR5"
-    (label (Obs.Perf_diff.select entries (Obs.Perf_diff.Index (-2))));
-  Alcotest.(check string)
-    "0 is the oldest" "seed baseline"
-    (label (Obs.Perf_diff.select entries (Obs.Perf_diff.Index 0)));
-  Alcotest.(check string)
-    "label substring picks the newest match" "after: PR7"
-    (label (Obs.Perf_diff.select entries (Obs.Perf_diff.Label "after:")));
-  (match Obs.Perf_diff.select entries (Obs.Perf_diff.Index 5) with
-  | Ok _ -> Alcotest.fail "out-of-range index must fail"
-  | Error _ -> ());
-  match Obs.Perf_diff.select entries (Obs.Perf_diff.Label "nope") with
-  | Ok _ -> Alcotest.fail "unmatched label must fail"
-  | Error _ -> ()
-
-let test_perf_diff_parses_history () =
-  let text =
-    {|{"schema":"mmb-bench-perf/1","entries":[
-       {"label":"a","mode":"full","results":[
-         {"id":"x","events":10,"wall_s":1,"events_per_sec":10,
-          "minor_words_per_event":2,"heap_high_water":1}]},
-       {"label":"b","mode":"full","results":[
-         {"id":"x","events":10,"wall_s":1,"events_per_sec":11,
-          "minor_words_per_event":2,"heap_high_water":1}]}]}|}
-  in
-  match Obs.Perf_diff.entries_of_string text with
-  | Error e -> Alcotest.fail e
-  | Ok entries ->
-      Alcotest.(check int) "two entries" 2 (List.length entries);
-      let report =
-        Obs.Perf_diff.compare_entries (List.nth entries 0) (List.nth entries 1)
-      in
-      Alcotest.(check (list string)) "faster is fine" [ "pass" ]
-        (statuses report)
-
 let suite =
   [
     ( "tracing",
@@ -441,12 +329,5 @@ let suite =
           test_campaign_trace_identity_ran_vs_cached;
         Alcotest.test_case "campaign telemetry and Obs.Global counters" `Slow
           test_campaign_telemetry_and_global_counters;
-        Alcotest.test_case "perf-diff verdicts" `Quick test_perf_diff_verdicts;
-        Alcotest.test_case "perf-diff equal-events gate" `Quick
-          test_perf_diff_equal_events_gate;
-        Alcotest.test_case "perf-diff entry selectors" `Quick
-          test_perf_diff_selectors;
-        Alcotest.test_case "perf-diff parses bench history" `Quick
-          test_perf_diff_parses_history;
       ] );
   ]
