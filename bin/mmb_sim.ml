@@ -156,51 +156,7 @@ let partitions_arg =
   in
   Arg.(value & opt int 0 & info [ "partitions" ] ~docv:"P" ~doc)
 
-(* --- Construction helpers ----------------------------------------------- *)
-
-let build_base ~topology ~n ~seed =
-  let rng = Dsim.Rng.create ~seed:(seed + 7321) in
-  match topology with
-  | "line" -> Ok (Graphs.Gen.line n, None)
-  | "ring" -> Ok (Graphs.Gen.ring (max 3 n), None)
-  | "star" -> Ok (Graphs.Gen.star n, None)
-  | "grid" ->
-      let side = int_of_float (ceil (sqrt (float_of_int n))) in
-      Ok (Graphs.Gen.grid ~rows:side ~cols:side, None)
-  | "geometric" ->
-      let side = sqrt (float_of_int n /. 3.) in
-      let g, pts =
-        Graphs.Gen.random_connected_geometric rng ~n ~width:side ~height:side
-          ~radius:1. ~max_tries:2000
-      in
-      Ok (g, Some pts)
-  | other -> Error (Printf.sprintf "unknown topology %S" other)
-
-let build_dual ~topology ~gprime ~n ~r ~extra ~seed =
-  let rng = Dsim.Rng.create ~seed:(seed + 911) in
-  match gprime with
-  | "greyzone" ->
-      let side = sqrt (float_of_int n /. 3.) in
-      Ok
-        (Graphs.Dual.grey_zone_connected rng ~n ~width:side ~height:side ~c:2.
-           ~p:0.4 ~max_tries:2000)
-  | regime -> (
-      match build_base ~topology ~n ~seed with
-      | Error e -> Error e
-      | Ok (g, _) -> (
-          match regime with
-          | "equal" -> Ok (Graphs.Dual.of_equal g)
-          | "r-restricted" ->
-              Ok (Graphs.Dual.r_restricted_random rng ~g ~r ~extra)
-          | "arbitrary" -> Ok (Graphs.Dual.arbitrary_random rng ~g ~extra)
-          | other -> Error (Printf.sprintf "unknown G' regime %S" other)))
-
-let build_scheduler = function
-  | "eager" -> Ok (Amac.Schedulers.eager ())
-  | "random" -> Ok (Amac.Schedulers.random_compliant ())
-  | "adversarial" -> Ok (Amac.Schedulers.adversarial ())
-  | "bursty" -> Ok (Amac.Schedulers.bursty ())
-  | other -> Error (Printf.sprintf "unknown scheduler %S" other)
+(* --- Network summary ---------------------------------------------------- *)
 
 let describe_dual dual =
   let g = Graphs.Dual.reliable dual in
@@ -247,7 +203,7 @@ let write_provenance tr ~n ~meta ~path =
 
 let run_bmmb ~dual ~dyn ~fack ~fprog ~scheduler ~k ~seed ~check ~trace
     ~trace_out ~provenance ~metrics ~progress =
-  match build_scheduler scheduler with
+  match Mmb.Scenario.build_scheduler scheduler with
   | Error e -> `Error (false, e)
   | Ok policy ->
       let rng = Dsim.Rng.create ~seed in
@@ -328,7 +284,7 @@ let run_bmmb ~dual ~dyn ~fack ~fprog ~scheduler ~k ~seed ~check ~trace
       | Some d ->
           let churned =
             match Option.bind obs Obs.Observer.monitor with
-            | Some m -> Obs.Monitor.churned_count m
+            | Some m -> Amac.Compliance.churned_count m
             | None -> 0
           in
           Printf.printf
@@ -369,12 +325,12 @@ let run_bmmb ~dual ~dyn ~fack ~fprog ~scheduler ~k ~seed ~check ~trace
       `Ok ()
 
 (* BMMB on the horizon-parallel engine (lib/pdes).  Reached only when the
-   resolved partition count exceeds 1; the serial-engine observability
-   surface (compliance monitor, Perfetto export, provenance, metrics,
+   resolved partition count exceeds 1, after {!Mmb.Scenario.check_spec}
+   has applied the engine's limits; the serial-engine observability
+   surface (compliance checker, Perfetto export, provenance, metrics,
    progress ticker) stays with [run_bmmb]. *)
-let run_bmmb_parallel ~dual ~dynamic ~epoch ~dyn_period ~churn_rate ~dyn_seed
-    ~fack ~fprog ~scheduler ~k ~seed ~partitions ~domains ~check ~trace
-    ~trace_out ~provenance ~metrics ~progress =
+let run_bmmb_parallel ~dual ~dyn_spec ~fack ~fprog ~k ~seed ~partitions
+    ~domains ~check ~trace ~trace_out ~provenance ~metrics ~progress =
   let unsupported =
     List.filter_map
       (fun (on, flag) -> if on then Some flag else None)
@@ -403,95 +359,49 @@ let run_bmmb_parallel ~dual ~dynamic ~epoch ~dyn_period ~churn_rate ~dyn_seed
       ( false,
         "Perfetto export (--trace-out *.json) requires the serial engine \
          (--partitions 1); use a non-.json suffix for the raw JSONL log" )
-  else if scheduler <> "random" then
-    `Error
-      ( false,
-        Printf.sprintf
-          "--partitions > 1 runs the fused full-coverage engine, which only \
-           realises the %S scheduler (got %S)"
-          "random" scheduler )
   else
-    let dyn_spec =
+    (* One private wrapper per partition, built from the checked spec. *)
+    let mk_dyn =
       Option.map
-        (fun kind ->
-          {
-            Mmb.Scenario.dyn_kind = kind;
-            dyn_epoch = epoch;
-            dyn_period;
-            dyn_churn = churn_rate;
-            dyn_seed;
-          })
-        dynamic
+        (fun d () ->
+          match Mmb.Scenario.build_dyn ~dual d with
+          | Ok dd -> dd
+          | Error e -> failwith e)
+        dyn_spec
     in
-    (* Validate the dynamic sub-spec once, eagerly; the engine then builds
-       one private wrapper per partition from the same spec. *)
-    let dyn_check =
-      match dyn_spec with
-      | None -> Ok None
-      | Some d when d.Mmb.Scenario.dyn_kind = "adversary" ->
-          Error
-            "--dynamic adversary requires the serial engine (--partitions \
-             1): the adversary consults a global delivery oracle"
-      | Some d ->
-          Result.map (fun _ -> Some d) (Mmb.Scenario.build_dyn ~dual d)
+    let rng = Dsim.Rng.create ~seed in
+    let n = Graphs.Dual.n dual in
+    let assignment = Mmb.Problem.random rng ~n ~k in
+    let r =
+      Mmb.Runner.run_bmmb_pdes ~dual ~fack ~fprog
+        ~policy:(Amac.Schedulers.random_compliant ())
+        ~assignment ~seed ~partitions ~domains ?mk_dyn ?trace_out ()
     in
-    match dyn_check with
-    | Error e -> `Error (false, e)
-    | Ok dyn_spec -> (
-        let mk_dyn =
-          Option.map
-            (fun d () ->
-              match Mmb.Scenario.build_dyn ~dual d with
-              | Ok dd -> dd
-              | Error e -> failwith e)
-            dyn_spec
-        in
-        let rng = Dsim.Rng.create ~seed in
-        let n = Graphs.Dual.n dual in
-        let assignment = Mmb.Problem.random rng ~n ~k in
-        match
-          Mmb.Runner.run_bmmb_pdes ~dual ~fack ~fprog
-            ~policy:(Amac.Schedulers.random_compliant ())
-            ~assignment ~seed ~partitions ~domains ?mk_dyn ?trace_out ()
-        with
-        | exception Pdes.Engine.Domains_exceed_partitions { domains; partitions }
-          ->
-            `Error
-              ( false,
-                Printf.sprintf
-                  "domains-exceed-partitions: %d worker domains cannot be \
-                   mapped onto %d partition(s); lower --domains or raise \
-                   --partitions"
-                  domains partitions )
-        | r ->
-            describe_dual dual;
-            Printf.printf
-              "protocol: BMMB (partitioned engine), Fack=%g, Fprog=%g, \
-               partitions=%d, domains=%d\n"
-              fack fprog r.Mmb.Runner.pd_partitions r.Mmb.Runner.pd_domains;
-            Printf.printf "complete: %b\ntime: %g\nbound: %g (time/bound %.2f)\n"
-              r.Mmb.Runner.pd_complete r.Mmb.Runner.pd_time
-              r.Mmb.Runner.pd_upper_bound
-              (if r.Mmb.Runner.pd_upper_bound > 0. then
-                 r.Mmb.Runner.pd_time /. r.Mmb.Runner.pd_upper_bound
-               else 0.);
-            Printf.printf "bcasts: %d, rcvs: %d, acks: %d\n"
-              r.Mmb.Runner.pd_bcasts r.Mmb.Runner.pd_rcvs r.Mmb.Runner.pd_acks;
-            Printf.printf
-              "deliveries: %d (%d across partitions, %d cut edges)\n"
-              r.Mmb.Runner.pd_deliveries r.Mmb.Runner.pd_remote
-              r.Mmb.Runner.pd_cut_edges;
-            Printf.printf
-              "engine: %d events executed, %d barrier windows, heap high \
-               water %d\n"
-              r.Mmb.Runner.pd_events r.Mmb.Runner.pd_windows
-              r.Mmb.Runner.pd_heap_high_water;
-            Option.iter
-              (fun path ->
-                Printf.printf "trace written to %s (%d events)\n" path
-                  r.Mmb.Runner.pd_trace_entries)
-              trace_out;
-            `Ok ())
+    describe_dual dual;
+    Printf.printf
+      "protocol: BMMB (partitioned engine), Fack=%g, Fprog=%g, partitions=%d, \
+       domains=%d\n"
+      fack fprog r.Mmb.Runner.pd_partitions r.Mmb.Runner.pd_domains;
+    Printf.printf "complete: %b\ntime: %g\nbound: %g (time/bound %.2f)\n"
+      r.Mmb.Runner.pd_complete r.Mmb.Runner.pd_time r.Mmb.Runner.pd_upper_bound
+      (if r.Mmb.Runner.pd_upper_bound > 0. then
+         r.Mmb.Runner.pd_time /. r.Mmb.Runner.pd_upper_bound
+       else 0.);
+    Printf.printf "bcasts: %d, rcvs: %d, acks: %d\n" r.Mmb.Runner.pd_bcasts
+      r.Mmb.Runner.pd_rcvs r.Mmb.Runner.pd_acks;
+    Printf.printf "deliveries: %d (%d across partitions, %d cut edges)\n"
+      r.Mmb.Runner.pd_deliveries r.Mmb.Runner.pd_remote
+      r.Mmb.Runner.pd_cut_edges;
+    Printf.printf
+      "engine: %d events executed, %d barrier windows, heap high water %d\n"
+      r.Mmb.Runner.pd_events r.Mmb.Runner.pd_windows
+      r.Mmb.Runner.pd_heap_high_water;
+    Option.iter
+      (fun path ->
+        Printf.printf "trace written to %s (%d events)\n" path
+          r.Mmb.Runner.pd_trace_entries)
+      trace_out;
+    `Ok ()
 
 let run_fmmb ~dual ~fprog ~k ~seed ~trace_out ~provenance ~metrics =
   let rng = Dsim.Rng.create ~seed in
@@ -526,7 +436,7 @@ let run_fmmb ~dual ~fprog ~k ~seed ~trace_out ~provenance ~metrics =
             Option.iter (fun (_, p) -> Obs.Provenance.attach p tr) pcol)
   in
   (* Span-only observer: FMMB's staged engines restart uids/clocks, so the
-     streaming compliance monitor does not apply (see Obs.Monitor). *)
+     streaming compliance checker does not apply (see Amac.Compliance). *)
   let obs =
     match metrics with
     | None -> None
@@ -582,10 +492,64 @@ let run_cmd =
   let action protocol topology gprime n k r extra fack fprog seed scheduler
       check trace trace_out provenance metrics progress svg dynamic epoch
       dyn_period churn_rate dyn_seed domains partitions =
-    match
-      Result.bind (Mmb.Scenario.check_ranges ~n ~k ~r ~extra ~fack ~fprog)
-        (fun () -> build_dual ~topology ~gprime ~n ~r ~extra ~seed)
-    with
+    (* [--domains 0] auto-resolves like [campaign --jobs 0].  Explicit
+       positive counts are honored even beyond the core count: traces
+       are identical for any mapping, and determinism gates need real
+       multi-domain runs even on small machines.  The partition count
+       then defaults to one partition per worker. *)
+    let domains =
+      if domains <= 0 then Exec.Pool.resolve_jobs ~requested:domains
+      else domains
+    in
+    let partitions = if partitions <= 0 then domains else partitions in
+    let dyn_spec =
+      Option.map
+        (fun kind ->
+          {
+            Mmb.Scenario.dyn_kind = kind;
+            dyn_epoch = epoch;
+            dyn_period;
+            dyn_churn = churn_rate;
+            dyn_seed;
+          })
+        dynamic
+    in
+    (* The flags describe a one-run scenario: check it with the loader's
+       rules before anything is built. *)
+    let checked =
+      let ( let* ) = Result.bind in
+      let* protocol =
+        match protocol with
+        | "bmmb" -> Ok `Bmmb
+        | "fmmb" -> Ok `Fmmb
+        | other -> Error (Printf.sprintf "unknown protocol %S" other)
+      in
+      let* () =
+        Mmb.Scenario.check_spec
+          {
+            Mmb.Scenario.name = "run";
+            protocol;
+            topology;
+            n;
+            gprime;
+            r;
+            extra;
+            k;
+            fack;
+            fprog;
+            seed;
+            scheduler;
+            arrivals = Mmb.Scenario.Batch;
+            check;
+            repeat = 1;
+            dynamic = dyn_spec;
+            domains;
+            partitions;
+          }
+      in
+      Mmb.Scenario.build_dual ~topology ~gprime ~n ~r ~extra ~seed
+    in
+    match checked with
     | Error e -> `Error (false, e)
     | Ok dual -> (
         (match svg with
@@ -599,56 +563,22 @@ let run_cmd =
                 prerr_endline
                   "note: --svg requires an embedded (geometric/greyzone) \
                    network; skipped"));
-        (* [--domains 0] auto-resolves like [campaign --jobs 0].  Explicit
-           positive counts are honored even beyond the core count: traces
-           are identical for any mapping, and determinism gates need real
-           multi-domain runs even on small machines.  The partition count
-           then defaults to one partition per worker. *)
-        let domains =
-          if domains <= 0 then Exec.Pool.resolve_jobs ~requested:domains
-          else domains
-        in
-        let partitions = if partitions <= 0 then domains else partitions in
-        if domains > partitions then
-          `Error
-            ( false,
-              Printf.sprintf
-                "domains-exceed-partitions: %d worker domains cannot be \
-                 mapped onto %d partition(s); lower --domains or raise \
-                 --partitions"
-                domains partitions )
-        else if partitions > 1 && protocol <> "bmmb" then
-          `Error (false, "--partitions > 1 requires --protocol bmmb")
-        else if partitions > 1 then
-          run_bmmb_parallel ~dual ~dynamic ~epoch ~dyn_period ~churn_rate
-            ~dyn_seed ~fack ~fprog ~scheduler ~k ~seed ~partitions ~domains
-            ~check ~trace ~trace_out ~provenance ~metrics ~progress
+        if partitions > 1 then
+          run_bmmb_parallel ~dual ~dyn_spec ~fack ~fprog ~k ~seed ~partitions
+            ~domains ~check ~trace ~trace_out ~provenance ~metrics ~progress
+        else if protocol = "fmmb" then
+          run_fmmb ~dual ~fprog ~k ~seed ~trace_out ~provenance ~metrics
         else
           let dyn =
-            match dynamic with
+            match dyn_spec with
             | None -> Ok None
-            | Some _ when protocol <> "bmmb" ->
-                Error "--dynamic requires --protocol bmmb"
-            | Some kind ->
-                Result.map Option.some
-                  (Mmb.Scenario.build_dyn ~dual
-                     {
-                       Mmb.Scenario.dyn_kind = kind;
-                       dyn_epoch = epoch;
-                       dyn_period;
-                       dyn_churn = churn_rate;
-                       dyn_seed;
-                     })
+            | Some d -> Result.map Option.some (Mmb.Scenario.build_dyn ~dual d)
           in
-          match (dyn, protocol) with
-          | Error e, _ -> `Error (false, e)
-          | Ok dyn, "bmmb" ->
+          match dyn with
+          | Error e -> `Error (false, e)
+          | Ok dyn ->
               run_bmmb ~dual ~dyn ~fack ~fprog ~scheduler ~k ~seed ~check
-                ~trace ~trace_out ~provenance ~metrics ~progress
-          | Ok _, "fmmb" ->
-              run_fmmb ~dual ~fprog ~k ~seed ~trace_out ~provenance ~metrics
-          | Ok _, other ->
-              `Error (false, Printf.sprintf "unknown protocol %S" other))
+                ~trace ~trace_out ~provenance ~metrics ~progress)
   in
   let term =
     Term.(
@@ -741,10 +671,12 @@ let sweep_cmd =
       | None ->
           Printf.printf "%8s  %10s  %10s  %10s\n" param "time" "bound" "ratio";
           let run_one (v, n, k, r, fack) =
-            match build_dual ~topology ~gprime ~n ~r ~extra ~seed with
+            match
+              Mmb.Scenario.build_dual ~topology ~gprime ~n ~r ~extra ~seed
+            with
             | Error e -> prerr_endline e
             | Ok dual -> (
-                match build_scheduler scheduler with
+                match Mmb.Scenario.build_scheduler scheduler with
                 | Error e -> prerr_endline e
                 | Ok policy ->
                     let rng = Dsim.Rng.create ~seed in
@@ -784,11 +716,12 @@ let online_cmd =
   let action topology gprime n k r extra fack fprog seed scheduler rate =
     match
       Result.bind (Mmb.Scenario.check_ranges ~n ~k ~r ~extra ~fack ~fprog)
-        (fun () -> build_dual ~topology ~gprime ~n ~r ~extra ~seed)
+        (fun () ->
+          Mmb.Scenario.build_dual ~topology ~gprime ~n ~r ~extra ~seed)
     with
     | Error e -> `Error (false, e)
     | Ok dual -> (
-        match build_scheduler scheduler with
+        match Mmb.Scenario.build_scheduler scheduler with
         | Error e -> `Error (false, e)
         | Ok policy ->
             let rng = Dsim.Rng.create ~seed in

@@ -1,6 +1,7 @@
-(** Post-hoc auditor of the abstract MAC layer axioms (Section 3.2.1).
+(** Checker of the abstract MAC layer axioms (Section 3.2.1), the one
+    implementation of them in the repository.
 
-    Given an execution trace and the dual graph it ran on, checks:
+    It checks, on a time-ordered stream of trace entries:
 
     + {b receive correctness} — every [rcv] goes to a G'-neighbor of the
       instance's sender, at most one [rcv] per (instance, receiver), and no
@@ -17,9 +18,20 @@
       of [j], some [rcv] at [j] occurs by the window's end from an instance
       whose terminating event does not precede the window's start.
 
+    Two ways in: {!audit} checks a retained trace after the run; {!create}
+    / {!on_entry} / {!finish} check a live run event by event (typically
+    via {!Dsim.Trace.subscribe}), reporting each violation the moment it
+    is detectable.  [audit] is that same stream folded over the trace, so
+    the two cannot disagree.  Local rules fire on the offending entry; the
+    progress bound is checked on each connected span when its instance
+    terminates (an open contender's coverage extends to [+inf], which no
+    later event can contradict).
+
     The checker is the independent half of model fidelity: the engines are
     built to satisfy the axioms, and this module verifies that they did on
-    each concrete execution. *)
+    each concrete execution.  Not applicable to FMMB traces: the
+    round-based stages use a fresh engine each (instance uids and times
+    restart per stage). *)
 
 type violation = {
   rule : string;  (** short rule identifier, e.g. "receive-correctness" *)
@@ -36,12 +48,61 @@ val audit :
   violation list
 (** Empty result means the trace is compliant.  [eps_abort] defaults to
     [0.]; [allow_open] (default [false]) suppresses termination violations
-    for instances with no terminating event (horizon-truncated runs). *)
+    for instances with no terminating event (horizon-truncated runs).
+    Violations come in detection order. *)
 
 val pp_violation : Format.formatter -> violation -> unit
 
-val covered : (float * float) list -> lo:float -> hi:float -> tol:float -> bool
-(** [covered intervals ~lo ~hi ~tol]: do the closed intervals jointly
-    cover [[lo, hi]] (up to [tol] slack at junctions)?  The progress-bound
-    primitive, exported so the streaming monitor ({!Obs.Monitor}) checks
-    coverage with the exact same sweep as this post-hoc auditor. *)
+(** {1 Streaming} *)
+
+type t
+
+val create :
+  dual:Graphs.Dual.t ->
+  fack:float ->
+  fprog:float ->
+  ?eps_abort:float ->
+  ?dyn:Dyn.Dual.t ->
+  ?on_violation:(Dsim.Trace.entry option -> violation -> unit) ->
+  ?on_gap:(float -> unit) ->
+  unit ->
+  t
+(** [on_violation] fires once per violation at detection time with the
+    entry being processed ([None] for horizon-time findings from
+    {!finish}).
+
+    [on_gap] receives every empirical starvation gap: how long a receiver
+    with an open reliable-neighbor instance waited with no live covering
+    delivery.  The largest gap is the empirical Fprog, the quantity
+    {!Estimate} recovers by binary search.
+
+    [dyn] enables the epoch-aware axiom variants for time-varying
+    unreliable layers ([dual] must then be the schedule's base/union
+    dual).  The checker never steps epochs (check A6); it pins, per
+    instance at [Bcast] time, the epoch-current G' through the
+    read-only [Dyn.Dual.current] — the MAC advances the epoch just
+    before recording the event — and classifies anomalies the schedule
+    explains as churned ({!churned_count}) instead of violations:
+
+    {ul
+    {- {b receive correctness}: a delivery outside the pinned G' but
+       inside the union G' crossed a churned-away link — churned; a
+       delivery outside even the union is still a violation.}
+    {- {b ack correctness / progress / ack bound}: unchanged — they
+       quantify over G, which schedules never touch.}} *)
+
+val on_entry : t -> Dsim.Trace.entry -> unit
+
+val finish : ?allow_open:bool -> t -> violation list
+(** Close the run: instances still open are checked against the last
+    observed event time (and flagged as termination violations unless
+    [allow_open]), and open starvation windows are reported to [on_gap].
+    Returns all violations, detection order.  Idempotent. *)
+
+val violations : t -> violation list
+(** Violations so far, detection order. *)
+
+val violation_count : t -> int
+
+val churned_count : t -> int
+(** Anomalies classified as churn-explained (0 without [?dyn]). *)

@@ -185,6 +185,63 @@ let check_ranges ~n ~k ~r ~extra ~fack ~fprog =
   else if extra < 0 then Error "need extra >= 0"
   else Ok ()
 
+(* Every rule a resolved spec must satisfy, whether it came from a
+   scenario file or from mmb_sim run's flags. *)
+let check_spec s =
+  let* () =
+    match s.dynamic with
+    | None -> Ok ()
+    | Some d ->
+        if not (List.mem d.dyn_kind dynamic_kinds) then
+          Error
+            (Printf.sprintf "dynamic: unknown kind %S; known kinds: %s"
+               d.dyn_kind
+               (String.concat ", " dynamic_kinds))
+        else if not (d.dyn_epoch > 0.) then Error "dynamic: need epoch > 0"
+        else if d.dyn_period < 1 then Error "dynamic: need period >= 1"
+        else if not (d.dyn_churn >= 0. && d.dyn_churn <= 1.) then
+          Error "dynamic: need churn in [0, 1]"
+        else Ok ()
+  in
+  let* () =
+    check_ranges ~n:s.n ~k:s.k ~r:s.r ~extra:s.extra ~fack:s.fack
+      ~fprog:s.fprog
+  in
+  let partitioned = s.partitions > 1 in
+  if s.repeat < 1 then Error "need repeat >= 1"
+  else if s.dynamic <> None && s.protocol <> `Bmmb then
+    Error
+      "dynamic: protocol must be \"bmmb\" (FMMB's per-stage engines do not \
+       take epoch schedules)"
+  else if s.domains < 1 then Error "need domains >= 1"
+  else if s.partitions < 1 then Error "need partitions >= 0 (0 = auto)"
+  else if s.domains > s.partitions then
+    Error
+      (Printf.sprintf
+         "domains-exceed-partitions: %d worker domains cannot be mapped \
+          onto %d partition(s); raise \"partitions\" or lower \"domains\""
+         s.domains s.partitions)
+  else if partitioned && s.protocol <> `Bmmb then
+    Error "partitions: the partitioned engine runs protocol \"bmmb\" only"
+  else if partitioned && (match s.arrivals with Batch -> false | _ -> true)
+  then Error "partitions: the partitioned engine is batch-arrivals only"
+  else if partitioned && s.scheduler <> "random" then
+    Error
+      (Printf.sprintf
+         "partitions: the partitioned engine fixes the \"random\" \
+          scheduler family (got %S)"
+         s.scheduler)
+  else if
+    partitioned
+    && (match s.dynamic with
+       | Some d -> d.dyn_kind = "adversary"
+       | None -> false)
+  then
+    Error
+      "partitions: the adversary oracle needs global delivered-set \
+       knowledge and cannot be partitioned; use kind static, flap, or churn"
+  else Ok ()
+
 let of_json json =
   let* () = validate json in
   let* name = Dsim.Json.member_str json "name" ~default:"scenario" in
@@ -229,23 +286,11 @@ let of_json json =
     | None | Some Dsim.Json.Null -> Ok None
     | Some dyn ->
         let* dyn_kind = Dsim.Json.member_str dyn "kind" ~default:"static" in
-        let* () =
-          if List.mem dyn_kind dynamic_kinds then Ok ()
-          else
-            Error
-              (Printf.sprintf "dynamic: unknown kind %S; known kinds: %s"
-                 dyn_kind
-                 (String.concat ", " dynamic_kinds))
-        in
         let* dyn_epoch = Dsim.Json.member_float dyn "epoch" ~default:10. in
         let* dyn_period = Dsim.Json.member_int dyn "period" ~default:1 in
         let* dyn_churn = Dsim.Json.member_float dyn "churn" ~default:0.2 in
         let* dyn_seed = Dsim.Json.member_int dyn "seed" ~default:0 in
-        if not (dyn_epoch > 0.) then Error "dynamic: need epoch > 0"
-        else if dyn_period < 1 then Error "dynamic: need period >= 1"
-        else if not (dyn_churn >= 0. && dyn_churn <= 1.) then
-          Error "dynamic: need churn in [0, 1]"
-        else Ok (Some { dyn_kind; dyn_epoch; dyn_period; dyn_churn; dyn_seed })
+        Ok (Some { dyn_kind; dyn_epoch; dyn_period; dyn_churn; dyn_seed })
   in
   let* domains = Dsim.Json.member_int json "domains" ~default:1 in
   (* [partitions] 0 means auto: one partition per requested domain.  The
@@ -254,63 +299,30 @@ let of_json json =
      on every host. *)
   let* partitions = Dsim.Json.member_int json "partitions" ~default:0 in
   let partitions = if partitions = 0 then max domains 1 else partitions in
-  let* () = check_ranges ~n ~k ~r ~extra ~fack ~fprog in
-  if repeat < 1 then Error "need repeat >= 1"
-  else if dynamic <> None && protocol <> `Bmmb then
-    Error
-      "dynamic: protocol must be \"bmmb\" (FMMB's per-stage engines do not \
-       take epoch schedules)"
-  else if domains < 1 then Error "need domains >= 1"
-  else if partitions < 1 then Error "need partitions >= 0 (0 = auto)"
-  else if domains > partitions then
-    Error
-      (Printf.sprintf
-         "domains-exceed-partitions: %d worker domains cannot be mapped \
-          onto %d partition(s); raise \"partitions\" or lower \"domains\""
-         domains partitions)
-  else if partitions > 1 && protocol <> `Bmmb then
-    Error "partitions: the partitioned engine runs protocol \"bmmb\" only"
-  else if
-    partitions > 1 && (match arrivals with Batch -> false | _ -> true)
-  then
-    Error "partitions: the partitioned engine is batch-arrivals only"
-  else if partitions > 1 && scheduler <> "random" then
-    Error
-      (Printf.sprintf
-         "partitions: the partitioned engine fixes the \"random\" \
-          scheduler family (got %S)"
-         scheduler)
-  else if
-    partitions > 1
-    && (match dynamic with
-       | Some d -> d.dyn_kind = "adversary"
-       | None -> false)
-  then
-    Error
-      "partitions: the adversary oracle needs global delivered-set \
-       knowledge and cannot be partitioned; use kind static, flap, or churn"
-  else
-    Ok
-      {
-        name;
-        protocol;
-        topology;
-        n;
-        gprime;
-        r;
-        extra;
-        k;
-        fack;
-        fprog;
-        seed;
-        scheduler;
-        arrivals;
-        check;
-        repeat;
-        dynamic;
-        domains;
-        partitions;
-      }
+  let spec =
+    {
+      name;
+      protocol;
+      topology;
+      n;
+      gprime;
+      r;
+      extra;
+      k;
+      fack;
+      fprog;
+      seed;
+      scheduler;
+      arrivals;
+      check;
+      repeat;
+      dynamic;
+      domains;
+      partitions;
+    }
+  in
+  let* () = check_spec spec in
+  Ok spec
 
 let of_string text =
   let* json = Dsim.Json.parse text in

@@ -115,10 +115,19 @@ val check_ranges :
   fack:float ->
   fprog:float ->
   (unit, string) result
-(** The numeric range checks {!of_json} applies to the fields the CLI
-    also takes as flags: [n >= 1], [k >= 0], [0 < fprog <= fack],
-    [r >= 1] and [extra >= 0].  [Error] names the first one violated.
-    Call it before {!build_dual}, which raises on values out of range. *)
+(** The numeric range checks {!check_spec} applies to the network and
+    bound fields: [n >= 1], [k >= 0], [0 < fprog <= fack], [r >= 1] and
+    [extra >= 0].  [Error] names the first one violated.  Call it before
+    {!build_dual}, which raises on values out of range. *)
+
+val check_spec : spec -> (unit, string) result
+(** Every rule a resolved spec must satisfy: the [dynamic] kind and its
+    ranges (epoch > 0, period >= 1, churn in [[0, 1]]), {!check_ranges},
+    [repeat >= 1], dynamic only with BMMB, [1 <= domains <= partitions],
+    and the partitioned engine's limits (BMMB, batch arrivals, the
+    "random" scheduler, no adversary).  [Error] names the first one
+    violated.  {!of_json} ends with it, and [mmb_sim run] checks the spec
+    its flags describe with it before building anything. *)
 
 val of_json : Dsim.Json.t -> (spec, string) result
 val of_string : string -> (spec, string) result

@@ -1,78 +1,8 @@
-(** Streaming compliance monitor: the five abstract-MAC-layer axioms of
-    {!Amac.Compliance}, checked incrementally as events occur.
+(** The streaming compliance checker under its older name: an alias of
+    {!Amac.Compliance}, which is the one implementation of the five MAC
+    axioms.  New code should use {!Amac.Compliance} directly;
+    {!Observer.create} wires its metrics. *)
 
-    Feed every trace entry through {!on_entry} (typically via
-    {!Dsim.Trace.subscribe}) and call {!finish} once at the end of the
-    run.  Violations are reported through [on_violation] the moment they
-    are detectable, so long runs can abort immediately with the offending
-    event instead of auditing a full retained trace afterwards.
-
-    Verdict parity: on a time-ordered trace the multiset of violations
-    (rule and detail strings) equals {!Amac.Compliance.audit}'s on the
-    same inputs — local rules are literal transcriptions, and the
-    progress bound reuses {!Amac.Compliance.covered} on each connected
-    span at the moment it closes (an open contender's coverage extends to
-    [+inf], which cannot disagree with the post-hoc verdict because later
-    coverage cannot begin earlier than the current time).  Only the
-    {e order} of the returned list differs (detection order rather than
-    the auditor's three-pass order).
-
-    With [?metrics], also registers [monitor.violations] (counter) and
-    [mac.progress_gap] — a histogram of empirical starvation gaps: how
-    long a receiver with an open reliable-neighbor instance waited with no
-    live covering delivery.  Its maximum is the empirical Fprog, the
-    quantity {!Amac.Estimate} recovers by binary search.
-
-    Not applicable to FMMB traces: the round-based stages use a fresh
-    engine each (instance uids and times restart per stage), so a single
-    monitor would see uid collisions and non-monotone times. *)
-
-type violation = Amac.Compliance.violation = { rule : string; detail : string }
-
-type t
-
-val create :
-  dual:Graphs.Dual.t ->
-  fack:float ->
-  fprog:float ->
-  ?eps_abort:float ->
-  ?dyn:Dyn.Dual.t ->
-  ?metrics:Metrics.t ->
-  ?on_violation:(Dsim.Trace.entry option -> violation -> unit) ->
-  unit ->
-  t
-(** [on_violation] fires once per violation at detection time with the
-    entry being processed ([None] for horizon-time findings from
-    {!finish}).
-
-    [dyn] enables the epoch-aware axiom variants for time-varying
-    unreliable layers ([dual] must then be the schedule's base/union
-    dual).  The monitor never steps epochs (check A6); it pins, per
-    instance at [Bcast] time, the epoch-current G' through the
-    read-only [Dyn.Dual.current] — the MAC advances the epoch just
-    before recording the event — and classifies anomalies the schedule
-    explains as churned ({!churned_count}, metric [monitor.churned])
-    instead of violations:
-
-    {ul
-    {- {b receive correctness}: a delivery outside the pinned G' but
-       inside the union G' crossed a churned-away link — churned; a
-       delivery outside even the union is still a violation.}
-    {- {b ack correctness / progress / ack bound}: unchanged — they
-       quantify over G, which schedules never touch.}} *)
-
-val on_entry : t -> Dsim.Trace.entry -> unit
-
-val finish : ?allow_open:bool -> t -> violation list
-(** Close the run: instances still open are checked against the last
-    observed event time (and flagged as termination violations unless
-    [allow_open]), and open starvation windows feed [mac.progress_gap].
-    Returns all violations, detection order.  Idempotent. *)
-
-val violations : t -> violation list
-(** Violations so far, detection order. *)
-
-val violation_count : t -> int
-
-val churned_count : t -> int
-(** Anomalies classified as churn-explained (0 without [?dyn]). *)
+include module type of struct
+  include Amac.Compliance
+end

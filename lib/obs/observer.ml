@@ -1,26 +1,42 @@
+module Compliance = Amac.Compliance
+
 type t = {
   metrics : Metrics.t;
   spans : Spans.t;
-  monitor : Monitor.t option;
+  monitor : Compliance.t option;
+  churned : Metrics.counter option; (* settled by [finish] *)
   meta : (string * Dsim.Json.t) list;
-  mutable result : Monitor.violation list option; (* set by [finish] *)
+  mutable result : Compliance.violation list option; (* set by [finish] *)
 }
 
-let create ~n ?dual ?fack ?fprog ?eps_abort ?dyn ?on_violation ?(meta = []) () =
+let create ~n ?dual ?fack ?fprog ?dyn ?(on_violation = fun _ _ -> ())
+    ?(meta = []) () =
   let metrics = Metrics.create () in
   let spans = Spans.create ~n ~metrics () in
   let monitor =
     match (dual, fack, fprog) with
     | Some dual, Some fack, Some fprog ->
+        let on_gap =
+          Metrics.observe (Metrics.histogram metrics "mac.progress_gap")
+        in
+        let violations = Metrics.counter metrics "monitor.violations" in
+        let on_violation entry v =
+          Metrics.incr violations;
+          on_violation entry v
+        in
         Some
-          (Monitor.create ~dual ~fack ~fprog ?eps_abort ?dyn ~metrics
-             ?on_violation ())
+          (Compliance.create ~dual ~fack ~fprog ?dyn ~on_violation ~on_gap ())
     | None, _, _ -> None
     | _ ->
         invalid_arg
           "Observer.create: streaming compliance needs dual, fack and fprog"
   in
-  { metrics; spans; monitor; meta; result = None }
+  let churned =
+    match (monitor, dyn) with
+    | Some _, Some _ -> Some (Metrics.counter metrics "monitor.churned")
+    | _ -> None
+  in
+  { metrics; spans; monitor; churned; meta; result = None }
 
 let metrics t = t.metrics
 let spans t = t.spans
@@ -30,7 +46,7 @@ let attach t trace =
   Dsim.Trace.subscribe trace (fun entry ->
       Spans.on_entry t.spans entry;
       match t.monitor with
-      | Some m -> Monitor.on_entry m entry
+      | Some m -> Compliance.on_entry m entry
       | None -> ())
 
 let wire_sim t sim =
@@ -58,18 +74,28 @@ let wire_sim t sim =
         (Dsim.Sim.category_stats sim))
 
 let finish ?allow_open t =
-  let vs =
-    match t.monitor with Some m -> Monitor.finish ?allow_open m | None -> []
-  in
-  t.result <- Some vs;
-  vs
+  match t.result with
+  | Some vs -> vs
+  | None ->
+      let vs =
+        match t.monitor with
+        | Some m ->
+            let vs = Compliance.finish ?allow_open m in
+            Option.iter
+              (fun c -> Metrics.incr ~by:(Compliance.churned_count m) c)
+              t.churned;
+            vs
+        | None -> []
+      in
+      t.result <- Some vs;
+      vs
 
 let verdict_line t =
   let checked = t.monitor <> None in
   let vs =
     match (t.result, t.monitor) with
     | Some vs, _ -> vs
-    | None, Some m -> Monitor.violations m
+    | None, Some m -> Compliance.violations m
     | None, None -> []
   in
   Dsim.Json.Obj
@@ -83,7 +109,7 @@ let verdict_line t =
           (List.map
              (fun v ->
                Dsim.Json.String
-                 (Fmt.str "%a" Amac.Compliance.pp_violation v))
+                 (Fmt.str "%a" Compliance.pp_violation v))
              vs) );
     ]
 
@@ -114,7 +140,7 @@ let to_file ?include_volatile t path =
 
 let progress_line t ~sim =
   let violations =
-    match t.monitor with Some m -> Monitor.violation_count m | None -> 0
+    match t.monitor with Some m -> Compliance.violation_count m | None -> 0
   in
   Fmt.str
     "[obs] t=%.3f msgs %d/%d frontier %d events %d pending %d heap_hw %d%s"

@@ -1,11 +1,11 @@
 (** One-stop observability for a simulated run: a {!Metrics} registry, a
-    {!Spans} deriver, an optional streaming compliance {!Monitor}, and
-    engine gauges, exported together as JSONL.
+    {!Spans} deriver, an optional streaming {!Amac.Compliance} checker,
+    and engine gauges, exported together as JSONL.
 
     Typical wiring (what {!Mmb.Runner} does under [?obs]):
     {[
       let obs = Observer.create ~n ~dual ~fack ~fprog () in
-      Observer.attach obs trace;      (* subscribe spans + monitor *)
+      Observer.attach obs trace;      (* subscribe spans + checker *)
       Observer.wire_sim obs sim;      (* engine gauges *)
       (* ... run ... *)
       ignore (Observer.finish obs ~allow_open:(outcome <> Drained));
@@ -19,24 +19,29 @@ val create :
   ?dual:Graphs.Dual.t ->
   ?fack:float ->
   ?fprog:float ->
-  ?eps_abort:float ->
   ?dyn:Dyn.Dual.t ->
-  ?on_violation:(Dsim.Trace.entry option -> Monitor.violation -> unit) ->
+  ?on_violation:(Dsim.Trace.entry option -> Amac.Compliance.violation -> unit) ->
   ?meta:(string * Dsim.Json.t) list ->
   unit ->
   t
 (** [n] is the node count.  Passing [dual] (with [fack] and [fprog] —
     [Invalid_argument] if either is missing) enables the streaming
-    compliance monitor; [dyn] additionally enables its epoch-aware
-    axiom variants (see {!Monitor.create}).  [meta] fields are appended
-    to the export's leading meta line. *)
+    compliance checker; [dyn] additionally enables its epoch-aware
+    axiom variants (see {!Amac.Compliance.create}).  [meta] fields are
+    appended to the export's leading meta line.
+
+    With the checker on, the registry also carries [monitor.violations]
+    (counter, bumped before [on_violation] fires), [mac.progress_gap] (a
+    histogram of the checker's empirical starvation gaps; its maximum is
+    the empirical Fprog) and, with [dyn], [monitor.churned] (counter of
+    churn-explained deliveries, settled by {!finish}). *)
 
 val metrics : t -> Metrics.t
 val spans : t -> Spans.t
-val monitor : t -> Monitor.t option
+val monitor : t -> Amac.Compliance.t option
 
 val attach : t -> Dsim.Trace.t -> unit
-(** Subscribe the span deriver and monitor to a trace's record stream
+(** Subscribe the span deriver and checker to a trace's record stream
     (works on disabled/ring traces — retention is not required). *)
 
 val wire_sim : t -> Dsim.Sim.t -> unit
@@ -45,9 +50,10 @@ val wire_sim : t -> Dsim.Sim.t -> unit
     plus per-category [engine.cat.<name>.events] and volatile
     [engine.cat.<name>.wall_s]. *)
 
-val finish : ?allow_open:bool -> t -> Monitor.violation list
-(** Finalize the monitor (no-op without one); pass [~allow_open:true] when
-    the run was truncated rather than drained. *)
+val finish : ?allow_open:bool -> t -> Amac.Compliance.violation list
+(** Finalize the checker (no-op without one); pass [~allow_open:true] when
+    the run was truncated rather than drained.  Idempotent: later calls
+    return the first call's verdict. *)
 
 val verdict_line : t -> Dsim.Json.t
 (** The [{"kind":"compliance",...}] summary object. *)

@@ -1,6 +1,7 @@
-(* The auditor is tested two ways: hand-crafted traces that violate each
-   axiom must be flagged, and engine-produced traces must be clean (the
-   latter lives in test_integration). *)
+(* The checker is tested three ways: hand-crafted traces that violate each
+   axiom must get exactly the expected verdict (below), mutated engine
+   traces must be caught (test_compliance_mutation), and engine-produced
+   traces must be clean (test_integration). *)
 
 let line2 = lazy (Graphs.Dual.of_equal (Graphs.Gen.line 2))
 
@@ -12,125 +13,124 @@ let trace_of entries =
 let audit ?(fack = 10.) ?(fprog = 2.) ?allow_open dual entries =
   Amac.Compliance.audit ~dual ~fack ~fprog ?allow_open (trace_of entries)
 
-let rules vs = List.map (fun v -> v.Amac.Compliance.rule) vs
+(* The full verdict, order-free: sorted (rule, detail) pairs. *)
+let check_verdict ?fack ?fprog ?allow_open dual entries expected =
+  Alcotest.(check (list (pair string string)))
+    "sorted (rule, detail) verdict" expected
+    (List.sort compare
+       (List.map
+          (fun v -> (v.Amac.Compliance.rule, v.Amac.Compliance.detail))
+          (audit ?fack ?fprog ?allow_open dual entries)))
 
 let test_clean_trace () =
   let dual = Lazy.force line2 in
-  let vs =
-    audit dual
-      [
-        (0., Dsim.Trace.Bcast { node = 0; msg = 1; instance = 1 });
-        (1., Dsim.Trace.Rcv { node = 1; msg = 1; instance = 1 });
-        (1., Dsim.Trace.Ack { node = 0; msg = 1; instance = 1 });
-      ]
+  let entries =
+    [
+      (0., Dsim.Trace.Bcast { node = 0; msg = 1; instance = 1 });
+      (1., Dsim.Trace.Rcv { node = 1; msg = 1; instance = 1 });
+      (1., Dsim.Trace.Ack { node = 0; msg = 1; instance = 1 });
+    ]
   in
-  Alcotest.(check (list string)) "no violations" [] (rules vs)
+  check_verdict dual entries [];
+  check_verdict ~allow_open:true dual entries []
 
 let test_rcv_to_non_neighbor () =
   let dual = Graphs.Dual.of_equal (Graphs.Gen.line 3) in
-  let vs =
-    audit dual
-      [
-        (0., Dsim.Trace.Bcast { node = 0; msg = 1; instance = 1 });
-        (0.5, Dsim.Trace.Rcv { node = 1; msg = 1; instance = 1 });
-        (1., Dsim.Trace.Rcv { node = 2; msg = 1; instance = 1 });
-        (1., Dsim.Trace.Ack { node = 0; msg = 1; instance = 1 });
-      ]
-  in
-  Alcotest.(check bool) "receive-correctness flagged" true
-    (List.mem "receive-correctness" (rules vs))
+  check_verdict dual
+    [
+      (0., Dsim.Trace.Bcast { node = 0; msg = 1; instance = 1 });
+      (0.5, Dsim.Trace.Rcv { node = 1; msg = 1; instance = 1 });
+      (1., Dsim.Trace.Rcv { node = 2; msg = 1; instance = 1 });
+      (1., Dsim.Trace.Ack { node = 0; msg = 1; instance = 1 });
+    ]
+    [
+      ( "receive-correctness",
+        "instance 1 delivered to 2, not a G'-neighbor of sender 0" );
+    ]
 
 let test_duplicate_rcv () =
   let dual = Lazy.force line2 in
-  let vs =
-    audit dual
-      [
-        (0., Dsim.Trace.Bcast { node = 0; msg = 1; instance = 1 });
-        (0.5, Dsim.Trace.Rcv { node = 1; msg = 1; instance = 1 });
-        (0.7, Dsim.Trace.Rcv { node = 1; msg = 1; instance = 1 });
-        (1., Dsim.Trace.Ack { node = 0; msg = 1; instance = 1 });
-      ]
-  in
-  Alcotest.(check bool) "duplicate rcv flagged" true
-    (List.mem "receive-correctness" (rules vs))
+  check_verdict dual
+    [
+      (0., Dsim.Trace.Bcast { node = 0; msg = 1; instance = 1 });
+      (0.5, Dsim.Trace.Rcv { node = 1; msg = 1; instance = 1 });
+      (0.7, Dsim.Trace.Rcv { node = 1; msg = 1; instance = 1 });
+      (1., Dsim.Trace.Ack { node = 0; msg = 1; instance = 1 });
+    ]
+    [ ("receive-correctness", "instance 1 delivered twice to node 1") ]
 
 let test_rcv_after_ack () =
   let dual = Lazy.force line2 in
-  let vs =
-    audit dual
-      [
-        (0., Dsim.Trace.Bcast { node = 0; msg = 1; instance = 1 });
-        (0.4, Dsim.Trace.Rcv { node = 1; msg = 1; instance = 1 });
-        (0.5, Dsim.Trace.Ack { node = 0; msg = 1; instance = 1 });
-        (0.9, Dsim.Trace.Rcv { node = 1; msg = 1; instance = 1 });
-      ]
-  in
-  Alcotest.(check bool) "rcv after ack flagged" true
-    (List.mem "receive-correctness" (rules vs))
+  check_verdict dual
+    [
+      (0., Dsim.Trace.Bcast { node = 0; msg = 1; instance = 1 });
+      (0.4, Dsim.Trace.Rcv { node = 1; msg = 1; instance = 1 });
+      (0.5, Dsim.Trace.Ack { node = 0; msg = 1; instance = 1 });
+      (0.9, Dsim.Trace.Rcv { node = 1; msg = 1; instance = 1 });
+    ]
+    [
+      ( "receive-correctness",
+        "instance 1 delivered to 1 at 0.9 after its ack at 0.5" );
+      ("receive-correctness", "instance 1 delivered twice to node 1");
+    ]
 
 let test_ack_without_g_delivery () =
   let dual = Lazy.force line2 in
-  let vs =
-    audit dual
-      [
-        (0., Dsim.Trace.Bcast { node = 0; msg = 1; instance = 1 });
-        (1., Dsim.Trace.Ack { node = 0; msg = 1; instance = 1 });
-      ]
-  in
-  Alcotest.(check bool) "ack-correctness flagged" true
-    (List.mem "ack-correctness" (rules vs))
+  check_verdict dual
+    [
+      (0., Dsim.Trace.Bcast { node = 0; msg = 1; instance = 1 });
+      (1., Dsim.Trace.Ack { node = 0; msg = 1; instance = 1 });
+    ]
+    [
+      ( "ack-correctness",
+        "instance 1 acked before delivering to G-neighbor 1" );
+    ]
 
 let test_unterminated_instance () =
   let dual = Lazy.force line2 in
   let entries = [ (0., Dsim.Trace.Bcast { node = 0; msg = 1; instance = 1 }) ] in
-  Alcotest.(check bool) "termination flagged" true
-    (List.mem "termination" (rules (audit dual entries)));
-  Alcotest.(check (list string)) "allow_open suppresses it" []
-    (rules (audit ~allow_open:true dual entries))
+  check_verdict dual entries
+    [ ("termination", "instance 1 never terminated") ];
+  check_verdict ~allow_open:true dual entries []
 
 let test_late_ack () =
   let dual = Lazy.force line2 in
-  let vs =
-    audit ~fack:1. dual
-      [
-        (0., Dsim.Trace.Bcast { node = 0; msg = 1; instance = 1 });
-        (0.5, Dsim.Trace.Rcv { node = 1; msg = 1; instance = 1 });
-        (5., Dsim.Trace.Ack { node = 0; msg = 1; instance = 1 });
-      ]
-  in
-  Alcotest.(check bool) "ack-bound flagged" true
-    (List.mem "ack-bound" (rules vs))
+  check_verdict ~fack:1. dual
+    [
+      (0., Dsim.Trace.Bcast { node = 0; msg = 1; instance = 1 });
+      (0.5, Dsim.Trace.Rcv { node = 1; msg = 1; instance = 1 });
+      (5., Dsim.Trace.Ack { node = 0; msg = 1; instance = 1 });
+    ]
+    [ ("ack-bound", "instance 1 acked 5 after bcast (Fack = 1)") ]
 
 let test_progress_starvation () =
   (* Node 0 broadcasts for 10 units with Fprog = 2, and node 1 never
      receives anything: the progress bound is violated. *)
   let dual = Lazy.force line2 in
-  let vs =
-    audit ~fack:10. ~fprog:2. dual
-      [
-        (0., Dsim.Trace.Bcast { node = 0; msg = 1; instance = 1 });
-        (10., Dsim.Trace.Rcv { node = 1; msg = 1; instance = 1 });
-        (10., Dsim.Trace.Ack { node = 0; msg = 1; instance = 1 });
-      ]
-  in
-  Alcotest.(check bool) "progress-bound flagged" true
-    (List.mem "progress-bound" (rules vs))
+  check_verdict ~fack:10. ~fprog:2. dual
+    [
+      (0., Dsim.Trace.Bcast { node = 0; msg = 1; instance = 1 });
+      (10., Dsim.Trace.Rcv { node = 1; msg = 1; instance = 1 });
+      (10., Dsim.Trace.Ack { node = 0; msg = 1; instance = 1 });
+    ]
+    [
+      ( "progress-bound",
+        "receiver 1 starved during [0, 8] (connected span [0, 10], Fprog = \
+         2)" );
+    ]
 
 let test_progress_satisfied_by_contender () =
   (* Same 10-unit broadcast, but a second open instance (from the same
      G-neighbor here) delivers early and stays open: the paper's contend
      set covers the receiver for that instance's whole lifetime. *)
   let dual = Lazy.force line2 in
-  let vs =
-    audit ~fack:10. ~fprog:2. dual
-      [
-        (0., Dsim.Trace.Bcast { node = 0; msg = 1; instance = 1 });
-        (1., Dsim.Trace.Rcv { node = 1; msg = 1; instance = 1 });
-        (10., Dsim.Trace.Ack { node = 0; msg = 1; instance = 1 });
-      ]
-  in
-  Alcotest.(check (list string)) "early rcv from open instance covers" []
-    (rules vs)
+  check_verdict ~fack:10. ~fprog:2. dual
+    [
+      (0., Dsim.Trace.Bcast { node = 0; msg = 1; instance = 1 });
+      (1., Dsim.Trace.Rcv { node = 1; msg = 1; instance = 1 });
+      (10., Dsim.Trace.Ack { node = 0; msg = 1; instance = 1 });
+    ]
+    []
 
 let test_progress_gap_after_cover_ends () =
   (* Instance 1 covers [_,4] by an early rcv then acks at 4; instance 2 is
@@ -139,32 +139,31 @@ let test_progress_gap_after_cover_ends () =
   let g = Graphs.Gen.star 3 in
   let dual = Graphs.Dual.of_equal g in
   (* nodes 1 and 2 are leaves; node 0 the hub receiver *)
-  let vs =
-    audit ~fack:12. ~fprog:2. dual
-      [
-        (0., Dsim.Trace.Bcast { node = 1; msg = 1; instance = 1 });
-        (0., Dsim.Trace.Bcast { node = 2; msg = 2; instance = 2 });
-        (1., Dsim.Trace.Rcv { node = 0; msg = 1; instance = 1 });
-        (4., Dsim.Trace.Ack { node = 1; msg = 1; instance = 1 });
-        (12., Dsim.Trace.Rcv { node = 0; msg = 2; instance = 2 });
-        (12., Dsim.Trace.Ack { node = 2; msg = 2; instance = 2 });
-      ]
-  in
-  Alcotest.(check bool) "starvation after cover ends flagged" true
-    (List.mem "progress-bound" (rules vs))
+  check_verdict ~fack:12. ~fprog:2. dual
+    [
+      (0., Dsim.Trace.Bcast { node = 1; msg = 1; instance = 1 });
+      (0., Dsim.Trace.Bcast { node = 2; msg = 2; instance = 2 });
+      (1., Dsim.Trace.Rcv { node = 0; msg = 1; instance = 1 });
+      (4., Dsim.Trace.Ack { node = 1; msg = 1; instance = 1 });
+      (12., Dsim.Trace.Rcv { node = 0; msg = 2; instance = 2 });
+      (12., Dsim.Trace.Ack { node = 2; msg = 2; instance = 2 });
+    ]
+    [
+      ( "progress-bound",
+        "receiver 0 starved during [0, 10] (connected span [0, 12], Fprog = \
+         2)" );
+    ]
 
 let test_enhanced_round_trace_clean () =
   (* Bcast + rcv + abort inside one Fprog round is compliant. *)
   let dual = Lazy.force line2 in
-  let vs =
-    audit ~fack:10. ~fprog:2. dual
-      [
-        (0., Dsim.Trace.Bcast { node = 0; msg = 1; instance = 1 });
-        (2., Dsim.Trace.Rcv { node = 1; msg = 1; instance = 1 });
-        (2., Dsim.Trace.Abort { node = 0; msg = 1; instance = 1 });
-      ]
-  in
-  Alcotest.(check (list string)) "clean" [] (rules vs)
+  check_verdict ~fack:10. ~fprog:2. dual
+    [
+      (0., Dsim.Trace.Bcast { node = 0; msg = 1; instance = 1 });
+      (2., Dsim.Trace.Rcv { node = 1; msg = 1; instance = 1 });
+      (2., Dsim.Trace.Abort { node = 0; msg = 1; instance = 1 });
+    ]
+    []
 
 let suite =
   [

@@ -307,7 +307,7 @@ let test_churn_audit_sound () =
   Alcotest.(check int) "no MMB spec violations" 0
     (List.length res.Mmb.Runner.spec_violations)
 
-(* --- Monitor classification ---------------------------------------------- *)
+(* --- Churn classification ------------------------------------------------ *)
 
 let test_monitor_churned_classification () =
   (* G = line 0-1-2, union pool = {(0,2)}; rate-1 churn strips the pool,
@@ -321,9 +321,9 @@ let test_monitor_churned_classification () =
     Dyn.Dual.of_schedule
       (Dyn.Schedule.churn ~base ~epoch_len:10. ~rate:1. ~seed:1)
   in
-  let m = Obs.Monitor.create ~dual:base ~fack:10. ~fprog:5. ~dyn () in
+  let m = Amac.Compliance.create ~dual:base ~fack:10. ~fprog:5. ~dyn () in
   List.iter
-    (fun (time, event) -> Obs.Monitor.on_entry m { Dsim.Trace.time; event })
+    (fun (time, event) -> Amac.Compliance.on_entry m { Dsim.Trace.time; event })
     [
       (0., Dsim.Trace.Bcast { node = 0; msg = 1; instance = 1 });
       (0.5, Dsim.Trace.Rcv { node = 1; msg = 1; instance = 1 });
@@ -333,11 +333,11 @@ let test_monitor_churned_classification () =
       (1.5, Dsim.Trace.Rcv { node = 3; msg = 1; instance = 1 });
       (2., Dsim.Trace.Ack { node = 0; msg = 1; instance = 1 });
     ];
-  let vs = Obs.Monitor.finish ~allow_open:true m in
+  let vs = Amac.Compliance.finish ~allow_open:true m in
   Alcotest.(check int) "one churn-explained anomaly" 1
-    (Obs.Monitor.churned_count m);
+    (Amac.Compliance.churned_count m);
   Alcotest.(check bool) "the out-of-union delivery is still flagged" true
-    (List.exists (fun v -> v.Obs.Monitor.rule = "receive-correctness") vs)
+    (List.exists (fun v -> v.Amac.Compliance.rule = "receive-correctness") vs)
 
 (* --- Scenario hardening --------------------------------------------------- *)
 

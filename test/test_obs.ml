@@ -176,7 +176,7 @@ let test_span_orphans_and_aborts () =
   Alcotest.(check int) "aborted instance contributes no ack latency" 0
     (M.hist_count (M.histogram m "mac.ack_latency"))
 
-(* --- streaming monitor: parity with the post-hoc auditor ----------------- *)
+(* --- streaming compliance checker ----------------------------------------- *)
 
 let line2 = lazy (Graphs.Dual.of_equal (Graphs.Gen.line 2))
 
@@ -185,109 +185,11 @@ let entries_to_trace entries =
   List.iter (fun (time, event) -> Dsim.Trace.record tr ~time event) entries;
   tr
 
-let check_parity ?(fack = 10.) ?(fprog = 2.) ?(allow_open = false) name dual tr
-    =
-  let expected = Amac.Compliance.audit ~dual ~fack ~fprog ~allow_open tr in
-  let mon = Obs.Monitor.create ~dual ~fack ~fprog () in
-  Dsim.Trace.iter tr (Obs.Monitor.on_entry mon);
-  let actual = Obs.Monitor.finish ~allow_open mon in
-  let key v = v.Amac.Compliance.rule ^ " | " ^ v.Amac.Compliance.detail in
-  Alcotest.(check (list string))
-    (name ^ ": same violation multiset as the auditor")
-    (List.sort String.compare (List.map key expected))
-    (List.sort String.compare (List.map key actual))
-
-let crafted_traces =
-  (* Mirrors test_compliance.ml's per-axiom traces: one per rule plus a
-     clean one, so parity is exercised on every violation constructor. *)
-  [
-    ( "clean",
-      2,
-      [
-        (0., Dsim.Trace.Bcast { node = 0; msg = 1; instance = 1 });
-        (1., Dsim.Trace.Rcv { node = 1; msg = 1; instance = 1 });
-        (1., Dsim.Trace.Ack { node = 0; msg = 1; instance = 1 });
-      ] );
-    ( "rcv to non-neighbor",
-      3,
-      [
-        (0., Dsim.Trace.Bcast { node = 0; msg = 1; instance = 1 });
-        (0.5, Dsim.Trace.Rcv { node = 1; msg = 1; instance = 1 });
-        (1., Dsim.Trace.Rcv { node = 2; msg = 1; instance = 1 });
-        (1., Dsim.Trace.Ack { node = 0; msg = 1; instance = 1 });
-      ] );
-    ( "duplicate rcv",
-      2,
-      [
-        (0., Dsim.Trace.Bcast { node = 0; msg = 1; instance = 1 });
-        (0.5, Dsim.Trace.Rcv { node = 1; msg = 1; instance = 1 });
-        (0.7, Dsim.Trace.Rcv { node = 1; msg = 1; instance = 1 });
-        (1., Dsim.Trace.Ack { node = 0; msg = 1; instance = 1 });
-      ] );
-    ( "rcv after ack",
-      2,
-      [
-        (0., Dsim.Trace.Bcast { node = 0; msg = 1; instance = 1 });
-        (0.4, Dsim.Trace.Rcv { node = 1; msg = 1; instance = 1 });
-        (0.5, Dsim.Trace.Ack { node = 0; msg = 1; instance = 1 });
-        (0.9, Dsim.Trace.Rcv { node = 1; msg = 1; instance = 1 });
-      ] );
-    ( "ack without G delivery",
-      2,
-      [
-        (0., Dsim.Trace.Bcast { node = 0; msg = 1; instance = 1 });
-        (1., Dsim.Trace.Ack { node = 0; msg = 1; instance = 1 });
-      ] );
-    ( "unterminated instance",
-      2,
-      [ (0., Dsim.Trace.Bcast { node = 0; msg = 1; instance = 1 }) ] );
-    ( "progress starvation",
-      2,
-      [
-        (0., Dsim.Trace.Bcast { node = 0; msg = 1; instance = 1 });
-        (10., Dsim.Trace.Rcv { node = 1; msg = 1; instance = 1 });
-        (10., Dsim.Trace.Ack { node = 0; msg = 1; instance = 1 });
-      ] );
-  ]
-
-let test_monitor_parity_crafted () =
-  List.iter
-    (fun (name, n, entries) ->
-      let dual = Graphs.Dual.of_equal (Graphs.Gen.line n) in
-      check_parity name dual (entries_to_trace entries);
-      check_parity (name ^ " (allow_open)") ~allow_open:true dual
-        (entries_to_trace entries))
-    crafted_traces;
-  (* Tight ack bound: flips the clean trace into an ack-bound violation. *)
-  let dual = Lazy.force line2 in
-  check_parity "late ack" ~fack:1. dual
-    (entries_to_trace
-       [
-         (0., Dsim.Trace.Bcast { node = 0; msg = 1; instance = 1 });
-         (0.5, Dsim.Trace.Rcv { node = 1; msg = 1; instance = 1 });
-         (5., Dsim.Trace.Ack { node = 0; msg = 1; instance = 1 });
-       ])
-
-let test_monitor_parity_golden () =
-  match Dsim.Trace_io.read_file ~path:"golden/two_line_d5_seed0.jsonl" with
-  | Error e -> Alcotest.fail e
-  | Ok entries ->
-      let tr = Dsim.Trace.create () in
-      List.iter
-        (fun { Dsim.Trace.time; event } -> Dsim.Trace.record tr ~time event)
-        entries;
-      let dual = Graphs.Dual.two_line ~d:5 in
-      check_parity "golden trace" ~fack:8. ~fprog:1. dual tr;
-      let mon = Obs.Monitor.create ~dual ~fack:8. ~fprog:1. () in
-      Dsim.Trace.iter tr (Obs.Monitor.on_entry mon);
-      Alcotest.(check int) "golden trace is streaming-clean" 0
-        (List.length (Obs.Monitor.finish mon))
-
 let test_monitor_callback_fires_at_detection () =
   let dual = Lazy.force line2 in
   let hits = ref [] in
   let mon =
-    Obs.Monitor.create ~dual ~fack:10. ~fprog:2.
+    Amac.Compliance.create ~dual ~fack:10. ~fprog:2.
       ~on_violation:(fun entry v -> hits := (entry, v) :: !hits)
       ()
   in
@@ -299,8 +201,8 @@ let test_monitor_callback_fires_at_detection () =
          (0.7, Dsim.Trace.Rcv { node = 1; msg = 1; instance = 1 });
          (1., Dsim.Trace.Ack { node = 0; msg = 1; instance = 1 });
        ])
-    (Obs.Monitor.on_entry mon);
-  ignore (Obs.Monitor.finish mon);
+    (Amac.Compliance.on_entry mon);
+  ignore (Amac.Compliance.finish mon);
   match List.rev !hits with
   | [ (Some entry, v) ] ->
       Alcotest.(check string) "rule" "receive-correctness"
@@ -489,10 +391,6 @@ let suite =
           test_span_lifecycle;
         Alcotest.test_case "span orphans and aborted instances" `Quick
           test_span_orphans_and_aborts;
-        Alcotest.test_case "streaming parity on crafted violations" `Quick
-          test_monitor_parity_crafted;
-        Alcotest.test_case "streaming parity on the golden trace" `Quick
-          test_monitor_parity_golden;
         Alcotest.test_case "violation callback at detection time" `Quick
           test_monitor_callback_fires_at_detection;
         Alcotest.test_case "trace ring buffer" `Quick test_trace_ring;
