@@ -53,8 +53,11 @@ let e13_radio () =
               let progress =
                 match !first_any with Some s -> s | None -> -1
               in
-              (* lint: allow D1 — max over values is order-independent *)
-              let slowest = Hashtbl.fold (fun _ s acc -> max s acc) got 0 in
+              let slowest =
+                Dsim.Tbl.sorted_fold ~cmp:Int.compare
+                  (fun _ s acc -> max s acc)
+                  got 0
+              in
               (float_of_int progress, float_of_int slowest))
             seeds
         in

@@ -613,10 +613,17 @@ let lower_bound_cmd =
         res.Mmb.Lower_bound.complete;
       `Ok ()
     in
-    match network with
-    | "two-line" -> print (Mmb.Lower_bound.run_two_line ~d ~fack ~fprog ())
-    | "choke" -> print (Mmb.Lower_bound.run_choke ~k ~fack ~fprog ())
-    | other -> `Error (false, Printf.sprintf "unknown network %S" other)
+    (* Range checks before anything is built: the constructions and the
+       MAC would raise on these. *)
+    if not (fprog > 0. && fprog <= fack) then
+      `Error (false, "need 0 < fprog <= fack")
+    else
+      match network with
+      | "two-line" when d < 2 -> `Error (false, "need d >= 2")
+      | "two-line" -> print (Mmb.Lower_bound.run_two_line ~d ~fack ~fprog ())
+      | "choke" when k < 1 -> `Error (false, "need k >= 1")
+      | "choke" -> print (Mmb.Lower_bound.run_choke ~k ~fack ~fprog ())
+      | other -> `Error (false, Printf.sprintf "unknown network %S" other)
   in
   let term =
     Term.(
@@ -645,56 +652,85 @@ let sweep_cmd =
   in
   let action param values topology gprime n k r extra fack fprog seed
       scheduler =
-    let parsed =
-      String.split_on_char ',' values
-      |> List.filter_map (fun s -> int_of_string_opt (String.trim s))
+    let ( let* ) = Result.bind in
+    let rec all f = function
+      | [] -> Ok []
+      | x :: rest ->
+          let* y = f x in
+          let* ys = all f rest in
+          Ok (y :: ys)
     in
-    (* Every swept point passes the loader's range checks before the
-       first one runs, so a bad value fails the command up front. *)
-    let point v =
-      ( v,
-        (if param = "n" then v else n),
-        (if param = "k" then v else k),
-        (if param = "r" then v else r),
-        if param = "fack" then float_of_int v else fack )
-    in
-    let points = List.map point parsed in
-    let out_of_range (_, n, k, r, fack) =
-      match Mmb.Scenario.check_ranges ~n ~k ~r ~extra ~fack ~fprog with
-      | Ok () -> None
-      | Error e -> Some e
-    in
-    if parsed = [] then `Error (false, "no valid sweep values")
-    else
-      match List.find_map out_of_range points with
-      | Some e -> `Error (false, e)
-      | None ->
-          Printf.printf "%8s  %10s  %10s  %10s\n" param "time" "bound" "ratio";
-          let run_one (v, n, k, r, fack) =
-            match
-              Mmb.Scenario.build_dual ~topology ~gprime ~n ~r ~extra ~seed
-            with
-            | Error e -> prerr_endline e
-            | Ok dual -> (
-                match Mmb.Scenario.build_scheduler scheduler with
-                | Error e -> prerr_endline e
-                | Ok policy ->
-                    let rng = Dsim.Rng.create ~seed in
-                    let assignment =
-                      Mmb.Problem.random rng ~n:(Graphs.Dual.n dual) ~k
-                    in
-                    let res =
-                      Obs.Run.bmmb ~dual ~fack ~fprog ~policy ~assignment
-                        ~seed ()
-                    in
-                    Printf.printf "%8d  %10.1f  %10.1f  %10.2f\n" v
-                      res.Mmb.Runner.time res.Mmb.Runner.upper_bound
-                      (if res.Mmb.Runner.upper_bound > 0. then
-                         res.Mmb.Runner.time /. res.Mmb.Runner.upper_bound
-                       else 0.))
+    (* Everything is checked before the table header prints: the param,
+       every value, every point's ranges, then every point's network and
+       the scheduler, so a bad flag fails the command up front. *)
+    let checked =
+      let* () =
+        if List.mem param [ "k"; "n"; "r"; "fack" ] then Ok ()
+        else
+          Error
+            (Printf.sprintf "sweep: unknown param %S (known: k, n, r, fack)"
+               param)
+      in
+      let* parsed =
+        all
+          (fun s ->
+            let s = String.trim s in
+            match int_of_string_opt s with
+            | Some v -> Ok v
+            | None ->
+                Error (Printf.sprintf "sweep: values must be integers, got %S" s))
+          (String.split_on_char ',' values)
+      in
+      let points =
+        List.map
+          (fun v ->
+            ( v,
+              (if param = "n" then v else n),
+              (if param = "k" then v else k),
+              (if param = "r" then v else r),
+              if param = "fack" then float_of_int v else fack ))
+          parsed
+      in
+      let* () =
+        all
+          (fun (_, n, k, r, fack) ->
+            Mmb.Scenario.check_ranges ~n ~k ~r ~extra ~fack ~fprog)
+          points
+        |> Result.map ignore
+      in
+      let* _ = Mmb.Scenario.build_scheduler scheduler in
+      all
+        (fun (v, n, k, r, fack) ->
+          let* dual =
+            Mmb.Scenario.build_dual ~topology ~gprime ~n ~r ~extra ~seed
           in
-          List.iter run_one points;
-          `Ok ()
+          Ok (v, dual, k, fack))
+        points
+    in
+    match checked with
+    | Error e -> `Error (false, e)
+    | Ok points ->
+        Printf.printf "%8s  %10s  %10s  %10s\n" param "time" "bound" "ratio";
+        List.iter
+          (fun (v, dual, k, fack) ->
+            (* A fresh policy per point: schedulers may carry state. *)
+            let policy =
+              Result.get_ok (Mmb.Scenario.build_scheduler scheduler)
+            in
+            let rng = Dsim.Rng.create ~seed in
+            let assignment =
+              Mmb.Problem.random rng ~n:(Graphs.Dual.n dual) ~k
+            in
+            let res =
+              Obs.Run.bmmb ~dual ~fack ~fprog ~policy ~assignment ~seed ()
+            in
+            Printf.printf "%8d  %10.1f  %10.1f  %10.2f\n" v
+              res.Mmb.Runner.time res.Mmb.Runner.upper_bound
+              (if res.Mmb.Runner.upper_bound > 0. then
+                 res.Mmb.Runner.time /. res.Mmb.Runner.upper_bound
+               else 0.))
+          points;
+        `Ok ()
   in
   let term =
     Term.(
@@ -715,9 +751,11 @@ let online_cmd =
   in
   let action topology gprime n k r extra fack fprog seed scheduler rate =
     match
-      Result.bind (Mmb.Scenario.check_ranges ~n ~k ~r ~extra ~fack ~fprog)
-        (fun () ->
-          Mmb.Scenario.build_dual ~topology ~gprime ~n ~r ~extra ~seed)
+      if not (rate > 0.) then Error "need rate > 0"
+      else
+        Result.bind (Mmb.Scenario.check_ranges ~n ~k ~r ~extra ~fack ~fprog)
+          (fun () ->
+            Mmb.Scenario.build_dual ~topology ~gprime ~n ~r ~extra ~seed)
     with
     | Error e -> `Error (false, e)
     | Ok dual -> (
@@ -764,47 +802,54 @@ let radio_cmd =
     Arg.(value & opt int 16 & info [ "contenders"; "m" ] ~docv:"M" ~doc)
   in
   let action m seed =
-    let dual = Graphs.Dual.of_equal (Graphs.Gen.star (m + 1)) in
-    let rng = Dsim.Rng.create ~seed in
-    let params = Radio.Decay.default_params ~n:(m + 1) ~max_contention:m in
-    let mac = Radio.Decay.create ~dual ~params ~rng () in
-    let h = Radio.Decay.handle mac in
-    let first_any = ref None in
-    let got = Hashtbl.create 16 in
-    h.Amac.Mac_handle.h_attach ~node:0
-      {
-        Amac.Mac_intf.on_rcv =
-          (fun ~src:_ payload ->
-            if !first_any = None then first_any := Some (Radio.Decay.slot mac);
-            if not (Hashtbl.mem got payload) then
-              Hashtbl.replace got payload (Radio.Decay.slot mac));
-        on_ack = (fun _ -> ());
-      };
-    for v = 1 to m do
-      h.Amac.Mac_handle.h_attach ~node:v
-        { Amac.Mac_intf.on_rcv = (fun ~src:_ _ -> ()); on_ack = (fun _ -> ()) }
-    done;
-    for v = 1 to m do
-      h.Amac.Mac_handle.h_bcast ~node:v v
-    done;
-    ignore
-      (Radio.Decay.run mac ~max_slots:10_000_000 ~stop:(fun () ->
-           Hashtbl.length got = m));
-    Printf.printf
-      "decay MAC on a star with %d contenders (implemented Fack = %g slots)\n"
-      m (Radio.Decay.nominal_fack mac);
-    (match !first_any with
-    | Some s ->
-        Printf.printf "hub heard SOMETHING after %d slots (Fprog-like)\n" s
-    | None -> print_endline "hub heard nothing");
-    (* lint: allow D1 — max over values is order-independent *)
-    let slowest = Hashtbl.fold (fun _ s acc -> max s acc) got 0 in
-    Printf.printf "hub heard the SLOWEST specific message after %d slots\n"
-      slowest;
-    Printf.printf "transmissions: %d, collisions: %d\n"
-      (Radio.Decay.transmissions mac)
-      (Radio.Decay.collisions mac);
-    `Ok ()
+    if m < 1 then `Error (false, "need contenders >= 1")
+    else
+      let dual = Graphs.Dual.of_equal (Graphs.Gen.star (m + 1)) in
+      let rng = Dsim.Rng.create ~seed in
+      let params = Radio.Decay.default_params ~n:(m + 1) ~max_contention:m in
+      let mac = Radio.Decay.create ~dual ~params ~rng () in
+      let h = Radio.Decay.handle mac in
+      let first_any = ref None in
+      let got = Hashtbl.create 16 in
+      h.Amac.Mac_handle.h_attach ~node:0
+        {
+          Amac.Mac_intf.on_rcv =
+            (fun ~src:_ payload ->
+              if !first_any = None then
+                first_any := Some (Radio.Decay.slot mac);
+              if not (Hashtbl.mem got payload) then
+                Hashtbl.replace got payload (Radio.Decay.slot mac));
+          on_ack = (fun _ -> ());
+        };
+      for v = 1 to m do
+        h.Amac.Mac_handle.h_attach ~node:v
+          {
+            Amac.Mac_intf.on_rcv = (fun ~src:_ _ -> ());
+            on_ack = (fun _ -> ());
+          }
+      done;
+      for v = 1 to m do
+        h.Amac.Mac_handle.h_bcast ~node:v v
+      done;
+      ignore
+        (Radio.Decay.run mac ~max_slots:10_000_000 ~stop:(fun () ->
+             Hashtbl.length got = m));
+      Printf.printf
+        "decay MAC on a star with %d contenders (implemented Fack = %g slots)\n"
+        m (Radio.Decay.nominal_fack mac);
+      (match !first_any with
+      | Some s ->
+          Printf.printf "hub heard SOMETHING after %d slots (Fprog-like)\n" s
+      | None -> print_endline "hub heard nothing");
+      let slowest =
+        Dsim.Tbl.sorted_fold ~cmp:Int.compare (fun _ s acc -> max s acc) got 0
+      in
+      Printf.printf "hub heard the SLOWEST specific message after %d slots\n"
+        slowest;
+      Printf.printf "transmissions: %d, collisions: %d\n"
+        (Radio.Decay.transmissions mac)
+        (Radio.Decay.collisions mac);
+      `Ok ()
   in
   let term = Term.(ret (const action $ contenders_arg $ seed_arg)) in
   Cmd.v

@@ -1,13 +1,15 @@
 #!/bin/sh
 # Tier-1 verify in one command (see ROADMAP.md).
 #
-#   bin/verify.sh           @lint @check @race, @hot, build, dune runtest,
-#                           and the trace smoke (run --trace-out/--provenance
-#                           + trace-validate)
-#   bin/verify.sh --full    default + randomized-hash runtest, the analyzer
-#                           fixture suites (@fixtures), the dyn suite, the
-#                           campaign and pdes determinism gates, and the
-#                           n = 10^6 partitioned grid run (EXPERIMENTS.md E18)
+#   bin/verify.sh           @lint @check @race @hot (the four rule families
+#                           of bin/mmb_analyze.exe over analysis.allow),
+#                           build, dune runtest, and the trace smoke (run
+#                           --trace-out/--provenance + trace-validate)
+#   bin/verify.sh --full    default + randomized-hash runtest, the rule
+#                           families' fixture suites (@fixtures), the dyn
+#                           suite, the campaign and pdes determinism gates,
+#                           and the n = 10^6 partitioned grid run
+#                           (EXPERIMENTS.md E18)
 #   bin/verify.sh --tsan    multi-domain exec and pdes tests under
 #                           ThreadSanitizer (needs an OCaml >= 5.2 tsan opam
 #                           switch; set MMB_TSAN_SWITCH to name it
@@ -77,7 +79,7 @@ else
   # Typed-tree hot-path gate.  The alias depends on the library builds,
   # so the .cmt files it reads exist even on a cold tree; a file whose
   # .cmt still cannot be produced is a per-file "SKIP <file>: <reason>"
-  # diagnostic on stderr from mmb_hot, never a gate failure.
+  # diagnostic on stderr from mmb_analyze hot, never a gate failure.
   gate "dune build @hot" dune build @hot
   gate "dune build" dune build
   gate "dune runtest" dune runtest
@@ -95,7 +97,7 @@ else
     # that default hashing hides.
     gate "OCAMLRUNPARAM=R dune runtest --force" \
       sh -c 'OCAMLRUNPARAM=R dune runtest --force'
-    # The four analyzers' fixture suites, straight from the alias the
+    # The four rule families' fixture suites, straight from the alias the
     # fixtures hang off.
     gate "dune build @fixtures" dune build @fixtures
     # The dynamic-network suite on its own, plus a campaign determinism

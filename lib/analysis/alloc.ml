@@ -1,5 +1,6 @@
 (* Per-function allocation classification over the hot set — the map
-   behind `mmb_hot --inventory`.  For every top-level function of a hot
+   behind `mmb_analyze hot --inventory` — and the allocation-shape
+   helpers it shares with rule H2.  For every top-level function of a hot
    module, count the allocating shapes in its body: closures, tuples,
    records, non-constant variant constructions, arrays, list conses,
    boxed-float lets — and the [@mmb.alloc_ok] hatches that justify some
@@ -8,7 +9,46 @@
    candidate. *)
 
 open Typedtree
-module T = Analysis.Typed
+module T = Typed
+
+let is_float env ty =
+  match Types.get_desc (T.expand env ty) with
+  | Tconstr (p, [], _) -> Path.same p Predef.path_float
+  | _ -> false
+
+let constr_is env ty names =
+  match Types.get_desc (T.expand env ty) with
+  | Tconstr (p, args, _) when List.mem (Path.name p) names -> Some args
+  | _ -> None
+
+let boxed_float_container env ty =
+  let float_arg names =
+    match constr_is env ty names with
+    | Some [ a ] when is_float env a -> true
+    | _ -> false
+  in
+  if float_arg [ "option"; "Stdlib.option" ] then Some "float option"
+  else if float_arg [ "ref"; "Stdlib.ref" ] then Some "float ref"
+  else if float_arg [ "list"; "Stdlib.list" ] then Some "float list"
+  else
+    match Types.get_desc (T.expand env ty) with
+    | Ttuple comps when List.exists (is_float env) comps ->
+        Some "tuple with a float component"
+    | _ -> None
+
+(* Visit a function's cases, flattening directly-curried parameters into
+   the same function: [fun a b -> e] enters once, with [body] called on
+   [e] only. *)
+let rec visit_cases (sub : Tast_iterator.iterator) cases body =
+  List.iter
+    (fun c ->
+      sub.pat sub c.c_lhs;
+      Option.iter (sub.expr sub) c.c_guard;
+      match c.c_rhs.exp_desc with
+      | Texp_function f when c.c_rhs.exp_attributes = [] ->
+          visit_cases sub f.cases body
+      | _ -> body c.c_rhs)
+    cases
 
 type counts = {
   mutable closures : int;
@@ -77,7 +117,7 @@ let count_body (c : counts) body =
           List.iter
             (fun vb ->
               let env = T.env_of vb.vb_expr in
-              match Rules.boxed_float_container env vb.vb_expr.exp_type with
+              match boxed_float_container env vb.vb_expr.exp_type with
               | Some _ -> c.boxed_floats <- c.boxed_floats + 1
               | None -> ())
             vbs
@@ -85,7 +125,7 @@ let count_body (c : counts) body =
       match e.exp_desc with
       | Texp_function f ->
           (* the curry chain below this point is the same function *)
-          Rules.visit_cases sub f.cases (fun b -> expr sub b)
+          visit_cases sub f.cases (fun b -> expr sub b)
       | _ -> Tast_iterator.default_iterator.expr sub e
     end
   in
@@ -102,7 +142,7 @@ let funcs_of_structure (str : structure) =
               match (vb.vb_pat.pat_desc, vb.vb_expr.exp_desc) with
               | Tpat_var (id, _), Texp_function f ->
                   let c = fresh () in
-                  Rules.visit_cases
+                  visit_cases
                     { Tast_iterator.default_iterator with
                       expr = (fun sub e ->
                         Tast_iterator.default_iterator.expr sub e);

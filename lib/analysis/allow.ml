@@ -49,14 +49,6 @@ let load path =
     ~finally:(fun () -> close_in ic)
     (fun () -> parse ~src:path (really_input_string ic (in_channel_length ic)))
 
-let of_pairs pairs =
-  List.map
-    (fun (rule, suffix) ->
-      { a_rule = rule; a_suffix = suffix; a_src = "<allow>"; a_line = 0; a_hits = 0 })
-    pairs
-
-let pairs t = List.map (fun e -> (e.a_rule, e.a_suffix)) t
-
 let merge = ( @ )
 
 let allowed t ~rule ~file =
@@ -70,10 +62,10 @@ let allowed t ~rule ~file =
       else hit)
     false t
 
-let stale t =
+let stale ~owns t =
   List.filter_map
     (fun e ->
-      if e.a_hits > 0 then None
+      if e.a_hits > 0 || not (owns e.a_rule) then None
       else
         Some
           {

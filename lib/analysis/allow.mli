@@ -16,12 +16,6 @@ val parse : ?src:string -> string -> t
 val load : string -> t
 (** {!parse} over a file's contents, with [src] set to its path. *)
 
-val of_pairs : (string * string) list -> t
-(** Build from [(rule id, path suffix)] pairs (the legacy [Lint.allow]
-    shape). *)
-
-val pairs : t -> (string * string) list
-
 val merge : t -> t -> t
 (** Concatenate two allowlists (repeated [--allow] flags). *)
 
@@ -30,5 +24,7 @@ val allowed : t -> rule:string -> file:string -> bool
     a path component ({!Paths.has_suffix}).  Every covering entry's hit
     count is bumped. *)
 
-val stale : t -> Finding.t list
-(** [S2] findings for entries whose hit count is still zero. *)
+val stale : owns:(string -> bool) -> t -> Finding.t list
+(** [S2] findings for entries whose hit count is still zero, among the
+    entries whose rule id [owns] accepts: one allowlist serves every
+    family, and an entry is judged only by the family that owns its id. *)

@@ -28,6 +28,14 @@ let is_float_literal e =
   | Parsetree.Pexp_constant (Parsetree.Pconst_float _) -> true
   | _ -> false
 
+(* For builds that decide, from the file, that nothing can match. *)
+let null_iterator =
+  {
+    Ast_iterator.default_iterator with
+    structure = (fun _ _ -> ());
+    signature = (fun _ _ -> ());
+  }
+
 let expr_rule on_expr =
   {
     Ast_iterator.default_iterator with

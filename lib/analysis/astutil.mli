@@ -16,5 +16,9 @@ val path_is : string list list -> Parsetree.expression -> bool
 val is_int_literal : Parsetree.expression -> bool
 val is_float_literal : Parsetree.expression -> bool
 
+val null_iterator : Ast_iterator.iterator
+(** An iterator that visits nothing: for rule builds that decide, from
+    the file alone, that nothing can match. *)
+
 val expr_rule : (Parsetree.expression -> unit) -> Ast_iterator.iterator
 (** Iterator running a callback on every expression (recursing). *)

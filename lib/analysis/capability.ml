@@ -96,7 +96,3 @@ let dyn_mutator_doc =
     (List.map
        (fun (sub, members) -> sub ^ ".{" ^ String.concat "," members ^ "}")
        dyn_mutators)
-
-(* A3: files allowed to hold top-level mutable state.  Each is a
-   deliberate process-global registry, documented as such. *)
-let registries = [ "lib/obs/global.ml" ]

@@ -28,7 +28,3 @@ val dyn_epoch_oblivious : string list -> bool
 
 val dyn_mutator_doc : string
 (** The mutator surface rendered for finding messages. *)
-
-val registries : string list
-(** Path suffixes of the files allowed to hold top-level mutable state
-    (check A3): the deliberate process-global registries. *)

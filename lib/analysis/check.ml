@@ -1,24 +1,19 @@
-(* The architecture rules (A1–A6).  Where the determinism lint (D-rules)
-   protects replayability, these protect the shape of the codebase: the
-   layer DAG, the MAC abstraction boundary at the heart of the paper,
-   and the engine-access discipline that keeps instrumentation optional.
+(* The check family (A1, A2, A4–A6): cross-module architecture and
+   abstraction-boundary rules.  Where the lint family guards
+   replayability, these guard the shape of the codebase: the layer DAG,
+   the MAC abstraction boundary the paper's algorithms are defined
+   against, and the engine-access discipline that keeps instrumentation
+   optional.
 
      A1  layer DAG back-edges                 references must point down
      A2  Graphs surface of lib/mmb            protocols are link-oblivious
-     A3  top-level mutable state in lib/      only declared registries
      A4  engine access outside amac/obs       use the sanctioned seams
      A5  float =/<> in lib/                   use Float.equal/tolerances
-     A6  Dyn epoch mutation outside dyn/amac  protocols are epoch-oblivious *)
+     A6  Dyn epoch mutation outside dyn/amac  protocols are epoch-oblivious
 
-open Analysis
-
-let null_iterator =
-  (* For builds that decide, from the file, that nothing can match. *)
-  {
-    Ast_iterator.default_iterator with
-    structure = (fun _ _ -> ());
-    signature = (fun _ _ -> ());
-  }
+   Scans both [.ml] and [.mli] files (interfaces carry cross-layer type
+   references too).  Top-level mutable state is the race family's
+   (R1/R4, over the classified inventory in {!State}). *)
 
 (* --- A1: the layer DAG -------------------------------------------------- *)
 
@@ -30,7 +25,7 @@ let rule_a1 =
     build =
       (fun ~file report ->
         match Layers.of_path file with
-        | None -> null_iterator
+        | None -> Astutil.null_iterator
         | Some here ->
             Refs.iter (fun r ->
                 match r.Refs.r_path with
@@ -82,87 +77,6 @@ let rule_a2 =
                     %s"
                    (String.concat "." r.Refs.r_path)
                    Capability.mmb_surface_doc)));
-  }
-
-(* --- A3: top-level mutable state ---------------------------------------- *)
-
-let mutable_creators =
-  [
-    [ "ref" ];
-    [ "Hashtbl"; "create" ];
-    [ "Buffer"; "create" ];
-    [ "Queue"; "create" ];
-    [ "Stack"; "create" ];
-    [ "Atomic"; "make" ];
-    [ "Bytes"; "create" ];
-  ]
-
-(* Walk an expression looking for mutable-state creators evaluated at
-   module initialization: stop at every function or lazy boundary (those
-   bodies run later, per call). *)
-let creator_scan report =
-  let rec iter =
-    {
-      Ast_iterator.default_iterator with
-      expr =
-        (fun _ e ->
-          match e.Parsetree.pexp_desc with
-          | Parsetree.Pexp_fun _ | Parsetree.Pexp_function _
-          | Parsetree.Pexp_lazy _ ->
-              ()
-          | Parsetree.Pexp_apply (fn, _)
-            when Astutil.path_is mutable_creators fn ->
-              (match Astutil.ident_path fn with
-              | Some p -> report ~loc:fn.Parsetree.pexp_loc (String.concat "." p)
-              | None -> ());
-              Ast_iterator.default_iterator.expr iter e
-          | _ -> Ast_iterator.default_iterator.expr iter e);
-    }
-  in
-  iter
-
-let rule_a3 =
-  {
-    Rule.id = "A3";
-    doc = "top-level mutable state in lib/ confined to declared registries";
-    applies =
-      (fun file ->
-        Paths.in_dir ~dir:"lib" file
-        && not
-             (List.exists
-                (fun suffix -> Paths.has_suffix ~suffix file)
-                Capability.registries));
-    build =
-      (fun ~file:_ report ->
-        let scan =
-          creator_scan (fun ~loc creator ->
-              report ~loc
-                (Printf.sprintf
-                   "top-level mutable state (%s) at module initialization; \
-                    thread state through per-run records, or declare the \
-                    file a registry in Check.Capability.registries"
-                   creator))
-        in
-        {
-          Ast_iterator.default_iterator with
-          structure_item =
-            (fun it si ->
-              match si.Parsetree.pstr_desc with
-              | Parsetree.Pstr_value (_, vbs) ->
-                  List.iter
-                    (fun vb ->
-                      match vb.Parsetree.pvb_pat.Parsetree.ppat_desc with
-                      (* [let () = ...] / [let _ = ...] are executable
-                         main bodies, not retained state. *)
-                      | Parsetree.Ppat_any -> ()
-                      | Parsetree.Ppat_construct
-                          ({ txt = Longident.Lident "()"; _ }, None) ->
-                          ()
-                      | _ -> scan.Ast_iterator.expr scan vb.Parsetree.pvb_expr)
-                    vbs
-              | Parsetree.Pstr_eval _ -> ()
-              | _ -> Ast_iterator.default_iterator.structure_item it si);
-        });
   }
 
 (* --- A4: engine access discipline --------------------------------------- *)
@@ -267,4 +181,72 @@ let rule_a6 =
                    Capability.dyn_mutator_doc)));
   }
 
-let default = [ rule_a1; rule_a2; rule_a3; rule_a4; rule_a5; rule_a6 ]
+(* The layer map behind --inventory: each file's layer and
+   the set of other layers it references — the edge list rule A1 ranges
+   over.  Unparseable files are silently skipped here (they surface as
+   E0 findings in the main pass). *)
+let layer_refs files =
+  List.filter_map
+    (fun file ->
+      let source = Driver.read_file file in
+      let lexbuf = Lexing.from_string source in
+      Location.init lexbuf file;
+      let parsed =
+        if Filename.check_suffix file ".mli" then
+          match Parse.interface lexbuf with
+          | sg -> Some (`Intf sg)
+          | exception _ -> None
+        else
+          match Parse.implementation lexbuf with
+          | str -> Some (`Impl str)
+          | exception _ -> None
+      in
+      match parsed with
+      | None -> None
+      | Some parsed ->
+          let acc = ref [] in
+          let it =
+            Refs.iter (fun r ->
+                match r.Refs.r_path with
+                | m :: _ -> (
+                    match Layers.of_module m with
+                    | Some l -> acc := l.Layers.name :: !acc
+                    | None -> ())
+                | [] -> ())
+          in
+          (match parsed with
+          | `Impl str -> it.Ast_iterator.structure it str
+          | `Intf sg -> it.Ast_iterator.signature it sg);
+          let own = Layers.of_path file in
+          let refs =
+            List.sort_uniq String.compare !acc
+            |> List.filter (fun n ->
+                   match own with
+                   | Some l -> not (String.equal n l.Layers.name)
+                   | None -> true)
+          in
+          Some (file, own, refs))
+    files
+
+let rules = [ rule_a1; rule_a2; rule_a4; rule_a5; rule_a6 ]
+
+let print_layers files =
+  List.iter
+    (fun (file, layer, refs) ->
+      Printf.printf "%s: %s%s\n" file
+        (match layer with
+        | Some (l : Layers.t) -> l.name
+        | None -> "(outside DAG)")
+        (match refs with [] -> "" | refs -> " -> " ^ String.concat " " refs))
+    (layer_refs files)
+
+let family =
+  {
+    Cli.name = "check";
+    exts = [ ".ml"; ".mli" ];
+    rules_doc = List.map (fun (r : Rule.t) -> (r.id, r.doc)) rules;
+    run =
+      (fun ~allow ~stale files ->
+        (Driver.run_files ~rules ~allow ~stale files, []));
+    inventory = print_layers;
+  }

@@ -1,16 +1,18 @@
-(* The shared analyzer CLI: mmb_lint, mmb_check, mmb_race and mmb_hot
-   are thin instantiations of this driver.
+(* The analyzer command line:
 
-     tool [--allow FILE] [--json] [--rules] [--no-stale] PATH...
-     tool --inventory PATH...
+     mmb_analyze FAMILY [--allow FILE] [--json] [--rules] [--no-stale] PATH...
+     mmb_analyze FAMILY --inventory PATH...
 
-   Each PATH is a source file or a directory walked recursively
-   (skipping _build and dot-directories).  Exit code: 0 clean, 1
-   findings, 2 usage error or unparseable file.  --inventory prints the
-   tool's inventory view (what its rules range over) and exits 0; every
-   tool accepts the flag in any argument position. *)
+   FAMILY is one of the rule families (lint, check, race, hot).  Each
+   PATH is a source file or a directory walked recursively (skipping
+   _build and dot-directories); a PATH that contributes no source file
+   is an error, so a gate pointed at the wrong directory cannot pass by
+   scanning nothing.  Exit code: 0 clean, 1 findings, 2 usage error or
+   unparseable file.  --inventory prints the family's inventory view
+   (what its rules range over) and exits 0; it is accepted in any
+   argument position. *)
 
-type tool = {
+type family = {
   name : string;
   exts : string list;  (* extensions collected from directories *)
   rules_doc : (string * string) list;  (* id, one-line doc *)
@@ -39,13 +41,21 @@ let rec collect ~exts acc path =
 let collect_files ~exts paths =
   List.fold_left (collect ~exts) [] paths |> List.sort String.compare
 
-let usage tool =
+let usage families =
   Printf.sprintf
-    "usage: %s [--allow FILE] [--json] [--rules] [--no-stale] [--inventory] \
-     PATH..."
-    tool.name
+    "usage: mmb_analyze {%s} [--allow FILE] [--json] [--rules] [--no-stale] \
+     [--inventory] PATH..."
+    (String.concat "|" (List.map (fun f -> f.name) families))
 
-let main tool =
+let fail fmt =
+  Printf.ksprintf
+    (fun msg ->
+      Printf.eprintf "mmb_analyze: %s\n" msg;
+      exit 2)
+    fmt
+
+let run_family ~usage fam args =
+  let tool = "mmb_analyze " ^ fam.name in
   let allow = ref Allow.empty in
   let json = ref false in
   let stale = ref true in
@@ -56,9 +66,7 @@ let main tool =
     | "--allow" :: file :: rest ->
         allow := Allow.merge !allow (Allow.load file);
         parse rest
-    | [ "--allow" ] ->
-        Printf.eprintf "%s: --allow needs a file argument\n" tool.name;
-        exit 2
+    | [ "--allow" ] -> fail "--allow needs a file argument"
     | "--json" :: rest ->
         json := true;
         parse rest
@@ -71,45 +79,47 @@ let main tool =
     | "--rules" :: _ ->
         List.iter
           (fun (id, doc) -> Printf.printf "%-4s %s\n" id doc)
-          tool.rules_doc;
+          fam.rules_doc;
         exit 0
     | ("--help" | "-help") :: _ ->
-        print_endline (usage tool);
+        print_endline usage;
         exit 0
     | opt :: _ when String.starts_with ~prefix:"-" opt ->
-        Printf.eprintf "%s: unknown option %s\n%s\n" tool.name opt (usage tool);
-        exit 2
+        fail "unknown option %s\n%s" opt usage
     | p :: rest ->
         paths := p :: !paths;
         parse rest
   in
-  (try parse (List.tl (Array.to_list Sys.argv))
-   with Sys_error e ->
-     Printf.eprintf "%s: %s\n" tool.name e;
-     exit 2);
-  if !paths = [] then begin
-    prerr_endline (usage tool);
-    exit 2
-  end;
+  (try parse args with Sys_error e -> fail "%s" e);
+  if !paths = [] then fail "no PATH given\n%s" usage;
   let files =
-    try collect_files ~exts:tool.exts (List.rev !paths)
-    with Sys_error e ->
-      Printf.eprintf "%s: %s\n" tool.name e;
-      exit 2
+    List.rev !paths
+    |> List.concat_map (fun path ->
+           match collect ~exts:fam.exts [] path with
+           | [] -> fail "%s: no %s files" path (String.concat "/" fam.exts)
+           | files -> files
+           | exception Sys_error e -> fail "%s" e)
+    |> List.sort String.compare
   in
   if !inventory then begin
-    (try tool.inventory files
-     with Sys_error e ->
-       Printf.eprintf "%s: %s\n" tool.name e;
-       exit 2);
+    (try fam.inventory files with Sys_error e -> fail "%s" e);
     exit 0
   end;
   let findings, skips =
-    try tool.run ~allow:!allow ~stale:!stale files
-    with Sys_error e ->
-      Printf.eprintf "%s: %s\n" tool.name e;
-      exit 2
+    try fam.run ~allow:!allow ~stale:!stale files
+    with Sys_error e -> fail "%s" e
   in
-  Report.print ~skips ~json:!json ~tool:tool.name ~files:(List.length files)
-    findings;
+  Report.print ~skips ~json:!json ~tool ~files:(List.length files) findings;
   exit (Report.exit_code findings)
+
+let main families =
+  let usage = usage families in
+  match List.tl (Array.to_list Sys.argv) with
+  | ("--help" | "-help") :: _ ->
+      print_endline usage;
+      exit 0
+  | name :: args -> (
+      match List.find_opt (fun f -> String.equal f.name name) families with
+      | Some fam -> run_family ~usage fam args
+      | None -> fail "unknown rule family %S\n%s" name usage)
+  | [] -> fail "no rule family given\n%s" usage

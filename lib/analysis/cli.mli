@@ -1,10 +1,11 @@
-(** The shared analyzer CLI driver; [mmb_lint], [mmb_check], [mmb_race]
-    and [mmb_hot] are thin instantiations: all four accept the same
-    [--allow]/[--json]/[--rules]/[--no-stale]/[--inventory] surface and
-    share the exit-code convention. *)
+(** The analyzer command line, [mmb_analyze FAMILY [OPTION]... PATH...].
 
-type tool = {
-  name : string;  (** binary name, used in messages *)
+    Each rule family (lint, check, race, hot) is one {!family} value;
+    all four take the same [--allow]/[--json]/[--rules]/[--no-stale]/
+    [--inventory] surface and share the exit-code convention. *)
+
+type family = {
+  name : string;  (** first command-line argument, e.g. ["lint"] *)
   exts : string list;  (** extensions collected when walking directories *)
   rules_doc : (string * string) list;  (** (id, doc) printed by [--rules] *)
   run :
@@ -13,9 +14,9 @@ type tool = {
     string list ->
     Finding.t list * (string * string) list;
       (** findings plus (file, reason) skip diagnostics — empty for the
-          parsetree analyzers, missing-[.cmt] files for the typed one *)
+          parsetree families, missing-[.cmt] files for the typed one *)
   inventory : string list -> unit;
-      (** print the tool's [--inventory] view of the given files *)
+      (** print the family's [--inventory] view of the given files *)
 }
 
 val collect_files : exts:string list -> string list -> string list
@@ -23,10 +24,12 @@ val collect_files : exts:string list -> string list -> string list
     directories walked recursively (skipping [_build] and dot-dirs),
     result sorted. *)
 
-val main : tool -> 'a
-(** Parse [--allow FILE] (repeatable), [--json], [--rules] (print the
+val main : family list -> 'a
+(** Select the family named by the first argument, then parse
+    [--allow FILE] (repeatable), [--json], [--rules] (print the family's
     rule table and exit), [--no-stale] (keep quiet about suppressions
     that suppress nothing), [--inventory] (print the inventory view and
     exit 0 — accepted in any argument position), then run and exit with
-    0 (clean), 1 (findings) or 2 (usage error / unparseable file).
-    Never returns. *)
+    0 (clean), 1 (findings) or 2 (usage error, unknown family, a PATH
+    that contributes no source file, or an unparseable file).  Never
+    returns. *)

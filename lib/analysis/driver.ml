@@ -1,6 +1,6 @@
-(* The shared analyzer driver: parse one file (implementation or
-   interface, by extension), run every applicable rule over it, apply
-   both escape hatches, and optionally surface stale suppressions. *)
+(* The parsetree driver: parse one file (implementation or interface, by
+   extension), run every applicable rule over it, apply both escape
+   hatches, and optionally surface stale suppressions. *)
 
 type parsed =
   | Impl of Parsetree.structure
@@ -11,6 +11,10 @@ let read_file file =
   Fun.protect
     ~finally:(fun () -> close_in ic)
     (fun () -> really_input_string ic (in_channel_length ic))
+
+let owns ids id =
+  String.length id > 0
+  && List.exists (fun r -> String.length r > 0 && r.[0] = id.[0]) ids
 
 (* Run [rules] over [source] posed at path [file], consulting (and
    hit-counting) [sup] and [allow].  The suppression scan is the
@@ -52,28 +56,19 @@ let run_parsed ~rules ~allow ~sup ~file source =
         rules;
       List.sort_uniq Finding.compare !findings
 
-let run_source ~marker ~rules ~allow ~file source =
-  let sup = Suppress.scan ~marker source in
-  run_parsed ~rules ~allow ~sup ~file source
+let run_source ~rules ?(allow = Allow.empty) ~file source =
+  run_parsed ~rules ~allow ~sup:(Suppress.scan source) ~file source
 
-let run_file ~marker ~rules ~allow file =
-  run_source ~marker ~rules ~allow ~file (read_file file)
-
-let run_files ~marker ~rules ~allow ?(stale = false) files =
+let run_files ~rules ?(allow = Allow.empty) ?(stale = false) files =
+  let owns = owns (List.map (fun (r : Rule.t) -> r.id) rules) in
   let per_file =
     List.concat_map
       (fun file ->
         let source = read_file file in
-        let sup = Suppress.scan ~marker source in
+        let sup = Suppress.scan source in
         let fs = run_parsed ~rules ~allow ~sup ~file source in
-        if stale then fs @ Suppress.stale sup ~file else fs)
+        if stale then fs @ Suppress.stale ~owns sup ~file else fs)
       files
   in
-  let all = if stale then per_file @ Allow.stale allow else per_file in
+  let all = if stale then per_file @ Allow.stale ~owns allow else per_file in
   List.sort Finding.compare all
-
-(* Two-pass capability for analyzers whose rules need whole-tree context
-   (the race analyzer's worker-reachability graph): [rules_of] sees the
-   full file list first and returns the rule set to run over it. *)
-let run_files_with ~marker ~rules_of ~allow ?stale files =
-  run_files ~marker ~rules:(rules_of ~files) ~allow ?stale files

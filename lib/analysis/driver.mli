@@ -1,4 +1,4 @@
-(** The shared analyzer driver.
+(** The parsetree driver.
 
     Files ending in [.mli] are parsed as interfaces and walked through
     the rule iterator's [signature] entry; everything else is parsed as
@@ -10,38 +10,24 @@
 
 val read_file : string -> string
 
+val owns : string list -> string -> bool
+(** [owns ids id]: does [id] carry the family letter of one of [ids]?
+    Rule ids are a family letter plus a number, so a hatch naming an
+    R-id with no rule behind it (a typo, a deleted rule) is still the
+    race family's to report. *)
+
 val run_source :
-  marker:string ->
-  rules:Rule.t list ->
-  allow:Allow.t ->
-  file:string ->
-  string ->
-  Finding.t list
+  rules:Rule.t list -> ?allow:Allow.t -> file:string -> string -> Finding.t list
 (** Analyze source text posed at path [file] (which drives per-rule path
     filters — tests pose fixtures "as if" they lived under [lib/]).
     Findings are sorted by (file, line, col, rule).  No stale findings. *)
 
-val run_file :
-  marker:string -> rules:Rule.t list -> allow:Allow.t -> string -> Finding.t list
-
 val run_files :
-  marker:string ->
   rules:Rule.t list ->
-  allow:Allow.t ->
+  ?allow:Allow.t ->
   ?stale:bool ->
   string list ->
   Finding.t list
-(** Analyze many files.  With [stale] (default off), suppression
-    comments and allowlist entries that suppressed nothing across the
-    whole run are themselves reported ([S1]/[S2]). *)
-
-val run_files_with :
-  marker:string ->
-  rules_of:(files:string list -> Rule.t list) ->
-  allow:Allow.t ->
-  ?stale:bool ->
-  string list ->
-  Finding.t list
-(** Like {!run_files}, but the rule set is built from the full file
-    list first: the capability analyzers with whole-tree context (the
-    race analyzer's reachability graph) hang their pre-pass on. *)
+(** Analyze many files.  With [stale] (default off), suppression-comment
+    ids and allowlist entries owned by [rules]' family that suppressed
+    nothing across the whole run are themselves reported ([S1]/[S2]). *)

@@ -1,5 +1,4 @@
-(* A single analyzer finding, shared by the determinism lint (mmb_lint)
-   and the architecture checker (mmb_check). *)
+(* A single analyzer finding, the currency of every rule family. *)
 
 type t = {
   file : string;

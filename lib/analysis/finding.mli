@@ -1,5 +1,5 @@
-(** A single analyzer finding — the currency both project analyzers
-    (the determinism lint and the architecture checker) deal in. *)
+(** A single analyzer finding — the currency every rule family deals
+    in. *)
 
 type t = {
   file : string;

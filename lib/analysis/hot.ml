@@ -1,18 +1,28 @@
-(* The H-rules: hot-path discipline over typed trees.  Every judgement
-   here is type-aware — boxedness from inferred types, identities from
-   resolved paths — which is exactly what the parsetree analyzers
-   (lint/check/race) cannot see.  All rules are conservative: a type
-   variable or abstract type is never "surely boxed", so polymorphic
-   and opaque code stays quiet rather than flooding.
+(* The hot family (H1–H4): hot-path discipline over typed trees.  The
+   parsetree families guard determinism (lint), architecture (check) and
+   domain safety (race); this one guards the performance invariants of
+   the per-event path — no polymorphic comparison, no stray allocation,
+   no unsafe casts, no unguarded formatting — so "fast as the hardware
+   allows" is a checked property, not a hand-audited one.
+
+   Every judgement here is type-aware — boxedness from inferred types,
+   identities from resolved paths — which is exactly what the parsetree
+   families cannot see.  All rules are conservative: a type variable or
+   abstract type is never "surely boxed", so polymorphic and opaque code
+   stays quiet rather than flooding.
 
    Scopes: H1/H2/H4 run on the hot set (lib/{dsim,amac,graphs,dyn} plus
    any module carrying [@@@mmb.hot]); H3 runs over all of lib/ and
    accepts no suppression comments — the allowlist, with a written
-   justification, is its only hatch. *)
+   justification, is its only hatch.
+
+   Whole-tree runs (`dune build @hot`) read .cmt files from the build
+   root; a missing .cmt is a per-file SKIP diagnostic, never a failure,
+   so the family degrades gracefully on a cold build.  Tests and
+   fixtures typecheck source in-process instead (Typed.run_source). *)
 
 open Typedtree
-module T = Analysis.Typed
-module Paths = Analysis.Paths
+module T = Typed
 
 let hot_scope ~hot ~file:_ = hot
 
@@ -35,16 +45,6 @@ let rec first_param env ty =
   match Types.get_desc (T.expand env ty) with
   | Tarrow (Optional _, _, rest, _) -> first_param env rest
   | Tarrow (_, arg, _, _) -> Some (T.expand env arg)
-  | _ -> None
-
-let is_float env ty =
-  match Types.get_desc (T.expand env ty) with
-  | Tconstr (p, [], _) -> Path.same p Predef.path_float
-  | _ -> false
-
-let constr_is env ty names =
-  match Types.get_desc (T.expand env ty) with
-  | Tconstr (p, args, _) when List.mem (name_of p) names -> Some args
   | _ -> None
 
 (* --- H1: polymorphic comparison/hashing at boxed types ------------------- *)
@@ -157,36 +157,7 @@ let h1 : T.rule =
    The hatch is expression- or binding-level: [@mmb.alloc_ok "why"]. *)
 
 let is_ref_type env ty =
-  constr_is env ty [ "ref"; "Stdlib.ref" ] <> None
-
-let boxed_float_container env ty =
-  let float_arg names =
-    match constr_is env ty names with
-    | Some [ a ] when is_float env a -> true
-    | _ -> false
-  in
-  if float_arg [ "option"; "Stdlib.option" ] then Some "float option"
-  else if float_arg [ "ref"; "Stdlib.ref" ] then Some "float ref"
-  else if float_arg [ "list"; "Stdlib.list" ] then Some "float list"
-  else
-    match Types.get_desc (T.expand env ty) with
-    | Ttuple comps when List.exists (is_float env) comps ->
-        Some "tuple with a float component"
-    | _ -> None
-
-(* Visit a function's cases, flattening directly-curried parameters into
-   the same function: [fun a b -> e] enters once, with [body] called on
-   [e] only. *)
-let rec visit_cases (sub : Tast_iterator.iterator) cases body =
-  List.iter
-    (fun c ->
-      sub.pat sub c.c_lhs;
-      Option.iter (sub.expr sub) c.c_guard;
-      match c.c_rhs.exp_desc with
-      | Texp_function f when c.c_rhs.exp_attributes = [] ->
-          visit_cases sub f.cases body
-      | _ -> body c.c_rhs)
-    cases
+  Alloc.constr_is env ty [ "ref"; "Stdlib.ref" ] <> None
 
 (* Free [ref]-typed variables of [e] that are neither bound inside it
    nor module-level (module-level cells need no closure environment). *)
@@ -256,7 +227,7 @@ let h2 : T.rule =
         in
         let check_float_let (vb : value_binding) =
           let env = T.env_of vb.vb_expr in
-          match boxed_float_container env vb.vb_expr.exp_type with
+          match Alloc.boxed_float_container env vb.vb_expr.exp_type with
           | Some what ->
               report ~loc:vb.vb_pat.pat_loc
                 (Printf.sprintf
@@ -272,7 +243,7 @@ let h2 : T.rule =
             | Texp_function f ->
                 if !depth >= 1 then check_closure e;
                 incr depth;
-                visit_cases sub f.cases (fun body -> expr sub body);
+                Alloc.visit_cases sub f.cases (fun body -> expr sub body);
                 decr depth
             | Texp_let (_, vbs, body) ->
                 List.iter
@@ -340,7 +311,7 @@ let h3 : T.rule =
               report ~loc:e.exp_loc
                 (Printf.sprintf
                    "%s breaks abstraction and the GC's invariants; if truly \
-                    required, justify it in hot.allow"
+                    required, justify it in analysis.allow"
                    (name_of p))
           | _ -> ());
           Tast_iterator.default_iterator.expr sub e
@@ -360,7 +331,7 @@ let h3 : T.rule =
           | Tstr_primitive vd when List.mem "%identity" vd.val_prim ->
               report ~loc:item.str_loc
                 "external %identity defeats the type checker; if truly \
-                 required, justify it in hot.allow"
+                 required, justify it in analysis.allow"
           | _ -> ());
           Tast_iterator.default_iterator.structure_item sub item
         in
@@ -478,4 +449,21 @@ let h4 : T.rule =
         { Tast_iterator.default_iterator with expr; value_binding });
   }
 
-let default = [ h1; h2; h3; h4 ]
+let rules = [ h1; h2; h3; h4 ]
+
+(* The hot-set inventory behind --inventory: every hot module (by path
+   or [@@@mmb.hot]) with its top-level functions' allocation
+   classification. *)
+let print_inventory files =
+  let root = Option.value (T.find_root ()) ~default:"." in
+  Alloc.print (Alloc.of_trees (T.load_root root) files)
+
+let family =
+  {
+    Cli.name = "hot";
+    exts = [ ".ml" ];
+    rules_doc = List.map (fun (r : T.rule) -> (r.id, r.doc)) rules;
+    run =
+      (fun ~allow ~stale files -> T.run_files ~rules ~allow ~stale files);
+    inventory = print_inventory;
+  }

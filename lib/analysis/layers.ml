@@ -10,10 +10,9 @@
    is amac's sibling: the horizon-parallel engine fuses protocol and
    MAC semantics over dsim/graphs/dyn, and mmb's runner drives either
    engine.  The
-   analyzer libraries (lint, analysis, check) sit outside the DAG: they
-   are tooling over the sources, not simulation code, and nothing
-   simulation-side may import them anyway since they would drag in
-   compiler-libs. *)
+   analyzer library (lib/analysis) sits outside the DAG: it is tooling
+   over the sources, not simulation code, and nothing simulation-side
+   may import it anyway since it would drag in compiler-libs. *)
 
 type t = { name : string; rank : int }
 

@@ -1,10 +1,11 @@
 (** The project's layer DAG (check rule A1).
 
-    [dsim -> graphs -> amac -> {mmb, radio} -> obs -> exec -> {bench, bin}]
+    [dsim -> graphs -> dyn -> {amac, pdes} -> {mmb, radio} -> obs -> exec
+     -> {bench, bin}]
 
     An arrow means "may be referenced by"; equal-rank layers (mmb and
-    radio) are independent siblings.  The analyzer libraries ([lint],
-    [analysis], [check]) sit outside the DAG entirely. *)
+    radio) are independent siblings.  The analyzer library
+    ([lib/analysis]) sits outside the DAG entirely. *)
 
 type t = { name : string; rank : int }
 

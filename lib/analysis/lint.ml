@@ -1,72 +1,29 @@
-(* mmb_lint — determinism lint over the project's OCaml sources.
+(* The lint family (D1–D6): determinism rules over the project's OCaml
+   sources.
 
    The paper's bounds are only checkable if every simulation run is
-   bit-for-bit replayable from its seed.  This pass parses each [.ml] into
-   a Parsetree (compiler-libs) and walks it with [Ast_iterator], flagging
-   the classic sources of silent nondeterminism:
+   bit-for-bit replayable from its seed.  This family parses each [.ml]
+   into a Parsetree (compiler-libs) and walks it with [Ast_iterator],
+   flagging the classic sources of silent nondeterminism:
 
      D1  Hashtbl.iter / Hashtbl.fold       unspecified iteration order
      D2  global Random.* outside Dsim.Rng  ambient, unseeded randomness
      D3  wall-clock / environment reads    ambient inputs in lib/
      D4  physical equality on non-ints     address-dependent results
      D5  polymorphic compare in sorts      fragile, untyped ordering
-     D6  Domain/Mutex/Atomic outside exec  uncontrolled interleavings
+     D6  Domain/Mutex/Atomic outside       uncontrolled interleavings
+         lib/exec and lib/pdes
 
-   Findings print as [file:line:col [rule-id] message]; any finding makes
-   the driver exit nonzero.  The escape hatches (suppression comments
-   carrying this lint's marker, and allowlist files) live in
-   [Analysis.Suppress] and [Analysis.Allow]; both are hit-counted, so a
-   hatch that suppresses nothing is itself reported as stale.
+   Adding a rule = one more entry in [rules]: give it an id, a path
+   filter, and an [Ast_iterator] built from [Astutil.expr_rule]. *)
 
-   The finding/allow/suppress/driver machinery is shared with the
-   architecture checker (lib/check) through [Analysis]; this module owns
-   only the determinism rules.  Adding a rule = one more entry in
-   [default_rules]: give it an id, a path filter, and an [Ast_iterator]
-   built from [expr_rule]. *)
-
-type finding = Analysis.Finding.t = {
-  file : string;
-  line : int;
-  col : int;
-  rule : string;
-  msg : string;
-}
-
-let finding_to_string = Analysis.Finding.to_string
-
-(* The lint's suppression-comment marker.  (Kept out of doc comments so
-   the stale-suppression scan never mistakes prose for a hatch.) *)
-let marker = "lint: allow"
-
-(* --- Allowlist (legacy pair-based surface) ------------------------------ *)
-
-type allow = (string * string) list (* rule id, path suffix *)
-
-let parse_allowlist source : allow = Analysis.Allow.pairs (Analysis.Allow.parse source)
-let load_allowlist path = Analysis.Allow.pairs (Analysis.Allow.load path)
-
-(* --- Rule machinery ----------------------------------------------------- *)
-
-type reporter = Analysis.Rule.reporter
-
-type rule = Analysis.Rule.t = {
-  id : string;
-  doc : string;
-  applies : string -> bool; (* repo-relative path filter *)
-  build : file:string -> reporter -> Ast_iterator.iterator;
-}
-
-let expr_rule = Analysis.Astutil.expr_rule
-
-let path_is = Analysis.Astutil.path_is
-let ident_path = Analysis.Astutil.ident_path
-let is_int_literal = Analysis.Astutil.is_int_literal
+open Astutil
 
 (* --- The rules ---------------------------------------------------------- *)
 
 let rule_d1 =
   {
-    id = "D1";
+    Rule.id = "D1";
     doc = "Hashtbl.iter/Hashtbl.fold: iteration order is unspecified";
     applies = (fun _ -> true);
     build =
@@ -86,10 +43,10 @@ let rule_d1 =
 
 let rule_d2 =
   {
-    id = "D2";
+    Rule.id = "D2";
     doc = "global Random.* outside Dsim.Rng";
     applies =
-      (fun file -> not (Analysis.Paths.has_suffix ~suffix:"lib/dsim/rng.ml" file));
+      (fun file -> not (Paths.has_suffix ~suffix:"lib/dsim/rng.ml" file));
     build =
       (fun ~file:_ report ->
         expr_rule (fun e ->
@@ -112,9 +69,9 @@ let rule_d3 =
     ]
   in
   {
-    id = "D3";
+    Rule.id = "D3";
     doc = "wall-clock/ambient reads inside lib/";
-    applies = Analysis.Paths.in_dir ~dir:"lib";
+    applies = Paths.in_dir ~dir:"lib";
     build =
       (fun ~file:_ report ->
         expr_rule (fun e ->
@@ -130,7 +87,7 @@ let rule_d3 =
 
 let rule_d4 =
   {
-    id = "D4";
+    Rule.id = "D4";
     doc = "physical equality on non-int expressions";
     applies = (fun _ -> true);
     build =
@@ -180,9 +137,9 @@ let rec comparator_is_polymorphic cmp =
 
 let rule_d5 =
   {
-    id = "D5";
+    Rule.id = "D5";
     doc = "polymorphic compare in sort comparators inside lib/";
-    applies = Analysis.Paths.in_dir ~dir:"lib";
+    applies = Paths.in_dir ~dir:"lib";
     build =
       (fun ~file:_ report ->
         expr_rule (fun e ->
@@ -202,19 +159,20 @@ let rule_d5 =
    partitioned run — both keep determinism by construction (disjoint
    state plus barrier ordering).  Anywhere else, Domain/Mutex/Atomic use
    means shared mutable state whose interleaving the seed does not
-   control. *)
+   control.  Domain.DLS is included: domain-local state outside the two
+   subsystems would hide cross-domain data flow from the race family. *)
 let parallel_modules = [ "Domain"; "Mutex"; "Atomic"; "Condition"; "Thread"; "Semaphore" ]
 
 let rule_d6 =
   {
-    id = "D6";
+    Rule.id = "D6";
     doc =
       "parallel primitives (Domain/Mutex/Atomic/...) outside lib/exec and \
        lib/pdes";
     applies =
       (fun file ->
-        (not (Analysis.Paths.in_dir ~dir:"lib/exec" file))
-        && not (Analysis.Paths.in_dir ~dir:"lib/pdes" file));
+        (not (Paths.in_dir ~dir:"lib/exec" file))
+        && not (Paths.in_dir ~dir:"lib/pdes" file));
     build =
       (fun ~file:_ report ->
         expr_rule (fun e ->
@@ -229,58 +187,29 @@ let rule_d6 =
             | _ -> ()));
   }
 
-let default_rules = [ rule_d1; rule_d2; rule_d3; rule_d4; rule_d5; rule_d6 ]
+let rules = [ rule_d1; rule_d2; rule_d3; rule_d4; rule_d5; rule_d6 ]
 
-(* --- Inventory ----------------------------------------------------------- *)
-
-(* The hatch map behind `mmb_lint --inventory`: every suppression
-   comment in the tree with the rule ids it waives.  The determinism
-   rules are only as strong as the list of places they are switched
-   off; this prints that list. *)
-
-let find_marker line =
-  let n = String.length line and m = String.length marker in
-  let rec go i =
-    if i + m > n then None
-    else if String.equal (String.sub line i m) marker then Some (i + m)
-    else go (i + 1)
-  in
-  go 0
-
-let hatch_ids rest =
-  String.split_on_char ' ' rest
-  |> List.concat_map (String.split_on_char ',')
-  |> List.concat_map (String.split_on_char '*')
-  |> List.concat_map (String.split_on_char ')')
-  |> List.filter Analysis.Suppress.is_rule_id
-
-let hatches files =
-  List.concat_map
+(* The hatch map behind --inventory: every suppression comment with the
+   rule ids it waives, whichever family owns them.  The rules are only
+   as strong as the list of places they are switched off; this prints
+   that list. *)
+let print_hatches files =
+  List.iter
     (fun file ->
-      let lines = String.split_on_char '\n' (Analysis.Driver.read_file file) in
-      List.mapi (fun i line -> (i + 1, line)) lines
-      |> List.filter_map (fun (ln, line) ->
-             match find_marker line with
-             | None -> None
-             | Some j ->
-                 let rest = String.sub line j (String.length line - j) in
-                 Some (file, ln, hatch_ids rest)))
+      List.iter
+        (fun (line, ids) ->
+          Printf.printf "%s:%d: %s %s\n" file line Suppress.marker
+            (String.concat " " ids))
+        (Suppress.entries (Suppress.scan (Driver.read_file file))))
     files
 
-(* --- Driver ------------------------------------------------------------- *)
-
-let lint_source ?(rules = default_rules) ?(allow = []) ~file source =
-  Analysis.Driver.run_source ~marker ~rules
-    ~allow:(Analysis.Allow.of_pairs allow) ~file source
-
-let lint_file ?(rules = default_rules) ?(allow = []) file =
-  Analysis.Driver.run_file ~marker ~rules
-    ~allow:(Analysis.Allow.of_pairs allow) file
-
-let lint_files ?(rules = default_rules) ?(allow = []) files =
-  Analysis.Driver.run_files ~marker ~rules
-    ~allow:(Analysis.Allow.of_pairs allow) files
-
-let run_files ?(rules = default_rules) ?(allow = Analysis.Allow.empty)
-    ?(stale = false) files =
-  Analysis.Driver.run_files ~marker ~rules ~allow ~stale files
+let family =
+  {
+    Cli.name = "lint";
+    exts = [ ".ml" ];
+    rules_doc = List.map (fun (r : Rule.t) -> (r.id, r.doc)) rules;
+    run =
+      (fun ~allow ~stale files ->
+        (Driver.run_files ~rules ~allow ~stale files, []));
+    inventory = print_hatches;
+  }

@@ -76,7 +76,7 @@ let refs_of_structure ~self ~units ~unit_list str =
   let out = ref [] in
   let lib_units lib = List.filter (fun u -> lib_of_unit u = lib) unit_list in
   let emit lid =
-    match Analysis.Astutil.longident_path lid with
+    match Astutil.longident_path lid with
     | [] -> ()
     | head :: rest -> (
         match List.assoc_opt head wrapped_libs with

@@ -5,14 +5,15 @@
     the exec library (a pool client can hand any closure it builds to a
     worker); the relation then closes transitively over cross-unit
     references.  This is a deliberate over-approximation — see
-    DESIGN.md section 14. *)
+    DESIGN.md "Static analysis".  The race family consults it for
+    bench/ and bin/ units only; every lib/ unit is in R1/R4's scope. *)
 
 type t
 
 val assume_all : t
-(** The no-context graph: every file is reachable.  Single-file
-    analysis (tests posing fixtures, [mmb_race FILE]) defaults to it —
-    without tree context the conservative answer is the safe one. *)
+(** The no-context graph: every file is reachable.  Single-source
+    analysis (tests posing fixtures) uses it — without tree context the
+    conservative answer is the safe one. *)
 
 val compute : (string * Parsetree.structure) list -> t
 (** Build the graph from every scanned (file, AST) pair. *)

@@ -23,7 +23,7 @@ let kind_to_string = function
 let iter f =
   let open Ast_iterator in
   let emit r_kind (lid : Longident.t Location.loc) =
-    match Analysis.Astutil.longident_path lid.Location.txt with
+    match Astutil.longident_path lid.Location.txt with
     | [] -> ()
     | r_path -> f { r_path; r_kind; r_loc = lid.Location.loc }
   in

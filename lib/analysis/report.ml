@@ -24,8 +24,8 @@ let finding_json (f : Finding.t) =
     {|{"rule":"%s","file":"%s","line":%d,"col":%d,"msg":"%s"}|}
     (json_escape f.rule) (json_escape f.file) f.line f.col (json_escape f.msg)
 
-(* Every analyzer (mmb_lint, mmb_check, mmb_race) emits this one shared
-   envelope, so CI consumers parse a single shape regardless of tool.
+(* Every rule family (lint, check, race, hot) emits this one shared
+   envelope, so CI consumers parse a single shape regardless of family.
    Bump [version] only when a field changes meaning or disappears;
    additions are compatible. *)
 let schema = "mmb-analysis/1"

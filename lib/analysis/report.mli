@@ -16,10 +16,10 @@ val to_json :
     [{"schema":"mmb-analysis/1","tool":...,"version":1,"files":N,
       "skips":[{"file":...,"reason":...}],
       "findings":[{"rule":...,"file":...,"line":...,"col":...,"msg":...}]}].
-    All four analyzers (lint, check, race, hot) emit exactly this
-    shape; [skips] carries files the tool could not analyze (the hot
-    analyzer's missing-[.cmt] diagnostics) and is empty for the
-    parsetree analyzers. *)
+    All four rule families (lint, check, race, hot) emit exactly this
+    shape; [skips] carries files the family could not analyze (the hot
+    family's missing-[.cmt] diagnostics) and is empty for the
+    parsetree families. *)
 
 val exit_code : Finding.t list -> int
 (** [0] clean, [1] findings, [2] if any [E*] finding (unparseable file). *)

@@ -1,4 +1,4 @@
-(** The rule shape both analyzers instantiate. *)
+(** The parsetree rule shape (the lint, check and race families). *)
 
 type reporter = loc:Location.t -> string -> unit
 

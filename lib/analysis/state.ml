@@ -1,7 +1,8 @@
 (* Whole-file inventory of top-level mutable state.
 
    Every [let]-binding a compilation unit evaluates at module
-   initialization is scanned for allocations of mutable state: refs,
+   initialization, nested [module M = struct ... end] bodies included,
+   is scanned for allocations of mutable state: refs,
    Hashtbl / Buffer / Queue / Stack / Bytes, arrays, Dsim.Rng states,
    Domain.DLS keys, Atomic / Mutex cells, records with mutable fields
    (when the record type is declared in the same file), and [lazy]
@@ -27,7 +28,7 @@
    The classification is syntactic and per-unit by design: it feeds
    rules R1/R4, whose job is to make Domain-partitioning the engine a
    checked refactor, not to prove the absence of races.  Pattern-matched
-   creator lists over-approximate exactly like mmb_check's A3. *)
+   creator lists over-approximate. *)
 
 type cls =
   | Dls
@@ -97,6 +98,32 @@ let pat_name p =
       Some txt
   | _ -> None
 
+(* Files allowed to hold top-level mutable state.  Each is a deliberate
+   process-global registry, documented as such, that Exec.Pool makes
+   per-domain through a resolver indirection. *)
+let registries = [ "lib/obs/global.ml" ]
+
+(* The structure items a unit evaluates at initialization: its own, and
+   those of every module, recursive module or include body nested in
+   it, whose state is as top-level as the enclosing unit's. *)
+let rec init_items str =
+  List.concat_map
+    (fun si ->
+      match si.Parsetree.pstr_desc with
+      | Parsetree.Pstr_module mb -> module_items mb.Parsetree.pmb_expr
+      | Parsetree.Pstr_recmodule mbs ->
+          List.concat_map (fun mb -> module_items mb.Parsetree.pmb_expr) mbs
+      | Parsetree.Pstr_include incl -> module_items incl.Parsetree.pincl_mod
+      | _ -> [ si ])
+    str
+
+and module_items me =
+  match me.Parsetree.pmod_desc with
+  | Parsetree.Pmod_structure str -> init_items str
+  | Parsetree.Pmod_constraint (me, _) | Parsetree.Pmod_functor (_, me) ->
+      module_items me
+  | _ -> []
+
 let is_unit_or_any p =
   match p.Parsetree.ppat_desc with
   | Parsetree.Ppat_any -> true
@@ -106,7 +133,7 @@ let is_unit_or_any p =
 (* Mutable record-field labels declared in this unit.  A top-level record
    literal mentioning one of them allocates mutable state (only same-unit
    types are visible to a per-file pass; cross-unit mutable records are
-   out of scope, documented in DESIGN.md section 14). *)
+   out of scope, documented in DESIGN.md "Static analysis"). *)
 let mutable_labels str =
   let labels = ref [] in
   let it =
@@ -185,7 +212,7 @@ let init_creators e =
           vbs;
         go ~bound body
     | Parsetree.Pexp_apply (fn, args) ->
-        (match Analysis.Astutil.ident_path fn with
+        (match Astutil.ident_path fn with
         | Some p when List.mem p all_creators ->
             hits :=
               (p, fn.Parsetree.pexp_loc, bound) :: !hits
@@ -220,7 +247,7 @@ let forced_names str =
           (fun it e ->
             (match e.Parsetree.pexp_desc with
             | Parsetree.Pexp_apply (fn, (_, arg) :: _)
-              when Analysis.Astutil.path_is [ [ "Lazy"; "force" ] ] fn -> (
+              when Astutil.path_is [ [ "Lazy"; "force" ] ] fn -> (
                 match arg.Parsetree.pexp_desc with
                 | Parsetree.Pexp_ident { txt = Longident.Lident s; _ } ->
                     forced := s :: !forced
@@ -242,7 +269,7 @@ let forced_names str =
             vbs
       | Parsetree.Pstr_eval (e, _) -> scan_body e
       | _ -> ())
-    str;
+    (init_items str);
   !forced
 
 (* --- The inventory ------------------------------------------------------- *)
@@ -257,8 +284,8 @@ let classify ~registry ~is_fun path =
 let of_structure ~file str =
   let registry =
     List.exists
-      (fun suffix -> Analysis.Paths.has_suffix ~suffix file)
-      Check.Capability.registries
+      (fun suffix -> Paths.has_suffix ~suffix file)
+      registries
   in
   let mut_labels = mutable_labels str in
   let forced = forced_names str in
@@ -311,7 +338,7 @@ let of_structure ~file str =
         | Parsetree.Pexp_record (fields, _)
           when List.exists
                  (fun ({ Location.txt; _ }, _) ->
-                   match Analysis.Astutil.longident_path txt with
+                   match Astutil.longident_path txt with
                    | [ l ] -> List.mem l mut_labels
                    | _ -> false)
                  fields ->
@@ -345,5 +372,5 @@ let of_structure ~file str =
                 scan_binding vb)
             vbs
       | _ -> ())
-    str;
+    (init_items str);
   List.rev !items

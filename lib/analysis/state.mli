@@ -1,14 +1,14 @@
 (** Per-unit inventory of top-level mutable state, classified on the
-    domain-safety lattice (DESIGN.md section 14).
+    domain-safety lattice (DESIGN.md "Static analysis").
 
     The scan is syntactic: allocations are recognized by creator path
     (refs, [Hashtbl.create], arrays, [Dsim.Rng.create], [Atomic.make],
     [Domain.DLS.new_key], ...), mutable records only when their type is
     declared in the same unit, and init position means "outside every
-    function and lazy body".  Function-valued bindings contribute an
-    item only when the closure captures the allocation (a memo table);
-    init scratch consumed before the function is built does not
-    outlive initialization. *)
+    function and lazy body", nested module bodies included.
+    Function-valued bindings contribute an item only when the closure
+    captures the allocation (a memo table); init scratch consumed before
+    the function is built does not outlive initialization. *)
 
 type cls =
   | Dls  (** [Domain.DLS] key: per-domain by construction *)
@@ -40,6 +40,10 @@ val idents_of : Parsetree.expression -> string list
 (** Every simple identifier mentioned — the over-approximate
     free-variable set. *)
 
+val registries : string list
+(** Path suffixes of the files allowed to hold top-level mutable state:
+    the deliberate process-global registries. *)
+
 val of_structure : file:string -> Parsetree.structure -> item list
 (** Items in source order.  [file] decides registry classification
-    (via {!Check.Capability.registries}). *)
+    (via {!registries}). *)

@@ -1,5 +1,5 @@
-(* Typed-tree driver extension: the machinery `mmb_hot` (and any future
-   type-aware analyzer) hangs on.  Where Driver walks untyped parsetrees,
+(* Typed-tree driver extension: the machinery the hot family (and any
+   future type-aware rule) hangs on.  Where Driver walks untyped parsetrees,
    this module walks Typedtree structures — with inferred types, resolved
    paths, and attributes — obtained from one of two front ends:
 
@@ -28,8 +28,6 @@ type rule = {
          the only hatch *)
   build : file:string -> reporter -> Tast_iterator.iterator;
 }
-
-type skip = { sk_file : string; sk_reason : string }
 
 (* --- The hot set --------------------------------------------------------- *)
 
@@ -172,19 +170,21 @@ let run_structure ~rules ~allow ~sup ~file str =
     rules;
   List.sort_uniq Finding.compare !findings
 
-let run_source ~marker ~rules ~allow ~file source =
-  let sup = Suppress.scan ~marker source in
+let run_source ~rules ?(allow = Allow.empty) ~file source =
+  let sup = Suppress.scan source in
   match of_source ~file source with
   | str -> run_structure ~rules ~allow ~sup ~file str
   | exception Type_error _ -> [ Finding.parse_error ~file ]
   | exception _ -> [ Finding.parse_error ~file ]
 
 (* Whole-tree entry point: analyze [files] against the .cmt trees under
-   [root].  Files without a tree become [skip]s, not findings — the
+   [root].  Files without a tree become (file, reason) skips, not
+   findings — the
    caller decides how loudly to surface them (the CLI prints a
    diagnostic and `dune build @hot` guarantees the cmts exist by
    depending on the library archives). *)
-let run_files ~marker ~rules ~allow ?(stale = false) ?root files =
+let run_files ~rules ?(allow = Allow.empty) ?(stale = false) ?root files =
+  let owns = Driver.owns (List.map (fun r -> r.id) rules) in
   let root =
     match root with
     | Some r -> r
@@ -198,14 +198,11 @@ let run_files ~marker ~rules ~allow ?(stale = false) ?root files =
         match tree_for trees file with
         | None ->
             skips :=
-              {
-                sk_file = file;
-                sk_reason =
-                  Printf.sprintf
-                    "no .cmt under %s (build the libraries first: dune \
-                     build @hot)"
-                    root;
-              }
+              ( file,
+                Printf.sprintf
+                  "no .cmt under %s (build the libraries first: dune build \
+                   @hot)"
+                  root )
               :: !skips;
             []
         | Some tree ->
@@ -213,14 +210,13 @@ let run_files ~marker ~rules ~allow ?(stale = false) ?root files =
               try Some (Driver.read_file file) with Sys_error _ -> None
             in
             let sup =
-              Suppress.scan ~marker
-                (match source with Some text -> text | None -> "")
+              Suppress.scan (match source with Some text -> text | None -> "")
             in
             let fs = run_structure ~rules ~allow ~sup ~file tree.t_str in
-            if stale then fs @ Suppress.stale sup ~file else fs)
+            if stale then fs @ Suppress.stale ~owns sup ~file else fs)
       files
   in
-  let all = if stale then per_file @ Allow.stale allow else per_file in
+  let all = if stale then per_file @ Allow.stale ~owns allow else per_file in
   (List.sort Finding.compare all, List.rev !skips)
 
 (* --- Typed helpers shared by rules --------------------------------------- *)

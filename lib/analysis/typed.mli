@@ -5,7 +5,8 @@
     from one of two front ends: whole-tree runs read the compiler's
     [.cmt] files under a build root (graceful per-file skip when a cmt
     is missing), and tests typecheck source text in-process against the
-    stdlib.  [mmb_hot] is the first client; see DESIGN.md section 17. *)
+    stdlib.  The hot family is the first client; see DESIGN.md
+    "Static analysis". *)
 
 type reporter = loc:Location.t -> string -> unit
 
@@ -19,11 +20,6 @@ type rule = {
           the only escape hatch (rule H3) *)
   build : file:string -> reporter -> Tast_iterator.iterator;
 }
-
-type skip = { sk_file : string; sk_reason : string }
-(** A requested file that could not be analyzed (no [.cmt] under the
-    root).  Skips are diagnostics, not findings: they never affect the
-    exit code of a run whose analyzed files are clean. *)
 
 (** {1 The hot set} *)
 
@@ -71,25 +67,22 @@ val run_structure :
   Finding.t list
 
 val run_source :
-  marker:string ->
-  rules:rule list ->
-  allow:Allow.t ->
-  file:string ->
-  string ->
-  Finding.t list
+  rules:rule list -> ?allow:Allow.t -> file:string -> string -> Finding.t list
 (** Typecheck and analyze source text posed at [file]; ill-typed or
     unparseable input yields the standard [E0] finding. *)
 
 val run_files :
-  marker:string ->
   rules:rule list ->
-  allow:Allow.t ->
+  ?allow:Allow.t ->
   ?stale:bool ->
   ?root:string ->
   string list ->
-  Finding.t list * skip list
+  Finding.t list * (string * string) list
 (** Whole-tree analysis over the [.cmt] trees under [root] (default:
-    {!find_root}).  Files without a tree are returned as skips. *)
+    {!find_root}).  Files without a tree are returned as
+    [(file, reason)] skips: diagnostics, not findings, so they never
+    affect the exit code of a run whose analyzed files are clean.  Stale
+    accounting is {!Driver.run_files}'. *)
 
 (** {1 Typed helpers for rules} *)
 

@@ -39,7 +39,7 @@ let create () =
 let now t = t.clock
 
 let intern t name =
-  if name == t.last_cat (* lint: allow D4 — cache probe only, miss falls through *)
+  if name == t.last_cat (* analysis: allow D4 — cache probe only, miss falls through *)
   then t.last_cat_id
   else begin
     let id =

@@ -8,7 +8,7 @@
    bindings and order them by key under an explicit typed comparator.
 
    This file is the single place allowed to call [Hashtbl.fold] directly;
-   it is entered in [lint.allow] for rule D1 (see mmb_lint).
+   it is entered in [analysis.allow] for lint rule D1.
 
    Tables populated with [Hashtbl.add] duplicates yield every binding; the
    codebase is [Hashtbl.replace]-only, so keys are unique in practice. *)
@@ -33,7 +33,7 @@ let sorted_fold ~cmp f t init =
    sort is owed.  Anything order-sensitive — emitting output, choosing a
    representative, feeding an RNG or a policy — must use [sorted_iter].
    The name is the audit trail: call sites assert commutativity by
-   choosing this function (see the D1 note in mmb_lint). *)
+   choosing this function (see lint rule D1's message). *)
 let iter_commutative f t = Hashtbl.iter f t
 
 (* Minimum key under [cmp], skipping keys for which [skip] holds.  A plain

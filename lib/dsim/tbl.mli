@@ -2,7 +2,7 @@
 
     Hash-table iteration order depends on the hash seed and insertion
     history, so raw [Hashtbl.iter]/[Hashtbl.fold] silently breaks
-    bit-for-bit replay of seeded simulations (mmb_lint rule D1).  These
+    bit-for-bit replay of seeded simulations (lint rule D1).  These
     helpers snapshot the bindings and order them by key under an explicit
     typed comparator.
 
@@ -33,7 +33,7 @@ val iter_commutative : ('k -> 'v -> unit) -> ('k, 'v) Hashtbl.t -> unit
     and allocation-free.  Only legal when [f]'s effects commute across
     bindings (e.g. cancelling independent events, bumping counters), so
     the final state cannot depend on traversal order.  Order-sensitive
-    work must use {!sorted_iter}; mmb_lint's D1 message points here. *)
+    work must use {!sorted_iter}; lint rule D1's message points here. *)
 
 val min_key :
   ?skip:('k -> bool) -> cmp:('k -> 'k -> int) -> ('k, 'v) Hashtbl.t -> 'k option

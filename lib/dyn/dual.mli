@@ -10,7 +10,7 @@
     a static graph expressed as a single-epoch schedule byte-identical
     (and cost-identical) to the plain static path.
 
-    Capability note (mmb_check rule A6): {!view}, {!advance_to},
+    Capability note (check rule A6): {!view}, {!advance_to},
     {!note_bcast} and {!note_delivery} are the mutators — only lib/dyn
     and the MAC's plan-time consult (lib/amac) may call them.
     Constructors and the readers below are sanctioned everywhere;

@@ -6,7 +6,7 @@
     the generalization of the two-line adversary's "has the value
     crossed yet?" test (Theorem 3.17) to arbitrary duals.
 
-    Capability note (mmb_check rule A6): {!note} is the only mutator
+    Capability note (check rule A6): {!note} is the only mutator
     here, and it may be called only from lib/dyn and lib/amac; the
     readers are sanctioned everywhere. *)
 

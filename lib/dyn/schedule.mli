@@ -18,7 +18,7 @@
     of the schedule parameters and [e] — deterministic across worker
     counts, query orders, and [OCAMLRUNPARAM=R].
 
-    Capability note (mmb_check rule A6): {!extras_at} is the mutator
+    Capability note (check rule A6): {!extras_at} is the mutator
     here (the adversary memoizes its frontier-dependent choice at first
     entry); constructors and readers are sanctioned everywhere. *)
 

@@ -145,7 +145,7 @@ let run ?(jobs = 1) ?(salt = "") ?cache ?manifest ?(clock = fun () -> 0.)
      by Domain.join.  No two domains ever touch the same element.  This
      is the one deliberate mutable capture in the tree — keep it that
      way. *)
-  (* race: allow R2 *)
+  (* analysis: allow R2 *)
   Pool.run ~jobs ~tasks:(Array.length pending) (fun slot ->
       let i = pending.(slot) in
       let job = jobs_arr.(i) in

@@ -1,6 +1,6 @@
 (* Per-delivery relay logic: every MAC acknowledgement and delivery runs
    through here, so the module opts into the hot-path discipline checks
-   (mmb_hot H1/H2/H4) alongside the path-scoped hot set. *)
+   (hot rules H1/H2/H4) alongside the path-scoped hot set. *)
 [@@@mmb.hot]
 
 type discipline = [ `Fifo | `Lifo ]

@@ -246,7 +246,7 @@ let run ~dual ?mk_dyn ~fprog ~assignment ~seed ~partitions ~domains ?trace_out
        List.init (domains - 1) (fun i ->
            let w = i + 1 in
            let ps = my_partitions w in
-           (* race: allow R2 *)
+           (* analysis: allow R2 *)
            Domain.spawn (fun () ->
                worker_loop b (fun until ->
                    List.iter

@@ -1,5 +1,5 @@
-(* A3 fixture: top-level mutable state at module initialization.  The
-   function-local creators below must NOT be flagged. *)
+(* R1/R4 fixture (named for the deleted rule A3): top-level mutable state
+   at module init.  The function-local creators must NOT be flagged. *)
 let counter = ref 0
 
 let cache = Hashtbl.create 16

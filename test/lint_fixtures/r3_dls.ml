@@ -1,5 +1,5 @@
-(* R3 fixture: Domain.DLS outside lib/exec.  All three references fire
-   when posed elsewhere; the same source is silent under lib/exec. *)
+(* D6 fixture (named for the deleted rule R3): Domain.DLS outside lib/exec
+   and lib/pdes.  All three references fire; silent under both. *)
 let k = Domain.DLS.new_key (fun () -> 0)
 
 let get () = Domain.DLS.get k

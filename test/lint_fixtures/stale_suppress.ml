@@ -1,3 +1,3 @@
 (* Stale-hatch fixture: the comment below suppresses nothing. *)
-(* lint: allow D1 — nothing here iterates a Hashtbl *)
+(* analysis: allow D1 — nothing here iterates a Hashtbl *)
 let double x = 2 * x

@@ -1,5 +1,5 @@
-(* The architecture checker: fixture files under lint_fixtures/ exercise
-   every A-rule's positive hit and the per-tool escape hatches; inline
+(* The check family (A-rules): fixture files under lint_fixtures/
+   exercise every A-rule's positive hit and the escape hatches; inline
    sources pin the scope boundaries (which layer poses fire, which are
    exempt); and a real-tree scan asserts the shipped sources stay clean
    under the shipped allowlist, exactly as `dune build @check` runs it. *)
@@ -16,8 +16,14 @@ let read_file path =
     ~finally:(fun () -> close_in ic)
     (fun () -> really_input_string ic (in_channel_length ic))
 
+let check_source ?allow ~file source =
+  Analysis.Driver.run_source ~rules:Analysis.Check.rules ?allow ~file source
+
+let run_files ?allow ~stale files =
+  Analysis.Driver.run_files ~rules:Analysis.Check.rules ?allow ~stale files
+
 (* Pose a fixture file at a path, so rule scopes see it "living" there. *)
-let posed fixture file = Check.check_source ~file (read_file fixture)
+let posed fixture file = check_source ~file (read_file fixture)
 
 (* --- A1: layer DAG ------------------------------------------------------- *)
 
@@ -36,26 +42,26 @@ let test_a1_seeded_dsim_backedge () =
   (* The acceptance seed: an Amac reference from lib/dsim must trip A1. *)
   let src = "let f ~uid ~src body = Amac.Message.make ~uid ~src body" in
   check_rules "dsim referencing amac is a back-edge" [ "A1" ]
-    (Check.check_source ~file:"lib/dsim/fixture.ml" src);
+    (check_source ~file:"lib/dsim/fixture.ml" src);
   check_rules "amac referencing amac-from-above is fine" []
-    (Check.check_source ~file:"lib/mmb/fixture.ml" src)
+    (check_source ~file:"lib/mmb/fixture.ml" src)
 
 let test_a1_siblings () =
   let src = "let f () = Radio.Decay.default" in
   check_rules "mmb referencing radio is a sibling edge" [ "A1" ]
-    (Check.check_source ~file:"lib/mmb/fixture.ml" src);
+    (check_source ~file:"lib/mmb/fixture.ml" src);
   let src' = "let f () = Mmb.Problem.uniform" in
   check_rules "radio referencing mmb is a sibling edge" [ "A1" ]
-    (Check.check_source ~file:"lib/radio/fixture.ml" src');
+    (check_source ~file:"lib/radio/fixture.ml" src');
   check_rules "obs may reference mmb (it sits above)" []
-    (Check.check_source ~file:"lib/obs/fixture.ml" src')
+    (check_source ~file:"lib/obs/fixture.ml" src')
 
 let test_a1_interfaces () =
   check_rules "type references in .mli files count" [ "A1" ]
-    (Check.check_source ~file:"lib/mmb/fixture.mli"
+    (check_source ~file:"lib/mmb/fixture.mli"
        "val finish : Obs.Observer.t -> unit");
   check_rules "downward type references are fine" []
-    (Check.check_source ~file:"lib/obs/fixture.mli"
+    (check_source ~file:"lib/obs/fixture.mli"
        "val wrap : Mmb.Problem.assignment -> unit")
 
 (* --- A2: the MAC abstraction boundary ------------------------------------ *)
@@ -71,24 +77,11 @@ let test_a2_boundary () =
 
 let test_a2_open_denied () =
   check_rules "open Graphs makes the surface ambient: denied" [ "A2" ]
-    (Check.check_source ~file:"lib/mmb/fixture.ml"
+    (check_source ~file:"lib/mmb/fixture.ml"
        "open Graphs\n\nlet f d = Dual.n d");
   check_rules "unknown submodules are denied by default" [ "A2" ]
-    (Check.check_source ~file:"lib/mmb/fixture.mli"
+    (check_source ~file:"lib/mmb/fixture.mli"
        "val m : Graphs.Matrix.t -> int")
-
-(* --- A3: top-level mutable state ----------------------------------------- *)
-
-let test_a3_top_state () =
-  let fs = posed "lint_fixtures/a3_topstate.ml" "lib/mmb/fixture.ml" in
-  check_rules "ref, Hashtbl.create, nested Buffer.create flagged"
-    [ "A3"; "A3"; "A3" ] fs;
-  Alcotest.(check (list int)) "function-local and lazy state exempt"
-    [ 3; 5; 7 ] (lines_of fs);
-  check_rules "registries are declared capability exceptions" []
-    (posed "lint_fixtures/a3_topstate.ml" "lib/obs/global.ml");
-  check_rules "outside lib/ the rule does not apply" []
-    (posed "lint_fixtures/a3_topstate.ml" "bin/fixture.ml")
 
 (* --- A4: engine access discipline ---------------------------------------- *)
 
@@ -130,27 +123,32 @@ let test_a6_epoch () =
 
 let test_a6_open_denied () =
   check_rules "open Dyn makes the mutator surface ambient: denied" [ "A6" ]
-    (Check.check_source ~file:"lib/mmb/fixture.ml"
+    (check_source ~file:"lib/mmb/fixture.ml"
        "open Dyn\n\nlet f s = Dual.of_static s")
 
 (* --- Escape hatches ------------------------------------------------------ *)
 
-let test_suppression_marker () =
-  check_rules "previous-line and same-line check suppressions hold" []
-    (posed "lint_fixtures/a3_suppressed.ml" "lib/mmb/fixture.ml");
-  (* The other analyzer's marker must NOT silence this tool. *)
-  let src = "(* lint: allow A3 *)\nlet counter = ref 0" in
-  check_rules "the lint's marker does not silence the checker" [ "A3" ]
-    (Check.check_source ~file:"lib/mmb/fixture.ml" src)
+(* One marker serves every family; the rule id decides which family a
+   hatch can silence. *)
+let test_hatches_per_family () =
+  let file = "lib/mmb/fixture.ml" in
+  let src id =
+    Printf.sprintf "(* analysis: allow %s *)\nlet f a = a = 0." id
+  in
+  check_rules "a hatch naming the A-rule suppresses" []
+    (check_source ~file (src "A5"));
+  check_rules "a hatch naming another family's id does not" [ "A5" ]
+    (check_source ~file (src "D4"));
+  check_rules "nor does a hatch naming an A-id with no rule" [ "A5" ]
+    (check_source ~file (src "A3"))
 
 let test_allowlist () =
-  let source = read_file "lint_fixtures/a3_topstate.ml" in
+  let source = read_file "lint_fixtures/a5_floateq.ml" in
   let file = "lib/mmb/fixture.ml" in
   check_rules "allowlist entry silences the file" []
-    (Check.check_source ~file ~allow:[ ("A3", file) ] source);
-  check_rules "another rule's entry does not"
-    [ "A3"; "A3"; "A3" ]
-    (Check.check_source ~file ~allow:[ ("A4", file) ] source)
+    (check_source ~file ~allow:(Analysis.Allow.parse ("A5 " ^ file)) source);
+  check_rules "another rule's entry does not" [ "A5"; "A5" ]
+    (check_source ~file ~allow:(Analysis.Allow.parse ("A4 " ^ file)) source)
 
 let test_clean_fixture () =
   check_rules "clean fixture has zero findings" []
@@ -158,20 +156,24 @@ let test_clean_fixture () =
 
 let test_parse_error_is_a_finding () =
   check_rules "unparseable source yields E0" [ "E0" ]
-    (Check.check_source ~file:"lib/mmb/fixture.ml" "let = =")
+    (check_source ~file:"lib/mmb/fixture.ml" "let = =")
 
 (* --- Stale escape hatches ------------------------------------------------ *)
 
 let test_stale_suppression () =
-  (* Under its real lint_fixtures/ path the fixture is outside A3's
-     lib/ scope, so neither comment suppresses anything — both stale. *)
-  let fs = Check.run_files ~stale:true [ "lint_fixtures/a3_suppressed.ml" ] in
-  check_rules "comments that suppress nothing are reported" [ "S1"; "S1" ] fs
+  (* The fixture's comments name A3, an A-id with no rule behind it, so
+     neither suppresses anything — and an id carrying the A letter is
+     this family's to report stale. *)
+  let fs = run_files ~stale:true [ "lint_fixtures/a3_suppressed.ml" ] in
+  check_rules "comments that suppress nothing are reported" [ "S1"; "S1" ] fs;
+  check_rules "the lint family leaves them to the check family" []
+    (Analysis.Driver.run_files ~rules:Analysis.Lint.rules ~stale:true
+       [ "lint_fixtures/a3_suppressed.ml" ])
 
 let test_stale_allow_entry () =
   let fs =
-    Check.run_files ~stale:true
-      ~allow:(Analysis.Allow.of_pairs [ ("A4", "nowhere/such_file.ml") ])
+    run_files ~stale:true
+      ~allow:(Analysis.Allow.parse "A4 nowhere/such_file.ml")
       [ "lint_fixtures/check_clean.ml" ]
   in
   check_rules "an entry suppressing nothing is reported" [ "S2" ] fs
@@ -188,8 +190,8 @@ let test_real_tree () =
     (Printf.sprintf "scanned a substantial tree (%d files)" (List.length files))
     true
     (List.length files > 60);
-  let allow = Analysis.Allow.load "../check.allow" in
-  let fs = Check.run_files ~allow ~stale:true files in
+  let allow = Analysis.Allow.load "../analysis.allow" in
+  let fs = run_files ~allow ~stale:true files in
   Alcotest.(check (list string)) "lib/ is architecture-clean" []
     (List.map Analysis.Finding.to_string fs)
 
@@ -206,8 +208,6 @@ let suite =
           test_a2_boundary;
         Alcotest.test_case "A2 default-deny (open, unknown)" `Quick
           test_a2_open_denied;
-        Alcotest.test_case "A3 top-level mutable state" `Quick
-          test_a3_top_state;
         Alcotest.test_case "A4 engine access discipline" `Quick
           test_a4_engine;
         Alcotest.test_case "A5 float equality" `Quick test_a5_float_eq;
@@ -215,8 +215,8 @@ let suite =
           test_a6_epoch;
         Alcotest.test_case "A6 default-deny (open Dyn)" `Quick
           test_a6_open_denied;
-        Alcotest.test_case "suppression markers are per-tool" `Quick
-          test_suppression_marker;
+        Alcotest.test_case "hatches are per-family" `Quick
+          test_hatches_per_family;
         Alcotest.test_case "allowlist" `Quick test_allowlist;
         Alcotest.test_case "clean fixture" `Quick test_clean_fixture;
         Alcotest.test_case "parse errors are findings" `Quick

@@ -4,8 +4,8 @@
    This is NOT trivially true: each run allocates fresh hash tables, and
    when hashing is randomized those tables hash (hence iterate) differently
    run-to-run, so any [Hashtbl.iter]/[Hashtbl.fold] on a behavior-relevant
-   path diverges the two traces.  That is exactly the hazard class mmb_lint
-   rule D1 bans and Dsim.Tbl exists to fix.
+   path diverges the two traces.  That is exactly the hazard class lint rule
+   D1 bans and Dsim.Tbl exists to fix.
 
    CI note: OCaml only randomizes Hashtbl hashing when asked.  Run
 

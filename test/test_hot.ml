@@ -1,4 +1,4 @@
-(* The hot-path analyzer: fixture files under lint_fixtures/ exercise
+(* The hot family (H-rules): fixture files under lint_fixtures/ exercise
    each H-rule's positive hit exactly once and a disciplined
    counterpart with zero findings; scope tests pin H1/H2/H4 to the hot
    set (by path and by [@@@mmb.hot]) and H3 to all of lib/; hatch
@@ -21,8 +21,11 @@ let read_file path =
     ~finally:(fun () -> close_in ic)
     (fun () -> really_input_string ic (in_channel_length ic))
 
+let hot_source ?allow ~file source =
+  Analysis.Typed.run_source ~rules:Analysis.Hot.rules ?allow ~file source
+
 (* Pose a fixture file at a path, so rule scopes see it "living" there. *)
-let posed fixture file = Hot.check_source ~file (read_file fixture)
+let posed fixture file = hot_source ~file (read_file fixture)
 
 let msg_mentions sub f =
   Analysis.Paths.find_substring ~sub f.Analysis.Finding.msg <> None
@@ -47,15 +50,15 @@ let test_h1_specialization_exemption () =
      the same operator passed as a comparator still fires. *)
   let file = "lib/dsim/fixture.ml" in
   check_rules "direct string = is specialized" []
-    (Hot.check_source ~file "let eq (a : string) (b : string) = a = b");
+    (hot_source ~file "let eq (a : string) (b : string) = a = b");
   check_rules "direct float compare is specialized" []
-    (Hot.check_source ~file
+    (hot_source ~file
        "let cmp (a : float) (b : float) = compare a b");
   check_rules "first-class compare at float still fires" [ "H1" ]
-    (Hot.check_source ~file
+    (hot_source ~file
        "let sortf (xs : float list) = List.sort compare xs");
   check_rules "Hashtbl.hash is never specialized" [ "H1" ]
-    (Hot.check_source ~file "let h (s : string) = Hashtbl.hash s")
+    (hot_source ~file "let h (s : string) = Hashtbl.hash s")
 
 (* --- H2: allocation in hot functions ------------------------------------- *)
 
@@ -81,7 +84,7 @@ let test_h2_alloc_ok_hatch () =
      [@@mmb.alloc_ok \"fixture: justified\"]\n"
   in
   check_rules "a binding-level [@@mmb.alloc_ok] silences H2" []
-    (Hot.check_source ~file src)
+    (hot_source ~file src)
 
 (* --- H3: unsafe escapes anywhere in lib/ --------------------------------- *)
 
@@ -94,12 +97,14 @@ let test_h3_scope_and_hatches () =
     (posed "lint_fixtures/h3_hot.ml" "bench/fixture.ml");
   (* H3 is allowlist-only: the suppression comment that silences every
      other rule is ignored, the allow entry works. *)
-  let src = "(* hot: allow H3 *)\nlet erase (x : int list) = Obj.repr x" in
+  let src =
+    "(* analysis: allow H3 *)\nlet erase (x : int list) = Obj.repr x"
+  in
   check_rules "suppression comment is refused" [ "H3" ]
-    (Hot.check_source ~file:"lib/obs/fixture.ml" src);
+    (hot_source ~file:"lib/obs/fixture.ml" src);
   check_rules "allowlist entry is honoured" []
-    (Hot.check_source ~file:"lib/obs/fixture.ml"
-       ~allow:[ ("H3", "lib/obs/fixture.ml") ]
+    (hot_source ~file:"lib/obs/fixture.ml"
+       ~allow:(Analysis.Allow.parse "H3 lib/obs/fixture.ml")
        src)
 
 (* --- H4: unguarded formatting on the hot set ----------------------------- *)
@@ -123,9 +128,9 @@ let test_clean_fixture () =
 let test_hot_attribute_opt_in () =
   let body = "let sort_pairs (xs : (int * int) list) = List.sort compare xs" in
   check_rules "off the hot set, no attribute: quiet" []
-    (Hot.check_source ~file:"lib/obs/fixture.ml" body);
+    (hot_source ~file:"lib/obs/fixture.ml" body);
   check_rules "[@@@mmb.hot] opts the module in" [ "H1" ]
-    (Hot.check_source ~file:"lib/obs/fixture.ml"
+    (hot_source ~file:"lib/obs/fixture.ml"
        ("[@@@mmb.hot]\n" ^ body))
 
 (* --- Suppression comments ------------------------------------------------ *)
@@ -133,49 +138,49 @@ let test_hot_attribute_opt_in () =
 let test_suppression_marker () =
   let src =
     "let sort_pairs (xs : (int * int) list) =\n\
-    \  (* hot: allow H1 *)\n\
+    \  (* analysis: allow H1 *)\n\
     \  List.sort compare xs"
   in
-  check_rules "the hot marker suppresses" []
-    (Hot.check_source ~file:"lib/dsim/fixture.ml" src);
+  check_rules "a hatch naming H1 suppresses" []
+    (hot_source ~file:"lib/dsim/fixture.ml" src);
   let src' =
     "let sort_pairs (xs : (int * int) list) =\n\
-    \  (* lint: allow H1 *)\n\
+    \  (* analysis: allow D5 *)\n\
     \  List.sort compare xs"
   in
-  check_rules "the lint's marker does not silence this tool" [ "H1" ]
-    (Hot.check_source ~file:"lib/dsim/fixture.ml" src')
+  check_rules "a hatch naming another family's id does not" [ "H1" ]
+    (hot_source ~file:"lib/dsim/fixture.ml" src')
 
 (* --- Front ends ---------------------------------------------------------- *)
 
 let test_ill_typed_is_e0 () =
   check_rules "ill-typed source is the standard E0" [ "E0" ]
-    (Hot.check_source ~file:"lib/dsim/fixture.ml" "let x : int = \"s\"");
+    (hot_source ~file:"lib/dsim/fixture.ml" "let x : int = \"s\"");
   check_rules "unparseable source too" [ "E0" ]
-    (Hot.check_source ~file:"lib/dsim/fixture.ml" "let let let")
+    (hot_source ~file:"lib/dsim/fixture.ml" "let let let")
 
 let test_missing_cmt_is_a_skip () =
   (* A root with no .cmt files: every requested file becomes a skip
      diagnostic, never a finding or a crash. *)
   let fs, skips =
-    Hot.run_files ~root:"lint_fixtures" [ "lib/dsim/sim.ml" ]
+    Analysis.Typed.run_files ~rules:Analysis.Hot.rules ~root:"lint_fixtures"
+      [ "lib/dsim/sim.ml" ]
   in
   check_rules "no findings" [] fs;
   match skips with
-  | [ s ] ->
-      Alcotest.(check string) "names the file" "lib/dsim/sim.ml"
-        s.Analysis.Typed.sk_file;
+  | [ (file, reason) ] ->
+      Alcotest.(check string) "names the file" "lib/dsim/sim.ml" file;
       Alcotest.(check bool) "explains the cause" true
-        (Analysis.Paths.find_substring ~sub:"no .cmt" s.sk_reason <> None)
+        (Analysis.Paths.find_substring ~sub:"no .cmt" reason <> None)
   | skips -> Alcotest.failf "expected one skip, got %d" (List.length skips)
 
 let test_envelope_skips () =
   let findings =
-    Hot.check_source ~file:"lib/dsim/fixture.ml"
+    hot_source ~file:"lib/dsim/fixture.ml"
       (read_file "lint_fixtures/h4_hot.ml")
   in
   let text =
-    Analysis.Report.to_json ~tool:"mmb_hot" ~files:2
+    Analysis.Report.to_json ~tool:"mmb_analyze hot" ~files:2
       ~skips:[ ("lib/dsim/other.ml", "no .cmt under .") ]
       findings
   in
@@ -206,23 +211,23 @@ let test_inventory_classification () =
   let trees =
     [ { Analysis.Typed.t_file = file; t_str = Analysis.Typed.of_source ~file src } ]
   in
-  (match Hot.Inventory.of_trees trees [ file ] with
+  (match Analysis.Alloc.of_trees trees [ file ] with
   | [ e ] ->
-      Alcotest.(check bool) "hot by path" true (e.Hot.Inventory.e_hot = `Path);
+      Alcotest.(check bool) "hot by path" true (e.Analysis.Alloc.e_hot = `Path);
       Alcotest.(check (list string))
         "both functions inventoried" [ "step"; "build" ]
-        (List.map (fun f -> f.Hot.Inventory.f_name) e.e_funcs);
+        (List.map (fun f -> f.Analysis.Alloc.f_name) e.e_funcs);
       (match e.e_funcs with
       | [ step; build ] ->
           Alcotest.(check bool) "step is zero-alloc" true
-            (Hot.Inventory.zero_alloc step.f_counts);
+            (Analysis.Alloc.zero_alloc step.f_counts);
           Alcotest.(check int) "build allocates one closure" 1
-            build.f_counts.Hot.Inventory.closures
+            build.f_counts.Analysis.Alloc.closures
       | _ -> Alcotest.fail "expected two functions")
   | entries -> Alcotest.failf "expected one entry, got %d" (List.length entries));
   Alcotest.(check int) "a non-hot module is not inventoried" 0
     (List.length
-       (Hot.Inventory.of_trees
+       (Analysis.Alloc.of_trees
           [
             {
               Analysis.Typed.t_file = "lib/obs/fixture.ml";
@@ -242,8 +247,10 @@ let lib_files () = Analysis.Cli.collect_files ~exts:[ ".ml" ] [ "../lib" ]
    forces the library builds, is the authoritative gate. *)
 let test_real_tree () =
   let files = lib_files () in
-  let allow = Analysis.Allow.load "../hot.allow" in
-  let fs, skips = Hot.run_files ~allow ~root:".." files in
+  let allow = Analysis.Allow.load "../analysis.allow" in
+  let fs, skips =
+    Analysis.Typed.run_files ~rules:Analysis.Hot.rules ~allow ~root:".." files
+  in
   Alcotest.(check (list string)) "lib/ is hot-clean" []
     (List.map Analysis.Finding.to_string fs);
   if List.length skips = 0 then

@@ -1,10 +1,10 @@
-(* The domain-safety analyzer: fixture files under lint_fixtures/
+(* The race family (R-rules): fixture files under lint_fixtures/
    exercise every R-rule's positive hit and its confined counterpart
-   (DLS / Atomic / registry / forced-lazy / init-scratch); the
-   differential boundary test pins lint D6 and the R-rules to the same
-   lib/exec frontier; reachability tests drive rules R1/R4 with the
-   real tree's graph; and a real-tree scan asserts the shipped sources
-   stay clean exactly as `dune build @race` runs them. *)
+   (DLS / Atomic / registry / forced-lazy / init-scratch); a3_topstate.ml
+   pins R1/R4 as the home of top-level state in every lib/ unit;
+   reachability tests drive R1/R4's bench/ and bin/ scope; and a
+   real-tree scan asserts the shipped sources stay clean exactly as
+   `dune build @race` runs them. *)
 
 let rules_of findings = List.map (fun f -> f.Analysis.Finding.rule) findings
 let lines_of findings = List.map (fun f -> f.Analysis.Finding.line) findings
@@ -18,11 +18,12 @@ let read_file path =
     ~finally:(fun () -> close_in ic)
     (fun () -> really_input_string ic (in_channel_length ic))
 
-(* Pose a fixture file at a path, so rule scopes see it "living" there. *)
-let posed fixture file = Race.check_source ~file (read_file fixture)
+let race_source ?allow ?(reach = Analysis.Reach.assume_all) ~file source =
+  Analysis.Driver.run_source ~rules:(Analysis.Race.rules ~reach) ?allow ~file
+    source
 
-let only rule findings =
-  List.filter (fun f -> String.equal f.Analysis.Finding.rule rule) findings
+(* Pose a fixture file at a path, so rule scopes see it "living" there. *)
+let posed fixture file = race_source ~file (read_file fixture)
 
 (* --- R1: shared-unprotected top-level state ------------------------------ *)
 
@@ -30,18 +31,34 @@ let test_r1_classes () =
   let fs = posed "lint_fixtures/r1_shared.ml" "lib/mmb/fixture.ml" in
   check_rules
     "Hashtbl, ref, array, mutable record fire; Atomic and DLS don't \
-     (the DLS key trips R3 instead, outside lib/exec)"
-    [ "R1"; "R1"; "R1"; "R3"; "R1" ] fs;
+     (outside lib/exec and lib/pdes both are the lint family's D6)"
+    [ "R1"; "R1"; "R1"; "R1" ] fs;
   Alcotest.(check (list int))
-    "on the allocation lines" [ 4; 6; 8; 12; 18 ] (lines_of fs);
+    "on the allocation lines" [ 4; 6; 8; 18 ] (lines_of fs);
   check_rules "shared state inside lib/exec is still shared"
     [ "R1"; "R1"; "R1"; "R1" ]
     (posed "lint_fixtures/r1_shared.ml" "lib/exec/fixture.ml");
-  check_rules "a declared registry confines everything but the DLS key"
-    [ "R3" ]
+  check_rules "a declared registry confines everything" []
     (posed "lint_fixtures/r1_shared.ml" "lib/obs/global.ml");
-  check_rules "out of scope outside lib/bench/bin (R3 is global)" [ "R3" ]
+  check_rules "out of scope outside lib/bench/bin" []
     (posed "lint_fixtures/r1_shared.ml" "examples/fixture.ml")
+
+(* Top-level state in every lib/ unit is R1's and R4's, at the positions
+   the fixture's allocations start. *)
+let test_a3_fixture () =
+  let fs = posed "lint_fixtures/a3_topstate.ml" "lib/mmb/fixture.ml" in
+  check_rules "ref, Hashtbl.create, nested Buffer.create, unforced lazy"
+    [ "R1"; "R1"; "R1"; "R4" ] fs;
+  Alcotest.(check (list (pair int int)))
+    "at each allocation; function-local state exempt"
+    [ (3, 14); (5, 12); (7, 15); (14, 17) ]
+    (List.map (fun f -> Analysis.Finding.(f.line, f.col)) fs);
+  check_rules "a registry confines the state but not the raced lazy"
+    [ "R4" ]
+    (posed "lint_fixtures/a3_topstate.ml" "lib/obs/global.ml");
+  check_rules "state in a nested module is top-level too" [ "R1" ]
+    (race_source ~file:"lib/mmb/fixture.ml"
+       "module Cache = struct\n  let table = Hashtbl.create 8\nend")
 
 (* --- R2: mutable captures crossing the spawn boundary -------------------- *)
 
@@ -69,20 +86,6 @@ let test_r2_captures () =
     [ "R2"; "R2" ]
     (posed "lint_fixtures/r2_capture.ml" "lib/pdes/fixture.ml")
 
-(* --- R3: DLS confined to lib/exec ---------------------------------------- *)
-
-let test_r3_scope () =
-  let fs = posed "lint_fixtures/r3_dls.ml" "lib/obs/fixture.ml" in
-  check_rules "new_key, get, set all fire outside exec" [ "R3"; "R3"; "R3" ]
-    fs;
-  Alcotest.(check (list int)) "on each reference" [ 3; 5; 7 ] (lines_of fs);
-  check_rules "lib/exec is the sanctioned home" []
-    (posed "lint_fixtures/r3_dls.ml" "lib/exec/fixture.ml");
-  check_rules "also when rooted elsewhere" []
-    (posed "lint_fixtures/r3_dls.ml" "/root/repo/lib/exec/fixture.ml");
-  check_rules "lib/pdes is sanctioned too (PR10)" []
-    (posed "lint_fixtures/r3_dls.ml" "lib/pdes/fixture.ml")
-
 (* --- R4: lazies and memo closures ---------------------------------------- *)
 
 let test_r4_lazy_memo () =
@@ -96,91 +99,73 @@ let test_r4_lazy_memo () =
   check_rules "out of scope outside lib/bench/bin" []
     (posed "lint_fixtures/r4_lazy.ml" "examples/fixture.ml")
 
-(* --- Differential boundary: lint D6 and the R-rules agree ---------------- *)
-
-(* The two analyzers must draw the Domain-primitive frontier at the same
-   place — lib/exec — or a refactor could satisfy one and violate the
-   other silently.  For every posed path, D6 (blunt: any Domain.* use)
-   and R3 (fine: DLS discipline) either both fire or both stay silent on
-   a DLS-using source. *)
-let test_differential_d6_boundary () =
-  let source = read_file "lint_fixtures/r3_dls.ml" in
-  List.iter
-    (fun file ->
-      let d6 = only "D6" (Lint.lint_source ~file source) <> [] in
-      let r3 = only "R3" (Race.check_source ~file source) <> [] in
-      Alcotest.(check bool)
-        (Printf.sprintf "D6 and R3 agree at %s" file)
-        d6 r3)
-    [
-      "lib/exec/fixture.ml";
-      "lib/exec/deeper/fixture.ml";
-      "/abs/path/lib/exec/fixture.ml";
-      "lib/pdes/fixture.ml";
-      "lib/dsim/fixture.ml";
-      "lib/amac/fixture.ml";
-      "lib/mmb/fixture.ml";
-      "lib/obs/fixture.ml";
-      "lib/race/fixture.ml";
-      "bench/fixture.ml";
-      "bin/fixture.ml";
-      "examples/fixture.ml";
-    ]
-
 (* --- Reachability -------------------------------------------------------- *)
 
 let lib_files () =
   Analysis.Cli.collect_files ~exts:[ ".ml" ] [ "../lib" ]
 
 let test_reach_units () =
-  let u = Race.Reach.unit_of_path in
+  let u = Analysis.Reach.unit_of_path in
   Alcotest.(check (option string)) "lib path" (Some "exec/Pool")
     (u "lib/exec/pool.ml");
   Alcotest.(check (option string)) "absolute lib path" (Some "mmb/Bmmb")
-    (u "/root/repo/lib/mmb/bmmb.ml");
+    (u "/abs/repo/lib/mmb/bmmb.ml");
   Alcotest.(check (option string)) "bench pseudo-lib" (Some "bench/Main")
     (u "bench/main.ml");
   Alcotest.(check (option string)) "outside the tree shape" None
     (u "lint_fixtures/r1_shared.ml")
 
 let test_reach_real_tree () =
-  let reach = Race.reach_of_files (lib_files ()) in
-  let reachable file = Race.Reach.worker_reachable reach ~file in
+  let reach = Analysis.Race.reach_of_files (lib_files ()) in
+  let reachable file = Analysis.Reach.worker_reachable reach ~file in
   Alcotest.(check bool) "the pool itself" true
     (reachable "../lib/exec/pool.ml");
   Alcotest.(check bool) "the registry the pool redirects" true
     (reachable "../lib/obs/global.ml");
   Alcotest.(check bool) "the engine below it" true
     (reachable "../lib/dsim/sim.ml");
-  Alcotest.(check bool) "analyzer libraries never run on workers" false
-    (reachable "../lib/lint/lint.ml");
-  Alcotest.(check bool) "the race analyzer itself included" false
-    (reachable "../lib/race/rules.ml")
+  Alcotest.(check bool) "the analyzer library never runs on workers" false
+    (reachable "../lib/analysis/lint.ml");
+  Alcotest.(check bool) "the race family itself included" false
+    (reachable "../lib/analysis/race.ml")
 
-(* R1 is gated on the graph: the same shared table fires on a
-   worker-reachable unit and stays silent on an analyzer-only unit. *)
+(* In bench/ and bin/, R1 is gated on the graph: the same shared table
+   fires on a unit that hands closures to the pool and stays silent on
+   a driver-only unit.  Every lib/ unit is in scope regardless. *)
 let test_r1_reachability_gate () =
-  let rules = Race.Rules.rules ~reach:(Race.reach_of_files (lib_files ())) in
+  let parse src = Parse.implementation (Lexing.from_string src) in
+  let reach =
+    Analysis.Reach.compute
+      [
+        ("bench/driver.ml", parse "let go tasks f = Exec.Pool.run ~tasks f");
+        ("bench/report.ml", parse "let title = \"report\"");
+        ("lib/analysis/lint.ml", parse "let rules = []");
+      ]
+  in
   let src = "let cache = Hashtbl.create 16" in
-  check_rules "fires on a worker-reachable unit" [ "R1" ]
-    (Race.check_source ~rules ~file:"../lib/dsim/sim.ml" src);
-  check_rules "silent on an analyzer-only unit" []
-    (Race.check_source ~rules ~file:"../lib/lint/lint.ml" src);
+  check_rules "fires on a worker-reachable bench unit" [ "R1" ]
+    (race_source ~reach ~file:"bench/driver.ml" src);
+  check_rules "silent on a driver-only bench unit" []
+    (race_source ~reach ~file:"bench/report.ml" src);
+  check_rules "every lib/ unit is in scope, reachable or not" [ "R1" ]
+    (race_source ~reach ~file:"lib/analysis/lint.ml" src);
   check_rules "the conservative default assumes reachability" [ "R1" ]
-    (Race.check_source ~file:"../lib/lint/lint.ml" src)
+    (race_source ~file:"bench/report.ml" src)
 
 (* --- The inventory ------------------------------------------------------- *)
 
 let test_inventory_real_tree () =
-  let inv = Race.inventory (lib_files ()) in
+  let inv = Analysis.Race.inventory (lib_files ()) in
   let find file name =
     List.find_map
       (fun (f, reachable, items) ->
         if Analysis.Paths.has_suffix ~suffix:file f then
           List.find_map
-            (fun (i : Race.Inventory.item) ->
-              if String.equal i.Race.Inventory.i_name name then
-                Some (reachable, Race.Inventory.cls_to_string i.Race.Inventory.i_cls)
+            (fun (i : Analysis.State.item) ->
+              if String.equal i.Analysis.State.i_name name then
+                Some
+                  ( reachable,
+                    Analysis.State.cls_to_string i.Analysis.State.i_cls )
               else None)
             items
         else None)
@@ -196,40 +181,47 @@ let test_inventory_real_tree () =
   List.iter
     (fun (file, _, items) ->
       List.iter
-        (fun (i : Race.Inventory.item) ->
-          if i.Race.Inventory.i_cls = Race.Inventory.Shared then
+        (fun (i : Analysis.State.item) ->
+          if i.Analysis.State.i_cls = Analysis.State.Shared then
             Alcotest.failf "shared-unprotected state %s in %s"
-              i.Race.Inventory.i_name file)
+              i.Analysis.State.i_name file)
         items)
     inv
 
 (* --- Escape hatches ------------------------------------------------------ *)
 
-let test_suppression_marker () =
-  let src = "(* race: allow R1 *)\nlet counter = ref 0" in
-  check_rules "the race marker suppresses" []
-    (Race.check_source ~file:"lib/mmb/fixture.ml" src);
-  let src' = "(* lint: allow R1 *)\nlet counter = ref 0" in
-  check_rules "the lint's marker does not silence this tool" [ "R1" ]
-    (Race.check_source ~file:"lib/mmb/fixture.ml" src')
+let test_hatches_per_family () =
+  let file = "lib/mmb/fixture.ml" in
+  let src id =
+    Printf.sprintf "(* analysis: allow %s *)\nlet counter = ref 0" id
+  in
+  check_rules "a hatch naming R1 suppresses" [] (race_source ~file (src "R1"));
+  check_rules "a hatch naming another family's id does not" [ "R1" ]
+    (race_source ~file (src "D6"));
+  check_rules "nor does a hatch naming an R-id with no rule" [ "R1" ]
+    (race_source ~file (src "R3"))
 
 let test_allowlist () =
   let file = "lib/mmb/fixture.ml" in
   let src = "let counter = ref 0" in
   check_rules "allowlist entry silences the file" []
-    (Race.check_source ~file ~allow:[ ("R1", file) ] src);
+    (race_source ~file ~allow:(Analysis.Allow.parse ("R1 " ^ file)) src);
   check_rules "another rule's entry does not" [ "R1" ]
-    (Race.check_source ~file ~allow:[ ("R2", file) ] src)
+    (race_source ~file ~allow:(Analysis.Allow.parse ("R2 " ^ file)) src)
 
 let test_stale_hatches () =
-  let fs =
-    Race.run_files ~stale:true
-      ~allow:(Analysis.Allow.of_pairs [ ("R1", "nowhere/such_file.ml") ])
+  let run allow =
+    Analysis.Driver.run_files
+      ~rules:(Analysis.Race.rules ~reach:Analysis.Reach.assume_all)
+      ~allow:(Analysis.Allow.parse allow) ~stale:true
       [ "lint_fixtures/clean.ml" ]
   in
-  check_rules "an entry suppressing nothing is reported" [ "S2" ] fs
+  check_rules "an entry suppressing nothing is reported" [ "S2" ]
+    (run "R1 nowhere/such_file.ml");
+  check_rules "another family's dead entry is left to that family" []
+    (run "A4 nowhere/such_file.ml")
 
-(* --- The shared mmb-analysis/1 envelope (all three tools) ---------------- *)
+(* --- The shared mmb-analysis/1 envelope (every family) ------------------- *)
 
 let member_string json key =
   match Dsim.Json.member_opt json key with
@@ -265,13 +257,15 @@ let test_envelope () =
                     [ "rule"; "file"; "line"; "col"; "msg" ])
                 fs
           | _ -> Alcotest.failf "%s envelope has no findings array" tool)
-    [
-      ("mmb_lint", Lint.lint_source ~file:"lib/mmb/x.ml" "let f () = Random.int 3");
-      ( "mmb_check",
-        Check.check_source ~file:"lib/mmb/x.ml" "let c = Obs.Metrics.create ()"
-      );
-      ("mmb_race", Race.check_source ~file:"lib/mmb/x.ml" "let c = ref 0");
-    ]
+    (let run rules src =
+       Analysis.Driver.run_source ~rules ~file:"lib/mmb/x.ml" src
+     in
+     [
+       ("mmb_analyze lint", run Analysis.Lint.rules "let f () = Random.int 3");
+       ( "mmb_analyze check",
+         run Analysis.Check.rules "let c = Obs.Metrics.create ()" );
+       ("mmb_analyze race", race_source ~file:"lib/mmb/x.ml" "let c = ref 0");
+     ])
 
 (* --- The real tree ------------------------------------------------------- *)
 
@@ -284,8 +278,12 @@ let test_real_tree () =
     (Printf.sprintf "scanned a substantial tree (%d files)" (List.length files))
     true
     (List.length files > 50);
-  let allow = Analysis.Allow.load "../race.allow" in
-  let fs = Race.run_files ~allow ~stale:true files in
+  let allow = Analysis.Allow.load "../analysis.allow" in
+  let fs =
+    Analysis.Driver.run_files
+      ~rules:(Analysis.Race.rules ~reach:(Analysis.Race.reach_of_files files))
+      ~allow ~stale:true files
+  in
   Alcotest.(check (list string)) "lib/ is domain-safety-clean" []
     (List.map Analysis.Finding.to_string fs)
 
@@ -294,14 +292,11 @@ let suite =
     ( "race",
       [
         Alcotest.test_case "R1 lattice classes" `Quick test_r1_classes;
+        Alcotest.test_case "A3 fixture fires as R1/R4" `Quick test_a3_fixture;
         Alcotest.test_case "R2 spawn-boundary captures" `Quick
           test_r2_captures;
-        Alcotest.test_case "R3 DLS confined to lib/exec" `Quick
-          test_r3_scope;
         Alcotest.test_case "R4 lazies and memo closures" `Quick
           test_r4_lazy_memo;
-        Alcotest.test_case "differential: D6 and R3 share the boundary"
-          `Quick test_differential_d6_boundary;
         Alcotest.test_case "unit resolution" `Quick test_reach_units;
         Alcotest.test_case "reachability over the real tree" `Quick
           test_reach_real_tree;
@@ -309,8 +304,8 @@ let suite =
           test_r1_reachability_gate;
         Alcotest.test_case "inventory over the real tree" `Quick
           test_inventory_real_tree;
-        Alcotest.test_case "suppression markers are per-tool" `Quick
-          test_suppression_marker;
+        Alcotest.test_case "hatches are per-family" `Quick
+          test_hatches_per_family;
         Alcotest.test_case "allowlist" `Quick test_allowlist;
         Alcotest.test_case "stale allowlist entries (S2)" `Quick
           test_stale_hatches;
