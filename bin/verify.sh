@@ -8,6 +8,7 @@
 #   bin/verify.sh --full    default + randomized-hash runtest, the rule
 #                           families' fixture suites (@fixtures), the dyn
 #                           suite, the campaign and pdes determinism gates,
+#                           a large audited run (n = 4096, k = 64, --check),
 #                           and the n = 10^6 partitioned grid run
 #                           (EXPERIMENTS.md E18)
 #   bin/verify.sh --tsan    multi-domain exec and pdes tests under
@@ -128,6 +129,13 @@ else
           -k 3 --fack 8 --seed 3 --partitions 4 --domains 4 \
           --trace-out "$T/d4.jsonl" > /dev/null &&
         cmp "$T/d1.jsonl" "$T/d4.jsonl"'
+    # The axiom checker's cost is linear in run length: a 4096-node,
+    # 64-message r-restricted grid (1.8 M events) audits in seconds.
+    gate "large checked run (grid -n 4096 -k 64 --check)" \
+      sh -c 'out=$(dune exec bin/mmb_sim.exe -- run -t grid -n 4096 \
+          -g r-restricted --extra 8192 -k 64 --check) &&
+        printf "%s\n" "$out" | tail -1 &&
+        printf "%s\n" "$out" | grep -q "^compliance: OK"'
     # EXPERIMENTS.md E18's reproducer: the million-node grid on the
     # partitioned engine's struct-of-arrays path must complete.
     gate "E18 million-node grid (-n 1000000 --partitions 8 --domains 2)" \
@@ -140,6 +148,7 @@ else
     skip "dyn suite (test dyn)" "run with --full"
     skip "campaign determinism (churn_line --jobs 1 vs 4)" "run with --full"
     skip "pdes determinism (--partitions 4: --domains 1 vs 4 trace bytes)" "run with --full"
+    skip "large checked run (grid -n 4096 -k 64 --check)" "run with --full"
     skip "E18 million-node grid (-n 1000000 --partitions 8 --domains 2)" "run with --full"
   fi
 fi

@@ -27,6 +27,18 @@
     terminates (an open contender's coverage extends to [+inf], which no
     later event can contradict).
 
+    {b Precondition and cost.}  [Bcast] entries must come in nondecreasing
+    time order, as every engine trace's do; other entries may arrive out
+    of order.  The first [Bcast] earlier than one before it is reported
+    as a [trace-order] violation, and progress-bound verdicts after it
+    may be spurious.  Under the precondition an entry costs amortized
+    O(deg) bookkeeping, and each span check makes one pass over the
+    receiver's retained receipts.  A receiver retains only the receipts
+    open spans can still use: each check drops those whose instance
+    terminated before both the checked span and the receiver's oldest
+    open span began.  So the cost per entry does not grow with the
+    length of the run.
+
     The checker is the independent half of model fidelity: the engines are
     built to satisfy the axioms, and this module verifies that they did on
     each concrete execution.  Not applicable to FMMB traces: the

@@ -130,31 +130,61 @@ let power g ~r =
    edge: edges shared with G are distance 1 by definition, so an equal
    dual costs zero searches and an r-restricted dual only pays for the
    few nodes carrying extra links.  The old per-edge Bfs.distance made
-   this O(n * m) — a hang, not a cost, at mega (1e5+ node) scale. *)
+   this O(n * m) — a hang, not a cost, at mega (1e5+ node) scale.  Each
+   search from u stops once it has reached every G'-only neighbor above
+   u, so on an r-restricted dual it sees only u's r-ball.  The searches
+   share one distance array and one queue, allocated at the first
+   G'-only edge (an equal dual allocates nothing); a search resets the
+   entries it touched, and marks its pending targets [target]. *)
 let restriction_radius t =
   let n = Graph.n t.g in
+  let target = -1 in
   let worst = ref 1 in
+  let dist = ref [||] and queue = ref [||] in
   (try
      for u = 0 to n - 1 do
-       let nbrs' = Graph.neighbors t.g' u in
-       let len = Array.length nbrs' in
-       let needs = ref false in
-       for i = 0 to len - 1 do
-         let v = nbrs'.(i) in
-         if v > u && not (Graph.mem_edge t.g u v) then needs := true
+       let row = t.g'_only.(u) in
+       let pending = ref 0 in
+       for i = 0 to Array.length row - 1 do
+         if row.(i) > u then incr pending
        done;
-       if !needs then begin
-         let dist = Bfs.distances t.g ~src:u in
-         for i = 0 to len - 1 do
-           let v = nbrs'.(i) in
-           if v > u && not (Graph.mem_edge t.g u v) then begin
-             let d = dist.(v) in
-             if d = Bfs.unreachable then begin
-               worst := max_int;
-               raise Exit
-             end;
-             if d > !worst then worst := d
-           end
+       if !pending > 0 then begin
+         if Array.length !dist = 0 then begin
+           dist := Array.make n Bfs.unreachable;
+           queue := Array.make n 0
+         end;
+         let dist = !dist and queue = !queue in
+         for i = 0 to Array.length row - 1 do
+           if row.(i) > u then dist.(row.(i)) <- target
+         done;
+         dist.(u) <- 0;
+         queue.(0) <- u;
+         let head = ref 0 and tail = ref 1 in
+         while !pending > 0 && !head < !tail do
+           let x = queue.(!head) in
+           incr head;
+           let d = dist.(x) + 1 in
+           let nbrs = Graph.neighbors t.g x in
+           for i = 0 to Array.length nbrs - 1 do
+             let v = nbrs.(i) in
+             let dv = dist.(v) in
+             if dv = Bfs.unreachable || dv = target then begin
+               dist.(v) <- d;
+               queue.(!tail) <- v;
+               incr tail;
+               if dv = target then begin
+                 decr pending;
+                 if d > !worst then worst := d
+               end
+             end
+           done
+         done;
+         if !pending > 0 then begin
+           worst := max_int;
+           raise Exit
+         end;
+         for i = 0 to !tail - 1 do
+           dist.(queue.(i)) <- Bfs.unreachable
          done
        end
      done

@@ -9,11 +9,13 @@ let fmmb_shape ~n ~d ~k =
   let logn = log (float_of_int (max 2 n)) in
   (float_of_int d *. logn) +. (float_of_int k *. logn) +. (logn ** 3.)
 
+(* One BFS per distinct origin: [all_at] puts all k messages on one node. *)
 let max_origin_eccentricity ~dual ~assignment =
   let g = Graphs.Dual.reliable dual in
   List.fold_left
-    (fun acc (node, _) -> max acc (Graphs.Bfs.eccentricity g node))
-    0 assignment
+    (fun acc node -> max acc (Graphs.Bfs.eccentricity g node))
+    0
+    (List.sort_uniq Int.compare (List.map fst assignment))
 
 let bmmb_upper ~dual ~assignment ~fack ~fprog =
   let d = max_origin_eccentricity ~dual ~assignment in

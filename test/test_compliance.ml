@@ -165,6 +165,181 @@ let test_enhanced_round_trace_clean () =
     ]
     []
 
+(* Bcasts out of time order break the checker's precondition; the
+   first one is named, and only the first. *)
+let test_bcast_out_of_order () =
+  let dual = Lazy.force line2 in
+  check_verdict dual
+    [
+      (2., Dsim.Trace.Bcast { node = 0; msg = 1; instance = 1 });
+      (2.5, Dsim.Trace.Rcv { node = 1; msg = 1; instance = 1 });
+      (1., Dsim.Trace.Bcast { node = 1; msg = 2; instance = 2 });
+      (1.5, Dsim.Trace.Rcv { node = 0; msg = 2; instance = 2 });
+      (0.5, Dsim.Trace.Bcast { node = 1; msg = 3; instance = 3 });
+      (1.5, Dsim.Trace.Rcv { node = 0; msg = 3; instance = 3 });
+      (3., Dsim.Trace.Ack { node = 0; msg = 1; instance = 1 });
+      (3., Dsim.Trace.Ack { node = 1; msg = 2; instance = 2 });
+      (3., Dsim.Trace.Ack { node = 1; msg = 3; instance = 3 });
+    ]
+    [
+      ( "trace-order",
+        "bcast of instance 2 at 1 comes after a bcast at 2; later \
+         progress-bound verdicts may be spurious" );
+    ]
+
+(* Verdict pin: every violation list, text and order, over a fixed
+   matrix of engine traces (line, ring, grid and gnp graphs; equal,
+   r-restricted and arbitrary G'; the three schedulers), each audited
+   as recorded and with its Fack or Fprog tightened, after four
+   mutations (dropped Rcvs, dropped Acks, late Acks, a duplicate Rcv
+   appended), with [allow_open] off and on.  The digest was recorded
+   from the checker that sorted every receipt of a receiver on every
+   span; a rewrite of the progress-bound bookkeeping must reproduce it.
+   Engine changes that alter these traces legitimately move it too. *)
+let pin_digest () =
+  let buf = Buffer.create (1 lsl 16) in
+  let violating = ref 0 in
+  let graphs =
+    [
+      ("line", fun _ -> Graphs.Gen.line 6);
+      ("ring", fun _ -> Graphs.Gen.ring 8);
+      ("grid", fun _ -> Graphs.Gen.grid ~rows:3 ~cols:3);
+      ("gnp", fun rng -> Graphs.Gen.gnp rng ~n:8 ~p:0.4);
+    ]
+  in
+  let duals =
+    [
+      ("equal", fun _ g -> Graphs.Dual.of_equal g);
+      ( "r-restricted",
+        fun rng g -> Graphs.Dual.r_restricted_random rng ~g ~r:2 ~extra:4 );
+      ("arbitrary", fun rng g -> Graphs.Dual.arbitrary_random rng ~g ~extra:4);
+    ]
+  in
+  let schedulers =
+    [
+      ("eager", fun () -> Amac.Schedulers.eager ());
+      ("random", fun () -> Amac.Schedulers.random_compliant ());
+      ("adversarial", fun () -> Amac.Schedulers.adversarial ());
+    ]
+  in
+  let every n keep entries =
+    List.filteri (fun i e -> i mod n <> 0 || not (keep e)) entries
+  in
+  let is_rcv e =
+    match e.Dsim.Trace.event with Dsim.Trace.Rcv _ -> true | _ -> false
+  in
+  let is_ack e =
+    match e.Dsim.Trace.event with Dsim.Trace.Ack _ -> true | _ -> false
+  in
+  let mutations =
+    [
+      ("none", Fun.id);
+      ("drop-rcv", every 5 is_rcv);
+      ("drop-ack", every 7 is_ack);
+      ( "late-ack",
+        List.mapi (fun i e ->
+            if i mod 3 = 0 && is_ack e then
+              { e with Dsim.Trace.time = e.Dsim.Trace.time +. 10. }
+            else e) );
+      ( "dup-rcv",
+        fun entries ->
+          match List.filter is_rcv entries with
+          | [] -> entries
+          | rcvs -> entries @ [ List.nth rcvs (List.length rcvs / 2) ] );
+    ]
+  in
+  let seed = ref 0 in
+  List.iter
+    (fun (gname, mk_g) ->
+      List.iter
+        (fun (dname, mk_dual) ->
+          List.iter
+            (fun (sname, policy) ->
+              incr seed;
+              let rng = Dsim.Rng.create ~seed:!seed in
+              let g = mk_g rng in
+              let dual = mk_dual rng g in
+              let n = Graphs.Graph.n g in
+              let res =
+                Mmb.Runner.run_bmmb ~dual ~fack:6. ~fprog:1.
+                  ~policy:(policy ())
+                  ~assignment:(Mmb.Problem.random rng ~n ~k:3)
+                  ~seed:!seed ~check_compliance:true ()
+              in
+              let entries =
+                match res.Mmb.Runner.trace with
+                | Some tr -> Dsim.Trace.entries tr
+                | None -> Alcotest.fail "no trace recorded"
+              in
+              List.iter
+                (fun (mname, mutate) ->
+                  let trace =
+                    trace_of
+                      (List.map
+                         (fun { Dsim.Trace.time; event } -> (time, event))
+                         (mutate entries))
+                  in
+                  List.iter
+                    (fun (fack, fprog) ->
+                      List.iter
+                        (fun allow_open ->
+                          let vs =
+                            Amac.Compliance.audit ~dual ~fack ~fprog
+                              ~allow_open trace
+                          in
+                          if vs <> [] then incr violating;
+                          Printf.bprintf buf "%s/%s/%s/%s/%g/%g/%b\n" gname
+                            dname sname mname fack fprog allow_open;
+                          List.iter
+                            (fun v ->
+                              Printf.bprintf buf "%s\t%s\n"
+                                v.Amac.Compliance.rule v.Amac.Compliance.detail)
+                            vs)
+                        [ false; true ])
+                    [ (6., 1.); (3., 1.); (6., 0.25) ])
+                mutations)
+            schedulers)
+        duals)
+    graphs;
+  Printf.sprintf "%s %d" (Digest.to_hex (Digest.string (Buffer.contents buf)))
+    !violating
+
+let test_pinned_verdicts () =
+  Alcotest.(check string) "digest of every violation list, violating audits"
+    "e32fe7eee842c2ac28b5b40a03dc2329 900" (pin_digest ())
+
+(* Cost pin: the checker's minor words per trace entry stay flat in the
+   message count k (the progress-bound bookkeeping once re-sorted every
+   receipt a receiver ever got, at 223 words per entry for k = 4 and 753
+   for k = 16) and small. *)
+let test_cost_flat_in_k () =
+  let words_per_entry k =
+    let rng = Dsim.Rng.create ~seed:1 in
+    let g = Graphs.Gen.grid ~rows:16 ~cols:16 in
+    let dual = Graphs.Dual.r_restricted_random rng ~g ~r:2 ~extra:512 in
+    let res =
+      Mmb.Runner.run_bmmb ~dual ~fack:20. ~fprog:1.
+        ~policy:(Amac.Schedulers.random_compliant ())
+        ~assignment:(Mmb.Problem.all_at ~node:0 ~k)
+        ~seed:1 ~check_compliance:true ()
+    in
+    let trace =
+      match res.Mmb.Runner.trace with
+      | Some tr -> tr
+      | None -> Alcotest.fail "no trace recorded"
+    in
+    let w0 = Gc.minor_words () in
+    let vs = Amac.Compliance.audit ~dual ~fack:20. ~fprog:1. trace in
+    let words = Gc.minor_words () -. w0 in
+    Alcotest.(check int) "engine trace audits clean" 0 (List.length vs);
+    words /. float_of_int (Dsim.Trace.length trace)
+  in
+  let w4 = words_per_entry 4 and w16 = words_per_entry 16 in
+  let msg = Printf.sprintf "words/entry k=4 %.1f, k=16 %.1f" w4 w16 in
+  Alcotest.(check bool) (msg ^ ": at most 64") true (Float.max w4 w16 <= 64.);
+  Alcotest.(check bool) (msg ^ ": within 25%") true
+    (Float.max w4 w16 <= 1.25 *. Float.min w4 w16)
+
 let suite =
   [
     ( "amac.compliance",
@@ -187,5 +362,11 @@ let suite =
           test_progress_gap_after_cover_ends;
         Alcotest.test_case "abort-style round trace is clean" `Quick
           test_enhanced_round_trace_clean;
+        Alcotest.test_case "out-of-order bcast named" `Quick
+          test_bcast_out_of_order;
+        Alcotest.test_case "verdicts pinned over a trace matrix" `Quick
+          test_pinned_verdicts;
+        Alcotest.test_case "words per entry flat in k" `Quick
+          test_cost_flat_in_k;
       ] );
   ]

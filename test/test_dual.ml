@@ -122,6 +122,23 @@ let prop_r_restricted_definition =
       in
       by_definition && by_power)
 
+(* The bounded, shared-buffer searches behind [restriction_radius] agree
+   with the definition, across components too ([max_int]). *)
+let prop_restriction_radius_least =
+  QCheck.Test.make ~name:"restriction radius is the least r that holds"
+    ~count:100
+    QCheck.(int_range 0 10_000)
+    (fun seed ->
+      let rng = Dsim.Rng.create ~seed in
+      let n = 3 + Dsim.Rng.int rng 12 in
+      let g = Graphs.Gen.gnp rng ~n ~p:0.25 in
+      let d = Graphs.Dual.arbitrary_random rng ~g ~extra:(Dsim.Rng.int rng 6) in
+      let r = Graphs.Dual.restriction_radius d in
+      if r = max_int then not (Graphs.Dual.is_r_restricted d ~r:n)
+      else
+        Graphs.Dual.is_r_restricted d ~r
+        && (r = 1 || not (Graphs.Dual.is_r_restricted d ~r:(r - 1))))
+
 let suite =
   [
     ( "graphs.dual",
@@ -140,5 +157,6 @@ let suite =
         Alcotest.test_case "Lemma-3.18 choke network" `Quick test_choke;
         QCheck_alcotest.to_alcotest prop_power_contains_g;
         QCheck_alcotest.to_alcotest prop_r_restricted_definition;
+        QCheck_alcotest.to_alcotest prop_restriction_radius_least;
       ] );
   ]
