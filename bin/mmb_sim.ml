@@ -156,6 +156,29 @@ let partitions_arg =
   in
   Arg.(value & opt int 0 & info [ "partitions" ] ~docv:"P" ~doc)
 
+(* The one-cell scenario the shared flags describe.  [run], [sweep] and
+   [online] override the fields they own and run it through
+   Mmb.Scenario.run, as [exec] runs a scenario file's cells. *)
+let cell =
+  let make topology gprime n k r extra fack fprog seed scheduler =
+    {
+      Mmb.Scenario.default with
+      topology;
+      gprime;
+      n;
+      k;
+      r;
+      extra;
+      fack;
+      fprog;
+      seed;
+      scheduler;
+    }
+  in
+  Term.(
+    const make $ topology $ gprime $ n_arg $ k_arg $ r_arg $ extra_arg
+    $ fack_arg $ fprog_arg $ seed_arg $ scheduler_arg)
+
 (* --- Network summary ---------------------------------------------------- *)
 
 let describe_dual dual =
@@ -175,323 +198,55 @@ let describe_dual dual =
 
 (* --- run ----------------------------------------------------------------- *)
 
-(* Shared run metadata stamped into trace/provenance exports. *)
-let run_meta ~protocol ~n ~k ~seed =
-  [
-    ("protocol", Dsim.Json.String protocol);
-    ("n", Dsim.Json.Number (float_of_int n));
-    ("k", Dsim.Json.Number (float_of_int k));
-    ("seed", Dsim.Json.Number (float_of_int seed));
-  ]
+(* A file [run] writes from the live event stream of whichever engine
+   runs (the serial engine's MAC trace, or FMMB's problem-level
+   lifecycle): [subscribe] before the run, [write] after it. *)
+type surface = { subscribe : Dsim.Trace.t -> unit; write : unit -> unit }
 
-(* Replay a retained trace through the Perfetto collector. *)
-let write_perfetto_trace tr ~n ~meta ~path =
-  let col = Obs.Tracing.Sim.create ~n () in
-  Dsim.Trace.iter tr (Obs.Tracing.Sim.on_entry col);
-  let w = Obs.Tracing.Sim.finish col in
-  Obs.Tracing.write_file ~meta w ~path;
-  Printf.printf "trace written to %s (%d trace events; load at \
-                 ui.perfetto.dev)\n"
-    path (Obs.Tracing.event_count w)
-
-let write_provenance tr ~n ~meta ~path =
-  let p = Obs.Provenance.create ~meta ~n () in
-  Dsim.Trace.iter tr (Obs.Provenance.on_entry p);
-  Obs.Provenance.to_file p ~path;
-  Printf.printf "provenance written to %s (%d message(s))\n" path
-    (List.length (Obs.Provenance.messages p))
-
-let run_bmmb ~dual ~dyn ~fack ~fprog ~scheduler ~k ~seed ~check ~trace
-    ~trace_out ~provenance ~metrics ~progress =
-  match Mmb.Scenario.build_scheduler scheduler with
-  | Error e -> `Error (false, e)
-  | Ok policy ->
-      let rng = Dsim.Rng.create ~seed in
-      let n = Graphs.Dual.n dual in
-      let assignment = Mmb.Problem.random rng ~n ~k in
-      let want_trace =
-        check || trace || trace_out <> None || provenance <> None
-      in
-      (* Fail fast: the streaming monitor stops the simulation at the first
-         axiom violation, printing the offending event. *)
-      let sim_ref = ref None in
-      let on_violation entry v =
-        Fmt.epr "[monitor] %a@." Amac.Compliance.pp_violation v;
-        (match entry with
-        | Some e -> Fmt.epr "[monitor] offending event: %a@." Dsim.Trace.pp_entry e
-        | None -> ());
-        match !sim_ref with Some sim -> Dsim.Sim.stop sim | None -> ()
-      in
-      let obs =
-        if metrics <> None || progress <> None then
-          Some
-            (Obs.Observer.create ~n ~dual ~fack ~fprog ~on_violation ?dyn
-               ~meta:
-                 [
-                   ("protocol", Dsim.Json.String "bmmb");
-                   ("scheduler", Dsim.Json.String scheduler);
-                   ("n", Dsim.Json.Number (float_of_int n));
-                   ("k", Dsim.Json.Number (float_of_int k));
-                   ("fack", Dsim.Json.Number fack);
-                   ("fprog", Dsim.Json.Number fprog);
-                   ("seed", Dsim.Json.Number (float_of_int seed));
-                 ]
-               ())
-        else None
-      in
-      let setup sim =
-        sim_ref := Some sim;
-        (* Wall time is injected from outside the library (lint rule D3);
-           it only feeds volatile gauges, never the default export. *)
-        Dsim.Sim.set_wall_clock sim wall_clock;
-        match (obs, progress) with
-        | Some o, Some interval ->
-            let interval = if interval <= 0. then 10. else interval in
-            let rec tick () =
-              print_endline (Obs.Observer.progress_line o ~sim);
-              (* Only reschedule while other work is pending, so the ticker
-                 never keeps a drained simulation alive. *)
-              if Dsim.Sim.pending sim > 0 then
-                ignore
-                  (Dsim.Sim.schedule ~cat:"obs.progress" sim ~delay:interval
-                     tick)
-            in
-            ignore (Dsim.Sim.schedule_at ~cat:"obs.progress" sim ~time:0. tick)
-        | _ -> ()
-      in
-      let res =
-        Obs.Run.bmmb ~dual ~fack ~fprog ~policy ~assignment ~seed
-          ~check_compliance:want_trace ?dyn ?obs ~setup ()
-      in
-      (match (obs, metrics) with
-      | Some o, Some path ->
-          Obs.Observer.to_file o path;
-          Printf.printf "metrics written to %s\n" path
-      | _ -> ());
-      describe_dual dual;
-      Printf.printf "protocol: BMMB, scheduler: %s, Fack=%g, Fprog=%g\n"
-        scheduler fack fprog;
-      Printf.printf "complete: %b\ntime: %g\nbound: %g (time/bound %.2f)\n"
-        res.Mmb.Runner.complete res.Mmb.Runner.time res.Mmb.Runner.upper_bound
-        (if res.Mmb.Runner.upper_bound > 0. then
-           res.Mmb.Runner.time /. res.Mmb.Runner.upper_bound
-         else 0.);
-      Printf.printf "bcasts: %d, rcvs: %d, forced progress deliveries: %d\n"
-        res.Mmb.Runner.bcasts res.Mmb.Runner.rcvs res.Mmb.Runner.forced;
-      Printf.printf "engine: %d events executed\n" res.Mmb.Runner.events_executed;
-      (match dyn with
-      | None -> ()
-      | Some d ->
-          let churned =
-            match Option.bind obs Obs.Observer.monitor with
-            | Some m -> Amac.Compliance.churned_count m
-            | None -> 0
-          in
+let trace_surface ~meta ~n path =
+  if Filename.check_suffix path ".json" then
+    let c = Obs.Tracing.Sim.create ~n () in
+    {
+      subscribe = Obs.Tracing.Sim.attach c;
+      write =
+        (fun () ->
+          let w = Obs.Tracing.Sim.finish c in
+          Obs.Tracing.write_file ~meta w ~path;
           Printf.printf
-            "dynamic: kind=%s T=%g epochs=%d refreshes=%d churned-deliveries=%d\n"
-            (Dyn.Schedule.kind_name (Dyn.Dual.schedule d))
-            (Dyn.Schedule.epoch_len (Dyn.Dual.schedule d))
-            (Dyn.Dual.epoch d + 1)
-            (Dyn.Dual.refreshes d) churned);
-      if check then
-        if res.Mmb.Runner.compliance_violations = [] then
-          print_endline "compliance: OK (all five axioms hold)"
-        else begin
-          print_endline "compliance: VIOLATIONS";
-          List.iter
-            (fun v -> Fmt.pr "  %a@." Amac.Compliance.pp_violation v)
-            res.Mmb.Runner.compliance_violations
-        end;
-      (match (res.Mmb.Runner.trace, trace, trace_out) with
-      | Some tr, true, _ -> Fmt.pr "%a@." Dsim.Trace.pp tr
-      | _ -> ());
-      (match (res.Mmb.Runner.trace, trace_out) with
-      | Some tr, Some path when Filename.check_suffix path ".json" ->
-          write_perfetto_trace tr ~n
-            ~meta:(run_meta ~protocol:"bmmb" ~n ~k ~seed)
-            ~path
-      | Some tr, Some path ->
-          Dsim.Trace_io.write_file tr ~path;
-          Printf.printf "trace written to %s (%d events)\n" path
-            (Dsim.Trace.length tr)
-      | _ -> ());
-      (match (res.Mmb.Runner.trace, provenance) with
-      | Some tr, Some path ->
-          write_provenance tr ~n
-            ~meta:(run_meta ~protocol:"bmmb" ~n ~k ~seed)
-            ~path
-      | _ -> ());
-      ignore want_trace;
-      `Ok ()
-
-(* BMMB on the horizon-parallel engine (lib/pdes).  Reached only when the
-   resolved partition count exceeds 1, after {!Mmb.Scenario.check_spec}
-   has applied the engine's limits; the serial-engine observability
-   surface (compliance checker, Perfetto export, provenance, metrics,
-   progress ticker) stays with [run_bmmb]. *)
-let run_bmmb_parallel ~dual ~dyn_spec ~fack ~fprog ~k ~seed ~partitions
-    ~domains ~check ~trace ~trace_out ~provenance ~metrics ~progress =
-  let unsupported =
-    List.filter_map
-      (fun (on, flag) -> if on then Some flag else None)
-      [
-        (check, "--check");
-        (trace, "--trace");
-        (provenance <> None, "--provenance");
-        (metrics <> None, "--metrics");
-        (progress <> None, "--progress");
-      ]
-  in
-  if unsupported <> [] then
-    `Error
-      ( false,
-        Printf.sprintf
-          "%s require%s the serial engine (--partitions 1): the partitioned \
-           engine streams its trace to disk instead of retaining it"
-          (String.concat ", " unsupported)
-          (match unsupported with [ _ ] -> "s" | _ -> "") )
-  else if
-    match trace_out with
-    | Some path -> Filename.check_suffix path ".json"
-    | None -> false
-  then
-    `Error
-      ( false,
-        "Perfetto export (--trace-out *.json) requires the serial engine \
-         (--partitions 1); use a non-.json suffix for the raw JSONL log" )
+            "trace written to %s (%d trace events; load at ui.perfetto.dev)\n"
+            path (Obs.Tracing.event_count w));
+    }
   else
-    (* One private wrapper per partition, built from the checked spec. *)
-    let mk_dyn =
-      Option.map
-        (fun d () ->
-          match Mmb.Scenario.build_dyn ~dual d with
-          | Ok dd -> dd
-          | Error e -> failwith e)
-        dyn_spec
-    in
-    let rng = Dsim.Rng.create ~seed in
-    let n = Graphs.Dual.n dual in
-    let assignment = Mmb.Problem.random rng ~n ~k in
-    let r =
-      Mmb.Runner.run_bmmb_pdes ~dual ~fack ~fprog
-        ~policy:(Amac.Schedulers.random_compliant ())
-        ~assignment ~seed ~partitions ~domains ?mk_dyn ?trace_out ()
-    in
-    describe_dual dual;
-    Printf.printf
-      "protocol: BMMB (partitioned engine), Fack=%g, Fprog=%g, partitions=%d, \
-       domains=%d\n"
-      fack fprog r.Mmb.Runner.pd_partitions r.Mmb.Runner.pd_domains;
-    Printf.printf "complete: %b\ntime: %g\nbound: %g (time/bound %.2f)\n"
-      r.Mmb.Runner.pd_complete r.Mmb.Runner.pd_time r.Mmb.Runner.pd_upper_bound
-      (if r.Mmb.Runner.pd_upper_bound > 0. then
-         r.Mmb.Runner.pd_time /. r.Mmb.Runner.pd_upper_bound
-       else 0.);
-    Printf.printf "bcasts: %d, rcvs: %d, acks: %d\n" r.Mmb.Runner.pd_bcasts
-      r.Mmb.Runner.pd_rcvs r.Mmb.Runner.pd_acks;
-    Printf.printf "deliveries: %d (%d across partitions, %d cut edges)\n"
-      r.Mmb.Runner.pd_deliveries r.Mmb.Runner.pd_remote
-      r.Mmb.Runner.pd_cut_edges;
-    Printf.printf
-      "engine: %d events executed, %d barrier windows, heap high water %d\n"
-      r.Mmb.Runner.pd_events r.Mmb.Runner.pd_windows
-      r.Mmb.Runner.pd_heap_high_water;
-    Option.iter
-      (fun path ->
-        Printf.printf "trace written to %s (%d events)\n" path
-          r.Mmb.Runner.pd_trace_entries)
-      trace_out;
-    `Ok ()
+    let sink = Dsim.Trace_io.sink_create ~path in
+    {
+      subscribe =
+        (fun tr -> Dsim.Trace.subscribe tr (Dsim.Trace_io.sink_write sink));
+      write =
+        (fun () ->
+          Dsim.Trace_io.sink_close sink;
+          Printf.printf "trace written to %s (%d events)\n" path
+            (Dsim.Trace_io.sink_written sink));
+    }
 
-let run_fmmb ~dual ~fprog ~k ~seed ~trace_out ~provenance ~metrics =
-  let rng = Dsim.Rng.create ~seed in
-  let n = Graphs.Dual.n dual in
-  let assignment = Mmb.Problem.random rng ~n ~k in
-  let meta = run_meta ~protocol:"fmmb" ~n ~k ~seed in
-  (* FMMB retains no trace (staged engines restart clocks), so trace and
-     provenance collectors subscribe to the lifecycle stream live. *)
-  let tcol =
-    match trace_out with
-    | Some path when Filename.check_suffix path ".json" ->
-        Some (path, Obs.Tracing.Sim.create ~n ())
-    | Some path ->
-        Printf.eprintf
-          "note: fmmb --trace-out %s ignored (only .json Perfetto output \
-           is available for fmmb)\n"
-          path;
-        None
-    | None -> None
-  in
-  let pcol =
-    Option.map (fun path -> (path, Obs.Provenance.create ~meta ~n ()))
-      provenance
-  in
-  let attach =
-    match (tcol, pcol) with
-    | None, None -> None
-    | _ ->
-        Some
-          (fun tr ->
-            Option.iter (fun (_, c) -> Obs.Tracing.Sim.attach c tr) tcol;
-            Option.iter (fun (_, p) -> Obs.Provenance.attach p tr) pcol)
-  in
-  (* Span-only observer: FMMB's staged engines restart uids/clocks, so the
-     streaming compliance checker does not apply (see Amac.Compliance). *)
-  let obs =
-    match metrics with
-    | None -> None
-    | Some _ ->
-        Some
-          (Obs.Observer.create ~n
-             ~meta:
-               [
-                 ("protocol", Dsim.Json.String "fmmb");
-                 ("n", Dsim.Json.Number (float_of_int n));
-                 ("k", Dsim.Json.Number (float_of_int k));
-                 ("fprog", Dsim.Json.Number fprog);
-                 ("seed", Dsim.Json.Number (float_of_int seed));
-               ]
-             ())
-  in
-  let res =
-    Obs.Run.fmmb ~dual ~fprog ~c:2.
-      ~policy:(Amac.Enhanced_mac.minimal_random ())
-      ~assignment ~seed ?obs ?attach ()
-  in
-  (match (obs, metrics) with
-  | Some o, Some path ->
-      Obs.Observer.to_file o path;
-      Printf.printf "metrics written to %s\n" path
-  | _ -> ());
-  Option.iter
-    (fun (path, c) ->
-      let w = Obs.Tracing.Sim.finish c in
-      Obs.Tracing.write_file ~meta w ~path;
-      Printf.printf "trace written to %s (%d trace events; load at \
-                     ui.perfetto.dev)\n"
-        path (Obs.Tracing.event_count w))
-    tcol;
-  Option.iter
-    (fun (path, p) ->
-      Obs.Provenance.to_file p ~path;
-      Printf.printf "provenance written to %s (%d message(s))\n" path
-        (List.length (Obs.Provenance.messages p)))
-    pcol;
-  describe_dual dual;
-  let f = res.Mmb.Runner.fmmb in
-  Printf.printf "protocol: FMMB (enhanced model), Fprog=%g\n" fprog;
-  Printf.printf
-    "complete: %b\nrounds: %d (mis %d + gather %d + spread %d)\ntime: %g\n"
-    f.Mmb.Fmmb.complete f.Mmb.Fmmb.total_rounds f.Mmb.Fmmb.rounds_mis
-    f.Mmb.Fmmb.rounds_gather f.Mmb.Fmmb.rounds_spread f.Mmb.Fmmb.time;
-  Printf.printf "MIS: size %d, valid %b\n" f.Mmb.Fmmb.mis_size
-    f.Mmb.Fmmb.mis_valid;
-  `Ok ()
+let provenance_surface ~meta ~n path =
+  let p = Obs.Provenance.create ~meta ~n () in
+  {
+    subscribe = Obs.Provenance.attach p;
+    write =
+      (fun () ->
+        Obs.Provenance.to_file p ~path;
+        Printf.printf "provenance written to %s (%d message(s))\n" path
+          (List.length (Obs.Provenance.messages p)));
+  }
+
+let print_bound ~complete ~time ~bound =
+  Printf.printf "complete: %b\ntime: %g\nbound: %g (time/bound %.2f)\n"
+    complete time bound
+    (if bound > 0. then time /. bound else 0.)
 
 let run_cmd =
-  let action protocol topology gprime n k r extra fack fprog seed scheduler
-      check trace trace_out provenance metrics progress svg dynamic epoch
-      dyn_period churn_rate dyn_seed domains partitions =
+  let action protocol cell check trace trace_out provenance metrics progress
+      svg dynamic epoch dyn_period churn_rate dyn_seed domains partitions =
     (* [--domains 0] auto-resolves like [campaign --jobs 0].  Explicit
        positive counts are honored even beyond the core count: traces
        are identical for any mapping, and determinism gates need real
@@ -502,19 +257,8 @@ let run_cmd =
       else domains
     in
     let partitions = if partitions <= 0 then domains else partitions in
-    let dyn_spec =
-      Option.map
-        (fun kind ->
-          {
-            Mmb.Scenario.dyn_kind = kind;
-            dyn_epoch = epoch;
-            dyn_period;
-            dyn_churn = churn_rate;
-            dyn_seed;
-          })
-        dynamic
-    in
-    (* The flags describe a one-run scenario: check it with the loader's
+    let partitioned = partitions > 1 in
+    (* The flags describe a one-cell scenario: check it with the loader's
        rules before anything is built. *)
     let checked =
       let ( let* ) = Result.bind in
@@ -524,70 +268,256 @@ let run_cmd =
         | "fmmb" -> Ok `Fmmb
         | other -> Error (Printf.sprintf "unknown protocol %S" other)
       in
-      let* () =
-        Mmb.Scenario.check_spec
-          {
-            Mmb.Scenario.name = "run";
-            protocol;
-            topology;
-            n;
-            gprime;
-            r;
-            extra;
-            k;
-            fack;
-            fprog;
-            seed;
-            scheduler;
-            arrivals = Mmb.Scenario.Batch;
-            check;
-            repeat = 1;
-            dynamic = dyn_spec;
-            domains;
-            partitions;
-          }
+      let spec =
+        {
+          cell with
+          Mmb.Scenario.protocol;
+          (* --trace prints the retained trace, and only an audited run
+             retains one. *)
+          check = check || trace;
+          dynamic =
+            Option.map
+              (fun kind ->
+                {
+                  Mmb.Scenario.dyn_kind = kind;
+                  dyn_epoch = epoch;
+                  dyn_period;
+                  dyn_churn = churn_rate;
+                  dyn_seed;
+                })
+              dynamic;
+          domains;
+          partitions;
+        }
       in
-      Mmb.Scenario.build_dual ~topology ~gprime ~n ~r ~extra ~seed
+      let* () = Mmb.Scenario.check_spec spec in
+      (* The partitioned engine streams its own JSONL trace and has no
+         instrument seam. *)
+      let serial_only =
+        List.filter_map
+          (fun (on, flag) -> if on && partitioned then Some flag else None)
+          [
+            (check, "--check");
+            (trace, "--trace");
+            (provenance <> None, "--provenance");
+            (metrics <> None, "--metrics");
+            (progress <> None, "--progress");
+          ]
+      in
+      if serial_only <> [] then
+        Error
+          (Printf.sprintf
+             "%s require%s the serial engine (--partitions 1): the \
+              partitioned engine streams its trace to disk instead of \
+              retaining it"
+             (String.concat ", " serial_only)
+             (match serial_only with [ _ ] -> "s" | _ -> ""))
+      else
+        match trace_out with
+        | Some path when partitioned && Filename.check_suffix path ".json" ->
+            Error
+              "Perfetto export (--trace-out *.json) requires the serial \
+               engine (--partitions 1); use a non-.json suffix for the raw \
+               JSONL log"
+        | Some path
+          when protocol = `Fmmb && not (Filename.check_suffix path ".json") ->
+            Printf.eprintf
+              "note: fmmb --trace-out %s ignored (only .json Perfetto output \
+               is available for fmmb)\n"
+              path;
+            Ok (spec, None)
+        | _ when partitioned -> Ok (spec, None)
+        | trace_file -> Ok (spec, trace_file)
     in
     match checked with
     | Error e -> `Error (false, e)
-    | Ok dual -> (
-        (match svg with
-        | None -> ()
-        | Some path -> (
-            match Graphs.Svg.render dual with
-            | Some doc ->
-                Graphs.Svg.write ~path doc;
-                Printf.printf "network rendered to %s\n" path
-            | None ->
-                prerr_endline
-                  "note: --svg requires an embedded (geometric/greyzone) \
-                   network; skipped"));
-        if partitions > 1 then
-          run_bmmb_parallel ~dual ~dyn_spec ~fack ~fprog ~k ~seed ~partitions
-            ~domains ~check ~trace ~trace_out ~provenance ~metrics ~progress
-        else if protocol = "fmmb" then
-          run_fmmb ~dual ~fprog ~k ~seed ~trace_out ~provenance ~metrics
-        else
-          let dyn =
-            match dyn_spec with
-            | None -> Ok None
-            | Some d -> Result.map Option.some (Mmb.Scenario.build_dyn ~dual d)
+    | Ok (spec, trace_file) ->
+        let sim_ref = ref None and obs = ref None and files = ref [] in
+        (* Fail fast: the streaming checker stops the simulation at the
+           first axiom violation, printing the offending event. *)
+        let on_violation entry v =
+          Fmt.epr "[monitor] %a@." Amac.Compliance.pp_violation v;
+          Option.iter
+            (Fmt.epr "[monitor] offending event: %a@." Dsim.Trace.pp_entry)
+            entry;
+          Option.iter Dsim.Sim.stop !sim_ref
+        in
+        let instrument dual dyn =
+          Option.iter
+            (fun path ->
+              match Graphs.Svg.render dual with
+              | Some doc ->
+                  Graphs.Svg.write ~path doc;
+                  Printf.printf "network rendered to %s\n" path
+              | None ->
+                  prerr_endline
+                    "note: --svg requires an embedded (geometric/greyzone) \
+                     network; skipped")
+            svg;
+          let n = Graphs.Dual.n dual in
+          (* Export metadata: the fields below that [keys] names, in the
+             order below. *)
+          let meta keys =
+            let num i = Dsim.Json.Number (float_of_int i) in
+            List.filter
+              (fun (key, _) -> List.mem key keys)
+              [
+                ( "protocol",
+                  Dsim.Json.String
+                    (if spec.protocol = `Fmmb then "fmmb" else "bmmb") );
+                ("scheduler", Dsim.Json.String spec.scheduler);
+                ("n", num n);
+                ("k", num spec.k);
+                ("fack", Dsim.Json.Number spec.fack);
+                ("fprog", Dsim.Json.Number spec.fprog);
+                ("seed", num spec.seed);
+              ]
           in
-          match dyn with
-          | Error e -> `Error (false, e)
-          | Ok dyn ->
-              run_bmmb ~dual ~dyn ~fack ~fprog ~scheduler ~k ~seed ~check
-                ~trace ~trace_out ~provenance ~metrics ~progress)
+          (obs :=
+             match spec.protocol with
+             | `Fmmb when metrics <> None ->
+                 (* Span-only: FMMB's staged engines restart uids and
+                    clocks, so the streaming checker does not apply. *)
+                 Some
+                   (Obs.Observer.create ~n
+                      ~meta:(meta [ "protocol"; "n"; "k"; "fprog"; "seed" ])
+                      ())
+             | `Bmmb when metrics <> None || progress <> None ->
+                 Some
+                   (Obs.Observer.create ~n ~dual ~fack:spec.fack
+                      ~fprog:spec.fprog ~on_violation ?dyn
+                      ~meta:
+                        (meta
+                           [ "protocol"; "scheduler"; "n"; "k"; "fack";
+                             "fprog"; "seed" ])
+                      ())
+             | _ -> None);
+          let meta = meta [ "protocol"; "n"; "k"; "seed" ] in
+          files :=
+            List.filter_map Fun.id
+              [
+                Option.map (trace_surface ~meta ~n) trace_file;
+                Option.map (provenance_surface ~meta ~n) provenance;
+              ];
+          let attach =
+            match !files with
+            | [] -> None
+            | fs -> Some (fun tr -> List.iter (fun f -> f.subscribe tr) fs)
+          in
+          Obs.Run.instrument ?obs:!obs ?attach ()
+        in
+        let setup sim =
+          sim_ref := Some sim;
+          (* Wall time is injected from outside the library (lint rule
+             D3); it only feeds volatile gauges, never the default
+             export. *)
+          Dsim.Sim.set_wall_clock sim wall_clock;
+          match (!obs, progress) with
+          | Some o, Some interval ->
+              let interval = if interval <= 0. then 10. else interval in
+              let rec tick () =
+                print_endline (Obs.Observer.progress_line o ~sim);
+                (* Only reschedule while other work is pending, so the
+                   ticker never keeps a drained simulation alive. *)
+                if Dsim.Sim.pending sim > 0 then
+                  ignore
+                    (Dsim.Sim.schedule ~cat:"obs.progress" sim ~delay:interval
+                       tick)
+              in
+              ignore
+                (Dsim.Sim.schedule_at ~cat:"obs.progress" sim ~time:0. tick)
+          | _ -> ()
+        in
+        let x =
+          Mmb.Scenario.run ~instrument ~setup ?trace_out spec ~seed:spec.seed
+        in
+        (match (!obs, metrics) with
+        | Some o, Some path ->
+            Obs.Observer.to_file o path;
+            Printf.printf "metrics written to %s\n" path
+        | _ -> ());
+        describe_dual x.dual;
+        (match x.engine with
+        | Mmb.Scenario.Serial res ->
+            let open Mmb.Runner in
+            Printf.printf "protocol: BMMB, scheduler: %s, Fack=%g, Fprog=%g\n"
+              spec.scheduler spec.fack spec.fprog;
+            print_bound ~complete:res.complete ~time:res.time
+              ~bound:res.upper_bound;
+            Printf.printf
+              "bcasts: %d, rcvs: %d, forced progress deliveries: %d\n"
+              res.bcasts res.rcvs res.forced;
+            Printf.printf "engine: %d events executed\n" res.events_executed;
+            Option.iter
+              (fun d ->
+                let churned =
+                  match Option.bind !obs Obs.Observer.monitor with
+                  | Some m -> Amac.Compliance.churned_count m
+                  | None -> 0
+                in
+                Printf.printf
+                  "dynamic: kind=%s T=%g epochs=%d refreshes=%d \
+                   churned-deliveries=%d\n"
+                  (Dyn.Schedule.kind_name (Dyn.Dual.schedule d))
+                  (Dyn.Schedule.epoch_len (Dyn.Dual.schedule d))
+                  (Dyn.Dual.epoch d + 1)
+                  (Dyn.Dual.refreshes d) churned)
+              x.dyn;
+            if check then
+              if res.compliance_violations = [] then
+                print_endline "compliance: OK (all five axioms hold)"
+              else begin
+                print_endline "compliance: VIOLATIONS";
+                List.iter
+                  (fun v -> Fmt.pr "  %a@." Amac.Compliance.pp_violation v)
+                  res.compliance_violations
+              end;
+            if trace then
+              Option.iter (fun tr -> Fmt.pr "%a@." Dsim.Trace.pp tr) res.trace
+        | Mmb.Scenario.Partitioned r ->
+            let open Mmb.Runner in
+            Printf.printf
+              "protocol: BMMB (partitioned engine), Fack=%g, Fprog=%g, \
+               partitions=%d, domains=%d\n"
+              spec.fack spec.fprog r.pd_partitions r.pd_domains;
+            print_bound ~complete:r.pd_complete ~time:r.pd_time
+              ~bound:r.pd_upper_bound;
+            Printf.printf "bcasts: %d, rcvs: %d, acks: %d\n" r.pd_bcasts
+              r.pd_rcvs r.pd_acks;
+            Printf.printf
+              "deliveries: %d (%d across partitions, %d cut edges)\n"
+              r.pd_deliveries r.pd_remote r.pd_cut_edges;
+            Printf.printf
+              "engine: %d events executed, %d barrier windows, heap high \
+               water %d\n"
+              r.pd_events r.pd_windows r.pd_heap_high_water;
+            Option.iter
+              (fun path ->
+                Printf.printf "trace written to %s (%d events)\n" path
+                  r.pd_trace_entries)
+              trace_out
+        | Mmb.Scenario.Fmmb { fmmb = f; _ } ->
+            let open Mmb.Fmmb in
+            Printf.printf "protocol: FMMB (enhanced model), Fprog=%g\n"
+              spec.fprog;
+            Printf.printf
+              "complete: %b\nrounds: %d (mis %d + gather %d + spread %d)\n\
+               time: %g\n"
+              f.complete f.total_rounds f.rounds_mis f.rounds_gather
+              f.rounds_spread f.time;
+            Printf.printf "MIS: size %d, valid %b\n" f.mis_size f.mis_valid
+        | Mmb.Scenario.Online _ | Mmb.Scenario.Fmmb_online _ ->
+            (* run's cells have batch arrivals *) assert false);
+        List.iter (fun f -> f.write ()) !files;
+        `Ok ()
   in
   let term =
     Term.(
       ret
-        (const action $ protocol_arg $ topology $ gprime $ n_arg $ k_arg
-       $ r_arg $ extra_arg $ fack_arg $ fprog_arg $ seed_arg $ scheduler_arg
-       $ check_arg $ trace_arg $ trace_out_arg $ provenance_arg $ metrics_arg
-       $ progress_arg $ svg_arg $ dynamic_arg $ epoch_arg $ dyn_period_arg
-       $ churn_rate_arg $ dyn_seed_arg $ domains_arg $ partitions_arg))
+        (const action $ protocol_arg $ cell $ check_arg $ trace_arg
+       $ trace_out_arg $ provenance_arg $ metrics_arg $ progress_arg $ svg_arg
+       $ dynamic_arg $ epoch_arg $ dyn_period_arg $ churn_rate_arg
+       $ dyn_seed_arg $ domains_arg $ partitions_arg))
   in
   Cmd.v
     (Cmd.info "run" ~doc:"Run one MMB simulation and print its metrics.")
@@ -650,8 +580,7 @@ let sweep_cmd =
       & opt string "1,2,4,8,16"
       & info [ "values" ] ~docv:"V1,V2,..." ~doc)
   in
-  let action param values topology gprime n k r extra fack fprog seed
-      scheduler =
+  let action param values cell =
     let ( let* ) = Result.bind in
     let rec all f = function
       | [] -> Ok []
@@ -660,9 +589,8 @@ let sweep_cmd =
           let* ys = all f rest in
           Ok (y :: ys)
     in
-    (* Everything is checked before the table header prints: the param,
-       every value, every point's ranges, then every point's network and
-       the scheduler, so a bad flag fails the command up front. *)
+    (* Every point is checked before the table header prints, so a bad
+       flag fails the command up front. *)
     let checked =
       let* () =
         if List.mem param [ "k"; "n"; "r"; "fack" ] then Ok ()
@@ -671,73 +599,40 @@ let sweep_cmd =
             (Printf.sprintf "sweep: unknown param %S (known: k, n, r, fack)"
                param)
       in
-      let* parsed =
-        all
-          (fun s ->
-            let s = String.trim s in
-            match int_of_string_opt s with
-            | Some v -> Ok v
-            | None ->
-                Error (Printf.sprintf "sweep: values must be integers, got %S" s))
-          (String.split_on_char ',' values)
-      in
-      let points =
-        List.map
-          (fun v ->
-            ( v,
-              (if param = "n" then v else n),
-              (if param = "k" then v else k),
-              (if param = "r" then v else r),
-              if param = "fack" then float_of_int v else fack ))
-          parsed
-      in
-      let* () =
-        all
-          (fun (_, n, k, r, fack) ->
-            Mmb.Scenario.check_ranges ~n ~k ~r ~extra ~fack ~fprog)
-          points
-        |> Result.map ignore
-      in
-      let* _ = Mmb.Scenario.build_scheduler scheduler in
       all
-        (fun (v, n, k, r, fack) ->
-          let* dual =
-            Mmb.Scenario.build_dual ~topology ~gprime ~n ~r ~extra ~seed
-          in
-          Ok (v, dual, k, fack))
-        points
+        (fun s ->
+          let s = String.trim s in
+          match int_of_string_opt s with
+          | None ->
+              Error (Printf.sprintf "sweep: values must be integers, got %S" s)
+          | Some v ->
+              let spec =
+                match param with
+                | "n" -> { cell with Mmb.Scenario.n = v }
+                | "k" -> { cell with k = v }
+                | "r" -> { cell with r = v }
+                | _ -> { cell with fack = float_of_int v }
+              in
+              let* () = Mmb.Scenario.check_spec spec in
+              Ok (v, spec))
+        (String.split_on_char ',' values)
     in
     match checked with
     | Error e -> `Error (false, e)
     | Ok points ->
         Printf.printf "%8s  %10s  %10s  %10s\n" param "time" "bound" "ratio";
         List.iter
-          (fun (v, dual, k, fack) ->
-            (* A fresh policy per point: schedulers may carry state. *)
-            let policy =
-              Result.get_ok (Mmb.Scenario.build_scheduler scheduler)
-            in
-            let rng = Dsim.Rng.create ~seed in
-            let assignment =
-              Mmb.Problem.random rng ~n:(Graphs.Dual.n dual) ~k
-            in
-            let res =
-              Obs.Run.bmmb ~dual ~fack ~fprog ~policy ~assignment ~seed ()
-            in
-            Printf.printf "%8d  %10.1f  %10.1f  %10.2f\n" v
-              res.Mmb.Runner.time res.Mmb.Runner.upper_bound
-              (if res.Mmb.Runner.upper_bound > 0. then
-                 res.Mmb.Runner.time /. res.Mmb.Runner.upper_bound
-               else 0.))
+          (fun (v, spec) ->
+            List.iter
+              (fun (r : Mmb.Scenario.run_result) ->
+                let bound = Option.value r.bound ~default:0. in
+                Printf.printf "%8d  %10.1f  %10.1f  %10.2f\n" v r.time bound
+                  (if bound > 0. then r.time /. bound else 0.))
+              (Mmb.Scenario.execute spec))
           points;
         `Ok ()
   in
-  let term =
-    Term.(
-      ret
-        (const action $ param $ values $ topology $ gprime $ n_arg $ k_arg
-       $ r_arg $ extra_arg $ fack_arg $ fprog_arg $ seed_arg $ scheduler_arg))
-  in
+  let term = Term.(ret (const action $ param $ values $ cell)) in
   Cmd.v
     (Cmd.info "sweep" ~doc:"Sweep one parameter of a BMMB simulation.")
     term
@@ -749,46 +644,27 @@ let online_cmd =
     let doc = "Poisson arrival rate (messages per time unit)." in
     Arg.(value & opt float 0.01 & info [ "rate" ] ~docv:"RATE" ~doc)
   in
-  let action topology gprime n k r extra fack fprog seed scheduler rate =
-    match
-      if not (rate > 0.) then Error "need rate > 0"
-      else
-        Result.bind (Mmb.Scenario.check_ranges ~n ~k ~r ~extra ~fack ~fprog)
-          (fun () ->
-            Mmb.Scenario.build_dual ~topology ~gprime ~n ~r ~extra ~seed)
-    with
+  let action cell rate =
+    let spec = { cell with Mmb.Scenario.arrivals = Poisson rate } in
+    match Mmb.Scenario.check_spec spec with
     | Error e -> `Error (false, e)
-    | Ok dual -> (
-        match Mmb.Scenario.build_scheduler scheduler with
-        | Error e -> `Error (false, e)
-        | Ok policy ->
-            let rng = Dsim.Rng.create ~seed in
-            let arrivals =
-              Mmb.Problem.poisson_arrivals rng ~n:(Graphs.Dual.n dual) ~k
-                ~rate
-            in
-            let res =
-              Obs.Run.bmmb_online ~dual ~fack ~fprog ~policy ~arrivals
-                ~seed ()
-            in
-            describe_dual dual;
+    | Ok () -> (
+        let x = Mmb.Scenario.run spec ~seed:spec.seed in
+        match x.engine with
+        | Mmb.Scenario.Online res ->
+            describe_dual x.dual;
             Printf.printf
               "online BMMB: rate=%g, k=%d\ncomplete: %b\nmakespan: %g\n" rate
-              k res.Mmb.Runner.complete' res.Mmb.Runner.makespan;
-            let latencies = List.map snd res.Mmb.Runner.latencies in
-            (match latencies with
+              spec.k res.Mmb.Runner.complete' res.Mmb.Runner.makespan;
+            (match List.map snd res.Mmb.Runner.latencies with
             | [] -> print_endline "no completed messages"
-            | _ ->
-                let s = Dsim.Stats.summarize latencies in
-                Fmt.pr "latency: %a@." Dsim.Stats.pp_summary s);
-            `Ok ())
+            | latencies ->
+                Fmt.pr "latency: %a@." Dsim.Stats.pp_summary
+                  (Dsim.Stats.summarize latencies));
+            `Ok ()
+        | _ -> (* Poisson BMMB runs online *) assert false)
   in
-  let term =
-    Term.(
-      ret
-        (const action $ topology $ gprime $ n_arg $ k_arg $ r_arg $ extra_arg
-       $ fack_arg $ fprog_arg $ seed_arg $ scheduler_arg $ rate_arg))
-  in
+  let term = Term.(ret (const action $ cell $ rate_arg)) in
   Cmd.v
     (Cmd.info "online"
        ~doc:"Run BMMB with Poisson online arrivals and report latencies.")
@@ -867,22 +743,32 @@ let estimate_cmd =
     Arg.(required & pos 0 (some file) None & info [] ~docv:"TRACE" ~doc)
   in
   let action file topology gprime n r extra seed =
-    match Mmb.Scenario.build_dual ~topology ~gprime ~n ~r ~extra ~seed with
+    let ( let* ) = Result.bind in
+    let estimated =
+      let spec =
+        { Mmb.Scenario.default with topology; gprime; n; r; extra; seed }
+      in
+      let* () = Mmb.Scenario.check_spec spec in
+      let dual = Mmb.Scenario.build_dual spec ~seed in
+      let* entries =
+        Result.map_error
+          (fun e -> "trace: " ^ e)
+          (let* entries = Dsim.Trace_io.read_file ~path:file in
+           let* () = Dsim.Trace_io.check ~n:(Graphs.Dual.n dual) entries in
+           Ok entries)
+      in
+      let tr = Dsim.Trace.create () in
+      List.iter
+        (fun { Dsim.Trace.time; event } -> Dsim.Trace.record tr ~time event)
+        entries;
+      Ok (Amac.Estimate.estimate ~dual tr)
+    in
+    match estimated with
     | Error e -> `Error (false, e)
-    | Ok dual -> (
-        match Dsim.Trace_io.read_file ~path:file with
-        | Error e -> `Error (false, "trace: " ^ e)
-        | Ok entries ->
-            let tr = Dsim.Trace.create () in
-            List.iter
-              (fun { Dsim.Trace.time; event } ->
-                Dsim.Trace.record tr ~time event)
-              entries;
-            let est = Amac.Estimate.estimate ~dual tr in
-            Fmt.pr
-              "estimated MAC parameters (lower bounds from the trace):@.  %a@."
-              Amac.Estimate.pp est;
-            `Ok ())
+    | Ok est ->
+        Fmt.pr "estimated MAC parameters (lower bounds from the trace):@.  %a@."
+          Amac.Estimate.pp est;
+        `Ok ()
   in
   let term =
     Term.(
@@ -959,36 +845,27 @@ let exec_cmd =
     in
     match Mmb.Scenario.expand_string text with
     | Error e -> `Error (false, "scenario: " ^ e)
-    | Ok specs -> (
-        let rec run_all acc = function
-          | [] -> Ok (List.rev acc)
-          | spec :: rest -> (
-              match Mmb.Scenario.execute spec with
-              | Error e -> Error e
-              | Ok runs ->
-                  print_string (Mmb.Scenario.report spec runs);
-                  print_newline ();
-                  run_all ((spec, runs) :: acc) rest)
+    | Ok specs ->
+        let outcomes =
+          List.map
+            (fun spec ->
+              let runs = Mmb.Scenario.execute spec in
+              print_string (Mmb.Scenario.report spec runs);
+              print_newline ();
+              Mmb.Scenario.result_json spec runs)
+            specs
         in
-        match run_all [] specs with
-        | Error e -> `Error (false, "scenario: " ^ e)
-        | Ok outcomes ->
-            (match json_out with
-            | None -> ()
-            | Some path ->
-                let oc = open_out path in
-                Fun.protect
-                  ~finally:(fun () -> close_out oc)
-                  (fun () ->
-                    output_string oc
-                      (Dsim.Json.to_string
-                         (Dsim.Json.List
-                            (List.map
-                               (fun (spec, runs) ->
-                                 Mmb.Scenario.result_json spec runs)
-                               outcomes))));
-                Printf.printf "results written to %s\n" path);
-            `Ok ())
+        (match json_out with
+        | None -> ()
+        | Some path ->
+            let oc = open_out path in
+            Fun.protect
+              ~finally:(fun () -> close_out oc)
+              (fun () ->
+                output_string oc
+                  (Dsim.Json.to_string (Dsim.Json.List outcomes)));
+            Printf.printf "results written to %s\n" path);
+        `Ok ()
   in
   let term = Term.(ret (const action $ file_arg $ json_out_arg)) in
   Cmd.v
@@ -1084,19 +961,16 @@ let campaign_cmd =
       in
       let job_of spec =
         Exec.Job.make ~spec:(Mmb.Scenario.spec_to_json spec) (fun () ->
-            match Mmb.Scenario.execute spec with
-            | Ok runs ->
-                Exec.Sink.emit (Mmb.Scenario.report spec runs);
-                Exec.Sink.emit "\n";
-                Mmb.Scenario.result_json spec runs
-            | Error e ->
-                Exec.Sink.printf "scenario %s failed: %s\n\n"
-                  spec.Mmb.Scenario.name e;
-                Dsim.Json.Obj
-                  [
-                    ("name", Dsim.Json.String spec.Mmb.Scenario.name);
-                    ("error", Dsim.Json.String e);
-                  ])
+            (* Every run folds its engine counters into Obs.Global, which
+               the campaign reads per job for its timeline. *)
+            let runs =
+              Mmb.Scenario.execute
+                ~instrument:(fun _ _ -> Obs.Run.instrument ())
+                spec
+            in
+            Exec.Sink.emit (Mmb.Scenario.report spec runs);
+            Exec.Sink.emit "\n";
+            Mmb.Scenario.result_json spec runs)
       in
       let job_list = List.map job_of specs in
       let salt =

@@ -85,13 +85,17 @@ else
   gate "dune build" dune build
   gate "dune runtest" dune runtest
 
-  # Trace smoke: a tiny run must produce Perfetto and provenance
-  # exports that self-validate (schema + per-event shape).
+  # Trace smoke: tiny BMMB and FMMB runs must produce Perfetto and
+  # provenance exports that self-validate (schema + per-event shape).
+  # Both engines feed the exports through the same live attach path.
   gate "trace smoke (run --trace-out/--provenance + trace-validate)" \
     sh -c 'T=$(mktemp -d) && trap "rm -rf $T" 0 &&
       dune exec bin/mmb_sim.exe -- run -t line -n 10 -k 2 --seed 3 \
         --trace-out "$T/trace.json" --provenance "$T/prov.jsonl" >/dev/null &&
-      dune exec bin/mmb_sim.exe -- trace-validate "$T/trace.json" "$T/prov.jsonl"'
+      dune exec bin/mmb_sim.exe -- run -p fmmb -n 20 -k 2 --seed 3 \
+        --trace-out "$T/fmmb.json" --provenance "$T/fmmb.jsonl" >/dev/null &&
+      dune exec bin/mmb_sim.exe -- trace-validate "$T/trace.json" \
+        "$T/prov.jsonl" "$T/fmmb.json" "$T/fmmb.jsonl"'
 
   if [ "$MODE" = full ]; then
     # Randomized hash seeds catch order-dependent Hashtbl traversals

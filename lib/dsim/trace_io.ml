@@ -126,6 +126,31 @@ let stream_file trace ~path =
   Trace.subscribe trace (sink_write s);
   s
 
+(* Entries are numbered from 1 in list order, as [of_jsonl] numbers the
+   non-blank lines it parsed them from. *)
+let check ~n entries =
+  let broadcast = Hashtbl.create 64 in
+  let rec go line = function
+    | [] -> Ok ()
+    | { Trace.event; _ } :: rest -> (
+        let node, _, inst = fields_of_event event in
+        if node < 0 || node >= n then
+          Error
+            (Printf.sprintf "line %d: node %d is not in the %d-node network"
+               line node n)
+        else
+          match (event, inst) with
+          | Trace.Bcast _, Some i ->
+              Hashtbl.replace broadcast i ();
+              go (line + 1) rest
+          | _, Some i when not (Hashtbl.mem broadcast i) ->
+              Error
+                (Printf.sprintf "line %d: instance %d was never broadcast" line
+                   i)
+          | _ -> go (line + 1) rest)
+  in
+  go 1 entries
+
 let of_jsonl text =
   let lines =
     String.split_on_char '\n' text

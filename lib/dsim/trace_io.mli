@@ -44,3 +44,10 @@ val of_jsonl : string -> (Trace.entry list, string) result
     the first offending line. *)
 
 val read_file : path:string -> (Trace.entry list, string) result
+
+val check : n:int -> Trace.entry list -> (unit, string) result
+(** What parsing cannot see, checked before a trace is used against an
+    [n]-node network: every entry names one of its nodes, and every
+    [Rcv], [Ack] and [Abort] names an instance an earlier [Bcast]
+    started.  The error names the first offending entry as ["line N"],
+    counting entries from 1 as {!of_jsonl} counts lines. *)

@@ -42,75 +42,68 @@ type run_result = {
 
 (* --- Building blocks ----------------------------------------------------- *)
 
-let build_dual ~topology ~gprime ~n ~r ~extra ~seed =
+(* The names {!check_spec} accepts; the builders below raise on any other
+   (a checked spec never reaches those branches). *)
+let topologies = [ "line"; "ring"; "star"; "grid"; "geometric" ]
+let regimes = [ "equal"; "r-restricted"; "arbitrary"; "greyzone" ]
+let schedulers = [ "eager"; "random"; "adversarial"; "bursty" ]
+let dynamic_kinds = [ "static"; "flap"; "churn"; "adversary" ]
+let unknown what name = invalid_arg (Printf.sprintf "unknown %s %S" what name)
+
+let build_dual { topology; gprime; n; r; extra; _ } ~seed =
   let rng = Dsim.Rng.create ~seed:(seed + 911) in
   match gprime with
   | "greyzone" ->
       let side = sqrt (float_of_int n /. 3.) in
-      Ok
-        (Graphs.Dual.grey_zone_connected rng ~n ~width:side ~height:side
-           ~c:2. ~p:0.4 ~max_tries:2000)
+      Graphs.Dual.grey_zone_connected rng ~n ~width:side ~height:side ~c:2.
+        ~p:0.4 ~max_tries:2000
   | regime -> (
-      let base =
+      let g =
         match topology with
-        | "line" -> Ok (Graphs.Gen.line n)
-        | "ring" -> Ok (Graphs.Gen.ring (max 3 n))
-        | "star" -> Ok (Graphs.Gen.star n)
+        | "line" -> Graphs.Gen.line n
+        | "ring" -> Graphs.Gen.ring (max 3 n)
+        | "star" -> Graphs.Gen.star n
         | "grid" ->
             let side = int_of_float (ceil (sqrt (float_of_int n))) in
-            Ok (Graphs.Gen.grid ~rows:side ~cols:side)
+            Graphs.Gen.grid ~rows:side ~cols:side
         | "geometric" ->
             let side = sqrt (float_of_int n /. 3.) in
-            let g, _ =
-              Graphs.Gen.random_connected_geometric rng ~n ~width:side
-                ~height:side ~radius:1. ~max_tries:2000
-            in
-            Ok g
-        | other -> Error (Printf.sprintf "unknown topology %S" other)
+            fst
+              (Graphs.Gen.random_connected_geometric rng ~n ~width:side
+                 ~height:side ~radius:1. ~max_tries:2000)
+        | other -> unknown "topology" other
       in
-      match base with
-      | Error e -> Error e
-      | Ok g -> (
-          match regime with
-          | "equal" -> Ok (Graphs.Dual.of_equal g)
-          | "r-restricted" ->
-              Ok (Graphs.Dual.r_restricted_random rng ~g ~r ~extra)
-          | "arbitrary" -> Ok (Graphs.Dual.arbitrary_random rng ~g ~extra)
-          | other -> Error (Printf.sprintf "unknown G' regime %S" other)))
+      match regime with
+      | "equal" -> Graphs.Dual.of_equal g
+      | "r-restricted" -> Graphs.Dual.r_restricted_random rng ~g ~r ~extra
+      | "arbitrary" -> Graphs.Dual.arbitrary_random rng ~g ~extra
+      | other -> unknown "G' regime" other)
 
 let build_scheduler = function
-  | "eager" -> Ok (Amac.Schedulers.eager ())
-  | "random" -> Ok (Amac.Schedulers.random_compliant ())
-  | "adversarial" -> Ok (Amac.Schedulers.adversarial ())
-  | "bursty" -> Ok (Amac.Schedulers.bursty ())
-  | other -> Error (Printf.sprintf "unknown scheduler %S" other)
+  | "eager" -> Amac.Schedulers.eager ()
+  | "random" -> Amac.Schedulers.random_compliant ()
+  | "adversarial" -> Amac.Schedulers.adversarial ()
+  | "bursty" -> Amac.Schedulers.bursty ()
+  | other -> unknown "scheduler" other
 
 (* The versioned dual a resolved [dynamic] sub-object describes, over the
    base (union) dual the static builders produced. *)
 let build_dyn ~dual dspec =
   match dspec.dyn_kind with
-  | "static" -> Ok (Dyn.Dual.of_static dual)
+  | "static" -> Dyn.Dual.of_static dual
   | "flap" ->
-      Ok
-        (Dyn.Dual.of_schedule
-           (Dyn.Schedule.flap ~base:dual ~epoch_len:dspec.dyn_epoch
-              ~period:dspec.dyn_period))
+      Dyn.Dual.of_schedule
+        (Dyn.Schedule.flap ~base:dual ~epoch_len:dspec.dyn_epoch
+           ~period:dspec.dyn_period)
   | "churn" ->
-      Ok
-        (Dyn.Dual.of_schedule
-           (Dyn.Schedule.churn ~base:dual ~epoch_len:dspec.dyn_epoch
-              ~rate:dspec.dyn_churn ~seed:dspec.dyn_seed))
+      Dyn.Dual.of_schedule
+        (Dyn.Schedule.churn ~base:dual ~epoch_len:dspec.dyn_epoch
+           ~rate:dspec.dyn_churn ~seed:dspec.dyn_seed)
   | "adversary" ->
-      Ok
-        (Dyn.Dual.of_schedule
-           (Dyn.Schedule.adversary ~base:dual ~epoch_len:dspec.dyn_epoch
-              ~seed:dspec.dyn_seed))
-  | other ->
-      Error
-        (Printf.sprintf
-           "unknown dynamic kind %S; known kinds: static, flap, churn, \
-            adversary"
-           other)
+      Dyn.Dual.of_schedule
+        (Dyn.Schedule.adversary ~base:dual ~epoch_len:dspec.dyn_epoch
+           ~seed:dspec.dyn_seed)
+  | other -> unknown "dynamic kind" other
 
 (* --- Parsing -------------------------------------------------------------- *)
 
@@ -127,7 +120,6 @@ let known_fields =
   ]
 
 let dynamic_fields = [ "kind"; "epoch"; "period"; "churn"; "seed" ]
-let dynamic_kinds = [ "static"; "flap"; "churn"; "adversary" ]
 
 let validate json =
   match json with
@@ -176,17 +168,10 @@ let validate json =
           | Some _ -> Error "field \"sweep\" must be an object"))
   | _ -> Error "a scenario must be a JSON object"
 
-let check_ranges ~n ~k ~r ~extra ~fack ~fprog =
-  if n < 1 then Error "need n >= 1"
-  else if k < 0 then Error "need k >= 0"
-  else if not (fprog > 0. && fprog <= fack) then
-    Error "need 0 < fprog <= fack"
-  else if r < 1 then Error "need r >= 1"
-  else if extra < 0 then Error "need extra >= 0"
-  else Ok ()
-
 (* Every rule a resolved spec must satisfy, whether it came from a
-   scenario file or from mmb_sim run's flags. *)
+   scenario file or from an mmb_sim subcommand's flags.  A spec that
+   passes runs: names are checked only where {!run} reads them (the
+   topology not under "greyzone", the scheduler only for BMMB). *)
 let check_spec s =
   let* () =
     match s.dynamic with
@@ -204,8 +189,28 @@ let check_spec s =
         else Ok ()
   in
   let* () =
-    check_ranges ~n:s.n ~k:s.k ~r:s.r ~extra:s.extra ~fack:s.fack
-      ~fprog:s.fprog
+    if s.n < 1 then Error "need n >= 1"
+    else if s.k < 0 then Error "need k >= 0"
+    else if not (s.fprog > 0. && s.fprog <= s.fack) then
+      Error "need 0 < fprog <= fack"
+    else if s.r < 1 then Error "need r >= 1"
+    else if s.extra < 0 then Error "need extra >= 0"
+    else Ok ()
+  in
+  let* () =
+    if s.gprime <> "greyzone" && not (List.mem s.topology topologies) then
+      Error (Printf.sprintf "unknown topology %S" s.topology)
+    else if not (List.mem s.gprime regimes) then
+      Error (Printf.sprintf "unknown G' regime %S" s.gprime)
+    else if s.protocol = `Bmmb && not (List.mem s.scheduler schedulers) then
+      Error (Printf.sprintf "unknown scheduler %S" s.scheduler)
+    else
+      match s.arrivals with
+      | Poisson rate when not (rate > 0.) -> Error "need rate > 0"
+      | Staggered gap when not (gap >= 0.) -> Error "need gap >= 0"
+      | Poisson _ | Staggered _ when s.protocol = `Fmmb ->
+          Error "protocol fmmb supports batch arrivals only (use fmmb-online)"
+      | _ -> Ok ()
   in
   let partitioned = s.partitions > 1 in
   if s.repeat < 1 then Error "need repeat >= 1"
@@ -327,6 +332,8 @@ let of_json json =
 let of_string text =
   let* json = Dsim.Json.parse text in
   of_json json
+
+let default = Result.get_ok (of_json (Dsim.Json.Obj []))
 
 let override json key value =
   match json with
@@ -466,165 +473,130 @@ let spec_to_json spec =
 
 (* --- Execution ------------------------------------------------------------ *)
 
-let run_once spec ~seed =
-  let* dual =
-    build_dual ~topology:spec.topology ~gprime:spec.gprime ~n:spec.n ~r:spec.r
-      ~extra:spec.extra ~seed
-  in
-  let n = Graphs.Dual.n dual in
-  let rng = Dsim.Rng.create ~seed:(seed + 13) in
-  match spec.protocol with
-  | `Bmmb -> (
-      let* policy = build_scheduler spec.scheduler in
-      let* dyn =
-        match spec.dynamic with
-        | None -> Ok None
-        | Some d ->
-            let* dd = build_dyn ~dual d in
-            Ok (Some dd)
-      in
-      (* Epoch windows entered by the end of the run (1 for static). *)
-      let epochs_of () = Option.map (fun d -> Dyn.Dual.epoch d + 1) dyn in
-      match spec.arrivals with
-      | Batch when spec.partitions > 1 ->
-          (* Partitioned engine: [dyn] above is discarded in favor of a
-             per-partition factory (each partition owns a private
-             wrapper; validation already rejected the adversary). *)
-          let assignment = Problem.random rng ~n ~k:spec.k in
-          let mk_dyn =
-            Option.map
-              (fun d () ->
-                match build_dyn ~dual d with
-                | Ok dd -> dd
-                | Error e -> failwith e)
-              spec.dynamic
-          in
-          let res =
-            Runner.run_bmmb_pdes ~dual ~fack:spec.fack ~fprog:spec.fprog
-              ~policy ~assignment ~seed ~partitions:spec.partitions
-              ~domains:spec.domains ?mk_dyn ()
-          in
-          Ok
-            {
-              seed;
-              complete = res.Runner.pd_complete;
-              time = res.Runner.pd_time;
-              bound = Some res.Runner.pd_upper_bound;
-              bcasts = Some res.Runner.pd_bcasts;
-              mean_latency = None;
-              violations = 0;
-              epochs = None;
-            }
-      | Batch ->
-          let assignment = Problem.random rng ~n ~k:spec.k in
-          let res =
-            Runner.run_bmmb ~dual ~fack:spec.fack ~fprog:spec.fprog ~policy
-              ~assignment ~seed ~check_compliance:spec.check ?dyn ()
-          in
-          Ok
-            {
-              seed;
-              complete = res.Runner.complete;
-              time = res.Runner.time;
-              bound = Some res.Runner.upper_bound;
-              bcasts = Some res.Runner.bcasts;
-              mean_latency = None;
-              violations = List.length res.Runner.compliance_violations;
-              epochs = epochs_of ();
-            }
-      | Poisson _ | Staggered _ ->
-          let arrivals =
-            match spec.arrivals with
-            | Poisson rate -> Problem.poisson_arrivals rng ~n ~k:spec.k ~rate
-            | Staggered gap ->
-                Problem.staggered_arrivals ~node:(Dsim.Rng.int rng n)
-                  ~k:spec.k ~gap
-            | Batch -> assert false
-          in
-          let res =
-            Runner.run_bmmb_online ~dual ~fack:spec.fack ~fprog:spec.fprog
-              ~policy ~arrivals ~seed ~check_compliance:spec.check ?dyn ()
-          in
-          Ok
-            {
-              seed;
-              complete = res.Runner.complete';
-              time = res.Runner.makespan;
-              bound = None;
-              bcasts = Some res.Runner.bcasts';
-              mean_latency = Some res.Runner.mean_latency;
-              violations = List.length res.Runner.compliance_violations';
-              epochs = epochs_of ();
-            })
-  | `Fmmb -> (
-      match spec.arrivals with
-      | Batch ->
-          let assignment = Problem.random rng ~n ~k:spec.k in
-          let res =
-            Runner.run_fmmb ~dual ~fprog:spec.fprog ~c:2.
-              ~policy:(Amac.Enhanced_mac.minimal_random ())
-              ~assignment ~seed ()
-          in
-          Ok
-            {
-              seed;
-              complete = res.Runner.fmmb.Fmmb.complete;
-              time = res.Runner.fmmb.Fmmb.time;
-              bound = None;
-              bcasts = None;
-              mean_latency = None;
-              violations = 0;
-              epochs = None;
-            }
-      | _ -> Error "protocol fmmb supports batch arrivals only (use fmmb-online)")
-  | `Fmmb_online ->
-      let arrivals =
-        match spec.arrivals with
-        | Batch -> Problem.at_time_zero (Problem.random rng ~n ~k:spec.k)
-        | Poisson rate -> Problem.poisson_arrivals rng ~n ~k:spec.k ~rate
-        | Staggered gap ->
-            Problem.staggered_arrivals ~node:(Dsim.Rng.int rng n) ~k:spec.k
-              ~gap
-      in
-      let tracker = Problem.tracker_timed ~dual arrivals in
-      let res =
-        Fmmb_online.run ~dual ~fprog:spec.fprog
-          ~rng:(Dsim.Rng.create ~seed:(seed + 31))
-          ~policy:(Amac.Enhanced_mac.minimal_random ())
-          ~c:2. ~arrivals ~tracker ~max_rounds:1_000_000 ()
-      in
-      let latencies =
-        List.filter_map
-          (fun (_, _, msg) -> Problem.message_latency tracker ~msg)
-          arrivals
-      in
-      let mean_latency =
-        match latencies with
-        | [] -> None
-        | ls ->
-            Some
-              (List.fold_left ( +. ) 0. ls /. float_of_int (List.length ls))
-      in
-      Ok
-        {
-          seed;
-          complete = res.Fmmb_online.complete;
-          time = res.Fmmb_online.time;
-          bound = None;
-          bcasts = None;
-          mean_latency;
-          violations = 0;
-          epochs = None;
-        }
+type engine =
+  | Serial of Runner.bmmb_result
+  | Partitioned of Runner.pdes_result
+  | Online of Runner.online_result
+  | Fmmb of Runner.fmmb_result
+  | Fmmb_online of { result : Fmmb_online.result; mean_latency : float option }
 
-let execute spec =
-  let rec go acc i =
-    if i >= spec.repeat then Ok (List.rev acc)
-    else
-      let* run = run_once spec ~seed:(spec.seed + i) in
-      go (run :: acc) (i + 1)
+type execution = {
+  dual : Graphs.Dual.t;
+  dyn : Dyn.Dual.t option;
+  engine : engine;
+}
+
+(* The one place a spec becomes a run: every subcommand and every
+   scenario cell goes through here, so the same settings give the same
+   execution.  Seeds: network [seed + 911], assignment or arrivals
+   [seed + 13], engine [seed], FMMB-online rounds [seed + 31]. *)
+let run ?(instrument = fun _ _ -> Instrument.none) ?setup ?trace_out spec
+    ~seed =
+  (match check_spec spec with
+  | Ok () -> ()
+  | Error e -> invalid_arg ("Scenario.run: " ^ e));
+  let dual = build_dual spec ~seed in
+  let n = Graphs.Dual.n dual in
+  let k = spec.k and fack = spec.fack and fprog = spec.fprog in
+  let rng = Dsim.Rng.create ~seed:(seed + 13) in
+  let arrivals () =
+    match spec.arrivals with
+    | Batch -> Problem.at_time_zero (Problem.random rng ~n ~k)
+    | Poisson rate -> Problem.poisson_arrivals rng ~n ~k ~rate
+    | Staggered gap ->
+        Problem.staggered_arrivals ~node:(Dsim.Rng.int rng n) ~k ~gap
   in
-  go [] 0
+  let partitioned = spec.partitions > 1 in
+  (* The partitioned engine builds one private wrapper per partition. *)
+  let dyn =
+    if partitioned then None else Option.map (build_dyn ~dual) spec.dynamic
+  in
+  let instrument = instrument dual dyn in
+  let engine =
+    match (spec.protocol, spec.arrivals) with
+    | `Bmmb, Batch when partitioned ->
+        Partitioned
+          (Runner.run_bmmb_pdes ~dual ~fack ~fprog
+             ~policy:(build_scheduler spec.scheduler)
+             ~assignment:(Problem.random rng ~n ~k) ~seed
+             ~partitions:spec.partitions ~domains:spec.domains
+             ?mk_dyn:
+               (Option.map (fun d () -> build_dyn ~dual d) spec.dynamic)
+             ?trace_out ())
+    | `Bmmb, Batch ->
+        Serial
+          (Runner.run_bmmb ~dual ~fack ~fprog
+             ~policy:(build_scheduler spec.scheduler)
+             ~assignment:(Problem.random rng ~n ~k) ~seed
+             ~check_compliance:spec.check ?dyn ~instrument ?setup ())
+    | `Bmmb, _ ->
+        Online
+          (Runner.run_bmmb_online ~dual ~fack ~fprog
+             ~policy:(build_scheduler spec.scheduler)
+             ~arrivals:(arrivals ()) ~seed ~check_compliance:spec.check ?dyn
+             ~instrument ?setup ())
+    | `Fmmb, _ ->
+        Fmmb
+          (Runner.run_fmmb ~dual ~fprog ~c:2.
+             ~policy:(Amac.Enhanced_mac.minimal_random ())
+             ~assignment:(Problem.random rng ~n ~k) ~seed ~instrument ())
+    | `Fmmb_online, _ ->
+        let arrivals = arrivals () in
+        let tracker = Problem.tracker_timed ~dual arrivals in
+        let result =
+          Fmmb_online.run ~dual ~fprog
+            ~rng:(Dsim.Rng.create ~seed:(seed + 31))
+            ~policy:(Amac.Enhanced_mac.minimal_random ())
+            ~c:2. ~arrivals ~tracker ~max_rounds:1_000_000 ()
+        in
+        let latencies =
+          List.filter_map
+            (fun (_, _, msg) -> Problem.message_latency tracker ~msg)
+            arrivals
+        in
+        let mean_latency =
+          match latencies with
+          | [] -> None
+          | ls ->
+              Some
+                (List.fold_left ( +. ) 0. ls /. float_of_int (List.length ls))
+        in
+        Fmmb_online { result; mean_latency }
+  in
+  { dual; dyn; engine }
+
+(* One report row per execution. *)
+let row ~seed { dyn; engine; _ } =
+  let make ?bound ?bcasts ?mean_latency ?(violations = []) complete time =
+    {
+      seed;
+      complete;
+      time;
+      bound;
+      bcasts;
+      mean_latency;
+      violations = List.length violations;
+      (* Epoch windows entered by the end of the run (1 for static). *)
+      epochs = Option.map (fun d -> Dyn.Dual.epoch d + 1) dyn;
+    }
+  in
+  match engine with
+  | Serial r ->
+      make r.complete r.time ~bound:r.upper_bound ~bcasts:r.bcasts
+        ~violations:r.compliance_violations
+  | Partitioned r ->
+      make r.pd_complete r.pd_time ~bound:r.pd_upper_bound ~bcasts:r.pd_bcasts
+  | Online r ->
+      make r.complete' r.makespan ~bcasts:r.bcasts'
+        ~mean_latency:r.mean_latency ~violations:r.compliance_violations'
+  | Fmmb { fmmb; _ } -> make fmmb.complete fmmb.time
+  | Fmmb_online { result; mean_latency } ->
+      make result.complete result.time ?mean_latency
+
+let execute ?instrument spec =
+  List.init spec.repeat (fun i ->
+      let seed = spec.seed + i in
+      row ~seed (run ?instrument spec ~seed))
 
 (* --- Reporting ------------------------------------------------------------ *)
 

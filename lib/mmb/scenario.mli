@@ -72,6 +72,10 @@ type spec = {
           dynamics. *)
 }
 
+val default : spec
+(** What an empty scenario object [{}] resolves to (name ["scenario"]);
+    [mmb_sim]'s flags default to the same values. *)
+
 type run_result = {
   seed : int;
   complete : bool;
@@ -83,22 +87,9 @@ type run_result = {
   epochs : int option;  (** epoch windows entered (dynamic runs only) *)
 }
 
-(** {1 Building blocks} (also used by the CLI) *)
-
-val build_dual :
-  topology:string ->
-  gprime:string ->
-  n:int ->
-  r:int ->
-  extra:int ->
-  seed:int ->
-  (Graphs.Dual.t, string) result
-
-val build_scheduler : string -> (int Amac.Mac_intf.policy, string) result
-
-val build_dyn : dual:Graphs.Dual.t -> dyn_spec -> (Dyn.Dual.t, string) result
-(** The versioned dual a resolved [dynamic] sub-object describes; [dual]
-    is the base (union) dual from {!build_dual}. *)
+val build_dual : spec -> seed:int -> Graphs.Dual.t
+(** The network [spec] describes, drawn from [seed + 911].  Check [spec]
+    with {!check_spec} first: an unknown name raises [Invalid_argument]. *)
 
 (** {1 Scenario pipeline} *)
 
@@ -107,27 +98,18 @@ val validate : Dsim.Json.t -> (unit, string) result
     with a message listing the full field vocabulary.  [of_json] and
     [expand] call this for you. *)
 
-val check_ranges :
-  n:int ->
-  k:int ->
-  r:int ->
-  extra:int ->
-  fack:float ->
-  fprog:float ->
-  (unit, string) result
-(** The numeric range checks {!check_spec} applies to the network and
-    bound fields: [n >= 1], [k >= 0], [0 < fprog <= fack], [r >= 1] and
-    [extra >= 0].  [Error] names the first one violated.  Call it before
-    {!build_dual}, which raises on values out of range. *)
-
 val check_spec : spec -> (unit, string) result
 (** Every rule a resolved spec must satisfy: the [dynamic] kind and its
-    ranges (epoch > 0, period >= 1, churn in [[0, 1]]), {!check_ranges},
+    ranges (epoch > 0, period >= 1, churn in [[0, 1]]); [n >= 1],
+    [k >= 0], [0 < fprog <= fack], [r >= 1] and [extra >= 0]; the
+    topology (unless [gprime] is ["greyzone"], which ignores it), the G'
+    regime and, for BMMB, the scheduler name; a Poisson [rate > 0], a
+    staggered [gap >= 0], and batch arrivals for ["fmmb"];
     [repeat >= 1], dynamic only with BMMB, [1 <= domains <= partitions],
     and the partitioned engine's limits (BMMB, batch arrivals, the
     "random" scheduler, no adversary).  [Error] names the first one
-    violated.  {!of_json} ends with it, and [mmb_sim run] checks the spec
-    its flags describe with it before building anything. *)
+    violated.  {!of_json} ends with it, and [mmb_sim]'s subcommands check
+    the spec their flags describe with it.  A spec that passes runs. *)
 
 val of_json : Dsim.Json.t -> (spec, string) result
 val of_string : string -> (spec, string) result
@@ -149,8 +131,46 @@ val expand : Dsim.Json.t -> (spec list, string) result
 
 val expand_string : string -> (spec list, string) result
 
-val execute : spec -> (run_result list, string) result
-(** One run per repeat, seeds [spec.seed, spec.seed+1, ...]. *)
+(** {1 Execution} *)
+
+type engine =
+  | Serial of Runner.bmmb_result  (** BMMB, batch, [partitions = 1] *)
+  | Partitioned of Runner.pdes_result  (** BMMB, batch, [partitions > 1] *)
+  | Online of Runner.online_result  (** BMMB, Poisson or staggered *)
+  | Fmmb of Runner.fmmb_result
+  | Fmmb_online of {
+      result : Fmmb_online.result;
+      mean_latency : float option;  (** over completed messages *)
+    }
+
+type execution = {
+  dual : Graphs.Dual.t;
+  dyn : Dyn.Dual.t option;  (** the serial engines' dynamic wrapper *)
+  engine : engine;
+}
+
+val run :
+  ?instrument:(Graphs.Dual.t -> Dyn.Dual.t option -> Instrument.t) ->
+  ?setup:(Dsim.Sim.t -> unit) ->
+  ?trace_out:string ->
+  spec ->
+  seed:int ->
+  execution
+(** The one execution [spec] describes at [seed], which every [mmb_sim]
+    subcommand and scenario cell runs through: the network from
+    [seed + 911], the assignment or arrivals from [seed + 13], then the
+    engine [spec] selects.  [instrument] gets the built network and
+    dynamic wrapper before the run; the serial, online and FMMB engines
+    take what it returns.  [setup] reaches the serial and online
+    engines, [trace_out] is the partitioned engine's streamed JSONL.
+    Raises [Invalid_argument] when {!check_spec} rejects [spec]. *)
+
+val execute :
+  ?instrument:(Graphs.Dual.t -> Dyn.Dual.t option -> Instrument.t) ->
+  spec ->
+  run_result list
+(** {!run} once per repeat, seeds [spec.seed, spec.seed+1, ...], each
+    reduced to its report row. *)
 
 val report : spec -> run_result list -> string
 (** Human-readable table. *)

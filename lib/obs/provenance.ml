@@ -154,8 +154,6 @@ let on_entry t { Dsim.Trace.time; event } =
 
 let attach t trace = Dsim.Trace.subscribe trace (fun e -> on_entry t e)
 
-let replay t entries = List.iter (fun e -> on_entry t e) entries
-
 (* --- Accessors (tests, breakdown tooling) --------------------------------- *)
 
 let receipts t msg =

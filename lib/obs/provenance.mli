@@ -36,9 +36,6 @@ val on_entry : t -> Dsim.Trace.entry -> unit
 val attach : t -> Dsim.Trace.t -> unit
 (** Subscribe {!on_entry} to a live trace. *)
 
-val replay : t -> Dsim.Trace.entry list -> unit
-(** Feed a retained trace post-hoc. *)
-
 (** {1 Inspection} *)
 
 type receipt = {

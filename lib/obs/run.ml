@@ -1,26 +1,40 @@
-(* Observed runs: Mmb.Runner entry points with the observability wiring
-   the protocol layer itself is not allowed to know about (check A1).
-   Every harness that wants engine-cost accounting (Obs.Global) or an
-   attached Observer goes through here; pure tests and examples call
-   Mmb.Runner directly and get neither. *)
+(* Observed runs: the Mmb.Instrument seam wired to the observability the
+   protocol layer itself is not allowed to know about (check A1).  Every
+   harness that wants engine-cost accounting (Obs.Global), an attached
+   Observer or live trace consumers builds its instrument here; pure
+   tests and examples call Mmb.Runner directly and get none of it. *)
 
-let note_globals =
+(* A constant, so unobserved runs allocate nothing for it. *)
+let unobserved =
   {
     Mmb.Instrument.none with
     Mmb.Instrument.note_sim = Global.note_sim;
     note_mac = Global.note_mac;
   }
 
-let instrument_continuous obs =
-  match obs with
-  | None -> note_globals
-  | Some o ->
+let instrument ?obs ?attach () =
+  match (obs, attach) with
+  | None, None -> unobserved
+  | _ ->
+      let subscribe tr =
+        Option.iter (fun o -> Observer.attach o tr) obs;
+        Option.iter (fun f -> f tr) attach
+      in
+      (* Engine-less runs (FMMB's round backends) report only their
+         problem-level lifecycle; it goes through a retention-free trace
+         of its own, so the same subscribers see it. *)
+      let lifecycle = Dsim.Trace.create ~enabled:false () in
+      subscribe lifecycle;
       {
         Mmb.Instrument.want_trace = true;
-        attach = Observer.attach o;
-        wire_sim = Observer.wire_sim o;
-        on_event = None;
-        finish = (fun ~allow_open -> ignore (Observer.finish o ~allow_open));
+        attach = subscribe;
+        wire_sim =
+          (match obs with Some o -> Observer.wire_sim o | None -> ignore);
+        on_event =
+          Some (fun ~time event -> Dsim.Trace.record lifecycle ~time event);
+        finish =
+          (fun ~allow_open ->
+            Option.iter (fun o -> ignore (Observer.finish o ~allow_open)) obs);
         note_sim = Global.note_sim;
         note_mac = Global.note_mac;
       }
@@ -29,38 +43,15 @@ let bmmb ~dual ~fack ~fprog ~policy ~assignment ~seed ?discipline
     ?check_compliance ?max_events ?dyn ?obs ?setup () =
   Mmb.Runner.run_bmmb ~dual ~fack ~fprog ~policy ~assignment ~seed
     ?discipline ?check_compliance ?max_events ?dyn
-    ~instrument:(instrument_continuous obs) ?setup ()
+    ~instrument:(instrument ?obs ()) ?setup ()
 
 let bmmb_online ~dual ~fack ~fprog ~policy ~arrivals ~seed ?discipline
     ?check_compliance ?max_events ?dyn ?obs ?setup () =
   Mmb.Runner.run_bmmb_online ~dual ~fack ~fprog ~policy ~arrivals ~seed
     ?discipline ?check_compliance ?max_events ?dyn
-    ~instrument:(instrument_continuous obs) ?setup ()
+    ~instrument:(instrument ?obs ()) ?setup ()
 
 let fmmb ~dual ~fprog ~c ~policy ~assignment ~seed ?backend ?params
-    ?max_spread_phases ?obs ?attach () =
-  let instrument =
-    match (obs, attach) with
-    | None, None -> note_globals
-    | _ ->
-        (* The MMB lifecycle goes through a retention-free trace so the
-           observer's span deriver — and any [attach]ed streaming
-           consumer (trace/provenance collectors) — sees it as a
-           subscriber. *)
-        let tr = Dsim.Trace.create ~enabled:false () in
-        Option.iter (fun o -> Observer.attach o tr) obs;
-        Option.iter (fun f -> f tr) attach;
-        {
-          Mmb.Instrument.none with
-          Mmb.Instrument.on_event =
-            Some (fun ~time event -> Dsim.Trace.record tr ~time event);
-          finish =
-            (fun ~allow_open ->
-              Option.iter
-                (fun o -> ignore (Observer.finish o ~allow_open))
-                obs);
-          note_sim = Global.note_sim;
-        }
-  in
+    ?max_spread_phases ?obs () =
   Mmb.Runner.run_fmmb ~dual ~fprog ~c ~policy ~assignment ~seed ?backend
-    ?params ?max_spread_phases ~instrument ()
+    ?params ?max_spread_phases ~instrument:(instrument ?obs ()) ()

@@ -1,20 +1,29 @@
-(** Observed runs: {!Mmb.Runner} entry points plus the observability
-    wiring.
+(** Observed runs: the {!Mmb.Instrument} seam wired to observability.
 
     The protocol layer sits below this one in the layer DAG (check A1),
-    so [Mmb.Runner] cannot reference observers or the global engine-cost
-    registry; it exposes an {!Mmb.Instrument} seam instead.  These
-    wrappers mirror the runner's signatures, build the instrument, and:
+    so [Mmb.Runner] and [Mmb.Scenario] cannot reference observers or the
+    global engine-cost registry; they take an {!Mmb.Instrument.t}
+    instead.  {!instrument} builds the one every harness passes, and the
+    wrappers below mirror the runner's signatures with it.  Call
+    [Mmb.Runner] directly when none of this is wanted. *)
 
-    - fold every run's engine and MAC counters into {!Global}
-      (continuous-time runs — what the benchmark sidecars and the
-      campaign runner's per-job deltas measure);
-    - with [?obs], attach the observer: spans and the streaming monitor
-      subscribe to the MAC's event stream, engine gauges are wired, and
-      the observer is finished with [allow_open] set iff the run did not
-      drain.
+val instrument :
+  ?obs:Observer.t -> ?attach:(Dsim.Trace.t -> unit) -> unit ->
+  Mmb.Instrument.t
+(** Every run's engine and MAC counters fold into {!Global} (the
+    campaign runner's per-job deltas and the benchmark read them); with
+    neither argument that is all, and the record is a constant.
+    Otherwise the run's event stream is subscribed live, whichever
+    engine produces it: the serial MAC trace, or the [Arrive]/[Deliver]
+    lifecycle of FMMB's round backends (at stage-granular times).
 
-    Call [Mmb.Runner] directly when none of that is wanted. *)
+    - [obs]: spans and the streaming checker subscribe, engine gauges
+      are wired, and the observer is finished with [allow_open] set iff
+      the run did not drain.  For FMMB, create it without [dual]: its
+      per-stage engines restart instance uids and clocks.
+    - [attach] receives each trace the run may record into, before the
+      run, to subscribe streaming consumers ({!Tracing.Sim},
+      {!Provenance}, a [Dsim.Trace_io] sink). *)
 
 val bmmb :
   dual:Graphs.Dual.t ->
@@ -61,15 +70,7 @@ val fmmb :
   ?params:Mmb.Fmmb.params ->
   ?max_spread_phases:int ->
   ?obs:Observer.t ->
-  ?attach:(Dsim.Trace.t -> unit) ->
   unit ->
   Mmb.Runner.fmmb_result
-(** With [obs], the problem-level [Arrive]/[Deliver] lifecycle feeds the
-    observer's spans (stage-granular times).  The streaming compliance
-    monitor does not apply to FMMB (per-stage engines restart instance
-    uids and clocks); create the observer without [dual].  FMMB's round
-    backends have no engine, so nothing is folded into {!Global}.
-
-    [attach] receives the retention-free lifecycle trace before the run,
-    for subscribing streaming consumers ({!Tracing.Sim},
-    {!Provenance}) without an observer. *)
+(** [obs] as in {!instrument}.  FMMB's round backends have no engine, so
+    nothing is folded into {!Global}. *)

@@ -403,19 +403,16 @@ let test_scenario_dynamic_run () =
   in
   match Mmb.Scenario.of_string json with
   | Error e -> Alcotest.fail e
-  | Ok spec -> (
-      match Mmb.Scenario.execute spec with
-      | Error e -> Alcotest.fail e
-      | Ok runs ->
-          List.iter
-            (fun r ->
-              Alcotest.(check bool) "complete" true r.Mmb.Scenario.complete;
-              Alcotest.(check int) "no violations" 0 r.Mmb.Scenario.violations;
-              Alcotest.(check bool) "epochs reported" true
-                (match r.Mmb.Scenario.epochs with
-                | Some e -> e >= 1
-                | None -> false))
-            runs)
+  | Ok spec ->
+      List.iter
+        (fun r ->
+          Alcotest.(check bool) "complete" true r.Mmb.Scenario.complete;
+          Alcotest.(check int) "no violations" 0 r.Mmb.Scenario.violations;
+          Alcotest.(check bool) "epochs reported" true
+            (match r.Mmb.Scenario.epochs with
+            | Some e -> e >= 1
+            | None -> false))
+        (Mmb.Scenario.execute spec)
 
 let suite =
   [

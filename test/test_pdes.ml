@@ -280,9 +280,8 @@ let test_scenario_domains_sweepable () =
         List.map
           (fun s ->
             match Mmb.Scenario.execute s with
-            | Ok [ r ] -> (r.Mmb.Scenario.complete, r.Mmb.Scenario.time)
-            | Ok _ -> Alcotest.fail "expected a single run"
-            | Error e -> Alcotest.fail e)
+            | [ r ] -> (r.Mmb.Scenario.complete, r.Mmb.Scenario.time)
+            | _ -> Alcotest.fail "expected a single run")
           specs
       in
       match results with

@@ -117,6 +117,37 @@ let test_scenario_rejects_bad_config () =
       {|not json|};
     ]
 
+let test_scenario_checks_names () =
+  List.iter
+    (fun (cfg, msg) ->
+      Alcotest.(check (result reject string))
+        cfg (Error msg)
+        (Result.map ignore (Mmb.Scenario.of_string cfg)))
+    [
+      ({|{"topology": "bogus"}|}, {|unknown topology "bogus"|});
+      ({|{"gprime": "bogus"}|}, {|unknown G' regime "bogus"|});
+      ({|{"scheduler": "bogus"}|}, {|unknown scheduler "bogus"|});
+      ({|{"arrivals": "poisson", "rate": 0}|}, "need rate > 0");
+      ({|{"arrivals": "staggered", "gap": -1}|}, "need gap >= 0");
+    ];
+  (* Only names a run reads are checked, so these still load. *)
+  List.iter
+    (fun cfg ->
+      Alcotest.(check bool)
+        cfg true
+        (Result.is_ok (Mmb.Scenario.of_string cfg)))
+    [
+      {|{"gprime": "greyzone", "topology": "bogus"}|};
+      {|{"protocol": "fmmb", "scheduler": "bogus"}|};
+    ];
+  Alcotest.check_raises "an unchecked spec does not run"
+    (Invalid_argument "Scenario.run: unknown scheduler \"bogus\"")
+    (fun () ->
+      ignore
+        (Mmb.Scenario.run
+           { Mmb.Scenario.default with scheduler = "bogus" }
+           ~seed:1))
+
 let test_scenario_bmmb_batch () =
   let spec =
     Result.get_ok
@@ -124,20 +155,18 @@ let test_scenario_bmmb_batch () =
          {|{"name":"t","protocol":"bmmb","topology":"ring","n":12,"k":3,
             "scheduler":"adversarial","check":true,"repeat":2,"seed":5}|})
   in
-  match Mmb.Scenario.execute spec with
-  | Error e -> Alcotest.fail e
-  | Ok runs ->
-      Alcotest.(check int) "two runs" 2 (List.length runs);
-      List.iter
-        (fun r ->
-          Alcotest.(check bool) "complete" true r.Mmb.Scenario.complete;
-          Alcotest.(check int) "compliant" 0 r.Mmb.Scenario.violations;
-          match r.Mmb.Scenario.bound with
-          | Some b ->
-              Alcotest.(check bool) "within bound" true
-                (r.Mmb.Scenario.time <= b +. 1e-6)
-          | None -> Alcotest.fail "bmmb batch should report a bound")
-        runs
+  let runs = Mmb.Scenario.execute spec in
+  Alcotest.(check int) "two runs" 2 (List.length runs);
+  List.iter
+    (fun r ->
+      Alcotest.(check bool) "complete" true r.Mmb.Scenario.complete;
+      Alcotest.(check int) "compliant" 0 r.Mmb.Scenario.violations;
+      match r.Mmb.Scenario.bound with
+      | Some b ->
+          Alcotest.(check bool) "within bound" true
+            (r.Mmb.Scenario.time <= b +. 1e-6)
+      | None -> Alcotest.fail "bmmb batch should report a bound")
+    runs
 
 let test_scenario_online () =
   let spec =
@@ -146,20 +175,18 @@ let test_scenario_online () =
          {|{"protocol":"bmmb","arrivals":"poisson","rate":0.01,"n":10,"k":4}|})
   in
   match Mmb.Scenario.execute spec with
-  | Error e -> Alcotest.fail e
-  | Ok [ r ] ->
+  | [ r ] ->
       Alcotest.(check bool) "complete" true r.Mmb.Scenario.complete;
       Alcotest.(check bool) "reports latency" true
         (r.Mmb.Scenario.mean_latency <> None)
-  | Ok _ -> Alcotest.fail "expected one run"
+  | _ -> Alcotest.fail "expected one run"
 
 let test_scenario_fmmb_rejects_online () =
-  let spec =
-    Result.get_ok
-      (Mmb.Scenario.of_string {|{"protocol":"fmmb","arrivals":"poisson"}|})
-  in
-  Alcotest.(check bool) "fmmb+poisson rejected" true
-    (Result.is_error (Mmb.Scenario.execute spec))
+  Alcotest.(check (result reject string))
+    "fmmb+poisson rejected at load"
+    (Error "protocol fmmb supports batch arrivals only (use fmmb-online)")
+    (Result.map ignore
+       (Mmb.Scenario.of_string {|{"protocol":"fmmb","arrivals":"poisson"}|}))
 
 let test_scenario_fmmb_online () =
   let spec =
@@ -169,16 +196,15 @@ let test_scenario_fmmb_online () =
             "arrivals":"staggered","gap":500}|})
   in
   match Mmb.Scenario.execute spec with
-  | Error e -> Alcotest.fail e
-  | Ok [ r ] -> Alcotest.(check bool) "complete" true r.Mmb.Scenario.complete
-  | Ok _ -> Alcotest.fail "expected one run"
+  | [ r ] -> Alcotest.(check bool) "complete" true r.Mmb.Scenario.complete
+  | _ -> Alcotest.fail "expected one run"
 
 let test_scenario_report_and_json () =
   let spec =
     Result.get_ok
       (Mmb.Scenario.of_string {|{"name":"demo","n":8,"k":2,"repeat":2}|})
   in
-  let runs = Result.get_ok (Mmb.Scenario.execute spec) in
+  let runs = Mmb.Scenario.execute spec in
   let rep = Mmb.Scenario.report spec runs in
   Alcotest.(check bool) "report names scenario" true
     (String.length rep > 0
@@ -206,6 +232,8 @@ let suite =
         Alcotest.test_case "defaults" `Quick test_scenario_defaults;
         Alcotest.test_case "rejects bad configs" `Quick
           test_scenario_rejects_bad_config;
+        Alcotest.test_case "names checked at load" `Quick
+          test_scenario_checks_names;
         Alcotest.test_case "bmmb batch" `Quick test_scenario_bmmb_batch;
         Alcotest.test_case "bmmb online" `Quick test_scenario_online;
         Alcotest.test_case "fmmb rejects online arrivals" `Quick

@@ -85,6 +85,19 @@ let test_file_roundtrip () =
           Alcotest.(check int) "entry count" 6 (List.length entries)
       | Error e -> Alcotest.fail e)
 
+let test_check_against_network () =
+  let check = Alcotest.(check (result unit string)) in
+  let entries = Dsim.Trace.entries (sample_trace ()) in
+  check "the Abort names an instance never broadcast"
+    (Error "line 6: instance 8 was never broadcast")
+    (Dsim.Trace_io.check ~n:3 entries);
+  let entries = List.filteri (fun i _ -> i < 5) entries in
+  check "nodes 1 and 2 fit a 3-node network" (Ok ())
+    (Dsim.Trace_io.check ~n:3 entries);
+  check "node 2 does not fit a 2-node network"
+    (Error "line 4: node 2 is not in the 2-node network")
+    (Dsim.Trace_io.check ~n:2 entries)
+
 let suite =
   [
     ( "dsim.stats",
@@ -99,5 +112,7 @@ let suite =
         Alcotest.test_case "jsonl roundtrip" `Quick test_jsonl_roundtrip;
         Alcotest.test_case "rejects garbage" `Quick test_jsonl_rejects_garbage;
         Alcotest.test_case "file roundtrip" `Quick test_file_roundtrip;
+        Alcotest.test_case "check against the network" `Quick
+          test_check_against_network;
       ] );
   ]
