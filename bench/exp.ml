@@ -1,13 +1,13 @@
 (* The experiment abstraction the campaign runner consumes.
 
-   Each experiment group (e1..e16, b1) is a list of Exec.Job cells plus a
+   Each experiment group (e1..e16) is a list of Exec.Job cells plus a
    render step.  Cells are pure: they compute a row / trial / sub-report
    from their spec alone and never print (fine-grained cells return data;
    coarse "inline" cells emit their whole report through Exec.Sink, which
    the campaign captures).  [render] runs on the main domain after all of
    the group's results are collected, in cell order, and prints the
    tables — so the harness produces byte-identical reports whether the
-   cells ran serially, on N domains, or straight from the cache. *)
+   cells ran on one domain, on N, or straight from the cache. *)
 
 type t = {
   id : string;
@@ -20,7 +20,7 @@ let make ~id ~cells ~render = { id; cells; render }
 let spec ~id fields =
   Dsim.Json.Obj (("exp", Dsim.Json.String id) :: fields)
 
-(* Wrap a legacy inline experiment (prints its own report through
+(* Wrap a coarse inline experiment (prints its own report through
    Report/Sink) as a single-cell job list.  The captured text is the
    result, so even these coarse cells cache and replay byte-identically;
    the binary-digest salt invalidates them on any rebuild. *)

@@ -387,10 +387,3 @@ let experiments =
     Exp.inline ~id:"e14" e14_online_fmmb;
     Exp.inline ~id:"e16" e16_structuring;
   ]
-
-let run () =
-  e10_online ();
-  e11_round_construction ();
-  e12_leader_election ();
-  e14_online_fmmb ();
-  e16_structuring ()

@@ -121,9 +121,6 @@ let e5 =
       @ List.map (fun k -> e5_cell ~sweep:"k" ~n:60 ~k) e5_ks)
     ~render:e5_render
 
-let e5_fmmb () =
-  e5_render (List.map (fun cl -> cl.Exec.Job.run ()) e5.Exp.cells)
-
 (* E6 --------------------------------------------------------------------- *)
 
 let e6_crossover () =
@@ -244,9 +241,6 @@ let e8_render results =
      practice; validity holds w.h.p."
 
 let e8 = Exp.make ~id:"e8" ~cells:(List.map e8_cell e8_ns) ~render:e8_render
-
-let e8_mis () =
-  e8_render (List.map (fun cl -> cl.Exec.Job.run ()) e8.Exp.cells)
 
 (* E9 --------------------------------------------------------------------- *)
 
@@ -447,9 +441,3 @@ let e6 = Exp.inline ~id:"e6" e6_crossover
 let e9 = Exp.inline ~id:"e9" e9_ablations
 
 let experiments = [ e5; e6; e8; e9 ]
-
-let run () =
-  e5_fmmb ();
-  e6_crossover ();
-  e8_mis ();
-  e9_ablations ()

@@ -151,8 +151,3 @@ let e4 =
     ~render
 
 let experiments = [ e4 ]
-
-let e4_lower_bound () =
-  render (List.map (fun c -> c.Exec.Job.run ()) e4.Exp.cells)
-
-let run () = e4_lower_bound ()

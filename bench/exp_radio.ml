@@ -332,7 +332,3 @@ let e15_sinr () =
 
 let experiments =
   [ Exp.inline ~id:"e13" e13_radio; Exp.inline ~id:"e15" e15_sinr ]
-
-let run () =
-  e13_radio ();
-  e15_sinr ()

@@ -370,21 +370,4 @@ let e7 =
     ~cells:(List.map e7_cell (List.init e7_trials (fun i -> i + 1)))
     ~render:e7_render
 
-(* --- Legacy inline entry points (examples/tests may still call these) ---- *)
-
-let run_exp (exp : Exp.t) =
-  let results = List.map (fun c -> c.Exec.Job.run ()) exp.Exp.cells in
-  exp.Exp.render results
-
-let e1_reliable () = run_exp e1
-let e2_r_restricted () = run_exp e2
-let e3_arbitrary () = run_exp e3
-let e7_thm316_montecarlo () = run_exp e7
-
 let experiments = [ e1; e2; e3; e7 ]
-
-let run () =
-  e1_reliable ();
-  e2_r_restricted ();
-  e3_arbitrary ();
-  e7_thm316_montecarlo ()

@@ -898,7 +898,7 @@ let campaign_cmd =
       & info [ "cache-dir" ] ~docv:"DIR" ~doc)
   in
   let no_cache_arg =
-    let doc = "Run every scenario even if cached." in
+    let doc = "Run every scenario, reading and writing no cache." in
     Arg.(value & flag & info [ "no-cache" ] ~doc)
   in
   let salt_arg =
@@ -983,19 +983,9 @@ let campaign_cmd =
       let cache =
         if no_cache then None else Some (Exec.Cache.create ~dir:cache_dir)
       in
-      let manifest =
-        let key =
-          Digest.to_hex
-            (Digest.string
-               (String.concat "\n"
-                  (List.map (fun j -> Exec.Job.digest ~salt j) job_list)))
-        in
-        Filename.concat "_campaign" (Printf.sprintf "campaign-%s.jsonl" key)
-      in
       let jobs = Exec.Pool.resolve_jobs ~requested:jobs in
       let outcomes, stats =
-        Exec.Campaign.run ~jobs ~salt ?cache ~manifest ~clock:wall_clock
-          job_list
+        Exec.Campaign.run ~jobs ~salt ?cache ~clock:wall_clock job_list
       in
       Array.iter (fun o -> print_string o.Exec.Campaign.output) outcomes;
       (match out with
@@ -1047,8 +1037,8 @@ let campaign_cmd =
     (Cmd.info "campaign"
        ~doc:
          "Run a batch of scenario files as a parallel campaign: \
-          deterministic merge, content-addressed cache, resumable \
-          checkpoints.")
+          deterministic merge, and a content-addressed cache that is also \
+          the checkpoint a killed campaign resumes from.")
     term
 
 let () =

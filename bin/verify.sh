@@ -111,8 +111,8 @@ else
     # purely from (seed, epoch), so job order cannot matter).
     gate "dyn suite (test dyn)" \
       sh -c 'cd _build/default/test && ./test_main.exe test dyn'
-    # Distinct salts give each invocation its own digests, cache, and
-    # resume manifest, so both actually execute (nothing is replayed).
+    # Distinct cache directories give each invocation an empty cache, so
+    # both actually execute (nothing is replayed).
     gate "campaign determinism (churn_line --jobs 1 vs 4)" \
       sh -c 'T=$(mktemp -d) && trap "rm -rf $T" 0 &&
         dune exec bin/mmb_sim.exe -- campaign scenarios/churn_line.json \

@@ -2,12 +2,11 @@
 
     Because the digest covers the canonical job spec {e and} a
     code-version salt ({!Job.digest}), re-running a campaign only executes
-    changed or new cells; everything else is replayed from disk. *)
+    changed or new cells; everything else is replayed from disk.  That
+    makes the cache the campaign's checkpoint too: entries are stored as
+    jobs finish, so a killed campaign re-run with the same cache resumes. *)
 
 type t
-
-val mkdir_p : string -> unit
-(** [mkdir -p]; shared with {!Manifest} for checkpoint directories. *)
 
 val create : dir:string -> t
 (** Open (creating directories as needed) a cache rooted at [dir].

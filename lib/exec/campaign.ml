@@ -1,5 +1,5 @@
 (* Campaign runner: fan a job list across a domain pool, with a
-   content-addressed result cache and a resumable checkpoint manifest.
+   content-addressed result cache that doubles as the checkpoint.
 
    The load-bearing property is the deterministic merge: outcomes are
    returned (and their report text replayed) strictly in job-index order,
@@ -7,14 +7,12 @@
    job start, so aggregate output is byte-identical no matter how many
    workers ran or which worker executed which job.
 
-   A job's result can come from three sources, checked in order:
-     1. the manifest (a previous interrupted run of this campaign),
-     2. the cache   (any previous campaign that ran the same cell), and
-     3. execution on the pool.
-   Executed jobs are persisted to both stores as they finish, so a kill
-   at any point loses at most the jobs in flight. *)
+   A job's result comes from the cache (any previous campaign that ran the
+   same cell, killed or finished) or from execution on the pool.  Executed
+   jobs are stored as they finish, so a kill at any point loses at most
+   the jobs in flight. *)
 
-type source = Ran | Cached | Resumed
+type source = Ran | Cached
 
 type outcome = {
   index : int;
@@ -32,14 +30,13 @@ type stats = {
   total : int;
   ran : int;
   cached : int;
-  resumed : int;
   cache_hits : int;
   cache_misses : int;
   busy_s : float;  (** summed wall_s of executed jobs *)
   elapsed_s : float;  (** injected-clock span of the whole campaign *)
 }
 
-(* --- Replayable entry (cache file / manifest line) ----------------------- *)
+(* --- Replayable cache entry ---------------------------------------------- *)
 
 let entry_of ~spec ~result ~output ~engine ~wall_s =
   Dsim.Json.Obj
@@ -51,7 +48,7 @@ let entry_of ~spec ~result ~output ~engine ~wall_s =
       ("wall_s", Dsim.Json.Number wall_s);
     ]
 
-let decode_entry ~index ~digest ~source json =
+let decode_entry ~index ~digest json =
   let ( let* ) = Option.bind in
   let* result = Dsim.Json.member_opt json "result" in
   let* output =
@@ -73,12 +70,11 @@ let decode_entry ~index ~digest ~source json =
      truths of the run that executed them, not of this one. *)
   Some
     { index; digest; result; output; engine; wall_s; t_start = 0.; worker = -1;
-      source }
+      source = Cached }
 
 (* --- The runner ---------------------------------------------------------- *)
 
-let run ?(jobs = 1) ?(salt = "") ?cache ?manifest ?(clock = fun () -> 0.)
-    ?(merge_engine = true) job_list =
+let run ?(jobs = 1) ?(salt = "") ?cache ?(clock = fun () -> 0.) job_list =
   let t_begin = clock () in
   let jobs_arr = Array.of_list job_list in
   let n = Array.length jobs_arr in
@@ -88,53 +84,18 @@ let run ?(jobs = 1) ?(salt = "") ?cache ?manifest ?(clock = fun () -> 0.)
     | Some c -> (Cache.hits c, Cache.misses c)
   in
   let digests = Array.map (fun j -> Job.digest ~salt j) jobs_arr in
-  let slots : outcome option array = Array.make n None in
-  let resumed = ref 0 and cached = ref 0 in
-  (* 1. Resume from an interrupted campaign's manifest, when compatible. *)
-  let mf =
-    match manifest with
-    | None -> None
-    | Some path -> (
-        match Manifest.load ~path with
-        | Some loaded when loaded.Manifest.salt = salt ->
-            List.iter
-              (fun (idx, d, entry) ->
-                if idx >= 0 && idx < n && digests.(idx) = d then
-                  match
-                    decode_entry ~index:idx ~digest:d ~source:Resumed entry
-                  with
-                  | Some o when slots.(idx) = None ->
-                      slots.(idx) <- Some o;
-                      incr resumed
-                  | _ -> ())
-              loaded.Manifest.entries;
-            Some (Manifest.append_to ~path)
-        | _ -> Some (Manifest.start ~path ~salt ~total:n))
+  (* 1. Serve unchanged cells from the content-addressed cache. *)
+  let slots : outcome option array =
+    Array.init n (fun i ->
+        Option.bind cache (fun c ->
+            Option.bind (Cache.find c ~digest:digests.(i))
+              (decode_entry ~index:i ~digest:digests.(i))))
   in
-  (* 2. Serve unchanged cells from the content-addressed cache. *)
-  (match cache with
-  | None -> ()
-  | Some c ->
-      for i = 0 to n - 1 do
-        if slots.(i) = None then
-          match Cache.find c ~digest:digests.(i) with
-          | Some entry -> (
-              match
-                decode_entry ~index:i ~digest:digests.(i) ~source:Cached entry
-              with
-              | Some o ->
-                  slots.(i) <- Some o;
-                  incr cached;
-                  (* Keep the manifest complete even for cache-served
-                     cells, so a later resume never re-reads the cache. *)
-                  Option.iter
-                    (fun m ->
-                      Manifest.record m ~idx:i ~digest:digests.(i) entry)
-                    mf
-              | None -> ())
-          | None -> ()
-      done);
-  (* 3. Execute the rest on the pool, persisting as jobs finish. *)
+  let cached =
+    Array.fold_left (fun acc s -> if Option.is_some s then acc + 1 else acc) 0
+      slots
+  in
+  (* 2. Execute the rest on the pool, storing each as it finishes. *)
   let pending =
     Array.of_list
       (List.filter (fun i -> slots.(i) = None) (List.init n Fun.id))
@@ -157,37 +118,25 @@ let run ?(jobs = 1) ?(salt = "") ?cache ?manifest ?(clock = fun () -> 0.)
       let result, output = Sink.capture job.Job.run in
       let engine = Obs.Global.snapshot () in
       let wall_s = clock () -. t0 in
-      let o =
-        { index = i; digest = digests.(i); result; output; engine; wall_s;
-          t_start = t0; worker = Pool.self_index (); source = Ran }
-      in
-      slots.(i) <- Some o;
-      let entry =
-        entry_of ~spec:job.Job.spec ~result ~output ~engine ~wall_s
-      in
+      slots.(i) <-
+        Some
+          { index = i; digest = digests.(i); result; output; engine; wall_s;
+            t_start = t0; worker = Pool.self_index (); source = Ran };
       Option.iter
         (fun c ->
           Cache.store c ~digest:digests.(i)
             ~disc:(string_of_int (Pool.self_index ()))
-            entry)
-        cache;
-      Option.iter (fun m -> Manifest.record m ~idx:i ~digest:digests.(i) entry) mf);
-  Option.iter Manifest.close mf;
+            (entry_of ~spec:job.Job.spec ~result ~output ~engine ~wall_s))
+        cache);
   let outcomes =
     Array.mapi
       (fun i -> function
         | Some o -> o
         | None ->
-            (* Unreachable: every index was resumed, cached, or executed. *)
+            (* Unreachable: every index was cached or executed. *)
             failwith (Printf.sprintf "campaign: job %d has no outcome" i))
       slots
   in
-  (* Deterministic merge: fold every job's engine delta into the main
-     registry in index order, so process-wide totals match a serial run
-     regardless of worker count or cache state. *)
-  if merge_engine then
-    Array.iter (fun o -> Obs.Global.merge o.engine) outcomes;
-  let ran = n - !resumed - !cached in
   let cache_hits, cache_misses =
     match cache with
     | None -> (0, 0)
@@ -198,20 +147,6 @@ let run ?(jobs = 1) ?(salt = "") ?cache ?manifest ?(clock = fun () -> 0.)
       (fun acc o -> if o.source = Ran then acc +. o.wall_s else acc)
       0. outcomes
   in
-  let elapsed_s = clock () -. t_begin in
-  (* Exec-layer counters are noted once, here on the coordinating domain,
-     so per-job engine deltas stay byte-identical however the jobs were
-     placed or served. *)
-  Obs.Global.note_exec ~cache_hits ~cache_misses
-    ~pool_busy_us:(int_of_float (busy_s *. 1e6));
   ( outcomes,
-    { total = n; ran; cached = !cached; resumed = !resumed; cache_hits;
-      cache_misses; busy_s; elapsed_s } )
-
-let merged_engine outcomes =
-  Array.fold_left
-    (fun acc o -> Obs.Global.add acc o.engine)
-    Obs.Global.zero outcomes
-
-let total_wall outcomes =
-  Array.fold_left (fun acc o -> acc +. o.wall_s) 0. outcomes
+    { total = n; ran = n - cached; cached; cache_hits; cache_misses; busy_s;
+      elapsed_s = clock () -. t_begin } )

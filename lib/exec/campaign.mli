@@ -1,12 +1,12 @@
 (** Campaign runner: a job list fanned across a {!Pool}, served from the
-    {!Cache} and an interrupted run's {!Manifest} where possible, with
-    outcomes merged back in job-index order (byte-identical aggregates
-    for any worker count). *)
+    {!Cache} where possible, with outcomes merged back in job-index order
+    (byte-identical aggregates for any worker count).  The cache is the
+    checkpoint: a killed campaign re-run with the same cache replays its
+    finished cells and runs only the rest. *)
 
 type source =
   | Ran  (** executed this invocation *)
   | Cached  (** replayed from the content-addressed cache *)
-  | Resumed  (** replayed from an interrupted campaign's manifest *)
 
 type outcome = {
   index : int;
@@ -28,7 +28,6 @@ type stats = {
   total : int;
   ran : int;
   cached : int;
-  resumed : int;
   cache_hits : int;  (** cache lookups served from disk, this run *)
   cache_misses : int;
   busy_s : float;  (** summed [wall_s] of executed jobs *)
@@ -39,23 +38,13 @@ val run :
   ?jobs:int ->
   ?salt:string ->
   ?cache:Cache.t ->
-  ?manifest:string ->
   ?clock:(unit -> float) ->
-  ?merge_engine:bool ->
   Job.t list ->
   outcome array * stats
 (** Run the campaign with up to [jobs] domains (default 1 = sequential).
 
     [salt] is the code-version salt folded into every job digest.
-    [manifest] names the checkpoint file: loaded (and appended to) when it
-    matches this campaign's salt and per-index digests, recreated
-    otherwise.  [clock] injects wall time for the per-job [wall_s] field
-    (the library reads no clocks itself — lint D3).  [merge_engine]
-    (default true) folds every outcome's engine delta into the main
-    {!Obs.Global} registry in index order, preserving the process-wide
-    totals a serial run would have produced. *)
-
-val merged_engine : outcome array -> Obs.Global.snap
-(** Sum of the outcomes' engine deltas ({!Obs.Global.add}-combined). *)
-
-val total_wall : outcome array -> float
+    Without a [cache] every job runs and nothing is written to disk;
+    with one, cached jobs are replayed and each executed job is stored
+    as it finishes.  [clock] injects wall time for the per-job [wall_s]
+    field (the library reads no clocks itself — lint D3). *)

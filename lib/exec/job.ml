@@ -3,8 +3,8 @@
    The [spec] is the job's complete identity — every input that can change
    the result must appear in it (scenario fields, seed, protocol, ...).
    [digest] hashes the canonical form of the spec together with a
-   code-version salt; the digest keys the result cache and the checkpoint
-   manifest, so two jobs with the same digest are interchangeable. *)
+   code-version salt; the digest keys the result cache, so two jobs with
+   the same digest are interchangeable. *)
 
 type t = { spec : Dsim.Json.t; run : unit -> Dsim.Json.t }
 

@@ -11,8 +11,8 @@
    Mutex / Atomic (lint D6): determinism elsewhere is enforced by keeping
    parallel primitives out of simulation code entirely.  While workers
    run, {!Obs.Global} is redirected to a domain-local registry so each
-   worker accumulates engine counters privately; the caller merges the
-   per-job deltas after join. *)
+   worker accumulates engine counters privately; the campaign reads each
+   job's delta inside the job. *)
 
 let obs_key : Obs.Global.snap ref Domain.DLS.key =
   Domain.DLS.new_key (fun () -> ref Obs.Global.zero)

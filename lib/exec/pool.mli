@@ -3,7 +3,7 @@
 
     While the pool runs, {!Obs.Global} is redirected to per-domain
     registries, so worker jobs never race on the shared engine counters;
-    measure each job's delta inside [f] and merge after {!run} returns. *)
+    measure each job's delta inside [f]. *)
 
 val run : jobs:int -> tasks:int -> (int -> unit) -> unit
 (** Apply [f] to every index in [[0, tasks)] using at most [jobs] domains

@@ -91,9 +91,9 @@ let wall_trace ?(name = "campaign workers") outcomes =
 let summary ~jobs (s : Campaign.stats) =
   let base =
     Printf.sprintf
-      "campaign: %d cells on %d domain(s) — %d ran, %d cached, %d resumed \
-       (cache: %d hits, %d misses)"
-      s.Campaign.total jobs s.Campaign.ran s.Campaign.cached s.Campaign.resumed
+      "campaign: %d cells on %d domain(s) — %d ran, %d cached (cache: %d \
+       hits, %d misses)"
+      s.Campaign.total jobs s.Campaign.ran s.Campaign.cached
       s.Campaign.cache_hits s.Campaign.cache_misses
   in
   if s.Campaign.elapsed_s > 0. then

@@ -17,7 +17,6 @@ val wall_trace : ?name:string -> Campaign.outcome array -> Obs.Tracing.t
     omitted.  Exposed behind explicit opt-in flags ([--trace-wall]). *)
 
 val summary : jobs:int -> Campaign.stats -> string
-(** The one-line campaign summary: cells/ran/cached/resumed, cache
-    hits and misses, and — when an injected clock measured anything —
-    pool busy time and utilization.  The same figures are folded into
-    {!Obs.Global} by {!Campaign.run} via [note_exec]. *)
+(** The one-line campaign summary: cells/ran/cached, cache hits and
+    misses, and — when an injected clock measured anything — pool busy
+    time and utilization. *)

@@ -9,9 +9,6 @@ type snap = {
   acks : int;
   forced : int;
   cat_interned : int;
-  cache_hits : int;
-  cache_misses : int;
-  pool_busy_us : int;
 }
 
 let zero =
@@ -26,9 +23,6 @@ let zero =
     acks = 0;
     forced = 0;
     cat_interned = 0;
-    cache_hits = 0;
-    cache_misses = 0;
-    pool_busy_us = 0;
   }
 
 (* The main registry.  Callers deep in the simulation stack (Mmb.Runner
@@ -51,30 +45,6 @@ let snapshot () = !(registry ())
 
 let reset () = registry () := zero
 
-let add a b =
-  {
-    runs = a.runs + b.runs;
-    events = a.events + b.events;
-    pushes = a.pushes + b.pushes;
-    cancelled = a.cancelled + b.cancelled;
-    (* High-water marks don't add: the combined mark is the max. *)
-    heap_high_water = max a.heap_high_water b.heap_high_water;
-    bcasts = a.bcasts + b.bcasts;
-    rcvs = a.rcvs + b.rcvs;
-    acks = a.acks + b.acks;
-    forced = a.forced + b.forced;
-    (* Interned-category counts are per-engine cardinalities, not flows:
-       the combined figure is the largest any one engine reached. *)
-    cat_interned = max a.cat_interned b.cat_interned;
-    cache_hits = a.cache_hits + b.cache_hits;
-    cache_misses = a.cache_misses + b.cache_misses;
-    pool_busy_us = a.pool_busy_us + b.pool_busy_us;
-  }
-
-let merge delta =
-  let r = registry () in
-  r := add !r delta
-
 let note_sim sim =
   let r = registry () in
   let s = !r in
@@ -89,21 +59,6 @@ let note_sim sim =
       cat_interned = max s.cat_interned (Dsim.Sim.cat_interned sim);
     }
 
-(* Noted once per campaign by the coordinating domain after the pool
-   joins — never from worker jobs, so per-job engine deltas (cache
-   entries, outcome signatures) stay byte-identical across worker
-   counts and cache states. *)
-let note_exec ~cache_hits ~cache_misses ~pool_busy_us =
-  let r = registry () in
-  let s = !r in
-  r :=
-    {
-      s with
-      cache_hits = s.cache_hits + cache_hits;
-      cache_misses = s.cache_misses + cache_misses;
-      pool_busy_us = s.pool_busy_us + pool_busy_us;
-    }
-
 let note_mac ~bcasts ~rcvs ~acks ~forced =
   let r = registry () in
   let s = !r in
@@ -116,53 +71,21 @@ let note_mac ~bcasts ~rcvs ~acks ~forced =
       forced = s.forced + forced;
     }
 
-let diff ~before ~after =
-  {
-    runs = after.runs - before.runs;
-    events = after.events - before.events;
-    pushes = after.pushes - before.pushes;
-    cancelled = after.cancelled - before.cancelled;
-    (* A high-water mark doesn't subtract: report the window's max. *)
-    heap_high_water = after.heap_high_water;
-    bcasts = after.bcasts - before.bcasts;
-    rcvs = after.rcvs - before.rcvs;
-    acks = after.acks - before.acks;
-    forced = after.forced - before.forced;
-    (* Like the high-water mark: report the window's running max. *)
-    cat_interned = after.cat_interned;
-    cache_hits = after.cache_hits - before.cache_hits;
-    cache_misses = after.cache_misses - before.cache_misses;
-    pool_busy_us = after.pool_busy_us - before.pool_busy_us;
-  }
-
-let fields s =
+let snap_to_json s =
   let n v = Dsim.Json.Number (float_of_int v) in
-  [
-    ("runs", n s.runs);
-    ("events", n s.events);
-    ("pushes", n s.pushes);
-    ("cancelled", n s.cancelled);
-    ("heap_high_water", n s.heap_high_water);
-    ("bcasts", n s.bcasts);
-    ("rcvs", n s.rcvs);
-    ("acks", n s.acks);
-    ("forced", n s.forced);
-    ("cat_interned", n s.cat_interned);
-    ("cache_hits", n s.cache_hits);
-    ("cache_misses", n s.cache_misses);
-    ("pool_busy_us", n s.pool_busy_us);
-  ]
-
-let to_json ~label ?wall_s s =
   Dsim.Json.Obj
-    ([
-       ("kind", Dsim.Json.String "engine");
-       ("label", Dsim.Json.String label);
-     ]
-    @ fields s
-    @ match wall_s with None -> [] | Some w -> [ ("wall_s", Dsim.Json.Number w) ])
-
-let snap_to_json s = Dsim.Json.Obj (fields s)
+    [
+      ("runs", n s.runs);
+      ("events", n s.events);
+      ("pushes", n s.pushes);
+      ("cancelled", n s.cancelled);
+      ("heap_high_water", n s.heap_high_water);
+      ("bcasts", n s.bcasts);
+      ("rcvs", n s.rcvs);
+      ("acks", n s.acks);
+      ("forced", n s.forced);
+      ("cat_interned", n s.cat_interned);
+    ]
 
 let snap_of_json json =
   let ( let* ) = Result.bind in
@@ -175,11 +98,9 @@ let snap_of_json json =
   let* rcvs = Dsim.Json.member_int json "rcvs" ~default:0 in
   let* acks = Dsim.Json.member_int json "acks" ~default:0 in
   let* forced = Dsim.Json.member_int json "forced" ~default:0 in
-  (* default 0: manifests written before this field existed stay valid. *)
+  (* default 0: cache entries written before this field existed stay
+     valid. *)
   let* cat_interned = Dsim.Json.member_int json "cat_interned" ~default:0 in
-  let* cache_hits = Dsim.Json.member_int json "cache_hits" ~default:0 in
-  let* cache_misses = Dsim.Json.member_int json "cache_misses" ~default:0 in
-  let* pool_busy_us = Dsim.Json.member_int json "pool_busy_us" ~default:0 in
   Ok
     {
       runs;
@@ -192,7 +113,4 @@ let snap_of_json json =
       acks;
       forced;
       cat_interned;
-      cache_hits;
-      cache_misses;
-      pool_busy_us;
     }

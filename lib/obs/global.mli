@@ -1,19 +1,18 @@
 (** Process-global engine-cost accumulators.
 
     {!Run} notes every BMMB run's engine and MAC counters here
-    unconditionally (integer additions — no observable cost), so harnesses
-    that drive many runs without wiring an {!Observer} — the benchmark
-    suite above all — can still attribute engine cost to an experiment by
-    snapshotting before and after and writing the {!diff} as a metrics
-    sidecar.  (The protocol-layer [Mmb.Runner] itself notes nothing:
-    check A1 keeps it ignorant of this module.)
+    unconditionally (integer additions — no observable cost), so a
+    harness that drives runs without wiring an {!Observer} can still
+    attribute engine cost to a window by {!reset} before and {!snapshot}
+    after: the campaign runner does this per job, the wall-clock
+    benchmark per workload.  (The protocol-layer [Mmb.Runner] itself
+    notes nothing: check A1 keeps it ignorant of this module.)
 
     The accumulators live in a {e registry}.  By default there is exactly
     one, used by everything on the main domain.  A parallel campaign
     runner ({!Exec.Pool}) installs a {!set_resolver} redirecting each
-    worker domain to its own registry and merges the per-worker deltas
-    after join — this module itself deliberately contains no parallel
-    primitives (lint D6). *)
+    worker domain to its own registry — this module itself deliberately
+    contains no parallel primitives (lint D6). *)
 
 type snap = {
   runs : int;  (** simulations completed *)
@@ -27,11 +26,7 @@ type snap = {
   forced : int;  (** watchdog-forced deliveries *)
   cat_interned : int;
       (** max distinct event categories interned by any one engine
-          (combines by max, like [heap_high_water]) *)
-  cache_hits : int;  (** campaign cache lookups served from disk *)
-  cache_misses : int;
-  pool_busy_us : int;
-      (** injected-clock microseconds workers spent executing jobs *)
+          (a running max, like [heap_high_water]) *)
 }
 
 val zero : snap
@@ -45,22 +40,6 @@ val note_sim : Dsim.Sim.t -> unit
 
 val note_mac : bcasts:int -> rcvs:int -> acks:int -> forced:int -> unit
 
-val note_exec : cache_hits:int -> cache_misses:int -> pool_busy_us:int -> unit
-(** Fold one campaign's cache traffic and worker busy time into the
-    totals.  Called once by the coordinating domain after the pool
-    joins, never from worker jobs — per-job engine deltas must stay
-    byte-identical across worker counts and cache states. *)
-
-val diff : before:snap -> after:snap -> snap
-(** Per-window delta; [heap_high_water] reports the window's running max
-    (high-water marks don't subtract). *)
-
-val add : snap -> snap -> snap
-(** Counter-wise sum; [heap_high_water] combines by max. *)
-
-val merge : snap -> unit
-(** {!add} a delta into the current registry. *)
-
 val set_resolver : (unit -> snap ref) -> unit
 (** Redirect all accumulator traffic through [f]: every operation above
     acts on [f ()].  Install only from the main domain while no workers
@@ -69,11 +48,7 @@ val set_resolver : (unit -> snap ref) -> unit
 val clear_resolver : unit -> unit
 (** Restore the default single-registry behaviour. *)
 
-val to_json : label:string -> ?wall_s:float -> snap -> Dsim.Json.t
-(** A [{"kind":"engine","label":...}] sidecar line; [wall_s] is supplied
-    by the caller (the library never reads wall clocks — lint D3). *)
-
 val snap_to_json : snap -> Dsim.Json.t
-(** Bare counter object (no kind/label), for cache and manifest entries. *)
+(** Bare counter object, for campaign cache entries. *)
 
 val snap_of_json : Dsim.Json.t -> (snap, string) result

@@ -1,6 +1,7 @@
 (* The campaign runner (lib/exec): deterministic merge across worker
-   counts and job orders, the content-addressed cache, resumable
-   manifests, and the Sink capture plumbing.
+   counts and job orders, the content-addressed cache (which is also the
+   checkpoint an interrupted campaign resumes from), and the Sink capture
+   plumbing.
 
    The identity tests run real 2- and 4-domain campaigns, so `dune
    runtest` exercises the parallel path itself, not just the sequential
@@ -17,7 +18,6 @@ let rec rm_rf path =
 let fresh_path name =
   let p = Filename.concat "_exec_test" name in
   rm_rf p;
-  Exec.Cache.mkdir_p "_exec_test";
   p
 
 (* A job that runs a real BMMB simulation: everything (topology, problem,
@@ -65,8 +65,7 @@ let sources outcomes =
   |> List.map (fun o ->
          match o.Exec.Campaign.source with
          | Exec.Campaign.Ran -> "ran"
-         | Exec.Campaign.Cached -> "cached"
-         | Exec.Campaign.Resumed -> "resumed")
+         | Exec.Campaign.Cached -> "cached")
 
 (* --- Deterministic merge across worker counts ---------------------------- *)
 
@@ -174,46 +173,50 @@ let test_cache_sweeps_orphaned_tmp () =
   Alcotest.(check int) "finished entries survived the sweep" 2
     (Exec.Cache.hits cache2)
 
-(* --- Resumable manifest --------------------------------------------------- *)
+(* --- The cache is the checkpoint ------------------------------------------ *)
 
-let test_resume_from_partial_manifest () =
-  let manifest = fresh_path "resume.jsonl" in
+(* A campaign killed after three of its six cells: those three were
+   stored as they finished, and the kill landed while the fourth was being
+   written, leaving its temp file torn.  Re-running the whole campaign
+   with the same cache replays the three, runs the rest, and matches an
+   uninterrupted run. *)
+let test_resume_from_torn_partial_cache () =
+  let dir = fresh_path "resume" in
   let all = List.init 6 sim_job in
-  let prefix = List.filteri (fun i _ -> i < 3) all in
   let baseline, _ = Exec.Campaign.run ~jobs:1 all in
-  (* An interrupted campaign: only the first three cells made it to disk
-     (same per-index digests as the full campaign). *)
-  let _, s1 = Exec.Campaign.run ~jobs:1 ~manifest prefix in
+  let _, s1 =
+    Exec.Campaign.run ~jobs:1 ~cache:(Exec.Cache.create ~dir)
+      (List.filteri (fun i _ -> i < 3) all)
+  in
   Alcotest.(check int) "interrupted run executed its prefix" 3
     s1.Exec.Campaign.ran;
-  (* A torn final line — the crash wrote half a record. *)
-  let oc = open_out_gen [ Open_append ] 0o644 manifest in
-  output_string oc "{\"idx\": 99, \"truncated";
+  let oc =
+    open_out_bin
+      (Filename.concat dir
+         (Exec.Job.digest ~salt:"" (sim_job 3) ^ ".jsonl.tmp.0"))
+  in
+  output_string oc "{\"result\": {\"time\"";
   close_out oc;
-  let resumed, s2 = Exec.Campaign.run ~jobs:2 ~manifest all in
-  Alcotest.(check int) "three jobs replayed from the checkpoint" 3
-    s2.Exec.Campaign.resumed;
+  let resumed, s2 =
+    Exec.Campaign.run ~jobs:2 ~cache:(Exec.Cache.create ~dir) all
+  in
+  Alcotest.(check int) "three jobs served from the cache" 3
+    s2.Exec.Campaign.cached;
   Alcotest.(check int) "three executed fresh" 3 s2.Exec.Campaign.ran;
   Alcotest.(check (list string))
     "prefix replayed, remainder computed"
-    [ "resumed"; "resumed"; "resumed"; "ran"; "ran"; "ran" ]
+    [ "cached"; "cached"; "cached"; "ran"; "ran"; "ran" ]
     (sources resumed);
   Alcotest.(check (list string))
     "resumed campaign is byte-identical to an uninterrupted one"
     (signature baseline) (signature resumed);
-  (* The completed campaign checkpointed everything: a third invocation
-     replays all six without touching the simulator. *)
-  let _, s3 = Exec.Campaign.run ~jobs:1 ~manifest all in
-  Alcotest.(check int) "full manifest leaves nothing to run" 0
+  (* The completed campaign stored everything: a third invocation replays
+     all six without touching the simulator. *)
+  let _, s3 =
+    Exec.Campaign.run ~jobs:1 ~cache:(Exec.Cache.create ~dir) all
+  in
+  Alcotest.(check int) "a finished campaign leaves nothing to run" 0
     s3.Exec.Campaign.ran
-
-let test_manifest_salt_mismatch_restarts () =
-  let manifest = fresh_path "salted.jsonl" in
-  let all = [ sim_job 1; sim_job 2 ] in
-  let _ = Exec.Campaign.run ~jobs:1 ~salt:"v1" ~manifest all in
-  let _, s = Exec.Campaign.run ~jobs:1 ~salt:"v2" ~manifest all in
-  Alcotest.(check int) "stale-salt manifest is discarded, not replayed" 2
-    s.Exec.Campaign.ran
 
 (* --- Job keying ------------------------------------------------------------ *)
 
@@ -273,10 +276,8 @@ let suite =
           test_cache_counts_hits;
         Alcotest.test_case "cache sweeps orphaned temp files" `Quick
           test_cache_sweeps_orphaned_tmp;
-        Alcotest.test_case "resume from a torn partial manifest" `Quick
-          test_resume_from_partial_manifest;
-        Alcotest.test_case "manifest salt mismatch restarts" `Quick
-          test_manifest_salt_mismatch_restarts;
+        Alcotest.test_case "resume from a torn partial cache" `Quick
+          test_resume_from_torn_partial_cache;
         Alcotest.test_case "canonical job keying" `Quick
           test_canonical_key_order_invariance;
         Alcotest.test_case "sink capture nesting" `Quick

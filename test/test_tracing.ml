@@ -14,7 +14,6 @@ let rec rm_rf path =
 let fresh_path name =
   let p = Filename.concat "_tracing_test" name in
   rm_rf p;
-  Exec.Cache.mkdir_p "_tracing_test";
   p
 
 (* One observed BMMB run with a retained trace. *)
@@ -253,7 +252,7 @@ let test_campaign_trace_identity_ran_vs_cached () =
   Alcotest.(check string)
     "virtual timeline, ran = cached" (virtual_doc ran) (virtual_doc cached)
 
-let test_campaign_telemetry_and_global_counters () =
+let test_campaign_telemetry_and_cache_counters () =
   let dir = fresh_path "cache-counters" in
   let cache = Exec.Cache.create ~dir in
   (* A deterministic injected clock: each reading advances 0.25s. *)
@@ -262,26 +261,15 @@ let test_campaign_telemetry_and_global_counters () =
     incr ticks;
     0.25 *. float_of_int !ticks
   in
-  let before = Obs.Global.snapshot () in
   let _, s1 = Exec.Campaign.run ~jobs:2 ~cache ~clock (List.init 3 sim_job) in
   let outcomes, s2 =
     Exec.Campaign.run ~jobs:2 ~cache ~clock (List.init 3 sim_job)
   in
-  let delta =
-    Obs.Global.diff ~before ~after:(Obs.Global.snapshot ())
-  in
   Alcotest.(check int) "3 misses on the cold run" 3 s1.Exec.Campaign.cache_misses;
   Alcotest.(check int) "3 hits on the warm run" 3 s2.Exec.Campaign.cache_hits;
-  Alcotest.(check int)
-    "cache traffic reaches Obs.Global" 3 delta.Obs.Global.cache_hits;
-  Alcotest.(check int)
-    "misses too" 3 delta.Obs.Global.cache_misses;
   Alcotest.(check bool)
     "executed jobs accumulated busy time" true
     (s1.Exec.Campaign.busy_s > 0.);
-  Alcotest.(check bool)
-    "busy time reaches Obs.Global" true
-    (delta.Obs.Global.pool_busy_us > 0);
   Alcotest.(check bool)
     "elapsed spans the campaign" true
     (s1.Exec.Campaign.elapsed_s > 0.);
@@ -327,7 +315,7 @@ let suite =
           test_campaign_trace_identity_across_jobs;
         Alcotest.test_case "campaign timeline identical ran vs cached" `Slow
           test_campaign_trace_identity_ran_vs_cached;
-        Alcotest.test_case "campaign telemetry and Obs.Global counters" `Slow
-          test_campaign_telemetry_and_global_counters;
+        Alcotest.test_case "campaign telemetry and cache counters" `Slow
+          test_campaign_telemetry_and_cache_counters;
       ] );
   ]
