@@ -9,6 +9,7 @@
 #                           families' fixture suites (@fixtures), the dyn
 #                           suite, the campaign and pdes determinism gates,
 #                           a large audited run (n = 4096, k = 64, --check),
+#                           a large serial run (n = 250000, pinned output),
 #                           and the n = 10^6 partitioned grid run
 #                           (EXPERIMENTS.md E18)
 #   bin/verify.sh --tsan    multi-domain exec and pdes tests under
@@ -140,6 +141,15 @@ else
           -g r-restricted --extra 8192 -k 64 --check) &&
         printf "%s\n" "$out" | tail -1 &&
         printf "%s\n" "$out" | grep -q "^compliance: OK"'
+    # The serial engine (Dsim.Heap, Standard_mac, Bmmb) at scale: a
+    # 250k-node grid, 2.5 M events, must reproduce its completion time
+    # and event count exactly.
+    gate "large serial run (grid -n 250000 -k 2, pinned time and events)" \
+      sh -c 'out=$(dune exec bin/mmb_sim.exe -- run -t grid -n 250000 \
+          -k 2 --fack 8 --seed 5) &&
+        printf "%s\n" "$out" | grep -x -e "time: .*" -e "engine: .*" &&
+        printf "%s\n" "$out" | grep -qx "time: 489.484" &&
+        printf "%s\n" "$out" | grep -qx "engine: 2496002 events executed"'
     # EXPERIMENTS.md E18's reproducer: the million-node grid on the
     # partitioned engine's struct-of-arrays path must complete.
     gate "E18 million-node grid (-n 1000000 --partitions 8 --domains 2)" \
@@ -153,6 +163,7 @@ else
     skip "campaign determinism (churn_line --jobs 1 vs 4)" "run with --full"
     skip "pdes determinism (--partitions 4: --domains 1 vs 4 trace bytes)" "run with --full"
     skip "large checked run (grid -n 4096 -k 64 --check)" "run with --full"
+    skip "large serial run (grid -n 250000 -k 2, pinned time and events)" "run with --full"
     skip "E18 million-node grid (-n 1000000 --partitions 8 --domains 2)" "run with --full"
   fi
 fi

@@ -1,47 +1,46 @@
 exception Not_well_formed of string
 
-(* Sorted dynamic set of instance uids, replacing a per-node [Hashtbl] on
-   the watchdog hot path.  Uids are minted in increasing order, so [add]
-   is almost always an append, and traversal is ascending with no
-   snapshot, sort, or allocation — deterministic by construction. *)
-module Uidset = struct
-  type t = { mutable a : int array; mutable len : int }
+(* Per-receiver contender set: the open, not-yet-delivered-here
+   instances from G'-neighbors, as (uid, sender) pairs sorted by uid and
+   interleaved in one int array.  Uids are minted in increasing order, so
+   [add] is almost always an append, and traversal is ascending with no
+   snapshot, sort, or allocation — deterministic by construction.  The
+   sender leads to the instance itself, through [current]. *)
+module Contenders = struct
+  type t = { mutable a : int array; mutable len : int (* pairs *) }
 
   let create () = { a = [||]; len = 0 }
 
-  (* Position of [uid] in the sorted prefix, or its insertion point. *)
+  (* Pair index of [uid] in the sorted prefix, or its insertion point. *)
   let search s uid =
     let lo = ref 0 and hi = ref s.len in
     while !lo < !hi do
       let mid = (!lo + !hi) / 2 in
-      if s.a.(mid) < uid then lo := mid + 1 else hi := mid
+      if s.a.(2 * mid) < uid then lo := mid + 1 else hi := mid
     done;
     !lo
 
-  let add s uid =
+  let add s ~uid ~sender =
     let cap = Array.length s.a in
-    if s.len = cap then begin
+    if 2 * s.len = cap then begin
       let a = Array.make (if cap = 0 then 8 else 2 * cap) 0 in
       Array.blit s.a 0 a 0 cap;
       s.a <- a
     end;
-    if s.len = 0 || uid > s.a.(s.len - 1) then begin
-      s.a.(s.len) <- uid;
+    let i =
+      if s.len = 0 || uid > s.a.(2 * (s.len - 1)) then s.len else search s uid
+    in
+    if i = s.len || s.a.(2 * i) <> uid then begin
+      Array.blit s.a (2 * i) s.a ((2 * i) + 2) (2 * (s.len - i));
+      s.a.(2 * i) <- uid;
+      s.a.((2 * i) + 1) <- sender;
       s.len <- s.len + 1
-    end
-    else begin
-      let i = search s uid in
-      if i >= s.len || s.a.(i) <> uid then begin
-        Array.blit s.a i s.a (i + 1) (s.len - i);
-        s.a.(i) <- uid;
-        s.len <- s.len + 1
-      end
     end
 
   let remove s uid =
     let i = search s uid in
-    if i < s.len && s.a.(i) = uid then begin
-      Array.blit s.a (i + 1) s.a i (s.len - i - 1);
+    if i < s.len && s.a.(2 * i) = uid then begin
+      Array.blit s.a ((2 * i) + 2) s.a (2 * i) (2 * (s.len - i - 1));
       s.len <- s.len - 1
     end
 
@@ -49,7 +48,7 @@ module Uidset = struct
   let fold_asc f s init =
     let acc = ref init in
     for i = 0 to s.len - 1 do
-      acc := f s.a.(i) !acc
+      acc := f ~uid:s.a.(2 * i) ~sender:s.a.((2 * i) + 1) !acc
     done;
     !acc
 end
@@ -60,18 +59,22 @@ type status = Open | Acked | Aborted of float
    by shape, never with polymorphic (=). *)
 let is_open = function Open -> true | Acked | Aborted _ -> false
 
+(* Per-receiver state of an instance is indexed by the receiver's slot in
+   [g'_row], the sender's sorted G'-row: a planned delivery's event
+   carries its slot, and a forced one finds it by binary search. *)
 type 'msg instance = {
   uid : int;
   sender : int;
   body : 'msg;
   mutable status : status;
-  delivered : (int, unit) Hashtbl.t; (* receivers already served *)
-  pending : (int, Dsim.Sim.handle) Hashtbl.t; (* receiver -> delivery event *)
-  mutable ack_handle : Dsim.Sim.handle option;
-  (* The dual in force when the instance opened.  Terminate bookkeeping
-     iterates the same G/G' neighborhoods bcast incremented, even if the
-     schedule has since churned the unreliable layer. *)
-  inst_dual : Graphs.Dual.t;
+  (* The rows of the dual in force when the instance opened.  Terminate
+     bookkeeping iterates the same G/G' neighborhoods bcast incremented,
+     even if the schedule has since churned the unreliable layer. *)
+  g_row : int array;
+  g'_row : int array;
+  served : Bytes.t; (* bit s: g'_row.(s) already received *)
+  pending : Dsim.Sim.handle array; (* by slot: planned delivery event *)
+  mutable ack_handle : Dsim.Sim.handle;
 }
 
 type 'msg t = {
@@ -87,14 +90,12 @@ type 'msg t = {
   msg_id : ('msg -> int) option; (* payload id for trace msg fields *)
   handlers : 'msg Mac_intf.handlers option array;
   busy : bool array;
-  current : int option array; (* in-flight instance uid per node *)
+  current : 'msg instance option array; (* in-flight instance per node *)
   mutable next_uid : int;
-  instances : (int, 'msg instance) Hashtbl.t; (* live instances by uid *)
   (* Per-receiver progress-watchdog state. *)
   connected_open : int array; (* open instances from G-neighbors *)
   cover : int array; (* open G'-instances that already delivered here *)
-  contenders : Uidset.t array;
-      (* open, not-yet-delivered-here instances from G'-neighbors *)
+  contenders : Contenders.t array;
   watchdog : Dsim.Sim.handle option array;
   (* One watchdog callback per node, allocated on first use and reused for
      every rescheduling (watchdogs churn on each delivery/termination). *)
@@ -103,18 +104,17 @@ type 'msg t = {
      watchdog fire at that node. *)
   has_received_fn : ('msg -> bool) option array;
   received_bodies : ('msg, unit) Hashtbl.t array;
-  (* Recycled instance tables: a broadcast's [delivered]/[pending] tables
-     return here once the instance is discarded, so steady-state bcasts
-     allocate no fresh buckets.  Reset before reuse; both tables are only
-     ever traversed commutatively or probed by key, so a recycled bucket
-     layout cannot influence any run. *)
-  mutable pool_delivered : (int, unit) Hashtbl.t list;
-  mutable pool_pending : (int, Dsim.Sim.handle) Hashtbl.t list;
+  (* Per sender, the [served]/[pending] buffers of its last discarded
+     instance, taken (and cleared) by its next bcast over a row of the
+     same length, so steady-state bcasts allocate none. *)
+  spare_served : Bytes.t array;
+  spare_pending : Dsim.Sim.handle array array;
   (* Epoch-stamped scratch for [validate_plan]: a slot is "marked" iff it
      holds the current epoch, so clearing between broadcasts is one
      integer bump instead of a fresh table per plan. *)
   mutable scratch_epoch : int;
   scratch_nbr : int array; (* marked = G'-neighbor of this plan's sender *)
+  scratch_slot : int array; (* for a marked node: its slot in the G'-row *)
   scratch_seen : int array; (* marked = receiver already in this plan *)
   mutable n_bcast : int;
   mutable n_rcv : int;
@@ -164,18 +164,18 @@ let create ~sim ~dual ~fack ~fprog ~policy ~rng ?(eps_abort = 0.) ?dyn ?trace
     busy = Array.make n false;
     current = Array.make n None;
     next_uid = 0;
-    instances = Hashtbl.create 256;
     connected_open = Array.make n 0;
     cover = Array.make n 0;
-    contenders = Array.init n (fun _ -> Uidset.create ());
+    contenders = Array.init n (fun _ -> Contenders.create ());
     watchdog = Array.make n None;
     watchdog_fn = Array.make n None;
     has_received_fn = Array.make n None;
     received_bodies = Array.init n (fun _ -> Hashtbl.create 16);
-    pool_delivered = [];
-    pool_pending = [];
+    spare_served = Array.make n Bytes.empty;
+    spare_pending = Array.make n [||];
     scratch_epoch = 0;
     scratch_nbr = Array.make n 0;
+    scratch_slot = Array.make n 0;
     scratch_seen = Array.make n 0;
     n_bcast = 0;
     n_rcv = 0;
@@ -215,7 +215,45 @@ let ack_count t = t.n_ack
 let abort_count t = t.n_abort
 let forced_count t = t.n_forced
 
+(* --- Per-instance receiver state ----------------------------------------- *)
+
+let is_served inst s =
+  Char.code (Bytes.get inst.served (s lsr 3)) land (1 lsl (s land 7)) <> 0
+
+let mark_served inst s =
+  let b = s lsr 3 in
+  Bytes.set inst.served b
+    (Char.chr (Char.code (Bytes.get inst.served b) lor (1 lsl (s land 7))))
+
+(* The slot of receiver [j] in the instance's G'-row (j must be there). *)
+let slot_of inst j =
+  let row = inst.g'_row in
+  let lo = ref 0 and hi = ref (Array.length row) in
+  while !lo < !hi do
+    let mid = (!lo + !hi) / 2 in
+    if row.(mid) < j then lo := mid + 1 else hi := mid
+  done;
+  !lo
+
+let cancel_pending t inst =
+  for s = 0 to Array.length inst.pending - 1 do
+    Dsim.Sim.cancel t.sim inst.pending.(s)
+  done
+
+(* Once an instance is unreachable (pending all cancelled, contend sets
+   purged), its sender's next bcast may reuse its buffers. *)
+let recycle t inst =
+  t.spare_served.(inst.sender) <- inst.served;
+  t.spare_pending.(inst.sender) <- inst.pending
+
 (* --- Progress watchdog ------------------------------------------------- *)
+
+(* The sender of the candidate with [uid], or -1. *)
+let rec sender_of uid = function
+  | [] -> -1
+  | c :: rest ->
+      if c.Mac_intf.cand_uid = uid then c.Mac_intf.cand_sender
+      else sender_of uid rest
 
 let rec recheck_watchdog t j =
   let needed = t.connected_open.(j) > 0 && t.cover.(j) = 0 in
@@ -239,23 +277,23 @@ let rec recheck_watchdog t j =
 and fire_watchdog t j =
   t.watchdog.(j) <- None;
   if t.connected_open.(j) > 0 && t.cover.(j) = 0 then begin
-    (* Ascending-uid traversal with a cons per candidate: descending-uid
-       list, exactly what the old key-sorted Hashtbl snapshot produced —
-       the order feeds the forced-choice policy, so it is load-bearing. *)
+    (* Ascending-uid traversal with a cons per candidate gives a
+       descending-uid list; the order feeds the forced-choice policy, so
+       it is load-bearing.  A contender is open, so it is its sender's
+       current instance. *)
     let candidates =
-      Uidset.fold_asc
-        (fun uid acc ->
-          match Hashtbl.find_opt t.instances uid with
-          | None -> acc
-          | Some inst when not (is_open inst.status) -> acc
-          | Some inst ->
+      Contenders.fold_asc
+        (fun ~uid ~sender acc ->
+          match t.current.(sender) with
+          | Some inst when inst.uid = uid ->
               {
-                Mac_intf.cand_uid = inst.uid;
-                cand_sender = inst.sender;
+                Mac_intf.cand_uid = uid;
+                cand_sender = sender;
                 cand_body = inst.body;
-                cand_is_g_neighbor = Graphs.Dual.is_reliable t.dual inst.sender j;
+                cand_is_g_neighbor = Graphs.Dual.is_reliable t.dual sender j;
               }
-              :: acc)
+              :: acc
+          | Some _ | None -> assert false)
         t.contenders.(j) []
     in
     match candidates with
@@ -263,7 +301,7 @@ and fire_watchdog t j =
         (* Cannot happen: connected_open > 0 with cover = 0 implies an open,
            undelivered G-neighbor instance, which is a contender. *)
         assert false
-    | _ ->
+    | _ -> (
         let has_received =
           match t.has_received_fn.(j) with
           | Some fn -> fn
@@ -282,20 +320,21 @@ and fire_watchdog t j =
           }
         in
         let choice = t.policy.Mac_intf.pol_forced ctx in
-        if not (List.exists (fun c -> c.Mac_intf.cand_uid = choice.Mac_intf.cand_uid) candidates)
-        then invalid_arg "Standard_mac: forced choice not among candidates";
-        (match Hashtbl.find_opt t.instances choice.Mac_intf.cand_uid with
-        | None -> assert false
+        let sender = sender_of choice.Mac_intf.cand_uid candidates in
+        if sender < 0 then
+          invalid_arg "Standard_mac: forced choice not among candidates";
+        match t.current.(sender) with
         | Some inst ->
             t.n_forced <- t.n_forced + 1;
-            deliver t inst j)
+            deliver t inst (slot_of inst j)
+        | None -> assert false)
   end
 
 (* --- Deliveries --------------------------------------------------------- *)
 
-and deliver t inst j =
+and deliver t inst s =
   let deliverable =
-    (not (Hashtbl.mem inst.delivered j))
+    (not (is_served inst s))
     &&
     match inst.status with
     | Open -> true
@@ -306,18 +345,16 @@ and deliver t inst j =
         Dsim.Sim.now t.sim <= at +. t.eps_abort +. 1e-12
   in
   if deliverable then begin
+    let j = inst.g'_row.(s) in
     (* A forced delivery cancels the still-scheduled planned one; when the
        planned event itself is firing, its handle is already dead and the
-       cancel is a no-op — either way the stale [pending] binding is
-       harmless (cancels of dead handles no-op), so no removal. *)
-    (match Hashtbl.find_opt inst.pending j with
-    | Some handle -> Dsim.Sim.cancel t.sim handle
-    | None -> ());
-    Hashtbl.replace inst.delivered j ();
+       cancel is a no-op. *)
+    Dsim.Sim.cancel t.sim inst.pending.(s);
+    mark_served inst s;
     (* Progress-cover bookkeeping only concerns open instances: a
        terminated instance has already left the contend sets. *)
     if is_open inst.status then begin
-      Uidset.remove t.contenders.(j) inst.uid;
+      Contenders.remove t.contenders.(j) inst.uid;
       t.cover.(j) <- t.cover.(j) + 1;
       recheck_watchdog t j
     end;
@@ -340,47 +377,23 @@ and deliver t inst j =
    and free the sender.  [keep_late_deliveries] preserves pending delivery
    events that fall inside the eps_abort window. *)
 let terminate t inst ~keep_late_deliveries =
-  let now = Dsim.Sim.now t.sim in
-  (match inst.ack_handle with
-  | Some h ->
-      Dsim.Sim.cancel t.sim h;
-      inst.ack_handle <- None
-  | None -> ());
-  if not keep_late_deliveries then begin
-    (* Cancelling is one liveness-bit write per handle; the effects
-       commute, so hash-order traversal cannot perturb the run. *)
-    Dsim.Tbl.iter_commutative
-      (fun _receiver handle -> Dsim.Sim.cancel t.sim handle)
-      inst.pending;
-    Hashtbl.reset inst.pending;
-    Hashtbl.remove t.instances inst.uid
-  end;
-  Array.iter
-    (fun j ->
-      t.connected_open.(j) <- t.connected_open.(j) - 1;
-      recheck_watchdog t j)
-    (Graphs.Graph.neighbors (Graphs.Dual.reliable inst.inst_dual) inst.sender);
-  Array.iter
-    (fun j ->
-      if Hashtbl.mem inst.delivered j then begin
-        t.cover.(j) <- t.cover.(j) - 1;
-        recheck_watchdog t j
-      end
-      else begin
-        Uidset.remove t.contenders.(j) inst.uid;
-        recheck_watchdog t j
-      end)
-    (Graphs.Graph.neighbors (Graphs.Dual.unreliable inst.inst_dual) inst.sender);
+  Dsim.Sim.cancel t.sim inst.ack_handle;
+  if not keep_late_deliveries then cancel_pending t inst;
+  let g_row = inst.g_row and g'_row = inst.g'_row in
+  for i = 0 to Array.length g_row - 1 do
+    let j = g_row.(i) in
+    t.connected_open.(j) <- t.connected_open.(j) - 1;
+    recheck_watchdog t j
+  done;
+  for s = 0 to Array.length g'_row - 1 do
+    let j = g'_row.(s) in
+    if is_served inst s then t.cover.(j) <- t.cover.(j) - 1
+    else Contenders.remove t.contenders.(j) inst.uid;
+    recheck_watchdog t j
+  done;
   t.busy.(inst.sender) <- false;
   t.current.(inst.sender) <- None;
-  if not keep_late_deliveries then begin
-    (* The instance is unreachable now (gone from [t.instances], pending
-       all cancelled, contend sets purged above) — recycle its tables. *)
-    Hashtbl.reset inst.delivered;
-    t.pool_delivered <- inst.delivered :: t.pool_delivered;
-    t.pool_pending <- inst.pending :: t.pool_pending
-  end;
-  ignore now
+  if not keep_late_deliveries then recycle t inst
 
 let ack t inst =
   inst.status <- Acked;
@@ -397,58 +410,48 @@ let ack t inst =
   (handlers_exn t inst.sender).Mac_intf.on_ack inst.body
 
 let abort t ~node =
-  (match t.current.(node) with
+  match t.current.(node) with
   | None ->
       raise
         (Not_well_formed
            (Printf.sprintf "node %d aborted with no broadcast in flight" node))
-  | Some uid -> (
-      match Hashtbl.find_opt t.instances uid with
-      | None -> assert false
-      | Some inst ->
-          inst.status <- Aborted (Dsim.Sim.now t.sim);
-          (* With eps_abort = 0, [terminate ~keep_late_deliveries:false]
-             cancels every pending delivery; with eps_abort > 0 they are
-             kept and [deliver] applies the window cutoff at fire time. *)
-          terminate t inst ~keep_late_deliveries:(t.eps_abort > 0.);
-          t.n_abort <- t.n_abort + 1;
-          if tracing t then
-            record t
-              (Dsim.Trace.Abort
-                 {
-                   node;
-                   msg = mid t ~uid:inst.uid inst.body;
-                   instance = inst.uid;
-                 });
-          if t.eps_abort > 0. then begin
-            (* Drop the instance record once the late window has passed. *)
-            ignore
-              (Dsim.Sim.schedule ~cat:"mac.abort_gc" t.sim
-                 ~delay:(t.eps_abort +. 1e-9) (fun () ->
-                   Dsim.Tbl.iter_commutative
-                     (fun _ handle -> Dsim.Sim.cancel t.sim handle)
-                     inst.pending;
-                   Hashtbl.reset inst.pending;
-                   Hashtbl.remove t.instances inst.uid;
-                   Hashtbl.reset inst.delivered;
-                   t.pool_delivered <- inst.delivered :: t.pool_delivered;
-                   t.pool_pending <- inst.pending :: t.pool_pending))
-          end))
+  | Some inst ->
+      inst.status <- Aborted (Dsim.Sim.now t.sim);
+      (* With eps_abort = 0, [terminate ~keep_late_deliveries:false]
+         cancels every pending delivery; with eps_abort > 0 they are
+         kept and [deliver] applies the window cutoff at fire time. *)
+      terminate t inst ~keep_late_deliveries:(t.eps_abort > 0.);
+      t.n_abort <- t.n_abort + 1;
+      if tracing t then
+        record t
+          (Dsim.Trace.Abort
+             { node; msg = mid t ~uid:inst.uid inst.body; instance = inst.uid });
+      if t.eps_abort > 0. then
+        (* Drop the instance once the late window has passed. *)
+        ignore
+          (Dsim.Sim.schedule ~cat:"mac.abort_gc" t.sim
+             ~delay:(t.eps_abort +. 1e-9) (fun () ->
+               cancel_pending t inst;
+               recycle t inst))
 
 (* --- Plan validation ---------------------------------------------------- *)
 
-let validate_plan t ~dual ~sender (plan : Mac_intf.plan) =
+(* Also leaves, in [scratch_slot], each G'-neighbor's slot in [g'_row]
+   for [bcast] to schedule the plan's deliveries with. *)
+let validate_plan t ~g_row ~g'_row (plan : Mac_intf.plan) =
   let { Mac_intf.ack_delay; deliveries } = plan in
   if not (0. <= ack_delay && ack_delay <= t.fack) then
     invalid_arg
       (Printf.sprintf "Standard_mac: plan ack_delay %g outside [0, %g]"
          ack_delay t.fack);
-  let n = Graphs.Dual.n dual in
+  let n = Graphs.Dual.n t.dual in
   t.scratch_epoch <- t.scratch_epoch + 1;
   let epoch = t.scratch_epoch in
-  Array.iter
-    (fun j -> t.scratch_nbr.(j) <- epoch)
-    (Graphs.Graph.neighbors (Graphs.Dual.unreliable dual) sender);
+  for s = 0 to Array.length g'_row - 1 do
+    let j = g'_row.(s) in
+    t.scratch_nbr.(j) <- epoch;
+    t.scratch_slot.(j) <- s
+  done;
   List.iter
     (fun { Mac_intf.receiver; delay } ->
       if receiver < 0 || receiver >= n then
@@ -465,7 +468,7 @@ let validate_plan t ~dual ~sender (plan : Mac_intf.plan) =
     (fun j ->
       if t.scratch_seen.(j) <> epoch then
         invalid_arg "Standard_mac: plan misses a G-neighbor")
-    (Graphs.Graph.neighbors (Graphs.Dual.reliable dual) sender)
+    g_row
 
 (* --- Broadcast ---------------------------------------------------------- *)
 
@@ -492,8 +495,8 @@ let bcast t ~node body =
   in
   if tracing t then
     record t (Dsim.Trace.Bcast { node; msg = mid t ~uid body; instance = uid });
-  let g_neighbors = Graphs.Graph.neighbors (Graphs.Dual.reliable dual) node in
-  let g'_neighbors = Graphs.Graph.neighbors (Graphs.Dual.unreliable dual) node in
+  let g_row = Graphs.Graph.neighbors (Graphs.Dual.reliable dual) node in
+  let g'_row = Graphs.Graph.neighbors (Graphs.Dual.unreliable dual) node in
   (* Precomputed at Dual construction; same ascending order the
      per-broadcast filter used to produce. *)
   let g'_only = Graphs.Dual.g'_only_neighbors dual node in
@@ -503,7 +506,7 @@ let bcast t ~node body =
       bc_uid = uid;
       bc_body = body;
       bc_now = Dsim.Sim.now t.sim;
-      bc_g_neighbors = g_neighbors;
+      bc_g_neighbors = g_row;
       bc_g'_only_neighbors = g'_only;
       bc_fack = t.fack;
       bc_fprog = t.fprog;
@@ -511,47 +514,49 @@ let bcast t ~node body =
     }
   in
   let plan = t.policy.Mac_intf.pol_plan ctx in
-  validate_plan t ~dual ~sender:node plan;
-  let delivered =
-    match t.pool_delivered with
-    | tbl :: rest ->
-        t.pool_delivered <- rest;
-        tbl
-    | [] -> Hashtbl.create 8
-  in
+  validate_plan t ~g_row ~g'_row plan;
+  let d = Array.length g'_row in
   let pending =
-    match t.pool_pending with
-    | tbl :: rest ->
-        t.pool_pending <- rest;
-        tbl
-    | [] -> Hashtbl.create 8
+    let p = t.spare_pending.(node) in
+    if Array.length p = d then begin
+      t.spare_pending.(node) <- [||];
+      Array.fill p 0 d Dsim.Sim.no_event;
+      p
+    end
+    else Array.make d Dsim.Sim.no_event
+  in
+  let served =
+    let b = t.spare_served.(node) and len = (d + 7) / 8 in
+    if Bytes.length b = len then begin
+      t.spare_served.(node) <- Bytes.empty;
+      Bytes.fill b 0 len '\000';
+      b
+    end
+    else Bytes.make len '\000'
   in
   let inst =
-    { uid; sender = node; body; status = Open; delivered; pending;
-      ack_handle = None; inst_dual = dual }
+    { uid; sender = node; body; status = Open; g_row; g'_row; served;
+      pending; ack_handle = Dsim.Sim.no_event }
   in
-  Hashtbl.replace t.instances uid inst;
-  t.current.(node) <- Some uid;
-  Array.iter
-    (fun j -> Uidset.add t.contenders.(j) uid)
-    g'_neighbors;
-  Array.iter
-    (fun j ->
-      t.connected_open.(j) <- t.connected_open.(j) + 1;
-      recheck_watchdog t j)
-    g_neighbors;
+  t.current.(node) <- Some inst;
+  for s = 0 to d - 1 do
+    Contenders.add t.contenders.(g'_row.(s)) ~uid ~sender:node
+  done;
+  for i = 0 to Array.length g_row - 1 do
+    let j = g_row.(i) in
+    t.connected_open.(j) <- t.connected_open.(j) + 1;
+    recheck_watchdog t j
+  done;
   (* Deliveries are scheduled before the ack so that equal-timestamp
      deliveries execute first (the heap is FIFO-stable), preserving
      ack correctness. *)
   List.iter
     (fun { Mac_intf.receiver; delay } ->
-      let handle =
+      let s = t.scratch_slot.(receiver) in
+      pending.(s) <-
         Dsim.Sim.schedule ~cat:"mac.deliver" t.sim ~delay (fun () ->
-            deliver t inst receiver)
-      in
-      Hashtbl.replace inst.pending receiver handle)
+            deliver t inst s))
     plan.Mac_intf.deliveries;
   inst.ack_handle <-
-    Some
-      (Dsim.Sim.schedule ~cat:"mac.ack" t.sim ~delay:plan.Mac_intf.ack_delay
-         (fun () -> ack t inst))
+    Dsim.Sim.schedule ~cat:"mac.ack" t.sim ~delay:plan.Mac_intf.ack_delay
+      (fun () -> ack t inst)

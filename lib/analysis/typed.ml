@@ -66,9 +66,13 @@ let rec collect_cmts acc dir =
       |> List.fold_left
            (fun acc name ->
              let path = Filename.concat dir name in
-             if Sys.is_directory path then collect_cmts acc path
-             else if Filename.check_suffix name ".cmt" then path :: acc
-             else acc)
+             (* The walk covers the whole build tree, where dune may delete
+                a stale test scratch entry between readdir and here. *)
+             match Sys.is_directory path with
+             | exception Sys_error _ -> acc
+             | true -> collect_cmts acc path
+             | false ->
+                 if Filename.check_suffix name ".cmt" then path :: acc else acc)
            acc
 
 type tree = {

@@ -6,15 +6,29 @@
     Since [seq] makes every key unique, pop order is a strict total order
     over pushes — independent of the heap's internal layout.
 
-    A handle is an opaque reference to the inserted entry itself, so
-    {!cancel} is a single field write (no lookup table); cancelled entries
-    are discarded lazily when they reach the root. *)
+    Entries live in flat arrays indexed by a recycled slot, and a handle
+    is an immediate integer packing the entry's [(seq, slot)], so {!push}
+    allocates nothing once the arrays have grown and {!cancel} is one
+    array read (no lookup table); cancelled entries are discarded lazily
+    when they reach the root.
+
+    A slot is reused as soon as its entry is popped or cancelled.  A
+    handle still names only its own entry: cancelling it after its slot
+    has been reused is a no-op, like any cancel of a popped entry.
+
+    The packing bounds a heap's lifetime: at most [2^28] entries live at
+    once and at most [2^34] pushes in all.  {!push} raises
+    [Invalid_argument] past either limit; a handle never wraps. *)
 
 type 'a t
 (** A mutable min-heap holding values of type ['a]. *)
 
-type 'a handle
+type 'a handle [@@immediate]
 (** Identifies one inserted entry, for cancellation. *)
+
+val none : 'a handle
+(** A handle of no entry: cancelling it is a no-op.  Fills handle arrays
+    before their slots are used. *)
 
 val create : unit -> 'a t
 (** [create ()] is a fresh empty heap. *)
@@ -38,7 +52,9 @@ val cancelled : 'a t -> int
 
 val push : 'a t -> time:float -> 'a -> 'a handle
 (** [push h ~time v] inserts [v] with priority [time] and returns a handle
-    that can later be passed to {!cancel}.  One allocation (the entry). *)
+    that can later be passed to {!cancel}.  Allocates nothing, except
+    when the heap's arrays grow.  Raises [Invalid_argument] on a NaN
+    [time] or past the handle's packing limits (see above). *)
 
 val cancel : 'a t -> 'a handle -> unit
 (** [cancel h hd] removes the entry identified by [hd] if it is still

@@ -6,6 +6,8 @@ type job = { cat : int; fn : unit -> unit }
 
 type handle = job Heap.handle
 
+let no_event = Heap.none
+
 type cat_stat = {
   cat_name : string;
   mutable cat_events : int;

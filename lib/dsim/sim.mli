@@ -8,8 +8,13 @@
 type t
 (** A simulation instance. *)
 
-type handle
-(** Identifies a scheduled event, for cancellation. *)
+type handle [@@immediate]
+(** Identifies a scheduled event, for cancellation.  An immediate value,
+    so arrays of handles hold no pointers. *)
+
+val no_event : handle
+(** A handle of no event: {!cancel} of it is a no-op.  Fills the slots
+    of a handle array that hold no scheduled event. *)
 
 exception Causality of { now : float; requested : float }
 (** Raised by {!schedule_at} when asked to schedule strictly in the past. *)
@@ -32,7 +37,8 @@ val schedule : ?cat:string -> t -> delay:float -> (unit -> unit) -> handle
     Raises [Invalid_argument] if [delay < 0.]. *)
 
 val cancel : t -> handle -> unit
-(** Cancel a pending event; a no-op if it already ran or was cancelled. *)
+(** Cancel a pending event; a no-op if it already ran or was cancelled,
+    even once the engine has reused its storage for a later event. *)
 
 val pending : t -> int
 (** Number of events still queued. *)

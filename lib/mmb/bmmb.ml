@@ -6,7 +6,6 @@
 type discipline = [ `Fifo | `Lifo ]
 
 type node_state = {
-  rcvd : (int, unit) Hashtbl.t;
   (* [bcastq] as a double-ended structure: [front] holds messages to send
      next (in order), [back] holds newly enqueued ones in reverse. *)
   mutable front : int list;
@@ -21,6 +20,12 @@ type t = {
   discipline : discipline;
   relay : int -> bool;
   states : node_state array;
+  (* The received sets of all nodes, as one bitset: bit [msg * n + node]
+     says that [node] has [msg].  Rows exist for ids below [width]; a
+     larger id widens the bitset when it first arrives. *)
+  n : int;
+  mutable width : int;
+  mutable rcvd : Bytes.t;
 }
 
 let now t = t.mac.Amac.Mac_handle.h_now ()
@@ -66,10 +71,29 @@ let maybe_send t node =
           st.in_flight <- Some m;
           t.mac.Amac.Mac_handle.h_bcast ~node m)
 
+let has t ~node ~msg =
+  msg < t.width
+  &&
+  let i = (msg * t.n) + node in
+  Char.code (Bytes.get t.rcvd (i lsr 3)) land (1 lsl (i land 7)) <> 0
+
+let set t ~node ~msg =
+  if msg >= t.width then begin
+    let width = max (msg + 1) (2 * t.width) in
+    let rcvd = Bytes.make (((width * t.n) + 7) / 8) '\000' in
+    Bytes.blit t.rcvd 0 rcvd 0 (Bytes.length t.rcvd);
+    t.width <- width;
+    t.rcvd <- rcvd
+  end;
+  let i = (msg * t.n) + node in
+  let b = i lsr 3 in
+  Bytes.set t.rcvd b
+    (Char.chr (Char.code (Bytes.get t.rcvd b) lor (1 lsl (i land 7))))
+
 let get t node msg ~from_env =
   let st = t.states.(node) in
-  if not (Hashtbl.mem st.rcvd msg) then begin
-    Hashtbl.replace st.rcvd msg ();
+  if not (has t ~node ~msg) then begin
+    set t ~node ~msg;
     record_trace t (Dsim.Trace.Deliver { node; msg });
     t.on_deliver ~node ~msg ~time:(now t);
     (* Own arrivals are always broadcast; received messages only by relay
@@ -93,13 +117,10 @@ let install ?(discipline = `Fifo) ?(relay = fun _ -> true) ~mac ~on_deliver
       relay;
       states =
         Array.init n (fun _ ->
-            {
-              rcvd = Hashtbl.create 16;
-              front = [];
-              back = [];
-              queued = 0;
-              in_flight = None;
-            });
+            { front = []; back = []; queued = 0; in_flight = None });
+      n;
+      width = 0;
+      rcvd = Bytes.empty;
     }
   in
   for node = 0 to n - 1 do
@@ -119,6 +140,7 @@ let install ?(discipline = `Fifo) ?(relay = fun _ -> true) ~mac ~on_deliver
   t
 
 let arrive t ~node ~msg =
+  if msg < 0 then invalid_arg "Bmmb.arrive: message ids must be >= 0";
   record_trace t (Dsim.Trace.Arrive { node; msg });
   get t node msg ~from_env:true
 
@@ -126,4 +148,6 @@ let queue_length t ~node =
   let st = t.states.(node) in
   st.queued + match st.in_flight with Some _ -> 1 | None -> 0
 
-let received t ~node ~msg = Hashtbl.mem t.states.(node).rcvd msg
+let received t ~node ~msg =
+  if node < 0 || node >= t.n then invalid_arg "Bmmb.received: node out of range";
+  msg >= 0 && has t ~node ~msg

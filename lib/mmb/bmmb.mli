@@ -35,7 +35,10 @@ val install :
     set ({!Structuring}) to flood over a backbone. *)
 
 val arrive : t -> node:int -> msg:int -> unit
-(** Environment event [arrive(m)_i]: deliver locally and enqueue. *)
+(** Environment event [arrive(m)_i]: deliver locally and enqueue.
+    Message ids are [>= 0] (every {!Problem} builder yields [0..k-1]);
+    raises [Invalid_argument] on a negative one, and on a second arrival
+    of a message the node already has. *)
 
 val queue_length : t -> node:int -> int
 (** Current [bcastq] length (for instrumentation). *)

@@ -153,6 +153,8 @@ let run ~dual ?mk_dyn ~fprog ~assignment ~seed ~partitions ~domains ?trace_out
   if domains < 1 then invalid_arg "Pdes.Engine.run: need domains >= 1";
   if domains > partitions then
     raise (Domains_exceed_partitions { domains; partitions });
+  if List.exists (fun (_, msg) -> msg < 0) assignment then
+    invalid_arg "Pdes.Engine.run: message ids must be >= 0";
   let gprime = Graphs.Dual.unreliable dual in
   let n = Graphs.Graph.n gprime in
   let part = Graphs.Partition.blocks gprime ~parts:partitions in

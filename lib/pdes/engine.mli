@@ -65,7 +65,9 @@ val run :
     partition to build that partition's private dynamic wrapper (it must
     be deterministic — e.g. close over a schedule spec, not a shared
     mutable schedule).  Partitioning uses the base dual's G'.  Requires
-    [partitions >= 1], [1 <= domains], [Fprog > 0]; raises
+    [partitions >= 1], [1 <= domains], [Fprog > 0] and message ids
+    [>= 0] (the serial engine's rule too; [Invalid_argument] names a
+    negative id before anything is allocated); raises
     {!Domains_exceed_partitions} when [domains > partitions].  The
     caller is responsible for [Fprog <= Fack] (the engine acks at
     exactly [bcast + Fprog]). *)

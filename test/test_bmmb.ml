@@ -107,6 +107,61 @@ let test_duplicate_arrival_rejected () =
        false
      with Invalid_argument _ -> true)
 
+(* The received sets are one bitset over (node, message id), widened when
+   a larger id first arrives: here 7 and 40 each arrive past its width,
+   and out of id order.  Every node must still deliver each message once,
+   and the pinned completion time catches any change to the execution. *)
+let test_received_bitset_widens () =
+  let n = 6 in
+  let dual = Graphs.Dual.of_equal (Graphs.Gen.line n) in
+  let sim = Dsim.Sim.create () in
+  let rng = Dsim.Rng.create ~seed:4 in
+  let mac =
+    Amac.Standard_mac.create ~sim ~dual ~fack:8. ~fprog:1.
+      ~policy:(Amac.Schedulers.random_compliant ()) ~rng ()
+  in
+  let ids = [ 7; 0; 40 ] in
+  let count = Array.make_matrix n 41 0 in
+  let finish = ref 0. in
+  let bmmb =
+    Mmb.Bmmb.install ~mac:(Amac.Mac_handle.of_standard mac)
+      ~on_deliver:(fun ~node ~msg ~time ->
+        count.(node).(msg) <- count.(node).(msg) + 1;
+        finish := Float.max !finish time)
+      ()
+  in
+  List.iter2
+    (fun node msg ->
+      Amac.Standard_mac.env_at mac ~time:0. (fun () ->
+          Mmb.Bmmb.arrive bmmb ~node ~msg))
+    [ 2; 5; 0 ] ids;
+  ignore (Dsim.Sim.run sim);
+  for node = 0 to n - 1 do
+    List.iter
+      (fun msg ->
+        Alcotest.(check int)
+          (Printf.sprintf "node %d delivers %d once" node msg)
+          1 count.(node).(msg);
+        Alcotest.(check bool)
+          (Printf.sprintf "node %d received %d" node msg)
+          true
+          (Mmb.Bmmb.received bmmb ~node ~msg))
+      ids;
+    Alcotest.(check bool) "an id never sent, inside the width" false
+      (Mmb.Bmmb.received bmmb ~node ~msg:8);
+    Alcotest.(check bool) "an id past the width" false
+      (Mmb.Bmmb.received bmmb ~node ~msg:41)
+  done;
+  Alcotest.(check (float 1e-9)) "completion time" 17.005204016919489 !finish
+
+(* Message ids are >= 0, one rule for both engines (the partitioned
+   engine's check is in test_pdes.ml). *)
+let test_negative_id_rejected () =
+  let dual = Graphs.Dual.of_equal (Graphs.Gen.line 20) in
+  Alcotest.check_raises "negative id"
+    (Invalid_argument "Bmmb.arrive: message ids must be >= 0") (fun () ->
+      ignore (run ~check_compliance:false dual [ (0, -1); (19, 0) ]))
+
 let prop_bmmb_solves_and_respects_bounds =
   QCheck.Test.make
     ~name:"BMMB solves MMB within the exact paper bound (random nets/policies)"
@@ -159,6 +214,10 @@ let suite =
         Alcotest.test_case "queue introspection" `Quick test_queue_introspection;
         Alcotest.test_case "duplicate arrival rejected" `Quick
           test_duplicate_arrival_rejected;
+        Alcotest.test_case "received bitset widens" `Quick
+          test_received_bitset_widens;
+        Alcotest.test_case "negative message id rejected" `Quick
+          test_negative_id_rejected;
         QCheck_alcotest.to_alcotest prop_bmmb_solves_and_respects_bounds;
       ] );
   ]

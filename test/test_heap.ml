@@ -71,6 +71,42 @@ let test_cancel_of_popped () =
   Alcotest.(check int) "double cancel counted once" 1 (Dsim.Heap.cancelled h);
   Alcotest.(check bool) "drained" true (Dsim.Heap.pop h = None)
 
+(* A handle names its entry, not its slot: once the slot is reused,
+   cancelling the old handle must leave the new occupant alone. *)
+let test_stale_handle_after_slot_reuse () =
+  let h = Dsim.Heap.create () in
+  let a = Dsim.Heap.push h ~time:1. "a" in
+  ignore (Dsim.Heap.pop h) (* frees a's slot *);
+  ignore (Dsim.Heap.push h ~time:2. "b") (* the only free slot: a's *);
+  Dsim.Heap.cancel h a;
+  Alcotest.(check int) "stale cancel not counted" 0 (Dsim.Heap.cancelled h);
+  Alcotest.(check int) "b still live" 1 (Dsim.Heap.length h);
+  Alcotest.(check bool) "b pops" true (Dsim.Heap.pop h = Some (2., "b"))
+
+(* Entries live in recycled slots of flat arrays, so once the arrays have
+   grown a push-cancel-peek cycle allocates nothing (an entry record per
+   push would cost 4 words). *)
+let test_push_allocates_nothing () =
+  let h = Dsim.Heap.create () in
+  let v = "payload" in
+  let cycle () =
+    Dsim.Heap.cancel h (Dsim.Heap.push h ~time:1. v);
+    ignore (Dsim.Heap.peek_time h)
+  in
+  for _ = 1 to 100 do
+    cycle ()
+  done;
+  let iters = 100_000 in
+  let before = Gc.minor_words () in
+  for _ = 1 to iters do
+    cycle ()
+  done;
+  let per_iter = (Gc.minor_words () -. before) /. float_of_int iters in
+  Alcotest.(check bool)
+    (Printf.sprintf "push/cancel/peek_time allocated %.3f words per cycle"
+       per_iter)
+    true (per_iter < 0.001)
+
 let test_pop_if_before () =
   let h = Dsim.Heap.create () in
   Alcotest.(check bool) "empty" true (Dsim.Heap.pop_if_before ~horizon:5. h = Dsim.Heap.Empty);
@@ -154,6 +190,10 @@ let suite =
         Alcotest.test_case "cancel at root" `Quick test_cancel_root;
         Alcotest.test_case "cancel of popped entry" `Quick
           test_cancel_of_popped;
+        Alcotest.test_case "stale handle after slot reuse" `Quick
+          test_stale_handle_after_slot_reuse;
+        Alcotest.test_case "push allocates nothing" `Quick
+          test_push_allocates_nothing;
         Alcotest.test_case "pop_if_before semantics" `Quick test_pop_if_before;
         Alcotest.test_case "pop_if_before skips dead roots" `Quick
           test_pop_if_before_skips_dead;

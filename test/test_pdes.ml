@@ -207,6 +207,19 @@ let test_fprog_above_fack_rejected () =
            ~policy:(Amac.Schedulers.random_compliant ())
            ~assignment:[ (0, 0) ] ~seed:1 ~partitions:2 ~domains:1 ()))
 
+(* Message ids are >= 0 on both engines.  A negative id would index
+   before the start of Mega's received bitset, so the engine rejects it
+   by name up front. *)
+let test_negative_id_rejected () =
+  let dual = Graphs.Dual.of_equal (Graphs.Gen.line 20) in
+  Alcotest.check_raises "negative id"
+    (Invalid_argument "Pdes.Engine.run: message ids must be >= 0") (fun () ->
+      ignore
+        (Mmb.Runner.run_bmmb_pdes ~dual ~fack:8. ~fprog:1.
+           ~policy:(Amac.Schedulers.random_compliant ())
+           ~assignment:[ (0, -1); (19, 0) ] ~seed:1 ~partitions:2 ~domains:1
+           ()))
+
 (* --- Scenario plumbing ----------------------------------------------------- *)
 
 let scenario_json ~extra_fields =
@@ -353,6 +366,8 @@ let suite =
           test_merged_trace_compliant;
         Alcotest.test_case "domains > partitions raises" `Quick
           test_domains_exceed_partitions;
+        Alcotest.test_case "negative message id rejected" `Quick
+          test_negative_id_rejected;
         Alcotest.test_case "Fprog > Fack rejected" `Quick
           test_fprog_above_fack_rejected;
         Alcotest.test_case "scenario parses domains/partitions" `Quick

@@ -56,12 +56,13 @@ let test_record_zero_alloc_when_off () =
   Alcotest.(check int) "records still counted" 100_001 (Dsim.Trace.recorded tr)
 
 (* The MAC plan-time path (policy consult + delivery-plan build) with
-   tracing off: PR 5's pools and epoch-stamped scratch make a steady-
-   state bcast→ack cycle allocate a small constant — the instance
-   record, the plan, the simulator event — independent of history.  A
-   leak (per-cycle table growth, retained plans) shows up as a growing
-   per-cycle figure; the bound is deliberately a few dozen times the
-   honest cost so only real regressions trip it. *)
+   tracing off: each sender's reuse of its last instance's buffers and
+   the epoch-stamped scratch make a steady-state bcast→ack cycle
+   allocate a small constant — the instance record, the plan, the
+   event closures — independent of history.  A leak (per-cycle table
+   growth, retained plans) shows up as a growing per-cycle figure; the
+   bound is deliberately a few dozen times the honest cost so only real
+   regressions trip it. *)
 let test_mac_plan_path_alloc_bounded () =
   let dual = Graphs.Dual.of_equal (Graphs.Gen.line 2) in
   let sim = Dsim.Sim.create () in
