@@ -10,8 +10,9 @@
 #                           suite, the campaign and pdes determinism gates,
 #                           a large audited run (n = 4096, k = 64, --check),
 #                           a large serial run (n = 250000, pinned output),
-#                           and the n = 10^6 partitioned grid run
-#                           (EXPERIMENTS.md E18)
+#                           the n = 10^6 partitioned grid run
+#                           (EXPERIMENTS.md E18) and an n = 10^5
+#                           partitioned line, both with pinned output
 #   bin/verify.sh --tsan    multi-domain exec and pdes tests under
 #                           ThreadSanitizer (needs an OCaml >= 5.2 tsan opam
 #                           switch; set MMB_TSAN_SWITCH to name it
@@ -151,11 +152,23 @@ else
         printf "%s\n" "$out" | grep -qx "time: 489.484" &&
         printf "%s\n" "$out" | grep -qx "engine: 2496002 events executed"'
     # EXPERIMENTS.md E18's reproducer: the million-node grid on the
-    # partitioned engine's struct-of-arrays path must complete.
+    # partitioned engine's struct-of-arrays path must complete and
+    # reproduce its completion time, events and windows exactly.
     gate "E18 million-node grid (-n 1000000 --partitions 8 --domains 2)" \
       sh -c 'out=$(dune exec bin/mmb_sim.exe -- run -t grid -n 1000000 \
           -k 2 --fack 8 --seed 5 --partitions 8 --domains 2) &&
-        printf "%s\n" "$out" && printf "%s\n" "$out" | grep -qx "complete: true"'
+        printf "%s\n" "$out" && printf "%s\n" "$out" | grep -qx "complete: true" &&
+        printf "%s\n" "$out" | grep -qx "time: 373.972" &&
+        printf "%s\n" "$out" | grep -qx "engine: 4041138 events executed, 375 barrier windows, heap high water 4145"'
+    # The partitioned engine's window loop at scale: a 10^5-node line
+    # runs 42002 barrier windows with most partitions idle in each, so
+    # skipping idle partitions must not change the execution.
+    gate "large partitioned line (line -n 100000 --partitions 8, pinned time, events and windows)" \
+      sh -c 'out=$(dune exec bin/mmb_sim.exe -- run -t line -n 100000 \
+          -k 2 --fack 8 --seed 5 --partitions 8) &&
+        printf "%s\n" "$out" | grep -x -e "time: .*" -e "engine: .*" &&
+        printf "%s\n" "$out" | grep -qx "time: 48178.9" &&
+        printf "%s\n" "$out" | grep -qx "engine: 400030 events executed, 42002 barrier windows, heap high water 14"'
   else
     skip "OCAMLRUNPARAM=R dune runtest --force" "run with --full"
     skip "dune build @fixtures" "run with --full"
@@ -165,6 +178,7 @@ else
     skip "large checked run (grid -n 4096 -k 64 --check)" "run with --full"
     skip "large serial run (grid -n 250000 -k 2, pinned time and events)" "run with --full"
     skip "E18 million-node grid (-n 1000000 --partitions 8 --domains 2)" "run with --full"
+    skip "large partitioned line (line -n 100000 --partitions 8, pinned time, events and windows)" "run with --full"
   fi
 fi
 

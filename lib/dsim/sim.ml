@@ -94,7 +94,8 @@ let category_stats t =
   |> List.sort (fun (a, _, _) (b, _, _) -> String.compare a b)
 [@@mmb.alloc_ok "post-run reporting, never on the per-event path"]
 
-let next_time t = Heap.peek_time t.queue
+let next_time t =
+  match Heap.peek_time t.queue with None -> infinity | Some time -> time
 let heap_high_water t = Heap.high_water t.queue
 let heap_pushes t = Heap.pushes t.queue
 let cancelled_events t = Heap.cancelled t.queue

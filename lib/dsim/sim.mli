@@ -43,10 +43,12 @@ val cancel : t -> handle -> unit
 val pending : t -> int
 (** Number of events still queued. *)
 
-val next_time : t -> float option
-(** Timestamp of the earliest queued event, or [None] when the queue is
-    empty.  The horizon-parallel engine (lib/pdes) reads this across
-    partitions to pick the next barrier window's start. *)
+val next_time : t -> float
+(** Timestamp of the earliest queued event, or [infinity] when the queue
+    is empty.  The horizon-parallel engine (lib/pdes) keeps one per
+    partition: their minimum starts the next barrier window, and a
+    partition whose next event lies past the window's horizon is not
+    run in it. *)
 
 type outcome =
   | Drained  (** the event queue emptied *)

@@ -145,7 +145,26 @@ let merge_spills ~paths ~out =
       loop ());
   !written
 
-(* --- Engine --------------------------------------------------------------- *)
+(* --- Engine ---------------------------------------------------------------
+
+   [next.(p)] is partition [p]'s earliest pending event time ([infinity]
+   when its heap is empty), so the window's start [tau] is a scan of P
+   floats.  A window runs only the partitions with an event due by its
+   horizon: {!Dsim.Sim.run} on any other would execute nothing and only
+   move that partition's clock to the horizon, which no callback reads
+   (each reads the clock at its own event's time), so skipping it leaves
+   the execution unchanged. *)
+
+(* Run domain [w]'s partitions ([p mod domains = w]) that have an event
+   due by [until], and record each one's next event time. *)
+let run_due ~sims ~next ~domains w until =
+  for i = 0 to (Array.length sims - 1 - w) / domains do
+    let p = w + (i * domains) in
+    if next.(p) <= until then begin
+      ignore (Dsim.Sim.run ~until sims.(p));
+      next.(p) <- Dsim.Sim.next_time sims.(p)
+    end
+  done
 
 let run ~dual ?mk_dyn ~fprog ~assignment ~seed ~partitions ~domains ?trace_out
     () =
@@ -155,9 +174,16 @@ let run ~dual ?mk_dyn ~fprog ~assignment ~seed ~partitions ~domains ?trace_out
     raise (Domains_exceed_partitions { domains; partitions });
   if List.exists (fun (_, msg) -> msg < 0) assignment then
     invalid_arg "Pdes.Engine.run: message ids must be >= 0";
+  (* The serial engine's tracker rejects a repeated id with this message;
+     completion below counts one delivery per node per distinct id. *)
+  let messages = List.length assignment in
+  if List.length (List.sort_uniq Int.compare (List.map snd assignment))
+     <> messages
+  then invalid_arg "Problem.tracker: duplicate message id in assignment";
   let gprime = Graphs.Dual.unreliable dual in
   let n = Graphs.Graph.n gprime in
   let part = Graphs.Partition.blocks gprime ~parts:partitions in
+  (* Ids index Mega's per-node bitset, so k spans the largest id. *)
   let k = 1 + List.fold_left (fun acc (_, m) -> max acc m) (-1) assignment in
   let k = max k 1 in
   let sims = Array.init partitions (fun _ -> Dsim.Sim.create ()) in
@@ -188,47 +214,39 @@ let run ~dual ?mk_dyn ~fprog ~assignment ~seed ~partitions ~domains ?trace_out
   List.iter
     (fun (node, msg) -> Mega.schedule_arrival megas.(part.(node)) ~node ~msg)
     assignment;
-  let my_partitions w =
-    let rec go p acc = if p < 0 then acc else go (p - domains) (p :: acc) in
-    go (partitions - 1 - ((partitions - 1 - w) mod domains)) []
-  in
-  let run_partitions ps until =
-    List.iter (fun p -> ignore (Dsim.Sim.run ~until sims.(p))) ps
-  in
+  let next = Array.map Dsim.Sim.next_time sims in
+  (* Only windows in which some partition sent anything drain the
+     mailboxes, and only destinations that received entries change. *)
   let flush () =
-    for dst = 0 to partitions - 1 do
-      List.iter
-        (fun entry -> Mega.receive_remote megas.(dst) entry)
-        (Mailbox.drain boxes ~dst)
-    done
-  in
-  let next_tau () =
-    Array.fold_left
-      (fun acc sim ->
-        match Dsim.Sim.next_time sim with
-        | None -> acc
-        | Some t -> (
-            match acc with None -> Some t | Some u -> Some (Float.min u t)))
-      None sims
+    if Mailbox.pending boxes then
+      for dst = 0 to partitions - 1 do
+        match Mailbox.drain boxes ~dst with
+        | [] -> ()
+        | entries ->
+            List.iter (Mega.receive_remote megas.(dst)) entries;
+            next.(dst) <- Dsim.Sim.next_time sims.(dst)
+      done
   in
   let windows = ref 0 in
-  let mine = my_partitions 0 in
   let step run_window =
     let rec loop () =
-      match next_tau () with
-      | None -> ()
-      | Some tau ->
-          run_window (tau +. fprog);
-          flush ();
-          incr windows;
-          loop ()
+      let tau = ref infinity in
+      for p = 0 to partitions - 1 do
+        if next.(p) < !tau then tau := next.(p)
+      done;
+      if !tau < infinity then begin
+        run_window (!tau +. fprog);
+        flush ();
+        incr windows;
+        loop ()
+      end
     in
     loop ()
   in
   (if domains = 1 then
      (* [--domains 1]: same windows, same mailboxes, no domains at all —
         the parallel execution run entirely on the calling domain. *)
-     step (fun until -> run_partitions (List.init partitions Fun.id) until)
+     step (run_due ~sims ~next ~domains 0)
    else begin
      let b =
        {
@@ -241,19 +259,18 @@ let run ~dual ?mk_dyn ~fprog ~assignment ~seed ~partitions ~domains ?trace_out
        }
      in
      let spawned =
-       (* The worker closures deliberately capture [sims] (and, through
-          the megas' callbacks, the partition state): each worker only
-          touches the partitions assigned to it ([p mod domains]), and
-          every cross-window access is ordered by the barrier mutex. *)
+       (* The worker closures deliberately capture [sims] and [next]
+          (and, through the megas' callbacks, the partition state).
+          Worker [w] runs, and writes [next.(p)] for, only its own
+          partitions ([p mod domains = w]), so no two domains write the
+          same slot; the coordinator reads every slot, and writes them in
+          [flush], only while all workers are parked, and the barrier
+          mutex orders each of those phases after the workers' writes. *)
        List.init (domains - 1) (fun i ->
            let w = i + 1 in
-           let ps = my_partitions w in
            (* analysis: allow R2 *)
            Domain.spawn (fun () ->
-               worker_loop b (fun until ->
-                   List.iter
-                     (fun p -> ignore (Dsim.Sim.run ~until sims.(p)))
-                     ps)))
+               worker_loop b (fun until -> run_due ~sims ~next ~domains w until)))
      in
      Fun.protect
        ~finally:(fun () ->
@@ -270,7 +287,7 @@ let run ~dual ?mk_dyn ~fprog ~assignment ~seed ~partitions ~domains ?trace_out
              b.running <- domains - 1;
              Condition.broadcast b.cond;
              Mutex.unlock b.mutex;
-             run_partitions mine until;
+             run_due ~sims ~next ~domains 0 until;
              Mutex.lock b.mutex;
              while b.running > 0 do
                Condition.wait b.cond b.mutex
@@ -292,7 +309,7 @@ let run ~dual ?mk_dyn ~fprog ~assignment ~seed ~partitions ~domains ?trace_out
   in
   let sum f = Array.fold_left (fun acc m -> acc + f m) 0 megas in
   let deliveries = sum Mega.delivered in
-  let complete = deliveries = n * k && assignment <> [] in
+  let complete = deliveries = n * messages && assignment <> [] in
   {
     complete;
     time =

@@ -20,6 +20,16 @@
     heaps, whose FIFO-stable ordering then replays them identically on
     every run.
 
+    A window pays only for its due partitions.  Each partition's next
+    event time ({!Dsim.Sim.next_time}) is kept in a float array, so
+    [tau] is a scan of [P] floats, and a window runs only the partitions
+    with an event at or before its horizon: running an idle one would
+    execute nothing.  The mailboxes are drained only after windows in
+    which some partition sent something (flush-on-send), and only the
+    destinations that received entries are rescheduled.  Windows,
+    events, RNG draws and trace bytes are those of running every
+    partition in every window.
+
     With [~trace_out], each partition streams its events to a spill file
     ({!Dsim.Trace_io.stream_file}; the in-memory trace retains nothing)
     and the engine finishes with a streaming merge ordered by
@@ -65,9 +75,19 @@ val run :
     partition to build that partition's private dynamic wrapper (it must
     be deterministic — e.g. close over a schedule spec, not a shared
     mutable schedule).  Partitioning uses the base dual's G'.  Requires
-    [partitions >= 1], [1 <= domains], [Fprog > 0] and message ids
-    [>= 0] (the serial engine's rule too; [Invalid_argument] names a
-    negative id before anything is allocated); raises
-    {!Domains_exceed_partitions} when [domains > partitions].  The
+    [partitions >= 1], [1 <= domains], [Fprog > 0] and distinct message
+    ids [>= 0] (the serial engine's rules too; [Invalid_argument] names
+    a negative id, or a repeated one with the serial tracker's message,
+    before anything is allocated); raises {!Domains_exceed_partitions}
+    when [domains > partitions].  Ids need not be dense: the run is
+    complete when every node has delivered every distinct id.  The
     caller is responsible for [Fprog <= Fack] (the engine acks at
-    exactly [bcast + Fprog]). *)
+    exactly [bcast + Fprog]).
+
+    One divergence from the serial engine remains: completion requires
+    {e every} node to deliver every message, while the serial tracker
+    requires only the nodes in the source's G-component.  On a dual
+    whose G is disconnected the two disagree: with two 10-node lines
+    and one message at node 0, [P = 1] completes at 7.406 and [P = 2]
+    never completes.  Matching the tracker would need a BFS over G
+    inside the run. *)

@@ -6,7 +6,9 @@
      - MAC instance: [in_flight.(l)] (message id, -1 idle) and
        [inst_uid.(l)] (its instance id).
    Everything is allocated once in [create]; the per-event path allocates
-   only the scheduled closures. *)
+   only the scheduled closures, so the module opts into the hot-path
+   discipline checks. *)
+[@@@mmb.hot]
 
 type t = {
   sim : Dsim.Sim.t;
@@ -124,33 +126,32 @@ and bcast t ~node ~l ~msg ~time =
      not O(active instances * degree). *)
   let local_delay = Dsim.Rng.float t.rng t.fprog in
   let owned = ref false in
-  Array.iter (fun j -> if t.part.(j) = t.me then owned := true) nbrs;
+  for i = 0 to Array.length nbrs - 1 do
+    let j = nbrs.(i) in
+    let dst = t.part.(j) in
+    if dst = t.me then owned := true
+    else
+      t.send ~dst { Mailbox.time = time +. t.fprog; node = j; msg; inst = uid }
+  done;
   if !owned then
     ignore
       (Dsim.Sim.schedule_at t.sim ~time:(time +. local_delay) (fun () ->
            deliver_batch t ~nbrs ~msg ~uid));
-  Array.iter
-    (fun j ->
-      let dst = t.part.(j) in
-      if dst <> t.me then
-        t.send ~dst
-          { Mailbox.time = time +. t.fprog; node = j; msg; inst = uid })
-    nbrs;
   ignore
     (Dsim.Sim.schedule_at t.sim ~time:(time +. t.fprog) (fun () ->
          ack t ~node ~l))
 
 and deliver_batch t ~nbrs ~msg ~uid =
   let time = Dsim.Sim.now t.sim in
-  Array.iter
-    (fun j ->
-      if t.part.(j) = t.me then begin
-        t.c_rcvs <- t.c_rcvs + 1;
-        if t.tracing then
-          record t ~time (Dsim.Trace.Rcv { node = j; msg; instance = uid });
-        accept t ~node:j ~msg ~time
-      end)
-    nbrs
+  for i = 0 to Array.length nbrs - 1 do
+    let j = nbrs.(i) in
+    if t.part.(j) = t.me then begin
+      t.c_rcvs <- t.c_rcvs + 1;
+      if t.tracing then
+        record t ~time (Dsim.Trace.Rcv { node = j; msg; instance = uid });
+      accept t ~node:j ~msg ~time
+    end
+  done
 
 and accept t ~node ~msg ~time =
   let l = t.local_of.(node) in

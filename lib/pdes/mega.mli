@@ -71,7 +71,8 @@ val acks : t -> int
 
 val delivered : t -> int
 (** Distinct (node, message) deliveries so far, arrivals included —
-    [n_local * k] when this partition is done. *)
+    [n_local] times the number of messages when this partition is
+    done. *)
 
 val n_local : t -> int
 

@@ -143,6 +143,34 @@ let test_domains_invariant_churn () =
         ~policy:(Amac.Schedulers.random_compliant ())
         ~assignment ~seed:3 ~partitions:4 ~domains ~mk_dyn ~trace_out ())
 
+(* The merged trace of a P >= 2 run, pinned by digest at two domain
+   counts, so a change to the partitioned execution itself (not only to
+   its mapping onto domains) fails here.  The run is
+   [mmb_sim run -t line -n 200 -k 3 --fack 8 --seed 3 --partitions 4
+   --trace-out FILE]. *)
+let test_merged_trace_pinned () =
+  List.iter
+    (fun domains ->
+      let spec =
+        match
+          Mmb.Scenario.of_string
+            (Printf.sprintf
+               {|{"topology": "line", "n": 200, "k": 3, "fack": 8, "seed": 3,
+                  "partitions": 4, "domains": %d}|}
+               domains)
+        with
+        | Ok spec -> spec
+        | Error e -> Alcotest.fail e
+      in
+      let path = tmp_trace "pinned" in
+      ignore (Mmb.Scenario.run ~trace_out:path spec ~seed:spec.Mmb.Scenario.seed);
+      let digest = Digest.to_hex (Digest.file path) in
+      Sys.remove path;
+      Alcotest.(check string)
+        (Printf.sprintf "merged trace md5 at %d domain(s)" domains)
+        "691604882ca943a07854915a8cf4ab50" digest)
+    [ 1; 2 ]
+
 (* --- Merged traces satisfy the MAC axioms --------------------------------- *)
 
 let test_merged_trace_compliant () =
@@ -219,6 +247,42 @@ let test_negative_id_rejected () =
            ~policy:(Amac.Schedulers.random_compliant ())
            ~assignment:[ (0, -1); (19, 0) ] ~seed:1 ~partitions:2 ~domains:1
            ()))
+
+(* A repeated id is the serial tracker's error on every P, raised before
+   anything is built. *)
+let test_duplicate_id_rejected () =
+  let dual = Graphs.Dual.of_equal (Graphs.Gen.line 20) in
+  List.iter
+    (fun partitions ->
+      Alcotest.check_raises
+        (Printf.sprintf "duplicate id at P=%d" partitions)
+        (Invalid_argument
+           "Problem.tracker: duplicate message id in assignment") (fun () ->
+          ignore
+            (Mmb.Runner.run_bmmb_pdes ~dual ~fack:8. ~fprog:1.
+               ~policy:(Amac.Schedulers.random_compliant ())
+               ~assignment:[ (0, 0); (0, 0) ] ~seed:1 ~partitions ~domains:1
+               ())))
+    [ 1; 2 ]
+
+(* Ids need not be dense: completion counts one delivery per node per
+   distinct id, not per slot up to the largest id. *)
+let test_sparse_id_completes () =
+  let dual = Graphs.Dual.of_equal (Graphs.Gen.line 20) in
+  List.iter
+    (fun partitions ->
+      let r =
+        Mmb.Runner.run_bmmb_pdes ~dual ~fack:8. ~fprog:1.
+          ~policy:(Amac.Schedulers.random_compliant ())
+          ~assignment:[ (0, 5) ] ~seed:1 ~partitions ~domains:1 ()
+      in
+      let tag = Printf.sprintf "P=%d" partitions in
+      Alcotest.(check bool) (tag ^ " completes") true r.Mmb.Runner.pd_complete;
+      Alcotest.(check int) (tag ^ " one delivery per node") 20
+        r.Mmb.Runner.pd_deliveries;
+      Alcotest.(check bool) (tag ^ " finite time") true
+        (Float.is_finite r.Mmb.Runner.pd_time))
+    [ 1; 2 ]
 
 (* --- Scenario plumbing ----------------------------------------------------- *)
 
@@ -337,6 +401,32 @@ let test_mega_allocation_per_event () =
     true
     (large <= (2. *. small) +. 64.)
 
+(* A barrier window pays only for the partitions with an event due in
+   it.  On a line most windows hold a few events in one or two
+   partitions, so any per-window cost linear in P would show up as words
+   per event growing with P. *)
+let test_window_allocation_flat_in_partitions () =
+  let n = 4_000 in
+  let dual = Graphs.Dual.of_equal (Graphs.Gen.line n) in
+  let policy = Amac.Schedulers.random_compliant () in
+  let words_per_event partitions =
+    let before = Gc.minor_words () in
+    let r =
+      Mmb.Runner.run_bmmb_pdes ~dual ~fack:8. ~fprog:1. ~policy
+        ~assignment:[ (0, 0); (n - 1, 1) ] ~seed:5 ~partitions ~domains:1 ()
+    in
+    let words = Gc.minor_words () -. before in
+    Alcotest.(check bool) "completes" true r.Mmb.Runner.pd_complete;
+    words /. float_of_int r.Mmb.Runner.pd_events
+  in
+  let p2 = words_per_event 2 in
+  let p16 = words_per_event 16 in
+  Alcotest.(check bool)
+    (Printf.sprintf
+       "words per event at P=16 within 25%% of P=2 (%.1f vs %.1f)" p16 p2)
+    true
+    (p16 <= 1.25 *. p2)
+
 (* --- Exec.Pool.resolve_jobs ------------------------------------------------ *)
 
 let test_resolve_jobs () =
@@ -362,12 +452,18 @@ let suite =
           `Quick test_domains_invariant_static;
         Alcotest.test_case "trace bytes invariant across domains (churn)"
           `Quick test_domains_invariant_churn;
+        Alcotest.test_case "P=4 merged trace pinned at 1 and 2 domains" `Quick
+          test_merged_trace_pinned;
         Alcotest.test_case "merged trace passes the compliance audit" `Quick
           test_merged_trace_compliant;
         Alcotest.test_case "domains > partitions raises" `Quick
           test_domains_exceed_partitions;
         Alcotest.test_case "negative message id rejected" `Quick
           test_negative_id_rejected;
+        Alcotest.test_case "duplicate message id rejected" `Quick
+          test_duplicate_id_rejected;
+        Alcotest.test_case "sparse message id completes" `Quick
+          test_sparse_id_completes;
         Alcotest.test_case "Fprog > Fack rejected" `Quick
           test_fprog_above_fack_rejected;
         Alcotest.test_case "scenario parses domains/partitions" `Quick
@@ -378,6 +474,8 @@ let suite =
           test_scenario_domains_sweepable;
         Alcotest.test_case "mega path allocates O(1) words per event" `Quick
           test_mega_allocation_per_event;
+        Alcotest.test_case "window allocation flat in partition count" `Quick
+          test_window_allocation_flat_in_partitions;
         Alcotest.test_case "Pool.resolve_jobs CLI convention" `Quick
           test_resolve_jobs;
       ] );
