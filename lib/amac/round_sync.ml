@@ -68,7 +68,7 @@ let create ~mac () =
       next_env_uid = 0;
     }
   in
-  let g = Graphs.Dual.reliable (Standard_mac.dual mac) in
+  let dual = Standard_mac.dual mac in
   for node = 0 to n - 1 do
     Standard_mac.attach mac ~node
       {
@@ -76,7 +76,7 @@ let create ~mac () =
           (fun ~src body ->
             let uid = t.next_env_uid in
             t.next_env_uid <- uid + 1;
-            let reliable = Graphs.Graph.mem_edge g src node in
+            let reliable = Graphs.Dual.is_reliable dual src node in
             t.inbox.(node) <-
               Message.make ~uid ~src ~reliable body :: t.inbox.(node));
         on_ack = (fun _ -> ());

@@ -96,7 +96,7 @@ type 'msg t = {
   connected_open : int array; (* open instances from G-neighbors *)
   cover : int array; (* open G'-instances that already delivered here *)
   contenders : Contenders.t array;
-  watchdog : Dsim.Sim.handle option array;
+  watchdog : Dsim.Sim.handle array; (* armed watchdog, or [no_event] *)
   (* One watchdog callback per node, allocated on first use and reused for
      every rescheduling (watchdogs churn on each delivery/termination). *)
   watchdog_fn : (unit -> unit) option array;
@@ -167,7 +167,7 @@ let create ~sim ~dual ~fack ~fprog ~policy ~rng ?(eps_abort = 0.) ?dyn ?trace
     connected_open = Array.make n 0;
     cover = Array.make n 0;
     contenders = Array.init n (fun _ -> Contenders.create ());
-    watchdog = Array.make n None;
+    watchdog = Array.make n Dsim.Sim.no_event;
     watchdog_fn = Array.make n None;
     has_received_fn = Array.make n None;
     received_bodies = Array.init n (fun _ -> Hashtbl.create 16);
@@ -257,25 +257,26 @@ let rec sender_of uid = function
 
 let rec recheck_watchdog t j =
   let needed = t.connected_open.(j) > 0 && t.cover.(j) = 0 in
-  match (needed, t.watchdog.(j)) with
-  | true, Some _ | false, None -> ()
-  | true, None ->
-      let fn =
-        match t.watchdog_fn.(j) with
-        | Some fn -> fn
-        | None ->
-            let fn () = fire_watchdog t j in
-            t.watchdog_fn.(j) <- Some fn;
-            fn
-      in
-      let handle = Dsim.Sim.schedule ~cat:"mac.watchdog" t.sim ~delay:t.fprog fn in
-      t.watchdog.(j) <- Some handle
-  | false, Some handle ->
-      Dsim.Sim.cancel t.sim handle;
-      t.watchdog.(j) <- None
+  let armed = t.watchdog.(j) <> Dsim.Sim.no_event in
+  if needed && not armed then begin
+    let fn =
+      match t.watchdog_fn.(j) with
+      | Some fn -> fn
+      | None ->
+          let fn () = fire_watchdog t j in
+          t.watchdog_fn.(j) <- Some fn;
+          fn
+    in
+    t.watchdog.(j) <-
+      Dsim.Sim.schedule ~cat:"mac.watchdog" t.sim ~delay:t.fprog fn
+  end
+  else if armed && not needed then begin
+    Dsim.Sim.cancel t.sim t.watchdog.(j);
+    t.watchdog.(j) <- Dsim.Sim.no_event
+  end
 
 and fire_watchdog t j =
-  t.watchdog.(j) <- None;
+  t.watchdog.(j) <- Dsim.Sim.no_event;
   if t.connected_open.(j) > 0 && t.cover.(j) = 0 then begin
     (* Ascending-uid traversal with a cons per candidate gives a
        descending-uid list; the order feeds the forced-choice policy, so

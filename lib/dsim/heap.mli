@@ -1,80 +1,99 @@
-(** Binary min-heap of timestamped entries with stable ordering and O(1)
-    cancellation, used as the event queue of the simulator.
+(** Binary min-heap of slots keyed by [(time, seq)], with O(1)
+    cancellation: the event queue of the simulator.
 
-    Entries are ordered by [(time, seq)] where [seq] is an insertion counter,
-    so two entries scheduled for the same instant pop in insertion order.
-    Since [seq] makes every key unique, pop order is a strict total order
-    over pushes — independent of the heap's internal layout.
+    The heap orders {e slots}, not values: {!push} takes only a time and
+    returns a handle naming a slot ({!slot}), and the caller keeps the
+    entry's payload in its own slot-indexed arrays.  Slots are recycled,
+    so those arrays stay as long as the most entries ever live at once.
 
-    Entries live in flat arrays indexed by a recycled slot, and a handle
-    is an immediate integer packing the entry's [(seq, slot)], so {!push}
-    allocates nothing once the arrays have grown and {!cancel} is one
-    array read (no lookup table); cancelled entries are discarded lazily
-    when they reach the root.
+    Entries are ordered by [(time, seq)] where [seq] is an insertion
+    counter, so two entries scheduled for the same instant pop in
+    insertion order.  Since [seq] makes every key unique, pop order is a
+    strict total order over pushes — independent of the heap's internal
+    layout, which a pop (a bottom-up sift-down) and compaction (below)
+    are free to change.
 
-    A slot is reused as soon as its entry is popped or cancelled.  A
-    handle still names only its own entry: cancelling it after its slot
-    has been reused is a no-op, like any cancel of a popped entry.
+    A handle is an immediate integer packing the entry's [(seq, slot)],
+    so {!push} allocates nothing once the heap's arrays have grown, and
+    {!cancel} is one array read (no lookup table).  A slot is reused as
+    soon as its entry is popped or cancelled; a handle still names only
+    its own entry, so cancelling it after its slot has been reused is a
+    no-op, like any cancel of a popped entry.
+
+    A cancelled entry's key stays in the heap until it surfaces at the
+    root, except that once a cancel leaves more dead keys than live ones
+    the heap drops every dead key and re-heapifies (compaction), so right
+    after a cancel it holds at most about twice its live entries.  The
+    cancels that made those keys dead pay for the compaction.
 
     The packing bounds a heap's lifetime: at most [2^28] entries live at
     once and at most [2^34] pushes in all.  {!push} raises
     [Invalid_argument] past either limit; a handle never wraps. *)
 
-type 'a t
-(** A mutable min-heap holding values of type ['a]. *)
+type t
+(** A mutable min-heap of slots. *)
 
-type 'a handle [@@immediate]
+type handle [@@immediate]
 (** Identifies one inserted entry, for cancellation. *)
 
-val none : 'a handle
+val none : handle
 (** A handle of no entry: cancelling it is a no-op.  Fills handle arrays
     before their slots are used. *)
 
-val create : unit -> 'a t
+val slot : handle -> int
+(** The slot of the entry the handle names: a small non-negative int,
+    below the largest number of entries ever live at once. *)
+
+val create : unit -> t
 (** [create ()] is a fresh empty heap. *)
 
-val length : 'a t -> int
+val length : t -> int
 (** Number of live (non-cancelled) entries. *)
 
-val is_empty : 'a t -> bool
+val is_empty : t -> bool
 (** [is_empty h] is [length h = 0]. *)
 
-val high_water : 'a t -> int
+val high_water : t -> int
 (** Maximum number of live entries ever held — the heap-depth high-water
     mark, for engine profiling. *)
 
-val pushes : 'a t -> int
+val pushes : t -> int
 (** Total entries ever pushed (live, popped, or cancelled). *)
 
-val cancelled : 'a t -> int
+val cancelled : t -> int
 (** Entries cancelled while still pending (double-cancels and cancels of
     already-popped entries are not counted). *)
 
-val push : 'a t -> time:float -> 'a -> 'a handle
-(** [push h ~time v] inserts [v] with priority [time] and returns a handle
-    that can later be passed to {!cancel}.  Allocates nothing, except
-    when the heap's arrays grow.  Raises [Invalid_argument] on a NaN
-    [time] or past the handle's packing limits (see above). *)
+val compactions : t -> int
+(** Times the heap has dropped its dead keys because they outnumbered
+    the live ones. *)
 
-val cancel : 'a t -> 'a handle -> unit
+val push : t -> time:float -> handle
+(** [push h ~time] inserts an entry with priority [time] in a free slot
+    and returns its handle.  Allocates nothing, except when the heap's
+    arrays grow.  Raises [Invalid_argument] on a NaN [time] or past the
+    handle's packing limits (see above). *)
+
+val push_after : t -> now:float array -> delay:float -> handle
+(** [push_after h ~now ~delay] is [push h ~time:(now.(0) +. delay)],
+    with the sum computed inside the heap so that it is never boxed: a
+    simulator keeps its clock in [now] and schedules relative to it
+    allocation-free. *)
+
+val cancel : t -> handle -> unit
 (** [cancel h hd] removes the entry identified by [hd] if it is still
-    present; cancelling an already-popped or already-cancelled entry is a
-    no-op. *)
+    present and frees its slot; cancelling an already-popped or
+    already-cancelled entry is a no-op. *)
 
-val pop : 'a t -> (float * 'a) option
-(** [pop h] removes and returns the entry with the smallest [(time, seq)]
-    key, or [None] if the heap is empty. *)
+val min_time : t -> float
+(** Priority of the live entry with the smallest [(time, seq)] key, or
+    [infinity] when the heap is empty. *)
 
-val peek_time : 'a t -> float option
-(** [peek_time h] is the priority of the next entry {!pop} would return. *)
-
-type 'a next =
-  | Empty  (** no live entries *)
-  | Later of float  (** next entry is strictly past the horizon *)
-  | Due of float * 'a  (** popped: at or before the horizon *)
-
-val pop_if_before : ?horizon:float -> 'a t -> 'a next
-(** [pop_if_before ?horizon h] combines {!peek_time} and {!pop} in one
-    traversal: pops the minimum entry unless its time is strictly greater
-    than [horizon], in which case it stays queued and its time is returned
-    as [Later].  Without [horizon] the result is never [Later]. *)
+val pop_until : t -> until:float -> time:float array -> int
+(** [pop_until h ~until ~time] removes the live entry with the smallest
+    [(time, seq)] key if its time is at most [until], writes that time
+    to [time.(0)] and returns its slot, which is free again from then
+    on.  Otherwise (an empty heap, or a minimum past [until]) it returns
+    [-1] and leaves the heap and [time] alone.  The time travels through
+    the caller's float array, not a return value, so the pop allocates
+    nothing; [~until:infinity] pops any minimum. *)

@@ -3,7 +3,16 @@
     A simulation owns a virtual clock and an event queue of timestamped
     callbacks.  Running the simulation repeatedly pops the earliest event,
     advances the clock to its timestamp, and executes its callback; callbacks
-    may schedule further events.  Time never flows backwards. *)
+    may schedule further events.  Time never flows backwards.
+
+    An event's callback is either a thunk ({!schedule_at}, {!schedule}) or
+    a handler registered once ({!register}) applied to an int argument
+    ({!post}).  The engine keeps each queued event's category
+    and callback in arrays indexed by its {!Heap} slot and its clock in an
+    unboxed cell, so running an event allocates nothing, and neither does
+    posting one: a hot caller that registers its handlers up front and
+    encodes each event as an int (a node, say) allocates nothing per
+    event but what its handlers do. *)
 
 type t
 (** A simulation instance. *)
@@ -17,13 +26,15 @@ val no_event : handle
     of a handle array that hold no scheduled event. *)
 
 exception Causality of { now : float; requested : float }
-(** Raised by {!schedule_at} when asked to schedule strictly in the past. *)
+(** Raised by {!schedule_at} when asked to schedule strictly in the
+    past. *)
 
 val create : unit -> t
 (** A fresh simulation with the clock at time [0.]. *)
 
 val now : t -> float
-(** Current virtual time. *)
+(** Current virtual time.  The clock lives in an unboxed cell, so a call
+    the compiler does not inline allocates the float it returns. *)
 
 val schedule_at : ?cat:string -> t -> time:float -> (unit -> unit) -> handle
 (** [schedule_at sim ~time f] runs [f] when the clock reaches [time].
@@ -33,8 +44,26 @@ val schedule_at : ?cat:string -> t -> time:float -> (unit -> unit) -> handle
     only in {!executed_events}. *)
 
 val schedule : ?cat:string -> t -> delay:float -> (unit -> unit) -> handle
-(** [schedule sim ~delay f] is [schedule_at sim ~time:(now sim +. delay) f].
-    Raises [Invalid_argument] if [delay < 0.]. *)
+(** [schedule sim ~delay f] is [schedule_at sim ~time:(now sim +. delay) f],
+    without boxing the sum.  Raises [Invalid_argument] if [delay < 0.]. *)
+
+type handler [@@immediate]
+(** A callback registered with one simulation, for {!post}. *)
+
+val register : t -> (int -> unit) -> handler
+(** [register sim fn] makes [fn] postable on [sim]; every event posted
+    with the handler calls [fn] with the event's int argument.  Posted
+    events are uncategorized: they count only in {!executed_events}. *)
+
+val post : t -> delay:float -> handler -> int -> handle
+(** [post sim ~delay h arg] runs [h]'s function on [arg] when the clock
+    reaches [now sim +. delay], ordered with every other event by
+    [(time, scheduling order)] exactly as {!schedule}.  Allocates
+    nothing once the queue has grown: the sum is never boxed.  Raises
+    [Invalid_argument] if [delay < 0.] or if [h]'s id is out of range
+    for [sim], i.e. [sim] has registered fewer handlers.  A handler
+    registered with another simulation is not detected when its id is
+    in range: it runs [sim]'s handler with that id. *)
 
 val cancel : t -> handle -> unit
 (** Cancel a pending event; a no-op if it already ran or was cancelled,
@@ -88,8 +117,9 @@ val category_stats : t -> (string * int * float) list
 
 val cat_interned : t -> int
 (** Number of distinct category names interned so far.  Categories are
-    interned to dense ids at {!schedule} time so per-event accounting is an
-    array index; this count feeds the [engine.cat_interned] metric. *)
+    interned to dense ids at {!schedule} time so
+    per-event accounting is an array index; this count feeds the
+    [engine.cat_interned] metric. *)
 
 val heap_high_water : t -> int
 (** Maximum number of simultaneously pending events ever observed. *)

@@ -1,20 +1,48 @@
 let unreachable = max_int
 
+(* The BFS queue: a ring of ints that doubles when full.  A search holds
+   only its frontier, so a grid's search keeps a few thousand slots, not
+   one per node, and a push allocates nothing between doublings (a
+   [Stdlib.Queue] cell per push costs 3 words). *)
+type ring = { mutable buf : int array; mutable head : int; mutable len : int }
+
+let ring () = { buf = Array.make 64 0; head = 0; len = 0 }
+
+let push r v =
+  let cap = Array.length r.buf in
+  if r.len = cap then begin
+    let buf = Array.make (2 * cap) 0 in
+    for i = 0 to cap - 1 do
+      buf.(i) <- r.buf.((r.head + i) land (cap - 1))
+    done;
+    r.buf <- buf;
+    r.head <- 0
+  end;
+  r.buf.((r.head + r.len) land (Array.length r.buf - 1)) <- v;
+  r.len <- r.len + 1
+
+let pop r =
+  let v = r.buf.(r.head) in
+  r.head <- (r.head + 1) land (Array.length r.buf - 1);
+  r.len <- r.len - 1;
+  v
+
 let distances g ~src =
   let n = Graph.n g in
   let dist = Array.make n unreachable in
-  let queue = Queue.create () in
+  let queue = ring () in
   dist.(src) <- 0;
-  Queue.push src queue;
-  while not (Queue.is_empty queue) do
-    let u = Queue.pop queue in
-    Array.iter
-      (fun v ->
-        if dist.(v) = unreachable then begin
-          dist.(v) <- dist.(u) + 1;
-          Queue.push v queue
-        end)
-      (Graph.neighbors g u)
+  push queue src;
+  while queue.len > 0 do
+    let u = pop queue in
+    let nbrs = Graph.neighbors g u in
+    for i = 0 to Array.length nbrs - 1 do
+      let v = nbrs.(i) in
+      if dist.(v) = unreachable then begin
+        dist.(v) <- dist.(u) + 1;
+        push queue v
+      end
+    done
   done;
   dist
 
@@ -50,23 +78,24 @@ let pseudo_diameter g =
 let components g =
   let n = Graph.n g in
   let comp = Array.make n (-1) in
+  let queue = ring () in
   let next = ref 0 in
   for src = 0 to n - 1 do
     if comp.(src) = -1 then begin
       let id = !next in
       incr next;
-      let queue = Queue.create () in
       comp.(src) <- id;
-      Queue.push src queue;
-      while not (Queue.is_empty queue) do
-        let u = Queue.pop queue in
-        Array.iter
-          (fun v ->
-            if comp.(v) = -1 then begin
-              comp.(v) <- id;
-              Queue.push v queue
-            end)
-          (Graph.neighbors g u)
+      push queue src;
+      while queue.len > 0 do
+        let u = pop queue in
+        let nbrs = Graph.neighbors g u in
+        for i = 0 to Array.length nbrs - 1 do
+          let v = nbrs.(i) in
+          if comp.(v) = -1 then begin
+            comp.(v) <- id;
+            push queue v
+          end
+        done
       done
     end
   done;

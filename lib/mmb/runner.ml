@@ -8,6 +8,7 @@ type bmmb_result = {
   acks : int;
   forced : int;
   duplicate_deliveries : int;
+  deliveries : int;
   compliance_violations : Amac.Compliance.violation list;
   outcome : Dsim.Sim.outcome;
   events_executed : int;
@@ -90,6 +91,7 @@ let run_bmmb ~dual ~fack ~fprog ~policy ~assignment ~seed
     acks;
     forced;
     duplicate_deliveries = Problem.duplicate_deliveries tracker;
+    deliveries = Problem.delivered_count tracker;
     compliance_violations = violations;
     outcome;
     events_executed = Dsim.Sim.executed_events sim;
@@ -160,11 +162,7 @@ let run_bmmb_pdes ~dual ~fack ~fprog ~policy ~assignment ~seed ~partitions
       pd_bcasts = r.bcasts;
       pd_rcvs = r.rcvs;
       pd_acks = r.acks;
-      pd_deliveries =
-        (* The serial result tracks completion, not a delivery count;
-           report the exact total when complete (n*k by definition). *)
-        (if r.complete then Graphs.Dual.n dual * List.length assignment
-         else 0);
+      pd_deliveries = r.deliveries;
       pd_remote = 0;
       pd_events = r.events_executed;
       pd_windows = 0;

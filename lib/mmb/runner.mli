@@ -11,6 +11,7 @@ type bmmb_result = {
   acks : int;
   forced : int;  (** watchdog-injected progress deliveries *)
   duplicate_deliveries : int;  (** MMB spec violations (must be 0) *)
+  deliveries : int;  (** distinct (node, message) deliveries *)
   compliance_violations : Amac.Compliance.violation list;
       (** non-empty only when [check_compliance] and the engine misbehaved *)
   outcome : Dsim.Sim.outcome;

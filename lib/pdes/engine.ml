@@ -158,10 +158,12 @@ let merge_spills ~paths ~out =
 (* Run domain [w]'s partitions ([p mod domains = w]) that have an event
    due by [until], and record each one's next event time. *)
 let run_due ~sims ~next ~domains w until =
+  (* One option for all of the window's runs here, not one per run. *)
+  let horizon = Some until in
   for i = 0 to (Array.length sims - 1 - w) / domains do
     let p = w + (i * domains) in
     if next.(p) <= until then begin
-      ignore (Dsim.Sim.run ~until sims.(p));
+      ignore (Dsim.Sim.run ?until:horizon sims.(p));
       next.(p) <- Dsim.Sim.next_time sims.(p)
     end
   done
@@ -181,11 +183,27 @@ let run ~dual ?mk_dyn ~fprog ~assignment ~seed ~partitions ~domains ?trace_out
      <> messages
   then invalid_arg "Problem.tracker: duplicate message id in assignment";
   let gprime = Graphs.Dual.unreliable dual in
-  let n = Graphs.Graph.n gprime in
   let part = Graphs.Partition.blocks gprime ~parts:partitions in
   (* Ids index Mega's per-node bitset, so k spans the largest id. *)
   let k = 1 + List.fold_left (fun acc (_, m) -> max acc m) (-1) assignment in
   let k = max k 1 in
+  (* The serial tracker requires each message at the nodes of its
+     origin's G-component, so completion counts exactly those pairs. *)
+  let component = Graphs.Bfs.components (Graphs.Dual.reliable dual) in
+  let origin_component = Array.make k (-1) in
+  let component_size =
+    Array.make (1 + Array.fold_left max (-1) component) 0
+  in
+  Array.iter (fun c -> component_size.(c) <- component_size.(c) + 1) component;
+  let required =
+    List.fold_left
+      (fun acc (node, msg) ->
+        let c = component.(node) in
+        origin_component.(msg) <- c;
+        acc + component_size.(c))
+      0 assignment
+  in
+  let shared = Mega.shared ~part ~k ~component ~origin_component in
   let sims = Array.init partitions (fun _ -> Dsim.Sim.create ()) in
   let boxes = Mailbox.create ~parts:partitions in
   let tracing = trace_out <> None in
@@ -206,7 +224,7 @@ let run ~dual ?mk_dyn ~fprog ~assignment ~seed ~partitions ~domains ?trace_out
     Array.init partitions (fun me ->
         Mega.create ~sim:sims.(me) ~dual
           ?dyn:(Option.map (fun f -> f ()) mk_dyn)
-          ~fprog ~part ~me ~parts:partitions ~k ~seed ~trace:traces.(me)
+          ~fprog ~shared ~me ~parts:partitions ~seed ~trace:traces.(me)
           ~tracing
           ~send:(fun ~dst entry -> Mailbox.push boxes ~src:me ~dst entry)
           ())
@@ -308,18 +326,19 @@ let run ~dual ?mk_dyn ~fprog ~assignment ~seed ~partitions ~domains ?trace_out
     else 0
   in
   let sum f = Array.fold_left (fun acc m -> acc + f m) 0 megas in
-  let deliveries = sum Mega.delivered in
-  let complete = deliveries = n * messages && assignment <> [] in
+  let complete = sum Mega.required_delivered = required && assignment <> [] in
   {
     complete;
     time =
       (if complete then
-         Array.fold_left (fun acc m -> Float.max acc (Mega.last_delivery m)) 0. megas
+         Array.fold_left
+           (fun acc m -> Float.max acc (Mega.last_required_delivery m))
+           0. megas
        else Float.infinity);
     bcasts = sum Mega.bcasts;
     rcvs = sum Mega.rcvs;
     acks = sum Mega.acks;
-    deliveries;
+    deliveries = sum Mega.delivered;
     remote_deliveries = Mailbox.pushed boxes;
     events = Array.fold_left (fun acc s -> acc + Dsim.Sim.executed_events s) 0 sims;
     windows = !windows;

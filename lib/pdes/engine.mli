@@ -2,7 +2,10 @@
 
     The dual graph is split into [P] partitions ({!Graphs.Partition}),
     each owning one {!Mega} instance with a private event heap, RNG
-    stream, and (for time-varying graphs) dynamic-dual wrapper.  [P] is
+    stream, and (for time-varying graphs) dynamic-dual wrapper.  Their
+    per-node state sits in arrays indexed by node that all partitions
+    share ({!Mega.shared}), beside the one node-to-partition owner
+    index, so setup allocates O(n) words for any [P].  [P] is
     a {e model} parameter: it fixes the execution — instance ids, RNG
     draws, delivery times — once and for all.  [N = domains] only maps
     partitions onto worker domains ([p mod N]), which is why the trace
@@ -43,12 +46,13 @@ exception Domains_exceed_partitions of { domains : int; partitions : int }
     partitions to map onto them. *)
 
 type result = {
-  complete : bool;  (** every node delivered every message *)
+  complete : bool;
+      (** every message reached every node of its origin's G-component *)
   time : float;  (** completion time ([infinity] when incomplete) *)
   bcasts : int;
   rcvs : int;
   acks : int;
-  deliveries : int;
+  deliveries : int;  (** distinct (node, message) deliveries *)
   remote_deliveries : int;  (** deliveries routed through mailboxes *)
   events : int;  (** callbacks executed, summed over partitions *)
   windows : int;  (** barrier windows executed *)
@@ -79,15 +83,9 @@ val run :
     ids [>= 0] (the serial engine's rules too; [Invalid_argument] names
     a negative id, or a repeated one with the serial tracker's message,
     before anything is allocated); raises {!Domains_exceed_partitions}
-    when [domains > partitions].  Ids need not be dense: the run is
-    complete when every node has delivered every distinct id.  The
-    caller is responsible for [Fprog <= Fack] (the engine acks at
-    exactly [bcast + Fprog]).
-
-    One divergence from the serial engine remains: completion requires
-    {e every} node to deliver every message, while the serial tracker
-    requires only the nodes in the source's G-component.  On a dual
-    whose G is disconnected the two disagree: with two 10-node lines
-    and one message at node 0, [P = 1] completes at 7.406 and [P = 2]
-    never completes.  Matching the tracker would need a BFS over G
-    inside the run. *)
+    when [domains > partitions].  Ids need not be dense.  The run is
+    complete, as the serial engine's tracker judges it, when every
+    message has reached every node of its origin's G-component (one
+    components pass over G finds them); the completion time is the
+    latest of those deliveries.  The caller is responsible for
+    [Fprog <= Fack] (the engine acks at exactly [bcast + Fprog]). *)

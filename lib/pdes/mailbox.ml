@@ -27,22 +27,20 @@ let pushed t = Array.fold_left ( + ) 0 t.sent
 
 let pending t = pushed t > t.drained
 
+(* Sources are visited in descending order and each box, newest first,
+   is reversed onto the front of the result, which leaves it in
+   (source, append order) order; the stable sort on time keeps those
+   ties.  A destination nothing was sent to costs no allocation. *)
 let drain t ~dst =
-  let parts = Array.length t.boxes in
-  let tagged = ref [] in
-  for src = parts - 1 downto 0 do
-    let box = t.boxes.(src).(dst) in
-    if box <> [] then begin
-      t.boxes.(src).(dst) <- [];
-      t.drained <- t.drained + List.length box;
-      (* Prepending a reversed box keeps append order within the pair
-         and ascending [src] across pairs. *)
-      tagged :=
-        List.rev_append box []
-        |> List.map (fun e -> (src, e))
-        |> fun l -> l @ !tagged
-    end
+  let merged = ref [] in
+  for src = Array.length t.boxes - 1 downto 0 do
+    match t.boxes.(src).(dst) with
+    | [] -> ()
+    | box ->
+        t.boxes.(src).(dst) <- [];
+        t.drained <- t.drained + List.length box;
+        merged := List.rev_append box !merged
   done;
-  (* Stable sort on time alone preserves the (src, append-order) ties. *)
-  List.stable_sort (fun (_, a) (_, b) -> Float.compare a.time b.time) !tagged
-  |> List.map snd
+  match !merged with
+  | [] -> []
+  | merged -> List.stable_sort (fun a b -> Float.compare a.time b.time) merged

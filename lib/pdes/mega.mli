@@ -5,8 +5,11 @@
     delivered sets, and MAC instance state live in flat int arrays and a
     bitset indexed by local node id, not in per-node records or pooled
     hash tables.  That is what lets a million-node run fit: per-node
-    state is [k] ints of FIFO ring, [k] bits of delivered set, and two
-    ints of in-flight instance, allocated once at creation.
+    state is [k] ints of FIFO ring, [k] bits (rounded up to whole bytes)
+    of delivered set, and three words of in-flight instance (message,
+    instance id, G' row), in arrays indexed by node that every
+    partition shares ({!shared}) and that are allocated once, before
+    the run.  The node-to-partition map is the one owner index.
 
     Semantics (a deterministic instantiation of the abstract MAC layer
     axioms, Section 3.2.1):
@@ -19,6 +22,11 @@
       satisfied by construction — the serial engine's forced-delivery
       watchdog is provably idle here and is omitted).
 
+    The owned deliveries of a broadcast are one event, and its ack
+    another; both are int-coded ({!Dsim.Sim.post}) with the sender's
+    node id, under two handlers each partition registers once, so
+    broadcasting allocates no closure.
+
     The [t + Fprog] floor on remote deliveries is the engine's
     conservative lookahead: events created inside a barrier window of
     length [Fprog] and destined for another partition always land at or
@@ -29,6 +37,25 @@
     from different partitions never collide and the merged trace's cause
     function stays injective. *)
 
+type shared
+(** The per-node state of every partition.  A partition reads and
+    writes only the entries of the nodes it owns, and each node's
+    entries (its delivered-set bytes included) are its own, so domains
+    running different partitions never write the same location. *)
+
+val shared :
+  part:int array ->
+  k:int ->
+  component:int array ->
+  origin_component:int array ->
+  shared
+(** [part] maps every node to its partition.  [k] bounds message ids
+    ([0..k-1]; [Invalid_argument] unless [k >= 1]).  [component] maps
+    every node to its G-component and [origin_component] every message
+    id to its origin's component ([-1] for an id no node injects): a
+    delivery is {e required} when the two agree, as the serial engine's
+    tracker requires it. *)
+
 type t
 
 val create :
@@ -36,18 +63,16 @@ val create :
   dual:Graphs.Dual.t ->
   ?dyn:Dyn.Dual.t ->
   fprog:float ->
-  part:int array ->
+  shared:shared ->
   me:int ->
   parts:int ->
-  k:int ->
   seed:int ->
   trace:Dsim.Trace.t ->
   tracing:bool ->
   send:(dst:int -> Mailbox.entry -> unit) ->
   unit ->
   t
-(** [part] maps every global node to its partition; this engine owns the
-    nodes with [part.(node) = me].  [k] bounds message ids ([0..k-1]).
+(** This engine owns the nodes that [shared] assigns to partition [me].
     [dyn], when given, must be a partition-private wrapper (epochs
     advance monotonically per partition); its oracle hooks are never
     consulted — the adversary needs global delivered-set knowledge and
@@ -70,11 +95,10 @@ val rcvs : t -> int
 val acks : t -> int
 
 val delivered : t -> int
-(** Distinct (node, message) deliveries so far, arrivals included —
-    [n_local] times the number of messages when this partition is
-    done. *)
+(** Distinct (node, message) deliveries so far, arrivals included. *)
 
-val n_local : t -> int
+val required_delivered : t -> int
+(** The required ones among them (see {!shared}). *)
 
-val last_delivery : t -> float
-(** Time of the latest delivery ([0.] before any). *)
+val last_required_delivery : t -> float
+(** Time of the latest required delivery ([0.] before any). *)

@@ -61,6 +61,76 @@ let test_golden_is_compliant () =
         (List.length
            (Amac.Compliance.audit ~dual ~fack:8. ~fprog:1. tr))
 
+(* --- Pop-order pins ---------------------------------------------------------
+
+   Two traces whose event order the event queue decides at scale, pinned
+   by MD5: any change to the order in which equal-time or cancelled
+   events pop changes their bytes. *)
+
+let md5_of_trace tr = Digest.to_hex (Digest.string (Dsim.Trace_io.to_jsonl tr))
+
+(* FMMB over the continuous-time MAC in Generous mode, on a 5x5 lattice
+   of spacing 0.7 jittered by up to 0.1 (the benchmark's fmmb_grey
+   shape), with G' the grey zone out to c = 2.  Every round delivers
+   each instance to all contenders at one instant (about 46,000 of its
+   54,000 entries share their time with the previous Rcv), and its acks
+   sit 100 Fprog out until the round's aborts cancel them (about 10,700
+   cancels). *)
+let test_fmmb_generous_pinned () =
+  let seed = 3 and side = 5 and k = 4 in
+  let rng = Dsim.Rng.create ~seed in
+  let n = side * side in
+  let jitter () = Dsim.Rng.float rng 0.2 -. 0.1 in
+  let points =
+    Array.init n (fun i ->
+        Graphs.Geometry.point
+          ((0.7 *. float_of_int (i mod side)) +. jitter ())
+          ((0.7 *. float_of_int (i / side)) +. jitter ()))
+  in
+  let dual = Graphs.Dual.of_embedding ~points ~c:2. in
+  let assignment = Mmb.Problem.singleton rng ~n ~k in
+  let tracker = Mmb.Problem.tracker ~dual assignment in
+  let tr = Dsim.Trace.create () in
+  let r =
+    Mmb.Fmmb.run ~dual ~fprog:1. ~rng:(Dsim.Rng.create ~seed)
+      ~policy:(Amac.Enhanced_mac.minimal_random ())
+      ~params:(Mmb.Fmmb.default_params ~n ~k ~c:2.)
+      ~assignment ~tracker
+      ~backend:(Mmb.Fmmb.Continuous Amac.Round_sync.Generous) ~trace:tr ()
+  in
+  Alcotest.(check bool) "completes" true r.Mmb.Fmmb.complete;
+  Alcotest.(check int) "trace entries" 53_983 (Dsim.Trace.length tr);
+  Alcotest.(check string) "trace md5" "2508984f9bbd3ecd82118fbf0d6a1fb0"
+    (md5_of_trace tr)
+
+(* BMMB under the random scheduler on a 16x16 grid with an r-restricted
+   G' (r = 2, 512 extra edges) and 8 messages at random nodes: its
+   queue holds up to about 1,100 live events at once. *)
+let test_serial_random_pinned () =
+  let seed = 3 and side = 16 in
+  let rng = Dsim.Rng.create ~seed in
+  let g = Graphs.Gen.grid ~rows:side ~cols:side in
+  let dual =
+    Graphs.Dual.r_restricted_random rng ~g ~r:2 ~extra:(2 * side * side)
+  in
+  let assignment = Mmb.Problem.random rng ~n:(side * side) ~k:8 in
+  let sim = ref None in
+  let r =
+    Mmb.Runner.run_bmmb ~dual ~fack:8. ~fprog:1.
+      ~policy:(Amac.Schedulers.random_compliant ())
+      ~assignment ~seed ~check_compliance:true
+      ~setup:(fun s -> sim := Some s)
+      ()
+  in
+  Alcotest.(check bool) "completes" true r.Mmb.Runner.complete;
+  Alcotest.(check int) "queue high water" 1_103
+    (Dsim.Sim.heap_high_water (Option.get !sim));
+  match r.Mmb.Runner.trace with
+  | None -> Alcotest.fail "no trace"
+  | Some tr ->
+      Alcotest.(check string) "trace md5" "58df86788244d991bd0e28abf81eb264"
+        (md5_of_trace tr)
+
 let suite =
   [
     ( "golden",
@@ -69,5 +139,9 @@ let suite =
           test_two_line_golden;
         Alcotest.test_case "committed trace is axiom-compliant" `Quick
           test_golden_is_compliant;
+        Alcotest.test_case "FMMB generous trace pinned" `Quick
+          test_fmmb_generous_pinned;
+        Alcotest.test_case "serial random-scheduler trace pinned" `Quick
+          test_serial_random_pinned;
       ] );
   ]

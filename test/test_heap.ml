@@ -1,97 +1,139 @@
-let test_empty () =
-  let h : int Dsim.Heap.t = Dsim.Heap.create () in
-  Alcotest.(check bool) "empty" true (Dsim.Heap.is_empty h);
-  Alcotest.(check int) "length" 0 (Dsim.Heap.length h);
-  Alcotest.(check bool) "pop none" true (Dsim.Heap.pop h = None);
-  Alcotest.(check bool) "peek none" true (Dsim.Heap.peek_time h = None)
+(* The heap orders slots, not values.  [V] keeps each entry's value by
+   slot beside it, as Dsim.Sim keeps its payloads, so these tests read
+   popped values the way the simulator does. *)
+module V = struct
+  type 'a t = { heap : Dsim.Heap.t; mutable values : 'a option array }
 
-let test_ordering () =
-  let h = Dsim.Heap.create () in
-  ignore (Dsim.Heap.push h ~time:3. "c");
-  ignore (Dsim.Heap.push h ~time:1. "a");
-  ignore (Dsim.Heap.push h ~time:2. "b");
-  let drain () =
+  let create () = { heap = Dsim.Heap.create (); values = [||] }
+
+  let store v slot value =
+    if slot >= Array.length v.values then begin
+      let values = Array.make (2 * (slot + 1)) None in
+      Array.blit v.values 0 values 0 (Array.length v.values);
+      v.values <- values
+    end;
+    v.values.(slot) <- Some value
+
+  let push v ~time value =
+    let hd = Dsim.Heap.push v.heap ~time in
+    store v (Dsim.Heap.slot hd) value;
+    hd
+
+  let value v slot = Option.get v.values.(slot)
+
+  let pop v =
+    let cell = [| nan |] in
+    match Dsim.Heap.pop_until v.heap ~until:infinity ~time:cell with
+    | -1 -> None
+    | slot -> Some (cell.(0), value v slot)
+
+  let peek_time v =
+    if Dsim.Heap.is_empty v.heap then None else Some (Dsim.Heap.min_time v.heap)
+
+  (* [pop_until] as a value-level result: [`Due] pops, [`Later t] leaves
+     a minimum at [t] past the horizon queued. *)
+  let pop_until ?(until = infinity) v =
+    let cell = [| nan |] in
+    match Dsim.Heap.pop_until v.heap ~until ~time:cell with
+    | -1 ->
+        if Dsim.Heap.is_empty v.heap then `Empty
+        else `Later (Dsim.Heap.min_time v.heap)
+    | slot -> `Due (cell.(0), value v slot)
+
+  let drain v =
     let rec go acc =
-      match Dsim.Heap.pop h with
-      | None -> List.rev acc
-      | Some (_, v) -> go (v :: acc)
+      match pop v with None -> List.rev acc | Some (_, x) -> go (x :: acc)
     in
     go []
-  in
-  Alcotest.(check (list string)) "sorted" [ "a"; "b"; "c" ] (drain ())
+end
+
+let test_empty () =
+  let h : int V.t = V.create () in
+  Alcotest.(check bool) "empty" true (Dsim.Heap.is_empty h.V.heap);
+  Alcotest.(check int) "length" 0 (Dsim.Heap.length h.V.heap);
+  Alcotest.(check bool) "pop none" true (V.pop h = None);
+  Alcotest.(check bool) "pop slot none" true
+    (Dsim.Heap.pop_until h.V.heap ~until:infinity ~time:[| 0. |] = -1);
+  Alcotest.(check bool) "peek none" true (V.peek_time h = None);
+  Alcotest.(check (float 0.)) "min_time of empty" infinity
+    (Dsim.Heap.min_time h.V.heap)
+
+let test_ordering () =
+  let h = V.create () in
+  ignore (V.push h ~time:3. "c");
+  ignore (V.push h ~time:1. "a");
+  ignore (V.push h ~time:2. "b");
+  Alcotest.(check (list string)) "sorted" [ "a"; "b"; "c" ] (V.drain h)
 
 let test_fifo_at_equal_times () =
-  let h = Dsim.Heap.create () in
-  List.iter (fun v -> ignore (Dsim.Heap.push h ~time:1. v)) [ 1; 2; 3; 4 ];
-  let rec drain acc =
-    match Dsim.Heap.pop h with
-    | None -> List.rev acc
-    | Some (_, v) -> drain (v :: acc)
-  in
-  Alcotest.(check (list int)) "insertion order" [ 1; 2; 3; 4 ] (drain [])
+  let h = V.create () in
+  List.iter (fun v -> ignore (V.push h ~time:1. v)) [ 1; 2; 3; 4 ];
+  Alcotest.(check (list int)) "insertion order" [ 1; 2; 3; 4 ] (V.drain h)
 
 let test_cancel () =
-  let h = Dsim.Heap.create () in
-  let _a = Dsim.Heap.push h ~time:1. "a" in
-  let b = Dsim.Heap.push h ~time:2. "b" in
-  let _c = Dsim.Heap.push h ~time:3. "c" in
-  Dsim.Heap.cancel h b;
-  Alcotest.(check int) "length after cancel" 2 (Dsim.Heap.length h);
-  Dsim.Heap.cancel h b (* double cancel is a no-op *);
-  Alcotest.(check int) "length unchanged" 2 (Dsim.Heap.length h);
-  let rec drain acc =
-    match Dsim.Heap.pop h with
-    | None -> List.rev acc
-    | Some (_, v) -> drain (v :: acc)
-  in
-  Alcotest.(check (list string)) "b skipped" [ "a"; "c" ] (drain [])
+  let h = V.create () in
+  let _a = V.push h ~time:1. "a" in
+  let b = V.push h ~time:2. "b" in
+  let _c = V.push h ~time:3. "c" in
+  Dsim.Heap.cancel h.V.heap b;
+  Alcotest.(check int) "length after cancel" 2 (Dsim.Heap.length h.V.heap);
+  Dsim.Heap.cancel h.V.heap b (* double cancel is a no-op *);
+  Alcotest.(check int) "length unchanged" 2 (Dsim.Heap.length h.V.heap);
+  Alcotest.(check (list string)) "b skipped" [ "a"; "c" ] (V.drain h)
 
 let test_cancel_root () =
-  let h = Dsim.Heap.create () in
-  let a = Dsim.Heap.push h ~time:1. "a" in
-  ignore (Dsim.Heap.push h ~time:2. "b");
-  Dsim.Heap.cancel h a;
+  let h = V.create () in
+  let a = V.push h ~time:1. "a" in
+  ignore (V.push h ~time:2. "b");
+  Dsim.Heap.cancel h.V.heap a;
   Alcotest.(check (option (float 1e-9))) "peek skips dead root" (Some 2.)
-    (Dsim.Heap.peek_time h);
-  (match Dsim.Heap.pop h with
+    (V.peek_time h);
+  (match V.pop h with
   | Some (_, v) -> Alcotest.(check string) "pop skips dead root" "b" v
   | None -> Alcotest.fail "expected b")
 
 let test_cancel_of_popped () =
-  let h = Dsim.Heap.create () in
-  let a = Dsim.Heap.push h ~time:1. "a" in
-  let b = Dsim.Heap.push h ~time:2. "b" in
-  ignore (Dsim.Heap.pop h) (* pops a *);
-  Dsim.Heap.cancel h a (* must be a no-op: already popped *);
-  Alcotest.(check int) "b still live" 1 (Dsim.Heap.length h);
+  let h = V.create () in
+  let a = V.push h ~time:1. "a" in
+  let b = V.push h ~time:2. "b" in
+  ignore (V.pop h) (* pops a *);
+  Dsim.Heap.cancel h.V.heap a (* must be a no-op: already popped *);
+  Alcotest.(check int) "b still live" 1 (Dsim.Heap.length h.V.heap);
   Alcotest.(check int) "cancel of popped not counted" 0
-    (Dsim.Heap.cancelled h);
-  Dsim.Heap.cancel h b;
-  Dsim.Heap.cancel h b;
-  Alcotest.(check int) "double cancel counted once" 1 (Dsim.Heap.cancelled h);
-  Alcotest.(check bool) "drained" true (Dsim.Heap.pop h = None)
+    (Dsim.Heap.cancelled h.V.heap);
+  Dsim.Heap.cancel h.V.heap b;
+  Dsim.Heap.cancel h.V.heap b;
+  Alcotest.(check int) "double cancel counted once" 1
+    (Dsim.Heap.cancelled h.V.heap);
+  Alcotest.(check bool) "drained" true (V.pop h = None)
 
 (* A handle names its entry, not its slot: once the slot is reused,
    cancelling the old handle must leave the new occupant alone. *)
 let test_stale_handle_after_slot_reuse () =
-  let h = Dsim.Heap.create () in
-  let a = Dsim.Heap.push h ~time:1. "a" in
-  ignore (Dsim.Heap.pop h) (* frees a's slot *);
-  ignore (Dsim.Heap.push h ~time:2. "b") (* the only free slot: a's *);
-  Dsim.Heap.cancel h a;
-  Alcotest.(check int) "stale cancel not counted" 0 (Dsim.Heap.cancelled h);
-  Alcotest.(check int) "b still live" 1 (Dsim.Heap.length h);
-  Alcotest.(check bool) "b pops" true (Dsim.Heap.pop h = Some (2., "b"))
+  let h = V.create () in
+  let a = V.push h ~time:1. "a" in
+  ignore (V.pop h) (* frees a's slot *);
+  let b = V.push h ~time:2. "b" (* the only free slot: a's *) in
+  Alcotest.(check int) "b reuses a's slot" (Dsim.Heap.slot a)
+    (Dsim.Heap.slot b);
+  Dsim.Heap.cancel h.V.heap a;
+  Alcotest.(check int) "stale cancel not counted" 0
+    (Dsim.Heap.cancelled h.V.heap);
+  Alcotest.(check int) "b still live" 1 (Dsim.Heap.length h.V.heap);
+  Alcotest.(check bool) "b pops" true (V.pop h = Some (2., "b"))
 
-(* Entries live in recycled slots of flat arrays, so once the arrays have
-   grown a push-cancel-peek cycle allocates nothing (an entry record per
-   push would cost 4 words). *)
+(* Entries live in recycled slots of flat arrays and the heap holds no
+   values, so once the arrays have grown a push-cancel-peek cycle
+   allocates nothing (an entry record per push would cost 4 words).  The
+   peek is [pop_until] with a horizon before every entry: it drains the
+   dead root and hands back no time, so no float is boxed. *)
 let test_push_allocates_nothing () =
   let h = Dsim.Heap.create () in
-  let v = "payload" in
+  let cell = [| 0. |] in
   let cycle () =
-    Dsim.Heap.cancel h (Dsim.Heap.push h ~time:1. v);
-    ignore (Dsim.Heap.peek_time h)
+    Dsim.Heap.cancel h (Dsim.Heap.push h ~time:1.);
+    Dsim.Heap.cancel h (Dsim.Heap.push_after h ~now:cell ~delay:1.);
+    ignore (Dsim.Heap.pop_until h ~until:0. ~time:cell)
   in
   for _ = 1 to 100 do
     cycle ()
@@ -103,48 +145,87 @@ let test_push_allocates_nothing () =
   done;
   let per_iter = (Gc.minor_words () -. before) /. float_of_int iters in
   Alcotest.(check bool)
-    (Printf.sprintf "push/cancel/peek_time allocated %.3f words per cycle"
+    (Printf.sprintf "push/cancel/peek allocated %.3f words per cycle"
        per_iter)
     true (per_iter < 0.001)
 
 let test_pop_if_before () =
-  let h = Dsim.Heap.create () in
-  Alcotest.(check bool) "empty" true (Dsim.Heap.pop_if_before ~horizon:5. h = Dsim.Heap.Empty);
-  ignore (Dsim.Heap.push h ~time:3. "a");
-  ignore (Dsim.Heap.push h ~time:7. "b");
+  let h = V.create () in
+  Alcotest.(check bool) "empty" true (V.pop_until ~until:5. h = `Empty);
+  ignore (V.push h ~time:3. "a");
+  ignore (V.push h ~time:7. "b");
   Alcotest.(check bool) "beyond horizon stays queued" true
-    (Dsim.Heap.pop_if_before ~horizon:2. h = Dsim.Heap.Later 3.);
-  Alcotest.(check int) "nothing was popped" 2 (Dsim.Heap.length h);
+    (V.pop_until ~until:2. h = `Later 3.);
+  Alcotest.(check int) "nothing was popped" 2 (Dsim.Heap.length h.V.heap);
   Alcotest.(check bool) "time exactly at horizon pops" true
-    (Dsim.Heap.pop_if_before ~horizon:3. h = Dsim.Heap.Due (3., "a"));
+    (V.pop_until ~until:3. h = `Due (3., "a"));
   Alcotest.(check bool) "no horizon always pops" true
-    (Dsim.Heap.pop_if_before h = Dsim.Heap.Due (7., "b"));
-  Alcotest.(check bool) "drained" true
-    (Dsim.Heap.pop_if_before h = Dsim.Heap.Empty)
+    (V.pop_until h = `Due (7., "b"));
+  Alcotest.(check bool) "drained" true (V.pop_until h = `Empty)
 
 let test_pop_if_before_skips_dead () =
-  let h = Dsim.Heap.create () in
-  let a = Dsim.Heap.push h ~time:1. "a" in
-  ignore (Dsim.Heap.push h ~time:4. "b");
-  Dsim.Heap.cancel h a;
+  let h = V.create () in
+  let a = V.push h ~time:1. "a" in
+  ignore (V.push h ~time:4. "b");
+  Dsim.Heap.cancel h.V.heap a;
   (* The dead root must be drained before the horizon comparison: the
      live minimum is 4., past the horizon. *)
   Alcotest.(check bool) "dead root invisible to the horizon check" true
-    (Dsim.Heap.pop_if_before ~horizon:2. h = Dsim.Heap.Later 4.)
+    (V.pop_until ~until:2. h = `Later 4.)
 
 let test_nan_rejected () =
   let h = Dsim.Heap.create () in
   Alcotest.check_raises "nan" (Invalid_argument "Heap.push: NaN time")
-    (fun () -> ignore (Dsim.Heap.push h ~time:Float.nan ()))
+    (fun () -> ignore (Dsim.Heap.push h ~time:Float.nan));
+  Alcotest.check_raises "nan sum" (Invalid_argument "Heap.push: NaN time")
+    (fun () ->
+      ignore (Dsim.Heap.push_after h ~now:[| infinity |] ~delay:neg_infinity))
+
+(* Once cancels leave more dead keys than live ones the heap drops the
+   dead keys and re-heapifies; pop order is the strict (time, seq) order
+   either way, equal times included. *)
+let test_compaction_keeps_order () =
+  let h = V.create () in
+  let rng = Random.State.make [| 7 |] in
+  let n = 1_000 in
+  let handles =
+    Array.init n (fun i ->
+        let time = float_of_int (Random.State.int rng 50) in
+        (time, i, V.push h ~time i))
+  in
+  let order = Array.init n Fun.id in
+  for i = n - 1 downto 1 do
+    let j = Random.State.int rng (i + 1) in
+    let x = order.(i) in
+    order.(i) <- order.(j);
+    order.(j) <- x
+  done;
+  let cancelled = Array.make n false in
+  for c = 0 to 699 do
+    let i = order.(c) in
+    let _, _, hd = handles.(i) in
+    Dsim.Heap.cancel h.V.heap hd;
+    cancelled.(i) <- true
+  done;
+  Alcotest.(check bool) "cancels triggered a compaction" true
+    (Dsim.Heap.compactions h.V.heap > 0);
+  Alcotest.(check int) "live entries" 300 (Dsim.Heap.length h.V.heap);
+  let expected =
+    Array.to_list handles
+    |> List.filter (fun (_, i, _) -> not cancelled.(i))
+    |> List.sort (fun (t1, i1, _) (t2, i2, _) -> compare (t1, i1) (t2, i2))
+    |> List.map (fun (_, i, _) -> i)
+  in
+  Alcotest.(check (list int)) "(time, seq) order" expected (V.drain h)
 
 let prop_drain_sorted =
   QCheck.Test.make ~name:"heap drains in sorted stable order" ~count:200
     QCheck.(list (pair (float_bound_exclusive 1000.) small_int))
     (fun entries ->
-      let h = Dsim.Heap.create () in
-      List.iter (fun (time, v) -> ignore (Dsim.Heap.push h ~time v)) entries;
+      let h = V.create () in
+      List.iter (fun (time, v) -> ignore (V.push h ~time v)) entries;
       let rec drain acc =
-        match Dsim.Heap.pop h with
+        match V.pop h with
         | None -> List.rev acc
         | Some (time, v) -> drain ((time, v) :: acc)
       in
@@ -156,26 +237,21 @@ let prop_cancel_half =
   QCheck.Test.make ~name:"cancelling entries removes exactly them" ~count:200
     QCheck.(list (float_bound_exclusive 1000.))
     (fun times ->
-      let h = Dsim.Heap.create () in
+      let h = V.create () in
       let handles =
-        List.mapi (fun i time -> (i, Dsim.Heap.push h ~time i)) times
+        List.mapi (fun i time -> (i, V.push h ~time i)) times
       in
       let cancelled =
         List.filter_map
           (fun (i, hd) ->
             if i mod 2 = 0 then begin
-              Dsim.Heap.cancel h hd;
+              Dsim.Heap.cancel h.V.heap hd;
               Some i
             end
             else None)
           handles
       in
-      let rec drain acc =
-        match Dsim.Heap.pop h with
-        | None -> List.rev acc
-        | Some (_, v) -> drain (v :: acc)
-      in
-      let out = drain [] in
+      let out = V.drain h in
       List.for_all (fun i -> not (List.mem i out)) cancelled
       && List.length out = List.length times - List.length cancelled)
 
@@ -198,6 +274,8 @@ let suite =
         Alcotest.test_case "pop_if_before skips dead roots" `Quick
           test_pop_if_before_skips_dead;
         Alcotest.test_case "rejects NaN time" `Quick test_nan_rejected;
+        Alcotest.test_case "compaction keeps pop order" `Quick
+          test_compaction_keeps_order;
         QCheck_alcotest.to_alcotest prop_drain_sorted;
         QCheck_alcotest.to_alcotest prop_cancel_half;
       ] );

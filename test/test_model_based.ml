@@ -10,6 +10,7 @@ type op =
   | Cancel of int
   | Peek
   | Pop_before of float
+  | Cancel_half
 
 (* Discrete times (0..5) appear alongside continuous ones so equal-time
    collisions — where only the seq tiebreak orders entries — are common,
@@ -37,86 +38,153 @@ let op_print = function
   | Cancel i -> Printf.sprintf "Cancel %d" i
   | Peek -> "Peek"
   | Pop_before t -> Printf.sprintf "Pop_before %.3f" t
+  | Cancel_half -> "Cancel_half"
 
 let arbitrary_ops =
   QCheck.make
     ~print:(fun ops -> String.concat "; " (List.map op_print ops))
     QCheck.Gen.(list_size (int_range 0 60) op_gen)
 
+(* Cancel-heavy sequences, up to 1,000 ops.  [Cancel_half] cancels more
+   than half of the live entries, which leaves more dead keys than live
+   ones, so the heap compacts (drops its dead keys and re-heapifies)
+   between the ops that check its order.  Each sequence ends with one,
+   over at least two live entries, so every sequence compacts. *)
+let cancel_heavy_ops =
+  QCheck.make
+    ~print:(fun ops -> String.concat "; " (List.map op_print ops))
+    QCheck.Gen.(
+      map
+        (fun ops -> ops @ [ Push 1.; Push 2.; Cancel_half ])
+        (list_size (int_range 200 1_000)
+           (frequency
+              [
+                (6, map (fun t -> Push t) time_gen);
+                (4, map (fun i -> Cancel i) (int_bound 50));
+                (1, return Cancel_half);
+                (3, return Pop);
+                (1, return Peek);
+                (2, map (fun t -> Pop_before t) time_gen);
+              ])))
+
 (* Reference: a list of (time, seq, value) alive entries; sorting under
-   polymorphic compare orders by (time, seq), the heap's key. *)
+   polymorphic compare orders by (time, seq), the heap's key.  The heap
+   orders slots, so the model keeps each entry's value by slot (as
+   Dsim.Sim keeps payloads) and reads popped values from there.  Returns
+   whether the heap matched, and how often it compacted. *)
+let run_heap_model ops =
+  let heap = Dsim.Heap.create () in
+  let values = Array.make 4096 (-1) (* by slot; >= the ops per sequence *) in
+  let cell = [| nan |] in
+  let reference = ref [] (* (time, seq, value) alive entries *) in
+  let handles = ref [] (* (op_index, handle, time, seq) *) in
+  let seq = ref 0 in
+  let eff_cancels = ref 0 in
+  let ok = ref true in
+  List.iteri
+    (fun _ op ->
+      match op with
+      | Push t ->
+          let h = Dsim.Heap.push heap ~time:t in
+          values.(Dsim.Heap.slot h) <- !seq;
+          handles := (List.length !handles, h, t, !seq) :: !handles;
+          reference := (t, !seq, !seq) :: !reference;
+          incr seq
+      | Pop -> (
+          let expected =
+            List.sort compare !reference |> function
+            | [] -> None
+            | (t, s, v) :: _ ->
+                reference := List.filter (fun (_, s', _) -> s' <> s) !reference;
+                Some (t, v)
+          in
+          match (Dsim.Heap.pop_until heap ~until:infinity ~time:cell, expected) with
+          | -1, None -> ()
+          | slot, Some (t', v') when slot >= 0 ->
+              if not (cell.(0) = t' && values.(slot) = v') then ok := false
+          | _ -> ok := false)
+      | Cancel_half ->
+          (* The oldest live entry, every other one after it, and the
+             second oldest: more than half of them. *)
+          let by_seq =
+            List.sort (fun (_, a, _) (_, b, _) -> compare a b) !reference
+          in
+          List.iteri
+            (fun i (_, s, _) ->
+              if i mod 2 = 0 || i = 1 then begin
+                let _, h, _, _ =
+                  List.find (fun (_, _, _, s') -> s' = s) !handles
+                in
+                Dsim.Heap.cancel heap h;
+                reference := List.filter (fun (_, s', _) -> s' <> s) !reference;
+                incr eff_cancels
+              end)
+            by_seq
+      | Cancel i -> (
+          (* [handles] also holds popped and already-cancelled entries,
+             so this op exercises cancel-of-popped / double-cancel; the
+             reference filter no-ops exactly when the heap must. *)
+          match List.nth_opt !handles i with
+          | None -> ()
+          | Some (_, h, _, s) ->
+              Dsim.Heap.cancel heap h;
+              let before = List.length !reference in
+              reference := List.filter (fun (_, s', _) -> s' <> s) !reference;
+              if List.length !reference < before then incr eff_cancels)
+      | Peek ->
+          let expected =
+            match List.sort compare !reference with
+            | [] -> infinity
+            | (t, _, _) :: _ -> t
+          in
+          if Dsim.Heap.min_time heap <> expected then ok := false
+      | Pop_before horizon -> (
+          let expected =
+            match List.sort compare !reference with
+            | [] -> `Empty
+            | (t, s, v) :: _ ->
+                if t > horizon then `Later t
+                else begin
+                  reference :=
+                    List.filter (fun (_, s', _) -> s' <> s) !reference;
+                  `Due (t, v)
+                end
+          in
+          match (Dsim.Heap.pop_until heap ~until:horizon ~time:cell, expected) with
+          | -1, `Empty -> if not (Dsim.Heap.is_empty heap) then ok := false
+          | -1, `Later t ->
+              if Dsim.Heap.min_time heap <> t then ok := false
+          | slot, `Due (t, v) when slot >= 0 ->
+              if not (cell.(0) = t && values.(slot) = v) then ok := false
+          | _ -> ok := false))
+    ops;
+  if Dsim.Heap.length heap <> List.length !reference then ok := false;
+  (* Cancels of popped/dead entries must not inflate the counter. *)
+  if Dsim.Heap.cancelled heap <> !eff_cancels then ok := false;
+  if Dsim.Heap.pushes heap <> !seq then ok := false;
+  (* Whatever is left pops in (time, seq) order. *)
+  List.iter
+    (fun (t, _, v) ->
+      let slot = Dsim.Heap.pop_until heap ~until:infinity ~time:cell in
+      if not (slot >= 0 && cell.(0) = t && values.(slot) = v) then ok := false)
+    (List.sort compare !reference);
+  if Dsim.Heap.pop_until heap ~until:infinity ~time:cell <> -1 then ok := false;
+  (!ok, Dsim.Heap.compactions heap)
+
 let prop_heap_matches_reference =
   QCheck.Test.make ~name:"heap behaves like a sorted-list reference model"
     ~count:300 arbitrary_ops
+    (fun ops -> fst (run_heap_model ops))
+
+(* Every cancel-heavy sequence must also have compacted at least once:
+   otherwise this property would not test compaction at all. *)
+let prop_heap_compacts_like_reference =
+  QCheck.Test.make
+    ~name:"heap matches the reference through compactions" ~count:100
+    cancel_heavy_ops
     (fun ops ->
-      let heap = Dsim.Heap.create () in
-      let reference = ref [] (* (time, seq, value) alive entries *) in
-      let handles = ref [] (* (op_index, handle, time, seq) *) in
-      let seq = ref 0 in
-      let eff_cancels = ref 0 in
-      let ok = ref true in
-      List.iteri
-        (fun _ op ->
-          match op with
-          | Push t ->
-              let h = Dsim.Heap.push heap ~time:t !seq in
-              handles := (List.length !handles, h, t, !seq) :: !handles;
-              reference := (t, !seq, !seq) :: !reference;
-              incr seq
-          | Pop -> (
-              let expected =
-                List.sort compare !reference |> function
-                | [] -> None
-                | (t, s, v) :: _ ->
-                    reference := List.filter (fun (_, s', _) -> s' <> s) !reference;
-                    Some (t, v)
-              in
-              match (Dsim.Heap.pop heap, expected) with
-              | None, None -> ()
-              | Some (t, v), Some (t', v') ->
-                  if not (t = t' && v = v') then ok := false
-              | _ -> ok := false)
-          | Cancel i -> (
-              (* [handles] also holds popped and already-cancelled entries,
-                 so this op exercises cancel-of-popped / double-cancel; the
-                 reference filter no-ops exactly when the heap must. *)
-              match List.nth_opt !handles i with
-              | None -> ()
-              | Some (_, h, _, s) ->
-                  Dsim.Heap.cancel heap h;
-                  let before = List.length !reference in
-                  reference := List.filter (fun (_, s', _) -> s' <> s) !reference;
-                  if List.length !reference < before then incr eff_cancels)
-          | Peek ->
-              let expected =
-                match List.sort compare !reference with
-                | [] -> None
-                | (t, _, _) :: _ -> Some t
-              in
-              if Dsim.Heap.peek_time heap <> expected then ok := false
-          | Pop_before horizon -> (
-              let expected =
-                match List.sort compare !reference with
-                | [] -> `Empty
-                | (t, s, v) :: _ ->
-                    if t > horizon then `Later t
-                    else begin
-                      reference :=
-                        List.filter (fun (_, s', _) -> s' <> s) !reference;
-                      `Due (t, v)
-                    end
-              in
-              match (Dsim.Heap.pop_if_before ~horizon heap, expected) with
-              | Dsim.Heap.Empty, `Empty -> ()
-              | Dsim.Heap.Later t, `Later t' when t = t' -> ()
-              | Dsim.Heap.Due (t, v), `Due (t', v') when t = t' && v = v' -> ()
-              | _ -> ok := false))
-        ops;
-      if Dsim.Heap.length heap <> List.length !reference then ok := false;
-      (* Cancels of popped/dead entries must not inflate the counter. *)
-      if Dsim.Heap.cancelled heap <> !eff_cancels then ok := false;
-      if Dsim.Heap.pushes heap <> !seq then ok := false;
-      !ok)
+      let ok, compactions = run_heap_model ops in
+      ok && compactions > 0)
 
 (* --- Sim vs reference execution order --------------------------------------- *)
 
@@ -205,6 +273,7 @@ let suite =
     ( "model-based",
       [
         QCheck_alcotest.to_alcotest prop_heap_matches_reference;
+        QCheck_alcotest.to_alcotest prop_heap_compacts_like_reference;
         QCheck_alcotest.to_alcotest prop_sim_runs_in_timestamp_order;
         QCheck_alcotest.to_alcotest prop_sim_nested_events_keep_clock_monotone;
         QCheck_alcotest.to_alcotest prop_jsonl_roundtrip;

@@ -284,6 +284,34 @@ let test_sparse_id_completes () =
         (Float.is_finite r.Mmb.Runner.pd_time))
     [ 1; 2 ]
 
+(* Completion is judged as the serial tracker judges it on every P: a
+   message must reach the nodes of its origin's G-component.  On two
+   10-node lines with one message at node 0, only the first line can
+   (and must) deliver it, and every engine reports the 10 pairs it
+   delivered. *)
+let test_disconnected_g_completes () =
+  let edges =
+    List.init 9 (fun i -> (i, i + 1)) @ List.init 9 (fun i -> (10 + i, 11 + i))
+  in
+  let dual = Graphs.Dual.of_equal (Graphs.Graph.of_edges ~n:20 edges) in
+  List.iter
+    (fun partitions ->
+      let r =
+        Mmb.Runner.run_bmmb_pdes ~dual ~fack:8. ~fprog:1.
+          ~policy:(Amac.Schedulers.random_compliant ())
+          ~assignment:[ (0, 0) ] ~seed:5 ~partitions ~domains:1 ()
+      in
+      let tag = Printf.sprintf "P=%d" partitions in
+      Alcotest.(check bool) (tag ^ " completes") true r.Mmb.Runner.pd_complete;
+      Alcotest.(check bool) (tag ^ " within the bound") true
+        r.Mmb.Runner.pd_within_bound;
+      Alcotest.(check int) (tag ^ " delivers to the first line") 10
+        r.Mmb.Runner.pd_deliveries;
+      if partitions = 1 then
+        Alcotest.(check (float 1e-4)) "serial completion time" 7.85419
+          r.Mmb.Runner.pd_time)
+    [ 1; 2; 4 ]
+
 (* --- Scenario plumbing ----------------------------------------------------- *)
 
 let scenario_json ~extra_fields =
@@ -374,9 +402,13 @@ let test_scenario_domains_sweepable () =
 (* --- Mega path allocation discipline --------------------------------------- *)
 
 (* The struct-of-arrays engine must allocate O(1) minor words per event
-   at steady state (scheduled closures only) — no per-delivery Hashtbl
-   or list growth.  Comparing per-event allocation at two sizes catches
-   any O(n)-per-event regression without pinning a fragile constant. *)
+   at steady state — no per-delivery Hashtbl or list growth.  Comparing
+   per-event allocation at two sizes catches any O(n)-per-event
+   regression without pinning a fragile constant.  Deliveries and acks
+   are int-coded posts of handlers each partition registers once, with
+   no per-event closure, so a run also stays under an absolute ceiling
+   of a few words per event in all, the bound's and the engine's setup
+   included; two closures per bcast would break it. *)
 let test_mega_allocation_per_event () =
   let run n =
     let dual = Graphs.Dual.of_equal (Graphs.Gen.line n) in
@@ -399,7 +431,10 @@ let test_mega_allocation_per_event () =
        "per-event allocation is size-independent (%.1f vs %.1f words)" small
        large)
     true
-    (large <= (2. *. small) +. 64.)
+    (large <= (2. *. small) +. 64.);
+  Alcotest.(check bool)
+    (Printf.sprintf "%.1f words per event at most 8" large)
+    true (large <= 8.)
 
 (* A barrier window pays only for the partitions with an event due in
    it.  On a line most windows hold a few events in one or two
@@ -462,6 +497,8 @@ let suite =
           test_negative_id_rejected;
         Alcotest.test_case "duplicate message id rejected" `Quick
           test_duplicate_id_rejected;
+        Alcotest.test_case "disconnected G completes on every P" `Quick
+          test_disconnected_g_completes;
         Alcotest.test_case "sparse message id completes" `Quick
           test_sparse_id_completes;
         Alcotest.test_case "Fprog > Fack rejected" `Quick

@@ -87,6 +87,76 @@ let test_resume_after_until () =
   Alcotest.(check bool) "drained on resume" true (outcome = Dsim.Sim.Drained);
   Alcotest.(check int) "event eventually ran" 1 !hits
 
+(* Running an event costs the engine nothing: a queued event's category
+   and callback live in arrays indexed by its heap slot, and the clock in
+   an unboxed cell.  A thunk that allocates nothing itself and schedules
+   its successor relative to the clock must cost no words per event,
+   scheduling and running both. *)
+let test_run_allocates_nothing () =
+  let n = 100_000 in
+  let sim = Dsim.Sim.create () in
+  let left = ref 0 in
+  let rec tick () =
+    decr left;
+    if !left > 0 then ignore (Dsim.Sim.schedule ~cat:"tick" sim ~delay:1. tick)
+  in
+  let round () =
+    left := n;
+    ignore (Dsim.Sim.schedule sim ~delay:0. tick);
+    ignore (Dsim.Sim.run sim)
+  in
+  round () (* the queue's arrays grow here *);
+  let before = Gc.minor_words () in
+  round ();
+  let per_event = (Gc.minor_words () -. before) /. float_of_int n in
+  Alcotest.(check int) "every tick ran" (2 * n) (Dsim.Sim.executed_events sim);
+  Alcotest.(check bool)
+    (Printf.sprintf "run allocated %.4f words per event" per_event)
+    true (per_event < 0.01)
+
+(* An int-coded event — a handler registered once, posted with an int —
+   allocates nothing to post or to run, equal times included. *)
+let test_post_allocates_nothing () =
+  let n = 100_000 in
+  let sim = Dsim.Sim.create () in
+  let sum = ref 0 and last = ref 0 and in_order = ref true in
+  let h =
+    Dsim.Sim.register sim (fun arg ->
+        (* Posts at one time run in posting order. *)
+        if arg land 1 = 0 && arg < !last then in_order := false;
+        if arg land 1 = 0 then last := arg;
+        sum := !sum + arg)
+  in
+  let round () =
+    sum := 0;
+    last := 0;
+    for i = 1 to n do
+      ignore
+        (Dsim.Sim.post sim ~delay:(if i land 1 = 0 then 1. else 2.) h i)
+    done;
+    ignore (Dsim.Sim.run sim)
+  in
+  round ();
+  let before = Gc.minor_words () in
+  round ();
+  let per_event = (Gc.minor_words () -. before) /. float_of_int n in
+  Alcotest.(check int) "every argument delivered" (n * (n + 1) / 2) !sum;
+  Alcotest.(check bool) "equal times run in posting order" true !in_order;
+  Alcotest.(check bool)
+    (Printf.sprintf "post and run allocated %.4f words per event" per_event)
+    true (per_event < 0.01)
+
+let test_post_rejects () =
+  let sim = Dsim.Sim.create () in
+  let other = Dsim.Sim.create () in
+  let h = Dsim.Sim.register sim ignore in
+  Alcotest.check_raises "negative delay"
+    (Invalid_argument "Sim.post: negative delay") (fun () ->
+      ignore (Dsim.Sim.post sim ~delay:(-1.) h 0));
+  Alcotest.check_raises "handler id out of range"
+    (Invalid_argument "Sim.post: handler id out of range for this simulation")
+    (fun () -> ignore (Dsim.Sim.post other ~delay:1. h 0))
+
 let suite =
   [
     ( "dsim.sim",
@@ -99,5 +169,11 @@ let suite =
         Alcotest.test_case "max_events budget" `Quick test_max_events;
         Alcotest.test_case "stop from callback" `Quick test_stop;
         Alcotest.test_case "resume after horizon" `Quick test_resume_after_until;
+        Alcotest.test_case "run allocates nothing per event" `Quick
+          test_run_allocates_nothing;
+        Alcotest.test_case "posted events allocate nothing" `Quick
+          test_post_allocates_nothing;
+        Alcotest.test_case "post rejects bad arguments" `Quick
+          test_post_rejects;
       ] );
   ]
