@@ -9,7 +9,9 @@
 #                           families' fixture suites (@fixtures), the dyn
 #                           suite, the campaign and pdes determinism gates,
 #                           a large audited run (n = 4096, k = 64, --check),
-#                           a large serial run (n = 250000, pinned output),
+#                           a large adversarial checked run (n = 4096,
+#                           k = 16, pinned output), a large serial run
+#                           (n = 250000, pinned output),
 #                           the n = 10^6 partitioned grid run
 #                           (EXPERIMENTS.md E18) and an n = 10^5
 #                           partitioned line, both with pinned output
@@ -153,6 +155,18 @@ else
           -g r-restricted --extra 8192 -k 64 --check) &&
         printf "%s\n" "$out" | tail -1 &&
         printf "%s\n" "$out" | grep -q "^compliance: OK"'
+    # The adversary at scale: about 103,000 forced choices, each asking
+    # fc_has_received which candidates the receiver already has, must
+    # reproduce the run's time and counts exactly and pass the audit.
+    gate "large adversarial checked run (grid -n 4096 -k 16 --scheduler adversarial --check)" \
+      sh -c 'out=$(dune exec bin/mmb_sim.exe -- run -t grid -n 4096 \
+          -g r-restricted --extra 8192 -k 16 --scheduler adversarial \
+          --check --seed 7) &&
+        printf "%s\n" "$out" | grep -x -e "time: .*" -e "bcasts: .*" -e "engine: .*" -e "compliance: .*" &&
+        printf "%s\n" "$out" | grep -qx "time: 501" &&
+        printf "%s\n" "$out" | grep -qx "bcasts: 65536, rcvs: 328132, forced progress deliveries: 103053" &&
+        printf "%s\n" "$out" | grep -qx "engine: 393684 events executed" &&
+        printf "%s\n" "$out" | grep -q "^compliance: OK"'
     # The serial engine (Dsim.Heap, Standard_mac, Bmmb) at scale: a
     # 250k-node grid, 2.5 M events, must reproduce its completion time
     # and event count exactly.
@@ -187,6 +201,7 @@ else
     skip "campaign determinism (churn_line --jobs 1 vs 4)" "run with --full"
     skip "pdes determinism (line P=4: N=1 vs 4; grid P=8: N=1 vs 2; trace bytes)" "run with --full"
     skip "large checked run (grid -n 4096 -k 64 --check)" "run with --full"
+    skip "large adversarial checked run (grid -n 4096 -k 16 --scheduler adversarial --check)" "run with --full"
     skip "large serial run (grid -n 250000 -k 2, pinned time and events)" "run with --full"
     skip "E18 million-node grid (-n 1000000 --partitions 8 --domains 2)" "run with --full"
     skip "large partitioned line (line -n 100000 --partitions 8, pinned time, events and windows)" "run with --full"

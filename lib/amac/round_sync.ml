@@ -12,36 +12,38 @@ type 'msg t = {
 }
 
 let policy ~mode =
+  (* One fold per row, consing onto the next row's list, so a plan is
+     built without an intermediate array, list copy or append. *)
+  let onto delay row tail =
+    Array.fold_right
+      (fun receiver acc -> { Mac_intf.receiver; delay } :: acc)
+      row tail
+  in
   let plan ctx =
     let open Mac_intf in
-    (* Reliable deliveries are planned at Fack: the round-boundary abort
-       always preempts them, so receptions flow through the watchdog
-       (Minimal) or the early G'-wide deliveries (Generous). *)
-    let g_deliveries =
-      Array.to_list
-        (Array.map
-           (fun receiver -> { receiver; delay = ctx.bc_fack })
-           ctx.bc_g_neighbors)
-    in
     match mode with
-    | Minimal -> { ack_delay = ctx.bc_fack; deliveries = g_deliveries }
+    | Minimal ->
+        (* Reliable deliveries are planned at Fack: the round-boundary
+           abort always preempts them, so receptions flow through the
+           watchdog. *)
+        {
+          ack_delay = ctx.bc_fack;
+          deliveries = onto ctx.bc_fack ctx.bc_g_neighbors [];
+        }
     | Generous ->
+        (* Every G'-neighbor receives halfway to the round boundary. *)
         let early = 0.5 *. ctx.bc_fprog in
         {
           ack_delay = ctx.bc_fack;
           deliveries =
-            Array.to_list
-              (Array.map
-                 (fun receiver -> { receiver; delay = early })
-                 ctx.bc_g_neighbors)
-            @ Array.to_list
-                (Array.map
-                   (fun receiver -> { receiver; delay = early })
-                   ctx.bc_g'_only_neighbors);
+            onto early ctx.bc_g_neighbors
+              (onto early ctx.bc_g'_only_neighbors []);
         }
   in
   let forced ctx =
-    Dsim.Rng.pick ctx.Mac_intf.fc_rng (Array.of_list ctx.Mac_intf.fc_candidates)
+    (* The single draw [Rng.pick] makes on an array copy, without the
+       copy. *)
+    Dsim.Rng.pick_list ctx.Mac_intf.fc_rng ctx.Mac_intf.fc_candidates
   in
   {
     Mac_intf.pol_name =

@@ -44,13 +44,56 @@ module Contenders = struct
       s.len <- s.len - 1
     end
 
-  (* Fold smallest-uid-first. *)
-  let fold_asc f s init =
-    let acc = ref init in
-    for i = 0 to s.len - 1 do
-      acc := f ~uid:s.a.(2 * i) ~sender:s.a.((2 * i) + 1) !acc
-    done;
-    !acc
+  (* The [i]th pair, smallest uid first. *)
+  let length s = s.len
+  let uid s i = s.a.(2 * i)
+  let sender s i = s.a.((2 * i) + 1)
+end
+
+(* The (body id, receiver) pairs delivered so far, as one int set with
+   open addressing: linear probing over a power-of-two table whose empty
+   cells hold -1, doubled before it gets half full.  An insert allocates
+   nothing but that growth, so the set grows with the distinct pairs, not
+   with deliveries.  It is only probed, never traversed. *)
+module Pairs = struct
+  type t = {
+    mutable cells : int array;
+    mutable shift : int; (* 63 - log2 (Array.length cells) *)
+    mutable size : int;
+  }
+
+  let create () = { cells = Array.make 16 (-1); shift = 63 - 4; size = 0 }
+
+  (* Fibonacci hashing: the top bits of [key] times 2^62 / golden ratio. *)
+  let home s key = (key * 0x278DDE6E5FD29F05) lsr s.shift
+
+  (* The cell holding [key], or the empty cell ending its probe run. *)
+  let rec probe cells key i =
+    let c = cells.(i) in
+    if c = key || c < 0 then i
+    else probe cells key ((i + 1) land (Array.length cells - 1))
+
+  let mem s key = s.cells.(probe s.cells key (home s key)) = key
+
+  let grow s =
+    let old = s.cells in
+    s.cells <- Array.make (2 * Array.length old) (-1);
+    s.shift <- s.shift - 1;
+    Array.iter
+      (fun key -> if key >= 0 then s.cells.(probe s.cells key (home s key)) <- key)
+      old
+
+  let rec add s key =
+    let i = probe s.cells key (home s key) in
+    if s.cells.(i) <> key then
+      if 2 * (s.size + 1) > Array.length s.cells then begin
+        grow s;
+        add s key
+      end
+      else begin
+        s.cells.(i) <- key;
+        s.size <- s.size + 1
+      end
 end
 
 type status = Open | Acked | Aborted of float
@@ -63,9 +106,11 @@ let is_open = function Open -> true | Acked | Aborted _ -> false
    [g'_row], the sender's sorted G'-row: a planned delivery's event
    carries its slot, and a forced one finds it by binary search. *)
 type 'msg instance = {
+  id : int; (* its index in [insts]: what its events carry *)
   uid : int;
   sender : int;
   body : 'msg;
+  body_id : int; (* [body] interned: structurally equal bodies share it *)
   mutable status : status;
   (* The rows of the dual in force when the instance opened.  Terminate
      bookkeeping iterates the same G/G' neighborhoods bcast incremented,
@@ -90,20 +135,32 @@ type 'msg t = {
   msg_id : ('msg -> int) option; (* payload id for trace msg fields *)
   handlers : 'msg Mac_intf.handlers option array;
   busy : bool array;
-  current : 'msg instance option array; (* in-flight instance per node *)
+  current : int array; (* in-flight instance id per node, or -1 *)
+  (* Instances by id.  A bcast takes an id, released ids first, and the
+     id is released when the instance is recycled, once no event of it
+     is queued; so ids stay below the most instances alive at once, and
+     [free_ids], as long as [insts], never overflows. *)
+  mutable insts : 'msg instance array;
+  mutable n_ids : int; (* ids ever taken *)
+  mutable free_ids : int array;
+  mutable n_free : int;
+  (* [| deliver; ack; watchdog; abort_gc |], registered right after the
+     record is built, since their functions close over it.  A delivery's
+     int packs the receiver's slot above the instance id ([id_bits]);
+     an ack's and a clean-up's is the instance id, a watchdog's the
+     receiver. *)
+  mutable events : Dsim.Sim.handler array;
   mutable next_uid : int;
   (* Per-receiver progress-watchdog state. *)
   connected_open : int array; (* open instances from G-neighbors *)
   cover : int array; (* open G'-instances that already delivered here *)
   contenders : Contenders.t array;
   watchdog : Dsim.Sim.handle array; (* armed watchdog, or [no_event] *)
-  (* One watchdog callback per node, allocated on first use and reused for
-     every rescheduling (watchdogs churn on each delivery/termination). *)
-  watchdog_fn : (unit -> unit) option array;
-  (* Likewise one [fc_has_received] probe per node, reused across every
-     watchdog fire at that node. *)
-  has_received_fn : ('msg -> bool) option array;
-  received_bodies : ('msg, unit) Hashtbl.t array;
+  (* Bodies by structural equality, interned once per bcast to dense ids,
+     and every delivered (body id, receiver) pair, keyed [pair]: all
+     [fc_has_received] needs. *)
+  bodies : ('msg, int) Hashtbl.t;
+  received : Pairs.t;
   (* Per sender, the [served]/[pending] buffers of its last discarded
      instance, taken (and cleared) by its next bcast over a row of the
      same length, so steady-state bcasts allocate none. *)
@@ -123,6 +180,15 @@ type 'msg t = {
   mutable n_forced : int;
 }
 
+let id_bits = 30
+let id_mask = (1 lsl id_bits) - 1
+
+(* Indices into [events]. *)
+let ev_deliver = 0
+let ev_ack = 1
+let ev_watchdog = 2
+let ev_abort_gc = 3
+
 let record t event =
   match t.trace with
   | None -> ()
@@ -137,52 +203,6 @@ let tracing t = Option.is_some t.trace
    (so span derivation can link arrivals to broadcasts), else the uid. *)
 let mid t ~uid body =
   match t.msg_id with Some f -> f body | None -> uid
-
-let create ~sim ~dual ~fack ~fprog ~policy ~rng ?(eps_abort = 0.) ?dyn ?trace
-    ?msg_id () =
-  if not (0. < fprog && fprog <= fack) then
-    invalid_arg "Standard_mac.create: need 0 < fprog <= fack";
-  if eps_abort < 0. then
-    invalid_arg "Standard_mac.create: need eps_abort >= 0";
-  let n = Graphs.Dual.n dual in
-  (match dyn with
-  | Some d when Graphs.Dual.n (Dyn.Dual.base d) <> n ->
-      invalid_arg "Standard_mac.create: dyn schedule is over a different node set"
-  | _ -> ());
-  {
-    sim;
-    dual;
-    dyn;
-    fack;
-    fprog;
-    eps_abort;
-    policy;
-    rng;
-    trace;
-    msg_id;
-    handlers = Array.make n None;
-    busy = Array.make n false;
-    current = Array.make n None;
-    next_uid = 0;
-    connected_open = Array.make n 0;
-    cover = Array.make n 0;
-    contenders = Array.init n (fun _ -> Contenders.create ());
-    watchdog = Array.make n Dsim.Sim.no_event;
-    watchdog_fn = Array.make n None;
-    has_received_fn = Array.make n None;
-    received_bodies = Array.init n (fun _ -> Hashtbl.create 16);
-    spare_served = Array.make n Bytes.empty;
-    spare_pending = Array.make n [||];
-    scratch_epoch = 0;
-    scratch_nbr = Array.make n 0;
-    scratch_slot = Array.make n 0;
-    scratch_seen = Array.make n 0;
-    n_bcast = 0;
-    n_rcv = 0;
-    n_ack = 0;
-    n_abort = 0;
-    n_forced = 0;
-  }
 
 let attach t ~node handlers =
   (match t.handlers.(node) with
@@ -215,6 +235,54 @@ let ack_count t = t.n_ack
 let abort_count t = t.n_abort
 let forced_count t = t.n_forced
 
+(* --- Instances, by id ---------------------------------------------------- *)
+
+(* Store a new instance under its id, which is either released or the
+   next unused one: [insts] (and [free_ids] with it) grows only when the
+   id is one past its end. *)
+let store t inst =
+  let cap = Array.length t.insts in
+  if inst.id = cap then begin
+    let cap' = if cap = 0 then 16 else 2 * cap in
+    let insts = Array.make cap' inst and free_ids = Array.make cap' 0 in
+    Array.blit t.insts 0 insts 0 cap;
+    Array.blit t.free_ids 0 free_ids 0 t.n_free;
+    t.insts <- insts;
+    t.free_ids <- free_ids
+  end;
+  t.insts.(inst.id) <- inst
+
+let take_id t =
+  if t.n_free > 0 then begin
+    t.n_free <- t.n_free - 1;
+    t.free_ids.(t.n_free)
+  end
+  else begin
+    let id = t.n_ids in
+    if id > id_mask then
+      invalid_arg "Standard_mac: too many broadcast instances alive at once";
+    t.n_ids <- id + 1;
+    id
+  end
+
+(* The id of [body], interned on first sight.  [Hashtbl.find] rather
+   than [find_opt]: a hit allocates nothing. *)
+let intern t body =
+  match Hashtbl.find t.bodies body with
+  | id -> id
+  | exception Not_found ->
+      let id = Hashtbl.length t.bodies in
+      Hashtbl.replace t.bodies body id;
+      id
+
+(* The [received] key of (body id, receiver). *)
+let pair t ~body_id j = (body_id * Array.length t.busy) + j
+
+let has_received t j body =
+  match Hashtbl.find t.bodies body with
+  | body_id -> Pairs.mem t.received (pair t ~body_id j)
+  | exception Not_found -> false
+
 (* --- Per-instance receiver state ----------------------------------------- *)
 
 let is_served inst s =
@@ -241,10 +309,19 @@ let cancel_pending t inst =
   done
 
 (* Once an instance is unreachable (pending all cancelled, contend sets
-   purged), its sender's next bcast may reuse its buffers. *)
+   purged), its sender's next bcast may reuse its buffers, and any bcast
+   its id. *)
 let recycle t inst =
   t.spare_served.(inst.sender) <- inst.served;
-  t.spare_pending.(inst.sender) <- inst.pending
+  t.spare_pending.(inst.sender) <- inst.pending;
+  t.free_ids.(t.n_free) <- inst.id;
+  t.n_free <- t.n_free + 1
+
+(* The in-flight instance of [sender], which must have one. *)
+let current_exn t sender =
+  let id = t.current.(sender) in
+  if id < 0 then assert false;
+  t.insts.(id)
 
 (* --- Progress watchdog ------------------------------------------------- *)
 
@@ -255,85 +332,20 @@ let rec sender_of uid = function
       if c.Mac_intf.cand_uid = uid then c.Mac_intf.cand_sender
       else sender_of uid rest
 
-let rec recheck_watchdog t j =
+let recheck_watchdog t j =
   let needed = t.connected_open.(j) > 0 && t.cover.(j) = 0 in
   let armed = t.watchdog.(j) <> Dsim.Sim.no_event in
-  if needed && not armed then begin
-    let fn =
-      match t.watchdog_fn.(j) with
-      | Some fn -> fn
-      | None ->
-          let fn () = fire_watchdog t j in
-          t.watchdog_fn.(j) <- Some fn;
-          fn
-    in
+  if needed && not armed then
     t.watchdog.(j) <-
-      Dsim.Sim.schedule ~cat:"mac.watchdog" t.sim ~delay:t.fprog fn
-  end
+      Dsim.Sim.post t.sim ~delay:t.fprog t.events.(ev_watchdog) j
   else if armed && not needed then begin
     Dsim.Sim.cancel t.sim t.watchdog.(j);
     t.watchdog.(j) <- Dsim.Sim.no_event
   end
 
-and fire_watchdog t j =
-  t.watchdog.(j) <- Dsim.Sim.no_event;
-  if t.connected_open.(j) > 0 && t.cover.(j) = 0 then begin
-    (* Ascending-uid traversal with a cons per candidate gives a
-       descending-uid list; the order feeds the forced-choice policy, so
-       it is load-bearing.  A contender is open, so it is its sender's
-       current instance. *)
-    let candidates =
-      Contenders.fold_asc
-        (fun ~uid ~sender acc ->
-          match t.current.(sender) with
-          | Some inst when inst.uid = uid ->
-              {
-                Mac_intf.cand_uid = uid;
-                cand_sender = sender;
-                cand_body = inst.body;
-                cand_is_g_neighbor = Graphs.Dual.is_reliable t.dual sender j;
-              }
-              :: acc
-          | Some _ | None -> assert false)
-        t.contenders.(j) []
-    in
-    match candidates with
-    | [] ->
-        (* Cannot happen: connected_open > 0 with cover = 0 implies an open,
-           undelivered G-neighbor instance, which is a contender. *)
-        assert false
-    | _ -> (
-        let has_received =
-          match t.has_received_fn.(j) with
-          | Some fn -> fn
-          | None ->
-              let fn body = Hashtbl.mem t.received_bodies.(j) body in
-              t.has_received_fn.(j) <- Some fn;
-              fn
-        in
-        let ctx =
-          {
-            Mac_intf.fc_receiver = j;
-            fc_now = Dsim.Sim.now t.sim;
-            fc_candidates = candidates;
-            fc_has_received = has_received;
-            fc_rng = t.rng;
-          }
-        in
-        let choice = t.policy.Mac_intf.pol_forced ctx in
-        let sender = sender_of choice.Mac_intf.cand_uid candidates in
-        if sender < 0 then
-          invalid_arg "Standard_mac: forced choice not among candidates";
-        match t.current.(sender) with
-        | Some inst ->
-            t.n_forced <- t.n_forced + 1;
-            deliver t inst (slot_of inst j)
-        | None -> assert false)
-  end
-
 (* --- Deliveries --------------------------------------------------------- *)
 
-and deliver t inst s =
+let deliver t inst s =
   let deliverable =
     (not (is_served inst s))
     &&
@@ -359,7 +371,7 @@ and deliver t inst s =
       t.cover.(j) <- t.cover.(j) + 1;
       recheck_watchdog t j
     end;
-    Hashtbl.replace t.received_bodies.(j) inst.body ();
+    Pairs.add t.received (pair t ~body_id:inst.body_id j);
     t.n_rcv <- t.n_rcv + 1;
     (* Delivered-set probe for the adversary's oracle: the receiver now
        knows this message. *)
@@ -372,6 +384,56 @@ and deliver t inst s =
         (Dsim.Trace.Rcv
            { node = j; msg = mid t ~uid:inst.uid inst.body; instance = inst.uid });
     (handlers_exn t j).Mac_intf.on_rcv ~src:inst.sender inst.body
+  end
+
+(* Receiver [j]'s contenders from the [i]th on, consed onto [acc].
+   Ascending-uid traversal with a cons per candidate gives a
+   descending-uid list; the order feeds the forced-choice policy, so it
+   is load-bearing.  A contender is open, so it is its sender's current
+   instance. *)
+let rec candidates t j i acc =
+  let c = t.contenders.(j) in
+  if i = Contenders.length c then acc
+  else begin
+    let uid = Contenders.uid c i and sender = Contenders.sender c i in
+    let inst = current_exn t sender in
+    assert (inst.uid = uid);
+    candidates t j (i + 1)
+      ({
+         Mac_intf.cand_uid = uid;
+         cand_sender = sender;
+         cand_body = inst.body;
+         cand_is_g_neighbor = Graphs.Dual.is_reliable t.dual sender j;
+       }
+      :: acc)
+  end
+
+let fire_watchdog t j =
+  t.watchdog.(j) <- Dsim.Sim.no_event;
+  if t.connected_open.(j) > 0 && t.cover.(j) = 0 then begin
+    let candidates = candidates t j 0 [] in
+    match candidates with
+    | [] ->
+        (* Cannot happen: connected_open > 0 with cover = 0 implies an open,
+           undelivered G-neighbor instance, which is a contender. *)
+        assert false
+    | _ ->
+        let ctx =
+          {
+            Mac_intf.fc_receiver = j;
+            fc_now = Dsim.Sim.now t.sim;
+            fc_candidates = candidates;
+            fc_has_received = (fun body -> has_received t j body);
+            fc_rng = t.rng;
+          }
+        in
+        let choice = t.policy.Mac_intf.pol_forced ctx in
+        let sender = sender_of choice.Mac_intf.cand_uid candidates in
+        if sender < 0 then
+          invalid_arg "Standard_mac: forced choice not among candidates";
+        let inst = current_exn t sender in
+        t.n_forced <- t.n_forced + 1;
+        deliver t inst (slot_of inst j)
   end
 
 (* Shared bookkeeping for both terminating events: update watchdog state
@@ -393,7 +455,7 @@ let terminate t inst ~keep_late_deliveries =
     recheck_watchdog t j
   done;
   t.busy.(inst.sender) <- false;
-  t.current.(inst.sender) <- None;
+  t.current.(inst.sender) <- -1;
   if not keep_late_deliveries then recycle t inst
 
 let ack t inst =
@@ -411,29 +473,90 @@ let ack t inst =
   (handlers_exn t inst.sender).Mac_intf.on_ack inst.body
 
 let abort t ~node =
-  match t.current.(node) with
-  | None ->
-      raise
-        (Not_well_formed
-           (Printf.sprintf "node %d aborted with no broadcast in flight" node))
-  | Some inst ->
-      inst.status <- Aborted (Dsim.Sim.now t.sim);
-      (* With eps_abort = 0, [terminate ~keep_late_deliveries:false]
-         cancels every pending delivery; with eps_abort > 0 they are
-         kept and [deliver] applies the window cutoff at fire time. *)
-      terminate t inst ~keep_late_deliveries:(t.eps_abort > 0.);
-      t.n_abort <- t.n_abort + 1;
-      if tracing t then
-        record t
-          (Dsim.Trace.Abort
-             { node; msg = mid t ~uid:inst.uid inst.body; instance = inst.uid });
-      if t.eps_abort > 0. then
-        (* Drop the instance once the late window has passed. *)
-        ignore
-          (Dsim.Sim.schedule ~cat:"mac.abort_gc" t.sim
-             ~delay:(t.eps_abort +. 1e-9) (fun () ->
-               cancel_pending t inst;
-               recycle t inst))
+  if t.current.(node) < 0 then
+    raise
+      (Not_well_formed
+         (Printf.sprintf "node %d aborted with no broadcast in flight" node));
+  let inst = current_exn t node in
+  inst.status <- Aborted (Dsim.Sim.now t.sim);
+  (* With eps_abort = 0, [terminate ~keep_late_deliveries:false]
+     cancels every pending delivery; with eps_abort > 0 they are
+     kept and [deliver] applies the window cutoff at fire time. *)
+  terminate t inst ~keep_late_deliveries:(t.eps_abort > 0.);
+  t.n_abort <- t.n_abort + 1;
+  if tracing t then
+    record t
+      (Dsim.Trace.Abort
+         { node; msg = mid t ~uid:inst.uid inst.body; instance = inst.uid });
+  if t.eps_abort > 0. then
+    (* Drop the instance once the late window has passed. *)
+    ignore
+      (Dsim.Sim.post t.sim ~delay:(t.eps_abort +. 1e-9) t.events.(ev_abort_gc)
+         inst.id)
+
+let create ~sim ~dual ~fack ~fprog ~policy ~rng ?(eps_abort = 0.) ?dyn ?trace
+    ?msg_id () =
+  if not (0. < fprog && fprog <= fack) then
+    invalid_arg "Standard_mac.create: need 0 < fprog <= fack";
+  if eps_abort < 0. then
+    invalid_arg "Standard_mac.create: need eps_abort >= 0";
+  let n = Graphs.Dual.n dual in
+  (match dyn with
+  | Some d when Graphs.Dual.n (Dyn.Dual.base d) <> n ->
+      invalid_arg "Standard_mac.create: dyn schedule is over a different node set"
+  | _ -> ());
+  let t =
+    {
+      sim;
+      dual;
+      dyn;
+      fack;
+      fprog;
+      eps_abort;
+      policy;
+      rng;
+      trace;
+      msg_id;
+      handlers = Array.make n None;
+      busy = Array.make n false;
+      current = Array.make n (-1);
+      insts = [||];
+      n_ids = 0;
+      free_ids = [||];
+      n_free = 0;
+      events = [||];
+      next_uid = 0;
+      connected_open = Array.make n 0;
+      cover = Array.make n 0;
+      contenders = Array.init n (fun _ -> Contenders.create ());
+      watchdog = Array.make n Dsim.Sim.no_event;
+      bodies = Hashtbl.create 16;
+      received = Pairs.create ();
+      spare_served = Array.make n Bytes.empty;
+      spare_pending = Array.make n [||];
+      scratch_epoch = 0;
+      scratch_nbr = Array.make n 0;
+      scratch_slot = Array.make n 0;
+      scratch_seen = Array.make n 0;
+      n_bcast = 0;
+      n_rcv = 0;
+      n_ack = 0;
+      n_abort = 0;
+      n_forced = 0;
+    }
+  in
+  t.events <-
+    [|
+      Dsim.Sim.register ~cat:"mac.deliver" sim (fun arg ->
+          deliver t t.insts.(arg land id_mask) (arg lsr id_bits));
+      Dsim.Sim.register ~cat:"mac.ack" sim (fun id -> ack t t.insts.(id));
+      Dsim.Sim.register ~cat:"mac.watchdog" sim (fun j -> fire_watchdog t j);
+      Dsim.Sim.register ~cat:"mac.abort_gc" sim (fun id ->
+          let inst = t.insts.(id) in
+          cancel_pending t inst;
+          recycle t inst);
+    |];
+  t
 
 (* --- Plan validation ---------------------------------------------------- *)
 
@@ -535,11 +658,13 @@ let bcast t ~node body =
     end
     else Bytes.make len '\000'
   in
+  let id = take_id t in
   let inst =
-    { uid; sender = node; body; status = Open; g_row; g'_row; served;
-      pending; ack_handle = Dsim.Sim.no_event }
+    { id; uid; sender = node; body; body_id = intern t body; status = Open;
+      g_row; g'_row; served; pending; ack_handle = Dsim.Sim.no_event }
   in
-  t.current.(node) <- Some inst;
+  store t inst;
+  t.current.(node) <- id;
   for s = 0 to d - 1 do
     Contenders.add t.contenders.(g'_row.(s)) ~uid ~sender:node
   done;
@@ -555,9 +680,8 @@ let bcast t ~node body =
     (fun { Mac_intf.receiver; delay } ->
       let s = t.scratch_slot.(receiver) in
       pending.(s) <-
-        Dsim.Sim.schedule ~cat:"mac.deliver" t.sim ~delay (fun () ->
-            deliver t inst s))
+        Dsim.Sim.post t.sim ~delay t.events.(ev_deliver)
+          ((s lsl id_bits) lor id))
     plan.Mac_intf.deliveries;
   inst.ack_handle <-
-    Dsim.Sim.schedule ~cat:"mac.ack" t.sim ~delay:plan.Mac_intf.ack_delay
-      (fun () -> ack t inst)
+    Dsim.Sim.post t.sim ~delay:plan.Mac_intf.ack_delay t.events.(ev_ack) id

@@ -14,14 +14,14 @@ type cat_stat = {
 
 (* Every queued event's payload lives in arrays indexed by its heap slot:
    its category ([cats], a dense interned id, -1 = uncategorized, so the
-   per-event accounting in [exec] is an array index, not a string hash
-   lookup) and either a thunk ([kinds] = -1, [thunks]) or a registered
-   handler ([kinds] = its id) with an int argument ([args]).  A slot is
-   free again once its event pops, so the arrays are as long as the most
-   events ever queued at once, and a posted event allocates nothing.  A
-   freed slot keeps its last thunk until a thunk reuses it: clearing it
-   would cost a write barrier per event, and a simulation's queue dies
-   with it. *)
+   per-event accounting in [exec] is an array index, not a string
+   lookup; a posted event's is its handler's) and either a thunk
+   ([kinds] = -1, [thunks]) or a registered handler ([kinds] = its id)
+   with an int argument ([args]).  A slot is free again once its event
+   pops, so the arrays are as long as the most events ever queued at
+   once, and a posted event allocates nothing.  A freed slot keeps its
+   last thunk until a thunk reuses it: clearing it would cost a write
+   barrier per event, and a simulation's queue dies with it. *)
 type t = {
   clock : float array; (* [| now |]: an unboxed cell, written by the heap *)
   queue : Heap.t;
@@ -30,18 +30,15 @@ type t = {
   mutable args : int array;
   mutable thunks : (unit -> unit) array;
   mutable handlers : (int -> unit) array;
+  mutable handler_cats : int array; (* by handler: its category id *)
   mutable n_handlers : int;
   mutable stopping : bool;
   mutable executed : int;
-  cat_ids : (string, int) Hashtbl.t;
+  (* Interned categories, by id in order of first use (deterministic).
+     They are a handful of literals, so [intern] scans them instead of
+     hashing. *)
   mutable cat_stats : cat_stat array;
   mutable n_cats : int;
-  (* One-slot intern cache: schedulers overwhelmingly pass the same
-     category literal back-to-back, and the physical-equality probe skips
-     even the hash lookup then.  Ids are derived from insertion order
-     (deterministic), never from table traversal. *)
-  mutable last_cat : string;
-  mutable last_cat_id : int;
   mutable wall_clock : (unit -> float) option;
 }
 
@@ -51,37 +48,29 @@ let nop () = ()
 
 let create () =
   { clock = [| 0. |]; queue = Heap.create (); cats = [||]; kinds = [||];
-    args = [||]; thunks = [||]; handlers = [||]; n_handlers = 0;
-    stopping = false; executed = 0;
-    cat_ids = Hashtbl.create 16; cat_stats = [||]; n_cats = 0;
-    last_cat = ""; last_cat_id = -1; wall_clock = None }
+    args = [||]; thunks = [||]; handlers = [||]; handler_cats = [||];
+    n_handlers = 0; stopping = false; executed = 0; cat_stats = [||];
+    n_cats = 0; wall_clock = None }
 
 let now t = t.clock.(0)
 
-let intern t name =
-  if name == t.last_cat (* analysis: allow D4 — cache probe only, miss falls through *)
-  then t.last_cat_id
+(* The id of category [name], scanning from id [i] and adding [name] at
+   the end if it is new. *)
+let rec intern t name i =
+  if i < t.n_cats then
+    if String.equal t.cat_stats.(i).cat_name name then i
+    else intern t name (i + 1)
   else begin
-    let id =
-      match Hashtbl.find_opt t.cat_ids name with
-      | Some id -> id
-      | None ->
-          let id = t.n_cats in
-          Hashtbl.replace t.cat_ids name id;
-          let stat = { cat_name = name; cat_events = 0; cat_wall = 0. } in
-          let cap = Array.length t.cat_stats in
-          if id = cap then begin
-            let stats = Array.make (if cap = 0 then 8 else 2 * cap) stat in
-            Array.blit t.cat_stats 0 stats 0 cap;
-            t.cat_stats <- stats
-          end;
-          t.cat_stats.(id) <- stat;
-          t.n_cats <- id + 1;
-          id
-    in
-    t.last_cat <- name;
-    t.last_cat_id <- id;
-    id
+    let stat = { cat_name = name; cat_events = 0; cat_wall = 0. } in
+    let cap = Array.length t.cat_stats in
+    if i = cap then begin
+      let stats = Array.make (if cap = 0 then 8 else 2 * cap) stat in
+      Array.blit t.cat_stats 0 stats 0 cap;
+      t.cat_stats <- stats
+    end;
+    t.cat_stats.(i) <- stat;
+    t.n_cats <- i + 1;
+    i
   end
 
 let grown a fill =
@@ -109,7 +98,7 @@ let set_thunk t h cat f =
   t.thunks.(slot) <- f;
   h
 
-let cat_id t = function None -> -1 | Some name -> intern t name
+let cat_id t = function None -> -1 | Some name -> intern t name 0
 
 let schedule_at ?cat t ~time f =
   if time < t.clock.(0) then
@@ -122,10 +111,14 @@ let schedule ?cat t ~delay f =
   let cat = cat_id t cat in
   set_thunk t (Heap.push_after t.queue ~now:t.clock ~delay) cat f
 
-let register t fn =
+let register ?cat t fn =
   let id = t.n_handlers in
-  if id = Array.length t.handlers then t.handlers <- grown t.handlers ignore;
+  if id = Array.length t.handlers then begin
+    t.handlers <- grown t.handlers ignore;
+    t.handler_cats <- grown t.handler_cats (-1)
+  end;
   t.handlers.(id) <- fn;
+  t.handler_cats.(id) <- cat_id t cat;
   t.n_handlers <- id + 1;
   id
 
@@ -135,7 +128,7 @@ let post t ~delay handler arg =
     invalid_arg "Sim.post: handler id out of range for this simulation";
   let h = Heap.push_after t.queue ~now:t.clock ~delay in
   let slot = slot_of t h in
-  t.cats.(slot) <- -1;
+  t.cats.(slot) <- t.handler_cats.(handler);
   t.kinds.(slot) <- handler;
   t.args.(slot) <- arg;
   h

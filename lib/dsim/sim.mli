@@ -50,16 +50,20 @@ val schedule : ?cat:string -> t -> delay:float -> (unit -> unit) -> handle
 type handler [@@immediate]
 (** A callback registered with one simulation, for {!post}. *)
 
-val register : t -> (int -> unit) -> handler
+val register : ?cat:string -> t -> (int -> unit) -> handler
 (** [register sim fn] makes [fn] postable on [sim]; every event posted
-    with the handler calls [fn] with the event's int argument.  Posted
-    events are uncategorized: they count only in {!executed_events}. *)
+    with the handler calls [fn] with the event's int argument.  [cat]
+    labels every event posted with the handler, as [?cat] labels a
+    scheduled one (see {!category_stats}); without it they count only
+    in {!executed_events}. *)
 
 val post : t -> delay:float -> handler -> int -> handle
 (** [post sim ~delay h arg] runs [h]'s function on [arg] when the clock
     reaches [now sim +. delay], ordered with every other event by
-    [(time, scheduling order)] exactly as {!schedule}.  Allocates
-    nothing once the queue has grown: the sum is never boxed.  Raises
+    [(time, scheduling order)] exactly as {!schedule}, and charged to
+    [h]'s category.  Allocates nothing once the queue has grown: the
+    sum is never boxed, and the category is [h]'s, interned when it
+    was registered.  Raises
     [Invalid_argument] if [delay < 0.] or if [h]'s id is out of range
     for [sim], i.e. [sim] has registered fewer handlers.  A handler
     registered with another simulation is not detected when its id is
@@ -112,14 +116,16 @@ val set_wall_clock : t -> (unit -> float) -> unit
     {!category_stats} reports zero wall time but still counts events. *)
 
 val category_stats : t -> (string * int * float) list
-(** Per-category [(name, events, wall_seconds)] for events scheduled with
-    [?cat], sorted by category name. *)
+(** Per-category [(name, events, wall_seconds)] for events scheduled
+    with [?cat] or posted with a handler registered with one, sorted by
+    category name.  A category is listed from its first {!register} or
+    {!schedule} on, even if none of its events has run. *)
 
 val cat_interned : t -> int
 (** Number of distinct category names interned so far.  Categories are
-    interned to dense ids at {!schedule} time so
-    per-event accounting is an array index; this count feeds the
-    [engine.cat_interned] metric. *)
+    interned to dense ids when a handler is registered or an event
+    scheduled with one, so per-event accounting is an array index; this
+    count feeds the [engine.cat_interned] metric. *)
 
 val heap_high_water : t -> int
 (** Maximum number of simultaneously pending events ever observed. *)

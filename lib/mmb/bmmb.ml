@@ -31,6 +31,11 @@ type t = {
 let now t = t.mac.Amac.Mac_handle.h_now ()
 let record_trace t event = Amac.Mac_handle.record t.mac event
 
+(* Call-site guard for [record_trace]: its argument is built before the
+   call checks for a trace, so an unguarded call allocates the event
+   record even with tracing off. *)
+let tracing t = Option.is_some t.mac.Amac.Mac_handle.h_trace
+
 let push t st msg =
   (match t.discipline with
   | `Fifo -> st.back <- msg :: st.back
@@ -94,7 +99,7 @@ let get t node msg ~from_env =
   let st = t.states.(node) in
   if not (has t ~node ~msg) then begin
     set t ~node ~msg;
-    record_trace t (Dsim.Trace.Deliver { node; msg });
+    if tracing t then record_trace t (Dsim.Trace.Deliver { node; msg });
     t.on_deliver ~node ~msg ~time:(now t);
     (* Own arrivals are always broadcast; received messages only by relay
        nodes (backbone flooding). *)
@@ -141,7 +146,7 @@ let install ?(discipline = `Fifo) ?(relay = fun _ -> true) ~mac ~on_deliver
 
 let arrive t ~node ~msg =
   if msg < 0 then invalid_arg "Bmmb.arrive: message ids must be >= 0";
-  record_trace t (Dsim.Trace.Arrive { node; msg });
+  if tracing t then record_trace t (Dsim.Trace.Arrive { node; msg });
   get t node msg ~from_env:true
 
 let queue_length t ~node =

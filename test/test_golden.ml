@@ -131,6 +131,55 @@ let test_serial_random_pinned () =
       Alcotest.(check string) "trace md5" "58df86788244d991bd0e28abf81eb264"
         (md5_of_trace tr)
 
+(* Structured bodies under the adversary, whose forced choices prefer a
+   body the receiver already has, so they hinge on [fc_has_received]
+   comparing bodies by structure.  On a 6x6 grid with 20 extra G' edges,
+   each node sends six [(int * string)] bodies, rebuilt before every
+   bcast: equal bodies come from several senders and rounds but never
+   share a block.  Starts are staggered over five times. *)
+let test_structured_adversary_pinned () =
+  let side = 6 in
+  let n = side * side in
+  let rng = Dsim.Rng.create ~seed:11 in
+  let dual =
+    Graphs.Dual.arbitrary_random rng
+      ~g:(Graphs.Gen.grid ~rows:side ~cols:side)
+      ~extra:20
+  in
+  let sim = Dsim.Sim.create () in
+  let tr = Dsim.Trace.create () in
+  let mac =
+    Amac.Standard_mac.create ~sim ~dual ~fack:8. ~fprog:1.
+      ~policy:(Amac.Schedulers.adversarial ())
+      ~rng ~trace:tr ()
+  in
+  let body v round =
+    (round mod 3, String.concat "" [ "m"; string_of_int (v mod 4) ])
+  in
+  let sent = Array.make n 0 in
+  let send v =
+    Amac.Standard_mac.bcast mac ~node:v (body v sent.(v));
+    sent.(v) <- sent.(v) + 1
+  in
+  for v = 0 to n - 1 do
+    Amac.Standard_mac.attach mac ~node:v
+      {
+        Amac.Mac_intf.on_rcv = (fun ~src:_ _ -> ());
+        on_ack = (fun _ -> if sent.(v) < 6 then send v);
+      };
+    Amac.Standard_mac.env_at mac ~time:(float_of_int (v mod 5)) (fun () ->
+        send v)
+  done;
+  ignore (Dsim.Sim.run sim);
+  Alcotest.(check int) "every bcast acked" (6 * n)
+    (Amac.Standard_mac.ack_count mac);
+  Alcotest.(check int) "forced deliveries" 269
+    (Amac.Standard_mac.forced_count mac);
+  Alcotest.(check int) "compliant" 0
+    (List.length (Amac.Compliance.audit ~dual ~fack:8. ~fprog:1. tr));
+  Alcotest.(check string) "trace md5" "224be099602e97bef895c48db7cb92fa"
+    (md5_of_trace tr)
+
 let suite =
   [
     ( "golden",
@@ -143,5 +192,7 @@ let suite =
           test_fmmb_generous_pinned;
         Alcotest.test_case "serial random-scheduler trace pinned" `Quick
           test_serial_random_pinned;
+        Alcotest.test_case "structured bodies under the adversary pinned"
+          `Quick test_structured_adversary_pinned;
       ] );
   ]

@@ -261,6 +261,20 @@ let test_sim_profiling () =
     [ ("a", 2) ]
     (List.filter_map
        (fun (name, events, _) -> if name = "a" then Some (name, events) else None)
+       (Dsim.Sim.category_stats sim));
+  (* A posted event is charged to its handler's category, if it has one. *)
+  let a = Dsim.Sim.register ~cat:"a" sim ignore in
+  let plain = Dsim.Sim.register sim ignore in
+  ignore (Dsim.Sim.post sim ~delay:1. a 0);
+  ignore (Dsim.Sim.post sim ~delay:1. plain 0);
+  ignore (Dsim.Sim.run sim);
+  Alcotest.(check int) "posted events executed" 5
+    (Dsim.Sim.executed_events sim);
+  Alcotest.(check (list (pair string Alcotest.int)))
+    "posts counted under their handler's category"
+    [ ("a", 3); ("b", 0) ]
+    (List.map
+       (fun (name, events, _) -> (name, events))
        (Dsim.Sim.category_stats sim))
 
 (* --- end-to-end export: schema, determinism, estimate consistency -------- *)

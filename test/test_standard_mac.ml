@@ -181,6 +181,170 @@ let test_trace_events_recorded () =
   Alcotest.(check (list string)) "bcast, rcv, ack" [ "bcast"; "rcv"; "ack" ]
     kinds
 
+(* An aborted instance keeps its events, and so its id, for the
+   eps_abort window.  The hub of a 3-node star sends A at 0 (leaf 1 at
+   0.6, leaf 2 at 0.9), aborts it at 0.5 with eps_abort = 0.2 and sends
+   B at once: A's delivery at 0.6 must still land with A's uid and
+   body, its 0.9 one must not, and B is untouched.  After B's ack the
+   hub sends C, which may reuse A's id now that its window is over. *)
+let test_abort_window_keeps_instance () =
+  let dual = Graphs.Dual.of_equal (Graphs.Gen.star 3) in
+  let plan =
+    {
+      Amac.Mac_intf.ack_delay = 2.;
+      deliveries =
+        [
+          { Amac.Mac_intf.receiver = 1; delay = 0.6 };
+          { Amac.Mac_intf.receiver = 2; delay = 0.9 };
+        ];
+    }
+  in
+  let policy =
+    {
+      Amac.Mac_intf.pol_name = "prebuilt";
+      pol_plan = (fun _ -> plan);
+      pol_forced = (fun ctx -> List.hd ctx.Amac.Mac_intf.fc_candidates);
+    }
+  in
+  let sim = Dsim.Sim.create () in
+  let trace = Dsim.Trace.create () in
+  let fack = 2. and fprog = 1. and eps_abort = 0.2 in
+  let mac =
+    Amac.Standard_mac.create ~sim ~dual ~fack ~fprog ~policy
+      ~rng:(Dsim.Rng.create ~seed:0) ~eps_abort ~trace ()
+  in
+  let got = ref [] in
+  for node = 0 to 2 do
+    Amac.Standard_mac.attach mac ~node
+      {
+        Amac.Mac_intf.on_rcv =
+          (fun ~src:_ body -> got := (Dsim.Sim.now sim, node, body) :: !got);
+        on_ack =
+          (fun body ->
+            if String.equal body "B" then Amac.Standard_mac.bcast mac ~node "C");
+      }
+  done;
+  Amac.Standard_mac.env_at mac ~time:0. (fun () ->
+      Amac.Standard_mac.bcast mac ~node:0 "A");
+  Amac.Standard_mac.env_at mac ~time:0.5 (fun () ->
+      Amac.Standard_mac.abort mac ~node:0;
+      Amac.Standard_mac.bcast mac ~node:0 "B");
+  ignore (Dsim.Sim.run sim);
+  Alcotest.(check (list (triple (float 1e-9) int string)))
+    "receptions"
+    [
+      (0.6, 1, "A");
+      (1.1, 1, "B");
+      (1.4, 2, "B");
+      (3.1, 1, "C");
+      (3.4, 2, "C");
+    ]
+    (List.rev !got);
+  let rcv_instances =
+    List.filter_map
+      (fun e ->
+        match e.Dsim.Trace.event with
+        | Dsim.Trace.Rcv { node; instance; _ } -> Some (node, instance)
+        | _ -> None)
+      (Dsim.Trace.entries trace)
+  in
+  Alcotest.(check (list (pair int int)))
+    "each reception names its own instance"
+    [ (1, 0); (1, 1); (2, 1); (1, 2); (2, 2) ]
+    rcv_instances;
+  Alcotest.(check int) "compliant" 0
+    (List.length (Amac.Compliance.audit ~dual ~fack ~fprog ~eps_abort trace))
+
+(* Words the MAC allocates per bcast on a star whose hub rebroadcasts
+   one prebuilt body on every ack, under a policy that returns a
+   prebuilt plan: every leaf receives at [delay] and the ack comes at
+   the same time.  With [delay] below Fprog each leaf's watchdog is
+   armed and cancelled once per bcast; past it each fires and forces a
+   delivery.  The second of two equal rounds is measured, so the
+   engine's and the MAC's arrays have grown. *)
+let star_words_per_bcast ~leaves ~delay =
+  let dual = Graphs.Dual.of_equal (Graphs.Gen.star (leaves + 1)) in
+  let hub = 0 in
+  let rows = Graphs.Graph.neighbors (Graphs.Dual.unreliable dual) hub in
+  let plan =
+    {
+      Amac.Mac_intf.ack_delay = delay;
+      deliveries =
+        Array.to_list
+          (Array.map (fun receiver -> { Amac.Mac_intf.receiver; delay }) rows);
+    }
+  in
+  let policy =
+    {
+      Amac.Mac_intf.pol_name = "prebuilt";
+      pol_plan = (fun _ -> plan);
+      pol_forced = (fun ctx -> List.hd ctx.Amac.Mac_intf.fc_candidates);
+    }
+  in
+  let sim = Dsim.Sim.create () in
+  let mac =
+    Amac.Standard_mac.create ~sim ~dual ~fack:4. ~fprog:1. ~policy
+      ~rng:(Dsim.Rng.create ~seed:0) ()
+  in
+  let body = (7, "prebuilt") in
+  let left = ref 0 in
+  for node = 0 to leaves do
+    Amac.Standard_mac.attach mac ~node
+      {
+        Amac.Mac_intf.on_rcv = (fun ~src:_ _ -> ());
+        on_ack =
+          (fun b ->
+            if !left > 0 then begin
+              decr left;
+              Amac.Standard_mac.bcast mac ~node b
+            end);
+      }
+  done;
+  let bcasts = 2_000 in
+  let round () =
+    left := bcasts - 1;
+    Amac.Standard_mac.bcast mac ~node:hub body;
+    ignore (Dsim.Sim.run sim)
+  in
+  round ();
+  let before = Gc.minor_words () in
+  round ();
+  let words = Gc.minor_words () -. before in
+  Alcotest.(check int) "every bcast ran" (2 * bcasts)
+    (Amac.Standard_mac.bcast_count mac);
+  Alcotest.(check int) "every leaf received every bcast"
+    (2 * bcasts * leaves) (Amac.Standard_mac.rcv_count mac);
+  (words /. float_of_int bcasts, Amac.Standard_mac.forced_count mac)
+
+(* Deliveries, acks and watchdogs are int-coded events of handlers the
+   MAC registers once, and a delivery records its (body, receiver) pair
+   in an int set, so past per-bcast bookkeeping (the policy's context,
+   the instance record) they allocate nothing: widening the star from 8
+   to 32 leaves quadruples the deliveries and watchdogs per bcast but
+   must not add words.  A fire allocates only what the forced-choice
+   policy is handed: its context (6 words), the boxed time (2), the
+   [fc_has_received] probe (5) and one candidate and its cons (8). *)
+let test_events_allocate_nothing () =
+  let narrow, forced_narrow = star_words_per_bcast ~leaves:8 ~delay:0.5 in
+  let wide, forced_wide = star_words_per_bcast ~leaves:32 ~delay:0.5 in
+  Alcotest.(check int) "no watchdog fired" 0 (forced_narrow + forced_wide);
+  Alcotest.(check bool)
+    (Printf.sprintf "%.1f words per bcast at 8 leaves" narrow)
+    true (narrow < 64.);
+  Alcotest.(check bool)
+    (Printf.sprintf "%.4f words per extra delivery" ((wide -. narrow) /. 24.))
+    true (wide -. narrow < 0.05 *. 24.);
+  let stalled_narrow, fired_narrow = star_words_per_bcast ~leaves:8 ~delay:4. in
+  let stalled_wide, fired_wide = star_words_per_bcast ~leaves:32 ~delay:4. in
+  Alcotest.(check int) "every delivery forced at 8 leaves" (2 * 2_000 * 8)
+    fired_narrow;
+  Alcotest.(check int) "every delivery forced at 32 leaves" (2 * 2_000 * 32)
+    fired_wide;
+  Alcotest.(check bool)
+    (Printf.sprintf "%.4f words per extra fire"
+       ((stalled_wide -. stalled_narrow) /. 24.))
+    true (stalled_wide -. stalled_narrow < 22. *. 24.)
+
 let suite =
   [
     ( "amac.standard_mac",
@@ -199,5 +363,9 @@ let suite =
           test_unreliable_delivery_possible;
         Alcotest.test_case "trace records MAC events" `Quick
           test_trace_events_recorded;
+        Alcotest.test_case "aborted instance lives out its window" `Quick
+          test_abort_window_keeps_instance;
+        Alcotest.test_case "deliveries, acks and watchdogs allocate nothing"
+          `Quick test_events_allocate_nothing;
       ] );
   ]

@@ -66,6 +66,28 @@ let test_consensus_all_regimes () =
       ("adversarial", fun () -> Amac.Schedulers.adversarial ());
     ]
 
+(* Consensus floods (id, proposal) pairs, and the adversary's forced
+   choices prefer a pair the receiver already has, so its completion
+   time depends on [fc_has_received] matching pairs by structure. *)
+let test_consensus_adversary_pinned () =
+  List.iter
+    (fun (side, extra, time, bcasts) ->
+      let rng = Dsim.Rng.create ~seed:4 in
+      let g = Graphs.Gen.grid ~rows:side ~cols:side in
+      let dual = Graphs.Dual.arbitrary_random rng ~g ~extra in
+      let proposals = Array.init (side * side) (fun v -> v * 7) in
+      let res, _ =
+        Mmb.Consensus.run ~dual ~fack:8. ~fprog:1.
+          ~policy:(Amac.Schedulers.adversarial ())
+          ~proposals ~seed:5 ()
+      in
+      let cell = Printf.sprintf "%dx%d" side side in
+      Alcotest.(check bool) (cell ^ " agrees") true res.Mmb.Consensus.agreed;
+      Alcotest.(check (float 1e-9)) (cell ^ " time") time
+        res.Mmb.Consensus.time;
+      Alcotest.(check int) (cell ^ " bcasts") bcasts res.Mmb.Consensus.bcasts)
+    [ (4, 8, 32., 49); (6, 20, 73., 219); (8, 40, 48., 285) ]
+
 (* --- CDS backbone ---------------------------------------------------------- *)
 
 let test_cds_checker () =
@@ -153,6 +175,8 @@ let suite =
         Alcotest.test_case "per-component" `Quick test_consensus_components;
         Alcotest.test_case "all schedulers and regimes" `Quick
           test_consensus_all_regimes;
+        Alcotest.test_case "adversary time and bcasts pinned" `Quick
+          test_consensus_adversary_pinned;
       ] );
     ( "mmb.structuring",
       [
