@@ -43,12 +43,20 @@ let usage_error fmt =
       exit 2)
     fmt
 
-(* Tiny argv parser: [--jobs N | --trace-out FILE] may appear anywhere;
-   every other token is an experiment id.  [--jobs] follows the CLI's
-   shared convention (Exec.Pool.resolve_jobs). *)
+let usage =
+  "usage: main.exe [--jobs N] [--trace-out FILE] [ID...]  (IDs e1..e16; \
+   none means all)"
+
+(* Tiny argv parser: [--jobs N | --trace-out FILE] may appear anywhere,
+   [--help] prints the usage, any other token starting with '-' is an
+   unknown option, and every remaining token is an experiment id.
+   [--jobs] follows the CLI's shared convention (Exec.Pool.resolve_jobs). *)
 let parse_args argv =
   let rec go jobs trace ids = function
     | [] -> (jobs, trace, List.rev ids)
+    | ("--help" | "-h") :: _ ->
+        print_endline usage;
+        exit 0
     | [ "--jobs" ] -> usage_error "--jobs requires an integer argument"
     | "--jobs" :: n :: rest -> (
         match int_of_string_opt n with
@@ -56,6 +64,8 @@ let parse_args argv =
         | None -> usage_error "--jobs requires an integer argument")
     | [ "--trace-out" ] -> usage_error "--trace-out requires a FILE argument"
     | "--trace-out" :: file :: rest -> go jobs (Some file) ids rest
+    | opt :: _ when String.starts_with ~prefix:"-" opt ->
+        usage_error "unknown option: %s\n%s" opt usage
     | id :: rest -> go jobs trace (String.lowercase_ascii id :: ids) rest
   in
   go 1 None [] (List.tl (Array.to_list argv))

@@ -199,8 +199,9 @@ let describe_dual dual =
 (* --- run ----------------------------------------------------------------- *)
 
 (* A file [run] writes from the live event stream of whichever engine
-   runs (the serial engine's MAC trace, or FMMB's problem-level
-   lifecycle): [subscribe] before the run, [write] after it. *)
+   runs (the serial engine's MAC trace, the partitioned engine's merged
+   trace, or FMMB's problem-level lifecycle): [subscribe] before the
+   run, [write] after it. *)
 type surface = { subscribe : Dsim.Trace.t -> unit; write : unit -> unit }
 
 let trace_surface ~meta ~n path =
@@ -257,7 +258,6 @@ let run_cmd =
       else domains
     in
     let partitions = if partitions <= 0 then domains else partitions in
-    let partitioned = partitions > 1 in
     (* The flags describe a one-cell scenario: check it with the loader's
        rules before anything is built. *)
     let checked =
@@ -291,34 +291,12 @@ let run_cmd =
         }
       in
       let* () = Mmb.Scenario.check_spec spec in
-      (* The partitioned engine streams its own JSONL trace and has no
-         instrument seam. *)
-      let serial_only =
-        List.filter_map
-          (fun (on, flag) -> if on && partitioned then Some flag else None)
-          [
-            (check, "--check");
-            (trace, "--trace");
-            (provenance <> None, "--provenance");
-            (metrics <> None, "--metrics");
-            (progress <> None, "--progress");
-          ]
-      in
-      if serial_only <> [] then
+      if progress <> None && partitions > 1 then
         Error
-          (Printf.sprintf
-             "%s require%s the serial engine (--partitions 1): the \
-              partitioned engine streams its trace to disk instead of \
-              retaining it"
-             (String.concat ", " serial_only)
-             (match serial_only with [ _ ] -> "s" | _ -> ""))
+          "--progress requires the serial engine (--partitions 1): its \
+           ticker is an event in one engine's heap"
       else
         match trace_out with
-        | Some path when partitioned && Filename.check_suffix path ".json" ->
-            Error
-              "Perfetto export (--trace-out *.json) requires the serial \
-               engine (--partitions 1); use a non-.json suffix for the raw \
-               JSONL log"
         | Some path
           when protocol = `Fmmb && not (Filename.check_suffix path ".json") ->
             Printf.eprintf
@@ -326,15 +304,16 @@ let run_cmd =
                is available for fmmb)\n"
               path;
             Ok (spec, None)
-        | _ when partitioned -> Ok (spec, None)
         | trace_file -> Ok (spec, trace_file)
     in
     match checked with
     | Error e -> `Error (false, e)
     | Ok (spec, trace_file) ->
         let sim_ref = ref None and obs = ref None and files = ref [] in
-        (* Fail fast: the streaming checker stops the simulation at the
-           first axiom violation, printing the offending event. *)
+        (* Fail fast: the streaming checker stops the serial simulation
+           at the first axiom violation, printing the offending event (a
+           partitioned run, which has no one engine to stop, prints it
+           and runs on). *)
         let on_violation entry v =
           Fmt.epr "[monitor] %a@." Amac.Compliance.pp_violation v;
           Option.iter
@@ -429,7 +408,7 @@ let run_cmd =
           | _ -> ()
         in
         let x =
-          Mmb.Scenario.run ~instrument ~setup ?trace_out spec ~seed:spec.seed
+          Mmb.Scenario.run ~instrument ~setup spec ~seed:spec.seed
         in
         (match (!obs, metrics) with
         | Some o, Some path ->
@@ -437,6 +416,20 @@ let run_cmd =
             Printf.printf "metrics written to %s\n" path
         | _ -> ());
         describe_dual x.dual;
+        (* The audit verdict and the trace dump, on either BMMB engine. *)
+        let audited ~violations ~retained =
+          if check then
+            if violations = [] then
+              print_endline "compliance: OK (all five axioms hold)"
+            else begin
+              print_endline "compliance: VIOLATIONS";
+              List.iter
+                (fun v -> Fmt.pr "  %a@." Amac.Compliance.pp_violation v)
+                violations
+            end;
+          if trace then
+            Option.iter (fun tr -> Fmt.pr "%a@." Dsim.Trace.pp tr) retained
+        in
         (match x.engine with
         | Mmb.Scenario.Serial res ->
             let open Mmb.Runner in
@@ -463,17 +456,7 @@ let run_cmd =
                   (Dyn.Dual.epoch d + 1)
                   (Dyn.Dual.refreshes d) churned)
               x.dyn;
-            if check then
-              if res.compliance_violations = [] then
-                print_endline "compliance: OK (all five axioms hold)"
-              else begin
-                print_endline "compliance: VIOLATIONS";
-                List.iter
-                  (fun v -> Fmt.pr "  %a@." Amac.Compliance.pp_violation v)
-                  res.compliance_violations
-              end;
-            if trace then
-              Option.iter (fun tr -> Fmt.pr "%a@." Dsim.Trace.pp tr) res.trace
+            audited ~violations:res.compliance_violations ~retained:res.trace
         | Mmb.Scenario.Partitioned r ->
             let open Mmb.Runner in
             Printf.printf
@@ -491,11 +474,7 @@ let run_cmd =
               "engine: %d events executed, %d barrier windows, heap high \
                water %d\n"
               r.pd_events r.pd_windows r.pd_heap_high_water;
-            Option.iter
-              (fun path ->
-                Printf.printf "trace written to %s (%d events)\n" path
-                  r.pd_trace_entries)
-              trace_out
+            audited ~violations:r.pd_compliance_violations ~retained:r.pd_trace
         | Mmb.Scenario.Fmmb { fmmb = f; _ } ->
             let open Mmb.Fmmb in
             Printf.printf "protocol: FMMB (enhanced model), Fprog=%g\n"

@@ -9,6 +9,8 @@
 #                           families' fixture suites (@fixtures), the dyn
 #                           suite, the campaign and pdes determinism gates,
 #                           a large audited run (n = 4096, k = 64, --check),
+#                           a partitioned checked run (n = 10^4, P = 8,
+#                           N = 2, --check, pinned output),
 #                           a large adversarial checked run (n = 4096,
 #                           k = 16, pinned output), a large serial run
 #                           (n = 250000, pinned output),
@@ -89,17 +91,22 @@ else
   gate "dune build" dune build
   gate "dune runtest" dune runtest
 
-  # Trace smoke: tiny BMMB and FMMB runs must produce Perfetto and
-  # provenance exports that self-validate (schema + per-event shape).
-  # Both engines feed the exports through the same live attach path.
+  # Trace smoke: tiny BMMB (serial and partitioned, P = 4 on 2 domains)
+  # and FMMB runs must produce Perfetto and provenance exports that
+  # self-validate (schema + per-event shape).  Every engine feeds the
+  # exports through the same live attach path.
   gate "trace smoke (run --trace-out/--provenance + trace-validate)" \
     sh -c 'T=$(mktemp -d) && trap "rm -rf $T" 0 &&
       dune exec bin/mmb_sim.exe -- run -t line -n 10 -k 2 --seed 3 \
         --trace-out "$T/trace.json" --provenance "$T/prov.jsonl" >/dev/null &&
+      dune exec bin/mmb_sim.exe -- run -t line -n 40 -k 3 --seed 3 \
+        --partitions 4 --domains 2 --trace-out "$T/pdes.json" \
+        --provenance "$T/pdes.jsonl" >/dev/null &&
       dune exec bin/mmb_sim.exe -- run -p fmmb -n 20 -k 2 --seed 3 \
         --trace-out "$T/fmmb.json" --provenance "$T/fmmb.jsonl" >/dev/null &&
       dune exec bin/mmb_sim.exe -- trace-validate "$T/trace.json" \
-        "$T/prov.jsonl" "$T/fmmb.json" "$T/fmmb.jsonl"'
+        "$T/prov.jsonl" "$T/pdes.json" "$T/pdes.jsonl" "$T/fmmb.json" \
+        "$T/fmmb.jsonl"'
 
   if [ "$MODE" = full ]; then
     # Randomized hash seeds catch order-dependent Hashtbl traversals
@@ -155,6 +162,18 @@ else
           -g r-restricted --extra 8192 -k 64 --check) &&
         printf "%s\n" "$out" | tail -1 &&
         printf "%s\n" "$out" | grep -q "^compliance: OK"'
+    # The partitioned engine's merged trace under the same audit: an
+    # r-restricted 10^4-node grid on 8 partitions and 2 domains must
+    # reproduce the unchecked run's time, events and windows and pass
+    # the five axioms.
+    gate "partitioned checked run (grid -n 10000 -g r-restricted --partitions 8 --domains 2 --check)" \
+      sh -c 'out=$(dune exec bin/mmb_sim.exe -- run -t grid -n 10000 \
+          -g r-restricted --extra 20000 -k 4 --fack 8 --seed 3 \
+          --partitions 8 --domains 2 --check) &&
+        printf "%s\n" "$out" | grep -x -e "time: .*" -e "engine: .*" -e "compliance: .*" &&
+        printf "%s\n" "$out" | grep -qx "time: 27.9815" &&
+        printf "%s\n" "$out" | grep -qx "engine: 100492 events executed, 29 barrier windows, heap high water 1290" &&
+        printf "%s\n" "$out" | grep -qx "compliance: OK (all five axioms hold)"'
     # The adversary at scale: about 103,000 forced choices, each asking
     # fc_has_received which candidates the receiver already has, must
     # reproduce the run's time and counts exactly and pass the audit.
@@ -201,6 +220,7 @@ else
     skip "campaign determinism (churn_line --jobs 1 vs 4)" "run with --full"
     skip "pdes determinism (line P=4: N=1 vs 4; grid P=8: N=1 vs 2; trace bytes)" "run with --full"
     skip "large checked run (grid -n 4096 -k 64 --check)" "run with --full"
+    skip "partitioned checked run (grid -n 10000 -g r-restricted --partitions 8 --domains 2 --check)" "run with --full"
     skip "large adversarial checked run (grid -n 4096 -k 16 --scheduler adversarial --check)" "run with --full"
     skip "large serial run (grid -n 250000 -k 2, pinned time and events)" "run with --full"
     skip "E18 million-node grid (-n 1000000 --partitions 8 --domains 2)" "run with --full"

@@ -96,14 +96,12 @@ let parse_line line =
       | other -> Error (Printf.sprintf "unknown event kind %S" other))
   | _ -> Error "missing required field"
 
-let entry_of_line = parse_line
-
 (* --- Streamed-to-disk sink ------------------------------------------------ *)
 
 (* A subscriber that writes each entry as it is recorded, so a run's
-   trace lands on disk without the trace object retaining anything: the
-   mega-path configuration is a disabled trace (no ring, no list) plus
-   one of these.  Buffered by the out_channel; [sink_close] flushes. *)
+   trace lands on disk without the trace object retaining anything (a
+   disabled trace, no ring, no list, plus one of these).  Buffered by the
+   out_channel; [sink_close] flushes. *)
 type sink = { oc : out_channel; mutable written : int; mutable closed : bool }
 
 let sink_create ~path = { oc = open_out path; written = 0; closed = false }
@@ -120,11 +118,6 @@ let sink_close s =
     s.closed <- true;
     close_out s.oc
   end
-
-let stream_file trace ~path =
-  let s = sink_create ~path in
-  Trace.subscribe trace (sink_write s);
-  s
 
 (* Entries are numbered from 1 in list order, as [of_jsonl] numbers the
    non-blank lines it parsed them from. *)

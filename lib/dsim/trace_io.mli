@@ -13,15 +13,11 @@ val to_jsonl : Trace.t -> string
 
 val write_file : Trace.t -> path:string -> unit
 
-val entry_of_line : string -> (Trace.entry, string) result
-(** Parses one line of the {!to_jsonl} format.  The streaming merge in
-    lib/pdes reads per-partition spill files line by line through this,
-    so a million-node trace is merged without ever being resident. *)
-
 (** {1 Streamed-to-disk sink}
 
-    A {!sink} subscribes to a trace and appends every recorded entry to
-    a JSONL file as it happens.  Combined with a disabled trace
+    A {!sink} appends every entry it is given to a JSONL file;
+    subscribing {!sink_write} to a trace ([Trace.subscribe]) streams the
+    trace to the file as it is recorded.  Combined with a disabled trace
     ([Trace.create ~enabled:false]) this replaces ring retention for
     runs too large to hold in memory: the trace object keeps nothing,
     the file holds everything.  The sink must be closed (flushing the
@@ -34,10 +30,6 @@ val sink_create : path:string -> sink
 val sink_write : sink -> Trace.entry -> unit
 val sink_written : sink -> int
 val sink_close : sink -> unit
-
-val stream_file : Trace.t -> path:string -> sink
-(** [stream_file trace ~path] subscribes a fresh sink to [trace] and
-    returns it (close it when the run finishes). *)
 
 val of_jsonl : string -> (Trace.entry list, string) result
 (** Parses the exact format produced by {!to_jsonl}; the error string names

@@ -21,75 +21,104 @@ type bmmb_result = {
    fields carry them directly and spans can follow arrive -> bcast. *)
 let bmmb_msg_id (m : int) = m
 
-(* The trace handed to the MAC: the retained one when auditing post-hoc,
-   else a retention-free trace that only feeds the instrument's
-   subscribers. *)
-let pick_trace ~retained ~(instrument : Instrument.t) =
-  match retained with
-  | Some tr -> Some tr
-  | None ->
-      if instrument.Instrument.want_trace then
-        Some (Dsim.Trace.create ~enabled:false ())
-      else None
-
-let run_bmmb ~dual ~fack ~fprog ~policy ~assignment ~seed
-    ?(discipline = `Fifo) ?(check_compliance = false)
-    ?(max_events = 50_000_000) ?dyn ?(instrument = Instrument.none) ?setup () =
-  let sim = Dsim.Sim.create () in
-  let rng = Dsim.Rng.create ~seed in
+(* The one wiring behind every BMMB run, on every engine.  It picks the
+   trace the engine records into (the retained one when auditing
+   post-hoc, else a retention-free one that only feeds the instrument's
+   subscribers), attaches the instrument, runs [execute] on it, finishes
+   the instrument ([execute] says whether open instances are allowed),
+   and audits the retained trace against the five MAC axioms. *)
+let drive ~dual ~fack ~fprog ~check_compliance ~(instrument : Instrument.t)
+    execute =
   let retained =
     if check_compliance then Some (Dsim.Trace.create ()) else None
   in
-  let trace = pick_trace ~retained ~instrument in
-  (match trace with Some tr -> instrument.Instrument.attach tr | None -> ());
-  instrument.Instrument.wire_sim sim;
+  let trace =
+    match retained with
+    | Some _ -> retained
+    | None ->
+        if instrument.want_trace then Some (Dsim.Trace.create ~enabled:false ())
+        else None
+  in
+  Option.iter instrument.attach trace;
+  let allow_open, result = execute trace in
+  instrument.finish ~allow_open;
+  let violations =
+    match retained with
+    | None -> []
+    | Some tr -> Amac.Compliance.audit ~dual ~fack ~fprog tr
+  in
+  (result, retained, violations)
+
+(* BMMB over the standard MAC on the serial engine, each of [arrivals]
+   injected at its own time, with [tracker] watching the deliveries: the
+   [execute] that [run_bmmb] and [run_bmmb_online] hand to {!drive}. *)
+let serial ~dual ~fack ~fprog ~policy ~seed ~discipline ~max_events ~dyn
+    ~(instrument : Instrument.t) ~setup ~tracker arrivals trace =
+  let sim = Dsim.Sim.create () in
+  let rng = Dsim.Rng.create ~seed in
+  instrument.wire_sim sim;
   let mac =
     Amac.Standard_mac.create ~sim ~dual ~fack ~fprog ~policy ~rng ?dyn ?trace
       ~msg_id:bmmb_msg_id ()
   in
-  let tracker = Problem.tracker ~dual assignment in
   let bmmb =
     Bmmb.install ~discipline ~mac:(Amac.Mac_handle.of_standard mac)
       ~on_deliver:(fun ~node ~msg ~time ->
         Problem.on_deliver tracker ~node ~msg ~time)
       ()
   in
-  (match setup with Some f -> f sim | None -> ());
+  Option.iter (fun f -> f sim) setup;
   List.iter
-    (fun (node, msg) ->
-      Amac.Standard_mac.env_at mac ~time:0. (fun () ->
+    (fun (time, node, msg) ->
+      Amac.Standard_mac.env_at mac ~time (fun () ->
           Bmmb.arrive bmmb ~node ~msg))
-    assignment;
+    arrivals;
   let outcome = Dsim.Sim.run ~max_events sim in
-  let bcasts = Amac.Standard_mac.bcast_count mac in
-  let rcvs = Amac.Standard_mac.rcv_count mac in
-  let acks = Amac.Standard_mac.ack_count mac in
-  let forced = Amac.Standard_mac.forced_count mac in
-  instrument.Instrument.note_sim sim;
-  instrument.Instrument.note_mac ~bcasts ~rcvs ~acks ~forced;
-  instrument.Instrument.finish
-    ~allow_open:(outcome <> Dsim.Sim.Drained);
-  let violations =
-    match retained with
-    | None -> []
-    | Some tr -> Amac.Compliance.audit ~dual ~fack ~fprog tr
+  instrument.note_sim sim;
+  instrument.note_mac
+    ~bcasts:(Amac.Standard_mac.bcast_count mac)
+    ~rcvs:(Amac.Standard_mac.rcv_count mac)
+    ~acks:(Amac.Standard_mac.ack_count mac)
+    ~forced:(Amac.Standard_mac.forced_count mac);
+  (outcome <> Dsim.Sim.Drained, (outcome, sim, mac))
+
+let completion_time tracker =
+  match Problem.completion_time tracker with
+  | Some t -> t
+  | None -> Float.infinity
+
+let spec_violations ~dual retained =
+  match retained with None -> [] | Some tr -> Properties.check ~dual tr
+
+(* The exact applicable paper bound, and whether a run met it. *)
+let bound ~dual ~assignment ~fack ~fprog ~complete ~time =
+  let upper = Bounds.bmmb_upper ~dual ~assignment ~fack ~fprog in
+  (upper, complete && time <= upper +. (1e-6 *. Float.max 1. upper))
+
+let run_bmmb ~dual ~fack ~fprog ~policy ~assignment ~seed
+    ?(discipline = `Fifo) ?(check_compliance = false)
+    ?(max_events = 50_000_000) ?dyn ?(instrument = Instrument.none) ?setup () =
+  let tracker = Problem.tracker ~dual assignment in
+  let (outcome, sim, mac), retained, violations =
+    drive ~dual ~fack ~fprog ~check_compliance ~instrument
+      (serial ~dual ~fack ~fprog ~policy ~seed ~discipline ~max_events ~dyn
+         ~instrument ~setup ~tracker
+         (Problem.at_time_zero assignment))
   in
-  let upper_bound = Bounds.bmmb_upper ~dual ~assignment ~fack ~fprog in
-  let time =
-    match Problem.completion_time tracker with
-    | Some t -> t
-    | None -> Float.infinity
+  let complete = Problem.complete tracker in
+  let time = completion_time tracker in
+  let upper_bound, within_bound =
+    bound ~dual ~assignment ~fack ~fprog ~complete ~time
   in
-  let tolerance = 1e-6 *. Float.max 1. upper_bound in
   {
-    complete = Problem.complete tracker;
+    complete;
     time;
     upper_bound;
-    within_bound = Problem.complete tracker && time <= upper_bound +. tolerance;
-    bcasts;
-    rcvs;
-    acks;
-    forced;
+    within_bound;
+    bcasts = Amac.Standard_mac.bcast_count mac;
+    rcvs = Amac.Standard_mac.rcv_count mac;
+    acks = Amac.Standard_mac.ack_count mac;
+    forced = Amac.Standard_mac.forced_count mac;
     duplicate_deliveries = Problem.duplicate_deliveries tracker;
     deliveries = Problem.delivered_count tracker;
     compliance_violations = violations;
@@ -103,10 +132,7 @@ let run_bmmb ~dual ~fack ~fprog ~policy ~assignment ~seed
           | None -> None)
         assignment;
     trace = retained;
-    spec_violations =
-      (match retained with
-      | None -> []
-      | Some tr -> Properties.check ~dual tr);
+    spec_violations = spec_violations ~dual retained;
   }
 
 type pdes_result = {
@@ -125,39 +151,35 @@ type pdes_result = {
   pd_partitions : int;
   pd_domains : int;
   pd_cut_edges : int;
-  pd_trace_entries : int;
+  pd_compliance_violations : Amac.Compliance.violation list;
+  pd_trace : Dsim.Trace.t option;
+  pd_spec_violations : string list;
 }
 
 (* The partitioned engine is its own deterministic execution, so P = 1
    does not approximate the serial engine — it *is* the serial engine:
    we delegate to [run_bmmb] (same policy, same RNG stream, same trace
-   bytes) and only P >= 2 runs the horizon-parallel path.  Either way
-   the result is audited against the same paper bound. *)
+   bytes) and only P >= 2 runs the horizon-parallel path, through the
+   same [drive].  Either way the result is audited against the same paper
+   bound.  P >= 2 has no one engine to wire or fold into the instrument's
+   counters, so only its trace hooks and [finish] run. *)
 let run_bmmb_pdes ~dual ~fack ~fprog ~policy ~assignment ~seed ~partitions
-    ~domains ?mk_dyn ?trace_out () =
+    ~domains ?mk_dyn ?(check_compliance = false)
+    ?(instrument = Instrument.none) () =
   if fprog > fack then
     invalid_arg "run_bmmb_pdes: Fprog must not exceed Fack (ack bound)";
-  let upper_bound = Bounds.bmmb_upper ~dual ~assignment ~fack ~fprog in
-  let tolerance = 1e-6 *. Float.max 1. upper_bound in
   if partitions = 1 then begin
     if domains <> 1 then
       raise (Pdes.Engine.Domains_exceed_partitions { domains; partitions });
     let dyn = Option.map (fun f -> f ()) mk_dyn in
     let r =
-      run_bmmb ~dual ~fack ~fprog ~policy ~assignment ~seed
-        ~check_compliance:(trace_out <> None) ?dyn ()
-    in
-    let trace_entries =
-      match (trace_out, r.trace) with
-      | Some path, Some tr ->
-          Dsim.Trace_io.write_file tr ~path;
-          Dsim.Trace.length tr
-      | _ -> 0
+      run_bmmb ~dual ~fack ~fprog ~policy ~assignment ~seed ~check_compliance
+        ?dyn ~instrument ()
     in
     {
       pd_complete = r.complete;
       pd_time = r.time;
-      pd_upper_bound = upper_bound;
+      pd_upper_bound = r.upper_bound;
       pd_within_bound = r.within_bound;
       pd_bcasts = r.bcasts;
       pd_rcvs = r.rcvs;
@@ -170,21 +192,29 @@ let run_bmmb_pdes ~dual ~fack ~fprog ~policy ~assignment ~seed ~partitions
       pd_partitions = 1;
       pd_domains = 1;
       pd_cut_edges = 0;
-      pd_trace_entries = trace_entries;
+      pd_compliance_violations = r.compliance_violations;
+      pd_trace = r.trace;
+      pd_spec_violations = r.spec_violations;
     }
   end
   else begin
-    let r =
-      Pdes.Engine.run ~dual ?mk_dyn ~fprog ~assignment ~seed ~partitions
-        ~domains ?trace_out ()
+    (* The engine always runs until every heap drains, so an instance
+       left open would be a violation. *)
+    let r, retained, violations =
+      drive ~dual ~fack ~fprog ~check_compliance ~instrument (fun trace ->
+          ( false,
+            Pdes.Engine.run ~dual ?mk_dyn ~fprog ~assignment ~seed ~partitions
+              ~domains ?trace () ))
+    in
+    let upper_bound, within_bound =
+      bound ~dual ~assignment ~fack ~fprog ~complete:r.Pdes.Engine.complete
+        ~time:r.Pdes.Engine.time
     in
     {
       pd_complete = r.Pdes.Engine.complete;
       pd_time = r.Pdes.Engine.time;
       pd_upper_bound = upper_bound;
-      pd_within_bound =
-        r.Pdes.Engine.complete
-        && r.Pdes.Engine.time <= upper_bound +. tolerance;
+      pd_within_bound = within_bound;
       pd_bcasts = r.Pdes.Engine.bcasts;
       pd_rcvs = r.Pdes.Engine.rcvs;
       pd_acks = r.Pdes.Engine.acks;
@@ -196,7 +226,9 @@ let run_bmmb_pdes ~dual ~fack ~fprog ~policy ~assignment ~seed ~partitions
       pd_partitions = partitions;
       pd_domains = domains;
       pd_cut_edges = r.Pdes.Engine.cut_edges;
-      pd_trace_entries = r.Pdes.Engine.trace_entries;
+      pd_compliance_violations = violations;
+      pd_trace = retained;
+      pd_spec_violations = spec_violations ~dual retained;
     }
   end
 
@@ -214,40 +246,12 @@ type online_result = {
 let run_bmmb_online ~dual ~fack ~fprog ~policy ~arrivals ~seed
     ?(discipline = `Fifo) ?(check_compliance = false)
     ?(max_events = 50_000_000) ?dyn ?(instrument = Instrument.none) ?setup () =
-  let sim = Dsim.Sim.create () in
-  let rng = Dsim.Rng.create ~seed in
-  let retained =
-    if check_compliance then Some (Dsim.Trace.create ()) else None
-  in
-  let trace = pick_trace ~retained ~instrument in
-  (match trace with Some tr -> instrument.Instrument.attach tr | None -> ());
-  instrument.Instrument.wire_sim sim;
-  let mac =
-    Amac.Standard_mac.create ~sim ~dual ~fack ~fprog ~policy ~rng ?dyn ?trace
-      ~msg_id:bmmb_msg_id ()
-  in
   let tracker = Problem.tracker_timed ~dual arrivals in
-  let bmmb =
-    Bmmb.install ~discipline ~mac:(Amac.Mac_handle.of_standard mac)
-      ~on_deliver:(fun ~node ~msg ~time ->
-        Problem.on_deliver tracker ~node ~msg ~time)
-      ()
+  let (_, _, mac), _, violations =
+    drive ~dual ~fack ~fprog ~check_compliance ~instrument
+      (serial ~dual ~fack ~fprog ~policy ~seed ~discipline ~max_events ~dyn
+         ~instrument ~setup ~tracker arrivals)
   in
-  (match setup with Some f -> f sim | None -> ());
-  List.iter
-    (fun (time, node, msg) ->
-      Amac.Standard_mac.env_at mac ~time (fun () ->
-          Bmmb.arrive bmmb ~node ~msg))
-    arrivals;
-  let outcome = Dsim.Sim.run ~max_events sim in
-  instrument.Instrument.note_sim sim;
-  instrument.Instrument.note_mac
-    ~bcasts:(Amac.Standard_mac.bcast_count mac)
-    ~rcvs:(Amac.Standard_mac.rcv_count mac)
-    ~acks:(Amac.Standard_mac.ack_count mac)
-    ~forced:(Amac.Standard_mac.forced_count mac);
-  instrument.Instrument.finish
-    ~allow_open:(outcome <> Dsim.Sim.Drained);
   let latencies =
     List.filter_map
       (fun (_, _, msg) ->
@@ -264,19 +268,13 @@ let run_bmmb_online ~dual ~fack ~fprog ~policy ~arrivals ~seed
   let max_latency = List.fold_left Float.max 0. lat_values in
   {
     complete' = Problem.complete tracker;
-    makespan =
-      (match Problem.completion_time tracker with
-      | Some t -> t
-      | None -> Float.infinity);
+    makespan = completion_time tracker;
     latencies;
     mean_latency;
     max_latency;
     bcasts' = Amac.Standard_mac.bcast_count mac;
     forced' = Amac.Standard_mac.forced_count mac;
-    compliance_violations' =
-      (match retained with
-      | None -> []
-      | Some tr -> Amac.Compliance.audit ~dual ~fack ~fprog tr);
+    compliance_violations' = violations;
   }
 
 type fmmb_result = {

@@ -1,5 +1,12 @@
 (** End-to-end wiring: network × protocol × scheduler → executed run with
-    metrics.  This is the entry point examples, tests, and benchmarks use. *)
+    metrics.  This is the entry point examples, tests, and benchmarks use.
+
+    Every BMMB run, serial, online or partitioned, is wired the same
+    way: the engine records into the retained trace under
+    [check_compliance] (else into a retention-free one when the
+    instrument asks for a trace), the instrument is attached to that
+    trace before the run and finished after it, and the retained trace
+    is audited with {!Amac.Compliance.audit}. *)
 
 type bmmb_result = {
   complete : bool;
@@ -78,7 +85,12 @@ type pdes_result = {
   pd_partitions : int;
   pd_domains : int;
   pd_cut_edges : int;
-  pd_trace_entries : int;  (** lines written to [trace_out] *)
+  pd_compliance_violations : Amac.Compliance.violation list;
+      (** as {!bmmb_result}'s [compliance_violations] *)
+  pd_trace : Dsim.Trace.t option;
+      (** the merged execution trace, when [check_compliance] was set *)
+  pd_spec_violations : string list;
+      (** as {!bmmb_result}'s [spec_violations] *)
 }
 
 val run_bmmb_pdes :
@@ -91,18 +103,23 @@ val run_bmmb_pdes :
   partitions:int ->
   domains:int ->
   ?mk_dyn:(unit -> Dyn.Dual.t) ->
-  ?trace_out:string ->
+  ?check_compliance:bool ->
+  ?instrument:Instrument.t ->
   unit ->
   pdes_result
 (** BMMB on the horizon-parallel engine ({!Pdes.Engine}).  [partitions]
     is a model parameter: it selects the execution (instance ids, RNG
     streams, delivery times), and [domains] only maps partitions onto
-    worker domains — results and [trace_out] bytes are identical for
-    every [1 <= domains <= partitions].  [partitions = 1] delegates to
+    worker domains — results and trace bytes are identical for every
+    [1 <= domains <= partitions].  [partitions = 1] delegates to
     {!run_bmmb} with [policy] (the exact serial engine and trace);
     [partitions >= 2] runs the fused full-coverage engine and ignores
     [policy].  [mk_dyn] builds one private dynamic wrapper per
-    partition.  Raises {!Pdes.Engine.Domains_exceed_partitions} when
+    partition.  [check_compliance] and [instrument] are {!run_bmmb}'s:
+    at [partitions >= 2] the instrument's subscribers see the merged
+    trace window by window, on the calling domain, and its [wire_sim],
+    [note_sim] and [note_mac] are not called (there is no one engine).
+    Raises {!Pdes.Engine.Domains_exceed_partitions} when
     [domains > partitions] and [Invalid_argument] when [Fprog > Fack]. *)
 
 (** {1 Online MMB}

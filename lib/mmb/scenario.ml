@@ -490,8 +490,7 @@ type execution = {
    scenario cell goes through here, so the same settings give the same
    execution.  Seeds: network [seed + 911], assignment or arrivals
    [seed + 13], engine [seed], FMMB-online rounds [seed + 31]. *)
-let run ?(instrument = fun _ _ -> Instrument.none) ?setup ?trace_out spec
-    ~seed =
+let run ?(instrument = fun _ _ -> Instrument.none) ?setup spec ~seed =
   (match check_spec spec with
   | Ok () -> ()
   | Error e -> invalid_arg ("Scenario.run: " ^ e));
@@ -522,7 +521,7 @@ let run ?(instrument = fun _ _ -> Instrument.none) ?setup ?trace_out spec
              ~partitions:spec.partitions ~domains:spec.domains
              ?mk_dyn:
                (Option.map (fun d () -> build_dyn ~dual d) spec.dynamic)
-             ?trace_out ())
+             ~check_compliance:spec.check ~instrument ())
     | `Bmmb, Batch ->
         Serial
           (Runner.run_bmmb ~dual ~fack ~fprog
@@ -586,6 +585,7 @@ let row ~seed { dyn; engine; _ } =
         ~violations:r.compliance_violations
   | Partitioned r ->
       make r.pd_complete r.pd_time ~bound:r.pd_upper_bound ~bcasts:r.pd_bcasts
+        ~violations:r.pd_compliance_violations
   | Online r ->
       make r.complete' r.makespan ~bcasts:r.bcasts'
         ~mean_latency:r.mean_latency ~violations:r.compliance_violations'

@@ -152,7 +152,6 @@ type execution = {
 val run :
   ?instrument:(Graphs.Dual.t -> Dyn.Dual.t option -> Instrument.t) ->
   ?setup:(Dsim.Sim.t -> unit) ->
-  ?trace_out:string ->
   spec ->
   seed:int ->
   execution
@@ -160,10 +159,12 @@ val run :
     subcommand and scenario cell runs through: the network from
     [seed + 911], the assignment or arrivals from [seed + 13], then the
     engine [spec] selects.  [instrument] gets the built network and
-    dynamic wrapper before the run; the serial, online and FMMB engines
-    take what it returns.  [setup] reaches the serial and online
-    engines, [trace_out] is the partitioned engine's streamed JSONL.
-    Raises [Invalid_argument] when {!check_spec} rejects [spec]. *)
+    dynamic wrapper ([None] on the partitioned engine, which builds one
+    per partition) before the run, and every engine takes what it
+    returns.  [setup] reaches the serial and online engines, whose one
+    event heap it can schedule into.  [spec.check] audits the run on
+    every BMMB engine, the partitioned one included.  Raises
+    [Invalid_argument] when {!check_spec} rejects [spec]. *)
 
 val execute :
   ?instrument:(Graphs.Dual.t -> Dyn.Dual.t option -> Instrument.t) ->

@@ -10,17 +10,21 @@
 val instrument :
   ?obs:Observer.t -> ?attach:(Dsim.Trace.t -> unit) -> unit ->
   Mmb.Instrument.t
-(** Every run's engine and MAC counters fold into {!Global} (the
-    campaign runner's per-job deltas and the benchmark read them); with
+(** Every serial run's engine and MAC counters fold into {!Global} (the
+    campaign runner's per-job deltas and the benchmark read them; the
+    partitioned engine has no one engine and folds nothing); with
     neither argument that is all, and the record is a constant.
     Otherwise the run's event stream is subscribed live, whichever
-    engine produces it: the serial MAC trace, or the [Arrive]/[Deliver]
-    lifecycle of FMMB's round backends (at stage-granular times).
+    engine produces it: the serial MAC trace, the partitioned engine's
+    merged trace (recorded window by window, on the calling domain), or
+    the [Arrive]/[Deliver] lifecycle of FMMB's round backends (at
+    stage-granular times).
 
     - [obs]: spans and the streaming checker subscribe, engine gauges
-      are wired, and the observer is finished with [allow_open] set iff
-      the run did not drain.  For FMMB, create it without [dual]: its
-      per-stage engines restart instance uids and clocks.
+      are wired (serial engines only), and the observer is finished with
+      [allow_open] set iff the run did not drain.  For FMMB, create it
+      without [dual]: its per-stage engines restart instance uids and
+      clocks.
     - [attach] receives each trace the run may record into, before the
       run, to subscribe streaming consumers ({!Tracing.Sim},
       {!Provenance}, a [Dsim.Trace_io] sink). *)

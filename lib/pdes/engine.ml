@@ -15,7 +15,6 @@ type result = {
   domains : int;
   cut_edges : int;
   part_sizes : int array;
-  trace_entries : int;
 }
 
 (* --- Barrier --------------------------------------------------------------
@@ -58,92 +57,65 @@ let worker_loop b run_mine =
     end
   done
 
-(* --- Streaming trace merge -----------------------------------------------
+(* --- Per-window trace merge ------------------------------------------------
 
-   Spill files are time-ordered but not rank-ordered: within a partition
-   an [ack] can precede same-time events it caused (its callback records
-   the ack, then the next bcast).  The merge therefore pulls each file's
-   run of equal-minimum-time entries, emits non-terminating entries
-   first (partition order, then file order), then terminating ones.
-   Ordering is a pure function of the spill contents, so the merged file
-   is byte-identical however partitions were mapped onto domains. *)
-
-type reader = { ic : in_channel; mutable lookahead : Dsim.Trace.entry option }
-
-let reader_peek r =
-  match r.lookahead with
-  | Some _ as s -> s
-  | None -> (
-      match input_line r.ic with
-      | exception End_of_file -> None
-      | line -> (
-          match Dsim.Trace_io.entry_of_line line with
-          | Ok e ->
-              r.lookahead <- Some e;
-              r.lookahead
-          | Error msg ->
-              failwith (Printf.sprintf "Pdes.Engine: bad spill line: %s" msg)))
-
-(* The file-order run of entries at exactly [time]. *)
-let reader_take_run r ~time =
-  let rec go acc =
-    match reader_peek r with
-    | Some e when e.Dsim.Trace.time = time ->
-        r.lookahead <- None;
-        go (e :: acc)
-    | _ -> List.rev acc
-  in
-  go []
+   Each partition records into a private, retention-free trace whose one
+   subscriber appends to that partition's [pending] queue, on whichever
+   domain runs it.  After a window with horizon [h], no partition can
+   record an entry earlier than [h]: every due partition ran up to [h]
+   inclusive, and remote deliveries land at [h] or later.  So the
+   coordinator records into the caller's trace every pending entry
+   earlier than [h], holds the rest for the next window, and flushes
+   what is left after the last one.  Within a partition an [ack] can
+   precede same-time events it caused (its callback records the ack,
+   then the next bcast), so entries of one time are recorded
+   non-terminating first (partition order, then record order), then
+   terminating.  The order is a pure function of the queues, so the
+   trace is identical however partitions map onto domains, and the
+   caller's subscribers run only here: on the coordinator, between
+   windows. *)
 
 let is_terminating { Dsim.Trace.event; _ } =
   match event with
   | Dsim.Trace.Ack _ | Dsim.Trace.Abort _ -> true
   | _ -> false
 
-let merge_spills ~paths ~out =
-  let readers =
-    List.map (fun p -> { ic = open_in p; lookahead = None }) paths
+(* The run of [q]'s entries at exactly [time], taken off [q]. *)
+let take_run ~time q =
+  let rec go acc =
+    if
+      (not (Queue.is_empty q))
+      && Float.equal (Queue.peek q).Dsim.Trace.time time
+    then go (Queue.take q :: acc)
+    else List.rev acc
   in
-  let oc = open_out out in
-  let written = ref 0 in
-  let emit e =
-    output_string oc (Dsim.Trace_io.entry_to_json e);
-    output_char oc '\n';
-    incr written
+  go []
+
+(* Record into [trace], in the order above, every pending entry earlier
+   than [horizon], one timestamp at a time; the rest stays queued.  A
+   partition records in time order, so each queue's head is its
+   earliest entry. *)
+let rec merge_before ~trace pending horizon =
+  let time =
+    Array.fold_left
+      (fun t q ->
+        if Queue.is_empty q then t
+        else Float.min t (Queue.peek q).Dsim.Trace.time)
+      horizon pending
   in
-  Fun.protect
-    ~finally:(fun () ->
-      close_out oc;
-      List.iter (fun r -> close_in r.ic) readers)
-    (fun () ->
-      let rec loop () =
-        let tmin =
-          List.fold_left
-            (fun acc r ->
-              match reader_peek r with
-              | Some e -> (
-                  match acc with
-                  | None -> Some e.Dsim.Trace.time
-                  | Some t -> Some (Float.min t e.Dsim.Trace.time))
-              | None -> acc)
-            None readers
-        in
-        match tmin with
-        | None -> ()
-        | Some time ->
-            let runs = List.map (fun r -> reader_take_run r ~time) readers in
-            List.iter
-              (fun run ->
-                List.iter (fun e -> if not (is_terminating e) then emit e) run)
-              runs;
-            List.iter
-              (fun run ->
-                List.iter (fun e -> if is_terminating e then emit e) run)
-              runs;
-            loop ()
-      in
-      loop ());
-  !written
+  if time < horizon then begin
+    let runs = Array.map (take_run ~time) pending in
+    let record terminating =
+      Array.iter
+        (List.iter (fun e ->
+             if is_terminating e = terminating then
+               Dsim.Trace.record trace ~time e.Dsim.Trace.event))
+        runs
+    in
+    record false;
+    record true;
+    merge_before ~trace pending horizon
+  end
 
 (* --- Engine ---------------------------------------------------------------
 
@@ -168,8 +140,7 @@ let run_due ~sims ~next ~domains w until =
     end
   done
 
-let run ~dual ?mk_dyn ~fprog ~assignment ~seed ~partitions ~domains ?trace_out
-    () =
+let run ~dual ?mk_dyn ~fprog ~assignment ~seed ~partitions ~domains ?trace () =
   if partitions < 1 then invalid_arg "Pdes.Engine.run: need partitions >= 1";
   if domains < 1 then invalid_arg "Pdes.Engine.run: need domains >= 1";
   if domains > partitions then
@@ -206,19 +177,19 @@ let run ~dual ?mk_dyn ~fprog ~assignment ~seed ~partitions ~domains ?trace_out
   let shared = Mega.shared ~part ~k ~component ~origin_component in
   let sims = Array.init partitions (fun _ -> Dsim.Sim.create ()) in
   let boxes = Mailbox.create ~parts:partitions in
-  let tracing = trace_out <> None in
+  let tracing = trace <> None in
+  let pending = Array.init partitions (fun _ -> Queue.create ()) in
   let traces =
-    Array.init partitions (fun _ -> Dsim.Trace.create ~enabled:false ())
+    Array.init partitions (fun p ->
+        let tr = Dsim.Trace.create ~enabled:false () in
+        if tracing then
+          Dsim.Trace.subscribe tr (fun e -> Queue.push e pending.(p));
+        tr)
   in
-  let spill p = match trace_out with
-    | Some out -> Printf.sprintf "%s.p%d" out p
-    | None -> assert false
-  in
-  let sinks =
-    if tracing then
-      Array.init partitions (fun p ->
-          Some (Dsim.Trace_io.stream_file traces.(p) ~path:(spill p)))
-    else Array.make partitions None
+  let merge horizon =
+    match trace with
+    | Some trace -> merge_before ~trace pending horizon
+    | None -> ()
   in
   let megas =
     Array.init partitions (fun me ->
@@ -253,8 +224,12 @@ let run ~dual ?mk_dyn ~fprog ~assignment ~seed ~partitions ~domains ?trace_out
         if next.(p) < !tau then tau := next.(p)
       done;
       if !tau < infinity then begin
-        run_window (!tau +. fprog);
+        let horizon = !tau +. fprog in
+        run_window horizon;
         flush ();
+        (* Tested here, not only inside [merge], so an untraced window
+           does not box [horizon] a second time. *)
+        if tracing then merge horizon;
         incr windows;
         loop ()
       end
@@ -278,12 +253,13 @@ let run ~dual ?mk_dyn ~fprog ~assignment ~seed ~partitions ~domains ?trace_out
      in
      let spawned =
        (* The worker closures deliberately capture [sims] and [next]
-          (and, through the megas' callbacks, the partition state).
-          Worker [w] runs, and writes [next.(p)] for, only its own
-          partitions ([p mod domains = w]), so no two domains write the
-          same slot; the coordinator reads every slot, and writes them in
-          [flush], only while all workers are parked, and the barrier
-          mutex orders each of those phases after the workers' writes. *)
+          (and, through the megas' callbacks, the partition state and
+          [pending] queues).  Worker [w] runs, and writes [next.(p)] and
+          [pending.(p)] for, only its own partitions ([p mod domains =
+          w]), so no two domains write the same slot; the coordinator
+          reads every slot, and writes them in [flush] and [merge], only
+          while all workers are parked, and the barrier mutex orders each
+          of those phases after the workers' writes. *)
        List.init (domains - 1) (fun i ->
            let w = i + 1 in
            (* analysis: allow R2 *)
@@ -312,19 +288,7 @@ let run ~dual ?mk_dyn ~fprog ~assignment ~seed ~partitions ~domains ?trace_out
              done;
              Mutex.unlock b.mutex))
    end);
-  let trace_entries =
-    if tracing then begin
-      Array.iter
-        (function Some s -> Dsim.Trace_io.sink_close s | None -> ())
-        sinks;
-      let out = Option.get trace_out in
-      let paths = List.init partitions (fun p -> spill p) in
-      let written = merge_spills ~paths ~out in
-      List.iter Sys.remove paths;
-      written
-    end
-    else 0
-  in
+  merge infinity;
   let sum f = Array.fold_left (fun acc m -> acc + f m) 0 megas in
   let complete = sum Mega.required_delivered = required && assignment <> [] in
   {
@@ -348,5 +312,4 @@ let run ~dual ?mk_dyn ~fprog ~assignment ~seed ~partitions ~domains ?trace_out
     domains;
     cut_edges = Graphs.Partition.cut_edges gprime ~part;
     part_sizes = Graphs.Partition.sizes part ~parts:partitions;
-    trace_entries;
   }

@@ -33,13 +33,17 @@
     events, RNG draws and trace bytes are those of running every
     partition in every window.
 
-    With [~trace_out], each partition streams its events to a spill file
-    ({!Dsim.Trace_io.stream_file}; the in-memory trace retains nothing)
-    and the engine finishes with a streaming merge ordered by
-    [(time, terminating-event rank, partition, file order)].  Ranking
-    [ack]/[abort] after same-time deliveries makes the merged trace pass
-    the {!Amac.Compliance} audit, whose receive/ack-correctness rules
-    compare trace indices at equal timestamps. *)
+    With [~trace], each partition buffers what it records, and after
+    each window the coordinator records into [trace] every buffered entry
+    earlier than the window's horizon, which no later window can precede,
+    ordered by [(time, terminating-event rank, partition, record order)];
+    the rest waits for the next window, and what is left after the last
+    window is recorded then.
+    Ranking [ack]/[abort] after same-time deliveries makes the merged
+    trace pass the {!Amac.Compliance} audit, whose receive/ack-correctness
+    rules compare trace indices at equal timestamps.  The trace's
+    subscribers therefore run on the calling domain, between windows,
+    never on a worker. *)
 
 exception Domains_exceed_partitions of { domains : int; partitions : int }
 (** Raised by {!run} when asked for more worker domains than there are
@@ -61,7 +65,6 @@ type result = {
   domains : int;
   cut_edges : int;  (** G'-edges crossing the partition boundary *)
   part_sizes : int array;
-  trace_entries : int;  (** entries in the merged trace (0 without [trace_out]) *)
 }
 
 val run :
@@ -72,7 +75,7 @@ val run :
   seed:int ->
   partitions:int ->
   domains:int ->
-  ?trace_out:string ->
+  ?trace:Dsim.Trace.t ->
   unit ->
   result
 (** Runs BMMB to completion.  [mk_dyn], when given, is called once per

@@ -76,8 +76,10 @@ val create :
     [dyn], when given, must be a partition-private wrapper (epochs
     advance monotonically per partition); its oracle hooks are never
     consulted — the adversary needs global delivered-set knowledge and
-    is rejected upstream.  [trace] should be retention-free for mega
-    runs (a disabled trace plus a {!Dsim.Trace_io.sink}). *)
+    is rejected upstream.  [trace] is this partition's private record
+    stream: {!Engine} subscribes a buffer to it and merges what it
+    records, window by window, into the caller's trace.  Nothing is
+    recorded unless [tracing]. *)
 
 val schedule_arrival : t -> node:int -> msg:int -> unit
 (** Queue the environment's injection of [msg] at [node] at time [0.]

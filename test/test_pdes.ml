@@ -13,6 +13,32 @@ let read_file path =
 
 let tmp_trace tag = Filename.temp_file ("pdes_" ^ tag) ".jsonl"
 
+(* [run instrument] with a Dsim.Trace_io sink attached through the
+   instrument, as [mmb_sim run --trace-out] attaches one: the run's
+   result, the JSONL bytes the sink wrote, the sink's written count, and
+   the trace it was attached to. *)
+let with_sink tag run =
+  let path = tmp_trace tag in
+  let sink = Dsim.Trace_io.sink_create ~path in
+  let attached = ref None in
+  let instrument =
+    {
+      Mmb.Instrument.none with
+      want_trace = true;
+      attach =
+        (fun tr ->
+          attached := Some tr;
+          Dsim.Trace.subscribe tr (Dsim.Trace_io.sink_write sink));
+    }
+  in
+  let r = run instrument in
+  Dsim.Trace_io.sink_close sink;
+  let bytes = read_file path in
+  Sys.remove path;
+  match !attached with
+  | Some tr -> (r, bytes, Dsim.Trace_io.sink_written sink, tr)
+  | None -> Alcotest.fail "the run attached no trace"
+
 (* --- Graphs.Partition ----------------------------------------------------- *)
 
 let test_partition_covers () =
@@ -62,14 +88,12 @@ let test_partitions_1_matches_golden () =
   let assignment =
     [ (Graphs.Dual.two_line_a ~d:5 1, 0); (Graphs.Dual.two_line_b ~d:5 1, 1) ]
   in
-  let path = tmp_trace "golden" in
-  let r =
-    Mmb.Runner.run_bmmb_pdes ~dual ~fack:8. ~fprog:1.
-      ~policy:(Mmb.Lower_bound.two_line_policy ~d:5)
-      ~assignment ~seed:0 ~partitions:1 ~domains:1 ~trace_out:path ()
+  let r, actual, _, _ =
+    with_sink "golden" (fun instrument ->
+        Mmb.Runner.run_bmmb_pdes ~dual ~fack:8. ~fprog:1.
+          ~policy:(Mmb.Lower_bound.two_line_policy ~d:5)
+          ~assignment ~seed:0 ~partitions:1 ~domains:1 ~instrument ())
   in
-  let actual = read_file path in
-  Sys.remove path;
   Alcotest.(check bool) "serial delegate completes" true r.Mmb.Runner.pd_complete;
   Alcotest.(check string)
     "P=1 trace is the committed serial golden, byte for byte"
@@ -78,25 +102,25 @@ let test_partitions_1_matches_golden () =
 
 (* --- Domain mapping invariance -------------------------------------------- *)
 
-let pdes_line ~domains ~trace_out ?mk_dyn () =
+let pdes_line ~domains ~instrument ?mk_dyn () =
   let dual = Graphs.Dual.of_equal (Graphs.Gen.line 60) in
   let rng = Dsim.Rng.create ~seed:3 in
   let assignment = Mmb.Problem.random rng ~n:60 ~k:3 in
   Mmb.Runner.run_bmmb_pdes ~dual ~fack:8. ~fprog:1.
     ~policy:(Amac.Schedulers.random_compliant ())
-    ~assignment ~seed:3 ~partitions:4 ~domains ?mk_dyn ~trace_out ()
+    ~assignment ~seed:3 ~partitions:4 ~domains ?mk_dyn ~instrument ()
 
 let check_domain_invariance ~tag ~run =
-  let p1 = tmp_trace (tag ^ "_d1") in
-  let p2 = tmp_trace (tag ^ "_d2") in
-  let p4 = tmp_trace (tag ^ "_d4") in
-  let r1 : Mmb.Runner.pdes_result = run ~domains:1 ~trace_out:p1 in
-  let r2 : Mmb.Runner.pdes_result = run ~domains:2 ~trace_out:p2 in
-  let r4 : Mmb.Runner.pdes_result = run ~domains:4 ~trace_out:p4 in
-  let t1 = read_file p1 and t2 = read_file p2 and t4 = read_file p4 in
-  Sys.remove p1;
-  Sys.remove p2;
-  Sys.remove p4;
+  let traced domains =
+    let r, bytes, _, _ =
+      with_sink (Printf.sprintf "%s_d%d" tag domains) (fun instrument ->
+          run ~domains ~instrument)
+    in
+    (r, bytes)
+  in
+  let (r1 : Mmb.Runner.pdes_result), t1 = traced 1 in
+  let (r2 : Mmb.Runner.pdes_result), t2 = traced 2 in
+  let (r4 : Mmb.Runner.pdes_result), t4 = traced 4 in
   Alcotest.(check bool) "completes" true r1.Mmb.Runner.pd_complete;
   Alcotest.(check string) "trace bytes: domains 1 = 2" t1 t2;
   Alcotest.(check string) "trace bytes: domains 1 = 4" t1 t4;
@@ -117,8 +141,8 @@ let check_domain_invariance ~tag ~run =
     r2.Mmb.Runner.pd_time
 
 let test_domains_invariant_static () =
-  check_domain_invariance ~tag:"static" ~run:(fun ~domains ~trace_out ->
-      pdes_line ~domains ~trace_out ())
+  check_domain_invariance ~tag:"static" ~run:(fun ~domains ~instrument ->
+      pdes_line ~domains ~instrument ())
 
 let test_domains_invariant_churn () =
   (* One private dynamic wrapper per partition: the churn schedule is a
@@ -138,10 +162,10 @@ let test_domains_invariant_churn () =
   in
   let rng = Dsim.Rng.create ~seed:3 in
   let assignment = Mmb.Problem.random rng ~n:60 ~k:3 in
-  check_domain_invariance ~tag:"churn" ~run:(fun ~domains ~trace_out ->
+  check_domain_invariance ~tag:"churn" ~run:(fun ~domains ~instrument ->
       Mmb.Runner.run_bmmb_pdes ~dual ~fack:8. ~fprog:1.
         ~policy:(Amac.Schedulers.random_compliant ())
-        ~assignment ~seed:3 ~partitions:4 ~domains ~mk_dyn ~trace_out ())
+        ~assignment ~seed:3 ~partitions:4 ~domains ~mk_dyn ~instrument ())
 
 (* The merged trace of a P >= 2 run, pinned by digest at two domain
    counts, so a change to the partitioned execution itself (not only to
@@ -162,10 +186,13 @@ let test_merged_trace_pinned () =
         | Ok spec -> spec
         | Error e -> Alcotest.fail e
       in
-      let path = tmp_trace "pinned" in
-      ignore (Mmb.Scenario.run ~trace_out:path spec ~seed:spec.Mmb.Scenario.seed);
-      let digest = Digest.to_hex (Digest.file path) in
-      Sys.remove path;
+      let _, bytes, _, _ =
+        with_sink "pinned" (fun instrument ->
+            Mmb.Scenario.run
+              ~instrument:(fun _ _ -> instrument)
+              spec ~seed:spec.Mmb.Scenario.seed)
+      in
+      let digest = Digest.to_hex (Digest.string bytes) in
       Alcotest.(check string)
         (Printf.sprintf "merged trace md5 at %d domain(s)" domains)
         "691604882ca943a07854915a8cf4ab50" digest)
@@ -177,21 +204,22 @@ let test_merged_trace_compliant () =
   let dual = Graphs.Dual.of_equal (Graphs.Gen.line 30) in
   let rng = Dsim.Rng.create ~seed:9 in
   let assignment = Mmb.Problem.random rng ~n:30 ~k:2 in
-  let path = tmp_trace "audit" in
-  let r =
-    Mmb.Runner.run_bmmb_pdes ~dual ~fack:8. ~fprog:1.
-      ~policy:(Amac.Schedulers.random_compliant ())
-      ~assignment ~seed:9 ~partitions:3 ~domains:2 ~trace_out:path ()
+  let r, bytes, written, attached =
+    with_sink "audit" (fun instrument ->
+        Mmb.Runner.run_bmmb_pdes ~dual ~fack:8. ~fprog:1.
+          ~policy:(Amac.Schedulers.random_compliant ())
+          ~assignment ~seed:9 ~partitions:3 ~domains:2 ~instrument ())
   in
   Alcotest.(check bool) "completes" true r.Mmb.Runner.pd_complete;
   let entries =
-    match Dsim.Trace_io.read_file ~path with
+    match Dsim.Trace_io.of_jsonl bytes with
     | Ok es -> es
     | Error e -> Alcotest.fail ("merged trace unreadable: " ^ e)
   in
-  Sys.remove path;
   Alcotest.(check int)
-    "runner reports the merged line count" r.Mmb.Runner.pd_trace_entries
+    "the sink wrote every entry the trace recorded"
+    (Dsim.Trace.recorded attached) written;
+  Alcotest.(check int) "one line per written entry" written
     (List.length entries);
   let tr = Dsim.Trace.create ~enabled:true () in
   List.iter
@@ -203,6 +231,42 @@ let test_merged_trace_compliant () =
       Alcotest.failf "merged trace violates %d axiom(s): %s" (List.length vs)
         (String.concat "; "
            (List.map (fun v -> v.Amac.Compliance.rule) vs))
+
+(* The runner audits a partitioned run as it audits a serial one: with
+   [check_compliance] the merged trace is retained, checked against the
+   five axioms and the MMB specification, and returned.  An r-restricted
+   grid gives G' edges G lacks, so receive correctness is exercised. *)
+let test_checked_partitioned_run () =
+  let dual =
+    let rng = Dsim.Rng.create ~seed:21 in
+    Graphs.Dual.r_restricted_random rng ~g:(Graphs.Gen.grid ~rows:12 ~cols:12)
+      ~r:2 ~extra:120
+  in
+  let rng = Dsim.Rng.create ~seed:4 in
+  let assignment = Mmb.Problem.random rng ~n:144 ~k:4 in
+  List.iter
+    (fun partitions ->
+      let tag = Printf.sprintf "P=%d" partitions in
+      let r =
+        Mmb.Runner.run_bmmb_pdes ~dual ~fack:8. ~fprog:1.
+          ~policy:(Amac.Schedulers.random_compliant ())
+          ~assignment ~seed:4 ~partitions ~domains:2 ~check_compliance:true ()
+      in
+      Alcotest.(check bool) (tag ^ " completes") true r.Mmb.Runner.pd_complete;
+      (match r.Mmb.Runner.pd_trace with
+      | Some tr ->
+          Alcotest.(check bool) (tag ^ " retains the merged trace") true
+            (Dsim.Trace.length tr > 0
+            && Dsim.Trace.length tr = Dsim.Trace.recorded tr)
+      | None -> Alcotest.fail (tag ^ ": no retained trace"));
+      Alcotest.(check (list string))
+        (tag ^ " no compliance violations") []
+        (List.map
+           (fun v -> v.Amac.Compliance.rule)
+           r.Mmb.Runner.pd_compliance_violations);
+      Alcotest.(check (list string))
+        (tag ^ " no MMB-spec violations") [] r.Mmb.Runner.pd_spec_violations)
+    [ 2; 5 ]
 
 (* --- Error surface --------------------------------------------------------- *)
 
@@ -491,6 +555,8 @@ let suite =
           test_merged_trace_pinned;
         Alcotest.test_case "merged trace passes the compliance audit" `Quick
           test_merged_trace_compliant;
+        Alcotest.test_case "checked partitioned run audits its merged trace"
+          `Quick test_checked_partitioned_run;
         Alcotest.test_case "domains > partitions raises" `Quick
           test_domains_exceed_partitions;
         Alcotest.test_case "negative message id rejected" `Quick
