@@ -12,7 +12,8 @@
 #                           a partitioned checked run (n = 10^4, P = 8,
 #                           N = 2, --check, pinned output),
 #                           a large adversarial checked run (n = 4096,
-#                           k = 16, pinned output), a large serial run
+#                           k = 16, pinned output), the same run on a
+#                           churned dual (pinned output), a large serial run
 #                           (n = 250000, pinned output),
 #                           the n = 10^6 partitioned grid run
 #                           (EXPERIMENTS.md E18) and an n = 10^5
@@ -186,6 +187,19 @@ else
         printf "%s\n" "$out" | grep -qx "bcasts: 65536, rcvs: 328132, forced progress deliveries: 103053" &&
         printf "%s\n" "$out" | grep -qx "engine: 393684 events executed" &&
         printf "%s\n" "$out" | grep -q "^compliance: OK"'
+    # The same adversary under churn: a sender's pinned G'-row can hold
+    # a receiver whose current epoch has dropped the link, so a watchdog
+    # must look for its candidates over the union G'.  Looking over the
+    # current epoch's G' instead changes the time and the forced count.
+    gate "large churned adversarial checked run (grid -n 4096 -k 16 --scheduler adversarial --dynamic churn --check)" \
+      sh -c 'out=$(dune exec bin/mmb_sim.exe -- run -t grid -n 4096 \
+          -g r-restricted --extra 8192 -k 16 --scheduler adversarial \
+          --dynamic churn --churn-rate 0.4 --epoch 8 --check --seed 7) &&
+        printf "%s\n" "$out" | grep -x -e "time: .*" -e "bcasts: .*" -e "engine: .*" -e "compliance: .*" &&
+        printf "%s\n" "$out" | grep -qx "time: 486" &&
+        printf "%s\n" "$out" | grep -qx "bcasts: 65536, rcvs: 312656, forced progress deliveries: 102695" &&
+        printf "%s\n" "$out" | grep -qx "engine: 378208 events executed" &&
+        printf "%s\n" "$out" | grep -q "^compliance: OK"'
     # The serial engine (Dsim.Heap, Standard_mac, Bmmb) at scale: a
     # 250k-node grid, 2.5 M events, must reproduce its completion time
     # and event count exactly.
@@ -222,6 +236,7 @@ else
     skip "large checked run (grid -n 4096 -k 64 --check)" "run with --full"
     skip "partitioned checked run (grid -n 10000 -g r-restricted --partitions 8 --domains 2 --check)" "run with --full"
     skip "large adversarial checked run (grid -n 4096 -k 16 --scheduler adversarial --check)" "run with --full"
+    skip "large churned adversarial checked run (grid -n 4096 -k 16 --scheduler adversarial --dynamic churn --check)" "run with --full"
     skip "large serial run (grid -n 250000 -k 2, pinned time and events)" "run with --full"
     skip "E18 million-node grid (-n 1000000 --partitions 8 --domains 2)" "run with --full"
     skip "large partitioned line (line -n 100000 --partitions 8, pinned time, events and windows)" "run with --full"

@@ -148,11 +148,17 @@ let has_rcvd inst j =
   let p = rcvd_pos inst j in
   p < inst.m_nrcvd && inst.m_rcvd.(p) = j
 
+(* The shift is an int loop, not [Array.blit]: once [m_rcvd] is in the
+   major heap, the runtime's blit runs a [caml_modify] per element it
+   moves, not knowing they are ints. *)
 let insert_rcvd inst p j =
   let len = inst.m_nrcvd in
   if len = Array.length inst.m_rcvd then inst.m_rcvd <- grow inst.m_rcvd len 0;
-  Array.blit inst.m_rcvd p inst.m_rcvd (p + 1) (len - p);
-  inst.m_rcvd.(p) <- j;
+  let a = inst.m_rcvd in
+  for k = len downto p + 1 do
+    a.(k) <- a.(k - 1)
+  done;
+  a.(p) <- j;
   inst.m_nrcvd <- len + 1
 
 (* Keep [r]'s receipts ordered by receive time.  Engine traces arrive in

@@ -12,16 +12,43 @@
 
 (** {1 Broadcast plans} *)
 
-type delivery = { receiver : int; delay : float }
-(** One planned message delivery, [delay] seconds after the bcast event. *)
+type delivery = private { mutable receiver : int; mutable delay : float }
+(** One planned message delivery, [delay] seconds after the bcast event:
+    a cell of a {!plan} buffer, which later plans rewrite. *)
 
-type plan = {
-  ack_delay : float;
+type plan = private {
+  mutable ack_delay : float;
       (** when the sender is acknowledged; must lie in [[0, fack]] *)
-  deliveries : delivery list;
-      (** must cover every G-neighbor of the sender with [delay <= ack_delay];
-          may additionally include any subset of G'-only neighbors *)
+  mutable cells : delivery array;
+  mutable len : int;
+      (** the deliveries are [cells.(0)] to [cells.(len - 1)]; they must
+          cover every G-neighbor of the sender with [delay <= ack_delay],
+          and may additionally include any subset of G'-only neighbors *)
 }
+(** A broadcast plan, written in place.  The MAC owns one plan buffer,
+    hands it to the policy as [bc_plan] (see {!bcast_ctx}) and {!reset}s it
+    before every [pol_plan] call, so a policy starts from no deliveries
+    and an unset ack: it must write the whole plan on every call, with
+    {!set_ack} and {!deliver}, and must not keep the buffer or its cells
+    past the call.  A plan whose ack is left unset fails the MAC's
+    [[0, fack]] check. *)
+
+val create_plan : unit -> plan
+(** An empty buffer: no deliveries, ack unset (NaN). *)
+
+val reset : plan -> unit
+(** Empty the buffer and unset its ack; its cells are kept for reuse. *)
+
+val set_ack : plan -> delay:float -> unit
+(** Acknowledge the sender [delay] seconds after the bcast. *)
+
+val deliver : plan -> receiver:int -> delay:float -> unit
+(** Append a delivery to [receiver], [delay] seconds after the bcast.
+    Allocates only when the buffer grows; [delay] is kept as the boxed
+    float it was passed. *)
+
+val deliver_all : plan -> int array -> delay:float -> unit
+(** {!deliver} to each of the receivers in order, all at [delay]. *)
 
 (** {1 Policy decision contexts} *)
 
@@ -35,6 +62,7 @@ type 'msg bcast_ctx = {
   bc_fack : float;
   bc_fprog : float;
   bc_rng : Dsim.Rng.t;
+  bc_plan : plan;  (** where [pol_plan] writes its plan, already reset *)
 }
 (** Everything a policy may consult when planning a broadcast. *)
 
@@ -63,7 +91,8 @@ type 'msg forced_ctx = {
 
 type 'msg policy = {
   pol_name : string;
-  pol_plan : 'msg bcast_ctx -> plan;
+  pol_plan : 'msg bcast_ctx -> unit;
+      (** writes the broadcast's plan into [bc_plan] *)
   pol_forced : 'msg forced_ctx -> 'msg candidate;
       (** must return one of [fc_candidates] *)
 }

@@ -12,33 +12,21 @@ type 'msg t = {
 }
 
 let policy ~mode =
-  (* One fold per row, consing onto the next row's list, so a plan is
-     built without an intermediate array, list copy or append. *)
-  let onto delay row tail =
-    Array.fold_right
-      (fun receiver acc -> { Mac_intf.receiver; delay } :: acc)
-      row tail
-  in
   let plan ctx =
     let open Mac_intf in
+    let p = ctx.bc_plan in
+    set_ack p ~delay:ctx.bc_fack;
     match mode with
     | Minimal ->
         (* Reliable deliveries are planned at Fack: the round-boundary
            abort always preempts them, so receptions flow through the
            watchdog. *)
-        {
-          ack_delay = ctx.bc_fack;
-          deliveries = onto ctx.bc_fack ctx.bc_g_neighbors [];
-        }
+        deliver_all p ctx.bc_g_neighbors ~delay:ctx.bc_fack
     | Generous ->
         (* Every G'-neighbor receives halfway to the round boundary. *)
         let early = 0.5 *. ctx.bc_fprog in
-        {
-          ack_delay = ctx.bc_fack;
-          deliveries =
-            onto early ctx.bc_g_neighbors
-              (onto early ctx.bc_g'_only_neighbors []);
-        }
+        deliver_all p ctx.bc_g_neighbors ~delay:early;
+        deliver_all p ctx.bc_g'_only_neighbors ~delay:early
   in
   let forced ctx =
     (* The single draw [Rng.pick] makes on an array copy, without the

@@ -1,68 +1,49 @@
 open Mac_intf
 
-let deliveries_at delay nodes =
-  Array.fold_right (fun receiver acc -> { receiver; delay } :: acc) nodes []
-
 let eager ?(latency_frac = 0.1) () =
   let plan ctx =
-    let delay = latency_frac *. ctx.bc_fprog in
-    {
-      ack_delay = delay;
-      deliveries =
-        deliveries_at delay ctx.bc_g_neighbors
-        @ deliveries_at delay ctx.bc_g'_only_neighbors;
-    }
+    let p = ctx.bc_plan in
+    set_ack p ~delay:(latency_frac *. ctx.bc_fprog);
+    (* Every delivery at the ack.  [p.ack_delay] is the float [set_ack]
+       was passed, already boxed: a float let would be boxed again at
+       each call. *)
+    deliver_all p ctx.bc_g_neighbors ~delay:p.ack_delay;
+    deliver_all p ctx.bc_g'_only_neighbors ~delay:p.ack_delay
   in
   let forced ctx = List.hd ctx.fc_candidates in
   { pol_name = "eager"; pol_plan = plan; pol_forced = forced }
 
+(* The plan of [random_compliant] and [bursty]: an ack drawn in
+   [Fack/2, Fack], a delay below it for each G-neighbor, then for each
+   G'-only neighbor one [up] draw and, if it holds, a delay.  The traces
+   depend on this draw order.  Each delay draw reads the ack back from
+   the plan, boxed once, as in [eager]. *)
+let random_plan ~up ctx =
+  let rng = ctx.bc_rng and p = ctx.bc_plan in
+  set_ack p ~delay:((0.5 +. (0.5 *. Dsim.Rng.float rng 1.)) *. ctx.bc_fack);
+  let g = ctx.bc_g_neighbors in
+  for i = 0 to Array.length g - 1 do
+    deliver p ~receiver:g.(i) ~delay:(Dsim.Rng.float rng p.ack_delay)
+  done;
+  let g' = ctx.bc_g'_only_neighbors in
+  for i = 0 to Array.length g' - 1 do
+    if up rng ctx.bc_sender g'.(i) then
+      deliver p ~receiver:g'.(i) ~delay:(Dsim.Rng.float rng p.ack_delay)
+  done
+
 let random_compliant ?(p_unreliable = 0.5) () =
-  let plan ctx =
-    let rng = ctx.bc_rng in
-    let ack_delay =
-      (0.5 +. (0.5 *. Dsim.Rng.float rng 1.)) *. ctx.bc_fack
-    in
-    let uniform_delay () = Dsim.Rng.float rng ack_delay in
-    (* Both builds draw in ascending receiver order — the [let d] before
-       each recursive call pins the draw sequence, which the traces
-       depend on — without the intermediate array/list copies of the
-       map-then-to_list formulation. *)
-    let g'_deliveries =
-      let a = ctx.bc_g'_only_neighbors in
-      let rec build i =
-        if i >= Array.length a then []
-        else if Dsim.Rng.bernoulli rng ~p:p_unreliable then
-          let d = { receiver = a.(i); delay = uniform_delay () } in
-          d :: build (i + 1)
-        else build (i + 1)
-      in
-      build
-    in
-    let deliveries =
-      let a = ctx.bc_g_neighbors in
-      let rec build i =
-        if i >= Array.length a then g'_deliveries 0
-        else
-          let d = { receiver = a.(i); delay = uniform_delay () } in
-          d :: build (i + 1)
-      in
-      build 0
-    in
-    { ack_delay; deliveries }
-  in
+  let up rng _ _ = Dsim.Rng.bernoulli rng ~p:p_unreliable in
   let forced ctx =
     (* Same single length-bounded draw as [Rng.pick] on an array copy,
        without the copy. *)
     Dsim.Rng.pick_list ctx.fc_rng ctx.fc_candidates
   in
-  { pol_name = "random"; pol_plan = plan; pol_forced = forced }
+  { pol_name = "random"; pol_plan = random_plan ~up; pol_forced = forced }
 
 let adversarial () =
   let plan ctx =
-    {
-      ack_delay = ctx.bc_fack;
-      deliveries = deliveries_at ctx.bc_fack ctx.bc_g_neighbors;
-    }
+    set_ack ctx.bc_plan ~delay:ctx.bc_fack;
+    deliver_all ctx.bc_plan ctx.bc_g_neighbors ~delay:ctx.bc_fack
   in
   let forced ctx =
     (* Preference order: a body the receiver already has (pure waste), then
@@ -98,37 +79,12 @@ let bursty ?(p_bad = 0.15) ?(p_good = 0.1) () =
     Hashtbl.replace state key good';
     good'
   in
-  let plan ctx =
-    let rng = ctx.bc_rng in
-    let ack_delay = (0.5 +. (0.5 *. Dsim.Rng.float rng 1.)) *. ctx.bc_fack in
-    let uniform_delay () = Dsim.Rng.float rng ack_delay in
-    (* Ascending-order builds with let-pinned draws, as in
-       [random_compliant]. *)
-    let g'_deliveries =
-      let a = ctx.bc_g'_only_neighbors in
-      let rec build i =
-        if i >= Array.length a then []
-        else if edge_up rng ctx.bc_sender a.(i) then
-          let d = { receiver = a.(i); delay = uniform_delay () } in
-          d :: build (i + 1)
-        else build (i + 1)
-      in
-      build
-    in
-    let deliveries =
-      let a = ctx.bc_g_neighbors in
-      let rec build i =
-        if i >= Array.length a then g'_deliveries 0
-        else
-          let d = { receiver = a.(i); delay = uniform_delay () } in
-          d :: build (i + 1)
-      in
-      build 0
-    in
-    { ack_delay; deliveries }
-  in
   let forced ctx = Dsim.Rng.pick_list ctx.fc_rng ctx.fc_candidates in
-  { pol_name = "bursty"; pol_plan = plan; pol_forced = forced }
+  {
+    pol_name = "bursty";
+    pol_plan = random_plan ~up:edge_up;
+    pol_forced = forced;
+  }
 
 let name p = p.pol_name
 

@@ -1,55 +1,5 @@
 exception Not_well_formed of string
 
-(* Per-receiver contender set: the open, not-yet-delivered-here
-   instances from G'-neighbors, as (uid, sender) pairs sorted by uid and
-   interleaved in one int array.  Uids are minted in increasing order, so
-   [add] is almost always an append, and traversal is ascending with no
-   snapshot, sort, or allocation — deterministic by construction.  The
-   sender leads to the instance itself, through [current]. *)
-module Contenders = struct
-  type t = { mutable a : int array; mutable len : int (* pairs *) }
-
-  let create () = { a = [||]; len = 0 }
-
-  (* Pair index of [uid] in the sorted prefix, or its insertion point. *)
-  let search s uid =
-    let lo = ref 0 and hi = ref s.len in
-    while !lo < !hi do
-      let mid = (!lo + !hi) / 2 in
-      if s.a.(2 * mid) < uid then lo := mid + 1 else hi := mid
-    done;
-    !lo
-
-  let add s ~uid ~sender =
-    let cap = Array.length s.a in
-    if 2 * s.len = cap then begin
-      let a = Array.make (if cap = 0 then 8 else 2 * cap) 0 in
-      Array.blit s.a 0 a 0 cap;
-      s.a <- a
-    end;
-    let i =
-      if s.len = 0 || uid > s.a.(2 * (s.len - 1)) then s.len else search s uid
-    in
-    if i = s.len || s.a.(2 * i) <> uid then begin
-      Array.blit s.a (2 * i) s.a ((2 * i) + 2) (2 * (s.len - i));
-      s.a.(2 * i) <- uid;
-      s.a.((2 * i) + 1) <- sender;
-      s.len <- s.len + 1
-    end
-
-  let remove s uid =
-    let i = search s uid in
-    if i < s.len && s.a.(2 * i) = uid then begin
-      Array.blit s.a ((2 * i) + 2) s.a (2 * i) (2 * (s.len - i - 1));
-      s.len <- s.len - 1
-    end
-
-  (* The [i]th pair, smallest uid first. *)
-  let length s = s.len
-  let uid s i = s.a.(2 * i)
-  let sender s i = s.a.((2 * i) + 1)
-end
-
 (* The (body id, receiver) pairs delivered so far, as one int set with
    open addressing: linear probing over a power-of-two table whose empty
    cells hold -1, doubled before it gets half full.  An insert allocates
@@ -154,8 +104,9 @@ type 'msg t = {
   (* Per-receiver progress-watchdog state. *)
   connected_open : int array; (* open instances from G-neighbors *)
   cover : int array; (* open G'-instances that already delivered here *)
-  contenders : Contenders.t array;
   watchdog : Dsim.Sim.handle array; (* armed watchdog, or [no_event] *)
+  (* A fire's candidates, as instance ids in ascending uid order. *)
+  scratch_cand : int array;
   (* Bodies by structural equality, interned once per bcast to dense ids,
      and every delivered (body id, receiver) pair, keyed [pair]: all
      [fc_has_received] needs. *)
@@ -166,6 +117,8 @@ type 'msg t = {
      same length, so steady-state bcasts allocate none. *)
   spare_served : Bytes.t array;
   spare_pending : Dsim.Sim.handle array array;
+  (* The policy's plan buffer, reset before every [pol_plan] call. *)
+  plan : Mac_intf.plan;
   (* Epoch-stamped scratch for [validate_plan]: a slot is "marked" iff it
      holds the current epoch, so clearing between broadcasts is one
      integer bump instead of a fresh table per plan. *)
@@ -308,9 +261,9 @@ let cancel_pending t inst =
     Dsim.Sim.cancel t.sim inst.pending.(s)
   done
 
-(* Once an instance is unreachable (pending all cancelled, contend sets
-   purged), its sender's next bcast may reuse its buffers, and any bcast
-   its id. *)
+(* Once an instance is unreachable (pending all cancelled, no longer its
+   sender's in-flight instance), its sender's next bcast may reuse its
+   buffers, and any bcast its id. *)
 let recycle t inst =
   t.spare_served.(inst.sender) <- inst.served;
   t.spare_pending.(inst.sender) <- inst.pending;
@@ -365,9 +318,8 @@ let deliver t inst s =
     Dsim.Sim.cancel t.sim inst.pending.(s);
     mark_served inst s;
     (* Progress-cover bookkeeping only concerns open instances: a
-       terminated instance has already left the contend sets. *)
+       terminated one has already left [cover]. *)
     if is_open inst.status then begin
-      Contenders.remove t.contenders.(j) inst.uid;
       t.cover.(j) <- t.cover.(j) + 1;
       recheck_watchdog t j
     end;
@@ -386,36 +338,59 @@ let deliver t inst s =
     (handlers_exn t j).Mac_intf.on_rcv ~src:inst.sender inst.body
   end
 
-(* Receiver [j]'s contenders from the [i]th on, consed onto [acc].
-   Ascending-uid traversal with a cons per candidate gives a
-   descending-uid list; the order feeds the forced-choice policy, so it
-   is load-bearing.  A contender is open, so it is its sender's current
-   instance. *)
-let rec candidates t j i acc =
-  let c = t.contenders.(j) in
-  if i = Contenders.length c then acc
-  else begin
-    let uid = Contenders.uid c i and sender = Contenders.sender c i in
-    let inst = current_exn t sender in
-    assert (inst.uid = uid);
-    candidates t j (i + 1)
-      ({
-         Mac_intf.cand_uid = uid;
-         cand_sender = sender;
-         cand_body = inst.body;
-         cand_is_g_neighbor = Graphs.Dual.is_reliable t.dual sender j;
-       }
-      :: acc)
-  end
+(* Receiver [j]'s candidates: every open instance whose pinned G'-row
+   holds [j] and that has not served it.  An open instance is its
+   sender's in-flight one, and its row is its sender's row in some
+   epoch's G', a subset of the base dual's, so scanning j's G'-neighbours
+   in [t.dual] finds them all.  They are sorted into [scratch_cand] by
+   ascending uid and consed from there, so the list is in descending
+   uid order; the order feeds the forced-choice policy, so it is
+   load-bearing. *)
+let candidates t j =
+  let nbrs = Graphs.Graph.neighbors (Graphs.Dual.unreliable t.dual) j in
+  let found = ref 0 in
+  for i = 0 to Array.length nbrs - 1 do
+    let id = t.current.(nbrs.(i)) in
+    if id >= 0 then begin
+      let inst = t.insts.(id) in
+      let s = slot_of inst j in
+      if
+        s < Array.length inst.g'_row
+        && inst.g'_row.(s) = j
+        && not (is_served inst s)
+      then begin
+        let k = ref !found in
+        while !k > 0 && t.insts.(t.scratch_cand.(!k - 1)).uid > inst.uid do
+          t.scratch_cand.(!k) <- t.scratch_cand.(!k - 1);
+          decr k
+        done;
+        t.scratch_cand.(!k) <- id;
+        incr found
+      end
+    end
+  done;
+  let acc = ref [] in
+  for k = 0 to !found - 1 do
+    let inst = t.insts.(t.scratch_cand.(k)) in
+    acc :=
+      {
+        Mac_intf.cand_uid = inst.uid;
+        cand_sender = inst.sender;
+        cand_body = inst.body;
+        cand_is_g_neighbor = Graphs.Dual.is_reliable t.dual inst.sender j;
+      }
+      :: !acc
+  done;
+  !acc
 
 let fire_watchdog t j =
   t.watchdog.(j) <- Dsim.Sim.no_event;
   if t.connected_open.(j) > 0 && t.cover.(j) = 0 then begin
-    let candidates = candidates t j 0 [] in
+    let candidates = candidates t j in
     match candidates with
     | [] ->
         (* Cannot happen: connected_open > 0 with cover = 0 implies an open,
-           undelivered G-neighbor instance, which is a contender. *)
+           undelivered G-neighbor instance, which is a candidate. *)
         assert false
     | _ ->
         let ctx =
@@ -450,8 +425,7 @@ let terminate t inst ~keep_late_deliveries =
   done;
   for s = 0 to Array.length g'_row - 1 do
     let j = g'_row.(s) in
-    if is_served inst s then t.cover.(j) <- t.cover.(j) - 1
-    else Contenders.remove t.contenders.(j) inst.uid;
+    if is_served inst s then t.cover.(j) <- t.cover.(j) - 1;
     recheck_watchdog t j
   done;
   t.busy.(inst.sender) <- false;
@@ -528,12 +502,13 @@ let create ~sim ~dual ~fack ~fprog ~policy ~rng ?(eps_abort = 0.) ?dyn ?trace
       next_uid = 0;
       connected_open = Array.make n 0;
       cover = Array.make n 0;
-      contenders = Array.init n (fun _ -> Contenders.create ());
       watchdog = Array.make n Dsim.Sim.no_event;
+      scratch_cand = Array.make n 0;
       bodies = Hashtbl.create 16;
       received = Pairs.create ();
       spare_served = Array.make n Bytes.empty;
       spare_pending = Array.make n [||];
+      plan = Mac_intf.create_plan ();
       scratch_epoch = 0;
       scratch_nbr = Array.make n 0;
       scratch_slot = Array.make n 0;
@@ -563,7 +538,7 @@ let create ~sim ~dual ~fack ~fprog ~policy ~rng ?(eps_abort = 0.) ?dyn ?trace
 (* Also leaves, in [scratch_slot], each G'-neighbor's slot in [g'_row]
    for [bcast] to schedule the plan's deliveries with. *)
 let validate_plan t ~g_row ~g'_row (plan : Mac_intf.plan) =
-  let { Mac_intf.ack_delay; deliveries } = plan in
+  let ack_delay = plan.Mac_intf.ack_delay in
   if not (0. <= ack_delay && ack_delay <= t.fack) then
     invalid_arg
       (Printf.sprintf "Standard_mac: plan ack_delay %g outside [0, %g]"
@@ -576,23 +551,22 @@ let validate_plan t ~g_row ~g'_row (plan : Mac_intf.plan) =
     t.scratch_nbr.(j) <- epoch;
     t.scratch_slot.(j) <- s
   done;
-  List.iter
-    (fun { Mac_intf.receiver; delay } ->
-      if receiver < 0 || receiver >= n then
-        invalid_arg "Standard_mac: plan delivers to a non-G'-neighbor";
-      if t.scratch_seen.(receiver) = epoch then
-        invalid_arg "Standard_mac: plan delivers twice to one receiver";
-      t.scratch_seen.(receiver) <- epoch;
-      if t.scratch_nbr.(receiver) <> epoch then
-        invalid_arg "Standard_mac: plan delivers to a non-G'-neighbor";
-      if not (0. <= delay && delay <= ack_delay) then
-        invalid_arg "Standard_mac: plan delivery delay outside [0, ack_delay]")
-    deliveries;
-  Array.iter
-    (fun j ->
-      if t.scratch_seen.(j) <> epoch then
-        invalid_arg "Standard_mac: plan misses a G-neighbor")
-    g_row
+  for i = 0 to plan.Mac_intf.len - 1 do
+    let { Mac_intf.receiver; delay } = plan.Mac_intf.cells.(i) in
+    if receiver < 0 || receiver >= n then
+      invalid_arg "Standard_mac: plan delivers to a non-G'-neighbor";
+    if t.scratch_seen.(receiver) = epoch then
+      invalid_arg "Standard_mac: plan delivers twice to one receiver";
+    t.scratch_seen.(receiver) <- epoch;
+    if t.scratch_nbr.(receiver) <> epoch then
+      invalid_arg "Standard_mac: plan delivers to a non-G'-neighbor";
+    if not (0. <= delay && delay <= ack_delay) then
+      invalid_arg "Standard_mac: plan delivery delay outside [0, ack_delay]"
+  done;
+  for i = 0 to Array.length g_row - 1 do
+    if t.scratch_seen.(g_row.(i)) <> epoch then
+      invalid_arg "Standard_mac: plan misses a G-neighbor"
+  done
 
 (* --- Broadcast ---------------------------------------------------------- *)
 
@@ -635,9 +609,12 @@ let bcast t ~node body =
       bc_fack = t.fack;
       bc_fprog = t.fprog;
       bc_rng = t.rng;
+      bc_plan = t.plan;
     }
   in
-  let plan = t.policy.Mac_intf.pol_plan ctx in
+  Mac_intf.reset t.plan;
+  t.policy.Mac_intf.pol_plan ctx;
+  let plan = t.plan in
   validate_plan t ~g_row ~g'_row plan;
   let d = Array.length g'_row in
   let pending =
@@ -665,9 +642,6 @@ let bcast t ~node body =
   in
   store t inst;
   t.current.(node) <- id;
-  for s = 0 to d - 1 do
-    Contenders.add t.contenders.(g'_row.(s)) ~uid ~sender:node
-  done;
   for i = 0 to Array.length g_row - 1 do
     let j = g_row.(i) in
     t.connected_open.(j) <- t.connected_open.(j) + 1;
@@ -676,12 +650,11 @@ let bcast t ~node body =
   (* Deliveries are scheduled before the ack so that equal-timestamp
      deliveries execute first (the heap is FIFO-stable), preserving
      ack correctness. *)
-  List.iter
-    (fun { Mac_intf.receiver; delay } ->
-      let s = t.scratch_slot.(receiver) in
-      pending.(s) <-
-        Dsim.Sim.post t.sim ~delay t.events.(ev_deliver)
-          ((s lsl id_bits) lor id))
-    plan.Mac_intf.deliveries;
+  for i = 0 to plan.Mac_intf.len - 1 do
+    let { Mac_intf.receiver; delay } = plan.Mac_intf.cells.(i) in
+    let s = t.scratch_slot.(receiver) in
+    pending.(s) <-
+      Dsim.Sim.post t.sim ~delay t.events.(ev_deliver) ((s lsl id_bits) lor id)
+  done;
   inst.ack_handle <-
     Dsim.Sim.post t.sim ~delay:plan.Mac_intf.ack_delay t.events.(ev_ack) id

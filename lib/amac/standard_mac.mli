@@ -52,8 +52,10 @@ val create :
     only place epochs advance — protocols above stay link- and
     epoch-oblivious, check A6) and feeds the adversary's oracle with
     delivered-set probes.  [dual] must be the schedule's base (union)
-    dual; since schedules never touch [G], per-delivery reliability and
-    the watchdog's [is_reliable] stay epoch-invariant.  Each instance
+    dual.  Every epoch's G' is a subset of its G', so a watchdog looks
+    for its candidates among the receiver's G'-neighbours there; and
+    since schedules never touch [G], per-delivery reliability and the
+    watchdog's [is_reliable] stay epoch-invariant.  Each instance
     pins the dual it opened under, so open/terminate bookkeeping stays
     balanced across churn. *)
 

@@ -26,30 +26,18 @@ let two_line_policy ~d =
         else if s < (2 * d) - 1 then Some (s - d + 1)
         else None
       in
-      let g_deliveries =
-        Array.to_list
-          (Array.map
-             (fun receiver -> { receiver; delay = ctx.bc_fack })
-             ctx.bc_g_neighbors)
-      in
-      let cross_deliveries =
-        match cross with
-        | Some receiver -> [ { receiver; delay = ctx.bc_fprog } ]
-        | None -> []
-      in
-      { ack_delay = ctx.bc_fack; deliveries = g_deliveries @ cross_deliveries }
+      set_ack ctx.bc_plan ~delay:ctx.bc_fack;
+      deliver_all ctx.bc_plan ctx.bc_g_neighbors ~delay:ctx.bc_fack;
+      match cross with
+      | Some receiver -> deliver ctx.bc_plan ~receiver ~delay:ctx.bc_fprog
+      | None -> ()
     end
-    else
+    else begin
       (* Non-frontier broadcasts complete instantly: deliver to G-neighbors
          only, acknowledge with no time passing. *)
-      {
-        ack_delay = 0.;
-        deliveries =
-          Array.to_list
-            (Array.map
-               (fun receiver -> { receiver; delay = 0. })
-               ctx.bc_g_neighbors);
-      }
+      set_ack ctx.bc_plan ~delay:0.;
+      deliver_all ctx.bc_plan ctx.bc_g_neighbors ~delay:0.
+    end
   in
   let forced ctx =
     (* Waste the forced delivery: duplicates first, then unreliable-edge

@@ -298,6 +298,17 @@ let test_churn_determinism () =
   Alcotest.(check int) "same event count" ra.Mmb.Runner.events_executed
     rb.Mmb.Runner.events_executed
 
+(* A watchdog's candidates are the open instances whose pinned G'-row
+   holds the receiver.  Under churn a sender's pinned row can hold a
+   receiver whose current epoch has dropped the link, so the MAC must
+   look for them over the union G', not the current epoch's: the
+   82 forced choices of this run, and so its trace, depend on it. *)
+let test_churn_forced_candidates_pinned () =
+  let trace, res = churn_run ~seed:3 in
+  Alcotest.(check int) "forced deliveries" 82 res.Mmb.Runner.forced;
+  Alcotest.(check string) "trace MD5" "de3c168c1354003632a88c61aeb9db78"
+    (Digest.to_hex (Digest.string trace))
+
 let test_churn_audit_sound () =
   (* Every epoch's G' is a subset of the union, so the static post-hoc
      audit against the base dual must stay clean on a churned run. *)
@@ -442,6 +453,8 @@ let suite =
         Alcotest.test_case "FMMB path unperturbed" `Quick test_fmmb_unperturbed;
         Alcotest.test_case "churned runs are deterministic" `Quick
           test_churn_determinism;
+        Alcotest.test_case "churned forced-candidate order pinned" `Quick
+          test_churn_forced_candidates_pinned;
         Alcotest.test_case "static post-hoc audit stays sound under churn"
           `Quick test_churn_audit_sound;
         Alcotest.test_case "monitor classifies churned vs violated" `Quick

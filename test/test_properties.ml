@@ -82,8 +82,17 @@ let test_spec_catches_premature_delivery () =
 
 (* --- engine defensive paths -------------------------------------------------- *)
 
-let bad_plan_rejected name plan_of =
+(* A policy that writes [ack] and [deliveries], (receiver, delay) pairs,
+   into its plan buffer must be rejected. *)
+let bad_plan_rejected name ~ack deliveries =
   let dual = Graphs.Dual.of_equal (Graphs.Gen.line 3) in
+  let plan_of ctx =
+    let p = ctx.Amac.Mac_intf.bc_plan in
+    Amac.Mac_intf.set_ack p ~delay:ack;
+    List.iter
+      (fun (receiver, delay) -> Amac.Mac_intf.deliver p ~receiver ~delay)
+      deliveries
+  in
   let policy =
     {
       Amac.Mac_intf.pol_name = "bad";
@@ -105,47 +114,12 @@ let bad_plan_rejected name plan_of =
      with Invalid_argument _ -> true)
 
 let test_plan_validation_paths () =
-  bad_plan_rejected "duplicate receiver rejected" (fun ctx ->
-      {
-        Amac.Mac_intf.ack_delay = 1.;
-        deliveries =
-          [
-            { Amac.Mac_intf.receiver = 0; delay = 0.5 };
-            { Amac.Mac_intf.receiver = 0; delay = 0.7 };
-            { Amac.Mac_intf.receiver = 2; delay = 0.5 };
-          ];
-      }
-      |> fun p ->
-      ignore ctx;
-      p);
-  bad_plan_rejected "non-neighbor delivery rejected" (fun _ ->
-      {
-        Amac.Mac_intf.ack_delay = 1.;
-        deliveries =
-          [
-            { Amac.Mac_intf.receiver = 0; delay = 0.5 };
-            { Amac.Mac_intf.receiver = 2; delay = 0.5 };
-            { Amac.Mac_intf.receiver = 1; delay = 0.5 };
-          ];
-      });
-  bad_plan_rejected "delivery after ack rejected" (fun _ ->
-      {
-        Amac.Mac_intf.ack_delay = 1.;
-        deliveries =
-          [
-            { Amac.Mac_intf.receiver = 0; delay = 2. };
-            { Amac.Mac_intf.receiver = 2; delay = 0.5 };
-          ];
-      });
-  bad_plan_rejected "ack beyond Fack rejected" (fun _ ->
-      {
-        Amac.Mac_intf.ack_delay = 99.;
-        deliveries =
-          [
-            { Amac.Mac_intf.receiver = 0; delay = 1. };
-            { Amac.Mac_intf.receiver = 2; delay = 1. };
-          ];
-      })
+  bad_plan_rejected "duplicate receiver rejected" ~ack:1.
+    [ (0, 0.5); (0, 0.7); (2, 0.5) ];
+  bad_plan_rejected "non-neighbor delivery rejected" ~ack:1.
+    [ (0, 0.5); (2, 0.5); (1, 0.5) ];
+  bad_plan_rejected "delivery after ack rejected" ~ack:1. [ (0, 2.); (2, 0.5) ];
+  bad_plan_rejected "ack beyond Fack rejected" ~ack:99. [ (0, 1.); (2, 1.) ]
 
 let test_forced_choice_validated () =
   (* A policy returning a non-candidate from pol_forced is rejected. *)
@@ -155,15 +129,10 @@ let test_forced_choice_validated () =
       Amac.Mac_intf.pol_name = "rogue";
       pol_plan =
         (fun ctx ->
-          {
-            Amac.Mac_intf.ack_delay = ctx.Amac.Mac_intf.bc_fack;
-            deliveries =
-              Array.to_list
-                (Array.map
-                   (fun receiver ->
-                     { Amac.Mac_intf.receiver; delay = ctx.Amac.Mac_intf.bc_fack })
-                   ctx.Amac.Mac_intf.bc_g_neighbors);
-          });
+          let p = ctx.Amac.Mac_intf.bc_plan in
+          Amac.Mac_intf.set_ack p ~delay:ctx.Amac.Mac_intf.bc_fack;
+          Amac.Mac_intf.deliver_all p ctx.Amac.Mac_intf.bc_g_neighbors
+            ~delay:ctx.Amac.Mac_intf.bc_fack);
       pol_forced =
         (fun _ ->
           {

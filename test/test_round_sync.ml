@@ -294,14 +294,10 @@ let test_eps_abort_allows_imminent_delivery () =
       Amac.Mac_intf.pol_name = "fixed";
       pol_plan =
         (fun ctx ->
-          {
-            Amac.Mac_intf.ack_delay = ctx.Amac.Mac_intf.bc_fack;
-            deliveries =
-              Array.to_list
-                (Array.map
-                   (fun receiver -> { Amac.Mac_intf.receiver; delay = 2. })
-                   ctx.Amac.Mac_intf.bc_g_neighbors);
-          });
+          let p = ctx.Amac.Mac_intf.bc_plan in
+          Amac.Mac_intf.set_ack p ~delay:ctx.Amac.Mac_intf.bc_fack;
+          Amac.Mac_intf.deliver_all p ctx.Amac.Mac_intf.bc_g_neighbors
+            ~delay:2.);
       pol_forced = (fun ctx -> List.hd ctx.Amac.Mac_intf.fc_candidates);
     }
   in
@@ -341,14 +337,10 @@ let test_eps_abort_blocks_far_delivery () =
       Amac.Mac_intf.pol_name = "fixed";
       pol_plan =
         (fun ctx ->
-          {
-            Amac.Mac_intf.ack_delay = ctx.Amac.Mac_intf.bc_fack;
-            deliveries =
-              Array.to_list
-                (Array.map
-                   (fun receiver -> { Amac.Mac_intf.receiver; delay = 5. })
-                   ctx.Amac.Mac_intf.bc_g_neighbors);
-          });
+          let p = ctx.Amac.Mac_intf.bc_plan in
+          Amac.Mac_intf.set_ack p ~delay:ctx.Amac.Mac_intf.bc_fack;
+          Amac.Mac_intf.deliver_all p ctx.Amac.Mac_intf.bc_g_neighbors
+            ~delay:5.);
       pol_forced = (fun ctx -> List.hd ctx.Amac.Mac_intf.fc_candidates);
     }
   in

@@ -11,28 +11,37 @@ let ctx ?(g_neighbors = [| 1 |]) ?(g'_only = [||]) () =
     bc_fack = 10.;
     bc_fprog = 2.;
     bc_rng = Dsim.Rng.create ~seed:0;
+    bc_plan = Amac.Mac_intf.create_plan ();
   }
+
+(* [policy]'s plan for [c], written into [c]'s buffer. *)
+let plan_for policy c =
+  policy.Amac.Mac_intf.pol_plan c;
+  c.Amac.Mac_intf.bc_plan
+
+let deliveries plan =
+  List.init plan.Amac.Mac_intf.len (fun i -> plan.Amac.Mac_intf.cells.(i))
 
 let test_eager_plan () =
   let policy = Amac.Schedulers.eager () in
-  let plan = policy.Amac.Mac_intf.pol_plan (ctx ~g'_only:[| 2; 3 |] ()) in
+  let plan = plan_for policy (ctx ~g'_only:[| 2; 3 |] ()) in
   Alcotest.(check bool) "fast ack" true (plan.Amac.Mac_intf.ack_delay <= 2.);
   Alcotest.(check int) "delivers to everyone" 3
-    (List.length plan.Amac.Mac_intf.deliveries);
+    (List.length (deliveries plan));
   List.iter
     (fun d ->
       Alcotest.(check bool) "delivery not after ack" true
         (d.Amac.Mac_intf.delay <= plan.Amac.Mac_intf.ack_delay))
-    plan.Amac.Mac_intf.deliveries
+    (deliveries plan)
 
 let test_adversarial_plan () =
   let policy = Amac.Schedulers.adversarial () in
-  let plan = policy.Amac.Mac_intf.pol_plan (ctx ~g'_only:[| 2 |] ()) in
+  let plan = plan_for policy (ctx ~g'_only:[| 2 |] ()) in
   Alcotest.(check (float 1e-9)) "full Fack stall" 10.
     plan.Amac.Mac_intf.ack_delay;
   Alcotest.(check int) "no voluntary unreliable deliveries" 1
-    (List.length plan.Amac.Mac_intf.deliveries);
-  match plan.Amac.Mac_intf.deliveries with
+    (List.length (deliveries plan));
+  match deliveries plan with
   | [ d ] ->
       Alcotest.(check int) "targets the G-neighbor" 1 d.Amac.Mac_intf.receiver;
       Alcotest.(check (float 1e-9)) "at the last moment" 10.
@@ -48,7 +57,7 @@ let test_random_plan_within_bounds () =
         Amac.Mac_intf.bc_rng = Dsim.Rng.create ~seed;
       }
     in
-    let plan = policy.Amac.Mac_intf.pol_plan c in
+    let plan = plan_for policy c in
     Alcotest.(check bool) "ack within Fack" true
       (plan.Amac.Mac_intf.ack_delay <= 10. && plan.Amac.Mac_intf.ack_delay > 0.);
     List.iter
@@ -56,14 +65,14 @@ let test_random_plan_within_bounds () =
         Alcotest.(check bool) "delivery in window" true
           (d.Amac.Mac_intf.delay >= 0.
           && d.Amac.Mac_intf.delay <= plan.Amac.Mac_intf.ack_delay))
-      plan.Amac.Mac_intf.deliveries;
+      (deliveries plan);
     (* G-neighbors always covered *)
     List.iter
       (fun g ->
         Alcotest.(check bool) "G-neighbor covered" true
           (List.exists
              (fun d -> d.Amac.Mac_intf.receiver = g)
-             plan.Amac.Mac_intf.deliveries))
+             (deliveries plan)))
       [ 1; 2 ]
   done
 
@@ -129,18 +138,22 @@ let test_two_line_policy_plan () =
       bc_fack = 10.;
       bc_fprog = 1.;
       bc_rng = Dsim.Rng.create ~seed:0;
+      bc_plan = Amac.Mac_intf.create_plan ();
     }
   in
-  let plan = policy.Amac.Mac_intf.pol_plan frontier_ctx in
+  let plan = plan_for policy frontier_ctx in
   Alcotest.(check (float 1e-9)) "frontier stalls Fack" 10.
     plan.Amac.Mac_intf.ack_delay;
   Alcotest.(check bool) "cross delivery to b_3 at Fprog" true
     (List.exists
        (fun del ->
          del.Amac.Mac_intf.receiver = d + 2 && del.Amac.Mac_intf.delay = 1.)
-       plan.Amac.Mac_intf.deliveries);
+       (deliveries plan));
   (* The same node broadcasting m1 is a non-frontier broadcast: instant. *)
-  let other = policy.Amac.Mac_intf.pol_plan { frontier_ctx with bc_body = 1 } in
+  let other =
+    plan_for policy
+      { frontier_ctx with bc_body = 1; bc_plan = Amac.Mac_intf.create_plan () }
+  in
   Alcotest.(check (float 1e-9)) "non-frontier instant" 0.
     other.Amac.Mac_intf.ack_delay
 

@@ -125,28 +125,59 @@ let test_no_duplicate_instance_delivery () =
   in
   Alcotest.(check int) "exactly one rcv" 1 (List.length rcvs)
 
-let test_invalid_plan_rejected () =
-  let bad_policy =
-    {
-      Amac.Mac_intf.pol_name = "bad";
-      pol_plan =
-        (fun ctx ->
-          {
-            Amac.Mac_intf.ack_delay = ctx.Amac.Mac_intf.bc_fack;
-            deliveries = [] (* misses the G-neighbor *);
-          });
-      pol_forced = (fun ctx -> List.hd ctx.Amac.Mac_intf.fc_candidates);
-    }
-  in
+(* The message of the [Invalid_argument] the MAC raises when node 0 and
+   then node 1 of a 2-node line broadcast at time 0 under [policy], or
+   [None] if it raises none. *)
+let rejection policy =
   let dual = Graphs.Dual.of_equal (Graphs.Gen.line 2) in
-  let sim, mac, _, _ = make_env ~dual ~fack:10. ~fprog:1. ~policy:bad_policy () in
-  let raised = ref false in
+  let sim, mac, _, _ = make_env ~dual ~fack:10. ~fprog:1. ~policy () in
+  let raised = ref None in
   ignore
     (Dsim.Sim.schedule_at sim ~time:0. (fun () ->
-         try Amac.Standard_mac.bcast mac ~node:0 1
-         with Invalid_argument _ -> raised := true));
+         try
+           Amac.Standard_mac.bcast mac ~node:0 1;
+           Amac.Standard_mac.bcast mac ~node:1 2
+         with Invalid_argument msg -> raised := Some msg));
   ignore (Dsim.Sim.run sim);
-  Alcotest.(check bool) "plan missing a G-neighbor rejected" true !raised
+  !raised
+
+(* A policy whose [pol_plan] is [plan]. *)
+let plan_policy plan =
+  {
+    Amac.Mac_intf.pol_name = "test";
+    pol_plan = plan;
+    pol_forced = (fun ctx -> List.hd ctx.Amac.Mac_intf.fc_candidates);
+  }
+
+(* A policy that writes [every] on each call and [first] on its first
+   call only.  The MAC resets the buffer before each call, so the second
+   bcast's plan lacks the [first] part, as a fresh buffer would. *)
+let first_call_only ~every ~first =
+  let calls = ref 0 in
+  plan_policy (fun ctx ->
+      incr calls;
+      every ctx;
+      if !calls = 1 then first ctx)
+
+let set_ack ctx =
+  Amac.Mac_intf.set_ack ctx.Amac.Mac_intf.bc_plan
+    ~delay:ctx.Amac.Mac_intf.bc_fack
+
+let deliver_g ctx =
+  Amac.Mac_intf.deliver_all ctx.Amac.Mac_intf.bc_plan
+    ctx.Amac.Mac_intf.bc_g_neighbors ~delay:ctx.Amac.Mac_intf.bc_fack
+
+let test_invalid_plan_rejected () =
+  Alcotest.(check bool) "plan missing a G-neighbor rejected" true
+    (Option.is_some (rejection (plan_policy set_ack)));
+  Alcotest.(check (option string))
+    "an ack set only on the first call is unset on the second"
+    (Some "Standard_mac: plan ack_delay nan outside [0, 10]")
+    (rejection (first_call_only ~every:deliver_g ~first:set_ack));
+  Alcotest.(check (option string))
+    "deliveries written only on the first call are gone on the second"
+    (Some "Standard_mac: plan misses a G-neighbor")
+    (rejection (first_call_only ~every:set_ack ~first:deliver_g))
 
 let test_unreliable_delivery_possible () =
   (* Eager policy delivers over G'-only edges too. *)
@@ -189,22 +220,12 @@ let test_trace_events_recorded () =
    hub sends C, which may reuse A's id now that its window is over. *)
 let test_abort_window_keeps_instance () =
   let dual = Graphs.Dual.of_equal (Graphs.Gen.star 3) in
-  let plan =
-    {
-      Amac.Mac_intf.ack_delay = 2.;
-      deliveries =
-        [
-          { Amac.Mac_intf.receiver = 1; delay = 0.6 };
-          { Amac.Mac_intf.receiver = 2; delay = 0.9 };
-        ];
-    }
-  in
   let policy =
-    {
-      Amac.Mac_intf.pol_name = "prebuilt";
-      pol_plan = (fun _ -> plan);
-      pol_forced = (fun ctx -> List.hd ctx.Amac.Mac_intf.fc_candidates);
-    }
+    plan_policy (fun ctx ->
+        let p = ctx.Amac.Mac_intf.bc_plan in
+        Amac.Mac_intf.set_ack p ~delay:2.;
+        Amac.Mac_intf.deliver p ~receiver:1 ~delay:0.6;
+        Amac.Mac_intf.deliver p ~receiver:2 ~delay:0.9)
   in
   let sim = Dsim.Sim.create () in
   let trace = Dsim.Trace.create () in
@@ -256,8 +277,8 @@ let test_abort_window_keeps_instance () =
     (List.length (Amac.Compliance.audit ~dual ~fack ~fprog ~eps_abort trace))
 
 (* Words the MAC allocates per bcast on a star whose hub rebroadcasts
-   one prebuilt body on every ack, under a policy that returns a
-   prebuilt plan: every leaf receives at [delay] and the ack comes at
+   one prebuilt body on every ack, under a policy that writes the same
+   plan every time: every leaf receives at [delay] and the ack comes at
    the same time.  With [delay] below Fprog each leaf's watchdog is
    armed and cancelled once per bcast; past it each fires and forces a
    delivery.  The second of two equal rounds is measured, so the
@@ -266,20 +287,11 @@ let star_words_per_bcast ~leaves ~delay =
   let dual = Graphs.Dual.of_equal (Graphs.Gen.star (leaves + 1)) in
   let hub = 0 in
   let rows = Graphs.Graph.neighbors (Graphs.Dual.unreliable dual) hub in
-  let plan =
-    {
-      Amac.Mac_intf.ack_delay = delay;
-      deliveries =
-        Array.to_list
-          (Array.map (fun receiver -> { Amac.Mac_intf.receiver; delay }) rows);
-    }
-  in
   let policy =
-    {
-      Amac.Mac_intf.pol_name = "prebuilt";
-      pol_plan = (fun _ -> plan);
-      pol_forced = (fun ctx -> List.hd ctx.Amac.Mac_intf.fc_candidates);
-    }
+    plan_policy (fun ctx ->
+        let p = ctx.Amac.Mac_intf.bc_plan in
+        Amac.Mac_intf.set_ack p ~delay;
+        Amac.Mac_intf.deliver_all p rows ~delay)
   in
   let sim = Dsim.Sim.create () in
   let mac =
@@ -316,13 +328,16 @@ let star_words_per_bcast ~leaves ~delay =
     (2 * bcasts * leaves) (Amac.Standard_mac.rcv_count mac);
   (words /. float_of_int bcasts, Amac.Standard_mac.forced_count mac)
 
-(* Deliveries, acks and watchdogs are int-coded events of handlers the
-   MAC registers once, and a delivery records its (body, receiver) pair
-   in an int set, so past per-bcast bookkeeping (the policy's context,
-   the instance record) they allocate nothing: widening the star from 8
-   to 32 leaves quadruples the deliveries and watchdogs per bcast but
-   must not add words.  A fire allocates only what the forced-choice
-   policy is handed: its context (6 words), the boxed time (2), the
+(* A bcast allocates the policy's context (11 words), its boxed [bc_now]
+   (2) and the instance record (12): the plan goes into the buffer the
+   MAC reuses, whose cells keep the policy's boxed delays, so writing,
+   checking and posting it allocates nothing.  Deliveries, acks and
+   watchdogs are int-coded events of handlers the MAC registers once,
+   and a delivery records its (body, receiver) pair in an int set, so
+   they allocate nothing either: widening the star from 8 to 32 leaves
+   quadruples the deliveries and watchdogs per bcast but must not add
+   words.  A fire allocates only what the forced-choice policy is
+   handed: its context (6 words), the boxed time (2), the
    [fc_has_received] probe (5) and one candidate and its cons (8). *)
 let test_events_allocate_nothing () =
   let narrow, forced_narrow = star_words_per_bcast ~leaves:8 ~delay:0.5 in
@@ -330,7 +345,7 @@ let test_events_allocate_nothing () =
   Alcotest.(check int) "no watchdog fired" 0 (forced_narrow + forced_wide);
   Alcotest.(check bool)
     (Printf.sprintf "%.1f words per bcast at 8 leaves" narrow)
-    true (narrow < 64.);
+    true (narrow < 32.);
   Alcotest.(check bool)
     (Printf.sprintf "%.4f words per extra delivery" ((wide -. narrow) /. 24.))
     true (wide -. narrow < 0.05 *. 24.);
