@@ -265,7 +265,7 @@ let e9_ablations () =
         let fifo = run `Fifo and lifo = run `Lifo in
         let worst res =
           List.fold_left (fun a (_, t) -> Float.max a t) 0.
-            res.Mmb.Runner.message_times
+            res.Mmb.Runner.latencies
         in
         [
           Report.i k;

@@ -18,47 +18,12 @@ let e13_radio () =
         let samples =
           List.map
             (fun seed ->
-              let dual = Graphs.Dual.of_equal (Graphs.Gen.star (m + 1)) in
-              let rng = Dsim.Rng.create ~seed:(seed * 101 + m) in
-              let params =
-                Radio.Decay.default_params ~n:(m + 1) ~max_contention:m
+              let r =
+                Radio.Decay.star_contention ~m ~seed:((seed * 101) + m)
+                  ~max_slots:5_000_000
               in
-              let mac = Radio.Decay.create ~dual ~params ~rng () in
-              let h = Radio.Decay.handle mac in
-              let first_any = ref None in
-              let got = Hashtbl.create 16 in
-              h.Amac.Mac_handle.h_attach ~node:0
-                {
-                  Amac.Mac_intf.on_rcv =
-                    (fun ~src:_ payload ->
-                      if !first_any = None then
-                        first_any := Some (Radio.Decay.slot mac);
-                      if not (Hashtbl.mem got payload) then
-                        Hashtbl.replace got payload (Radio.Decay.slot mac));
-                  on_ack = (fun _ -> ());
-                };
-              for v = 1 to m do
-                h.Amac.Mac_handle.h_attach ~node:v
-                  {
-                    Amac.Mac_intf.on_rcv = (fun ~src:_ _ -> ());
-                    on_ack = (fun _ -> ());
-                  }
-              done;
-              for v = 1 to m do
-                h.Amac.Mac_handle.h_bcast ~node:v v
-              done;
-              ignore
-                (Radio.Decay.run mac ~max_slots:5_000_000 ~stop:(fun () ->
-                     Hashtbl.length got = m));
-              let progress =
-                match !first_any with Some s -> s | None -> -1
-              in
-              let slowest =
-                Dsim.Tbl.sorted_fold ~cmp:Int.compare
-                  (fun _ s acc -> max s acc)
-                  got 0
-              in
-              (float_of_int progress, float_of_int slowest))
+              let progress = Option.value r.first_reception ~default:(-1) in
+              (float_of_int progress, float_of_int r.slowest))
             seeds
         in
         let avg f =

@@ -156,9 +156,10 @@ let partitions_arg =
   in
   Arg.(value & opt int 0 & info [ "partitions" ] ~docv:"P" ~doc)
 
-(* The one-cell scenario the shared flags describe.  [run], [sweep] and
-   [online] override the fields they own and run it through
-   Mmb.Scenario.run, as [exec] runs a scenario file's cells. *)
+(* The one-cell scenario the shared flags describe.  [run] and [online]
+   override the fields they own and run it through Mmb.Scenario.run, as
+   [exec] runs a scenario file's cells; [sweep] expands it as [exec]
+   expands a file's "sweep" directive. *)
 let cell =
   let make topology gprime n k r extra fack fprog seed scheduler =
     {
@@ -485,8 +486,8 @@ let run_cmd =
               f.complete f.total_rounds f.rounds_mis f.rounds_gather
               f.rounds_spread f.time;
             Printf.printf "MIS: size %d, valid %b\n" f.mis_size f.mis_valid
-        | Mmb.Scenario.Online _ | Mmb.Scenario.Fmmb_online _ ->
-            (* run's cells have batch arrivals *) assert false);
+        | Mmb.Scenario.Fmmb_online _ ->
+            (* run's cells are bmmb or fmmb *) assert false);
         List.iter (fun f -> f.write ()) !files;
         `Ok ()
   in
@@ -549,7 +550,11 @@ let lower_bound_cmd =
 
 let sweep_cmd =
   let param =
-    let doc = "Swept parameter: k | n | r | fack." in
+    let doc =
+      "Swept parameter: any numeric scenario field (n, k, r, extra, fack, \
+       fprog, seed, ...; dotted for the dynamic object, e.g. \
+       dynamic.epoch), as in a scenario file's \"sweep\" directive."
+    in
     Arg.(value & opt string "k" & info [ "param" ] ~docv:"PARAM" ~doc)
   in
   let values =
@@ -559,53 +564,51 @@ let sweep_cmd =
       & opt string "1,2,4,8,16"
       & info [ "values" ] ~docv:"V1,V2,..." ~doc)
   in
+  (* The flags' cell plus a "sweep" directive is a scenario document, so
+     Mmb.Scenario.expand checks every point, before the table header
+     prints, and builds the specs exec would. *)
   let action param values cell =
     let ( let* ) = Result.bind in
-    let rec all f = function
+    let rec numbers = function
       | [] -> Ok []
-      | x :: rest ->
-          let* y = f x in
-          let* ys = all f rest in
-          Ok (y :: ys)
-    in
-    (* Every point is checked before the table header prints, so a bad
-       flag fails the command up front. *)
-    let checked =
-      let* () =
-        if List.mem param [ "k"; "n"; "r"; "fack" ] then Ok ()
-        else
-          Error
-            (Printf.sprintf "sweep: unknown param %S (known: k, n, r, fack)"
-               param)
-      in
-      all
-        (fun s ->
+      | s :: rest -> (
           let s = String.trim s in
-          match int_of_string_opt s with
-          | None ->
-              Error (Printf.sprintf "sweep: values must be integers, got %S" s)
-          | Some v ->
-              let spec =
-                match param with
-                | "n" -> { cell with Mmb.Scenario.n = v }
-                | "k" -> { cell with k = v }
-                | "r" -> { cell with r = v }
-                | _ -> { cell with fack = float_of_int v }
-              in
-              let* () = Mmb.Scenario.check_spec spec in
-              Ok (v, spec))
-        (String.split_on_char ',' values)
+          match Result.bind (Dsim.Json.parse s) Dsim.Json.to_float with
+          | Error _ ->
+              Error (Printf.sprintf "sweep: values must be numbers, got %S" s)
+          | Ok x ->
+              let* xs = numbers rest in
+              Ok (x :: xs))
+    in
+    let checked =
+      let* xs = numbers (String.split_on_char ',' values) in
+      let sweep =
+        ( "sweep",
+          Dsim.Json.Obj
+            [
+              ("param", Dsim.Json.String param);
+              ( "values",
+                Dsim.Json.List (List.map (fun x -> Dsim.Json.Number x) xs) );
+            ] )
+      in
+      let* specs =
+        match Mmb.Scenario.spec_to_json cell with
+        | Dsim.Json.Obj members ->
+            Mmb.Scenario.expand (Dsim.Json.Obj (sweep :: members))
+        | _ -> Error "sweep: the cell is not a scenario object"
+      in
+      Ok (List.combine xs specs)
     in
     match checked with
     | Error e -> `Error (false, e)
     | Ok points ->
         Printf.printf "%8s  %10s  %10s  %10s\n" param "time" "bound" "ratio";
         List.iter
-          (fun (v, spec) ->
+          (fun (x, spec) ->
             List.iter
               (fun (r : Mmb.Scenario.run_result) ->
                 let bound = Option.value r.bound ~default:0. in
-                Printf.printf "%8d  %10.1f  %10.1f  %10.2f\n" v r.time bound
+                Printf.printf "%8g  %10.1f  %10.1f  %10.2f\n" x r.time bound
                   (if bound > 0. then r.time /. bound else 0.))
               (Mmb.Scenario.execute spec))
           points;
@@ -630,18 +633,18 @@ let online_cmd =
     | Ok () -> (
         let x = Mmb.Scenario.run spec ~seed:spec.seed in
         match x.engine with
-        | Mmb.Scenario.Online res ->
+        | Mmb.Scenario.Serial res ->
             describe_dual x.dual;
             Printf.printf
               "online BMMB: rate=%g, k=%d\ncomplete: %b\nmakespan: %g\n" rate
-              spec.k res.Mmb.Runner.complete' res.Mmb.Runner.makespan;
+              spec.k res.Mmb.Runner.complete res.Mmb.Runner.time;
             (match List.map snd res.Mmb.Runner.latencies with
             | [] -> print_endline "no completed messages"
             | latencies ->
                 Fmt.pr "latency: %a@." Dsim.Stats.pp_summary
                   (Dsim.Stats.summarize latencies));
             `Ok ()
-        | _ -> (* Poisson BMMB runs online *) assert false)
+        | _ -> (* online's cells are serial BMMB *) assert false)
   in
   let term = Term.(ret (const action $ cell $ rate_arg)) in
   Cmd.v
@@ -659,51 +662,18 @@ let radio_cmd =
   let action m seed =
     if m < 1 then `Error (false, "need contenders >= 1")
     else
-      let dual = Graphs.Dual.of_equal (Graphs.Gen.star (m + 1)) in
-      let rng = Dsim.Rng.create ~seed in
-      let params = Radio.Decay.default_params ~n:(m + 1) ~max_contention:m in
-      let mac = Radio.Decay.create ~dual ~params ~rng () in
-      let h = Radio.Decay.handle mac in
-      let first_any = ref None in
-      let got = Hashtbl.create 16 in
-      h.Amac.Mac_handle.h_attach ~node:0
-        {
-          Amac.Mac_intf.on_rcv =
-            (fun ~src:_ payload ->
-              if !first_any = None then
-                first_any := Some (Radio.Decay.slot mac);
-              if not (Hashtbl.mem got payload) then
-                Hashtbl.replace got payload (Radio.Decay.slot mac));
-          on_ack = (fun _ -> ());
-        };
-      for v = 1 to m do
-        h.Amac.Mac_handle.h_attach ~node:v
-          {
-            Amac.Mac_intf.on_rcv = (fun ~src:_ _ -> ());
-            on_ack = (fun _ -> ());
-          }
-      done;
-      for v = 1 to m do
-        h.Amac.Mac_handle.h_bcast ~node:v v
-      done;
-      ignore
-        (Radio.Decay.run mac ~max_slots:10_000_000 ~stop:(fun () ->
-             Hashtbl.length got = m));
+      let r = Radio.Decay.star_contention ~m ~seed ~max_slots:10_000_000 in
       Printf.printf
         "decay MAC on a star with %d contenders (implemented Fack = %g slots)\n"
-        m (Radio.Decay.nominal_fack mac);
-      (match !first_any with
+        m r.implemented_fack;
+      (match r.first_reception with
       | Some s ->
           Printf.printf "hub heard SOMETHING after %d slots (Fprog-like)\n" s
       | None -> print_endline "hub heard nothing");
-      let slowest =
-        Dsim.Tbl.sorted_fold ~cmp:Int.compare (fun _ s acc -> max s acc) got 0
-      in
       Printf.printf "hub heard the SLOWEST specific message after %d slots\n"
-        slowest;
-      Printf.printf "transmissions: %d, collisions: %d\n"
-        (Radio.Decay.transmissions mac)
-        (Radio.Decay.collisions mac);
+        r.slowest;
+      Printf.printf "transmissions: %d, collisions: %d\n" r.transmissions
+        r.collisions;
       `Ok ()
   in
   let term = Term.(ret (const action $ contenders_arg $ seed_arg)) in

@@ -4,7 +4,8 @@
 #   bin/verify.sh           @lint @check @race @hot (the four rule families
 #                           of bin/mmb_analyze.exe over analysis.allow),
 #                           build, dune runtest, and the trace smoke (run
-#                           --trace-out/--provenance + trace-validate)
+#                           --trace-out/--provenance + trace-validate, and
+#                           estimate on an intact and a torn JSONL trace)
 #   bin/verify.sh --full    default + randomized-hash runtest, the rule
 #                           families' fixture suites (@fixtures), the dyn
 #                           suite, the campaign and pdes determinism gates,
@@ -95,8 +96,11 @@ else
   # Trace smoke: tiny BMMB (serial and partitioned, P = 4 on 2 domains)
   # and FMMB runs must produce Perfetto and provenance exports that
   # self-validate (schema + per-event shape).  Every engine feeds the
-  # exports through the same live attach path.
-  gate "trace smoke (run --trace-out/--provenance + trace-validate)" \
+  # exports through the same live attach path.  A serial run's JSONL
+  # trace must read back through estimate (Fprog = 1 recovered), and
+  # the same file cut 3 bytes short, inside its last number, must be
+  # refused rather than read as a smaller instance id.
+  gate "trace smoke (run --trace-out/--provenance + trace-validate + estimate, torn trace refused)" \
     sh -c 'T=$(mktemp -d) && trap "rm -rf $T" 0 &&
       dune exec bin/mmb_sim.exe -- run -t line -n 10 -k 2 --seed 3 \
         --trace-out "$T/trace.json" --provenance "$T/prov.jsonl" >/dev/null &&
@@ -107,7 +111,14 @@ else
         --trace-out "$T/fmmb.json" --provenance "$T/fmmb.jsonl" >/dev/null &&
       dune exec bin/mmb_sim.exe -- trace-validate "$T/trace.json" \
         "$T/prov.jsonl" "$T/pdes.json" "$T/pdes.jsonl" "$T/fmmb.json" \
-        "$T/fmmb.jsonl"'
+        "$T/fmmb.jsonl" &&
+      dune exec bin/mmb_sim.exe -- run -t line -n 20 -k 2 --seed 3 \
+        --trace-out "$T/t.jsonl" >/dev/null &&
+      dune exec bin/mmb_sim.exe -- estimate "$T/t.jsonl" -t line -n 20 \
+        --seed 3 | grep -q "Fprog>=1[.]000" &&
+      head -c $(($(wc -c < "$T/t.jsonl") - 3)) "$T/t.jsonl" > "$T/torn.jsonl" &&
+      ! dune exec bin/mmb_sim.exe -- estimate "$T/torn.jsonl" -t line -n 20 \
+        --seed 3 >/dev/null 2>&1'
 
   if [ "$MODE" = full ]; then
     # Randomized hash seeds catch order-dependent Hashtbl traversals

@@ -52,13 +52,8 @@ let () =
       ~policy:(Amac.Enhanced_mac.minimal_random ())
       ~c:2. ~arrivals ~tracker ~max_rounds:600_000 ()
   in
-  let latencies =
-    List.filter_map
-      (fun (_, _, msg) -> Mmb.Problem.message_latency tracker ~msg)
-      arrivals
-  in
   Printf.printf "streaming FMMB (k-oblivious): ";
-  (match latencies with
+  (match List.map snd (Mmb.Problem.latencies tracker) with
   | [] -> print_endline "nothing completed"
   | ls -> Fmt.pr "%a@." Dsim.Stats.pp_summary (Dsim.Stats.summarize ls));
   Printf.printf

@@ -38,63 +38,41 @@ let write_file trace ~path =
     ~finally:(fun () -> close_out oc)
     (fun () -> output_string oc (to_jsonl trace))
 
-(* A minimal parser for exactly the object shape we emit: string values
-   have no escapes, keys are known. *)
+(* One line, read with {!Json.parse}: a torn or garbled line is a parse
+   error, never an entry with a wrong value. *)
 let parse_line line =
-  let find_field key conv =
-    let needle = Printf.sprintf {|"%s":|} key in
-    let nlen = String.length needle in
-    let rec search i =
-      if i + nlen > String.length line then None
-      else if String.sub line i nlen = needle then begin
-        let start = i + nlen in
-        let stop = ref start in
-        while
-          !stop < String.length line
-          && not (List.mem line.[!stop] [ ','; '}' ])
-        do
-          incr stop
-        done;
-        conv (String.sub line start (!stop - start))
-      end
-      else search (i + 1)
-    in
-    search 0
-  in
-  let number s = float_of_string_opt (String.trim s) in
-  let integer s = int_of_string_opt (String.trim s) in
-  let unquote s =
-    let s = String.trim s in
-    if String.length s >= 2 && s.[0] = '"' && s.[String.length s - 1] = '"'
-    then Some (String.sub s 1 (String.length s - 2))
-    else None
-  in
-  match
-    ( find_field "t" number,
-      find_field "e" unquote,
-      find_field "node" integer,
-      find_field "msg" integer )
-  with
-  | Some time, Some kind, Some node, Some msg -> (
-      let inst () =
-        match find_field "inst" integer with
-        | Some i -> Ok i
-        | None -> Error "missing \"inst\""
+  match Json.parse line with
+  | Error e -> Error e
+  | Ok json -> (
+      let field key conv =
+        Option.bind (Json.member_opt json key) (fun v ->
+            Result.to_option (conv v))
       in
-      let with_inst make =
-        Result.map (fun instance -> { Trace.time; event = make instance })
-          (inst ())
-      in
-      match kind with
-      | "arrive" -> Ok { Trace.time; event = Trace.Arrive { node; msg } }
-      | "deliver" -> Ok { Trace.time; event = Trace.Deliver { node; msg } }
-      | "bcast" -> with_inst (fun instance -> Trace.Bcast { node; msg; instance })
-      | "rcv" -> with_inst (fun instance -> Trace.Rcv { node; msg; instance })
-      | "ack" -> with_inst (fun instance -> Trace.Ack { node; msg; instance })
-      | "abort" ->
-          with_inst (fun instance -> Trace.Abort { node; msg; instance })
-      | other -> Error (Printf.sprintf "unknown event kind %S" other))
-  | _ -> Error "missing required field"
+      match
+        ( field "t" Json.to_float,
+          field "e" Json.to_str,
+          field "node" Json.to_int,
+          field "msg" Json.to_int )
+      with
+      | Some time, Some kind, Some node, Some msg -> (
+          let with_inst make =
+            match field "inst" Json.to_int with
+            | Some instance -> Ok { Trace.time; event = make instance }
+            | None -> Error "missing \"inst\""
+          in
+          match kind with
+          | "arrive" -> Ok { Trace.time; event = Trace.Arrive { node; msg } }
+          | "deliver" -> Ok { Trace.time; event = Trace.Deliver { node; msg } }
+          | "bcast" ->
+              with_inst (fun instance -> Trace.Bcast { node; msg; instance })
+          | "rcv" ->
+              with_inst (fun instance -> Trace.Rcv { node; msg; instance })
+          | "ack" ->
+              with_inst (fun instance -> Trace.Ack { node; msg; instance })
+          | "abort" ->
+              with_inst (fun instance -> Trace.Abort { node; msg; instance })
+          | other -> Error (Printf.sprintf "unknown event kind %S" other))
+      | _ -> Error "missing required field")
 
 (* --- Streamed-to-disk sink ------------------------------------------------ *)
 

@@ -32,8 +32,10 @@ val sink_written : sink -> int
 val sink_close : sink -> unit
 
 val of_jsonl : string -> (Trace.entry list, string) result
-(** Parses the exact format produced by {!to_jsonl}; the error string names
-    the first offending line. *)
+(** Parses the format produced by {!to_jsonl}, each line with
+    {!Json.parse}, so a torn or garbled line is an error rather than a
+    wrong value; the error string names the first offending line
+    (["line N: ..."], counting non-blank lines from 1). *)
 
 val read_file : path:string -> (Trace.entry list, string) result
 

@@ -39,6 +39,7 @@ type per_message = {
 
 type tracker = {
   messages : (int, per_message) Hashtbl.t;
+  order : int list; (* message ids in arrival-list order *)
   k : int;
   mutable outstanding : int; (* messages not yet fully delivered *)
   mutable finish : float option;
@@ -72,6 +73,7 @@ let tracker_timed ~dual timed =
     timed;
   {
     messages;
+    order = List.map (fun (_, _, msg) -> msg) timed;
     k = List.length timed;
     outstanding = Hashtbl.length messages;
     finish = None;
@@ -118,6 +120,18 @@ let message_latency t ~msg =
       match pm.finish_time with
       | None -> None
       | Some finish -> Some (finish -. pm.arrival_time))
+
+let latencies t =
+  List.filter_map
+    (fun msg -> Option.map (fun l -> (msg, l)) (message_latency t ~msg))
+    t.order
+
+let mean_latency = function
+  | [] -> None
+  | ls ->
+      Some
+        (List.fold_left (fun a (_, l) -> a +. l) 0. ls
+        /. float_of_int (List.length ls))
 
 let delivered_count t = t.delivered_total
 let duplicate_deliveries t = t.duplicates

@@ -76,6 +76,15 @@ val message_completion_time : tracker -> msg:int -> float option
 val message_latency : tracker -> msg:int -> float option
 (** Completion time minus arrival time, once the message completed. *)
 
+val latencies : tracker -> (int * float) list
+(** [(msg, completion - arrival)] for every completed message, in the
+    order the tracker's arrivals were listed.  Under batch arrivals a
+    latency is the message's completion time. *)
+
+val mean_latency : (int * float) list -> float option
+(** The mean of {!latencies}, summed in their order; [None] when no
+    message completed. *)
+
 val delivered_count : tracker -> int
 (** Total distinct (node, msg) deliveries so far. *)
 

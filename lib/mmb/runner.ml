@@ -12,7 +12,7 @@ type bmmb_result = {
   compliance_violations : Amac.Compliance.violation list;
   outcome : Dsim.Sim.outcome;
   events_executed : int;
-  message_times : (int * float) list;
+  latencies : (int * float) list;
   trace : Dsim.Trace.t option;
   spec_violations : string list;
 }
@@ -49,39 +49,6 @@ let drive ~dual ~fack ~fprog ~check_compliance ~(instrument : Instrument.t)
   in
   (result, retained, violations)
 
-(* BMMB over the standard MAC on the serial engine, each of [arrivals]
-   injected at its own time, with [tracker] watching the deliveries: the
-   [execute] that [run_bmmb] and [run_bmmb_online] hand to {!drive}. *)
-let serial ~dual ~fack ~fprog ~policy ~seed ~discipline ~max_events ~dyn
-    ~(instrument : Instrument.t) ~setup ~tracker arrivals trace =
-  let sim = Dsim.Sim.create () in
-  let rng = Dsim.Rng.create ~seed in
-  instrument.wire_sim sim;
-  let mac =
-    Amac.Standard_mac.create ~sim ~dual ~fack ~fprog ~policy ~rng ?dyn ?trace
-      ~msg_id:bmmb_msg_id ()
-  in
-  let bmmb =
-    Bmmb.install ~discipline ~mac:(Amac.Mac_handle.of_standard mac)
-      ~on_deliver:(fun ~node ~msg ~time ->
-        Problem.on_deliver tracker ~node ~msg ~time)
-      ()
-  in
-  Option.iter (fun f -> f sim) setup;
-  List.iter
-    (fun (time, node, msg) ->
-      Amac.Standard_mac.env_at mac ~time (fun () ->
-          Bmmb.arrive bmmb ~node ~msg))
-    arrivals;
-  let outcome = Dsim.Sim.run ~max_events sim in
-  instrument.note_sim sim;
-  instrument.note_mac
-    ~bcasts:(Amac.Standard_mac.bcast_count mac)
-    ~rcvs:(Amac.Standard_mac.rcv_count mac)
-    ~acks:(Amac.Standard_mac.ack_count mac)
-    ~forced:(Amac.Standard_mac.forced_count mac);
-  (outcome <> Dsim.Sim.Drained, (outcome, sim, mac))
-
 let completion_time tracker =
   match Problem.completion_time tracker with
   | Some t -> t
@@ -90,31 +57,55 @@ let completion_time tracker =
 let spec_violations ~dual retained =
   match retained with None -> [] | Some tr -> Properties.check ~dual tr
 
-(* The exact applicable paper bound, and whether a run met it. *)
-let bound ~dual ~assignment ~fack ~fprog ~complete ~time =
-  let upper = Bounds.bmmb_upper ~dual ~assignment ~fack ~fprog in
-  (upper, complete && time <= upper +. (1e-6 *. Float.max 1. upper))
+(* Whether a run met its upper bound. *)
+let within ~upper ~complete ~time =
+  complete && time <= upper +. (1e-6 *. Float.max 1. upper)
 
-let run_bmmb ~dual ~fack ~fprog ~policy ~assignment ~seed
+(* Every serial BMMB run: BMMB over the standard MAC on the serial
+   engine, each of [arrivals] injected at its own time, wired through
+   {!drive}.  [upper_bound] is evaluated once the run is over. *)
+let run_serial ~dual ~fack ~fprog ~policy ~arrivals ~upper_bound ~seed
     ?(discipline = `Fifo) ?(check_compliance = false)
     ?(max_events = 50_000_000) ?dyn ?(instrument = Instrument.none) ?setup () =
-  let tracker = Problem.tracker ~dual assignment in
+  let tracker = Problem.tracker_timed ~dual arrivals in
   let (outcome, sim, mac), retained, violations =
-    drive ~dual ~fack ~fprog ~check_compliance ~instrument
-      (serial ~dual ~fack ~fprog ~policy ~seed ~discipline ~max_events ~dyn
-         ~instrument ~setup ~tracker
-         (Problem.at_time_zero assignment))
+    drive ~dual ~fack ~fprog ~check_compliance ~instrument (fun trace ->
+        let sim = Dsim.Sim.create () in
+        let rng = Dsim.Rng.create ~seed in
+        instrument.wire_sim sim;
+        let mac =
+          Amac.Standard_mac.create ~sim ~dual ~fack ~fprog ~policy ~rng ?dyn
+            ?trace ~msg_id:bmmb_msg_id ()
+        in
+        let bmmb =
+          Bmmb.install ~discipline ~mac:(Amac.Mac_handle.of_standard mac)
+            ~on_deliver:(fun ~node ~msg ~time ->
+              Problem.on_deliver tracker ~node ~msg ~time)
+            ()
+        in
+        Option.iter (fun f -> f sim) setup;
+        List.iter
+          (fun (time, node, msg) ->
+            Amac.Standard_mac.env_at mac ~time (fun () ->
+                Bmmb.arrive bmmb ~node ~msg))
+          arrivals;
+        let outcome = Dsim.Sim.run ~max_events sim in
+        instrument.note_sim sim;
+        instrument.note_mac
+          ~bcasts:(Amac.Standard_mac.bcast_count mac)
+          ~rcvs:(Amac.Standard_mac.rcv_count mac)
+          ~acks:(Amac.Standard_mac.ack_count mac)
+          ~forced:(Amac.Standard_mac.forced_count mac);
+        (outcome <> Dsim.Sim.Drained, (outcome, sim, mac)))
   in
   let complete = Problem.complete tracker in
   let time = completion_time tracker in
-  let upper_bound, within_bound =
-    bound ~dual ~assignment ~fack ~fprog ~complete ~time
-  in
+  let upper_bound = upper_bound () in
   {
     complete;
     time;
     upper_bound;
-    within_bound;
+    within_bound = within ~upper:upper_bound ~complete ~time;
     bcasts = Amac.Standard_mac.bcast_count mac;
     rcvs = Amac.Standard_mac.rcv_count mac;
     acks = Amac.Standard_mac.ack_count mac;
@@ -124,16 +115,24 @@ let run_bmmb ~dual ~fack ~fprog ~policy ~assignment ~seed
     compliance_violations = violations;
     outcome;
     events_executed = Dsim.Sim.executed_events sim;
-    message_times =
-      List.filter_map
-        (fun (_, msg) ->
-          match Problem.message_completion_time tracker ~msg with
-          | Some t -> Some (msg, t)
-          | None -> None)
-        assignment;
+    latencies = Problem.latencies tracker;
     trace = retained;
     spec_violations = spec_violations ~dual retained;
   }
+
+let run_bmmb ~dual ~fack ~fprog ~policy ~assignment ~seed ?discipline
+    ?check_compliance ?max_events ?dyn ?instrument ?setup () =
+  run_serial ~dual ~fack ~fprog ~policy
+    ~arrivals:(Problem.at_time_zero assignment)
+    ~upper_bound:(fun () -> Bounds.bmmb_upper ~dual ~assignment ~fack ~fprog)
+    ~seed ?discipline ?check_compliance ?max_events ?dyn ?instrument ?setup ()
+
+(* No theorem bounds online arrivals. *)
+let run_bmmb_online ~dual ~fack ~fprog ~policy ~arrivals ~seed ?discipline
+    ?check_compliance ?max_events ?dyn ?instrument ?setup () =
+  run_serial ~dual ~fack ~fprog ~policy ~arrivals
+    ~upper_bound:(fun () -> Float.infinity)
+    ~seed ?discipline ?check_compliance ?max_events ?dyn ?instrument ?setup ()
 
 type pdes_result = {
   pd_complete : bool;
@@ -206,15 +205,14 @@ let run_bmmb_pdes ~dual ~fack ~fprog ~policy ~assignment ~seed ~partitions
             Pdes.Engine.run ~dual ?mk_dyn ~fprog ~assignment ~seed ~partitions
               ~domains ?trace () ))
     in
-    let upper_bound, within_bound =
-      bound ~dual ~assignment ~fack ~fprog ~complete:r.Pdes.Engine.complete
-        ~time:r.Pdes.Engine.time
-    in
+    let upper_bound = Bounds.bmmb_upper ~dual ~assignment ~fack ~fprog in
     {
       pd_complete = r.Pdes.Engine.complete;
       pd_time = r.Pdes.Engine.time;
       pd_upper_bound = upper_bound;
-      pd_within_bound = within_bound;
+      pd_within_bound =
+        within ~upper:upper_bound ~complete:r.Pdes.Engine.complete
+          ~time:r.Pdes.Engine.time;
       pd_bcasts = r.Pdes.Engine.bcasts;
       pd_rcvs = r.Pdes.Engine.rcvs;
       pd_acks = r.Pdes.Engine.acks;
@@ -231,51 +229,6 @@ let run_bmmb_pdes ~dual ~fack ~fprog ~policy ~assignment ~seed ~partitions
       pd_spec_violations = spec_violations ~dual retained;
     }
   end
-
-type online_result = {
-  complete' : bool;
-  makespan : float;
-  latencies : (int * float) list;
-  mean_latency : float;
-  max_latency : float;
-  bcasts' : int;
-  forced' : int;
-  compliance_violations' : Amac.Compliance.violation list;
-}
-
-let run_bmmb_online ~dual ~fack ~fprog ~policy ~arrivals ~seed
-    ?(discipline = `Fifo) ?(check_compliance = false)
-    ?(max_events = 50_000_000) ?dyn ?(instrument = Instrument.none) ?setup () =
-  let tracker = Problem.tracker_timed ~dual arrivals in
-  let (_, _, mac), _, violations =
-    drive ~dual ~fack ~fprog ~check_compliance ~instrument
-      (serial ~dual ~fack ~fprog ~policy ~seed ~discipline ~max_events ~dyn
-         ~instrument ~setup ~tracker arrivals)
-  in
-  let latencies =
-    List.filter_map
-      (fun (_, _, msg) ->
-        match Problem.message_latency tracker ~msg with
-        | Some l -> Some (msg, l)
-        | None -> None)
-      arrivals
-  in
-  let lat_values = List.map snd latencies in
-  let mean_latency =
-    if lat_values = [] then 0.
-    else List.fold_left ( +. ) 0. lat_values /. float_of_int (List.length lat_values)
-  in
-  let max_latency = List.fold_left Float.max 0. lat_values in
-  {
-    complete' = Problem.complete tracker;
-    makespan = completion_time tracker;
-    latencies;
-    mean_latency;
-    max_latency;
-    bcasts' = Amac.Standard_mac.bcast_count mac;
-    forced' = Amac.Standard_mac.forced_count mac;
-    compliance_violations' = violations;
-  }
 
 type fmmb_result = {
   fmmb : Fmmb.result;

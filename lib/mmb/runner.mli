@@ -1,17 +1,24 @@
 (** End-to-end wiring: network × protocol × scheduler → executed run with
     metrics.  This is the entry point examples, tests, and benchmarks use.
 
-    Every BMMB run, serial, online or partitioned, is wired the same
-    way: the engine records into the retained trace under
+    Every BMMB run, serial or partitioned, batch or online, is wired the
+    same way: the engine records into the retained trace under
     [check_compliance] (else into a retention-free one when the
     instrument asks for a trace), the instrument is attached to that
     trace before the run and finished after it, and the retained trace
-    is audited with {!Amac.Compliance.audit}. *)
+    is audited with {!Amac.Compliance.audit}.  One function runs every
+    serial BMMB execution, whatever its arrivals, and returns the one
+    record below: {!run_bmmb} and {!run_bmmb_online} are its two entry
+    points. *)
 
 type bmmb_result = {
   complete : bool;
-  time : float;  (** MMB completion time (meaningful when [complete]) *)
-  upper_bound : float;  (** the exact applicable paper bound for this run *)
+  time : float;
+      (** MMB completion time, when the last message finished (meaningful
+          when [complete]; the makespan of an online run) *)
+  upper_bound : float;
+      (** the exact applicable paper bound for this run; [infinity] for
+          {!run_bmmb_online}, since no theorem covers online arrivals *)
   within_bound : bool;
   bcasts : int;
   rcvs : int;
@@ -24,8 +31,10 @@ type bmmb_result = {
   outcome : Dsim.Sim.outcome;
   events_executed : int;
       (** engine callbacks executed (the profiler's event count) *)
-  message_times : (int * float) list;
-      (** per-message completion times (msg id, time), completed ones only *)
+  latencies : (int * float) list;
+      (** [(msg, completion - arrival)] per completed message, in arrival
+          order ({!Problem.latencies}); under batch arrivals, each
+          message's completion time *)
   trace : Dsim.Trace.t option;
       (** the recorded execution trace, when [check_compliance] was set *)
   spec_violations : string list;
@@ -66,6 +75,29 @@ val run_bmmb :
     this layer knows nothing about them (check A1).  [setup] runs against
     the simulation after wiring but before the arrivals are scheduled —
     the hook for progress tickers and wall-clock injection. *)
+
+val run_bmmb_online :
+  dual:Graphs.Dual.t ->
+  fack:float ->
+  fprog:float ->
+  policy:int Amac.Mac_intf.policy ->
+  arrivals:Problem.timed_assignment ->
+  seed:int ->
+  ?discipline:Bmmb.discipline ->
+  ?check_compliance:bool ->
+  ?max_events:int ->
+  ?dyn:Dyn.Dual.t ->
+  ?instrument:Instrument.t ->
+  ?setup:(Dsim.Sim.t -> unit) ->
+  unit ->
+  bmmb_result
+(** Online MMB, the variant of the paper's footnote 4: BMMB with each
+    message injected at its own arrival time (the protocol is unchanged —
+    it is event-driven and never assumed batch arrivals), through the
+    same run as {!run_bmmb}.  [time] is the makespan and [latencies]
+    the per-message latencies; [upper_bound] is [infinity], since no
+    theorem covers online arrivals, so [within_bound] is [complete].
+    Arguments as in {!run_bmmb}. *)
 
 (** {1 Partitioned BMMB (lib/pdes)} *)
 
@@ -121,42 +153,6 @@ val run_bmmb_pdes :
     [note_sim] and [note_mac] are not called (there is no one engine).
     Raises {!Pdes.Engine.Domains_exceed_partitions} when
     [domains > partitions] and [Invalid_argument] when [Fprog > Fack]. *)
-
-(** {1 Online MMB}
-
-    The general MMB variant of footnote 4: messages arrive over time.  The
-    static theorems do not apply; the interesting metrics are per-message
-    latencies (completion − arrival). *)
-
-type online_result = {
-  complete' : bool;
-  makespan : float;  (** time when the last message finished *)
-  latencies : (int * float) list;  (** per completed message *)
-  mean_latency : float;
-  max_latency : float;
-  bcasts' : int;
-  forced' : int;
-  compliance_violations' : Amac.Compliance.violation list;
-}
-
-val run_bmmb_online :
-  dual:Graphs.Dual.t ->
-  fack:float ->
-  fprog:float ->
-  policy:int Amac.Mac_intf.policy ->
-  arrivals:Problem.timed_assignment ->
-  seed:int ->
-  ?discipline:Bmmb.discipline ->
-  ?check_compliance:bool ->
-  ?max_events:int ->
-  ?dyn:Dyn.Dual.t ->
-  ?instrument:Instrument.t ->
-  ?setup:(Dsim.Sim.t -> unit) ->
-  unit ->
-  online_result
-(** BMMB with arrivals injected at their own times (the protocol is
-    unchanged — it is event-driven and never assumed batch arrivals).
-    [dyn] as in {!run_bmmb}. *)
 
 type fmmb_result = {
   fmmb : Fmmb.result;

@@ -476,9 +476,11 @@ let spec_to_json spec =
 type engine =
   | Serial of Runner.bmmb_result
   | Partitioned of Runner.pdes_result
-  | Online of Runner.online_result
   | Fmmb of Runner.fmmb_result
-  | Fmmb_online of { result : Fmmb_online.result; mean_latency : float option }
+  | Fmmb_online of {
+      result : Fmmb_online.result;
+      latencies : (int * float) list;
+    }
 
 type execution = {
   dual : Graphs.Dual.t;
@@ -529,7 +531,7 @@ let run ?(instrument = fun _ _ -> Instrument.none) ?setup spec ~seed =
              ~assignment:(Problem.random rng ~n ~k) ~seed
              ~check_compliance:spec.check ?dyn ~instrument ?setup ())
     | `Bmmb, _ ->
-        Online
+        Serial
           (Runner.run_bmmb_online ~dual ~fack ~fprog
              ~policy:(build_scheduler spec.scheduler)
              ~arrivals:(arrivals ()) ~seed ~check_compliance:spec.check ?dyn
@@ -548,24 +550,13 @@ let run ?(instrument = fun _ _ -> Instrument.none) ?setup spec ~seed =
             ~policy:(Amac.Enhanced_mac.minimal_random ())
             ~c:2. ~arrivals ~tracker ~max_rounds:1_000_000 ()
         in
-        let latencies =
-          List.filter_map
-            (fun (_, _, msg) -> Problem.message_latency tracker ~msg)
-            arrivals
-        in
-        let mean_latency =
-          match latencies with
-          | [] -> None
-          | ls ->
-              Some
-                (List.fold_left ( +. ) 0. ls /. float_of_int (List.length ls))
-        in
-        Fmmb_online { result; mean_latency }
+        Fmmb_online { result; latencies = Problem.latencies tracker }
   in
   { dual; dyn; engine }
 
-(* One report row per execution. *)
-let row ~seed { dyn; engine; _ } =
+(* One report row per execution: a bound for batch BMMB, a mean latency
+   for online arrivals. *)
+let row spec ~seed { dyn; engine; _ } =
   let make ?bound ?bcasts ?mean_latency ?(violations = []) complete time =
     {
       seed;
@@ -580,23 +571,27 @@ let row ~seed { dyn; engine; _ } =
     }
   in
   match engine with
-  | Serial r ->
-      make r.complete r.time ~bound:r.upper_bound ~bcasts:r.bcasts
-        ~violations:r.compliance_violations
+  | Serial r -> (
+      match spec.arrivals with
+      | Batch ->
+          make r.complete r.time ~bound:r.upper_bound ~bcasts:r.bcasts
+            ~violations:r.compliance_violations
+      | Poisson _ | Staggered _ ->
+          make r.complete r.time ~bcasts:r.bcasts
+            ?mean_latency:(Problem.mean_latency r.latencies)
+            ~violations:r.compliance_violations)
   | Partitioned r ->
       make r.pd_complete r.pd_time ~bound:r.pd_upper_bound ~bcasts:r.pd_bcasts
         ~violations:r.pd_compliance_violations
-  | Online r ->
-      make r.complete' r.makespan ~bcasts:r.bcasts'
-        ~mean_latency:r.mean_latency ~violations:r.compliance_violations'
   | Fmmb { fmmb; _ } -> make fmmb.complete fmmb.time
-  | Fmmb_online { result; mean_latency } ->
-      make result.complete result.time ?mean_latency
+  | Fmmb_online { result; latencies } ->
+      make result.complete result.time
+        ?mean_latency:(Problem.mean_latency latencies)
 
 let execute ?instrument spec =
   List.init spec.repeat (fun i ->
       let seed = spec.seed + i in
-      row ~seed (run ?instrument spec ~seed))
+      row spec ~seed (run ?instrument spec ~seed))
 
 (* --- Reporting ------------------------------------------------------------ *)
 

@@ -82,7 +82,9 @@ type run_result = {
   time : float;
   bound : float option;  (** the applicable exact bound (BMMB batch only) *)
   bcasts : int option;
-  mean_latency : float option;  (** online runs *)
+  mean_latency : float option;
+      (** online runs: {!Problem.mean_latency}, [None] when no message
+          completed *)
   violations : int;  (** compliance violations when [check] *)
   epochs : int option;  (** epoch windows entered (dynamic runs only) *)
 }
@@ -134,13 +136,15 @@ val expand_string : string -> (spec list, string) result
 (** {1 Execution} *)
 
 type engine =
-  | Serial of Runner.bmmb_result  (** BMMB, batch, [partitions = 1] *)
+  | Serial of Runner.bmmb_result
+      (** BMMB, [partitions = 1], any arrivals: {!Runner.run_bmmb} for
+          batch arrivals, {!Runner.run_bmmb_online} (its [upper_bound]
+          is [infinity]) for Poisson or staggered ones *)
   | Partitioned of Runner.pdes_result  (** BMMB, batch, [partitions > 1] *)
-  | Online of Runner.online_result  (** BMMB, Poisson or staggered *)
   | Fmmb of Runner.fmmb_result
   | Fmmb_online of {
       result : Fmmb_online.result;
-      mean_latency : float option;  (** over completed messages *)
+      latencies : (int * float) list;  (** {!Problem.latencies} *)
     }
 
 type execution = {
@@ -161,10 +165,10 @@ val run :
     engine [spec] selects.  [instrument] gets the built network and
     dynamic wrapper ([None] on the partitioned engine, which builds one
     per partition) before the run, and every engine takes what it
-    returns.  [setup] reaches the serial and online engines, whose one
-    event heap it can schedule into.  [spec.check] audits the run on
-    every BMMB engine, the partitioned one included.  Raises
-    [Invalid_argument] when {!check_spec} rejects [spec]. *)
+    returns.  [setup] reaches the serial engine (batch or online
+    arrivals), whose one event heap it can schedule into.  [spec.check]
+    audits the run on every BMMB engine, the partitioned one included.
+    Raises [Invalid_argument] when {!check_spec} rejects [spec]. *)
 
 val execute :
   ?instrument:(Graphs.Dual.t -> Dyn.Dual.t option -> Instrument.t) ->

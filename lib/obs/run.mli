@@ -61,7 +61,10 @@ val bmmb_online :
   ?obs:Observer.t ->
   ?setup:(Dsim.Sim.t -> unit) ->
   unit ->
-  Mmb.Runner.online_result
+  Mmb.Runner.bmmb_result
+(** {!Mmb.Runner.run_bmmb_online}: the record {!bmmb} returns, with
+    [upper_bound = infinity] and per-message latencies measured from
+    each arrival. *)
 
 val fmmb :
   dual:Graphs.Dual.t ->

@@ -185,3 +185,48 @@ let nominal_fack t = Over_slotted.nominal_fack t.core *. t.slot_len
 let transmissions t = Over_slotted.transmissions t.core
 let collisions t = Slotted.collisions t.sradio
 let incomplete_acks t = Over_slotted.incomplete_acks t.core
+
+type star_contention = {
+  first_reception : int option;
+  slowest : int;
+  implemented_fack : float;
+  transmissions : int;
+  collisions : int;
+}
+
+let star_contention ~m ~seed ~max_slots =
+  let dual = Graphs.Dual.of_equal (Graphs.Gen.star (m + 1)) in
+  let rng = Dsim.Rng.create ~seed in
+  let params = default_params ~n:(m + 1) ~max_contention:m in
+  let mac = create ~dual ~params ~rng () in
+  let h = handle mac in
+  (* [heard.(v)]: the slot at which the hub first held leaf v's message. *)
+  let heard = Array.make (m + 1) (-1) and held = ref 0 in
+  let first_reception = ref None in
+  h.Amac.Mac_handle.h_attach ~node:0
+    {
+      Amac.Mac_intf.on_rcv =
+        (fun ~src:_ v ->
+          if Option.is_none !first_reception then
+            first_reception := Some (slot mac);
+          if heard.(v) < 0 then begin
+            heard.(v) <- slot mac;
+            incr held
+          end);
+      on_ack = (fun _ -> ());
+    };
+  for v = 1 to m do
+    h.Amac.Mac_handle.h_attach ~node:v
+      { Amac.Mac_intf.on_rcv = (fun ~src:_ _ -> ()); on_ack = (fun _ -> ()) }
+  done;
+  for v = 1 to m do
+    h.Amac.Mac_handle.h_bcast ~node:v v
+  done;
+  ignore (run mac ~max_slots ~stop:(fun () -> !held = m));
+  {
+    first_reception = !first_reception;
+    slowest = Array.fold_left max 0 heard;
+    implemented_fack = nominal_fack mac;
+    transmissions = transmissions mac;
+    collisions = collisions mac;
+  }

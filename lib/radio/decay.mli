@@ -82,3 +82,21 @@ val nominal_fack : 'msg t -> float
 val transmissions : 'msg t -> int
 val collisions : 'msg t -> int
 val incomplete_acks : 'msg t -> int
+
+(** {1 Star contention (footnote 2's example)} *)
+
+type star_contention = {
+  first_reception : int option;
+      (** the slot at which the hub first heard anything (Fprog-like) *)
+  slowest : int;
+      (** the slot by which the hub held every leaf's message (Fack-like) *)
+  implemented_fack : float;  (** {!nominal_fack} of the MAC that ran *)
+  transmissions : int;  (** {!val-transmissions} of the MAC that ran *)
+  collisions : int;  (** {!val-collisions} of the MAC that ran *)
+}
+
+val star_contention : m:int -> seed:int -> max_slots:int -> star_contention
+(** A hub and [m >= 1] leaves on a star, every leaf broadcasting its own
+    message over a fresh Decay MAC ({!default_params}, RNG from [seed])
+    at once, run until the hub holds all [m] messages or [max_slots]
+    slots pass. *)
