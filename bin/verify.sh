@@ -14,7 +14,8 @@
 #                           N = 2, --check, pinned output),
 #                           a large adversarial checked run (n = 4096,
 #                           k = 16, pinned output), the same run on a
-#                           churned dual (pinned output), a large serial run
+#                           churned dual (pinned output and metrics-file
+#                           MD5), a large serial run
 #                           (n = 250000, pinned output),
 #                           the n = 10^6 partitioned grid run
 #                           (EXPERIMENTS.md E18) and an n = 10^5
@@ -202,15 +203,20 @@ else
     # a receiver whose current epoch has dropped the link, so a watchdog
     # must look for its candidates over the union G'.  Looking over the
     # current epoch's G' instead changes the time and the forced count.
+    # Its metrics file (spans, histograms, the streaming checker's
+    # verdict) is pinned byte for byte.
     gate "large churned adversarial checked run (grid -n 4096 -k 16 --scheduler adversarial --dynamic churn --check)" \
-      sh -c 'out=$(dune exec bin/mmb_sim.exe -- run -t grid -n 4096 \
+      sh -c 'T=$(mktemp -d) && trap "rm -rf $T" 0 &&
+        out=$(dune exec bin/mmb_sim.exe -- run -t grid -n 4096 \
           -g r-restricted --extra 8192 -k 16 --scheduler adversarial \
-          --dynamic churn --churn-rate 0.4 --epoch 8 --check --seed 7) &&
+          --dynamic churn --churn-rate 0.4 --epoch 8 --check --seed 7 \
+          --metrics "$T/adv.jsonl") &&
         printf "%s\n" "$out" | grep -x -e "time: .*" -e "bcasts: .*" -e "engine: .*" -e "compliance: .*" &&
         printf "%s\n" "$out" | grep -qx "time: 486" &&
         printf "%s\n" "$out" | grep -qx "bcasts: 65536, rcvs: 312656, forced progress deliveries: 102695" &&
         printf "%s\n" "$out" | grep -qx "engine: 378208 events executed" &&
-        printf "%s\n" "$out" | grep -q "^compliance: OK"'
+        printf "%s\n" "$out" | grep -q "^compliance: OK" &&
+        md5sum "$T/adv.jsonl" | grep -q "^a8d4ecc39e34e3185b58cb671fcb0e32 "'
     # The serial engine (Dsim.Heap, Standard_mac, Bmmb) at scale: a
     # 250k-node grid, 2.5 M events, must reproduce its completion time
     # and event count exactly.

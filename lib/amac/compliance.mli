@@ -39,6 +39,15 @@
     open span began.  So the cost per entry does not grow with the
     length of the run.
 
+    The state is flat arrays: instance uids, whatever ints the trace
+    uses, are numbered in [Bcast] order by a {!Dsim.Int_table}, and
+    per-instance columns (sender, state, times, and a receiver set of
+    one byte per position in the sender's G'-row), per-receiver columns
+    and shared pools hold numbers, never pointers.  Past the amortized
+    growth of those arrays an entry allocates nothing, unless it reports
+    a violation or ends a starvation gap (which boxes the float
+    [on_gap] gets).  An instance's state is kept for the whole run.
+
     The checker is the independent half of model fidelity: the engines are
     built to satisfy the axioms, and this module verifies that they did on
     each concrete execution.  Not applicable to FMMB traces: the

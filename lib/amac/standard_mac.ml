@@ -1,51 +1,5 @@
 exception Not_well_formed of string
 
-(* The (body id, receiver) pairs delivered so far, as one int set with
-   open addressing: linear probing over a power-of-two table whose empty
-   cells hold -1, doubled before it gets half full.  An insert allocates
-   nothing but that growth, so the set grows with the distinct pairs, not
-   with deliveries.  It is only probed, never traversed. *)
-module Pairs = struct
-  type t = {
-    mutable cells : int array;
-    mutable shift : int; (* 63 - log2 (Array.length cells) *)
-    mutable size : int;
-  }
-
-  let create () = { cells = Array.make 16 (-1); shift = 63 - 4; size = 0 }
-
-  (* Fibonacci hashing: the top bits of [key] times 2^62 / golden ratio. *)
-  let home s key = (key * 0x278DDE6E5FD29F05) lsr s.shift
-
-  (* The cell holding [key], or the empty cell ending its probe run. *)
-  let rec probe cells key i =
-    let c = cells.(i) in
-    if c = key || c < 0 then i
-    else probe cells key ((i + 1) land (Array.length cells - 1))
-
-  let mem s key = s.cells.(probe s.cells key (home s key)) = key
-
-  let grow s =
-    let old = s.cells in
-    s.cells <- Array.make (2 * Array.length old) (-1);
-    s.shift <- s.shift - 1;
-    Array.iter
-      (fun key -> if key >= 0 then s.cells.(probe s.cells key (home s key)) <- key)
-      old
-
-  let rec add s key =
-    let i = probe s.cells key (home s key) in
-    if s.cells.(i) <> key then
-      if 2 * (s.size + 1) > Array.length s.cells then begin
-        grow s;
-        add s key
-      end
-      else begin
-        s.cells.(i) <- key;
-        s.size <- s.size + 1
-      end
-end
-
 type status = Open | Acked | Aborted of float
 
 (* [Aborted] carries a payload, so [status] is not immediate; compare it
@@ -111,7 +65,7 @@ type 'msg t = {
      and every delivered (body id, receiver) pair, keyed [pair]: all
      [fc_has_received] needs. *)
   bodies : ('msg, int) Hashtbl.t;
-  received : Pairs.t;
+  received : Dsim.Int_table.set Dsim.Int_table.t;
   (* Per sender, the [served]/[pending] buffers of its last discarded
      instance, taken (and cleared) by its next bcast over a row of the
      same length, so steady-state bcasts allocate none. *)
@@ -233,7 +187,7 @@ let pair t ~body_id j = (body_id * Array.length t.busy) + j
 
 let has_received t j body =
   match Hashtbl.find t.bodies body with
-  | body_id -> Pairs.mem t.received (pair t ~body_id j)
+  | body_id -> Dsim.Int_table.mem t.received (pair t ~body_id j)
   | exception Not_found -> false
 
 (* --- Per-instance receiver state ----------------------------------------- *)
@@ -323,7 +277,7 @@ let deliver t inst s =
       t.cover.(j) <- t.cover.(j) + 1;
       recheck_watchdog t j
     end;
-    Pairs.add t.received (pair t ~body_id:inst.body_id j);
+    Dsim.Int_table.add t.received (pair t ~body_id:inst.body_id j);
     t.n_rcv <- t.n_rcv + 1;
     (* Delivered-set probe for the adversary's oracle: the receiver now
        knows this message. *)
@@ -505,7 +459,7 @@ let create ~sim ~dual ~fack ~fprog ~policy ~rng ?(eps_abort = 0.) ?dyn ?trace
       watchdog = Array.make n Dsim.Sim.no_event;
       scratch_cand = Array.make n 0;
       bodies = Hashtbl.create 16;
-      received = Pairs.create ();
+      received = Dsim.Int_table.create_set ();
       spare_served = Array.make n Bytes.empty;
       spare_pending = Array.make n [||];
       plan = Mac_intf.create_plan ();

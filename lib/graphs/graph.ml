@@ -60,17 +60,18 @@ let mem_edge t u v =
   check_endpoint t.n v;
   if u = v then false
   else begin
+    (* A loop, not a local recursive search: that would be a closure,
+       allocated on every call. *)
     let a = t.adj.(u) in
-    let rec search lo hi =
-      if lo >= hi then false
-      else begin
-        let mid = (lo + hi) / 2 in
-        if a.(mid) = v then true
-        else if a.(mid) < v then search (mid + 1) hi
-        else search lo mid
-      end
-    in
-    search 0 (Array.length a)
+    let lo = ref 0 and hi = ref (Array.length a) and found = ref false in
+    while (not !found) && !lo < !hi do
+      let mid = (!lo + !hi) / 2 in
+      let x = a.(mid) in
+      if x = v then found := true
+      else if x < v then lo := mid + 1
+      else hi := mid
+    done;
+    !found
   end
 
 let fold_edges f t acc =

@@ -7,12 +7,16 @@ type gauge = { mutable g : float }
 type hist = {
   gamma : float;
   log_gamma : float;
-  buckets : (int, int) Hashtbl.t; (* bucket index -> count *)
+  (* Bucket [lo + k] holds [counts.(k)] observations; [bounds.(k)] caches
+     its lower edge [boundary h (lo + k)], and the last cell the upper
+     edge of the top bucket.  Both cover the buckets observed so far and
+     any between them. *)
+  mutable lo : int;
+  mutable counts : int array;
+  mutable bounds : float array;
   mutable zeros : int; (* observations <= 0 *)
   mutable h_count : int;
-  mutable h_sum : float;
-  mutable h_min : float;
-  mutable h_max : float;
+  stats : float array; (* [| sum; min; max |], unboxed *)
 }
 
 type histogram = hist
@@ -72,17 +76,24 @@ let histogram t ?(gamma = default_gamma) name =
     {
       gamma;
       log_gamma = log gamma;
-      buckets = Hashtbl.create 32;
+      lo = 0;
+      counts = [||];
+      bounds = [||];
       zeros = 0;
       h_count = 0;
-      h_sum = 0.;
-      h_min = infinity;
-      h_max = neg_infinity;
+      stats = [| 0.; infinity; neg_infinity |];
     }
   in
   match register t name (Hist h) with Hist h -> h | _ -> assert false
 
-let boundary h i = h.gamma ** float_of_int i
+(* [gamma^i], read from the cache when bucket [i] has one.  The cache
+   holds the same expression's values, so exports do not depend on it.
+   Inlined, so [bucket_index] gets the float unboxed: a call would box
+   it. *)
+let[@inline] boundary h i =
+  let k = i - h.lo in
+  if k >= 0 && k < Array.length h.bounds then h.bounds.(k)
+  else h.gamma ** float_of_int i
 
 (* Bucket index [i] with [gamma^i <= v < gamma^(i+1)].  The log-ratio
    estimate can land one off at exact boundaries (float log/division), so
@@ -97,25 +108,42 @@ let bucket_index h v =
   done;
   !i
 
+(* Widen [counts] and [bounds] to cover bucket [i]. *)
+let cover h i =
+  let len = Array.length h.counts in
+  let lo = if len = 0 then i else min h.lo i in
+  let hi = if len = 0 then i else max (h.lo + len - 1) i in
+  let counts = Array.make (hi - lo + 1) 0 in
+  if len > 0 then Array.blit h.counts 0 counts (h.lo - lo) len;
+  h.bounds <-
+    Array.init (hi - lo + 2) (fun k -> h.gamma ** float_of_int (lo + k));
+  h.counts <- counts;
+  h.lo <- lo
+
 let observe h v =
   h.h_count <- h.h_count + 1;
-  h.h_sum <- h.h_sum +. v;
-  if v < h.h_min then h.h_min <- v;
-  if v > h.h_max then h.h_max <- v;
+  let stats = h.stats in
+  stats.(0) <- stats.(0) +. v;
+  if v < stats.(1) then stats.(1) <- v;
+  if v > stats.(2) then stats.(2) <- v;
   if v <= 0. then h.zeros <- h.zeros + 1
   else begin
     let i = bucket_index h v in
-    let n = match Hashtbl.find_opt h.buckets i with Some n -> n | None -> 0 in
-    Hashtbl.replace h.buckets i (n + 1)
+    if i < h.lo || i >= h.lo + Array.length h.counts then cover h i;
+    let k = i - h.lo in
+    h.counts.(k) <- h.counts.(k) + 1
   end
 
 let hist_count h = h.h_count
-let hist_sum h = h.h_sum
-let hist_min h = if h.h_count = 0 then nan else h.h_min
-let hist_max h = if h.h_count = 0 then nan else h.h_max
+let hist_sum h = h.stats.(0)
+let hist_min h = if h.h_count = 0 then nan else h.stats.(1)
+let hist_max h = if h.h_count = 0 then nan else h.stats.(2)
 
+(* (bucket index, count) of every non-empty bucket, ascending. *)
 let sorted_buckets h =
-  Dsim.Tbl.to_sorted_list ~cmp:Int.compare h.buckets
+  List.filter_map
+    (fun k -> if h.counts.(k) > 0 then Some (h.lo + k, h.counts.(k)) else None)
+    (List.init (Array.length h.counts) Fun.id)
 
 (* Nearest-rank quantile over bucket counts: the answer is the upper bound
    of the bucket holding the target rank (clamped to the exact observed
@@ -129,13 +157,13 @@ let quantile h q =
     in
     if rank <= h.zeros then 0.
     else begin
-      let seen = ref h.zeros and ans = ref h.h_max in
+      let seen = ref h.zeros and ans = ref (hist_max h) in
       (try
          List.iter
            (fun (i, n) ->
              seen := !seen + n;
              if !seen >= rank then begin
-               ans := Float.min h.h_max (boundary h (i + 1));
+               ans := Float.min (hist_max h) (boundary h (i + 1));
                raise Exit
              end)
            (sorted_buckets h)
@@ -158,9 +186,11 @@ let hist_json h =
   in
   [
     ("count", Dsim.Json.Number (float_of_int h.h_count));
-    ("sum", Dsim.Json.Number h.h_sum);
-    ("min", if h.h_count = 0 then Dsim.Json.Null else Dsim.Json.Number h.h_min);
-    ("max", if h.h_count = 0 then Dsim.Json.Null else Dsim.Json.Number h.h_max);
+    ("sum", Dsim.Json.Number h.stats.(0));
+    ( "min",
+      if h.h_count = 0 then Dsim.Json.Null else Dsim.Json.Number h.stats.(1) );
+    ( "max",
+      if h.h_count = 0 then Dsim.Json.Null else Dsim.Json.Number h.stats.(2) );
     ("zeros", Dsim.Json.Number (float_of_int h.zeros));
     ("gamma", Dsim.Json.Number h.gamma);
     ( "p50",

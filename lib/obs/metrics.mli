@@ -48,8 +48,11 @@ val multi_probe : t -> ?volatile:bool -> (unit -> (string * float) list) -> unit
 
     Log-bucketed: an observation [v > 0] lands in the bucket [i] with
     [gamma^i <= v < gamma^(i+1)]; non-positive observations are counted in
-    a dedicated zeros bucket.  Memory is O(distinct buckets) — constant
-    for bounded dynamic range — regardless of observation count. *)
+    a dedicated zeros bucket.  The counts are one int array over the
+    bucket indices from the lowest observed to the highest, each with its
+    boundary computed once.  Memory is O(that range) — constant for
+    bounded dynamic range — regardless of observation count, and once
+    the range covers an observation, {!observe} allocates nothing. *)
 
 type histogram
 

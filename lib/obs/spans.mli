@@ -17,7 +17,15 @@
 
     Robust to imperfect streams: deliveries before the arrival is seen
     skip latency observations, acks/aborts of unknown instances count as
-    [events.orphan], aborted instances never contribute ack latency. *)
+    [events.orphan], aborted instances never contribute ack latency.
+
+    Storage: message ids and instance uids, whatever ints the trace uses,
+    are numbered on first sight by a {!Dsim.Int_table}, and the state
+    sits in float and int columns indexed by those numbers.  An acked or
+    aborted instance is flagged closed, not removed, so memory grows
+    with the instances broadcast.  Past the amortized growth of its
+    arrays, an entry allocates only the float each latency observation
+    boxes. *)
 
 type t
 

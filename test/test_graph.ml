@@ -40,6 +40,21 @@ let test_degrees () =
   Alcotest.(check int) "leaf degree" 1 (Graphs.Graph.degree g 3);
   Alcotest.(check int) "max degree" 4 (Graphs.Graph.max_degree g)
 
+(* Allocation pin: [mem_edge] allocates nothing.  A local recursive
+   search would allocate its closure on every call. *)
+let test_mem_edge_allocates_nothing () =
+  let g = Graphs.Gen.grid ~rows:8 ~cols:8 in
+  let hits = ref 0 in
+  let w0 = Gc.minor_words () in
+  for i = 0 to 99_999 do
+    if Graphs.Graph.mem_edge g (i mod 64) (i * 7 mod 64) then incr hits
+  done;
+  let words = Gc.minor_words () -. w0 in
+  Alcotest.(check bool) "some calls find an edge" true (!hits > 0);
+  Alcotest.(check bool)
+    (Printf.sprintf "100,000 calls allocate %.0f words, under 512" words)
+    true (words < 512.)
+
 let prop_mem_edge_matches_neighbors =
   QCheck.Test.make ~name:"mem_edge agrees with neighbor lists" ~count:100
     QCheck.(pair (int_range 2 20) (list (pair (int_range 0 19) (int_range 0 19))))
@@ -66,6 +81,8 @@ let suite =
         Alcotest.test_case "edge listing" `Quick test_edges_listing;
         Alcotest.test_case "union and subgraph" `Quick test_union_subgraph;
         Alcotest.test_case "degrees" `Quick test_degrees;
+        Alcotest.test_case "mem_edge allocates nothing" `Quick
+          test_mem_edge_allocates_nothing;
         QCheck_alcotest.to_alcotest prop_mem_edge_matches_neighbors;
       ] );
   ]

@@ -122,6 +122,22 @@ let test_hist_quantiles () =
     (Invalid_argument "Metrics.histogram: gamma must be > 1") (fun () ->
       ignore (M.histogram m ~gamma:1. "bad"))
 
+(* Buckets live in an int array and each boundary is computed once, so a
+   warm histogram takes an observation without allocating. *)
+let test_hist_observe_allocates_nothing () =
+  let m = M.create () in
+  let h = M.histogram m "h" in
+  let vs = [ 0.3; 1.; 2.5; 17.; 0.; -1.; 1e-3; 4096. ] in
+  let observe = M.observe h in
+  List.iter observe vs;
+  let w0 = Gc.minor_words () in
+  for _ = 1 to 1000 do
+    List.iter observe vs
+  done;
+  let words = Gc.minor_words () -. w0 in
+  Alcotest.(check (float 0.)) "minor words over 8,000 observations" 0. words;
+  Alcotest.(check int) "all counted" 8008 (M.hist_count h)
+
 (* --- spans --------------------------------------------------------------- *)
 
 let feed spans entries =
@@ -176,7 +192,80 @@ let test_span_orphans_and_aborts () =
   Alcotest.(check int) "aborted instance contributes no ack latency" 0
     (M.hist_count (M.histogram m "mac.ack_latency"))
 
+(* Message ids and instance uids are whatever the trace says; both key
+   nothing but a table.  The lines were computed by the spans that kept
+   their state in [Hashtbl]s. *)
+let test_span_sparse_ids () =
+  let m = M.create () in
+  let s = Obs.Spans.create ~n:2 ~metrics:m () in
+  let big = 1 lsl 40 in
+  feed s
+    [
+      (0., Dsim.Trace.Arrive { node = 0; msg = big });
+      (0., Dsim.Trace.Arrive { node = 1; msg = -5 });
+      (0.5, Dsim.Trace.Deliver { node = 1; msg = 7 });
+      (1., Dsim.Trace.Bcast { node = 0; msg = big; instance = -2 });
+      (1., Dsim.Trace.Bcast { node = 1; msg = -5; instance = 1 lsl 50 });
+      (1.5, Dsim.Trace.Deliver { node = 0; msg = -5 });
+      (2., Dsim.Trace.Ack { node = 0; msg = big; instance = -2 });
+      (2., Dsim.Trace.Ack { node = 0; msg = big; instance = -2 });
+      (2.5, Dsim.Trace.Deliver { node = 1; msg = -5 });
+      (3., Dsim.Trace.Deliver { node = 1; msg = big });
+      (3., Dsim.Trace.Abort { node = 1; msg = -5; instance = 1 lsl 50 });
+      (3.5, Dsim.Trace.Deliver { node = 0; msg = big });
+    ];
+  Alcotest.(check (list string))
+    "span lines, by ascending msg id"
+    [
+      {|{"kind":"span","msg":-5,"arrive":0,"first_bcast":1,"delivers":2,"last_deliver":2.5,"complete":2.5,"latency":2.5}|};
+      {|{"kind":"span","msg":7,"arrive":null,"first_bcast":null,"delivers":1,"last_deliver":0.5,"complete":null,"latency":null}|};
+      {|{"kind":"span","msg":1099511627776,"arrive":0,"first_bcast":1,"delivers":2,"last_deliver":3.5,"complete":3.5,"latency":3.5}|};
+    ]
+    (List.map Dsim.Json.to_string (Obs.Spans.span_lines s));
+  Alcotest.(check int) "the second ack of -2 is an orphan" 1
+    (M.value (M.counter m "events.orphan"));
+  Alcotest.(check int) "one ack latency" 1
+    (M.hist_count (M.histogram m "mac.ack_latency"))
+
 (* --- streaming compliance checker ----------------------------------------- *)
+
+(* Allocation pin: spans and the checker take a retained run's entries,
+   fed as [Observer.attach]'s subscriber feeds them, at under 2 words per
+   entry, setup and [finish] included.  What is left is mostly the boxed
+   latency handed to each histogram. *)
+let test_observer_words_per_entry () =
+  let rng = Dsim.Rng.create ~seed:2 in
+  let g = Graphs.Gen.grid ~rows:16 ~cols:16 in
+  let dual = Graphs.Dual.r_restricted_random rng ~g ~r:2 ~extra:512 in
+  let res =
+    Mmb.Runner.run_bmmb ~dual ~fack:20. ~fprog:1.
+      ~policy:(Amac.Schedulers.random_compliant ())
+      ~assignment:(Mmb.Problem.all_at ~node:0 ~k:8)
+      ~seed:2 ~check_compliance:true ()
+  in
+  let entries =
+    match res.Mmb.Runner.trace with
+    | Some tr -> Dsim.Trace.entries tr
+    | None -> Alcotest.fail "no trace recorded"
+  in
+  let w0 = Gc.minor_words () in
+  let obs = Obs.Observer.create ~n:256 ~dual ~fack:20. ~fprog:1. () in
+  let spans = Obs.Observer.spans obs in
+  let checker = Option.get (Obs.Observer.monitor obs) in
+  List.iter
+    (fun entry ->
+      Obs.Spans.on_entry spans entry;
+      Amac.Compliance.on_entry checker entry)
+    entries;
+  let vs = Obs.Observer.finish obs in
+  let per_entry =
+    (Gc.minor_words () -. w0) /. float_of_int (List.length entries)
+  in
+  Alcotest.(check int) "engine trace audits clean" 0 (List.length vs);
+  Alcotest.(check bool)
+    (Printf.sprintf "%.2f words per entry, under 2" per_entry)
+    true (per_entry < 2.)
+
 
 let line2 = lazy (Graphs.Dual.of_equal (Graphs.Gen.line 2))
 
@@ -401,10 +490,16 @@ let suite =
         Alcotest.test_case "histogram zeros and exact stats" `Quick
           test_hist_zeros_and_stats;
         Alcotest.test_case "histogram quantiles" `Quick test_hist_quantiles;
+        Alcotest.test_case "histogram observe allocates nothing" `Quick
+          test_hist_observe_allocates_nothing;
         Alcotest.test_case "span lifecycle, out-of-order events" `Quick
           test_span_lifecycle;
         Alcotest.test_case "span orphans and aborted instances" `Quick
           test_span_orphans_and_aborts;
+        Alcotest.test_case "span lines for sparse and negative ids" `Quick
+          test_span_sparse_ids;
+        Alcotest.test_case "observer words per entry" `Quick
+          test_observer_words_per_entry;
         Alcotest.test_case "violation callback at detection time" `Quick
           test_monitor_callback_fires_at_detection;
         Alcotest.test_case "trace ring buffer" `Quick test_trace_ring;
