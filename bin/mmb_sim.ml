@@ -273,9 +273,7 @@ let run_cmd =
         {
           cell with
           Mmb.Scenario.protocol;
-          (* --trace prints the retained trace, and only an audited run
-             retains one. *)
-          check = check || trace;
+          check;
           dynamic =
             Option.map
               (fun kind ->
@@ -311,6 +309,9 @@ let run_cmd =
     | Error e -> `Error (false, e)
     | Ok (spec, trace_file) ->
         let sim_ref = ref None and obs = ref None and files = ref [] in
+        (* --trace prints the run's entries, kept by a trace attached
+           like any other consumer. *)
+        let kept = if trace then Some (Dsim.Trace.create ()) else None in
         (* Fail fast: the streaming checker stops the serial simulation
            at the first axiom violation, printing the offending event (a
            partitioned run, which has no one engine to stop, prints it
@@ -379,10 +380,17 @@ let run_cmd =
                 Option.map (trace_surface ~meta ~n) trace_file;
                 Option.map (provenance_surface ~meta ~n) provenance;
               ];
+          let keep kept tr =
+            Dsim.Trace.subscribe tr (fun { Dsim.Trace.time; event } ->
+                Dsim.Trace.record kept ~time event)
+          in
           let attach =
-            match !files with
+            match
+              List.map (fun f -> f.subscribe) !files
+              @ Option.to_list (Option.map keep kept)
+            with
             | [] -> None
-            | fs -> Some (fun tr -> List.iter (fun f -> f.subscribe tr) fs)
+            | subs -> Some (fun tr -> List.iter (fun f -> f tr) subs)
           in
           Obs.Run.instrument ?obs:!obs ?attach ()
         in
@@ -418,7 +426,7 @@ let run_cmd =
         | _ -> ());
         describe_dual x.dual;
         (* The audit verdict and the trace dump, on either BMMB engine. *)
-        let audited ~violations ~retained =
+        let audited ~violations =
           if check then
             if violations = [] then
               print_endline "compliance: OK (all five axioms hold)"
@@ -428,8 +436,7 @@ let run_cmd =
                 (fun v -> Fmt.pr "  %a@." Amac.Compliance.pp_violation v)
                 violations
             end;
-          if trace then
-            Option.iter (fun tr -> Fmt.pr "%a@." Dsim.Trace.pp tr) retained
+          Option.iter (fun tr -> Fmt.pr "%a@." Dsim.Trace.pp tr) kept
         in
         (match x.engine with
         | Mmb.Scenario.Serial res ->
@@ -457,7 +464,7 @@ let run_cmd =
                   (Dyn.Dual.epoch d + 1)
                   (Dyn.Dual.refreshes d) churned)
               x.dyn;
-            audited ~violations:res.compliance_violations ~retained:res.trace
+            audited ~violations:res.compliance_violations
         | Mmb.Scenario.Partitioned r ->
             let open Mmb.Runner in
             Printf.printf
@@ -475,7 +482,7 @@ let run_cmd =
               "engine: %d events executed, %d barrier windows, heap high \
                water %d\n"
               r.pd_events r.pd_windows r.pd_heap_high_water;
-            audited ~violations:r.pd_compliance_violations ~retained:r.pd_trace
+            audited ~violations:r.pd_compliance_violations
         | Mmb.Scenario.Fmmb { fmmb = f; _ } ->
             let open Mmb.Fmmb in
             Printf.printf "protocol: FMMB (enhanced model), Fprog=%g\n"

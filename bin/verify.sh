@@ -9,7 +9,8 @@
 #   bin/verify.sh --full    default + randomized-hash runtest, the rule
 #                           families' fixture suites (@fixtures), the dyn
 #                           suite, the campaign and pdes determinism gates,
-#                           a large audited run (n = 4096, k = 64, --check),
+#                           a large audited run (n = 4096, k = 64, --check,
+#                           under ulimit -v 600000),
 #                           a partitioned checked run (n = 10^4, P = 8,
 #                           N = 2, --check, pinned output),
 #                           a large adversarial checked run (n = 4096,
@@ -168,11 +169,16 @@ else
           --seed 3 --partitions 8 --domains 2 --trace-out "$T/g2.jsonl" \
           > /dev/null &&
         cmp "$T/g1.jsonl" "$T/g2.jsonl"'
-    # The axiom checker's cost is linear in run length: a 4096-node,
-    # 64-message r-restricted grid (1.8 M events) audits in seconds.
+    # The axiom checker streams, in time and memory: a 4096-node,
+    # 64-message r-restricted grid (1.8 M events) is checked in seconds
+    # with the simulator under a 600,000 KiB address-space ceiling
+    # (ulimit -v, on the simulator only; OCaml 5 reserves about 250 MB
+    # of it for minor heaps).  A run that kept its trace to audit it
+    # afterwards would need 568 MB resident and die there.
     gate "large checked run (grid -n 4096 -k 64 --check)" \
-      sh -c 'out=$(dune exec bin/mmb_sim.exe -- run -t grid -n 4096 \
-          -g r-restricted --extra 8192 -k 64 --check) &&
+      sh -c 'dune build bin/mmb_sim.exe &&
+        out=$(ulimit -v 600000 && _build/default/bin/mmb_sim.exe run \
+          -t grid -n 4096 -g r-restricted --extra 8192 -k 64 --check) &&
         printf "%s\n" "$out" | tail -1 &&
         printf "%s\n" "$out" | grep -q "^compliance: OK"'
     # The partitioned engine's merged trace under the same audit: an

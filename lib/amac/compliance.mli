@@ -18,14 +18,15 @@
       of [j], some [rcv] at [j] occurs by the window's end from an instance
       whose terminating event does not precede the window's start.
 
-    Two ways in: {!audit} checks a retained trace after the run; {!create}
-    / {!on_entry} / {!finish} check a live run event by event (typically
-    via {!Dsim.Trace.subscribe}), reporting each violation the moment it
-    is detectable.  [audit] is that same stream folded over the trace, so
-    the two cannot disagree.  Local rules fire on the offending entry; the
-    progress bound is checked on each connected span when its instance
-    terminates (an open contender's coverage extends to [+inf], which no
-    later event can contradict).
+    Two ways in: {!create} / {!on_entry} / {!finish} check a live run
+    event by event, subscribed ({!Dsim.Trace.subscribe}) to a trace that
+    need keep no entries, and report each violation the moment it is
+    detectable.  Every checked run is audited this way.  {!audit} is that
+    same stream folded over a trace that kept its entries, for tests and
+    {!Estimate}, so the two cannot disagree.  Local rules fire on the
+    offending entry; the progress bound is checked on each connected
+    span when its instance terminates (an open contender's coverage
+    extends to [+inf], which no later event can contradict).
 
     {b Precondition and cost.}  [Bcast] entries must come in nondecreasing
     time order, as every engine trace's do; other entries may arrive out

@@ -8,13 +8,8 @@ type event =
 
 type entry = { time : float; event : event }
 
-type store =
-  | Off
-  | Unbounded of { mutable rev : entry list }
-  | Ring of { buf : entry option array; mutable next : int }
-
 type t = {
-  store : store;
+  mutable kept : entry array; (* oldest first; [retained] cells in use *)
   mutable retained : int;
   mutable recorded : int;
   mutable subscribers : (entry -> unit) array; (* registration order *)
@@ -22,18 +17,9 @@ type t = {
   enabled : bool;
 }
 
-let create ?(enabled = true) ?capacity () =
-  let store =
-    if not enabled then Off
-    else
-      match capacity with
-      | None -> Unbounded { rev = [] }
-      | Some n ->
-          if n < 1 then invalid_arg "Trace.create: capacity must be >= 1";
-          Ring { buf = Array.make n None; next = 0 }
-  in
-  let live = match store with Off -> false | Unbounded _ | Ring _ -> true in
-  { store; retained = 0; recorded = 0; subscribers = [||]; live; enabled }
+let create ?(enabled = true) () =
+  let live = enabled in
+  { kept = [||]; retained = 0; recorded = 0; subscribers = [||]; live; enabled }
 
 let enabled t = t.enabled
 
@@ -43,25 +29,22 @@ let subscribe t f =
   t.subscribers <- Array.append t.subscribers [| f |];
   t.live <- true
 
+(* Append to the kept entries, doubling their array when it is full. *)
+let keep t entry =
+  let n = t.retained in
+  if n = Array.length t.kept then
+    t.kept <- Array.append t.kept (Array.make (Int.max 16 n) entry);
+  t.kept.(n) <- entry;
+  t.retained <- n + 1
+
 let record t ~time event =
   t.recorded <- t.recorded + 1;
   (* Dispatch is guarded so a disabled, subscriber-free trace — the
      benchmark configuration — allocates nothing here: no entry record,
-     no closure, no list reversal. *)
+     no closure. *)
   if t.live then begin
     let entry = { time; event } in
-    (match t.store with
-    | Off -> ()
-    | Unbounded u ->
-        u.rev <- entry :: u.rev;
-        t.retained <- t.retained + 1
-    | Ring r ->
-        let cap = Array.length r.buf in
-        (match r.buf.(r.next) with
-        | None -> t.retained <- t.retained + 1
-        | Some _ -> ());
-        r.buf.(r.next) <- Some entry;
-        r.next <- (r.next + 1) mod cap);
+    if t.enabled then keep t entry;
     (* Notify in registration order so downstream consumers see a stable
        sequence regardless of how many observers attach. *)
     let subs = t.subscribers in
@@ -74,22 +57,12 @@ let length t = t.retained
 
 let recorded t = t.recorded
 
-let entries t =
-  match t.store with
-  | Off -> []
-  | Unbounded u -> List.rev u.rev
-  | Ring r ->
-      let cap = Array.length r.buf in
-      let acc = ref [] in
-      for i = cap - 1 downto 0 do
-        (* oldest entry sits at [next] once the ring has wrapped *)
-        match r.buf.((r.next + i) mod cap) with
-        | Some e -> acc := e :: !acc
-        | None -> ()
-      done;
-      !acc
+let iter t f =
+  for i = 0 to t.retained - 1 do
+    f t.kept.(i)
+  done
 
-let iter t f = List.iter f (entries t)
+let entries t = List.init t.retained (Array.get t.kept)
 
 let pp_event ppf = function
   | Arrive { node; msg } -> Fmt.pf ppf "arrive(m%d)@%d" msg node

@@ -4,7 +4,7 @@
     problem-level events ([Arrive]/[Deliver]), MAC-level events
     ([Bcast]/[Rcv]/[Ack]/[Abort]), each tagged with its broadcast-instance
     id, which materializes the paper's "cause" function (Section 3.2.1) and
-    lets {!Amac.Compliance} audit executions post-hoc. *)
+    lets {!Amac.Compliance} check executions as they run. *)
 
 type event =
   | Arrive of { node : int; msg : int }
@@ -25,20 +25,18 @@ type entry = { time : float; event : event }
 type t
 (** A mutable, append-only event log. *)
 
-val create : ?enabled:bool -> ?capacity:int -> unit -> t
-(** [create ()] is an empty trace.  With [~enabled:false] the trace retains
-    no entries — used by large benchmark sweeps to avoid O(events) memory
-    while keeping one code path.  With [~capacity:n] only the most recent
-    [n] entries are retained (ring buffer), so long runs with streaming
-    subscribers attached hold bounded memory.  Raises [Invalid_argument]
-    if [capacity < 1]. *)
+val create : ?enabled:bool -> unit -> t
+(** [create ()] is an empty trace that keeps every entry.  With
+    [~enabled:false] it keeps none: runs record into such a trace, whose
+    subscribers see each entry, so a run holds no memory in proportion to
+    its length. *)
 
 val enabled : t -> bool
 
 val record : t -> time:float -> event -> unit
-(** Append one event.  Retention follows the [enabled]/[capacity] policy,
-    but subscribers registered with {!subscribe} are always notified, even
-    on a disabled trace — streaming consumers don't require retention.
+(** Append one event.  An enabled trace keeps it, but subscribers
+    registered with {!subscribe} are always notified, even on a disabled
+    trace — streaming consumers don't require retention.
     On a disabled trace with no subscribers this allocates nothing (the
     entry record is never built), so benchmark-configuration runs pay
     only the recorded-count increment; callers still guard the [event]
@@ -50,16 +48,16 @@ val subscribe : t -> (entry -> unit) -> unit
     and checks compliance online without retaining the full trace. *)
 
 val length : t -> int
-(** Number of currently retained entries (bounded by [capacity]). *)
+(** Number of kept entries: every recorded one, or 0 when disabled. *)
 
 val recorded : t -> int
-(** Total events ever recorded, including entries a ring buffer has since
-    evicted and records on a disabled trace. *)
+(** Total events ever recorded, records on a disabled trace included. *)
 
 val entries : t -> entry list
-(** All retained entries, oldest first. *)
+(** The kept entries, oldest first, as a list built on each call. *)
 
 val iter : t -> (entry -> unit) -> unit
+(** Calls [f] on each kept entry, oldest first, without copying them. *)
 
 val pp_event : Format.formatter -> event -> unit
 val pp_entry : Format.formatter -> entry -> unit

@@ -78,7 +78,7 @@ let parse_line line =
 
 (* A subscriber that writes each entry as it is recorded, so a run's
    trace lands on disk without the trace object retaining anything (a
-   disabled trace, no ring, no list, plus one of these).  Buffered by the
+   disabled trace, keeping no entry, plus one of these).  Buffered by the
    out_channel; [sink_close] flushes. *)
 type sink = { oc : out_channel; mutable written : int; mutable closed : bool }
 

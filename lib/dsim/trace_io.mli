@@ -18,11 +18,11 @@ val write_file : Trace.t -> path:string -> unit
     A {!sink} appends every entry it is given to a JSONL file;
     subscribing {!sink_write} to a trace ([Trace.subscribe]) streams the
     trace to the file as it is recorded.  Combined with a disabled trace
-    ([Trace.create ~enabled:false]) this replaces ring retention for
-    runs too large to hold in memory: the trace object keeps nothing,
-    the file holds everything.  The sink must be closed (flushing the
-    channel) before the file is read back; entries recorded after
-    {!sink_close} raise through the underlying channel. *)
+    ([Trace.create ~enabled:false]) this records runs too large to hold
+    in memory: the trace object keeps nothing, the file holds
+    everything.  The sink must be closed (flushing the channel) before
+    the file is read back; entries recorded after {!sink_close} raise
+    through the underlying channel. *)
 
 type sink
 

@@ -6,12 +6,6 @@ type result = {
   bcasts : int;
 }
 
-type node_state = {
-  mutable best : int * int; (* (id, proposal) with the largest id seen *)
-  mutable in_flight : (int * int) option;
-  mutable last_sent : (int * int) option;
-}
-
 let run ~dual ~fack ~fprog ~policy ~proposals ~seed ?ids
     ?(check_compliance = false) ?(max_events = 50_000_000) () =
   let n = Graphs.Dual.n dual in
@@ -19,59 +13,12 @@ let run ~dual ~fack ~fprog ~policy ~proposals ~seed ?ids
     invalid_arg "Consensus.run: proposals size mismatch";
   let ids = match ids with Some a -> a | None -> Array.init n Fun.id in
   if Array.length ids <> n then invalid_arg "Consensus.run: ids size mismatch";
-  let sim = Dsim.Sim.create () in
-  let rng = Dsim.Rng.create ~seed in
-  let trace =
-    if check_compliance then Some (Dsim.Trace.create ()) else None
+  let (best, time, bcasts), violations =
+    Leader.flood ~dual ~fack ~fprog ~policy ~seed ~check_compliance
+      ~max_events
+      (Array.init n (fun v -> (ids.(v), proposals.(v))))
   in
-  let mac =
-    Amac.Standard_mac.create ~sim ~dual ~fack ~fprog ~policy ~rng ?trace ()
-  in
-  let states =
-    Array.init n (fun v ->
-        { best = (ids.(v), proposals.(v)); in_flight = None; last_sent = None })
-  in
-  let last_change = ref 0. in
-  let maybe_send node =
-    let st = states.(node) in
-    let stale =
-      match st.last_sent with Some b -> b < st.best | None -> true
-    in
-    if st.in_flight = None && stale then begin
-      st.in_flight <- Some st.best;
-      Amac.Standard_mac.bcast mac ~node st.best
-    end
-  in
-  for node = 0 to n - 1 do
-    Amac.Standard_mac.attach mac ~node
-      {
-        Amac.Mac_intf.on_rcv =
-          (fun ~src:_ pair ->
-            let st = states.(node) in
-            if pair > st.best then begin
-              st.best <- pair;
-              last_change := Dsim.Sim.now sim;
-              maybe_send node
-            end);
-        on_ack =
-          (fun pair ->
-            let st = states.(node) in
-            (match st.in_flight with
-            | Some p when p = pair -> st.in_flight <- None
-            | _ -> invalid_arg "Consensus: ack for unexpected pair");
-            st.last_sent <-
-              Some
-                (match st.last_sent with
-                | Some prev -> max prev pair
-                | None -> pair);
-            maybe_send node);
-      }
-  done;
-  for node = 0 to n - 1 do
-    Amac.Standard_mac.env_at mac ~time:0. (fun () -> maybe_send node)
-  done;
-  ignore (Dsim.Sim.run ~max_events sim);
-  let decisions = Array.map (fun st -> snd st.best) states in
+  let decisions = Array.map snd best in
   (* Agreement: one decision per component (the max-id node's proposal). *)
   let comp = Graphs.Bfs.components (Graphs.Dual.reliable dual) in
   let comp_best = Hashtbl.create 8 in
@@ -92,16 +39,4 @@ let run ~dual ~fack ~fprog ~policy ~proposals ~seed ?ids
   let valid =
     Array.for_all (fun d -> Array.exists (fun p -> p = d) proposals) decisions
   in
-  let violations =
-    match trace with
-    | None -> []
-    | Some tr -> Amac.Compliance.audit ~dual ~fack ~fprog tr
-  in
-  ( {
-      decisions;
-      agreed = !agreed;
-      valid;
-      time = !last_change;
-      bcasts = Amac.Standard_mac.bcast_count mac;
-    },
-    violations )
+  ({ decisions; agreed = !agreed; valid; time; bcasts }, violations)

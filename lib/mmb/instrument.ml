@@ -1,6 +1,7 @@
 type t = {
   want_trace : bool;
   attach : Dsim.Trace.t -> unit;
+  checker : Amac.Compliance.t option;
   wire_sim : Dsim.Sim.t -> unit;
   on_event : (time:float -> Dsim.Trace.event -> unit) option;
   finish : allow_open:bool -> unit;
@@ -12,6 +13,7 @@ let none =
   {
     want_trace = false;
     attach = (fun _ -> ());
+    checker = None;
     wire_sim = (fun _ -> ());
     on_event = None;
     finish = (fun ~allow_open:_ -> ());

@@ -14,6 +14,9 @@ type t = {
           when compliance checking is off, so subscribers see events *)
   attach : Dsim.Trace.t -> unit;
       (** called once with the trace the MAC records into, if any *)
+  checker : Amac.Compliance.t option;
+      (** a checker [attach] subscribes, built for the run's dual, Fack
+          and Fprog: a checked run takes its verdict from it *)
   wire_sim : Dsim.Sim.t -> unit;
       (** called once with the engine before the run starts *)
   on_event : (time:float -> Dsim.Trace.event -> unit) option;

@@ -29,3 +29,17 @@ val run :
   result * Amac.Compliance.violation list
 (** [ids] are the (distinct) identities to elect over, defaulting to the
     node indices themselves. *)
+
+val flood :
+  dual:Graphs.Dual.t ->
+  fack:float ->
+  fprog:float ->
+  policy:'a Amac.Mac_intf.policy ->
+  seed:int ->
+  check_compliance:bool ->
+  max_events:int ->
+  'a array ->
+  ('a array * float * int) * Amac.Compliance.violation list
+(** The flooding-max run behind {!run} and {!Consensus.run}, from node
+    [v]'s value [init.(v)]: each node's final value, the time of the
+    last change, the bcast count, and the axiom violations. *)

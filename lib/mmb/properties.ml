@@ -1,54 +1,83 @@
-let check ~dual trace =
-  let findings = ref [] in
-  let add fmt = Printf.ksprintf (fun s -> findings := s :: !findings) fmt in
+type t = {
+  n : int;
+  comp : int array; (* G-component of each node *)
+  msgs : Dsim.Int_table.map Dsim.Int_table.t; (* numbered at first sight *)
+  mutable origin : int array; (* by number: the arrival's node, or -1 *)
+  mutable delivered : Bytes.t; (* bit [number * n + node] *)
+  rcvd : Bytes.t; (* by node: nonzero after its first MAC reception *)
+  mutable findings : string list; (* reversed *)
+}
+
+let create ~dual =
   let g = Graphs.Dual.reliable dual in
   let n = Graphs.Graph.n g in
-  let comp = Graphs.Bfs.components g in
-  let arrive_index : (int, int * int) Hashtbl.t = Hashtbl.create 16 in
-  (* msg -> (trace index, origin) *)
-  let delivered : (int * int, int) Hashtbl.t = Hashtbl.create 64 in
-  (* (node, msg) -> first delivery index *)
-  let rcv_seen = Array.make n (-1) in
-  (* node -> index of first MAC reception *)
-  let entries = Array.of_list (Dsim.Trace.entries trace) in
-  Array.iteri
-    (fun idx { Dsim.Trace.event; _ } ->
-      match event with
-      | Dsim.Trace.Arrive { node; msg } ->
-          if Hashtbl.mem arrive_index msg then
-            add "message m%d arrived twice (MMB-well-formedness)" msg
-          else Hashtbl.replace arrive_index msg (idx, node)
-      | Dsim.Trace.Rcv { node; _ } ->
-          if rcv_seen.(node) = -1 then rcv_seen.(node) <- idx
-      | Dsim.Trace.Deliver { node; msg } -> (
-          (match Hashtbl.find_opt delivered (node, msg) with
-          | Some _ ->
-              add "node %d delivered m%d twice (condition (b))" node msg
-          | None -> Hashtbl.replace delivered (node, msg) idx);
-          match Hashtbl.find_opt arrive_index msg with
-          | None ->
-              add
-                "node %d delivered m%d before (or without) its arrival \
-                 (condition (b))"
-                node msg
-          | Some (a_idx, origin) ->
-              if idx < a_idx then
-                add "node %d delivered m%d before its arrival" node msg;
-              if
-                node <> origin
-                && (rcv_seen.(node) = -1 || rcv_seen.(node) > idx)
-              then
-                add
-                  "node %d delivered m%d without any prior MAC reception"
-                  node msg)
-      | Dsim.Trace.Bcast _ | Dsim.Trace.Ack _ | Dsim.Trace.Abort _ -> ())
-    entries;
-  (* Completeness: every message must reach its origin's whole component. *)
-  Dsim.Tbl.sorted_iter ~cmp:Int.compare
-    (fun msg (_, origin) ->
-      for v = 0 to n - 1 do
-        if comp.(v) = comp.(origin) && not (Hashtbl.mem delivered (v, msg))
-        then add "node %d never delivered m%d (condition (a))" v msg
-      done)
-    arrive_index;
-  List.rev !findings
+  {
+    n;
+    comp = Graphs.Bfs.components g;
+    msgs = Dsim.Int_table.create_map ();
+    origin = [||];
+    delivered = Bytes.empty;
+    rcvd = Bytes.make n '\000';
+    findings = [];
+  }
+
+let add t fmt = Printf.ksprintf (fun s -> t.findings <- s :: t.findings) fmt
+
+(* The message's number, with room for it in [origin] and [delivered]. *)
+let number t msg =
+  let m = Dsim.Int_table.number t.msgs msg in
+  if m = Array.length t.origin then begin
+    let cap = (2 * m) + 8 and bytes = Bytes.length t.delivered in
+    t.origin <- Array.init cap (fun i -> if i < m then t.origin.(i) else -1);
+    t.delivered <- Bytes.extend t.delivered 0 ((((cap * t.n) + 7) / 8) - bytes);
+    Bytes.fill t.delivered bytes (Bytes.length t.delivered - bytes) '\000'
+  end;
+  m
+
+(* Whether (node, message number m) was delivered; [set] marks it so. *)
+let delivered ?(set = false) t ~node m =
+  let bit = (m * t.n) + node in
+  let i = bit lsr 3 and mask = 1 lsl (bit land 7) in
+  let byte = Char.code (Bytes.get t.delivered i) in
+  if set then Bytes.set t.delivered i (Char.chr (byte lor mask));
+  byte land mask <> 0
+
+let on_entry t { Dsim.Trace.event; _ } =
+  match event with
+  | Dsim.Trace.Arrive { node; msg } ->
+      let m = number t msg in
+      if t.origin.(m) >= 0 then
+        add t "message m%d arrived twice (MMB-well-formedness)" msg
+      else t.origin.(m) <- node
+  | Dsim.Trace.Rcv { node; _ } -> Bytes.set t.rcvd node '\001'
+  | Dsim.Trace.Deliver { node; msg } ->
+      let m = number t msg in
+      if delivered ~set:true t ~node m then
+        add t "node %d delivered m%d twice (condition (b))" node msg;
+      if t.origin.(m) < 0 then
+        add t
+          "node %d delivered m%d before (or without) its arrival (condition \
+           (b))"
+          node msg
+      else if node <> t.origin.(m) && Bytes.get t.rcvd node = '\000' then
+        add t "node %d delivered m%d without any prior MAC reception" node msg
+  | Dsim.Trace.Bcast _ | Dsim.Trace.Ack _ | Dsim.Trace.Abort _ -> ()
+
+let finish t =
+  (* Completeness: every message must reach its origin's whole component,
+     checked in ascending message id. *)
+  let key = Dsim.Int_table.key t.msgs in
+  List.init (Dsim.Int_table.length t.msgs) Fun.id
+  |> List.filter (fun m -> t.origin.(m) >= 0)
+  |> List.sort (fun a b -> Int.compare (key a) (key b))
+  |> List.iter (fun m ->
+         for v = 0 to t.n - 1 do
+           if t.comp.(v) = t.comp.(t.origin.(m)) && not (delivered t ~node:v m)
+           then add t "node %d never delivered m%d (condition (a))" v (key m)
+         done);
+  List.rev t.findings
+
+let check ~dual trace =
+  let t = create ~dual in
+  Dsim.Trace.iter trace (on_entry t);
+  finish t

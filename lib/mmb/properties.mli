@@ -1,6 +1,6 @@
 (** Protocol-level trace properties — the MMB specification of Section
-    3.2.2, checked over a recorded execution (complementing
-    {!Amac.Compliance}, which audits the MAC layer below).
+    3.2.2, checked over an execution (complementing {!Amac.Compliance},
+    which checks the MAC layer below).
 
     Conditions checked (each failure is one human-readable finding):
 
@@ -12,8 +12,20 @@
       [arrive(m)] (condition (b)), and a delivery at a non-origin node is
       preceded by some MAC-level reception there;
     - {b completeness} (given the network): every message reaches every
-      node of its origin's G-component (condition (a)). *)
+      node of its origin's G-component (condition (a)).
 
-val check :
-  dual:Graphs.Dual.t -> Dsim.Trace.t -> string list
-(** Empty result = the trace satisfies the MMB specification. *)
+    The check streams, as {!Amac.Compliance} does, on a flag per node and
+    a bitset over (node, message). *)
+
+type t
+
+val create : dual:Graphs.Dual.t -> t
+val on_entry : t -> Dsim.Trace.entry -> unit
+
+val finish : t -> string list
+(** Call once, after the last entry.  The findings, in entry order, then
+    completeness by ascending message id; empty = the execution
+    satisfies the MMB specification. *)
+
+val check : dual:Graphs.Dual.t -> Dsim.Trace.t -> string list
+(** {!finish} after {!on_entry} on each kept entry of the trace. *)

@@ -13,7 +13,6 @@ type bmmb_result = {
   outcome : Dsim.Sim.outcome;
   events_executed : int;
   latencies : (int * float) list;
-  trace : Dsim.Trace.t option;
   spec_violations : string list;
 }
 
@@ -21,41 +20,49 @@ type bmmb_result = {
    fields carry them directly and spans can follow arrive -> bcast. *)
 let bmmb_msg_id (m : int) = m
 
-(* The one wiring behind every BMMB run, on every engine.  It picks the
-   trace the engine records into (the retained one when auditing
-   post-hoc, else a retention-free one that only feeds the instrument's
-   subscribers), attaches the instrument, runs [execute] on it, finishes
-   the instrument ([execute] says whether open instances are allowed),
-   and audits the retained trace against the five MAC axioms. *)
+(* The one wiring behind every checked or instrumented run.  The
+   checkers finish before the instrument, with open instances counted,
+   so the verdict is what [Amac.Compliance.audit] returns on the same
+   entries; an instrument's checker is already subscribed by [attach]. *)
 let drive ~dual ~fack ~fprog ~check_compliance ~(instrument : Instrument.t)
     execute =
-  let retained =
-    if check_compliance then Some (Dsim.Trace.create ()) else None
-  in
   let trace =
-    match retained with
-    | Some _ -> retained
-    | None ->
-        if instrument.want_trace then Some (Dsim.Trace.create ~enabled:false ())
-        else None
+    if check_compliance || instrument.want_trace then
+      Some (Dsim.Trace.create ~enabled:false ())
+    else None
   in
   Option.iter instrument.attach trace;
-  let allow_open, result = execute trace in
-  instrument.finish ~allow_open;
-  let violations =
-    match retained with
-    | None -> []
-    | Some tr -> Amac.Compliance.audit ~dual ~fack ~fprog tr
+  let checks =
+    match trace with
+    | Some tr when check_compliance ->
+        let checker =
+          match instrument.checker with
+          | Some c -> c
+          | None ->
+              let c = Amac.Compliance.create ~dual ~fack ~fprog () in
+              Dsim.Trace.subscribe tr (Amac.Compliance.on_entry c);
+              c
+        in
+        let spec = Properties.create ~dual in
+        Dsim.Trace.subscribe tr (Properties.on_entry spec);
+        Some (checker, spec)
+    | _ -> None
   in
-  (result, retained, violations)
+  let allow_open, result = execute trace in
+  let violations, spec_violations =
+    match checks with
+    | None -> ([], [])
+    | Some (checker, spec) ->
+        ( Amac.Compliance.finish ~allow_open:false checker,
+          Properties.finish spec )
+  in
+  instrument.finish ~allow_open;
+  (result, violations, spec_violations)
 
 let completion_time tracker =
   match Problem.completion_time tracker with
   | Some t -> t
   | None -> Float.infinity
-
-let spec_violations ~dual retained =
-  match retained with None -> [] | Some tr -> Properties.check ~dual tr
 
 (* Whether a run met its upper bound. *)
 let within ~upper ~complete ~time =
@@ -68,7 +75,7 @@ let run_serial ~dual ~fack ~fprog ~policy ~arrivals ~upper_bound ~seed
     ?(discipline = `Fifo) ?(check_compliance = false)
     ?(max_events = 50_000_000) ?dyn ?(instrument = Instrument.none) ?setup () =
   let tracker = Problem.tracker_timed ~dual arrivals in
-  let (outcome, sim, mac), retained, violations =
+  let (outcome, sim, mac), violations, spec_violations =
     drive ~dual ~fack ~fprog ~check_compliance ~instrument (fun trace ->
         let sim = Dsim.Sim.create () in
         let rng = Dsim.Rng.create ~seed in
@@ -116,8 +123,7 @@ let run_serial ~dual ~fack ~fprog ~policy ~arrivals ~upper_bound ~seed
     outcome;
     events_executed = Dsim.Sim.executed_events sim;
     latencies = Problem.latencies tracker;
-    trace = retained;
-    spec_violations = spec_violations ~dual retained;
+    spec_violations;
   }
 
 let run_bmmb ~dual ~fack ~fprog ~policy ~assignment ~seed ?discipline
@@ -151,7 +157,6 @@ type pdes_result = {
   pd_domains : int;
   pd_cut_edges : int;
   pd_compliance_violations : Amac.Compliance.violation list;
-  pd_trace : Dsim.Trace.t option;
   pd_spec_violations : string list;
 }
 
@@ -192,14 +197,13 @@ let run_bmmb_pdes ~dual ~fack ~fprog ~policy ~assignment ~seed ~partitions
       pd_domains = 1;
       pd_cut_edges = 0;
       pd_compliance_violations = r.compliance_violations;
-      pd_trace = r.trace;
       pd_spec_violations = r.spec_violations;
     }
   end
   else begin
     (* The engine always runs until every heap drains, so an instance
        left open would be a violation. *)
-    let r, retained, violations =
+    let r, violations, spec_violations =
       drive ~dual ~fack ~fprog ~check_compliance ~instrument (fun trace ->
           ( false,
             Pdes.Engine.run ~dual ?mk_dyn ~fprog ~assignment ~seed ~partitions
@@ -225,8 +229,7 @@ let run_bmmb_pdes ~dual ~fack ~fprog ~policy ~assignment ~seed ~partitions
       pd_domains = domains;
       pd_cut_edges = r.Pdes.Engine.cut_edges;
       pd_compliance_violations = violations;
-      pd_trace = retained;
-      pd_spec_violations = spec_violations ~dual retained;
+      pd_spec_violations = spec_violations;
     }
   end
 

@@ -1,15 +1,28 @@
 (** End-to-end wiring: network × protocol × scheduler → executed run with
     metrics.  This is the entry point examples, tests, and benchmarks use.
 
-    Every BMMB run, serial or partitioned, batch or online, is wired the
-    same way: the engine records into the retained trace under
-    [check_compliance] (else into a retention-free one when the
-    instrument asks for a trace), the instrument is attached to that
-    trace before the run and finished after it, and the retained trace
-    is audited with {!Amac.Compliance.audit}.  One function runs every
-    serial BMMB execution, whatever its arrivals, and returns the one
-    record below: {!run_bmmb} and {!run_bmmb_online} are its two entry
-    points. *)
+    Every BMMB run, serial or partitioned, batch or online, is wired by
+    {!drive}, and no run result carries a trace: a caller that wants the
+    entries attaches a trace that keeps them through the instrument.
+    One function runs every serial BMMB execution, whatever its
+    arrivals, and returns the one record below: {!run_bmmb} and
+    {!run_bmmb_online} are its two entry points. *)
+
+val drive :
+  dual:Graphs.Dual.t ->
+  fack:float ->
+  fprog:float ->
+  check_compliance:bool ->
+  instrument:Instrument.t ->
+  (Dsim.Trace.t option -> bool * 'a) ->
+  'a * Amac.Compliance.violation list * string list
+(** [drive ... execute] runs [execute] on the trace the run records into
+    (keeping no entries; [None] if nothing listens) between attaching and
+    finishing [instrument]; [execute] says whether open instances are
+    allowed.  Under [check_compliance], [instrument.checker] (or one of
+    its own) and a {!Properties} checker take each entry as it comes,
+    and their findings are returned, the axioms' as
+    {!Amac.Compliance.audit} would return them. *)
 
 type bmmb_result = {
   complete : bool;
@@ -35,10 +48,8 @@ type bmmb_result = {
       (** [(msg, completion - arrival)] per completed message, in arrival
           order ({!Problem.latencies}); under batch arrivals, each
           message's completion time *)
-  trace : Dsim.Trace.t option;
-      (** the recorded execution trace, when [check_compliance] was set *)
   spec_violations : string list;
-      (** MMB-specification findings ({!Properties.check}), when
+      (** MMB-specification findings ({!Properties}), when
           [check_compliance] was set *)
 }
 
@@ -59,13 +70,13 @@ val run_bmmb :
   bmmb_result
 (** Runs BMMB to natural quiescence (the protocol terminates on its own once
     every queue drains), so the full execution — including the tail after
-    completion — is audited when [check_compliance] is set.
+    completion — is checked when [check_compliance] is set.
     [max_events] (default [50_000_000]) is a runaway backstop.
 
     [dyn] hands the MAC a time-varying unreliable layer ([dual] must be
     its base/union dual).  The protocol is untouched — epochs advance
     only inside the MAC's plan-time consult (check A6) — and the static
-    post-hoc audit stays sound because every epoch's G' is a subset of
+    axiom checker stays sound because every epoch's G' is a subset of
     the base.
 
     [instrument] (default {!Instrument.none}) receives the MAC's trace,
@@ -119,8 +130,6 @@ type pdes_result = {
   pd_cut_edges : int;
   pd_compliance_violations : Amac.Compliance.violation list;
       (** as {!bmmb_result}'s [compliance_violations] *)
-  pd_trace : Dsim.Trace.t option;
-      (** the merged execution trace, when [check_compliance] was set *)
   pd_spec_violations : string list;
       (** as {!bmmb_result}'s [spec_violations] *)
 }
@@ -176,5 +185,6 @@ val run_fmmb :
   fmmb_result
 (** The problem-level [Arrive]/[Deliver] lifecycle feeds
     [instrument.on_event] (stage-granular times); [Obs.Run.fmmb] points
-    it at an observer's spans.  The streaming compliance monitor does not
-    apply to FMMB (per-stage engines restart instance uids and clocks). *)
+    it at an observer's spans.  No checker applies to FMMB, so
+    [instrument.checker] is not read: its per-stage engines restart
+    instance uids and clocks. *)

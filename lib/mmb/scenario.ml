@@ -190,7 +190,7 @@ let check_spec s =
   in
   let* () =
     if s.n < 1 then Error "need n >= 1"
-    else if s.k < 0 then Error "need k >= 0"
+    else if s.k < 1 then Error "need k >= 1"
     else if not (s.fprog > 0. && s.fprog <= s.fack) then
       Error "need 0 < fprog <= fack"
     else if s.r < 1 then Error "need r >= 1"

@@ -103,7 +103,7 @@ val validate : Dsim.Json.t -> (unit, string) result
 val check_spec : spec -> (unit, string) result
 (** Every rule a resolved spec must satisfy: the [dynamic] kind and its
     ranges (epoch > 0, period >= 1, churn in [[0, 1]]); [n >= 1],
-    [k >= 0], [0 < fprog <= fack], [r >= 1] and [extra >= 0]; the
+    [k >= 1], [0 < fprog <= fack], [r >= 1] and [extra >= 0]; the
     topology (unless [gprime] is ["greyzone"], which ignores it), the G'
     regime and, for BMMB, the scheduler name; a Poisson [rate > 0], a
     staggered [gap >= 0], and batch arrivals for ["fmmb"];

@@ -6,7 +6,7 @@ type t = {
   monitor : Compliance.t option;
   churned : Metrics.counter option; (* settled by [finish] *)
   meta : (string * Dsim.Json.t) list;
-  mutable result : Compliance.violation list option; (* set by [finish] *)
+  mutable finished : bool;
 }
 
 let create ~n ?dual ?fack ?fprog ?dyn ?(on_violation = fun _ _ -> ())
@@ -36,7 +36,7 @@ let create ~n ?dual ?fack ?fprog ?dyn ?(on_violation = fun _ _ -> ())
     | Some _, Some _ -> Some (Metrics.counter metrics "monitor.churned")
     | _ -> None
   in
-  { metrics; spans; monitor; churned; meta; result = None }
+  { metrics; spans; monitor; churned; meta; finished = false }
 
 let metrics t = t.metrics
 let spans t = t.spans
@@ -73,30 +73,24 @@ let wire_sim t sim =
         (fun (name, _, wall) -> ("engine.cat." ^ name ^ ".wall_s", wall))
         (Dsim.Sim.category_stats sim))
 
+(* The checker's own [finish] is idempotent too, and may have run first
+   (a checked run finishes it before the instrument). *)
 let finish ?allow_open t =
-  match t.result with
-  | Some vs -> vs
-  | None ->
-      let vs =
-        match t.monitor with
-        | Some m ->
-            let vs = Compliance.finish ?allow_open m in
-            Option.iter
-              (fun c -> Metrics.incr ~by:(Compliance.churned_count m) c)
-              t.churned;
-            vs
-        | None -> []
-      in
-      t.result <- Some vs;
+  match t.monitor with
+  | None -> []
+  | Some m ->
+      let vs = Compliance.finish ?allow_open m in
+      if not t.finished then
+        Option.iter
+          (fun c -> Metrics.incr ~by:(Compliance.churned_count m) c)
+          t.churned;
+      t.finished <- true;
       vs
 
 let verdict_line t =
   let checked = t.monitor <> None in
   let vs =
-    match (t.result, t.monitor) with
-    | Some vs, _ -> vs
-    | None, Some m -> Compliance.violations m
-    | None, None -> []
+    match t.monitor with Some m -> Compliance.violations m | None -> []
   in
   Dsim.Json.Obj
     [

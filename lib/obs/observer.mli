@@ -42,7 +42,7 @@ val monitor : t -> Amac.Compliance.t option
 
 val attach : t -> Dsim.Trace.t -> unit
 (** Subscribe the span deriver and checker to a trace's record stream
-    (works on disabled/ring traces — retention is not required). *)
+    (works on a trace that keeps no entries). *)
 
 val wire_sim : t -> Dsim.Sim.t -> unit
 (** Register engine gauges: [engine.executed], [engine.pending],

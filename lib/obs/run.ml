@@ -28,6 +28,7 @@ let instrument ?obs ?attach () =
       {
         Mmb.Instrument.want_trace = true;
         attach = subscribe;
+        checker = Option.bind obs Observer.monitor;
         wire_sim =
           (match obs with Some o -> Observer.wire_sim o | None -> ignore);
         on_event =

@@ -22,7 +22,10 @@ val instrument :
 
     - [obs]: spans and the streaming checker subscribe, engine gauges
       are wired (serial engines only), and the observer is finished with
-      [allow_open] set iff the run did not drain.  For FMMB, create it
+      [allow_open] set iff the run did not drain.  Its checker is the
+      instrument's [checker], the one a checked run takes its verdict
+      from ({!Mmb.Runner.drive}), so build it for the run's dual, Fack
+      and Fprog.  For FMMB, create it
       without [dual]: its per-stage engines restart instance uids and
       clocks.
     - [attach] receives each trace the run may record into, before the

@@ -260,17 +260,14 @@ let pin_digest () =
               let g = mk_g rng in
               let dual = mk_dual rng g in
               let n = Graphs.Graph.n g in
-              let res =
-                Mmb.Runner.run_bmmb ~dual ~fack:6. ~fprog:1.
-                  ~policy:(policy ())
-                  ~assignment:(Mmb.Problem.random rng ~n ~k:3)
-                  ~seed:!seed ~check_compliance:true ()
+              let _, kept =
+                Kept.run (fun instrument ->
+                    Mmb.Runner.run_bmmb ~dual ~fack:6. ~fprog:1.
+                      ~policy:(policy ())
+                      ~assignment:(Mmb.Problem.random rng ~n ~k:3)
+                      ~seed:!seed ~check_compliance:true ~instrument ())
               in
-              let entries =
-                match res.Mmb.Runner.trace with
-                | Some tr -> Dsim.Trace.entries tr
-                | None -> Alcotest.fail "no trace recorded"
-              in
+              let entries = Dsim.Trace.entries kept in
               List.iter
                 (fun (mname, mutate) ->
                   let trace =
@@ -343,43 +340,60 @@ let test_arbitrary_ids () =
        (fun v -> (v.Amac.Compliance.rule, v.Amac.Compliance.detail))
        (audit dual entries))
 
+(* The instance the cost pins below run: BMMB on a 16x16 grid with an
+   r-restricted G' (512 extra edges) and k messages at node 0, its
+   entries kept. *)
+let grid_run k =
+  let rng = Dsim.Rng.create ~seed:1 in
+  let g = Graphs.Gen.grid ~rows:16 ~cols:16 in
+  let dual = Graphs.Dual.r_restricted_random rng ~g ~r:2 ~extra:512 in
+  let _, kept =
+    Kept.run (fun instrument ->
+        Mmb.Runner.run_bmmb ~dual ~fack:20. ~fprog:1.
+          ~policy:(Amac.Schedulers.random_compliant ())
+          ~assignment:(Mmb.Problem.all_at ~node:0 ~k)
+          ~seed:1 ~check_compliance:true ~instrument ())
+  in
+  (dual, kept)
+
 (* Cost pin: the checker's minor words per trace entry stay small and do
    not grow with the message count k (re-sorting every receipt a
    receiver ever got once cost 223 words per entry at k = 4 and 753 at
    k = 16).  An entry allocates nothing but the amortized growth of the
    checker's columns and pools, so the one-time setup dominates and the
-   cost per entry falls with k.  The entries are listed before the count
-   starts: [Dsim.Trace.iter] copies the list, which is the trace's cost,
-   not the checker's. *)
+   cost per entry falls with k. *)
 let test_cost_flat_in_k () =
   let words_per_entry k =
-    let rng = Dsim.Rng.create ~seed:1 in
-    let g = Graphs.Gen.grid ~rows:16 ~cols:16 in
-    let dual = Graphs.Dual.r_restricted_random rng ~g ~r:2 ~extra:512 in
-    let res =
-      Mmb.Runner.run_bmmb ~dual ~fack:20. ~fprog:1.
-        ~policy:(Amac.Schedulers.random_compliant ())
-        ~assignment:(Mmb.Problem.all_at ~node:0 ~k)
-        ~seed:1 ~check_compliance:true ()
-    in
-    let entries =
-      match res.Mmb.Runner.trace with
-      | Some tr -> Dsim.Trace.entries tr
-      | None -> Alcotest.fail "no trace recorded"
-    in
+    let dual, kept = grid_run k in
     let w0 = Gc.minor_words () in
     let t = Amac.Compliance.create ~dual ~fack:20. ~fprog:1. () in
-    List.iter (Amac.Compliance.on_entry t) entries;
+    Dsim.Trace.iter kept (Amac.Compliance.on_entry t);
     let vs = Amac.Compliance.finish t in
     let words = Gc.minor_words () -. w0 in
     Alcotest.(check int) "engine trace audits clean" 0 (List.length vs);
-    words /. float_of_int (List.length entries)
+    words /. float_of_int (Dsim.Trace.length kept)
   in
   let w4 = words_per_entry 4 and w16 = words_per_entry 16 in
   let msg = Printf.sprintf "words/entry k=4 %.2f, k=16 %.2f" w4 w16 in
   Alcotest.(check bool) (msg ^ ": at most 2") true (Float.max w4 w16 <= 2.);
   Alcotest.(check bool) (msg ^ ": no growth in k beyond 25%") true
     (w16 <= 1.25 *. w4)
+
+(* [audit] folds the checker over the kept entries in place, so it costs
+   what the checker does and little more.  When [Dsim.Trace.iter]
+   copied the trace's list on every pass, it took 4.02 words per entry
+   at k = 4, of which the checker took 1.02. *)
+let test_audit_walks_entries_in_place () =
+  let dual, kept = grid_run 4 in
+  let w0 = Gc.minor_words () in
+  let vs = Amac.Compliance.audit ~dual ~fack:20. ~fprog:1. kept in
+  let per_entry =
+    (Gc.minor_words () -. w0) /. float_of_int (Dsim.Trace.length kept)
+  in
+  Alcotest.(check int) "engine trace audits clean" 0 (List.length vs);
+  Alcotest.(check bool)
+    (Printf.sprintf "%.2f words per entry, under 1.5" per_entry)
+    true (per_entry < 1.5)
 
 let suite =
   [
@@ -410,5 +424,7 @@ let suite =
           test_pinned_verdicts;
         Alcotest.test_case "words per entry flat in k" `Quick
           test_cost_flat_in_k;
+        Alcotest.test_case "audit walks kept entries in place" `Quick
+          test_audit_walks_entries_in_place;
       ] );
   ]

@@ -10,14 +10,14 @@ let make_trace seed =
   let rng = Dsim.Rng.create ~seed in
   let g = Graphs.Gen.ring 8 in
   let dual = Graphs.Dual.r_restricted_random rng ~g ~r:2 ~extra:4 in
-  let res =
-    Mmb.Runner.run_bmmb ~dual ~fack ~fprog
-      ~policy:(Amac.Schedulers.random_compliant ())
-      ~assignment:[ (0, 0); (4, 1) ] ~seed ~check_compliance:true ()
+  let _, tr =
+    Kept.run (fun instrument ->
+        Mmb.Runner.run_bmmb ~dual ~fack ~fprog
+          ~policy:(Amac.Schedulers.random_compliant ())
+          ~assignment:[ (0, 0); (4, 1) ] ~seed ~check_compliance:true
+          ~instrument ())
   in
-  match res.Mmb.Runner.trace with
-  | Some tr -> (dual, tr)
-  | None -> Alcotest.fail "no trace recorded"
+  (dual, tr)
 
 let rebuild entries =
   let tr = Dsim.Trace.create () in

@@ -28,14 +28,13 @@ let grey_dual ~seed ~n =
 let bmmb_trace () =
   let dual = grey_dual ~seed:11 ~n:24 in
   let assignment = [ (0, 0); (5, 1); (11, 2) ] in
-  let res =
-    Mmb.Runner.run_bmmb ~dual ~fack:8. ~fprog:1.
-      ~policy:(Amac.Schedulers.random_compliant ())
-      ~assignment ~seed:42 ~check_compliance:true ()
+  let _, tr =
+    Kept.run (fun instrument ->
+        Mmb.Runner.run_bmmb ~dual ~fack:8. ~fprog:1.
+          ~policy:(Amac.Schedulers.random_compliant ())
+          ~assignment ~seed:42 ~check_compliance:true ~instrument ())
   in
-  match res.Mmb.Runner.trace with
-  | Some tr -> Dsim.Trace_io.to_jsonl tr
-  | None -> Alcotest.fail "bmmb run produced no trace"
+  Dsim.Trace_io.to_jsonl tr
 
 (* One FMMB run (MIS + gather + spread): exercises the custody/sent/
    pending tables in the fmmb_* modules. *)

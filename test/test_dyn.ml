@@ -213,32 +213,29 @@ let test_golden_byte_identity () =
   let assignment =
     [ (Graphs.Dual.two_line_a ~d:5 1, 0); (Graphs.Dual.two_line_b ~d:5 1, 1) ]
   in
-  let res =
-    Mmb.Runner.run_bmmb ~dual ~fack:8. ~fprog:1.
-      ~policy:(Mmb.Lower_bound.two_line_policy ~d:5)
-      ~assignment ~seed:0 ~check_compliance:true
-      ~dyn:(Dyn.Dual.of_static dual) ()
+  let _, tr =
+    Kept.run (fun instrument ->
+        Mmb.Runner.run_bmmb ~dual ~fack:8. ~fprog:1.
+          ~policy:(Mmb.Lower_bound.two_line_policy ~d:5)
+          ~assignment ~seed:0 ~check_compliance:true
+          ~dyn:(Dyn.Dual.of_static dual) ~instrument ())
   in
-  match res.Mmb.Runner.trace with
-  | None -> Alcotest.fail "no trace"
-  | Some tr ->
-      Alcotest.(check bool) "byte-identical to the golden trace" true
-        (String.equal
-           (read_file "golden/two_line_d5_seed0.jsonl")
-           (Dsim.Trace_io.to_jsonl tr))
+  Alcotest.(check bool) "byte-identical to the golden trace" true
+    (String.equal
+       (read_file "golden/two_line_d5_seed0.jsonl")
+       (Dsim.Trace_io.to_jsonl tr))
 
 let bmmb_trace ?dyn ~seed () =
   let dual = line_with_extras ~n:14 ~extra:8 ~seed:21 in
   let rng = Dsim.Rng.create ~seed in
   let assignment = Mmb.Problem.random rng ~n:14 ~k:4 in
-  let res =
-    Mmb.Runner.run_bmmb ~dual ~fack:20. ~fprog:1.
-      ~policy:(Amac.Schedulers.adversarial ())
-      ~assignment ~seed ~check_compliance:true ?dyn ()
+  let res, tr =
+    Kept.run (fun instrument ->
+        Mmb.Runner.run_bmmb ~dual ~fack:20. ~fprog:1.
+          ~policy:(Amac.Schedulers.adversarial ())
+          ~assignment ~seed ~check_compliance:true ?dyn ~instrument ())
   in
-  match res.Mmb.Runner.trace with
-  | Some tr -> (Dsim.Trace_io.to_jsonl tr, res)
-  | None -> Alcotest.fail "no trace"
+  (Dsim.Trace_io.to_jsonl tr, res)
 
 let test_paired_byte_identity () =
   (* Same property off the golden path, on a randomized instance. *)
@@ -281,14 +278,13 @@ let churn_run ~seed =
   in
   let rng = Dsim.Rng.create ~seed in
   let assignment = Mmb.Problem.random rng ~n:14 ~k:4 in
-  let res =
-    Mmb.Runner.run_bmmb ~dual ~fack:20. ~fprog:1.
-      ~policy:(Amac.Schedulers.adversarial ())
-      ~assignment ~seed ~check_compliance:true ~dyn ()
+  let res, tr =
+    Kept.run (fun instrument ->
+        Mmb.Runner.run_bmmb ~dual ~fack:20. ~fprog:1.
+          ~policy:(Amac.Schedulers.adversarial ())
+          ~assignment ~seed ~check_compliance:true ~dyn ~instrument ())
   in
-  match res.Mmb.Runner.trace with
-  | Some tr -> (Dsim.Trace_io.to_jsonl tr, res)
-  | None -> Alcotest.fail "no trace"
+  (Dsim.Trace_io.to_jsonl tr, res)
 
 let test_churn_determinism () =
   let a, ra = churn_run ~seed:3 in

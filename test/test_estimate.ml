@@ -5,41 +5,39 @@ let test_estimates_engine_parameters () =
      land at (or below) the configured constants. *)
   let fack = 12. and fprog = 2. in
   let dual = Graphs.Dual.of_equal (Graphs.Gen.line 8) in
-  let res =
-    Mmb.Runner.run_bmmb ~dual ~fack ~fprog
-      ~policy:(Amac.Schedulers.adversarial ())
-      ~assignment:[ (0, 0); (7, 1) ] ~seed:1 ~check_compliance:true ()
+  let _, tr =
+    Kept.run (fun instrument ->
+        Mmb.Runner.run_bmmb ~dual ~fack ~fprog
+          ~policy:(Amac.Schedulers.adversarial ())
+          ~assignment:[ (0, 0); (7, 1) ] ~seed:1 ~check_compliance:true
+          ~instrument ())
   in
-  match res.Mmb.Runner.trace with
-  | None -> Alcotest.fail "no trace"
-  | Some tr ->
-      let est = Amac.Estimate.estimate ~dual tr in
-      Alcotest.(check bool) "est Fack <= configured Fack" true
-        (est.Amac.Estimate.est_fack <= fack +. 1e-9);
-      Alcotest.(check bool) "adversary saturates Fack" true
-        (est.Amac.Estimate.est_fack >= fack -. 1e-6);
-      Alcotest.(check bool) "est Fprog <= configured Fprog" true
-        (est.Amac.Estimate.est_fprog <= fprog +. 1e-3);
-      Alcotest.(check bool) "watchdog runs close to Fprog" true
-        (est.Amac.Estimate.est_fprog >= 0.5 *. fprog);
-      Alcotest.(check bool) "counts populated" true
-        (est.Amac.Estimate.acks_observed > 0
-        && est.Amac.Estimate.rcvs_observed > 0)
+  let est = Amac.Estimate.estimate ~dual tr in
+  Alcotest.(check bool) "est Fack <= configured Fack" true
+    (est.Amac.Estimate.est_fack <= fack +. 1e-9);
+  Alcotest.(check bool) "adversary saturates Fack" true
+    (est.Amac.Estimate.est_fack >= fack -. 1e-6);
+  Alcotest.(check bool) "est Fprog <= configured Fprog" true
+    (est.Amac.Estimate.est_fprog <= fprog +. 1e-3);
+  Alcotest.(check bool) "watchdog runs close to Fprog" true
+    (est.Amac.Estimate.est_fprog >= 0.5 *. fprog);
+  Alcotest.(check bool) "counts populated" true
+    (est.Amac.Estimate.acks_observed > 0
+    && est.Amac.Estimate.rcvs_observed > 0)
 
 let test_eager_trace_estimates_small () =
   let dual = Graphs.Dual.of_equal (Graphs.Gen.star 6) in
-  let res =
-    Mmb.Runner.run_bmmb ~dual ~fack:50. ~fprog:5.
-      ~policy:(Amac.Schedulers.eager ())
-      ~assignment:[ (0, 0) ] ~seed:2 ~check_compliance:true ()
+  let _, tr =
+    Kept.run (fun instrument ->
+        Mmb.Runner.run_bmmb ~dual ~fack:50. ~fprog:5.
+          ~policy:(Amac.Schedulers.eager ())
+          ~assignment:[ (0, 0) ] ~seed:2 ~check_compliance:true ~instrument
+          ())
   in
-  match res.Mmb.Runner.trace with
-  | None -> Alcotest.fail "no trace"
-  | Some tr ->
-      let est = Amac.Estimate.estimate ~dual tr in
-      (* Eager acks at 0.1 * Fprog = 0.5: far below the nominal bound. *)
-      Alcotest.(check bool) "eager MAC looks fast" true
-        (est.Amac.Estimate.est_fack < 1.)
+  let est = Amac.Estimate.estimate ~dual tr in
+  (* Eager acks at 0.1 * Fprog = 0.5: far below the nominal bound. *)
+  Alcotest.(check bool) "eager MAC looks fast" true
+    (est.Amac.Estimate.est_fack < 1.)
 
 let test_estimate_on_decay_mac () =
   (* The implemented MAC's empirical parameters: ack latency equals the

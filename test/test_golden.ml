@@ -8,14 +8,13 @@ let golden_two_line () =
   let assignment =
     [ (Graphs.Dual.two_line_a ~d:5 1, 0); (Graphs.Dual.two_line_b ~d:5 1, 1) ]
   in
-  let res =
-    Mmb.Runner.run_bmmb ~dual ~fack:8. ~fprog:1.
-      ~policy:(Mmb.Lower_bound.two_line_policy ~d:5)
-      ~assignment ~seed:0 ~check_compliance:true ()
+  let _, tr =
+    Kept.run (fun instrument ->
+        Mmb.Runner.run_bmmb ~dual ~fack:8. ~fprog:1.
+          ~policy:(Mmb.Lower_bound.two_line_policy ~d:5)
+          ~assignment ~seed:0 ~check_compliance:true ~instrument ())
   in
-  match res.Mmb.Runner.trace with
-  | Some tr -> Dsim.Trace_io.to_jsonl tr
-  | None -> Alcotest.fail "no trace"
+  Dsim.Trace_io.to_jsonl tr
 
 let read_file path =
   let ic = open_in path in
@@ -115,21 +114,19 @@ let test_serial_random_pinned () =
   in
   let assignment = Mmb.Problem.random rng ~n:(side * side) ~k:8 in
   let sim = ref None in
-  let r =
-    Mmb.Runner.run_bmmb ~dual ~fack:8. ~fprog:1.
-      ~policy:(Amac.Schedulers.random_compliant ())
-      ~assignment ~seed ~check_compliance:true
-      ~setup:(fun s -> sim := Some s)
-      ()
+  let r, tr =
+    Kept.run (fun instrument ->
+        Mmb.Runner.run_bmmb ~dual ~fack:8. ~fprog:1.
+          ~policy:(Amac.Schedulers.random_compliant ())
+          ~assignment ~seed ~check_compliance:true ~instrument
+          ~setup:(fun s -> sim := Some s)
+          ())
   in
   Alcotest.(check bool) "completes" true r.Mmb.Runner.complete;
   Alcotest.(check int) "queue high water" 1_103
     (Dsim.Sim.heap_high_water (Option.get !sim));
-  match r.Mmb.Runner.trace with
-  | None -> Alcotest.fail "no trace"
-  | Some tr ->
-      Alcotest.(check string) "trace md5" "58df86788244d991bd0e28abf81eb264"
-        (md5_of_trace tr)
+  Alcotest.(check string) "trace md5" "58df86788244d991bd0e28abf81eb264"
+    (md5_of_trace tr)
 
 (* Structured bodies under the adversary, whose forced choices prefer a
    body the receiver already has, so they hinge on [fc_has_received]

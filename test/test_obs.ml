@@ -1,6 +1,7 @@
 (* The observability layer: metric registry + histograms, span derivation,
-   streaming-compliance parity with the post-hoc auditor, engine profiling
-   accessors, trace ring buffers, and determinism of the JSONL export. *)
+   streaming-compliance parity with the post-hoc auditor, a checked run's
+   one checker, engine profiling accessors, trace subscribers, and
+   determinism of the JSONL export. *)
 
 module M = Obs.Metrics
 
@@ -229,25 +230,22 @@ let test_span_sparse_ids () =
 
 (* --- streaming compliance checker ----------------------------------------- *)
 
-(* Allocation pin: spans and the checker take a retained run's entries,
-   fed as [Observer.attach]'s subscriber feeds them, at under 2 words per
+(* Allocation pin: spans and the checker take a run's kept entries, fed
+   as [Observer.attach]'s subscriber feeds them, at under 2 words per
    entry, setup and [finish] included.  What is left is mostly the boxed
    latency handed to each histogram. *)
 let test_observer_words_per_entry () =
   let rng = Dsim.Rng.create ~seed:2 in
   let g = Graphs.Gen.grid ~rows:16 ~cols:16 in
   let dual = Graphs.Dual.r_restricted_random rng ~g ~r:2 ~extra:512 in
-  let res =
-    Mmb.Runner.run_bmmb ~dual ~fack:20. ~fprog:1.
-      ~policy:(Amac.Schedulers.random_compliant ())
-      ~assignment:(Mmb.Problem.all_at ~node:0 ~k:8)
-      ~seed:2 ~check_compliance:true ()
+  let _, kept =
+    Kept.run (fun instrument ->
+        Mmb.Runner.run_bmmb ~dual ~fack:20. ~fprog:1.
+          ~policy:(Amac.Schedulers.random_compliant ())
+          ~assignment:(Mmb.Problem.all_at ~node:0 ~k:8)
+          ~seed:2 ~check_compliance:true ~instrument ())
   in
-  let entries =
-    match res.Mmb.Runner.trace with
-    | Some tr -> Dsim.Trace.entries tr
-    | None -> Alcotest.fail "no trace recorded"
-  in
+  let entries = Dsim.Trace.entries kept in
   let w0 = Gc.minor_words () in
   let obs = Obs.Observer.create ~n:256 ~dual ~fack:20. ~fprog:1. () in
   let spans = Obs.Observer.spans obs in
@@ -266,6 +264,68 @@ let test_observer_words_per_entry () =
     (Printf.sprintf "%.2f words per entry, under 2" per_entry)
     true (per_entry < 2.)
 
+
+(* Allocation pin: a checked run streams its entries through the axiom
+   and MMB-specification checkers and keeps none.  Beyond the same run
+   with a subscriber that does nothing, it allocates under 2 words per
+   entry: the checkers' own columns.  Keeping every entry and auditing
+   the list after the run took 11.4. *)
+let test_checked_run_words_per_entry () =
+  let rng = Dsim.Rng.create ~seed:3 in
+  let g = Graphs.Gen.grid ~rows:16 ~cols:16 in
+  let dual = Graphs.Dual.r_restricted_random rng ~g ~r:2 ~extra:512 in
+  let words ~check_compliance instrument =
+    let w0 = Gc.minor_words () in
+    let r =
+      Mmb.Runner.run_bmmb ~dual ~fack:20. ~fprog:1.
+        ~policy:(Amac.Schedulers.random_compliant ())
+        ~assignment:(Mmb.Problem.all_at ~node:0 ~k:8)
+        ~seed:3 ~check_compliance ~instrument ()
+    in
+    let w = Gc.minor_words () -. w0 in
+    Alcotest.(check int) "no violations" 0
+      (List.length r.Mmb.Runner.compliance_violations);
+    w
+  in
+  let entries = ref 0 in
+  let idle =
+    {
+      Mmb.Instrument.none with
+      want_trace = true;
+      attach = (fun tr -> Dsim.Trace.subscribe tr (fun _ -> incr entries));
+    }
+  in
+  let base = words ~check_compliance:false idle in
+  let checked = words ~check_compliance:true Mmb.Instrument.none in
+  let per_entry = (checked -. base) /. float_of_int !entries in
+  Alcotest.(check bool)
+    (Printf.sprintf "%.2f words per entry over %d entries, under 2" per_entry
+       !entries)
+    true (per_entry < 2.)
+
+(* A checked run with an observer takes its verdict from the observer's
+   checker, which [Observer.attach] subscribes, and builds no second
+   one.  This observer's checker is built with Fack = 0.5 for a run with
+   Fack = 8 under the adversary, whose acks come at Fack: it reports a
+   late ack for every instance, where a checker of the run's own would
+   report nothing. *)
+let test_checked_run_takes_observer_checker () =
+  let dual = Graphs.Dual.of_equal (Graphs.Gen.line 6) in
+  let obs = Obs.Observer.create ~n:6 ~dual ~fack:0.5 ~fprog:1. () in
+  let r =
+    Obs.Run.bmmb ~dual ~fack:8. ~fprog:1.
+      ~policy:(Amac.Schedulers.adversarial ())
+      ~assignment:[ (0, 0); (5, 1) ]
+      ~seed:1 ~check_compliance:true ~obs ()
+  in
+  let vs = r.Mmb.Runner.compliance_violations in
+  Alcotest.(check bool) "late acks reported" true (vs <> []);
+  Alcotest.(check (list string))
+    "every finding is ack-bound"
+    (List.map (fun _ -> "ack-bound") vs)
+    (List.map (fun v -> v.Amac.Compliance.rule) vs);
+  Alcotest.(check bool) "the observer's list" true
+    (vs = Obs.Observer.finish obs)
 
 let line2 = lazy (Graphs.Dual.of_equal (Graphs.Gen.line 2))
 
@@ -300,25 +360,7 @@ let test_monitor_callback_fires_at_detection () =
         entry.Dsim.Trace.time
   | hs -> Alcotest.failf "expected 1 callback with entry, got %d" (List.length hs)
 
-(* --- trace ring buffer --------------------------------------------------- *)
-
-let test_trace_ring () =
-  let tr = Dsim.Trace.create ~capacity:3 () in
-  for i = 0 to 4 do
-    Dsim.Trace.record tr
-      ~time:(float_of_int i)
-      (Dsim.Trace.Arrive { node = i; msg = i })
-  done;
-  Alcotest.(check int) "retention bounded by capacity" 3 (Dsim.Trace.length tr);
-  Alcotest.(check int) "recorded counts evicted entries" 5
-    (Dsim.Trace.recorded tr);
-  Alcotest.(check (list int)) "keeps the most recent, oldest first" [ 2; 3; 4 ]
-    (List.map
-       (fun e -> int_of_float e.Dsim.Trace.time)
-       (Dsim.Trace.entries tr));
-  Alcotest.check_raises "capacity must be positive"
-    (Invalid_argument "Trace.create: capacity must be >= 1") (fun () ->
-      ignore (Dsim.Trace.create ~capacity:0 ()))
+(* --- trace subscribers ---------------------------------------------------- *)
 
 let test_trace_subscribers_without_retention () =
   let tr = Dsim.Trace.create ~enabled:false () in
@@ -375,16 +417,19 @@ let observed_run ~seed =
       ~meta:[ ("seed", Dsim.Json.Number (float_of_int seed)) ]
       ()
   in
+  let kept = Dsim.Trace.create () in
   let res =
-    Obs.Run.bmmb ~dual ~fack:8. ~fprog:1.
+    Mmb.Runner.run_bmmb ~dual ~fack:8. ~fprog:1.
       ~policy:(Amac.Schedulers.eager ())
       ~assignment:[ (0, 0); (4, 1) ]
-      ~seed ~check_compliance:true ~obs ()
+      ~seed ~check_compliance:true
+      ~instrument:(Obs.Run.instrument ~obs ~attach:(Kept.attach kept) ())
+      ()
   in
-  (obs, res, dual)
+  (obs, res, dual, kept)
 
 let test_jsonl_schema_roundtrip () =
-  let obs, res, _ = observed_run ~seed:3 in
+  let obs, res, _, _ = observed_run ~seed:3 in
   let lines = Obs.Observer.jsonl obs in
   Alcotest.(check bool) "run completed" true res.Mmb.Runner.complete;
   let kinds =
@@ -434,21 +479,16 @@ let test_jsonl_schema_roundtrip () =
     (res.Mmb.Runner.events_executed > 0)
 
 let test_jsonl_deterministic_across_runs () =
-  let obs1, _, _ = observed_run ~seed:3 in
-  let obs2, _, _ = observed_run ~seed:3 in
+  let obs1, _, _, _ = observed_run ~seed:3 in
+  let obs2, _, _, _ = observed_run ~seed:3 in
   Alcotest.(check (list string)) "same seed, byte-identical export"
     (Obs.Observer.jsonl obs1) (Obs.Observer.jsonl obs2);
-  let obs3, _, _ = observed_run ~seed:4 in
+  let obs3, _, _, _ = observed_run ~seed:4 in
   Alcotest.(check bool) "different seed differs" true
     (Obs.Observer.jsonl obs1 <> Obs.Observer.jsonl obs3)
 
 let test_estimate_consistency () =
-  let obs, res, dual = observed_run ~seed:5 in
-  let tr =
-    match res.Mmb.Runner.trace with
-    | Some tr -> tr
-    | None -> Alcotest.fail "expected a retained trace"
-  in
+  let obs, _, dual, tr = observed_run ~seed:5 in
   let est = Amac.Estimate.estimate ~dual tr in
   let m = Obs.Observer.metrics obs in
   Alcotest.(check (float 0.)) "hist max of mac.ack_latency is est_fack"
@@ -500,9 +540,12 @@ let suite =
           test_span_sparse_ids;
         Alcotest.test_case "observer words per entry" `Quick
           test_observer_words_per_entry;
+        Alcotest.test_case "checked run words per entry" `Quick
+          test_checked_run_words_per_entry;
+        Alcotest.test_case "checked run takes the observer's checker" `Quick
+          test_checked_run_takes_observer_checker;
         Alcotest.test_case "violation callback at detection time" `Quick
           test_monitor_callback_fires_at_detection;
-        Alcotest.test_case "trace ring buffer" `Quick test_trace_ring;
         Alcotest.test_case "subscribers on a disabled trace" `Quick
           test_trace_subscribers_without_retention;
         Alcotest.test_case "engine profiling accessors" `Quick

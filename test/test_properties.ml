@@ -3,13 +3,10 @@
 
 let run_traced ?(policy = Amac.Schedulers.random_compliant ()) ~dual
     ~assignment ~seed () =
-  let res =
-    Mmb.Runner.run_bmmb ~dual ~fack:8. ~fprog:1. ~policy ~assignment ~seed
-      ~check_compliance:true ()
-  in
-  match res.Mmb.Runner.trace with
-  | Some tr -> tr
-  | None -> Alcotest.fail "no trace"
+  snd
+    (Kept.run (fun instrument ->
+         Mmb.Runner.run_bmmb ~dual ~fack:8. ~fprog:1. ~policy ~assignment ~seed
+           ~check_compliance:true ~instrument ()))
 
 let test_clean_run_satisfies_spec () =
   let rng = Dsim.Rng.create ~seed:4 in

@@ -109,6 +109,7 @@ let test_scenario_rejects_bad_config () =
     [
       {|{"protocol": "quantum"}|};
       {|{"n": 0}|};
+      {|{"k": 0}|};
       {|{"fprog": 5, "fack": 1}|};
       {|{"arrivals": "sometimes"}|};
       {|{"repeat": 0}|};

@@ -16,20 +16,20 @@ let fresh_path name =
   rm_rf p;
   p
 
-(* One observed BMMB run with a retained trace. *)
+(* One observed BMMB run, its entries kept. *)
 let traced_run ~seed =
   let n = 12 in
   let dual = Graphs.Dual.of_equal (Graphs.Gen.line n) in
   let rng = Dsim.Rng.create ~seed in
   let assignment = Mmb.Problem.random rng ~n ~k:3 in
-  let res =
-    Obs.Run.bmmb ~dual ~fack:20. ~fprog:1.
-      ~policy:(Amac.Schedulers.random_compliant ())
-      ~assignment ~seed ~check_compliance:true ()
-  in
-  match res.Mmb.Runner.trace with
-  | Some tr -> (n, tr)
-  | None -> Alcotest.fail "run retained no trace"
+  let kept = Dsim.Trace.create () in
+  ignore
+    (Mmb.Runner.run_bmmb ~dual ~fack:20. ~fprog:1.
+       ~policy:(Amac.Schedulers.random_compliant ())
+       ~assignment ~seed ~check_compliance:true
+       ~instrument:(Obs.Run.instrument ~attach:(Kept.attach kept) ())
+       ());
+  (n, kept)
 
 let perfetto_string ~n tr =
   let col = Obs.Tracing.Sim.create ~n () in
