@@ -18,80 +18,40 @@ let wall_clock =
 
 (* --- Shared argument definitions ---------------------------------------- *)
 
-let topology =
-  let doc = "Reliable graph G: line | ring | grid | star | geometric." in
-  Arg.(value & opt string "line" & info [ "topology"; "t" ] ~docv:"TOPO" ~doc)
-
-let n_arg =
-  let doc = "Number of nodes." in
-  Arg.(value & opt int 30 & info [ "nodes"; "n" ] ~docv:"N" ~doc)
-
-let k_arg =
-  let doc = "Number of MMB messages." in
-  Arg.(value & opt int 4 & info [ "messages"; "k" ] ~docv:"K" ~doc)
-
-let gprime =
-  let doc =
-    "Unreliable graph G' regime: equal | r-restricted | arbitrary | greyzone \
-     (greyzone forces the geometric topology)."
+(* The scenario flags of [keys], each one entry of Mmb.Scenario.fields,
+   read into a one-cell scenario object: a given flag is one member, which
+   Mmb.Scenario.of_json or expand reads and checks as it would a file's. *)
+let scenario keys =
+  let member key =
+    let f = List.find (fun f -> f.Mmb.Scenario.key = key) Mmb.Scenario.fields in
+    let docv = String.uppercase_ascii (List.hd f.flags) in
+    let i = Arg.info f.flags ~docv ~doc:f.doc in
+    let opt c json =
+      Term.(
+        const (Option.map json)
+        $ Arg.(value & opt (some ~none:f.default c) None i))
+    in
+    match f.kind with
+    | `Int -> opt Arg.int (fun i -> Dsim.Json.Number (float_of_int i))
+    | `Float -> opt Arg.float (fun x -> Dsim.Json.Number x)
+    | `String -> opt Arg.string (fun s -> Dsim.Json.String s)
+    | `Bool ->
+        Term.(
+          const (fun b -> if b then Some (Dsim.Json.Bool true) else None)
+          $ Arg.(value & flag i))
   in
-  Arg.(value & opt string "equal" & info [ "gprime"; "g" ] ~docv:"REGIME" ~doc)
+  List.fold_left
+    (fun json key ->
+      Term.(
+        const (fun json -> function
+          | Some v -> Mmb.Scenario.put json key v | None -> json)
+        $ json $ member key))
+    (Term.const (Dsim.Json.Obj [])) keys
 
-let r_arg =
-  let doc = "Restriction radius for --gprime r-restricted." in
-  Arg.(value & opt int 2 & info [ "radius"; "r" ] ~docv:"R" ~doc)
-
-let extra_arg =
-  let doc = "Number of extra unreliable edges." in
-  Arg.(value & opt int 10 & info [ "extra" ] ~docv:"EDGES" ~doc)
-
-let fack_arg =
-  let doc = "Acknowledgment bound Fack." in
-  Arg.(value & opt float 20. & info [ "fack" ] ~docv:"FACK" ~doc)
-
-let fprog_arg =
-  let doc = "Progress bound Fprog." in
-  Arg.(value & opt float 1. & info [ "fprog" ] ~docv:"FPROG" ~doc)
-
-let seed_arg =
-  let doc = "Random seed (runs are reproducible from it)." in
-  Arg.(value & opt int 1 & info [ "seed"; "s" ] ~docv:"SEED" ~doc)
-
-let scheduler_arg =
-  let doc = "Message scheduler: eager | random | adversarial." in
-  Arg.(
-    value & opt string "random" & info [ "scheduler" ] ~docv:"SCHEDULER" ~doc)
-
-let protocol_arg =
-  let doc = "Protocol: bmmb | fmmb." in
-  Arg.(value & opt string "bmmb" & info [ "protocol"; "p" ] ~docv:"PROTO" ~doc)
-
-let dynamic_arg =
-  let doc =
-    "Time-varying unreliable layer: static | flap | churn | adversary \
-     (bmmb only; the listed G' becomes the union over all epochs)."
-  in
-  Arg.(value & opt (some string) None & info [ "dynamic" ] ~docv:"KIND" ~doc)
-
-let epoch_arg =
-  let doc = "Epoch length (stability parameter T) for --dynamic." in
-  Arg.(value & opt float 10. & info [ "epoch" ] ~docv:"T" ~doc)
-
-let dyn_period_arg =
-  let doc = "Half-period in epochs for --dynamic flap." in
-  Arg.(value & opt int 1 & info [ "dyn-period" ] ~docv:"EPOCHS" ~doc)
-
-let churn_rate_arg =
-  let doc = "Per-epoch per-edge drop probability for --dynamic churn." in
-  Arg.(value & opt float 0.2 & info [ "churn-rate" ] ~docv:"P" ~doc)
-
-let dyn_seed_arg =
-  let doc = "Seed for the churn schedule (independent of --seed)." in
-  Arg.(value & opt int 0 & info [ "dyn-seed" ] ~docv:"SEED" ~doc)
-
-let check_arg =
-  let doc = "Audit the execution against the five MAC-layer axioms." in
-  Arg.(value & flag & info [ "check" ] ~doc)
+(* The network and MAC fields every simulating subcommand takes. *)
+let cell =
+  [ "topology"; "gprime"; "n"; "k"; "r"; "extra"; "fack"; "fprog"; "seed";
+    "scheduler" ]
 
 let trace_arg =
   let doc = "Dump the full event trace to stdout after the run." in
@@ -137,48 +97,6 @@ let svg_arg =
     "Render the network to FILE as SVG (geometric/greyzone networks only)."
   in
   Arg.(value & opt (some string) None & info [ "svg" ] ~docv:"FILE" ~doc)
-
-let domains_arg =
-  let doc =
-    "Worker domains for the partitioned engine (bmmb only).  $(b,0) means \
-     auto: resolve to the machine's recommended domain count, like \
-     $(b,campaign --jobs 0).  Must not exceed the partition count."
-  in
-  Arg.(value & opt int 1 & info [ "domains" ] ~docv:"N" ~doc)
-
-let partitions_arg =
-  let doc =
-    "Partition count P for the partitioned engine.  P is a model \
-     parameter: it fixes instance ids, RNG streams and delivery times, \
-     while --domains only maps partitions onto workers — traces are \
-     byte-identical for any domain count.  $(b,0) means auto (one \
-     partition per worker domain); $(b,1) keeps the exact serial engine."
-  in
-  Arg.(value & opt int 0 & info [ "partitions" ] ~docv:"P" ~doc)
-
-(* The one-cell scenario the shared flags describe.  [run] and [online]
-   override the fields they own and run it through Mmb.Scenario.run, as
-   [exec] runs a scenario file's cells; [sweep] expands it as [exec]
-   expands a file's "sweep" directive. *)
-let cell =
-  let make topology gprime n k r extra fack fprog seed scheduler =
-    {
-      Mmb.Scenario.default with
-      topology;
-      gprime;
-      n;
-      k;
-      r;
-      extra;
-      fack;
-      fprog;
-      seed;
-      scheduler;
-    }
-  in
-  Term.(
-    const make $ topology $ gprime $ n_arg $ k_arg $ r_arg $ extra_arg
-    $ fack_arg $ fprog_arg $ seed_arg $ scheduler_arg)
 
 (* --- Network summary ---------------------------------------------------- *)
 
@@ -247,57 +165,34 @@ let print_bound ~complete ~time ~bound =
     (if bound > 0. then time /. bound else 0.)
 
 let run_cmd =
-  let action protocol cell check trace trace_out provenance metrics progress
-      svg dynamic epoch dyn_period churn_rate dyn_seed domains partitions =
-    (* [--domains 0] auto-resolves like [campaign --jobs 0].  Explicit
-       positive counts are honored even beyond the core count: traces
-       are identical for any mapping, and determinism gates need real
-       multi-domain runs even on small machines.  The partition count
-       then defaults to one partition per worker. *)
-    let domains =
-      if domains <= 0 then Exec.Pool.resolve_jobs ~requested:domains
-      else domains
+  let action json trace trace_out provenance metrics progress svg =
+    (* [--domains 0] auto-resolves like [campaign --jobs 0], on the flag
+       only: a file refuses 0, so a cell's cache key never depends on the
+       host.  Explicit counts are honored even beyond the core count:
+       traces are identical for any mapping, and determinism gates need
+       real multi-domain runs even on small machines. *)
+    let json =
+      match Dsim.Json.member_opt json "domains" with
+      | Some (Dsim.Json.Number 0.) ->
+          Mmb.Scenario.put json "domains"
+            (Dsim.Json.Number
+               (float_of_int (Exec.Pool.resolve_jobs ~requested:0)))
+      | _ -> json
     in
-    let partitions = if partitions <= 0 then domains else partitions in
-    (* The flags describe a one-cell scenario: check it with the loader's
-       rules before anything is built. *)
     let checked =
       let ( let* ) = Result.bind in
-      let* protocol =
-        match protocol with
-        | "bmmb" -> Ok `Bmmb
-        | "fmmb" -> Ok `Fmmb
-        | other -> Error (Printf.sprintf "unknown protocol %S" other)
-      in
-      let spec =
-        {
-          cell with
-          Mmb.Scenario.protocol;
-          check;
-          dynamic =
-            Option.map
-              (fun kind ->
-                {
-                  Mmb.Scenario.dyn_kind = kind;
-                  dyn_epoch = epoch;
-                  dyn_period;
-                  dyn_churn = churn_rate;
-                  dyn_seed;
-                })
-              dynamic;
-          domains;
-          partitions;
-        }
-      in
-      let* () = Mmb.Scenario.check_spec spec in
-      if progress <> None && partitions > 1 then
+      let* spec = Mmb.Scenario.of_json json in
+      if spec.protocol = `Fmmb_online then
+        Error "run: protocol \"fmmb-online\" has no run report; use exec"
+      else if progress <> None && spec.partitions > 1 then
         Error
           "--progress requires the serial engine (--partitions 1): its \
            ticker is an event in one engine's heap"
       else
         match trace_out with
         | Some path
-          when protocol = `Fmmb && not (Filename.check_suffix path ".json") ->
+          when spec.protocol = `Fmmb
+               && not (Filename.check_suffix path ".json") ->
             Printf.eprintf
               "note: fmmb --trace-out %s ignored (only .json Perfetto output \
                is available for fmmb)\n"
@@ -308,6 +203,7 @@ let run_cmd =
     match checked with
     | Error e -> `Error (false, e)
     | Ok (spec, trace_file) ->
+        let resolved = Mmb.Scenario.spec_to_json spec in
         let sim_ref = ref None and obs = ref None and files = ref [] in
         (* --trace prints the run's entries, kept by a trace attached
            like any other consumer. *)
@@ -336,23 +232,14 @@ let run_cmd =
                      network; skipped")
             svg;
           let n = Graphs.Dual.n dual in
-          (* Export metadata: the fields below that [keys] names, in the
-             order below. *)
-          let meta keys =
-            let num i = Dsim.Json.Number (float_of_int i) in
-            List.filter
-              (fun (key, _) -> List.mem key keys)
-              [
-                ( "protocol",
-                  Dsim.Json.String
-                    (if spec.protocol = `Fmmb then "fmmb" else "bmmb") );
-                ("scheduler", Dsim.Json.String spec.scheduler);
-                ("n", num n);
-                ("k", num spec.k);
-                ("fack", Dsim.Json.Number spec.fack);
-                ("fprog", Dsim.Json.Number spec.fprog);
-                ("seed", num spec.seed);
-              ]
+          (* Export metadata: the resolved spec's members [keys] names,
+             with the built network's n. *)
+          let resolved =
+            Mmb.Scenario.put resolved "n" (Dsim.Json.Number (float_of_int n))
+          in
+          let meta =
+            List.map (fun key ->
+                (key, Option.get (Dsim.Json.member_opt resolved key)))
           in
           (obs :=
              match spec.protocol with
@@ -425,9 +312,9 @@ let run_cmd =
             Printf.printf "metrics written to %s\n" path
         | _ -> ());
         describe_dual x.dual;
-        (* The audit verdict and the trace dump, on either BMMB engine. *)
+        (* The audit verdict, on either BMMB engine. *)
         let audited ~violations =
-          if check then
+          if spec.check then
             if violations = [] then
               print_endline "compliance: OK (all five axioms hold)"
             else begin
@@ -435,14 +322,15 @@ let run_cmd =
               List.iter
                 (fun v -> Fmt.pr "  %a@." Amac.Compliance.pp_violation v)
                 violations
-            end;
-          Option.iter (fun tr -> Fmt.pr "%a@." Dsim.Trace.pp tr) kept
+            end
         in
         (match x.engine with
         | Mmb.Scenario.Serial res ->
             let open Mmb.Runner in
             Printf.printf "protocol: BMMB, scheduler: %s, Fack=%g, Fprog=%g\n"
-              spec.scheduler spec.fack spec.fprog;
+              (Result.get_ok
+                 (Dsim.Json.member_str resolved "scheduler" ~default:""))
+              spec.fack spec.fprog;
             print_bound ~complete:res.complete ~time:res.time
               ~bound:res.upper_bound;
             Printf.printf
@@ -494,17 +382,23 @@ let run_cmd =
               f.rounds_spread f.time;
             Printf.printf "MIS: size %d, valid %b\n" f.mis_size f.mis_valid
         | Mmb.Scenario.Fmmb_online _ ->
-            (* run's cells are bmmb or fmmb *) assert false);
+            (* refused above: run prints no fmmb-online report *)
+            assert false);
+        Option.iter (fun tr -> Fmt.pr "%a@." Dsim.Trace.pp tr) kept;
         List.iter (fun f -> f.write ()) !files;
         `Ok ()
   in
   let term =
     Term.(
       ret
-        (const action $ protocol_arg $ cell $ check_arg $ trace_arg
-       $ trace_out_arg $ provenance_arg $ metrics_arg $ progress_arg $ svg_arg
-       $ dynamic_arg $ epoch_arg $ dyn_period_arg $ churn_rate_arg
-       $ dyn_seed_arg $ domains_arg $ partitions_arg))
+        (const action
+        $ scenario
+            (("protocol" :: cell)
+            @ [ "check"; "domains"; "partitions"; "dynamic.kind";
+                "dynamic.epoch"; "dynamic.period"; "dynamic.churn";
+                "dynamic.seed" ])
+        $ trace_arg $ trace_out_arg $ provenance_arg $ metrics_arg
+        $ progress_arg $ svg_arg))
   in
   Cmd.v
     (Cmd.info "run" ~doc:"Run one MMB simulation and print its metrics.")
@@ -521,7 +415,7 @@ let lower_bound_cmd =
     let doc = "Line length D for the two-line network." in
     Arg.(value & opt int 16 & info [ "diameter"; "d" ] ~docv:"D" ~doc)
   in
-  let action network d k fack fprog =
+  let action network d json =
     let print (res : Mmb.Lower_bound.result) =
       Printf.printf
         "time: %g\nfloor: %g (achieved: %b)\nupper bound: %g\ncomplete: %b\n"
@@ -532,19 +426,19 @@ let lower_bound_cmd =
     in
     (* Range checks before anything is built: the constructions and the
        MAC would raise on these. *)
-    if not (fprog > 0. && fprog <= fack) then
-      `Error (false, "need 0 < fprog <= fack")
-    else
-      match network with
-      | "two-line" when d < 2 -> `Error (false, "need d >= 2")
-      | "two-line" -> print (Mmb.Lower_bound.run_two_line ~d ~fack ~fprog ())
-      | "choke" when k < 1 -> `Error (false, "need k >= 1")
-      | "choke" -> print (Mmb.Lower_bound.run_choke ~k ~fack ~fprog ())
-      | other -> `Error (false, Printf.sprintf "unknown network %S" other)
+    match Mmb.Scenario.of_json json with
+    | Error e -> `Error (false, e)
+    | Ok { k; fack; fprog; _ } -> (
+        match network with
+        | "two-line" when d < 2 -> `Error (false, "need d >= 2")
+        | "two-line" -> print (Mmb.Lower_bound.run_two_line ~d ~fack ~fprog ())
+        | "choke" -> print (Mmb.Lower_bound.run_choke ~k ~fack ~fprog ())
+        | other -> `Error (false, Printf.sprintf "unknown network %S" other))
   in
   let term =
     Term.(
-      ret (const action $ network $ d_arg $ k_arg $ fack_arg $ fprog_arg))
+      ret
+        (const action $ network $ d_arg $ scenario [ "k"; "fack"; "fprog" ]))
   in
   Cmd.v
     (Cmd.info "lower-bound"
@@ -574,7 +468,7 @@ let sweep_cmd =
   (* The flags' cell plus a "sweep" directive is a scenario document, so
      Mmb.Scenario.expand checks every point, before the table header
      prints, and builds the specs exec would. *)
-  let action param values cell =
+  let action param values json =
     let ( let* ) = Result.bind in
     let rec numbers = function
       | [] -> Ok []
@@ -590,20 +484,14 @@ let sweep_cmd =
     let checked =
       let* xs = numbers (String.split_on_char ',' values) in
       let sweep =
-        ( "sweep",
-          Dsim.Json.Obj
-            [
-              ("param", Dsim.Json.String param);
-              ( "values",
-                Dsim.Json.List (List.map (fun x -> Dsim.Json.Number x) xs) );
-            ] )
+        Dsim.Json.Obj
+          [
+            ("param", Dsim.Json.String param);
+            ( "values",
+              Dsim.Json.List (List.map (fun x -> Dsim.Json.Number x) xs) );
+          ]
       in
-      let* specs =
-        match Mmb.Scenario.spec_to_json cell with
-        | Dsim.Json.Obj members ->
-            Mmb.Scenario.expand (Dsim.Json.Obj (sweep :: members))
-        | _ -> Error "sweep: the cell is not a scenario object"
-      in
+      let* specs = Mmb.Scenario.expand (Mmb.Scenario.put json "sweep" sweep) in
       Ok (List.combine xs specs)
     in
     match checked with
@@ -621,7 +509,7 @@ let sweep_cmd =
           points;
         `Ok ()
   in
-  let term = Term.(ret (const action $ param $ values $ cell)) in
+  let term = Term.(ret (const action $ param $ values $ scenario cell)) in
   Cmd.v
     (Cmd.info "sweep" ~doc:"Sweep one parameter of a BMMB simulation.")
     term
@@ -629,22 +517,18 @@ let sweep_cmd =
 (* --- online --------------------------------------------------------------- *)
 
 let online_cmd =
-  let rate_arg =
-    let doc = "Poisson arrival rate (messages per time unit)." in
-    Arg.(value & opt float 0.01 & info [ "rate" ] ~docv:"RATE" ~doc)
-  in
-  let action cell rate =
-    let spec = { cell with Mmb.Scenario.arrivals = Poisson rate } in
-    match Mmb.Scenario.check_spec spec with
+  let action json =
+    let poisson = Dsim.Json.String "poisson" in
+    match Mmb.Scenario.of_json (Mmb.Scenario.put json "arrivals" poisson) with
     | Error e -> `Error (false, e)
-    | Ok () -> (
+    | Ok spec -> (
         let x = Mmb.Scenario.run spec ~seed:spec.seed in
         match x.engine with
         | Mmb.Scenario.Serial res ->
             describe_dual x.dual;
             Printf.printf
-              "online BMMB: rate=%g, k=%d\ncomplete: %b\nmakespan: %g\n" rate
-              spec.k res.Mmb.Runner.complete res.Mmb.Runner.time;
+              "online BMMB: rate=%g, k=%d\ncomplete: %b\nmakespan: %g\n"
+              spec.rate spec.k res.Mmb.Runner.complete res.Mmb.Runner.time;
             (match List.map snd res.Mmb.Runner.latencies with
             | [] -> print_endline "no completed messages"
             | latencies ->
@@ -653,7 +537,7 @@ let online_cmd =
             `Ok ()
         | _ -> (* online's cells are serial BMMB *) assert false)
   in
-  let term = Term.(ret (const action $ cell $ rate_arg)) in
+  let term = Term.(ret (const action $ scenario (cell @ [ "rate" ]))) in
   Cmd.v
     (Cmd.info "online"
        ~doc:"Run BMMB with Poisson online arrivals and report latencies.")
@@ -666,24 +550,29 @@ let radio_cmd =
     let doc = "Number of contending senders on the star." in
     Arg.(value & opt int 16 & info [ "contenders"; "m" ] ~docv:"M" ~doc)
   in
-  let action m seed =
-    if m < 1 then `Error (false, "need contenders >= 1")
-    else
-      let r = Radio.Decay.star_contention ~m ~seed ~max_slots:10_000_000 in
-      Printf.printf
-        "decay MAC on a star with %d contenders (implemented Fack = %g slots)\n"
-        m r.implemented_fack;
-      (match r.first_reception with
-      | Some s ->
-          Printf.printf "hub heard SOMETHING after %d slots (Fprog-like)\n" s
-      | None -> print_endline "hub heard nothing");
-      Printf.printf "hub heard the SLOWEST specific message after %d slots\n"
-        r.slowest;
-      Printf.printf "transmissions: %d, collisions: %d\n" r.transmissions
-        r.collisions;
-      `Ok ()
+  let action m json =
+    match Mmb.Scenario.of_json json with
+    | Error e -> `Error (false, e)
+    | Ok _ when m < 1 -> `Error (false, "need contenders >= 1")
+    | Ok { seed; _ } ->
+        let r = Radio.Decay.star_contention ~m ~seed ~max_slots:10_000_000 in
+        Printf.printf
+          "decay MAC on a star with %d contenders (implemented Fack = %g \
+           slots)\n"
+          m r.implemented_fack;
+        (match r.first_reception with
+        | Some s ->
+            Printf.printf "hub heard SOMETHING after %d slots (Fprog-like)\n" s
+        | None -> print_endline "hub heard nothing");
+        Printf.printf "hub heard the SLOWEST specific message after %d slots\n"
+          r.slowest;
+        Printf.printf "transmissions: %d, collisions: %d\n" r.transmissions
+          r.collisions;
+        `Ok ()
   in
-  let term = Term.(ret (const action $ contenders_arg $ seed_arg)) in
+  let term =
+    Term.(ret (const action $ contenders_arg $ scenario [ "seed" ]))
+  in
   Cmd.v
     (Cmd.info "radio"
        ~doc:
@@ -698,14 +587,11 @@ let estimate_cmd =
     let doc = "JSONL trace file (produced with run --trace-out)." in
     Arg.(required & pos 0 (some file) None & info [] ~docv:"TRACE" ~doc)
   in
-  let action file topology gprime n r extra seed =
+  let action file json =
     let ( let* ) = Result.bind in
     let estimated =
-      let spec =
-        { Mmb.Scenario.default with topology; gprime; n; r; extra; seed }
-      in
-      let* () = Mmb.Scenario.check_spec spec in
-      let dual = Mmb.Scenario.build_dual spec ~seed in
+      let* spec = Mmb.Scenario.of_json json in
+      let dual = Mmb.Scenario.build_dual spec ~seed:spec.seed in
       let* entries =
         Result.map_error
           (fun e -> "trace: " ^ e)
@@ -729,8 +615,8 @@ let estimate_cmd =
   let term =
     Term.(
       ret
-        (const action $ trace_file $ topology $ gprime $ n_arg $ r_arg
-       $ extra_arg $ seed_arg))
+        (const action $ trace_file
+        $ scenario [ "topology"; "gprime"; "n"; "r"; "extra"; "seed" ]))
   in
   Cmd.v
     (Cmd.info "estimate"

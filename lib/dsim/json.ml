@@ -235,8 +235,12 @@ let to_float = function
   | Number f -> Ok f
   | _ -> Error "expected a number"
 
+(* Every integral float in [-2^62, 2^62) is an int; [min_int] is -2^62. *)
 let to_int = function
-  | Number f when Float.is_integer f -> Ok (int_of_float f)
+  | Number f when Float.is_integer f ->
+      if f >= Float.of_int min_int && f < -.Float.of_int min_int then
+        Ok (int_of_float f)
+      else Error "integer out of range"
   | Number _ -> Error "expected an integer"
   | _ -> Error "expected a number"
 

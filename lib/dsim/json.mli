@@ -26,6 +26,8 @@ val member : t -> string -> (t, string) result
 val member_opt : t -> string -> t option
 val to_float : t -> (float, string) result
 val to_int : t -> (int, string) result
+(** An integral number in [[min_int, max_int]]; any other is an [Error]. *)
+
 val to_bool : t -> (bool, string) result
 val to_str : t -> (string, string) result
 val to_list : t -> (t list, string) result

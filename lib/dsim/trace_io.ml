@@ -44,21 +44,27 @@ let parse_line line =
   match Json.parse line with
   | Error e -> Error e
   | Ok json -> (
+      (* [None] when absent; a present value [conv] refuses is an error
+         naming the field. *)
       let field key conv =
-        Option.bind (Json.member_opt json key) (fun v ->
-            Result.to_option (conv v))
+        match Json.member_opt json key with
+        | None -> Ok None
+        | Some v ->
+            Result.map Option.some
+              (Result.map_error (Printf.sprintf "field %S: %s" key) (conv v))
       in
-      match
-        ( field "t" Json.to_float,
-          field "e" Json.to_str,
-          field "node" Json.to_int,
-          field "msg" Json.to_int )
-      with
+      let ( let* ) = Result.bind in
+      let* time = field "t" Json.to_float in
+      let* kind = field "e" Json.to_str in
+      let* node = field "node" Json.to_int in
+      let* msg = field "msg" Json.to_int in
+      match (time, kind, node, msg) with
       | Some time, Some kind, Some node, Some msg -> (
           let with_inst make =
             match field "inst" Json.to_int with
-            | Some instance -> Ok { Trace.time; event = make instance }
-            | None -> Error "missing \"inst\""
+            | Ok (Some instance) -> Ok { Trace.time; event = make instance }
+            | Ok None -> Error "missing \"inst\""
+            | Error e -> Error e
           in
           match kind with
           | "arrive" -> Ok { Trace.time; event = Trace.Arrive { node; msg } }

@@ -1,7 +1,5 @@
-type arrivals = Batch | Poisson of float | Staggered of float
-
 type dyn_spec = {
-  dyn_kind : string; (* "static" | "flap" | "churn" | "adversary" *)
+  dyn_kind : [ `Static | `Flap | `Churn | `Adversary ];
   dyn_epoch : float; (* stability parameter T (epoch length) *)
   dyn_period : int; (* flap *)
   dyn_churn : float; (* churn drop rate *)
@@ -11,22 +9,32 @@ type dyn_spec = {
 type spec = {
   name : string;
   protocol : [ `Bmmb | `Fmmb | `Fmmb_online ];
-  topology : string;
+  topology : [ `Line | `Ring | `Star | `Grid | `Geometric ];
   n : int;
-  gprime : string;
+  gprime : [ `Equal | `R_restricted | `Arbitrary | `Greyzone ];
   r : int;
   extra : int;
   k : int;
   fack : float;
   fprog : float;
   seed : int;
-  scheduler : string;
-  arrivals : arrivals;
+  scheduler : [ `Eager | `Random | `Adversarial | `Bursty ];
+  arrivals : [ `Batch | `Poisson | `Staggered ];
+  rate : float;
+  gap : float;
   check : bool;
   repeat : int;
-  dynamic : dyn_spec option;
   domains : int;  (* worker domains for the partitioned engine *)
   partitions : int;  (* partition count P (resolved: >= 1) *)
+  dynamic : dyn_spec option;
+}
+
+type field = {
+  key : string;
+  kind : [ `Int | `Float | `Bool | `String ];
+  default : string;
+  doc : string;
+  flags : string list;
 }
 
 type run_result = {
@@ -42,184 +50,404 @@ type run_result = {
 
 (* --- Building blocks ----------------------------------------------------- *)
 
-(* The names {!check_spec} accepts; the builders below raise on any other
-   (a checked spec never reaches those branches). *)
-let topologies = [ "line"; "ring"; "star"; "grid"; "geometric" ]
-let regimes = [ "equal"; "r-restricted"; "arbitrary"; "greyzone" ]
-let schedulers = [ "eager"; "random"; "adversarial"; "bursty" ]
-let dynamic_kinds = [ "static"; "flap"; "churn"; "adversary" ]
-let unknown what name = invalid_arg (Printf.sprintf "unknown %s %S" what name)
-
 let build_dual { topology; gprime; n; r; extra; _ } ~seed =
   let rng = Dsim.Rng.create ~seed:(seed + 911) in
   match gprime with
-  | "greyzone" ->
+  | `Greyzone ->
       let side = sqrt (float_of_int n /. 3.) in
       Graphs.Dual.grey_zone_connected rng ~n ~width:side ~height:side ~c:2.
         ~p:0.4 ~max_tries:2000
-  | regime -> (
+  | (`Equal | `R_restricted | `Arbitrary) as regime -> (
       let g =
         match topology with
-        | "line" -> Graphs.Gen.line n
-        | "ring" -> Graphs.Gen.ring (max 3 n)
-        | "star" -> Graphs.Gen.star n
-        | "grid" ->
+        | `Line -> Graphs.Gen.line n
+        | `Ring -> Graphs.Gen.ring (max 3 n)
+        | `Star -> Graphs.Gen.star n
+        | `Grid ->
             let side = int_of_float (ceil (sqrt (float_of_int n))) in
             Graphs.Gen.grid ~rows:side ~cols:side
-        | "geometric" ->
+        | `Geometric ->
             let side = sqrt (float_of_int n /. 3.) in
             fst
               (Graphs.Gen.random_connected_geometric rng ~n ~width:side
                  ~height:side ~radius:1. ~max_tries:2000)
-        | other -> unknown "topology" other
       in
       match regime with
-      | "equal" -> Graphs.Dual.of_equal g
-      | "r-restricted" -> Graphs.Dual.r_restricted_random rng ~g ~r ~extra
-      | "arbitrary" -> Graphs.Dual.arbitrary_random rng ~g ~extra
-      | other -> unknown "G' regime" other)
+      | `Equal -> Graphs.Dual.of_equal g
+      | `R_restricted -> Graphs.Dual.r_restricted_random rng ~g ~r ~extra
+      | `Arbitrary -> Graphs.Dual.arbitrary_random rng ~g ~extra)
 
 let build_scheduler = function
-  | "eager" -> Amac.Schedulers.eager ()
-  | "random" -> Amac.Schedulers.random_compliant ()
-  | "adversarial" -> Amac.Schedulers.adversarial ()
-  | "bursty" -> Amac.Schedulers.bursty ()
-  | other -> unknown "scheduler" other
+  | `Eager -> Amac.Schedulers.eager ()
+  | `Random -> Amac.Schedulers.random_compliant ()
+  | `Adversarial -> Amac.Schedulers.adversarial ()
+  | `Bursty -> Amac.Schedulers.bursty ()
 
 (* The versioned dual a resolved [dynamic] sub-object describes, over the
    base (union) dual the static builders produced. *)
 let build_dyn ~dual dspec =
   match dspec.dyn_kind with
-  | "static" -> Dyn.Dual.of_static dual
-  | "flap" ->
+  | `Static -> Dyn.Dual.of_static dual
+  | `Flap ->
       Dyn.Dual.of_schedule
         (Dyn.Schedule.flap ~base:dual ~epoch_len:dspec.dyn_epoch
            ~period:dspec.dyn_period)
-  | "churn" ->
+  | `Churn ->
       Dyn.Dual.of_schedule
         (Dyn.Schedule.churn ~base:dual ~epoch_len:dspec.dyn_epoch
            ~rate:dspec.dyn_churn ~seed:dspec.dyn_seed)
-  | "adversary" ->
+  | `Adversary ->
       Dyn.Dual.of_schedule
         (Dyn.Schedule.adversary ~base:dual ~epoch_len:dspec.dyn_epoch
            ~seed:dspec.dyn_seed)
-  | other -> unknown "dynamic kind" other
 
-(* --- Parsing -------------------------------------------------------------- *)
+(* --- The field table ------------------------------------------------------ *)
 
 let ( let* ) = Result.bind
 
-(* Every field a scenario object may carry.  Anything else is almost
-   certainly a typo silently replaced by a default, so we reject it with
-   the full vocabulary instead of guessing. *)
-let known_fields =
+(* What an absent member means: the one place a default is written.
+   [partitions] 0 is auto, resolved by [of_json]. *)
+let defaults =
+  {
+    name = "scenario"; protocol = `Bmmb; topology = `Line; n = 30;
+    gprime = `Equal; r = 2; extra = 10; k = 4; fack = 20.; fprog = 1.;
+    seed = 1; scheduler = `Random; arrivals = `Batch; rate = 0.01;
+    gap = 10.; check = false; repeat = 1; domains = 1; partitions = 0;
+    dynamic = None;
+  }
+
+let default_dyn =
+  {
+    dyn_kind = `Static; dyn_epoch = 10.; dyn_period = 1; dyn_churn = 0.2;
+    dyn_seed = 0;
+  }
+
+let dyn s = Option.value s.dynamic ~default:default_dyn
+
+(* How a member is read into a spec's value and printed back.  A [Name]
+   carries what it names and its vocabulary. *)
+type _ ty =
+  | Int : int ty
+  | Float : float ty
+  | Bool : bool ty
+  | Text : string ty
+  | Name : string * (string * 'a) list -> 'a ty
+
+(* One scenario field: its member (dotted inside "dynamic"), how a spec
+   holds it, the range its value must lie in, what else the spec must say
+   for the field to mean anything (a member that means nothing is refused,
+   and not printed), and its mmb_sim flag's doc and option names. *)
+type entry =
+  | E : {
+      key : string;
+      ty : 'a ty;
+      get : spec -> 'a;
+      set : spec -> 'a -> spec;
+      range : ('a -> bool) * string;
+      needs : (spec -> bool) * string;
+      doc : string;
+      flags : string list;
+    }
+      -> entry
+
+let field ?(range = ((fun _ -> true), "")) ?(needs = ((fun _ -> true), ""))
+    ?(doc = "") ?(flags = []) key ty get set =
+  E { key; ty; get; set; range; needs; doc; flags }
+
+let dyn_field ?range ?doc ?flags key ty get set =
+  field ?range ?doc ?flags ("dynamic." ^ key) ty
+    (fun s -> get (dyn s))
+    (fun s x -> { s with dynamic = Some (set (dyn s) x) })
+    ~needs:((fun s -> s.dynamic <> None), {|"dynamic"|})
+
+let at_least lo what = ((fun x -> x >= lo), Printf.sprintf "%s >= %d" what lo)
+
+let table =
   [
-    "name"; "protocol"; "topology"; "n"; "gprime"; "r"; "extra"; "k"; "fack";
-    "fprog"; "seed"; "scheduler"; "arrivals"; "rate"; "gap"; "check";
-    "repeat"; "sweep"; "dynamic"; "domains"; "partitions";
+    field "name" Text (fun s -> s.name) (fun s name -> { s with name });
+    field "protocol"
+      (Name
+         ( "protocol",
+           [ ("bmmb", `Bmmb); ("fmmb", `Fmmb); ("fmmb-online", `Fmmb_online) ]
+         ))
+      (fun s -> s.protocol)
+      (fun s protocol -> { s with protocol })
+      ~flags:[ "protocol"; "p" ] ~doc:"Protocol.";
+    field "topology"
+      (Name
+         ( "topology",
+           [ ("line", `Line); ("ring", `Ring); ("star", `Star);
+             ("grid", `Grid); ("geometric", `Geometric) ] ))
+      (fun s -> s.topology)
+      (fun s topology -> { s with topology })
+      ~flags:[ "topology"; "t" ] ~doc:"Reliable graph G.";
+    field "n" Int (fun s -> s.n) (fun s n -> { s with n })
+      ~range:(at_least 1 "n") ~flags:[ "nodes"; "n" ] ~doc:"Number of nodes.";
+    field "gprime"
+      (Name
+         ( "G' regime",
+           [ ("equal", `Equal); ("r-restricted", `R_restricted);
+             ("arbitrary", `Arbitrary); ("greyzone", `Greyzone) ] ))
+      (fun s -> s.gprime)
+      (fun s gprime -> { s with gprime })
+      ~flags:[ "gprime"; "g" ]
+      ~doc:"Unreliable graph G' regime (greyzone draws its own geometric G).";
+    field "r" Int (fun s -> s.r) (fun s r -> { s with r })
+      ~range:(at_least 1 "r") ~flags:[ "radius"; "r" ]
+      ~doc:"Restriction radius for the r-restricted G' regime.";
+    field "extra" Int (fun s -> s.extra) (fun s extra -> { s with extra })
+      ~range:(at_least 0 "extra") ~flags:[ "extra" ]
+      ~doc:"Number of extra unreliable edges.";
+    field "k" Int (fun s -> s.k) (fun s k -> { s with k })
+      ~range:(at_least 1 "k") ~flags:[ "messages"; "k" ]
+      ~doc:"Number of MMB messages.";
+    field "fack" Float (fun s -> s.fack) (fun s fack -> { s with fack })
+      ~flags:[ "fack" ] ~doc:"Acknowledgment bound Fack.";
+    field "fprog" Float (fun s -> s.fprog) (fun s fprog -> { s with fprog })
+      ~flags:[ "fprog" ] ~doc:"Progress bound Fprog.";
+    field "seed" Int (fun s -> s.seed) (fun s seed -> { s with seed })
+      ~flags:[ "seed"; "s" ]
+      ~doc:"Random seed (runs are reproducible from it).";
+    field "scheduler"
+      (Name
+         ( "scheduler",
+           [ ("eager", `Eager); ("random", `Random);
+             ("adversarial", `Adversarial); ("bursty", `Bursty) ] ))
+      (fun s -> s.scheduler)
+      (fun s scheduler -> { s with scheduler })
+      ~flags:[ "scheduler" ] ~doc:"Message scheduler (bmmb).";
+    field "arrivals"
+      (Name
+         ( "arrivals",
+           [ ("batch", `Batch); ("poisson", `Poisson);
+             ("staggered", `Staggered) ] ))
+      (fun s -> s.arrivals)
+      (fun s arrivals -> { s with arrivals });
+    field "rate" Float (fun s -> s.rate) (fun s rate -> { s with rate })
+      ~range:((fun x -> x > 0.), "rate > 0")
+      ~needs:((fun s -> s.arrivals = `Poisson), {|"arrivals": "poisson"|})
+      ~flags:[ "rate" ] ~doc:"Poisson arrival rate (messages per time unit).";
+    field "gap" Float (fun s -> s.gap) (fun s gap -> { s with gap })
+      ~range:((fun x -> x >= 0.), "gap >= 0")
+      ~needs:((fun s -> s.arrivals = `Staggered), {|"arrivals": "staggered"|});
+    field "check" Bool (fun s -> s.check) (fun s check -> { s with check })
+      ~flags:[ "check" ]
+      ~doc:"Audit the execution against the five MAC-layer axioms.";
+    field "repeat" Int (fun s -> s.repeat) (fun s repeat -> { s with repeat })
+      ~range:(at_least 1 "repeat");
+    field "domains" Int (fun s -> s.domains)
+      (fun s domains -> { s with domains })
+      ~range:(at_least 1 "domains") ~flags:[ "domains" ]
+      ~doc:
+        "Worker domains for the partitioned engine (bmmb only).  $(b,0) \
+         means auto: resolve to the machine's recommended domain count, \
+         like $(b,campaign --jobs 0).  Must not exceed the partition count.";
+    field "partitions" Int (fun s -> s.partitions)
+      (fun s partitions -> { s with partitions })
+      ~range:((fun p -> p >= 1), "partitions >= 0 (0 = auto)")
+      ~flags:[ "partitions" ]
+      ~doc:
+        "Partition count P for the partitioned engine.  P is a model \
+         parameter: it fixes instance ids, RNG streams and delivery times, \
+         while --domains only maps partitions onto workers — traces are \
+         byte-identical for any domain count.  $(b,0) means auto (one \
+         partition per worker domain); $(b,1) keeps the exact serial engine.";
+    dyn_field "kind"
+      (Name
+         ( "dynamic kind",
+           [ ("static", `Static); ("flap", `Flap); ("churn", `Churn);
+             ("adversary", `Adversary) ] ))
+      (fun d -> d.dyn_kind)
+      (fun d dyn_kind -> { d with dyn_kind })
+      ~flags:[ "dynamic" ]
+      ~doc:
+        "Time-varying unreliable layer (bmmb only; the listed G' becomes the \
+         union over all epochs).";
+    dyn_field "epoch" Float (fun d -> d.dyn_epoch)
+      (fun d dyn_epoch -> { d with dyn_epoch })
+      ~range:((fun t -> t > 0.), "epoch > 0") ~flags:[ "epoch" ]
+      ~doc:"Epoch length (stability parameter T) for --dynamic.";
+    dyn_field "period" Int (fun d -> d.dyn_period)
+      (fun d dyn_period -> { d with dyn_period })
+      ~range:(at_least 1 "period") ~flags:[ "dyn-period" ]
+      ~doc:"Half-period in epochs for --dynamic flap.";
+    dyn_field "churn" Float (fun d -> d.dyn_churn)
+      (fun d dyn_churn -> { d with dyn_churn })
+      ~range:((fun p -> p >= 0. && p <= 1.), "churn in [0, 1]")
+      ~flags:[ "churn-rate" ]
+      ~doc:"Per-epoch per-edge drop probability for --dynamic churn.";
+    dyn_field "seed" Int (fun d -> d.dyn_seed)
+      (fun d dyn_seed -> { d with dyn_seed })
+      ~flags:[ "dyn-seed" ]
+      ~doc:"Seed for the churn schedule (independent of --seed).";
   ]
 
-let dynamic_fields = [ "kind"; "epoch"; "period"; "churn"; "seed" ]
+let read : type a. string -> a ty -> Dsim.Json.t -> (a, string) result =
+ fun key ty v ->
+  let typed r = Result.map_error (Printf.sprintf "field %S: %s" key) r in
+  match ty with
+  | Int -> typed (Dsim.Json.to_int v)
+  | Float ->
+      typed
+        (let* x = Dsim.Json.to_float v in
+         if Float.is_finite x then Ok x else Error "expected a finite number")
+  | Bool -> typed (Dsim.Json.to_bool v)
+  | Text -> typed (Dsim.Json.to_str v)
+  | Name (what, names) -> (
+      let* name = typed (Dsim.Json.to_str v) in
+      match List.assoc_opt name names with
+      | Some x -> Ok x
+      | None ->
+          Error
+            (Printf.sprintf "unknown %s %S; known: %s" what name
+               (String.concat ", " (List.map fst names))))
+
+let print : type a. a ty -> a -> Dsim.Json.t =
+ fun ty x ->
+  match ty with
+  | Int -> Dsim.Json.Number (float_of_int x)
+  | Float -> Dsim.Json.Number x
+  | Bool -> Dsim.Json.Bool x
+  | Text -> Dsim.Json.String x
+  | Name (_, names) ->
+      Dsim.Json.String (fst (List.find (fun (_, y) -> y = x) names))
+
+(* "dynamic.epoch" is member "epoch" of member "dynamic". *)
+let split key =
+  match String.index_opt key '.' with
+  | None -> (key, None)
+  | Some i ->
+      ( String.sub key 0 i,
+        Some (String.sub key (i + 1) (String.length key - i - 1)) )
+
+let lookup json key =
+  match split key with
+  | outer, None -> Dsim.Json.member_opt json outer
+  | outer, Some inner ->
+      Option.bind (Dsim.Json.member_opt json outer) (fun o ->
+          Dsim.Json.member_opt o inner)
+
+let rec put json key value =
+  match (json, split key) with
+  | Dsim.Json.Obj members, (key, None) ->
+      if List.mem_assoc key members then
+        Dsim.Json.Obj
+          (List.map (fun (k, v) -> (k, if k = key then value else v)) members)
+      else Dsim.Json.Obj (members @ [ (key, value) ])
+  | Dsim.Json.Obj _, (outer, Some inner) ->
+      let sub =
+        match Dsim.Json.member_opt json outer with
+        | Some (Dsim.Json.Obj _ as o) -> o
+        | _ -> Dsim.Json.Obj []
+      in
+      put json outer (put sub inner value)
+  | other, _ -> other
+
+let fields =
+  List.map
+    (fun (E f) ->
+      let kind, doc =
+        match f.ty with
+        | Int -> (`Int, f.doc)
+        | Float -> (`Float, f.doc)
+        | Bool -> (`Bool, f.doc)
+        | Text -> (`String, f.doc)
+        | Name (_, names) ->
+            ( `String,
+              Printf.sprintf "%s One of %s." f.doc
+                (String.concat ", " (List.map fst names)) )
+      in
+      let default =
+        match print f.ty (f.get defaults) with
+        | Dsim.Json.String s -> s
+        | Dsim.Json.Number x -> Printf.sprintf "%g" x
+        | v -> Dsim.Json.to_string v
+      in
+      { key = f.key; kind; default; doc; flags = f.flags })
+    table
+
+(* The fully-resolved spec as JSON, in table order: every default baked
+   in, so it is a complete content address for campaign job keying (two
+   scenario files that elaborate to the same spec share cache entries). *)
+let spec_to_json s =
+  List.fold_left
+    (fun json (E f) ->
+      if fst f.needs s then put json f.key (print f.ty (f.get s)) else json)
+    (Dsim.Json.Obj []) table
+
+(* --- Parsing -------------------------------------------------------------- *)
+
+(* Every member a scenario object may carry, in table order.  Anything
+   else is almost certainly a typo silently replaced by a default, so we
+   reject it with the full vocabulary instead of guessing. *)
+let known_fields =
+  List.fold_right
+    (fun (E f) known ->
+      let outer, _ = split f.key in
+      if List.mem outer known then known else outer :: known)
+    table [ "sweep" ]
+
+let dynamic_fields = List.filter_map (fun (E f) -> snd (split f.key)) table
 
 let validate json =
+  let unknown ~prefix known members =
+    match List.find_opt (fun (k, _) -> not (List.mem k known)) members with
+    | Some (k, _) ->
+        Error
+          (Printf.sprintf "%sunknown field %S; known fields: %s" prefix k
+             (String.concat ", " known))
+    | None -> Ok ()
+  in
+  let sub key check =
+    match Dsim.Json.member_opt json key with
+    | None | Some Dsim.Json.Null -> Ok ()
+    | Some (Dsim.Json.Obj members) -> check members
+    | Some _ -> Error (Printf.sprintf "field %S must be an object" key)
+  in
   match json with
-  | Dsim.Json.Obj members -> (
-      let unknown =
-        List.filter (fun (k, _) -> not (List.mem k known_fields)) members
-      in
-      match unknown with
-      | (k, _) :: _ ->
-          Error
-            (Printf.sprintf "unknown field %S; known fields: %s" k
-               (String.concat ", " known_fields))
-      | [] -> (
-          let* () =
-            match Dsim.Json.member_opt json "dynamic" with
-            | None | Some Dsim.Json.Null -> Ok ()
-            | Some (Dsim.Json.Obj dyn_members) -> (
-                match
-                  List.filter
-                    (fun (k, _) -> not (List.mem k dynamic_fields))
-                    dyn_members
-                with
-                | (k, _) :: _ ->
-                    Error
-                      (Printf.sprintf
-                         "dynamic: unknown field %S; known fields: %s" k
-                         (String.concat ", " dynamic_fields))
-                | [] -> Ok ())
-            | Some _ -> Error "field \"dynamic\" must be an object"
-          in
-          match Dsim.Json.member_opt json "sweep" with
-          | None | Some Dsim.Json.Null -> Ok ()
-          | Some (Dsim.Json.Obj sweep_members) -> (
-              match
-                List.filter
-                  (fun (k, _) -> k <> "param" && k <> "values")
-                  sweep_members
-              with
-              | (k, _) :: _ ->
-                  Error
-                    (Printf.sprintf
-                       "sweep: unknown field %S (a sweep object takes \
-                        \"param\" and \"values\")"
-                       k)
-              | [] -> Ok ())
-          | Some _ -> Error "field \"sweep\" must be an object"))
+  | Dsim.Json.Obj members ->
+      let* () = unknown ~prefix:"" known_fields members in
+      let* () = sub "dynamic" (unknown ~prefix:"dynamic: " dynamic_fields) in
+      sub "sweep" (fun members ->
+          match
+            List.find_opt (fun (k, _) -> k <> "param" && k <> "values") members
+          with
+          | Some (k, _) ->
+              Error
+                (Printf.sprintf
+                   "sweep: unknown field %S (a sweep object takes \"param\" \
+                    and \"values\")"
+                   k)
+          | None -> Ok ())
   | _ -> Error "a scenario must be a JSON object"
 
-(* Every rule a resolved spec must satisfy, whether it came from a
-   scenario file or from an mmb_sim subcommand's flags.  A spec that
-   passes runs: names are checked only where {!run} reads them (the
-   topology not under "greyzone", the scheduler only for BMMB). *)
+(* Every rule a resolved spec must satisfy: the table's ranges, then the
+   rules that relate fields.  A spec that passes runs. *)
 let check_spec s =
   let* () =
-    match s.dynamic with
-    | None -> Ok ()
-    | Some d ->
-        if not (List.mem d.dyn_kind dynamic_kinds) then
+    List.fold_left
+      (fun ok (E f) ->
+        let* () = ok in
+        let in_range, rule = f.range in
+        if fst f.needs s && not (in_range (f.get s)) then
           Error
-            (Printf.sprintf "dynamic: unknown kind %S; known kinds: %s"
-               d.dyn_kind
-               (String.concat ", " dynamic_kinds))
-        else if not (d.dyn_epoch > 0.) then Error "dynamic: need epoch > 0"
-        else if d.dyn_period < 1 then Error "dynamic: need period >= 1"
-        else if not (d.dyn_churn >= 0. && d.dyn_churn <= 1.) then
-          Error "dynamic: need churn in [0, 1]"
-        else Ok ()
-  in
-  let* () =
-    if s.n < 1 then Error "need n >= 1"
-    else if s.k < 1 then Error "need k >= 1"
-    else if not (s.fprog > 0. && s.fprog <= s.fack) then
-      Error "need 0 < fprog <= fack"
-    else if s.r < 1 then Error "need r >= 1"
-    else if s.extra < 0 then Error "need extra >= 0"
-    else Ok ()
-  in
-  let* () =
-    if s.gprime <> "greyzone" && not (List.mem s.topology topologies) then
-      Error (Printf.sprintf "unknown topology %S" s.topology)
-    else if not (List.mem s.gprime regimes) then
-      Error (Printf.sprintf "unknown G' regime %S" s.gprime)
-    else if s.protocol = `Bmmb && not (List.mem s.scheduler schedulers) then
-      Error (Printf.sprintf "unknown scheduler %S" s.scheduler)
-    else
-      match s.arrivals with
-      | Poisson rate when not (rate > 0.) -> Error "need rate > 0"
-      | Staggered gap when not (gap >= 0.) -> Error "need gap >= 0"
-      | Poisson _ | Staggered _ when s.protocol = `Fmmb ->
-          Error "protocol fmmb supports batch arrivals only (use fmmb-online)"
-      | _ -> Ok ()
+            (match split f.key with
+            | _, None -> "need " ^ rule
+            | outer, Some _ -> Printf.sprintf "%s: need %s" outer rule)
+        else Ok ())
+      (Ok ()) table
   in
   let partitioned = s.partitions > 1 in
-  if s.repeat < 1 then Error "need repeat >= 1"
+  if not (s.fprog > 0. && s.fprog <= s.fack) then
+    Error "need 0 < fprog <= fack"
+  else if s.arrivals <> `Batch && s.protocol = `Fmmb then
+    Error "protocol fmmb supports batch arrivals only (use fmmb-online)"
+  else if s.check && s.protocol <> `Bmmb then
+    Error "check: only protocol \"bmmb\" is audited"
   else if s.dynamic <> None && s.protocol <> `Bmmb then
     Error
       "dynamic: protocol must be \"bmmb\" (FMMB's per-stage engines do not \
        take epoch schedules)"
-  else if s.domains < 1 then Error "need domains >= 1"
-  else if s.partitions < 1 then Error "need partitions >= 0 (0 = auto)"
   else if s.domains > s.partitions then
     Error
       (Printf.sprintf
@@ -228,20 +456,16 @@ let check_spec s =
          s.domains s.partitions)
   else if partitioned && s.protocol <> `Bmmb then
     Error "partitions: the partitioned engine runs protocol \"bmmb\" only"
-  else if partitioned && (match s.arrivals with Batch -> false | _ -> true)
-  then Error "partitions: the partitioned engine is batch-arrivals only"
-  else if partitioned && s.scheduler <> "random" then
+  else if partitioned && s.arrivals <> `Batch then
+    Error "partitions: the partitioned engine is batch-arrivals only"
+  else if partitioned && s.scheduler <> `Random then
     Error
       (Printf.sprintf
          "partitions: the partitioned engine fixes the \"random\" \
-          scheduler family (got %S)"
-         s.scheduler)
-  else if
-    partitioned
-    && (match s.dynamic with
-       | Some d -> d.dyn_kind = "adversary"
-       | None -> false)
-  then
+          scheduler family (got %s)"
+         (Dsim.Json.to_string
+            (Option.get (lookup (spec_to_json s) "scheduler"))))
+  else if partitioned && (dyn s).dyn_kind = `Adversary then
     Error
       "partitions: the adversary oracle needs global delivered-set \
        knowledge and cannot be partitioned; use kind static, flap, or churn"
@@ -249,112 +473,37 @@ let check_spec s =
 
 let of_json json =
   let* () = validate json in
-  let* name = Dsim.Json.member_str json "name" ~default:"scenario" in
-  let* protocol_str = Dsim.Json.member_str json "protocol" ~default:"bmmb" in
-  let* protocol =
-    match protocol_str with
-    | "bmmb" -> Ok `Bmmb
-    | "fmmb" -> Ok `Fmmb
-    | "fmmb-online" -> Ok `Fmmb_online
-    | other -> Error (Printf.sprintf "unknown protocol %S" other)
+  let read_member spec (E f) =
+    let* s = spec in
+    match lookup json f.key with
+    | None -> Ok s
+    | Some v ->
+        let* x = read f.key f.ty v in
+        let holds, what = f.needs in
+        if holds s then Ok (f.set s x)
+        else Error (Printf.sprintf "field %S needs %s" f.key what)
   in
-  let* topology = Dsim.Json.member_str json "topology" ~default:"line" in
-  let* n = Dsim.Json.member_int json "n" ~default:30 in
-  let* gprime = Dsim.Json.member_str json "gprime" ~default:"equal" in
-  let* r = Dsim.Json.member_int json "r" ~default:2 in
-  let* extra = Dsim.Json.member_int json "extra" ~default:10 in
-  let* k = Dsim.Json.member_int json "k" ~default:4 in
-  let* fack = Dsim.Json.member_float json "fack" ~default:20. in
-  let* fprog = Dsim.Json.member_float json "fprog" ~default:1. in
-  let* seed = Dsim.Json.member_int json "seed" ~default:1 in
-  let* scheduler = Dsim.Json.member_str json "scheduler" ~default:"random" in
-  let* arrivals_str = Dsim.Json.member_str json "arrivals" ~default:"batch" in
-  let* arrivals =
-    match arrivals_str with
-    | "batch" -> Ok Batch
-    | "poisson" ->
-        let* rate = Dsim.Json.member_float json "rate" ~default:0.01 in
-        Ok (Poisson rate)
-    | "staggered" ->
-        let* gap = Dsim.Json.member_float json "gap" ~default:10. in
-        Ok (Staggered gap)
-    | other -> Error (Printf.sprintf "unknown arrivals %S" other)
-  in
-  let* check =
-    match Dsim.Json.member_opt json "check" with
-    | None -> Ok false
-    | Some v -> Dsim.Json.to_bool v
-  in
-  let* repeat = Dsim.Json.member_int json "repeat" ~default:1 in
-  let* dynamic =
+  let dynamic =
     match Dsim.Json.member_opt json "dynamic" with
-    | None | Some Dsim.Json.Null -> Ok None
-    | Some dyn ->
-        let* dyn_kind = Dsim.Json.member_str dyn "kind" ~default:"static" in
-        let* dyn_epoch = Dsim.Json.member_float dyn "epoch" ~default:10. in
-        let* dyn_period = Dsim.Json.member_int dyn "period" ~default:1 in
-        let* dyn_churn = Dsim.Json.member_float dyn "churn" ~default:0.2 in
-        let* dyn_seed = Dsim.Json.member_int dyn "seed" ~default:0 in
-        Ok (Some { dyn_kind; dyn_epoch; dyn_period; dyn_churn; dyn_seed })
+    | Some (Dsim.Json.Obj _) -> Some default_dyn
+    | _ -> None
   in
-  let* domains = Dsim.Json.member_int json "domains" ~default:1 in
+  let* s = List.fold_left read_member (Ok { defaults with dynamic }) table in
   (* [partitions] 0 means auto: one partition per requested domain.  The
      resolution uses the *requested* count (never the machine's core
      count), so the resolved spec — a campaign cache key — is identical
      on every host. *)
-  let* partitions = Dsim.Json.member_int json "partitions" ~default:0 in
-  let partitions = if partitions = 0 then max domains 1 else partitions in
-  let spec =
-    {
-      name;
-      protocol;
-      topology;
-      n;
-      gprime;
-      r;
-      extra;
-      k;
-      fack;
-      fprog;
-      seed;
-      scheduler;
-      arrivals;
-      check;
-      repeat;
-      dynamic;
-      domains;
-      partitions;
-    }
+  let s =
+    if s.partitions = 0 then { s with partitions = max s.domains 1 } else s
   in
-  let* () = check_spec spec in
-  Ok spec
+  let* () = check_spec s in
+  Ok s
 
 let of_string text =
   let* json = Dsim.Json.parse text in
   of_json json
 
 let default = Result.get_ok (of_json (Dsim.Json.Obj []))
-
-let override json key value =
-  match json with
-  | Dsim.Json.Obj members ->
-      Dsim.Json.Obj ((key, value) :: List.remove_assoc key members)
-  | other -> other
-
-(* Dotted sweep params ("dynamic.epoch", "dynamic.churn") override inside
-   the named sub-object, creating it if absent. *)
-let override_path json param value =
-  match String.index_opt param '.' with
-  | None -> override json param value
-  | Some i ->
-      let outer = String.sub param 0 i in
-      let inner = String.sub param (i + 1) (String.length param - i - 1) in
-      let sub =
-        match Dsim.Json.member_opt json outer with
-        | Some (Dsim.Json.Obj _ as o) -> o
-        | _ -> Dsim.Json.Obj []
-      in
-      override json outer (override sub inner value)
 
 let expand json =
   let* () = validate json in
@@ -364,7 +513,10 @@ let expand json =
       Ok [ spec ]
   | Some sweep ->
       let* param = Dsim.Json.member_str sweep "param" ~default:"" in
+      let textual f = f.key = param && (f.kind = `Bool || f.kind = `String) in
       if param = "" then Error "sweep: missing \"param\""
+      else if List.exists textual fields then
+        Error (Printf.sprintf "sweep: %S is not a numeric field" param)
       else
         let* values =
           match Dsim.Json.member sweep "values" with
@@ -373,27 +525,24 @@ let expand json =
         in
         if values = [] then Error "sweep: empty \"values\""
         else begin
-          let base = override json "sweep" Dsim.Json.Null in
+          let base = put json "sweep" Dsim.Json.Null in
+          let name =
+            match Dsim.Json.member_opt json "name" with
+            | Some (Dsim.Json.String s) -> s
+            | _ -> "scenario"
+          in
           let rec go acc = function
             | [] -> Ok (List.rev acc)
-            | v :: rest -> (
-                match v with
-                | Dsim.Json.Number x ->
-                    let named =
-                      override
-                        (override_path base param (Dsim.Json.Number x))
-                        "name"
-                        (Dsim.Json.String
-                           (Printf.sprintf "%s [%s=%s]"
-                              (match Dsim.Json.member_opt json "name" with
-                              | Some (Dsim.Json.String s) -> s
-                              | _ -> "scenario")
-                              param
-                              (Dsim.Json.to_string (Dsim.Json.Number x))))
-                    in
-                    let* spec = of_json named in
-                    go (spec :: acc) rest
-                | _ -> Error "sweep: values must be numbers")
+            | (Dsim.Json.Number _ as x) :: rest ->
+                let* spec =
+                  of_json
+                    (put (put base param x) "name"
+                       (Dsim.Json.String
+                          (Printf.sprintf "%s [%s=%s]" name param
+                             (Dsim.Json.to_string x))))
+                in
+                go (spec :: acc) rest
+            | _ -> Error "sweep: values must be numbers"
           in
           go [] values
         end
@@ -414,62 +563,6 @@ let load_file path =
   match expand_string text with
   | Ok specs -> Ok specs
   | Error e -> Error (Printf.sprintf "%s: %s" path e)
-
-(* The fully-resolved spec as JSON: every default baked in, so it is a
-   complete content address for campaign job keying (two scenario files
-   that elaborate to the same spec share cache entries). *)
-let spec_to_json spec =
-  let num_i i = Dsim.Json.Number (float_of_int i) in
-  Dsim.Json.Obj
-    ([
-       ("name", Dsim.Json.String spec.name);
-       ( "protocol",
-         Dsim.Json.String
-           (match spec.protocol with
-           | `Bmmb -> "bmmb"
-           | `Fmmb -> "fmmb"
-           | `Fmmb_online -> "fmmb-online") );
-       ("topology", Dsim.Json.String spec.topology);
-       ("n", num_i spec.n);
-       ("gprime", Dsim.Json.String spec.gprime);
-       ("r", num_i spec.r);
-       ("extra", num_i spec.extra);
-       ("k", num_i spec.k);
-       ("fack", Dsim.Json.Number spec.fack);
-       ("fprog", Dsim.Json.Number spec.fprog);
-       ("seed", num_i spec.seed);
-       ("scheduler", Dsim.Json.String spec.scheduler);
-       ( "arrivals",
-         Dsim.Json.String
-           (match spec.arrivals with
-           | Batch -> "batch"
-           | Poisson _ -> "poisson"
-           | Staggered _ -> "staggered") );
-     ]
-    @ (match spec.arrivals with
-      | Poisson rate -> [ ("rate", Dsim.Json.Number rate) ]
-      | Staggered gap -> [ ("gap", Dsim.Json.Number gap) ]
-      | Batch -> [])
-    @ [
-        ("check", Dsim.Json.Bool spec.check); ("repeat", num_i spec.repeat);
-        ("domains", num_i spec.domains);
-        ("partitions", num_i spec.partitions);
-      ]
-    @
-    match spec.dynamic with
-    | None -> []
-    | Some d ->
-        [
-          ( "dynamic",
-            Dsim.Json.Obj
-              [
-                ("kind", Dsim.Json.String d.dyn_kind);
-                ("epoch", Dsim.Json.Number d.dyn_epoch);
-                ("period", num_i d.dyn_period);
-                ("churn", Dsim.Json.Number d.dyn_churn);
-                ("seed", num_i d.dyn_seed);
-              ] );
-        ])
 
 (* --- Execution ------------------------------------------------------------ *)
 
@@ -502,10 +595,10 @@ let run ?(instrument = fun _ _ -> Instrument.none) ?setup spec ~seed =
   let rng = Dsim.Rng.create ~seed:(seed + 13) in
   let arrivals () =
     match spec.arrivals with
-    | Batch -> Problem.at_time_zero (Problem.random rng ~n ~k)
-    | Poisson rate -> Problem.poisson_arrivals rng ~n ~k ~rate
-    | Staggered gap ->
-        Problem.staggered_arrivals ~node:(Dsim.Rng.int rng n) ~k ~gap
+    | `Batch -> Problem.at_time_zero (Problem.random rng ~n ~k)
+    | `Poisson -> Problem.poisson_arrivals rng ~n ~k ~rate:spec.rate
+    | `Staggered ->
+        Problem.staggered_arrivals ~node:(Dsim.Rng.int rng n) ~k ~gap:spec.gap
   in
   let partitioned = spec.partitions > 1 in
   (* The partitioned engine builds one private wrapper per partition. *)
@@ -515,7 +608,7 @@ let run ?(instrument = fun _ _ -> Instrument.none) ?setup spec ~seed =
   let instrument = instrument dual dyn in
   let engine =
     match (spec.protocol, spec.arrivals) with
-    | `Bmmb, Batch when partitioned ->
+    | `Bmmb, `Batch when partitioned ->
         Partitioned
           (Runner.run_bmmb_pdes ~dual ~fack ~fprog
              ~policy:(build_scheduler spec.scheduler)
@@ -524,7 +617,7 @@ let run ?(instrument = fun _ _ -> Instrument.none) ?setup spec ~seed =
              ?mk_dyn:
                (Option.map (fun d () -> build_dyn ~dual d) spec.dynamic)
              ~check_compliance:spec.check ~instrument ())
-    | `Bmmb, Batch ->
+    | `Bmmb, `Batch ->
         Serial
           (Runner.run_bmmb ~dual ~fack ~fprog
              ~policy:(build_scheduler spec.scheduler)
@@ -573,10 +666,10 @@ let row spec ~seed { dyn; engine; _ } =
   match engine with
   | Serial r -> (
       match spec.arrivals with
-      | Batch ->
+      | `Batch ->
           make r.complete r.time ~bound:r.upper_bound ~bcasts:r.bcasts
             ~violations:r.compliance_violations
-      | Poisson _ | Staggered _ ->
+      | `Poisson | `Staggered ->
           make r.complete r.time ~bcasts:r.bcasts
             ?mean_latency:(Problem.mean_latency r.latencies)
             ~violations:r.compliance_violations)

@@ -15,19 +15,17 @@
       }
     ]}
 
+    Each member is one entry of {!fields}: its type, default, range and
+    [mmb_sim] flag.  A flag's value is a member of a one-cell scenario
+    object, which {!of_json} reads and checks as it reads a file.
     Protocols: ["bmmb"] (standard model; arrivals [batch]/[poisson]/
     [staggered]), ["fmmb"] (enhanced model, batch), ["fmmb-online"]
     (enhanced model, any arrivals, k-oblivious).  Topologies: [line],
     [ring], [star], [grid], [geometric].  G' regimes: [equal],
     [r-restricted], [arbitrary], [greyzone]. *)
 
-type arrivals =
-  | Batch
-  | Poisson of float  (** rate *)
-  | Staggered of float  (** gap *)
-
 type dyn_spec = {
-  dyn_kind : string;  (** ["static" | "flap" | "churn" | "adversary"] *)
+  dyn_kind : [ `Static | `Flap | `Churn | `Adversary ];
   dyn_epoch : float;  (** stability parameter [T] (epoch length) *)
   dyn_period : int;  (** flap half-period, in epochs *)
   dyn_churn : float;  (** per-epoch per-edge drop probability *)
@@ -37,29 +35,28 @@ type dyn_spec = {
 
     {[ "dynamic": {"kind": "churn", "epoch": 5, "churn": 0.3, "seed": 7} ]}
 
-    Unknown or ill-typed fields are rejected naming the field and the
-    vocabulary ([kind, epoch, period, churn, seed]); [kind] must be one
-    of [static], [flap], [churn], [adversary]; any [dynamic] requires
-    [protocol = "bmmb"].  Sweeps reach inside with dotted params:
+    Any [dynamic] requires [protocol = "bmmb"].  Sweeps reach inside with
+    dotted params:
     [{"sweep": {"param": "dynamic.epoch", "values": [1, 2, 4]}}]. *)
 
 type spec = {
   name : string;
   protocol : [ `Bmmb | `Fmmb | `Fmmb_online ];
-  topology : string;
+  topology : [ `Line | `Ring | `Star | `Grid | `Geometric ];
   n : int;
-  gprime : string;
+  gprime : [ `Equal | `R_restricted | `Arbitrary | `Greyzone ];
   r : int;
   extra : int;
   k : int;
   fack : float;
   fprog : float;
   seed : int;
-  scheduler : string;
-  arrivals : arrivals;
+  scheduler : [ `Eager | `Random | `Adversarial | `Bursty ];
+  arrivals : [ `Batch | `Poisson | `Staggered ];
+  rate : float;  (** used by [`Poisson] arrivals only *)
+  gap : float;  (** used by [`Staggered] arrivals only *)
   check : bool;
   repeat : int;
-  dynamic : dyn_spec option;
   domains : int;
       (** worker domains for the partitioned engine (default 1; must not
           exceed [partitions]) *)
@@ -70,11 +67,28 @@ type spec = {
           {!Runner.run_bmmb_pdes} and restricts the spec to the
           "random" scheduler, batch arrivals, and non-adversary
           dynamics. *)
+  dynamic : dyn_spec option;
 }
 
 val default : spec
-(** What an empty scenario object [{}] resolves to (name ["scenario"]);
-    [mmb_sim]'s flags default to the same values. *)
+(** What an empty scenario object [{}] resolves to (name ["scenario"]). *)
+
+type field = {
+  key : string;  (** its member, dotted inside ["dynamic"] *)
+  kind : [ `Int | `Float | `Bool | `String ];
+  default : string;  (** what an absent member means, as help prints it *)
+  doc : string;  (** its [mmb_sim] flag's help text *)
+  flags : string list;  (** its [mmb_sim] option names, or none *)
+}
+
+val fields : field list
+(** The scenario fields, one table in the order {!spec_to_json} prints
+    them.  The parser, the known-field lists, {!spec_to_json}, the range
+    rules and [mmb_sim]'s scenario flags all read it. *)
+
+val put : Dsim.Json.t -> string -> Dsim.Json.t -> Dsim.Json.t
+(** [put json key v] sets member [key] (dotted inside ["dynamic"]) of the
+    object [json] to [v], in place, or appends it. *)
 
 type run_result = {
   seed : int;
@@ -90,30 +104,21 @@ type run_result = {
 }
 
 val build_dual : spec -> seed:int -> Graphs.Dual.t
-(** The network [spec] describes, drawn from [seed + 911].  Check [spec]
-    with {!check_spec} first: an unknown name raises [Invalid_argument]. *)
+(** The network [spec] describes, drawn from [seed + 911]. *)
 
 (** {1 Scenario pipeline} *)
 
-val validate : Dsim.Json.t -> (unit, string) result
-(** Reject unknown fields (typos silently swallowed by defaults otherwise)
-    with a message listing the full field vocabulary.  [of_json] and
-    [expand] call this for you. *)
-
-val check_spec : spec -> (unit, string) result
-(** Every rule a resolved spec must satisfy: the [dynamic] kind and its
-    ranges (epoch > 0, period >= 1, churn in [[0, 1]]); [n >= 1],
-    [k >= 1], [0 < fprog <= fack], [r >= 1] and [extra >= 0]; the
-    topology (unless [gprime] is ["greyzone"], which ignores it), the G'
-    regime and, for BMMB, the scheduler name; a Poisson [rate > 0], a
-    staggered [gap >= 0], and batch arrivals for ["fmmb"];
-    [repeat >= 1], dynamic only with BMMB, [1 <= domains <= partitions],
-    and the partitioned engine's limits (BMMB, batch arrivals, the
-    "random" scheduler, no adversary).  [Error] names the first one
-    violated.  {!of_json} ends with it, and [mmb_sim]'s subcommands check
-    the spec their flags describe with it.  A spec that passes runs. *)
-
 val of_json : Dsim.Json.t -> (spec, string) result
+(** Read each member through {!fields} and check the spec.  [Error] names
+    the first rule broken: an unknown field (listing the vocabulary), a
+    mistyped or non-finite value, an unknown name (listing the names), a
+    member the spec does not read ([rate] needs [poisson] arrivals, [gap]
+    [staggered] ones), a field's range, [0 < fprog <= fack], batch
+    arrivals for ["fmmb"], [check] and [dynamic] with BMMB only,
+    [domains <= partitions], and the partitioned engine's limits (BMMB,
+    batch arrivals, the "random" scheduler, no adversary).  A spec it
+    returns runs. *)
+
 val of_string : string -> (spec, string) result
 
 val load_file : string -> (spec list, string) result
@@ -127,9 +132,9 @@ val spec_to_json : spec -> Dsim.Json.t
 val expand : Dsim.Json.t -> (spec list, string) result
 (** Like {!of_json}, but honoring an optional sweep directive:
     [{"sweep": {"param": "k", "values": [1, 2, 4]}, ...}] yields one spec
-    per value with the parameter overridden (params: any numeric scenario
-    field — "n", "k", "r", "extra", "fack", "fprog", "seed", "rate",
-    "gap").  Without a sweep, a singleton list. *)
+    per value with the parameter overridden (params: any numeric field
+    of {!fields}, e.g. "n", "fack", "dynamic.epoch").  Without a sweep, a
+    singleton list. *)
 
 val expand_string : string -> (spec list, string) result
 
@@ -168,7 +173,8 @@ val run :
     returns.  [setup] reaches the serial engine (batch or online
     arrivals), whose one event heap it can schedule into.  [spec.check]
     audits the run on every BMMB engine, the partitioned one included.
-    Raises [Invalid_argument] when {!check_spec} rejects [spec]. *)
+    Raises [Invalid_argument] when [spec] breaks a range, or a rule
+    relating fields, that {!of_json} checks. *)
 
 val execute :
   ?instrument:(Graphs.Dual.t -> Dyn.Dual.t option -> Instrument.t) ->

@@ -44,7 +44,19 @@ let test_json_accessors () =
       Alcotest.(check (result string string)) "default miss" (Ok "y")
         (Dsim.Json.member_str v "missing" ~default:"y");
       Alcotest.(check bool) "missing member errors" true
-        (Result.is_error (Dsim.Json.member v "nope"))
+        (Result.is_error (Dsim.Json.member v "nope"));
+      (* An integral number outside OCaml's int range is refused, not
+         wrapped round or truncated. *)
+      List.iter
+        (fun (x, expected) ->
+          Alcotest.(check (result int string))
+            (Printf.sprintf "%.17g" x) expected
+            (Dsim.Json.to_int (Dsim.Json.Number x)))
+        [
+          (1e20, Error "integer out of range");
+          (4611686018427387904., Error "integer out of range");
+          (-4611686018427387904., Ok min_int);
+        ]
 
 let prop_json_roundtrip =
   let rec gen_value depth =
@@ -95,8 +107,8 @@ let test_scenario_defaults () =
   match Mmb.Scenario.of_string "{}" with
   | Error e -> Alcotest.fail e
   | Ok spec ->
-      Alcotest.(check string) "default topology" "line"
-        spec.Mmb.Scenario.topology;
+      Alcotest.(check bool) "default topology" true
+        (spec.Mmb.Scenario.topology = `Line);
       Alcotest.(check int) "default n" 30 spec.Mmb.Scenario.n;
       Alcotest.(check int) "default repeat" 1 spec.Mmb.Scenario.repeat
 
@@ -125,29 +137,65 @@ let test_scenario_checks_names () =
         cfg (Error msg)
         (Result.map ignore (Mmb.Scenario.of_string cfg)))
     [
-      ({|{"topology": "bogus"}|}, {|unknown topology "bogus"|});
-      ({|{"gprime": "bogus"}|}, {|unknown G' regime "bogus"|});
-      ({|{"scheduler": "bogus"}|}, {|unknown scheduler "bogus"|});
+      ( {|{"topology": "bogus"}|},
+        {|unknown topology "bogus"; known: line, ring, star, grid, geometric|}
+      );
+      ( {|{"gprime": "bogus"}|},
+        "unknown G' regime \"bogus\"; known: equal, r-restricted, arbitrary, \
+         greyzone"
+      );
+      ( {|{"scheduler": "bogus"}|},
+        {|unknown scheduler "bogus"; known: eager, random, adversarial, bursty|}
+      );
       ({|{"arrivals": "poisson", "rate": 0}|}, "need rate > 0");
       ({|{"arrivals": "staggered", "gap": -1}|}, "need gap >= 0");
     ];
-  (* Only names a run reads are checked, so these still load. *)
+  (* Every name is read into its variant, whether or not the run uses
+     it, so these are refused too. *)
   List.iter
-    (fun cfg ->
-      Alcotest.(check bool)
-        cfg true
-        (Result.is_ok (Mmb.Scenario.of_string cfg)))
+    (fun (cfg, msg) ->
+      Alcotest.(check (result reject string))
+        cfg (Error msg)
+        (Result.map ignore (Mmb.Scenario.of_string cfg)))
     [
-      {|{"gprime": "greyzone", "topology": "bogus"}|};
-      {|{"protocol": "fmmb", "scheduler": "bogus"}|};
+      ( {|{"gprime": "greyzone", "topology": "bogus"}|},
+        {|unknown topology "bogus"; known: line, ring, star, grid, geometric|}
+      );
+      ( {|{"protocol": "fmmb", "scheduler": "bogus"}|},
+        {|unknown scheduler "bogus"; known: eager, random, adversarial, bursty|}
+      );
     ];
   Alcotest.check_raises "an unchecked spec does not run"
-    (Invalid_argument "Scenario.run: unknown scheduler \"bogus\"")
+    (Invalid_argument "Scenario.run: need n >= 1")
     (fun () ->
-      ignore
-        (Mmb.Scenario.run
-           { Mmb.Scenario.default with scheduler = "bogus" }
-           ~seed:1))
+      ignore (Mmb.Scenario.run { Mmb.Scenario.default with n = 0 } ~seed:1))
+
+(* What a spec cannot hold is refused by name: a non-finite or
+   out-of-range number, a member no run of the spec reads, and an audit
+   no engine of the spec performs. *)
+let test_scenario_refuses_unread () =
+  let refused text msg =
+    Alcotest.(check (result reject string))
+      text (Error msg)
+      (Result.map ignore (Mmb.Scenario.expand_string text))
+  in
+  refused {|{"fack": 1e400}|} {|field "fack": expected a finite number|};
+  refused {|{"n": 1e20}|} {|field "n": integer out of range|};
+  refused {|{"rate": 0.5}|} {|field "rate" needs "arrivals": "poisson"|};
+  refused {|{"arrivals": "poisson", "gap": 1}|}
+    {|field "gap" needs "arrivals": "staggered"|};
+  refused {|{"sweep": {"param": "rate", "values": [0.1, 0.2]}}|}
+    {|field "rate" needs "arrivals": "poisson"|};
+  refused {|{"sweep": {"param": "name", "values": [1]}}|}
+    {|sweep: "name" is not a numeric field|};
+  List.iter
+    (fun protocol ->
+      refused
+        (Printf.sprintf
+           {|{"protocol": %S, "check": true, "gprime": "greyzone", "n": 30}|}
+           protocol)
+        {|check: only protocol "bmmb" is audited|})
+    [ "fmmb"; "fmmb-online" ]
 
 let test_scenario_bmmb_batch () =
   let spec =
@@ -235,6 +283,8 @@ let suite =
           test_scenario_rejects_bad_config;
         Alcotest.test_case "names checked at load" `Quick
           test_scenario_checks_names;
+        Alcotest.test_case "refuses what a spec cannot hold" `Quick
+          test_scenario_refuses_unread;
         Alcotest.test_case "bmmb batch" `Quick test_scenario_bmmb_batch;
         Alcotest.test_case "bmmb online" `Quick test_scenario_online;
         Alcotest.test_case "fmmb rejects online arrivals" `Quick
@@ -369,6 +419,83 @@ let test_spec_to_json_roundtrip () =
     (Dsim.Json.to_string json)
     (Dsim.Json.to_string (Mmb.Scenario.spec_to_json spec'))
 
+(* The bytes [spec_to_json] prints are the campaign's cache keys: pinned
+   over every spec scenarios/*.json expands to, then six edge inputs. *)
+let test_spec_to_json_pinned () =
+  let dir = "../scenarios" in
+  let files =
+    Sys.readdir dir |> Array.to_list
+    |> List.filter (fun f -> Filename.check_suffix f ".json")
+    |> List.sort String.compare
+  in
+  let ok = function Ok x -> x | Error e -> Alcotest.fail e in
+  let specs =
+    List.concat_map
+      (fun f -> ok (Mmb.Scenario.load_file (Filename.concat dir f)))
+      files
+    @ List.map
+        (fun text -> ok (Mmb.Scenario.of_string text))
+        [
+          {|{}|};
+          {|{"arrivals":"staggered","gap":3,"protocol":"fmmb-online"}|};
+          {|{"dynamic":{}}|};
+          {|{"dynamic":{"kind":"flap","period":3},"partitions":2}|};
+          {|{"domains":3}|};
+          {|{"gprime":"greyzone","n":20}|};
+        ]
+  in
+  let lines =
+    List.map
+      (fun s -> Dsim.Json.to_string (Mmb.Scenario.spec_to_json s) ^ "\n")
+      specs
+  in
+  Alcotest.(check int) "specs" 15 (List.length lines);
+  Alcotest.(check string) "md5 of the 15 lines"
+    "b47a6b3c7deeefac25d78eedc35dd6f9"
+    (Digest.to_hex (Digest.string (String.concat "" lines)))
+
+(* The known-field lists, the dynamic vocabulary and mmb_sim's flags all
+   come from one table. *)
+let test_one_table () =
+  let keys = List.map (fun f -> f.Mmb.Scenario.key) Mmb.Scenario.fields in
+  let outer key = List.hd (String.split_on_char '.' key) in
+  let top =
+    List.fold_left
+      (fun acc key ->
+        if List.mem (outer key) acc then acc else acc @ [ outer key ])
+      [] keys
+  in
+  let dynamic =
+    List.filter_map
+      (fun key ->
+        match String.split_on_char '.' key with
+        | [ "dynamic"; inner ] -> Some inner
+        | _ -> None)
+      keys
+  in
+  let refusal text =
+    match Mmb.Scenario.of_string text with
+    | Ok _ -> Alcotest.failf "accepted %s" text
+    | Error e -> e
+  in
+  Alcotest.(check string) "known fields: the top-level keys, then sweep"
+    ("unknown field \"x\"; known fields: "
+    ^ String.concat ", " (top @ [ "sweep" ]))
+    (refusal {|{"x": 1}|});
+  Alcotest.(check string) "the dynamic vocabulary: the dynamic.* keys"
+    ("dynamic: unknown field \"x\"; known fields: "
+    ^ String.concat ", " dynamic)
+    (refusal {|{"dynamic": {"x": 1}}|});
+  let unique what names =
+    Alcotest.(check (list string))
+      what
+      (List.sort_uniq String.compare names)
+      (List.sort String.compare names)
+  in
+  unique "keys are unique" keys;
+  unique "flag names are unique"
+    (List.concat_map (fun f -> f.Mmb.Scenario.flags) Mmb.Scenario.fields)
+
 let test_no_sweep_is_singleton () =
   match Mmb.Scenario.expand_string {|{"n": 7}|} with
   | Ok [ spec ] -> Alcotest.(check int) "n" 7 spec.Mmb.Scenario.n
@@ -393,6 +520,9 @@ let sweep_suite =
         test_load_file_expands;
       Alcotest.test_case "spec_to_json round-trips" `Quick
         test_spec_to_json_roundtrip;
+      Alcotest.test_case "spec_to_json bytes pinned" `Quick
+        test_spec_to_json_pinned;
+      Alcotest.test_case "one field table" `Quick test_one_table;
     ] )
 
 let suite = suite @ [ sweep_suite ]
