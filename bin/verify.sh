@@ -14,9 +14,10 @@
 #                           a partitioned checked run (n = 10^4, P = 8,
 #                           N = 2, --check, pinned output),
 #                           a large adversarial checked run (n = 4096,
-#                           k = 16, pinned output), the same run on a
-#                           churned dual (pinned output and metrics-file
-#                           MD5), a large serial run
+#                           k = 16, pinned output), a large eager
+#                           checked run (same grid, pinned output), the
+#                           adversarial run on a churned dual (pinned
+#                           output and metrics-file MD5), a large serial run
 #                           (n = 250000, pinned output),
 #                           the n = 10^6 partitioned grid run
 #                           (EXPERIMENTS.md E18) and an n = 10^5
@@ -205,6 +206,20 @@ else
         printf "%s\n" "$out" | grep -qx "bcasts: 65536, rcvs: 328132, forced progress deliveries: 103053" &&
         printf "%s\n" "$out" | grep -qx "engine: 393684 events executed" &&
         printf "%s\n" "$out" | grep -q "^compliance: OK"'
+    # The eager scheduler at scale: every delivery of every bcast lands
+    # 0.1 Fprog after it, so about 520,000 deliveries share one delay and
+    # queue in one of the event queue's lanes, with equal-time ties that
+    # must pop in posting order.  The run must reproduce its time and
+    # counts exactly and pass the audit.
+    gate "large eager checked run (grid -n 4096 -k 16 --scheduler eager --check)" \
+      sh -c 'out=$(dune exec bin/mmb_sim.exe -- run -t grid -n 4096 \
+          -g r-restricted --extra 8192 -k 16 --scheduler eager \
+          --check --seed 7) &&
+        printf "%s\n" "$out" | grep -x -e "time: .*" -e "bcasts: .*" -e "engine: .*" -e "compliance: .*" &&
+        printf "%s\n" "$out" | grep -qx "time: 6" &&
+        printf "%s\n" "$out" | grep -qx "bcasts: 65536, rcvs: 520192, forced progress deliveries: 0" &&
+        printf "%s\n" "$out" | grep -qx "engine: 585744 events executed" &&
+        printf "%s\n" "$out" | grep -qx "compliance: OK (all five axioms hold)"'
     # The same adversary under churn: a sender's pinned G'-row can hold
     # a receiver whose current epoch has dropped the link, so a watchdog
     # must look for its candidates over the union G'.  Looking over the
@@ -259,6 +274,7 @@ else
     skip "large checked run (grid -n 4096 -k 64 --check)" "run with --full"
     skip "partitioned checked run (grid -n 10000 -g r-restricted --partitions 8 --domains 2 --check)" "run with --full"
     skip "large adversarial checked run (grid -n 4096 -k 16 --scheduler adversarial --check)" "run with --full"
+    skip "large eager checked run (grid -n 4096 -k 16 --scheduler eager --check)" "run with --full"
     skip "large churned adversarial checked run (grid -n 4096 -k 16 --scheduler adversarial --dynamic churn --check)" "run with --full"
     skip "large serial run (grid -n 250000 -k 2, pinned time and events)" "run with --full"
     skip "E18 million-node grid (-n 1000000 --partitions 8 --domains 2)" "run with --full"

@@ -1,11 +1,12 @@
-(* Binary min-heap over (time, seq) keys that orders slots; the caller
-   keeps each entry's payload by slot.  An entry lives in a slot,
-   recycled through a free-slot stack; its handle is an immediate int
-   packing (seq, slot), seq in the high bits.  By heap position we keep
-   [times] (unboxed floats) and [keys] (handles): seqs are unique and sit
-   above the slot, so comparing two keys as ints compares their seqs,
-   and a sift chases no pointer.  By slot we keep [occupant], the handle
-   of the slot's live entry or [free_mark].
+(* Binary min-heap over (time, seq) keys that orders slots, plus FIFO
+   lanes for repeated delays; the caller keeps each entry's payload by
+   slot.  An entry lives in a slot, recycled through a free-slot stack;
+   its handle is an immediate int packing (seq, slot), seq in the high
+   bits.  By heap position we keep [times] (unboxed floats) and [keys]
+   (handles): seqs are unique and sit above the slot, so comparing two
+   keys as ints compares their seqs, and a sift chases no pointer.  By
+   slot we keep [occupant], the handle of the slot's live entry or
+   [free_mark].
 
    So [push] allocates nothing once the arrays have grown, and a handle
    is live iff its slot's occupant is that handle.  A slot is freed as
@@ -15,7 +16,22 @@
    surfaces at the root, where the one shared drain ([drop_dead])
    discards it, or until dead keys outnumber live ones and [compact]
    drops them all; [live] counts only live entries, so [length] is
-   exact. *)
+   exact.
+
+   Lanes.  Lane [l] (numbered from 1) is a ring of (time, key) pairs,
+   [ring_times.(l)] and [ring_keys.(l)], for entries pushed with delay
+   [delays.(l)].  A ring is sorted by (time, key): an entry joins a
+   non-empty ring only if its time is at least the ring's last one, and
+   its seq is the largest yet.  The ring's first entry is also in the
+   heap; the rest are not.  So the heap's root is the minimum of every
+   stored entry, and popping a lane's first entry puts the lane's next
+   live entry in its place at the root (dead entries behind the first
+   are skipped there, or dropped by [compact]).  The root belongs to the
+   lane whose first key it is, if any: keys are unique, so this holds
+   for a dead key too, whatever its slot now holds.  With at most
+   [max_lanes] lanes, that is a short scan of [firsts], and a heap with
+   no lane open scans nothing.  [delays.(0)] is the last delay pushed
+   outside a lane: a delay that repeats it opens a lane. *)
 
 type handle = int
 
@@ -28,6 +44,9 @@ let max_seq = (1 lsl (62 - slot_bits)) - 1
 let free_mark = -1
 let none = free_mark
 let slot h = h land slot_mask
+
+(* Lanes a heap opens at most: one per delay that repeats. *)
+let max_lanes = 4
 
 type t = {
   mutable times : float array; (* times.(i) keys keys.(i) *)
@@ -42,12 +61,25 @@ type t = {
   mutable high_water : int; (* max [live] ever observed *)
   mutable n_cancelled : int; (* entries cancelled while still live *)
   mutable n_compactions : int;
+  (* By lane, from 1; index 0 of [delays] is the last delay pushed
+     outside a lane, and unused in the others, which are empty until a
+     lane opens.  A lane's ring holds [ring_len.(l)] entries from
+     [ring_head.(l)], its capacity a power of two, and [firsts.(l)] is
+     the key of its first entry, or [none] when it is empty. *)
+  mutable delays : float array;
+  mutable ring_times : float array array;
+  mutable ring_keys : int array array;
+  mutable ring_head : int array;
+  mutable ring_len : int array;
+  mutable firsts : int array;
 }
 
 let create () =
   { times = [||]; keys = [||]; size = 0; occupant = [||]; slots = 0;
     free = [||]; n_free = 0; live = 0; next_seq = 0; high_water = 0;
-    n_cancelled = 0; n_compactions = 0 }
+    n_cancelled = 0; n_compactions = 0; delays = [| nan |];
+    ring_times = [||]; ring_keys = [||]; ring_head = [||]; ring_len = [||];
+    firsts = [||] }
 
 let length t = t.live
 let is_empty t = t.live = 0
@@ -61,6 +93,8 @@ let grown a fill =
   let a' = Array.make (if cap = 0 then 16 else 2 * cap) fill in
   Array.blit a 0 a' 0 cap;
   a'
+
+let[@inline] is_live t key = t.occupant.(key land slot_mask) = key
 
 (* Hole-based sifts: the moving (time, key) pair is read from the arrays
    into registers (a float argument would be boxed) and written once at
@@ -136,6 +170,37 @@ let sift_down t ~top ~n ~src =
   times.(!i) <- time;
   keys.(!i) <- key
 
+(* Top-down sift of the root: the entry just written there moves down
+   while a child is smaller.  A lane's next entry is seldom far from the
+   minimum, so this usually stops at the first level, where the
+   bottom-up sift would walk to a leaf and back. *)
+let sift_root t =
+  let times = t.times and keys = t.keys in
+  let n = t.size in
+  let time = times.(0) and key = keys.(0) in
+  let hole = ref 0 in
+  let l = ref 1 in
+  while !l < n do
+    let l0 = !l in
+    let r = l0 + 1 in
+    let c =
+      if r < n then
+        let tl = times.(l0) and tr = times.(r) in
+        if tr < tl || (tr = tl && keys.(r) < keys.(l0)) then r else l0
+      else l0
+    in
+    let ct = times.(c) in
+    if ct < time || (ct = time && keys.(c) < key) then begin
+      times.(!hole) <- ct;
+      keys.(!hole) <- keys.(c);
+      hole := c;
+      l := (2 * c) + 1
+    end
+    else l := n
+  done;
+  times.(!hole) <- time;
+  keys.(!hole) <- key
+
 (* A free slot: the most recently freed one, else a fresh one. *)
 let take_slot t =
   if t.n_free > 0 then begin
@@ -160,49 +225,180 @@ let release t slot =
   t.n_free <- t.n_free + 1;
   t.live <- t.live - 1
 
-(* Claim a slot and a key for a new entry at the end of the heap; the
-   caller writes its time there and sifts it up. *)
-let append t =
+(* Claim a slot and a key for a new entry. *)
+let claim t =
   if t.next_seq > max_seq then
     invalid_arg "Heap.push: more than 2^34 pushes overflow the handle";
   let slot = take_slot t in
   let key = (t.next_seq lsl slot_bits) lor slot in
   t.next_seq <- t.next_seq + 1;
   t.occupant.(slot) <- key;
+  t.live <- t.live + 1;
+  if t.live > t.high_water then t.high_water <- t.live;
+  key
+
+(* Add [key] at the end of the heap; the caller writes its time there
+   and sifts it up. *)
+let[@inline] append t key =
   if t.size = Array.length t.keys then begin
     t.times <- grown t.times 0.;
     t.keys <- grown t.keys key
   end;
   t.keys.(t.size) <- key;
-  t.size <- t.size + 1;
-  t.live <- t.live + 1;
-  if t.live > t.high_water then t.high_water <- t.live;
-  key
+  t.size <- t.size + 1
 
 (* Inlined into both pushes, so [push_after]'s sum is never boxed. *)
 let[@inline] insert t time =
-  if Float.is_nan time then invalid_arg "Heap.push: NaN time";
-  let key = append t in
+  let key = claim t in
+  append t key;
   let j = t.size - 1 in
   t.times.(j) <- time;
   sift_up t j;
   key
 
-let push t ~time = insert t time
-let push_after t ~now ~delay = insert t (now.(0) +. delay)
+let push t ~time =
+  if Float.is_nan time then invalid_arg "Heap.push: NaN time";
+  insert t time
+
+(* Double lane [l]'s full ring, unwrapping it to start at 0. *)
+let grow_ring t l =
+  let times = t.ring_times.(l) and keys = t.ring_keys.(l) in
+  let cap = Array.length keys and head = t.ring_head.(l) in
+  let times' = Array.make (2 * cap) 0. and keys' = Array.make (2 * cap) 0 in
+  let first = cap - head in
+  Array.blit times head times' 0 first;
+  Array.blit keys head keys' 0 first;
+  Array.blit times 0 times' first head;
+  Array.blit keys 0 keys' first head;
+  t.ring_times.(l) <- times';
+  t.ring_keys.(l) <- keys';
+  t.ring_head.(l) <- 0
+
+(* Add a lane for [delays.(0)], the delay just repeated, and return its
+   number.  Its ring is the only lane storage, so a heap whose delays
+   never repeat allocates none. *)
+let open_lane t =
+  let l = Array.length t.delays in
+  let widen a fill =
+    let a' = Array.make (l + 1) fill in
+    Array.blit a 0 a' 0 (Array.length a);
+    a'
+  in
+  t.delays <- widen t.delays t.delays.(0);
+  t.ring_times <- widen t.ring_times (Array.make 16 0.);
+  t.ring_keys <- widen t.ring_keys (Array.make 16 0);
+  t.ring_head <- widen t.ring_head 0;
+  t.ring_len <- widen t.ring_len 0;
+  t.firsts <- widen t.firsts none;
+  l
+
+(* Push an entry at [time] to the tail of lane [l]; the caller checked
+   that no entry of the ring is later.  The first entry of an empty ring
+   goes into the heap as well. *)
+let[@inline] lane_push t l time =
+  let len = t.ring_len.(l) in
+  let key =
+    if len = 0 then begin
+      let key = insert t time in
+      t.firsts.(l) <- key;
+      key
+    end
+    else claim t
+  in
+  if len = Array.length t.ring_keys.(l) then grow_ring t l;
+  let keys = t.ring_keys.(l) in
+  let i = (t.ring_head.(l) + len) land (Array.length keys - 1) in
+  t.ring_times.(l).(i) <- time;
+  keys.(i) <- key;
+  t.ring_len.(l) <- len + 1;
+  key
+
+let push_after t ~now ~delay =
+  let time = now.(0) +. delay in
+  if Float.is_nan time then invalid_arg "Heap.push: NaN time";
+  (* The lane of [delay], or the number of lanes plus one. *)
+  let delays = t.delays in
+  let l = ref 1 in
+  while !l < Array.length delays && delays.(!l) <> delay do
+    incr l
+  done;
+  let l = !l in
+  if l < Array.length delays then begin
+    let len = t.ring_len.(l) in
+    let keys = t.ring_keys.(l) in
+    if
+      len = 0
+      || time >= t.ring_times.(l).((t.ring_head.(l) + len - 1)
+                                   land (Array.length keys - 1))
+    then lane_push t l time
+    else insert t time
+  end
+  else if delay = delays.(0) && l <= max_lanes then
+    lane_push t (open_lane t) time
+  else begin
+    delays.(0) <- delay;
+    insert t time
+  end
+
+(* The lane whose first entry is [key], or 0 when there is none: then it
+   is a heap entry. *)
+let[@inline] lane_first t key =
+  let firsts = t.firsts in
+  let l = ref 1 in
+  while !l < Array.length firsts && firsts.(!l) <> key do
+    incr l
+  done;
+  if !l < Array.length firsts then !l else 0
+
+(* Entries the lanes hold beyond their first ones, which are in the
+   heap. *)
+let lane_extra t =
+  let extra = ref 0 in
+  for l = 1 to Array.length t.ring_len - 1 do
+    if t.ring_len.(l) > 1 then extra := !extra + t.ring_len.(l) - 1
+  done;
+  !extra
 
 (* Drop every dead key and re-heapify bottom-up (Floyd).  Run once dead
    keys outnumber live ones, so its O(size) cost is paid for by the
-   cancels that made more than half the keys dead. *)
+   cancels that made more than half the keys dead.  Each ring keeps its
+   live entries in order; a ring whose first entry was dead puts its new
+   first entry in the heap, in the position the dead one left. *)
 let compact t =
-  let times = t.times and keys = t.keys and occupant = t.occupant in
+  let times = t.times and keys = t.keys in
   let n = ref 0 in
   for i = 0 to t.size - 1 do
     let key = keys.(i) in
-    if occupant.(key land slot_mask) = key then begin
+    if is_live t key then begin
       times.(!n) <- times.(i);
       keys.(!n) <- key;
       incr n
+    end
+  done;
+  for l = 1 to Array.length t.ring_len - 1 do
+    let len = t.ring_len.(l) in
+    if len > 0 then begin
+      let rtimes = t.ring_times.(l) and rkeys = t.ring_keys.(l) in
+      let mask = Array.length rkeys - 1 and head = t.ring_head.(l) in
+      let first_live = is_live t rkeys.(head) in
+      let kept = ref 0 in
+      for i = 0 to len - 1 do
+        let src = (head + i) land mask in
+        let key = rkeys.(src) in
+        if is_live t key then begin
+          let dst = (head + !kept) land mask in
+          rtimes.(dst) <- rtimes.(src);
+          rkeys.(dst) <- key;
+          incr kept
+        end
+      done;
+      t.ring_len.(l) <- !kept;
+      t.firsts.(l) <- (if !kept > 0 then rkeys.(head) else none);
+      if (not first_live) && !kept > 0 then begin
+        times.(!n) <- rtimes.(head);
+        keys.(!n) <- rkeys.(head);
+        incr n
+      end
     end
   done;
   let n = !n in
@@ -218,7 +414,7 @@ let cancel t h =
     if t.occupant.(slot) = h then begin
       release t slot;
       t.n_cancelled <- t.n_cancelled + 1;
-      if t.size - t.live > t.live then compact t
+      if t.size + lane_extra t - t.live > t.live then compact t
     end
   end
 
@@ -227,20 +423,51 @@ let remove_root t =
   t.size <- last;
   if last > 0 then sift_down t ~top:0 ~n:last ~src:last
 
+(* The root is lane [l]'s first entry: drop it from the ring, skip the
+   dead entries behind it, and put the next live one at the root. *)
+let advance t l =
+  let rtimes = t.ring_times.(l) and rkeys = t.ring_keys.(l) in
+  let mask = Array.length rkeys - 1 in
+  let head = ref ((t.ring_head.(l) + 1) land mask) in
+  let len = ref (t.ring_len.(l) - 1) in
+  while !len > 0 && not (is_live t rkeys.(!head)) do
+    head := (!head + 1) land mask;
+    decr len
+  done;
+  t.ring_head.(l) <- !head;
+  t.ring_len.(l) <- !len;
+  if !len = 0 then begin
+    t.firsts.(l) <- none;
+    remove_root t
+  end
+  else begin
+    t.firsts.(l) <- rkeys.(!head);
+    t.times.(0) <- rtimes.(!head);
+    t.keys.(0) <- rkeys.(!head);
+    sift_root t
+  end
+
+(* Remove the root, whose key is [key]: a lane's first entry gives way
+   to the lane's next. *)
+let[@inline] remove_first t key =
+  let l = lane_first t key in
+  if l = 0 then remove_root t else advance t l
+
 (* The one dead-entry drain, shared by every read of the root. *)
 let rec drop_dead t =
   if t.size > 0 then begin
     let key = t.keys.(0) in
-    if t.occupant.(key land slot_mask) <> key then begin
-      remove_root t;
+    if not (is_live t key) then begin
+      remove_first t key;
       drop_dead t
     end
   end
 
 (* Pop the (live) root and free its slot. *)
 let take_root t =
-  let slot = t.keys.(0) land slot_mask in
-  remove_root t;
+  let key = t.keys.(0) in
+  remove_first t key;
+  let slot = key land slot_mask in
   release t slot;
   slot
 

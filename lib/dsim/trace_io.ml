@@ -104,26 +104,37 @@ let sink_close s =
   end
 
 (* Entries are numbered from 1 in list order, as [of_jsonl] numbers the
-   non-blank lines it parsed them from. *)
+   non-blank lines it parsed them from.  [broadcast] maps an instance to
+   its bcast's time. *)
 let check ~n entries =
   let broadcast = Hashtbl.create 64 in
   let rec go line = function
     | [] -> Ok ()
-    | { Trace.event; _ } :: rest -> (
+    | { Trace.time; event } :: rest -> (
         let node, _, inst = fields_of_event event in
-        if node < 0 || node >= n then
+        if not (Float.is_finite time) then
+          Error (Printf.sprintf "line %d: time %g is not finite" line time)
+        else if node < 0 || node >= n then
           Error
             (Printf.sprintf "line %d: node %d is not in the %d-node network"
                line node n)
         else
           match (event, inst) with
           | Trace.Bcast _, Some i ->
-              Hashtbl.replace broadcast i ();
+              Hashtbl.replace broadcast i time;
               go (line + 1) rest
-          | _, Some i when not (Hashtbl.mem broadcast i) ->
-              Error
-                (Printf.sprintf "line %d: instance %d was never broadcast" line
-                   i)
+          | _, Some i -> (
+              match Hashtbl.find_opt broadcast i with
+              | None ->
+                  Error
+                    (Printf.sprintf "line %d: instance %d was never broadcast"
+                       line i)
+              | Some start when time < start ->
+                  Error
+                    (Printf.sprintf
+                       "line %d: time %g is before instance %d's bcast at %g"
+                       line time i start)
+              | Some _ -> go (line + 1) rest)
           | _ -> go (line + 1) rest)
   in
   go 1 entries

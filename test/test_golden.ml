@@ -68,14 +68,10 @@ let test_golden_is_compliant () =
 
 let md5_of_trace tr = Digest.to_hex (Digest.string (Dsim.Trace_io.to_jsonl tr))
 
-(* FMMB over the continuous-time MAC in Generous mode, on a 5x5 lattice
-   of spacing 0.7 jittered by up to 0.1 (the benchmark's fmmb_grey
-   shape), with G' the grey zone out to c = 2.  Every round delivers
-   each instance to all contenders at one instant (about 46,000 of its
-   54,000 entries share their time with the previous Rcv), and its acks
-   sit 100 Fprog out until the round's aborts cancel them (about 10,700
-   cancels). *)
-let test_fmmb_generous_pinned () =
+(* Continuous FMMB in [mode] on a 5x5 lattice of spacing 0.7 jittered by
+   up to 0.1 (the benchmark's fmmb_grey shape), with G' the grey zone
+   out to c = 2: whether it completed, and its trace. *)
+let fmmb_lattice_trace mode =
   let seed = 3 and side = 5 and k = 4 in
   let rng = Dsim.Rng.create ~seed in
   let n = side * side in
@@ -94,18 +90,36 @@ let test_fmmb_generous_pinned () =
     Mmb.Fmmb.run ~dual ~fprog:1. ~rng:(Dsim.Rng.create ~seed)
       ~policy:(Amac.Enhanced_mac.minimal_random ())
       ~params:(Mmb.Fmmb.default_params ~n ~k ~c:2.)
-      ~assignment ~tracker
-      ~backend:(Mmb.Fmmb.Continuous Amac.Round_sync.Generous) ~trace:tr ()
+      ~assignment ~tracker ~backend:(Mmb.Fmmb.Continuous mode) ~trace:tr ()
   in
-  Alcotest.(check bool) "completes" true r.Mmb.Fmmb.complete;
+  (r.Mmb.Fmmb.complete, tr)
+
+(* Generous mode: every round delivers each instance to all contenders
+   at one instant (about 46,000 of its 54,000 entries share their time
+   with the previous Rcv), and its acks sit 100 Fprog out until the
+   round's aborts cancel them (about 10,700 cancels). *)
+let test_fmmb_generous_pinned () =
+  let complete, tr = fmmb_lattice_trace Amac.Round_sync.Generous in
+  Alcotest.(check bool) "completes" true complete;
   Alcotest.(check int) "trace entries" 53_983 (Dsim.Trace.length tr);
   Alcotest.(check string) "trace md5" "2508984f9bbd3ecd82118fbf0d6a1fb0"
     (md5_of_trace tr)
 
-(* BMMB under the random scheduler on a 16x16 grid with an r-restricted
-   G' (r = 2, 512 extra edges) and 8 messages at random nodes: its
-   queue holds up to about 1,100 live events at once. *)
-let test_serial_random_pinned () =
+(* Minimal mode: each bcast plans its reliable deliveries and its ack at
+   Fack, one delay, so they all queue in one lane until the round's
+   aborts cancel them; the only receptions are the watchdogs' forced
+   ones. *)
+let test_fmmb_minimal_pinned () =
+  let complete, tr = fmmb_lattice_trace Amac.Round_sync.Minimal in
+  Alcotest.(check bool) "completes" true complete;
+  Alcotest.(check int) "trace entries" 10_973 (Dsim.Trace.length tr);
+  Alcotest.(check string) "trace md5" "08542e053a860fbfd640dfe72621a6e6"
+    (md5_of_trace tr)
+
+(* BMMB on a 16x16 grid with an r-restricted G' (r = 2, 512 extra
+   edges) and 8 messages at random nodes, under [policy]: the run, its
+   trace and its engine. *)
+let serial_grid_run policy =
   let seed = 3 and side = 16 in
   let rng = Dsim.Rng.create ~seed in
   let g = Graphs.Gen.grid ~rows:side ~cols:side in
@@ -116,15 +130,29 @@ let test_serial_random_pinned () =
   let sim = ref None in
   let r, tr =
     Kept.run (fun instrument ->
-        Mmb.Runner.run_bmmb ~dual ~fack:8. ~fprog:1.
-          ~policy:(Amac.Schedulers.random_compliant ())
-          ~assignment ~seed ~check_compliance:true ~instrument
+        Mmb.Runner.run_bmmb ~dual ~fack:8. ~fprog:1. ~policy ~assignment
+          ~seed ~check_compliance:true ~instrument
           ~setup:(fun s -> sim := Some s)
           ())
   in
+  (r, tr, Option.get !sim)
+
+(* The eager scheduler: every delivery and ack lands 0.1 Fprog after its
+   bcast, so the deliveries of one bcast are equal-time ties, and all
+   of them share one delay. *)
+let test_serial_eager_pinned () =
+  let r, tr, _ = serial_grid_run (Amac.Schedulers.eager ()) in
   Alcotest.(check bool) "completes" true r.Mmb.Runner.complete;
-  Alcotest.(check int) "queue high water" 1_103
-    (Dsim.Sim.heap_high_water (Option.get !sim));
+  Alcotest.(check int) "trace entries" 22_024 (Dsim.Trace.length tr);
+  Alcotest.(check string) "trace md5" "7ec376d746cdfad3e68e3df42fd6759c"
+    (md5_of_trace tr)
+
+(* The random scheduler: the queue holds up to about 1,100 live events
+   at once. *)
+let test_serial_random_pinned () =
+  let r, tr, sim = serial_grid_run (Amac.Schedulers.random_compliant ()) in
+  Alcotest.(check bool) "completes" true r.Mmb.Runner.complete;
+  Alcotest.(check int) "queue high water" 1_103 (Dsim.Sim.heap_high_water sim);
   Alcotest.(check string) "trace md5" "58df86788244d991bd0e28abf81eb264"
     (md5_of_trace tr)
 
@@ -187,6 +215,10 @@ let suite =
           test_golden_is_compliant;
         Alcotest.test_case "FMMB generous trace pinned" `Quick
           test_fmmb_generous_pinned;
+        Alcotest.test_case "FMMB minimal trace pinned" `Quick
+          test_fmmb_minimal_pinned;
+        Alcotest.test_case "serial eager-scheduler trace pinned" `Quick
+          test_serial_eager_pinned;
         Alcotest.test_case "serial random-scheduler trace pinned" `Quick
           test_serial_random_pinned;
         Alcotest.test_case "structured bodies under the adversary pinned"

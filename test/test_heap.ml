@@ -126,14 +126,24 @@ let test_stale_handle_after_slot_reuse () =
    values, so once the arrays have grown a push-cancel-peek cycle
    allocates nothing (an entry record per push would cost 4 words).  The
    peek is [pop_until] with a horizon before every entry: it drains the
-   dead root and hands back no time, so no float is boxed. *)
+   dead root and hands back no time, so no float is boxed.  Its delays
+   repeat, so its [push_after]s go to open lanes (delay 2 opens before
+   the count starts, delay 1 in the warm-up): it cancels a lane entry,
+   and pops a lane's first entry, which puts the next one at the root.
+   The clock stays at 0, so three delay-2 entries stay live. *)
 let test_push_allocates_nothing () =
   let h = Dsim.Heap.create () in
-  let cell = [| 0. |] in
+  let cell = [| 0. |] and out = [| 0. |] in
+  for _ = 1 to 3 do
+    ignore (Dsim.Heap.push_after h ~now:cell ~delay:2.)
+  done;
   let cycle () =
     Dsim.Heap.cancel h (Dsim.Heap.push h ~time:1.);
     Dsim.Heap.cancel h (Dsim.Heap.push_after h ~now:cell ~delay:1.);
-    ignore (Dsim.Heap.pop_until h ~until:0. ~time:cell)
+    ignore (Dsim.Heap.pop_until h ~until:0. ~time:cell);
+    Dsim.Heap.cancel h (Dsim.Heap.push_after h ~now:cell ~delay:2.);
+    ignore (Dsim.Heap.push_after h ~now:cell ~delay:2.);
+    ignore (Dsim.Heap.pop_until h ~until:infinity ~time:out)
   in
   for _ = 1 to 100 do
     cycle ()
@@ -147,7 +157,10 @@ let test_push_allocates_nothing () =
   Alcotest.(check bool)
     (Printf.sprintf "push/cancel/peek allocated %.3f words per cycle"
        per_iter)
-    true (per_iter < 0.001)
+    true (per_iter < 0.001);
+  Alcotest.(check int) "the lane still holds three entries" 3
+    (Dsim.Heap.length h);
+  Alcotest.(check (float 0.)) "each due at 2" 2. out.(0)
 
 let test_pop_if_before () =
   let h = V.create () in
@@ -172,6 +185,53 @@ let test_pop_if_before_skips_dead () =
      live minimum is 4., past the horizon. *)
   Alcotest.(check bool) "dead root invisible to the horizon check" true
     (V.pop_until ~until:2. h = `Later 4.)
+
+(* A lane's first entry is in the heap; the rest of the lane is not.
+   When that first entry is cancelled, its slot is free at once, and a
+   heap push takes it (the free-slot stack hands back the latest freed
+   slot).  The dead key that surfaces at the root must still advance its
+   lane: a lane looked up by the dead key's slot would find the heap
+   entry's, and the lane's other entries would never pop. *)
+let test_dead_lane_head_after_slot_reuse () =
+  let h = V.create () in
+  let now = [| 0. |] in
+  let push_after name =
+    let hd = Dsim.Heap.push_after h.V.heap ~now ~delay:1. in
+    V.store h (Dsim.Heap.slot hd) name;
+    hd
+  in
+  ignore (push_after "a" (* outside any lane: the delay is new *));
+  let b = push_after "b" (* repeats it: opens a lane, b first *) in
+  ignore (push_after "c" (* behind b in the lane *));
+  ignore (push_after "d");
+  Dsim.Heap.cancel h.V.heap b;
+  let e = V.push h ~time:2. "e" in
+  Alcotest.(check int) "e reuses b's slot" (Dsim.Heap.slot b)
+    (Dsim.Heap.slot e);
+  Alcotest.(check int) "live entries" 4 (Dsim.Heap.length h.V.heap);
+  Alcotest.(check (list string)) "the lane advances past its dead head"
+    [ "a"; "c"; "d"; "e" ] (V.drain h);
+  Alcotest.(check bool) "drained" true (Dsim.Heap.is_empty h.V.heap)
+
+(* An entry pushed after its lane's tail time would unsort the lane, so
+   it goes to the heap: here the clock goes back between pushes of one
+   delay, as only a caller other than the simulator can make it. *)
+let test_lane_append_out_of_order () =
+  let h = V.create () in
+  let now = [| 5. |] in
+  let push_after name =
+    V.store h (Dsim.Heap.slot (Dsim.Heap.push_after h.V.heap ~now ~delay:1.))
+      name
+  in
+  push_after "a";
+  push_after "b" (* opens the lane: due at 6 *);
+  now.(0) <- 1.;
+  push_after "c" (* due at 2, before the lane's tail *);
+  now.(0) <- 7.;
+  push_after "d" (* due at 8: joins the lane *);
+  ignore (V.push h ~time:6. "e" (* ties b at 6, pushed later *));
+  Alcotest.(check (list string)) "(time, seq) order" [ "c"; "a"; "b"; "e"; "d" ]
+    (V.drain h)
 
 let test_nan_rejected () =
   let h = Dsim.Heap.create () in
@@ -270,6 +330,10 @@ let suite =
           test_stale_handle_after_slot_reuse;
         Alcotest.test_case "push allocates nothing" `Quick
           test_push_allocates_nothing;
+        Alcotest.test_case "dead lane head after slot reuse" `Quick
+          test_dead_lane_head_after_slot_reuse;
+        Alcotest.test_case "out-of-order lane append goes to the heap"
+          `Quick test_lane_append_out_of_order;
         Alcotest.test_case "pop_if_before semantics" `Quick test_pop_if_before;
         Alcotest.test_case "pop_if_before skips dead roots" `Quick
           test_pop_if_before_skips_dead;

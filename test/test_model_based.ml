@@ -6,6 +6,7 @@
 
 type op =
   | Push of float
+  | Push_after of float
   | Pop
   | Cancel of int
   | Peek
@@ -21,11 +22,19 @@ let time_gen =
     oneof
       [ float_bound_exclusive 1000.; map float_of_int (int_bound 5) ])
 
+(* Delays for [Push_after]: about half from a few constants, which
+   repeat and so go to the heap's lanes, the rest fresh random values,
+   which stay in the heap. *)
+let delay_gen =
+  QCheck.Gen.(
+    oneof [ oneofl [ 0.; 0.5; 1.; 100. ]; float_bound_exclusive 200. ])
+
 let op_gen =
   QCheck.Gen.(
     frequency
       [
         (5, map (fun t -> Push t) time_gen);
+        (3, map (fun d -> Push_after d) delay_gen);
         (3, return Pop);
         (2, map (fun i -> Cancel i) (int_bound 50));
         (2, return Peek);
@@ -34,6 +43,7 @@ let op_gen =
 
 let op_print = function
   | Push t -> Printf.sprintf "Push %.3f" t
+  | Push_after d -> Printf.sprintf "Push_after %.3f" d
   | Pop -> "Pop"
   | Cancel i -> Printf.sprintf "Cancel %d" i
   | Peek -> "Peek"
@@ -59,9 +69,34 @@ let cancel_heavy_ops =
         (list_size (int_range 200 1_000)
            (frequency
               [
-                (6, map (fun t -> Push t) time_gen);
+                (4, map (fun t -> Push t) time_gen);
+                (3, map (fun d -> Push_after d) delay_gen);
                 (4, map (fun i -> Cancel i) (int_bound 50));
                 (1, return Cancel_half);
+                (3, return Pop);
+                (1, return Peek);
+                (2, map (fun t -> Pop_before t) time_gen);
+              ])))
+
+(* Lane-heavy sequences, up to 200 ops.  Each starts with the same
+   constant delay twice, which opens a lane (a delay opens one when it
+   repeats the last delay pushed outside a lane), and goes on with
+   mostly [Push_after]s: cancels then hit lane entries and the lanes'
+   first entries, and the clock, moved only by pops, goes back whenever
+   an explicit [Push] before it pops. *)
+let lane_ops =
+  QCheck.make
+    ~print:(fun ops -> String.concat "; " (List.map op_print ops))
+    QCheck.Gen.(
+      map2
+        (fun d ops -> Push_after d :: Push_after d :: ops)
+        (oneofl [ 0.; 0.5; 1.; 100. ])
+        (list_size (int_range 0 200)
+           (frequency
+              [
+                (1, map (fun t -> Push t) time_gen);
+                (6, map (fun d -> Push_after d) delay_gen);
+                (3, map (fun i -> Cancel i) (int_bound 80));
                 (3, return Pop);
                 (1, return Peek);
                 (2, map (fun t -> Pop_before t) time_gen);
@@ -70,12 +105,14 @@ let cancel_heavy_ops =
 (* Reference: a list of (time, seq, value) alive entries; sorting under
    polymorphic compare orders by (time, seq), the heap's key.  The heap
    orders slots, so the model keeps each entry's value by slot (as
-   Dsim.Sim keeps payloads) and reads popped values from there.  Returns
-   whether the heap matched, and how often it compacted. *)
+   Dsim.Sim keeps payloads) and reads popped values from there.  [cell]
+   is the clock, as in Dsim.Sim: a pop writes its time there, and
+   [Push_after d] pushes at the clock plus [d].  Returns whether the
+   heap matched, and how often it compacted. *)
 let run_heap_model ops =
   let heap = Dsim.Heap.create () in
   let values = Array.make 4096 (-1) (* by slot; >= the ops per sequence *) in
-  let cell = [| nan |] in
+  let cell = [| 0. |] in
   let reference = ref [] (* (time, seq, value) alive entries *) in
   let handles = ref [] (* (op_index, handle, time, seq) *) in
   let seq = ref 0 in
@@ -86,6 +123,13 @@ let run_heap_model ops =
       match op with
       | Push t ->
           let h = Dsim.Heap.push heap ~time:t in
+          values.(Dsim.Heap.slot h) <- !seq;
+          handles := (List.length !handles, h, t, !seq) :: !handles;
+          reference := (t, !seq, !seq) :: !reference;
+          incr seq
+      | Push_after d ->
+          let t = cell.(0) +. d in
+          let h = Dsim.Heap.push_after heap ~now:cell ~delay:d in
           values.(Dsim.Heap.slot h) <- !seq;
           handles := (List.length !handles, h, t, !seq) :: !handles;
           reference := (t, !seq, !seq) :: !reference;
@@ -174,6 +218,12 @@ let run_heap_model ops =
 let prop_heap_matches_reference =
   QCheck.Test.make ~name:"heap behaves like a sorted-list reference model"
     ~count:300 arbitrary_ops
+    (fun ops -> fst (run_heap_model ops))
+
+let prop_heap_lanes_match_reference =
+  QCheck.Test.make
+    ~name:"heap with lanes behaves like a sorted-list reference model"
+    ~count:300 lane_ops
     (fun ops -> fst (run_heap_model ops))
 
 (* Every cancel-heavy sequence must also have compacted at least once:
@@ -273,6 +323,7 @@ let suite =
     ( "model-based",
       [
         QCheck_alcotest.to_alcotest prop_heap_matches_reference;
+        QCheck_alcotest.to_alcotest prop_heap_lanes_match_reference;
         QCheck_alcotest.to_alcotest prop_heap_compacts_like_reference;
         QCheck_alcotest.to_alcotest prop_sim_runs_in_timestamp_order;
         QCheck_alcotest.to_alcotest prop_sim_nested_events_keep_clock_monotone;

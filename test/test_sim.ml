@@ -115,7 +115,12 @@ let test_run_allocates_nothing () =
     true (per_event < 0.01)
 
 (* An int-coded event — a handler registered once, posted with an int —
-   allocates nothing to post or to run, equal times included. *)
+   allocates nothing to post or to run, equal times included.  The
+   alternating delays never repeat back to back, so those posts stay in
+   the heap.  [tick] posts at one constant delay, as a watchdog or a
+   round edge does, so its posts go to a lane: each of the [n / 8]
+   chains the loop starts re-posts itself until it has run 8 times, at
+   an advancing clock and with equal-time ties. *)
 let test_post_allocates_nothing () =
   let n = 100_000 in
   let sim = Dsim.Sim.create () in
@@ -127,21 +132,41 @@ let test_post_allocates_nothing () =
         if arg land 1 = 0 then last := arg;
         sum := !sum + arg)
   in
+  let ticks = ref 0 and tick_last = ref (-1) and tick_order = ref true in
+  let rec tick arg =
+    incr ticks;
+    (* [arg] is its chain's first argument, a multiple of 8, plus the
+       hops so far.  Hop [j] runs at [0.25 * (j + 1)], so ticks run by
+       hop, then in the order their chains were posted. *)
+    let key = ((arg land 7) * n) + arg in
+    if key <= !tick_last then tick_order := false;
+    tick_last := key;
+    if arg land 7 < 7 then
+      ignore (Dsim.Sim.post sim ~delay:0.25 (Lazy.force tick_id) (arg + 1))
+  and tick_id = lazy (Dsim.Sim.register sim tick) in
+  let tick_id = Lazy.force tick_id in
   let round () =
     sum := 0;
     last := 0;
+    ticks := 0;
     for i = 1 to n do
       ignore
-        (Dsim.Sim.post sim ~delay:(if i land 1 = 0 then 1. else 2.) h i)
+        (Dsim.Sim.post sim ~delay:(if i land 1 = 0 then 1. else 2.) h i);
+      if i land 7 = 0 then ignore (Dsim.Sim.post sim ~delay:0.25 tick_id i)
     done;
+    tick_last := -1;
     ignore (Dsim.Sim.run sim)
   in
   round ();
   let before = Gc.minor_words () in
   round ();
-  let per_event = (Gc.minor_words () -. before) /. float_of_int n in
+  let per_event =
+    (Gc.minor_words () -. before) /. float_of_int (n + !ticks)
+  in
   Alcotest.(check int) "every argument delivered" (n * (n + 1) / 2) !sum;
   Alcotest.(check bool) "equal times run in posting order" true !in_order;
+  Alcotest.(check int) "every tick ran" n !ticks;
+  Alcotest.(check bool) "lane ties run in posting order" true !tick_order;
   Alcotest.(check bool)
     (Printf.sprintf "post and run allocated %.4f words per event" per_event)
     true (per_event < 0.01)

@@ -96,7 +96,26 @@ let test_check_against_network () =
     (Dsim.Trace_io.check ~n:3 entries);
   check "node 2 does not fit a 2-node network"
     (Error "line 4: node 2 is not in the 2-node network")
-    (Dsim.Trace_io.check ~n:2 entries)
+    (Dsim.Trace_io.check ~n:2 entries);
+  let rcv time =
+    { Dsim.Trace.time; event = Dsim.Trace.Rcv { node = 0; msg = 7; instance = 7 } }
+  in
+  check "a receipt at its bcast's time" (Ok ())
+    (Dsim.Trace_io.check ~n:3 (entries @ [ rcv 0.125 ]));
+  check "a receipt before its bcast"
+    (Error "line 6: time 0.1 is before instance 7's bcast at 0.125")
+    (Dsim.Trace_io.check ~n:3 (entries @ [ rcv 0.1 ]));
+  List.iter
+    (fun (time, shown) ->
+      check "a non-finite time"
+        (Error (Printf.sprintf "line 6: time %s is not finite" shown))
+        (Dsim.Trace_io.check ~n:3 (entries @ [ rcv time ])))
+    [ (infinity, "inf"); (neg_infinity, "-inf"); (nan, "nan") ];
+  check "a non-finite arrival"
+    (Error "line 1: time inf is not finite")
+    (Dsim.Trace_io.check ~n:3
+       [ { Dsim.Trace.time = infinity;
+           event = Dsim.Trace.Arrive { node = 0; msg = 0 } } ])
 
 let suite =
   [
