@@ -212,19 +212,14 @@ let e14_online_fmmb () =
             ~policy:(Amac.Enhanced_mac.minimal_random ())
             ~assignment ~seed:(k + 1) ()
         in
-        let tracker =
-          Mmb.Problem.tracker_timed ~dual (Mmb.Problem.at_time_zero assignment)
-        in
         let stream =
-          Mmb.Fmmb_online.run ~dual ~fprog:1.
-            ~rng:(Dsim.Rng.create ~seed:(k + 2))
+          Mmb.Runner.run_fmmb_online ~dual ~fprog:1. ~c:2.
             ~policy:(Amac.Enhanced_mac.minimal_random ())
-            ~c:2.
             ~arrivals:(Mmb.Problem.at_time_zero assignment)
-            ~tracker ~max_rounds:400_000 ()
+            ~seed:(k + 2) ~max_rounds:400_000
         in
         let s = staged.Mmb.Runner.fmmb.Mmb.Fmmb.total_rounds in
-        let o = stream.Mmb.Fmmb_online.total_rounds in
+        let o = stream.Mmb.Runner.fmmb.Mmb.Fmmb.total_rounds in
         [
           Report.i k;
           Report.i s;
@@ -232,7 +227,7 @@ let e14_online_fmmb () =
           Report.f2 (float_of_int o /. float_of_int s);
           Report.verdict
             (staged.Mmb.Runner.fmmb.Mmb.Fmmb.complete
-            && stream.Mmb.Fmmb_online.complete);
+            && stream.Mmb.Runner.fmmb.Mmb.Fmmb.complete);
         ])
       [ 2; 4; 8 ]
   in
@@ -244,14 +239,12 @@ let e14_online_fmmb () =
   let dual = grey ~seed:77 ~n in
   let rng = Dsim.Rng.create ~seed:78 in
   let arrivals = Mmb.Problem.poisson_arrivals rng ~n ~k:10 ~rate:0.002 in
-  let tracker = Mmb.Problem.tracker_timed ~dual arrivals in
   let res =
-    Mmb.Fmmb_online.run ~dual ~fprog:1.
-      ~rng:(Dsim.Rng.create ~seed:79)
+    Mmb.Runner.run_fmmb_online ~dual ~fprog:1. ~c:2.
       ~policy:(Amac.Enhanced_mac.minimal_random ())
-      ~c:2. ~arrivals ~tracker ~max_rounds:800_000 ()
+      ~arrivals ~seed:79 ~max_rounds:800_000
   in
-  (match List.map snd (Mmb.Problem.latencies tracker) with
+  (match List.map snd res.Mmb.Runner.latencies' with
   | [] -> Report.note "no message completed (unexpected)"
   | latencies ->
       let s = Dsim.Stats.summarize latencies in
@@ -259,7 +252,7 @@ let e14_online_fmmb () =
         ~header:[ "complete"; "mean"; "p50"; "p90"; "max" ]
         [
           [
-            Report.verdict res.Mmb.Fmmb_online.complete;
+            Report.verdict res.Mmb.Runner.fmmb.Mmb.Fmmb.complete;
             Report.f1 s.Dsim.Stats.mean;
             Report.f1 s.Dsim.Stats.p50;
             Report.f1 s.Dsim.Stats.p90;

@@ -380,10 +380,7 @@ let run_cmd =
                time: %g\n"
               f.complete f.total_rounds f.rounds_mis f.rounds_gather
               f.rounds_spread f.time;
-            Printf.printf "MIS: size %d, valid %b\n" f.mis_size f.mis_valid
-        | Mmb.Scenario.Fmmb_online _ ->
-            (* refused above: run prints no fmmb-online report *)
-            assert false);
+            Printf.printf "MIS: size %d, valid %b\n" f.mis_size f.mis_valid);
         Option.iter (fun tr -> Fmt.pr "%a@." Dsim.Trace.pp tr) kept;
         List.iter (fun f -> f.write ()) !files;
         `Ok ()

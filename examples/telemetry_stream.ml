@@ -45,22 +45,21 @@ let () =
   | ls -> Fmt.pr "%a@." Dsim.Stats.pp_summary (Dsim.Stats.summarize ls));
 
   (* Streaming FMMB (enhanced MAC; k never configured anywhere). *)
-  let tracker = Mmb.Problem.tracker_timed ~dual arrivals in
   let stream =
-    Mmb.Fmmb_online.run ~dual ~fprog
-      ~rng:(Dsim.Rng.create ~seed:8)
+    Mmb.Runner.run_fmmb_online ~dual ~fprog ~c:2.
       ~policy:(Amac.Enhanced_mac.minimal_random ())
-      ~c:2. ~arrivals ~tracker ~max_rounds:600_000 ()
+      ~arrivals ~seed:8 ~max_rounds:600_000
   in
   Printf.printf "streaming FMMB (k-oblivious): ";
-  (match List.map snd (Mmb.Problem.latencies tracker) with
+  (match List.map snd stream.Mmb.Runner.latencies' with
   | [] -> print_endline "nothing completed"
   | ls -> Fmt.pr "%a@." Dsim.Stats.pp_summary (Dsim.Stats.summarize ls));
   Printf.printf
     "  (MIS setup %d rounds once, then steady-state; complete: %b, MIS \
      valid: %b)\n"
-    stream.Mmb.Fmmb_online.rounds_mis stream.Mmb.Fmmb_online.complete
-    stream.Mmb.Fmmb_online.mis_valid;
+    stream.Mmb.Runner.fmmb.Mmb.Fmmb.rounds_mis
+    stream.Mmb.Runner.fmmb.Mmb.Fmmb.complete
+    stream.Mmb.Runner.fmmb.Mmb.Fmmb.mis_valid;
   print_endline
     "\ntakeaway: BMMB's latency scales with backlog * Fack, streaming \
      FMMB's with a\nfixed polylog pipeline in Fprog.  At this gentle rate \

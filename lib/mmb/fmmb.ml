@@ -15,23 +15,6 @@ let default_params ~n ~k ~c =
 
 type backend = Rounds | Continuous of Amac.Round_sync.mode
 
-(* Returns the engine plus the underlying [Dsim.Sim.t] when the backend
-   has one (Continuous), so the caller can hand it to instrumentation. *)
-let make_engine ~backend ~dual ~fprog ~rng ~policy ?trace () =
-  match backend with
-  | Rounds ->
-      ( Amac.Round_engine.of_enhanced
-          (Amac.Enhanced_mac.create ~dual ~fprog ~policy ~rng ?trace ()),
-        None )
-  | Continuous mode ->
-      let sim = Dsim.Sim.create () in
-      let mac =
-        Amac.Standard_mac.create ~sim ~dual ~fack:(100. *. fprog) ~fprog
-          ~policy:(Amac.Round_sync.policy ~mode)
-          ~rng ?trace ()
-      in
-      (Amac.Round_engine.of_round_sync (Amac.Round_sync.create ~mac ()), Some sim)
-
 type result = {
   complete : bool;
   rounds_mis : int;
@@ -44,87 +27,225 @@ type result = {
   gather_leftover : int;
 }
 
+(* One execution: the stage engines it runs one after another, the
+   clock they share, and the per-node first-delivery dedup. *)
+type driver = {
+  dual : Graphs.Dual.t;
+  fprog : float;
+  rng : Dsim.Rng.t;
+  policy : Fmmb_msg.t Amac.Enhanced_mac.round_policy;
+  backend : backend;
+  trace : Dsim.Trace.t option;
+  on_event : (time:float -> Dsim.Trace.event -> unit) option;
+  note_sim : Dsim.Sim.t -> unit;
+  tracker : Problem.tracker;
+  known : (int, unit) Hashtbl.t array;
+  mutable before : int;  (* rounds run by the stages before [engine]'s *)
+  mutable engine : Fmmb_msg.t Amac.Round_engine.t option;
+  mutable sims : Dsim.Sim.t list;  (* Continuous engines, newest first *)
+}
+
+let driver ~dual ~fprog ~rng ~policy ~backend ?trace ?on_event
+    ?(note_sim = ignore) ~tracker () =
+  {
+    dual;
+    fprog;
+    rng;
+    policy;
+    backend;
+    trace;
+    on_event;
+    note_sim;
+    tracker;
+    known = Array.init (Graphs.Dual.n dual) (fun _ -> Hashtbl.create 8);
+    before = 0;
+    engine = None;
+    sims = [];
+  }
+
+(* The next stage's engine; the current one's rounds join [before]. *)
+let stage x =
+  Option.iter
+    (fun e -> x.before <- x.before + e.Amac.Round_engine.rounds_done ())
+    x.engine;
+  let engine =
+    match x.backend with
+    | Rounds ->
+        Amac.Round_engine.of_enhanced
+          (Amac.Enhanced_mac.create ~dual:x.dual ~fprog:x.fprog
+             ~policy:x.policy ~rng:x.rng ?trace:x.trace ())
+    | Continuous mode ->
+        let sim = Dsim.Sim.create () in
+        x.sims <- sim :: x.sims;
+        let mac =
+          Amac.Standard_mac.create ~sim ~dual:x.dual ~fack:(100. *. x.fprog)
+            ~fprog:x.fprog
+            ~policy:(Amac.Round_sync.policy ~mode)
+            ~rng:x.rng ?trace:x.trace ()
+        in
+        Amac.Round_engine.of_round_sync (Amac.Round_sync.create ~mac ())
+  in
+  x.engine <- Some engine;
+  engine
+
+let record x ~time event =
+  match x.on_event with None -> () | Some f -> f ~time event
+
+(* The tracker sees at most one deliver per (node, message), stamped
+   with the round it happens in: the rounds of the stages before this
+   one plus the rounds done in it, times Fprog. *)
+let deliver x ~node ~payload =
+  if not (Hashtbl.mem x.known.(node) payload) then begin
+    Hashtbl.replace x.known.(node) payload ();
+    let rounds =
+      match x.engine with
+      | Some e -> x.before + e.Amac.Round_engine.rounds_done ()
+      | None -> 0
+    in
+    let time = float_of_int rounds *. x.fprog in
+    record x ~time (Dsim.Trace.Deliver { node; msg = payload });
+    Problem.on_deliver x.tracker ~node ~msg:payload ~time
+  end
+
+let mis_stage x params =
+  Fmmb_mis.run ~dual:x.dual ~rng:x.rng ~policy:x.policy ~params
+    ~engine:(stage x) ()
+
+let finish x ~mis ~rounds_gather ~rounds_spread ~gather_leftover =
+  List.iter x.note_sim (List.rev x.sims);
+  let n = Graphs.Dual.n x.dual in
+  let mis_list =
+    List.filter (fun v -> mis.Fmmb_mis.mis.(v)) (List.init n Fun.id)
+  in
+  let rounds_mis = mis.Fmmb_mis.rounds_run in
+  let total_rounds = rounds_mis + rounds_gather + rounds_spread in
+  {
+    complete = Problem.complete x.tracker;
+    rounds_mis;
+    rounds_gather;
+    rounds_spread;
+    total_rounds;
+    time = float_of_int total_rounds *. x.fprog;
+    mis_valid =
+      Graphs.Mis.is_maximal_independent (Graphs.Dual.reliable x.dual) mis_list;
+    mis_size = List.length mis_list;
+    gather_leftover;
+  }
+
 let run ~dual ~fprog ~rng ~policy ~params ~assignment ~tracker
-    ?(backend = Rounds) ?max_spread_phases ?trace ?on_event
-    ?(note_sim = fun (_ : Dsim.Sim.t) -> ()) () =
-  (* Continuous-backend stage engines are collected so their cumulative
-     engine counters can be noted once the stages have all run. *)
-  let sims = ref [] in
-  let fresh_engine () =
-    let engine, sim = make_engine ~backend ~dual ~fprog ~rng ~policy ?trace () in
-    (match sim with Some s -> sims := s :: !sims | None -> ());
-    engine
-  in
-  let n = Graphs.Dual.n dual in
-  let g = Graphs.Dual.reliable dual in
-  let k = List.length assignment in
-  (* Per-node delivery dedup: the tracker must see at most one deliver per
-     (node, message).  Delivery timestamps are stage-granular (the overall
-     completion time is measured in rounds, below). *)
-  let known = Array.init n (fun _ -> Hashtbl.create 8) in
-  let stage_base = ref 0. in
-  (* Problem-level events go to [on_event], at stage-granular times
-     (matching the tracker's clock).  Kept separate from [trace]: the
-     per-stage engines restart uids and times, so their MAC events must
-     not share a stream with the monotone MMB lifecycle. *)
-  let record_mmb ~time event =
-    match on_event with None -> () | Some f -> f ~time event
-  in
-  let deliver ~node ~payload =
-    if not (Hashtbl.mem known.(node) payload) then begin
-      Hashtbl.replace known.(node) payload ();
-      record_mmb ~time:!stage_base
-        (Dsim.Trace.Deliver { node; msg = payload });
-      Problem.on_deliver tracker ~node ~msg:payload ~time:!stage_base
-    end
+    ?(backend = Rounds) ?max_spread_phases ?trace ?on_event ?note_sim () =
+  let x =
+    driver ~dual ~fprog ~rng ~policy ~backend ?trace ?on_event ?note_sim
+      ~tracker ()
   in
   (* Arrivals: payloads are delivered at their origins at time 0. *)
-  let initial = Array.make n [] in
+  let initial = Array.make (Graphs.Dual.n dual) [] in
   List.iter
     (fun (node, msg) ->
       initial.(node) <- msg :: initial.(node);
-      record_mmb ~time:0. (Dsim.Trace.Arrive { node; msg });
-      deliver ~node ~payload:msg)
+      record x ~time:0. (Dsim.Trace.Arrive { node; msg });
+      deliver x ~node ~payload:msg)
     assignment;
-  (* Stage 1: MIS. *)
-  let mis_res =
-    Fmmb_mis.run ~dual ~rng ~policy ~params:params.mis
-      ~engine:(fresh_engine ()) ()
+  let mis = mis_stage x params.mis in
+  let gather =
+    Fmmb_gather.run ~dual ~rng ~policy ~params:params.gather ~mis:mis.Fmmb_mis.mis
+      ~initial ~on_payload:(deliver x) ~engine:(stage x) ()
   in
-  let mis = mis_res.Fmmb_mis.mis in
-  stage_base := float_of_int mis_res.Fmmb_mis.rounds_run *. fprog;
-  (* Stage 2: gather. *)
-  let gather_res =
-    Fmmb_gather.run ~dual ~rng ~policy ~params:params.gather ~mis ~initial
-      ~on_payload:deliver ~engine:(fresh_engine ()) ~fprog ()
-  in
-  stage_base :=
-    !stage_base +. (float_of_int gather_res.Fmmb_gather.rounds_run *. fprog);
-  (* Stage 3: spread, until the tracker observes completion. *)
-  let d = Graphs.Bfs.diameter g in
+  (* Spread until the tracker observes completion. *)
   let max_phases =
-    match max_spread_phases with Some p -> p | None -> (4 * (d + k)) + 8
+    match max_spread_phases with
+    | Some p -> p
+    | None ->
+        let d = Graphs.Bfs.diameter (Graphs.Dual.reliable dual) in
+        (4 * (d + List.length assignment)) + 8
   in
-  let stop () = Problem.complete tracker in
-  let spread_res =
-    Fmmb_spread.run ~dual ~rng ~policy ~params:params.spread ~mis
-      ~sets:gather_res.Fmmb_gather.mis_sets ~on_payload:deliver ~stop
-      ~max_phases ~engine:(fresh_engine ()) ~fprog ()
+  let spread =
+    Fmmb_spread.run ~dual ~rng ~policy ~params:params.spread ~mis:mis.Fmmb_mis.mis
+      ~sets:gather.Fmmb_gather.mis_sets ~on_payload:(deliver x)
+      ~stop:(fun () -> Problem.complete tracker)
+      ~max_phases ~engine:(stage x) ()
   in
-  let total_rounds =
-    mis_res.Fmmb_mis.rounds_run + gather_res.Fmmb_gather.rounds_run
-    + spread_res.Fmmb_spread.rounds_run
+  finish x ~mis ~rounds_gather:gather.Fmmb_gather.rounds_run
+    ~rounds_spread:spread.Fmmb_spread.rounds_run
+    ~gather_leftover:gather.Fmmb_gather.leftover
+
+(* Stream round [r] is in period [r / 3]: even periods gather and odd
+   ones spread, so it is round [(r / 6 * 3) + (r mod 3)] of its
+   subroutine. *)
+let gathering r = r / 3 mod 2 = 0
+let subroutine_round r = (r / 6 * 3) + (r mod 3)
+
+let run_streaming ~dual ~fprog ~rng ~policy ~c ~arrivals ~tracker ~max_rounds
+    =
+  let n = Graphs.Dual.n dual in
+  let x = driver ~dual ~fprog ~rng ~policy ~backend:Rounds ~tracker () in
+  let mis = mis_stage x (Fmmb_mis.default_params ~n ~c) in
+  let engine = stage x in
+  (* One set per node: custody at MIS nodes, payloads not yet
+     acknowledged elsewhere. *)
+  let sets = Array.init n (fun _ -> Hashtbl.create 8) in
+  let params = Fmmb_spread.default_params ~n ~c in
+  let gather =
+    Fmmb_gather.init ~p_active:params.Fmmb_spread.p_active ~use_acks:true
+      ~rng ~mis:mis.Fmmb_mis.mis ~sets ~on_payload:(deliver x)
   in
-  List.iter note_sim (List.rev !sims);
-  let mis_list = List.filter (fun v -> mis.(v)) (List.init n Fun.id) in
-  {
-    complete = Problem.complete tracker;
-    rounds_mis = mis_res.Fmmb_mis.rounds_run;
-    rounds_gather = gather_res.Fmmb_gather.rounds_run;
-    rounds_spread = spread_res.Fmmb_spread.rounds_run;
-    total_rounds;
-    time = float_of_int total_rounds *. fprog;
-    mis_valid = Graphs.Mis.is_maximal_independent g mis_list;
-    mis_size = List.length mis_list;
-    gather_leftover = gather_res.Fmmb_gather.leftover;
-  }
+  let spread =
+    Fmmb_spread.init ~params ~rng ~mis:mis.Fmmb_mis.mis ~sets
+      ~on_payload:(deliver x)
+  in
+  for v = 0 to n - 1 do
+    engine.Amac.Round_engine.set_node ~node:v (fun ~round ~inbox ->
+        (if round > 0 then
+           let r = round - 1 in
+           if gathering r then
+             Fmmb_gather.receive gather ~node:v ~round:(subroutine_round r)
+               inbox
+           else
+             Fmmb_spread.receive spread ~node:v ~round:(subroutine_round r)
+               inbox);
+        if gathering round then
+          Fmmb_gather.act gather ~node:v ~round:(subroutine_round round)
+        else Fmmb_spread.act spread ~node:v ~round:(subroutine_round round))
+  done;
+  (* An arrival at time T joins at stream round
+     max(0, ceil((T - mis_end) / fprog)). *)
+  let mis_end = float_of_int mis.Fmmb_mis.rounds_run *. fprog in
+  let by_round =
+    List.sort
+      (fun (r1, n1, m1) (r2, n2, m2) ->
+        let c = Int.compare r1 r2 in
+        if c <> 0 then c
+        else
+          let c = Int.compare n1 n2 in
+          if c <> 0 then c else Int.compare m1 m2)
+      (List.map
+         (fun (time, node, msg) ->
+           let r =
+             if time <= mis_end then 0
+             else int_of_float (ceil ((time -. mis_end) /. fprog))
+           in
+           (r, node, msg))
+         arrivals)
+  in
+  let rounds () = engine.Amac.Round_engine.rounds_done () in
+  let rec drive = function
+    | [] ->
+        ignore
+          (engine.Amac.Round_engine.run_until
+             ~max_rounds:(max_rounds - rounds ())
+             ~stop:(fun () -> Problem.complete tracker))
+    | (r, node, payload) :: rest ->
+        let gap = r - rounds () in
+        if gap > 0 then
+          ignore
+            (engine.Amac.Round_engine.run_until ~max_rounds:gap
+               ~stop:(fun () -> false));
+        deliver x ~node ~payload;
+        Hashtbl.replace sets.(node) payload ();
+        drive rest
+  in
+  drive by_round;
+  let stream = rounds () in
+  let rounds_gather = (stream / 6 * 3) + min (stream mod 6) 3 in
+  finish x ~mis ~rounds_gather ~rounds_spread:(stream - rounds_gather)
+    ~gather_leftover:(Fmmb_gather.leftover gather)

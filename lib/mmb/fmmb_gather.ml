@@ -19,20 +19,111 @@ type result = {
   data_broadcasts : int;
 }
 
+type state = {
+  active_p : float;
+  acks : bool;
+  rng : Dsim.Rng.t;
+  mis : bool array;
+  sets : (int, unit) Hashtbl.t array;
+  on_payload : node:int -> payload:int -> unit;
+  heard_probe : bool array;
+  absorbed : int option array;
+  mutable data_broadcasts : int;
+}
+
+let init ~p_active ~use_acks ~rng ~mis ~sets ~on_payload =
+  let n = Array.length mis in
+  {
+    active_p = p_active;
+    acks = use_acks;
+    rng;
+    mis;
+    sets;
+    on_payload;
+    heard_probe = Array.make n false;
+    absorbed = Array.make n None;
+    data_broadcasts = 0;
+  }
+
+let receive s ~node:v ~round inbox =
+  List.iter
+    (fun env ->
+      match Fmmb_msg.payload env.Amac.Message.body with
+      | Some payload -> s.on_payload ~node:v ~payload
+      | None -> ())
+    inbox;
+  match round mod 3 with
+  | 0 ->
+      if not s.mis.(v) then
+        s.heard_probe.(v) <-
+          List.exists
+            (fun env ->
+              match env.Amac.Message.body with
+              | Fmmb_msg.Probe { origin = _ } -> env.Amac.Message.reliable
+              | _ -> false)
+            inbox
+  | 1 ->
+      if s.mis.(v) then
+        List.iter
+          (fun env ->
+            match env.Amac.Message.body with
+            | Fmmb_msg.Data { origin = _; payload }
+              when env.Amac.Message.reliable ->
+                Hashtbl.replace s.sets.(v) payload ();
+                if s.absorbed.(v) = None then s.absorbed.(v) <- Some payload
+            | _ -> ())
+          inbox
+  | _ ->
+      if (not s.mis.(v)) && s.acks then
+        List.iter
+          (fun env ->
+            match env.Amac.Message.body with
+            | Fmmb_msg.Ack_data { origin = _; payload }
+              when env.Amac.Message.reliable ->
+                Hashtbl.remove s.sets.(v) payload
+            | _ -> ())
+          inbox
+
+let act s ~node:v ~round =
+  match round mod 3 with
+  | 0 ->
+      s.absorbed.(v) <- None;
+      if s.mis.(v) && Dsim.Rng.bernoulli s.rng ~p:s.active_p then
+        Amac.Enhanced_mac.Broadcast (Fmmb_msg.Probe { origin = v })
+      else Amac.Enhanced_mac.Listen
+  | 1 -> (
+      if s.mis.(v) || not s.heard_probe.(v) then Amac.Enhanced_mac.Listen
+      else
+        match Dsim.Tbl.min_key ~cmp:Int.compare s.sets.(v) with
+        | Some payload ->
+            s.data_broadcasts <- s.data_broadcasts + 1;
+            Amac.Enhanced_mac.Broadcast (Fmmb_msg.Data { origin = v; payload })
+        | None -> Amac.Enhanced_mac.Listen)
+  | _ -> (
+      match (s.mis.(v) && s.acks, s.absorbed.(v)) with
+      | true, Some payload ->
+          Amac.Enhanced_mac.Broadcast (Fmmb_msg.Ack_data { origin = v; payload })
+      | _ -> Amac.Enhanced_mac.Listen)
+
+let leftover s =
+  let total = ref 0 in
+  for v = 0 to Array.length s.mis - 1 do
+    if not s.mis.(v) then total := !total + Hashtbl.length s.sets.(v)
+  done;
+  !total
+
 let run ~dual ~rng ~policy ~params ~mis ~initial ~on_payload ?engine ?trace
     ?(fprog = 1.) () =
   let n = Graphs.Dual.n dual in
-  let { periods; p_active; use_acks } = params in
-  let budget_rounds = 3 * periods in
   let sets = Array.init n (fun _ -> Hashtbl.create 8) in
   Array.iteri
     (fun v payloads ->
       List.iter (fun m -> Hashtbl.replace sets.(v) m ()) payloads)
     initial;
-  let heard_probe = Array.make n false in
-  let data_broadcasts = ref 0 in
-  let absorbed = Array.make n None in
-  let active = Array.make n false in
+  let s =
+    init ~p_active:params.p_active ~use_acks:params.use_acks ~rng ~mis ~sets
+      ~on_payload
+  in
   let engine =
     match engine with
     | Some e -> e
@@ -40,104 +131,23 @@ let run ~dual ~rng ~policy ~params ~mis ~initial ~on_payload ?engine ?trace
         Amac.Round_engine.of_enhanced
           (Amac.Enhanced_mac.create ~dual ~fprog ~policy ~rng ?trace ())
   in
-  let smallest_payload v = Dsim.Tbl.min_key ~cmp:Int.compare sets.(v) in
-  let note_payloads v inbox =
-    List.iter
-      (fun env ->
-        match Fmmb_msg.payload env.Amac.Message.body with
-        | Some payload -> on_payload ~node:v ~payload
-        | None -> ())
-      inbox
-  in
-  let process_inbox v ~prev_round inbox =
-    note_payloads v inbox;
-    match prev_round mod 3 with
-    | 0 ->
-        if not mis.(v) then
-          heard_probe.(v) <-
-            List.exists
-              (fun env ->
-                match env.Amac.Message.body with
-                | Fmmb_msg.Probe { origin = _ } -> env.Amac.Message.reliable
-                | _ -> false)
-              inbox
-    | 1 ->
-        if mis.(v) then
-          List.iter
-            (fun env ->
-              match env.Amac.Message.body with
-              | Fmmb_msg.Data { origin = _; payload }
-                when env.Amac.Message.reliable ->
-                  Hashtbl.replace sets.(v) payload ();
-                  if absorbed.(v) = None then absorbed.(v) <- Some payload
-              | _ -> ())
-            inbox
-    | _ ->
-        if (not mis.(v)) && use_acks then
-          List.iter
-            (fun env ->
-              match env.Amac.Message.body with
-              | Fmmb_msg.Ack_data { origin = _; payload }
-                when env.Amac.Message.reliable ->
-                  Hashtbl.remove sets.(v) payload
-              | _ -> ())
-            inbox
-  in
   for v = 0 to n - 1 do
     engine.Amac.Round_engine.set_node ~node:v (fun ~round ~inbox ->
-        if round > 0 then process_inbox v ~prev_round:(round - 1) inbox;
-        match round mod 3 with
-        | 0 ->
-            absorbed.(v) <- None;
-            if mis.(v) then begin
-              active.(v) <- Dsim.Rng.bernoulli rng ~p:p_active;
-              if active.(v) then
-                Amac.Enhanced_mac.Broadcast (Fmmb_msg.Probe { origin = v })
-              else Amac.Enhanced_mac.Listen
-            end
-            else Amac.Enhanced_mac.Listen
-        | 1 ->
-            if (not mis.(v)) && heard_probe.(v) then begin
-              match smallest_payload v with
-              | Some payload ->
-                  incr data_broadcasts;
-                  Amac.Enhanced_mac.Broadcast
-                    (Fmmb_msg.Data { origin = v; payload })
-              | None -> Amac.Enhanced_mac.Listen
-            end
-            else Amac.Enhanced_mac.Listen
-        | _ -> (
-            match (mis.(v) && use_acks, absorbed.(v)) with
-            | true, Some payload ->
-                Amac.Enhanced_mac.Broadcast
-                  (Fmmb_msg.Ack_data { origin = v; payload })
-            | _ -> Amac.Enhanced_mac.Listen))
+        if round > 0 then receive s ~node:v ~round:(round - 1) inbox;
+        act s ~node:v ~round)
   done;
-  let drained () =
-    let ok = ref true in
-    for v = 0 to n - 1 do
-      if (not mis.(v)) && Hashtbl.length sets.(v) > 0 then ok := false
-    done;
-    !ok
-  in
   (* Stop only at period boundaries so in-flight acks land. *)
   let stop () =
-    engine.Amac.Round_engine.rounds_done () mod 3 = 0 && drained ()
+    engine.Amac.Round_engine.rounds_done () mod 3 = 0 && leftover s = 0
   in
+  let budget_rounds = 3 * params.periods in
   let rounds_run =
     engine.Amac.Round_engine.run_until ~max_rounds:budget_rounds ~stop
   in
-  let leftover =
-    let total = ref 0 in
-    for v = 0 to n - 1 do
-      if not mis.(v) then total := !total + Hashtbl.length sets.(v)
-    done;
-    !total
-  in
   {
     mis_sets = sets;
-    leftover;
+    leftover = leftover s;
     rounds_run;
     budget_rounds;
-    data_broadcasts = !data_broadcasts;
+    data_broadcasts = s.data_broadcasts;
   }

@@ -32,6 +32,43 @@ type result = {
       (** round-2 payload broadcasts by non-MIS nodes (redundancy metric) *)
 }
 
+(** {1 Per-node steps}
+
+    The subroutine's rules, one node and one round at a time, over
+    per-node state.  [round] counts gather rounds: its residue mod 3 is
+    the sub-round.  {!run} drives these steps on an engine of its own;
+    [Fmmb.run_streaming] drives them in alternate periods of one
+    engine. *)
+
+type state
+
+val init :
+  p_active:float ->
+  use_acks:bool ->
+  rng:Dsim.Rng.t ->
+  mis:bool array ->
+  sets:(int, unit) Hashtbl.t array ->
+  on_payload:(node:int -> payload:int -> unit) ->
+  state
+(** [sets] holds each node's owned payloads: custody at MIS nodes,
+    payloads not yet acknowledged elsewhere.  It is mutated in place.
+    [on_payload] is invoked on every payload-bearing reception. *)
+
+val receive :
+  state -> node:int -> round:int -> Fmmb_msg.t Amac.Message.t list -> unit
+(** [receive s ~node ~round inbox] reads [inbox], the deliveries of gather
+    round [round], by that round's rules. *)
+
+val act :
+  state -> node:int -> round:int -> Fmmb_msg.t Amac.Enhanced_mac.action
+(** The node's action in gather round [round]; an MIS node makes one
+    [bernoulli] draw in each round [0 mod 3]. *)
+
+val leftover : state -> int
+(** Payloads still held by non-MIS nodes. *)
+
+(** {1 The stage} *)
+
 val run :
   dual:Graphs.Dual.t ->
   rng:Dsim.Rng.t ->

@@ -11,15 +11,79 @@ let default_params ~n ~c =
 
 type result = { rounds_run : int; phases_run : int }
 
+type state = {
+  params : params;
+  rng : Dsim.Rng.t;
+  mis : bool array;
+  sets : (int, unit) Hashtbl.t array;
+  on_payload : node:int -> payload:int -> unit;
+  sent : (int, unit) Hashtbl.t array;
+  current : int option array;
+  relay_buf : int option array;
+}
+
+let init ~params ~rng ~mis ~sets ~on_payload =
+  let n = Array.length mis in
+  {
+    params;
+    rng;
+    mis;
+    sets;
+    on_payload;
+    sent = Array.init n (fun _ -> Hashtbl.create 8);
+    current = Array.make n None;
+    relay_buf = Array.make n None;
+  }
+
+let receive s ~node:v ~round inbox =
+  List.iter
+    (fun env ->
+      match env.Amac.Message.body with
+      | Fmmb_msg.Spread { payload } ->
+          s.on_payload ~node:v ~payload;
+          if s.mis.(v) then Hashtbl.replace s.sets.(v) payload ();
+          if
+            s.params.relays
+            && round mod 3 < 2
+            && s.relay_buf.(v) = None
+            && env.Amac.Message.reliable
+          then s.relay_buf.(v) <- Some payload
+      | _ -> ())
+    inbox
+
+let act s ~node:v ~round =
+  if round mod 3 = 0 then begin
+    (* Clearing after [receive] loses nothing: an inbox from a round
+       [2 mod 3] arms no relay. *)
+    s.relay_buf.(v) <- None;
+    if s.mis.(v) && round mod (3 * s.params.periods_per_phase) = 0 then begin
+      (* Phase boundary: retire the previous phase's message, pick the
+         next unsent one. *)
+      (match s.current.(v) with
+      | Some m -> Hashtbl.replace s.sent.(v) m ()
+      | None -> ());
+      s.current.(v) <-
+        Dsim.Tbl.min_key ~skip:(Hashtbl.mem s.sent.(v)) ~cmp:Int.compare
+          s.sets.(v)
+    end;
+    if s.mis.(v) && Dsim.Rng.bernoulli s.rng ~p:s.params.p_active then
+      match s.current.(v) with
+      | Some payload -> Amac.Enhanced_mac.Broadcast (Fmmb_msg.Spread { payload })
+      | None -> Amac.Enhanced_mac.Listen
+    else Amac.Enhanced_mac.Listen
+  end
+  else
+    match s.relay_buf.(v) with
+    | Some payload ->
+        s.relay_buf.(v) <- None;
+        Amac.Enhanced_mac.Broadcast (Fmmb_msg.Spread { payload })
+    | None -> Amac.Enhanced_mac.Listen
+
 let run ~dual ~rng ~policy ~params ~mis ~sets ~on_payload ~stop ~max_phases
     ?engine ?trace ?(fprog = 1.) () =
   let n = Graphs.Dual.n dual in
-  let { periods_per_phase; p_active; relays } = params in
-  let phase_len = 3 * periods_per_phase in
-  let budget_rounds = max_phases * phase_len in
-  let sent = Array.init n (fun _ -> Hashtbl.create 8) in
-  let current = Array.make n None in
-  let relay_buf = Array.make n None in
+  let phase_len = 3 * params.periods_per_phase in
+  let s = init ~params ~rng ~mis ~sets ~on_payload in
   let engine =
     match engine with
     | Some e -> e
@@ -27,53 +91,13 @@ let run ~dual ~rng ~policy ~params ~mis ~sets ~on_payload ~stop ~max_phases
         Amac.Round_engine.of_enhanced
           (Amac.Enhanced_mac.create ~dual ~fprog ~policy ~rng ?trace ())
   in
-  let next_unsent v =
-    Dsim.Tbl.min_key ~skip:(Hashtbl.mem sent.(v)) ~cmp:Int.compare sets.(v)
-  in
-  let process_inbox v ~prev_round inbox =
-    let prev_sub = prev_round mod 3 in
-    List.iter
-      (fun env ->
-        match env.Amac.Message.body with
-        | Fmmb_msg.Spread { payload } ->
-            on_payload ~node:v ~payload;
-            if mis.(v) then Hashtbl.replace sets.(v) payload ();
-            if
-              relays && prev_sub < 2
-              && relay_buf.(v) = None
-              && env.Amac.Message.reliable
-            then relay_buf.(v) <- Some payload
-        | _ -> ())
-      inbox
-  in
   for v = 0 to n - 1 do
     engine.Amac.Round_engine.set_node ~node:v (fun ~round ~inbox ->
-        if round mod 3 = 0 then relay_buf.(v) <- None;
-        if round > 0 then process_inbox v ~prev_round:(round - 1) inbox;
-        if round mod phase_len = 0 && mis.(v) then begin
-          (* Phase boundary: retire the previous phase's message, pick the
-             next unsent one. *)
-          (match current.(v) with
-          | Some m -> Hashtbl.replace sent.(v) m ()
-          | None -> ());
-          current.(v) <- next_unsent v
-        end;
-        match round mod 3 with
-        | 0 -> (
-            if mis.(v) && Dsim.Rng.bernoulli rng ~p:p_active then
-              match current.(v) with
-              | Some payload ->
-                  Amac.Enhanced_mac.Broadcast (Fmmb_msg.Spread { payload })
-              | None -> Amac.Enhanced_mac.Listen
-            else Amac.Enhanced_mac.Listen)
-        | _ -> (
-            match relay_buf.(v) with
-            | Some payload ->
-                relay_buf.(v) <- None;
-                Amac.Enhanced_mac.Broadcast (Fmmb_msg.Spread { payload })
-            | None -> Amac.Enhanced_mac.Listen))
+        if round > 0 then receive s ~node:v ~round:(round - 1) inbox;
+        act s ~node:v ~round)
   done;
   let rounds_run =
-    engine.Amac.Round_engine.run_until ~max_rounds:budget_rounds ~stop
+    engine.Amac.Round_engine.run_until ~max_rounds:(max_phases * phase_len)
+      ~stop
   in
   { rounds_run; phases_run = (rounds_run + phase_len - 1) / phase_len }

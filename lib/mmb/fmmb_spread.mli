@@ -26,6 +26,40 @@ type result = {
   phases_run : int;
 }
 
+(** {1 Per-node steps}
+
+    The subroutine's rules, one node and one round at a time, over
+    per-node state.  [round] counts spread rounds: its residue mod 3 is
+    the sub-round, and a phase starts at each multiple of
+    [3 * periods_per_phase].  {!run} drives these steps on an engine of
+    its own; [Fmmb.run_streaming] drives them in alternate periods of
+    one engine. *)
+
+type state
+
+val init :
+  params:params ->
+  rng:Dsim.Rng.t ->
+  mis:bool array ->
+  sets:(int, unit) Hashtbl.t array ->
+  on_payload:(node:int -> payload:int -> unit) ->
+  state
+(** [sets] holds each node's owned payloads; MIS nodes add what they
+    hear.  [on_payload] is invoked on every overlay reception. *)
+
+val receive :
+  state -> node:int -> round:int -> Fmmb_msg.t Amac.Message.t list -> unit
+(** [receive s ~node ~round inbox] reads [inbox], the deliveries of spread
+    round [round]: an MIS node keeps each message, and a reliable copy
+    heard in a round [0] or [1 mod 3] arms the node's relay. *)
+
+val act :
+  state -> node:int -> round:int -> Fmmb_msg.t Amac.Enhanced_mac.action
+(** The node's action in spread round [round]; an MIS node makes one
+    [bernoulli] draw in each round [0 mod 3]. *)
+
+(** {1 The stage} *)
+
 val run :
   dual:Graphs.Dual.t ->
   rng:Dsim.Rng.t ->

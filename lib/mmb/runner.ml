@@ -237,7 +237,16 @@ type fmmb_result = {
   fmmb : Fmmb.result;
   shape_bound : float;
   duplicate_deliveries' : int;
+  latencies' : (int * float) list;
 }
+
+let fmmb_result ~tracker ~shape_bound fmmb =
+  {
+    fmmb;
+    shape_bound;
+    duplicate_deliveries' = Problem.duplicate_deliveries tracker;
+    latencies' = Problem.latencies tracker;
+  }
 
 let run_fmmb ~dual ~fprog ~c ~policy ~assignment ~seed ?backend ?params
     ?max_spread_phases ?(instrument = Instrument.none) () =
@@ -255,8 +264,13 @@ let run_fmmb ~dual ~fprog ~c ~policy ~assignment ~seed ?backend ?params
   in
   instrument.Instrument.finish ~allow_open:true;
   let d = Graphs.Bfs.diameter (Graphs.Dual.reliable dual) in
-  {
-    fmmb;
-    shape_bound = Bounds.fmmb_shape ~n ~d ~k;
-    duplicate_deliveries' = Problem.duplicate_deliveries tracker;
-  }
+  fmmb_result ~tracker ~shape_bound:(Bounds.fmmb_shape ~n ~d ~k) fmmb
+
+(* No theorem bounds online arrivals. *)
+let run_fmmb_online ~dual ~fprog ~c ~policy ~arrivals ~seed ~max_rounds =
+  let tracker = Problem.tracker_timed ~dual arrivals in
+  let fmmb =
+    Fmmb.run_streaming ~dual ~fprog ~rng:(Dsim.Rng.create ~seed) ~policy ~c
+      ~arrivals ~tracker ~max_rounds
+  in
+  fmmb_result ~tracker ~shape_bound:Float.infinity fmmb

@@ -166,8 +166,12 @@ val run_bmmb_pdes :
 type fmmb_result = {
   fmmb : Fmmb.result;
   shape_bound : float;
-      (** the unit-coefficient Theorem-4.1 round shape for this instance *)
+      (** the unit-coefficient Theorem-4.1 round shape for this instance;
+          [infinity] for {!run_fmmb_online}, since no theorem covers
+          online arrivals *)
   duplicate_deliveries' : int;
+  latencies' : (int * float) list;
+      (** as {!bmmb_result}'s [latencies] ({!Problem.latencies}) *)
 }
 
 val run_fmmb :
@@ -183,8 +187,23 @@ val run_fmmb :
   ?instrument:Instrument.t ->
   unit ->
   fmmb_result
-(** The problem-level [Arrive]/[Deliver] lifecycle feeds
-    [instrument.on_event] (stage-granular times); [Obs.Run.fmmb] points
-    it at an observer's spans.  No checker applies to FMMB, so
-    [instrument.checker] is not read: its per-stage engines restart
-    instance uids and clocks. *)
+(** Staged FMMB ({!Fmmb.run}).  The problem-level [Arrive]/[Deliver]
+    lifecycle feeds [instrument.on_event], each delivery at its round's
+    time; [Obs.Run.fmmb] points it at an observer's spans.  No checker
+    applies to FMMB, so [instrument.checker] is not read: its per-stage
+    engines restart instance uids and clocks. *)
+
+val run_fmmb_online :
+  dual:Graphs.Dual.t ->
+  fprog:float ->
+  c:float ->
+  policy:Fmmb_msg.t Amac.Enhanced_mac.round_policy ->
+  arrivals:Problem.timed_assignment ->
+  seed:int ->
+  max_rounds:int ->
+  fmmb_result
+(** Streaming FMMB ({!Fmmb.run_streaming}) with each message injected at
+    its own arrival time, returning the record {!run_fmmb} returns:
+    [latencies'] are measured from each arrival and [shape_bound] is
+    [infinity].  Runs until every message completes or [max_rounds]
+    stream rounds elapse. *)

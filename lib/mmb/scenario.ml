@@ -570,10 +570,6 @@ type engine =
   | Serial of Runner.bmmb_result
   | Partitioned of Runner.pdes_result
   | Fmmb of Runner.fmmb_result
-  | Fmmb_online of {
-      result : Fmmb_online.result;
-      latencies : (int * float) list;
-    }
 
 type execution = {
   dual : Graphs.Dual.t;
@@ -635,15 +631,10 @@ let run ?(instrument = fun _ _ -> Instrument.none) ?setup spec ~seed =
              ~policy:(Amac.Enhanced_mac.minimal_random ())
              ~assignment:(Problem.random rng ~n ~k) ~seed ~instrument ())
     | `Fmmb_online, _ ->
-        let arrivals = arrivals () in
-        let tracker = Problem.tracker_timed ~dual arrivals in
-        let result =
-          Fmmb_online.run ~dual ~fprog
-            ~rng:(Dsim.Rng.create ~seed:(seed + 31))
-            ~policy:(Amac.Enhanced_mac.minimal_random ())
-            ~c:2. ~arrivals ~tracker ~max_rounds:1_000_000 ()
-        in
-        Fmmb_online { result; latencies = Problem.latencies tracker }
+        Fmmb
+          (Runner.run_fmmb_online ~dual ~fprog ~c:2.
+             ~policy:(Amac.Enhanced_mac.minimal_random ())
+             ~arrivals:(arrivals ()) ~seed:(seed + 31) ~max_rounds:1_000_000)
   in
   { dual; dyn; engine }
 
@@ -676,10 +667,12 @@ let row spec ~seed { dyn; engine; _ } =
   | Partitioned r ->
       make r.pd_complete r.pd_time ~bound:r.pd_upper_bound ~bcasts:r.pd_bcasts
         ~violations:r.pd_compliance_violations
-  | Fmmb { fmmb; _ } -> make fmmb.complete fmmb.time
-  | Fmmb_online { result; latencies } ->
-      make result.complete result.time
-        ?mean_latency:(Problem.mean_latency latencies)
+  | Fmmb { fmmb; latencies'; _ } -> (
+      match spec.protocol with
+      | `Fmmb_online ->
+          make fmmb.complete fmmb.time
+            ?mean_latency:(Problem.mean_latency latencies')
+      | `Bmmb | `Fmmb -> make fmmb.complete fmmb.time)
 
 let execute ?instrument spec =
   List.init spec.repeat (fun i ->

@@ -147,10 +147,8 @@ type engine =
           is [infinity]) for Poisson or staggered ones *)
   | Partitioned of Runner.pdes_result  (** BMMB, batch, [partitions > 1] *)
   | Fmmb of Runner.fmmb_result
-  | Fmmb_online of {
-      result : Fmmb_online.result;
-      latencies : (int * float) list;  (** {!Problem.latencies} *)
-    }
+      (** FMMB: {!Runner.run_fmmb} for ["fmmb"], {!Runner.run_fmmb_online}
+          (its [shape_bound] is [infinity]) for ["fmmb-online"] *)
 
 type execution = {
   dual : Graphs.Dual.t;
@@ -167,10 +165,12 @@ val run :
 (** The one execution [spec] describes at [seed], which every [mmb_sim]
     subcommand and scenario cell runs through: the network from
     [seed + 911], the assignment or arrivals from [seed + 13], then the
-    engine [spec] selects.  [instrument] gets the built network and
-    dynamic wrapper ([None] on the partitioned engine, which builds one
-    per partition) before the run, and every engine takes what it
-    returns.  [setup] reaches the serial engine (batch or online
+    engine [spec] selects (fmmb-online's rounds draw from [seed + 31]).
+    [instrument] gets the built network and dynamic wrapper ([None] on
+    the partitioned engine, which builds one per partition) before the
+    run, and every engine but fmmb-online's takes what it returns: the
+    streaming run records no lifecycle, and its [Rounds] backend has no
+    engine to account for.  [setup] reaches the serial engine (batch or online
     arrivals), whose one event heap it can schedule into.  [spec.check]
     audits the run on every BMMB engine, the partitioned one included.
     Raises [Invalid_argument] when [spec] breaks a range, or a rule

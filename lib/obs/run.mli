@@ -17,8 +17,8 @@ val instrument :
     Otherwise the run's event stream is subscribed live, whichever
     engine produces it: the serial MAC trace, the partitioned engine's
     merged trace (recorded window by window, on the calling domain), or
-    the [Arrive]/[Deliver] lifecycle of FMMB's round backends (at
-    stage-granular times).
+    the [Arrive]/[Deliver] lifecycle of FMMB's round backends (each
+    delivery at its round's time).
 
     - [obs]: spans and the streaming checker subscribe, engine gauges
       are wired (serial engines only), and the observer is finished with
@@ -82,5 +82,6 @@ val fmmb :
   ?obs:Observer.t ->
   unit ->
   Mmb.Runner.fmmb_result
-(** [obs] as in {!instrument}.  FMMB's round backends have no engine, so
-    nothing is folded into {!Global}. *)
+(** [obs] as in {!instrument}.  On the [Continuous] backend each stage
+    engine's counters fold into {!Global} (through [note_sim]); the
+    [Rounds] backend has no engine and folds nothing. *)

@@ -149,6 +149,75 @@ let test_fmmb_all_messages_at_one_node () =
   in
   Alcotest.(check bool) "complete" true res.Mmb.Runner.fmmb.Mmb.Fmmb.complete
 
+(* A 5x5 lattice of spacing 0.7 jittered by up to 0.1 (the benchmark's
+   fmmb_grey shape), with G' the grey zone out to c = 2, and [k]
+   messages at distinct nodes. *)
+let jittered_lattice ~seed ~k =
+  let side = 5 in
+  let rng = Dsim.Rng.create ~seed in
+  let jitter () = Dsim.Rng.float rng 0.2 -. 0.1 in
+  let points =
+    Array.init (side * side) (fun i ->
+        Graphs.Geometry.point
+          ((0.7 *. float_of_int (i mod side)) +. jitter ())
+          ((0.7 *. float_of_int (i / side)) +. jitter ()))
+  in
+  let dual = Graphs.Dual.of_embedding ~points ~c:2. in
+  (dual, Mmb.Problem.singleton rng ~n:(side * side) ~k)
+
+(* Each delivery is stamped with the round it happens in, so stamps never
+   go backwards, and the delivery that completes the run lands in its
+   last round, one Fprog before the run's time, on every backend and in
+   both compositions. *)
+let test_fmmb_deliveries_stamped_by_round () =
+  let fprog = 2. and k = 3 in
+  let check_run ~name ~tracker (r : Mmb.Fmmb.result) =
+    Alcotest.(check bool) (name ^ ": complete") true r.complete;
+    Alcotest.(check (option (float 0.)))
+      (name ^ ": completion one Fprog before the end")
+      (Some (r.time -. fprog))
+      (Mmb.Problem.completion_time tracker)
+  in
+  for seed = 1 to 3 do
+    let dual, assignment = jittered_lattice ~seed ~k in
+    let n = Graphs.Dual.n dual in
+    List.iter
+      (fun (label, backend) ->
+        let name = Printf.sprintf "%s, seed %d" label seed in
+        let tracker = Mmb.Problem.tracker ~dual assignment in
+        let last = ref 0. and monotone = ref true in
+        let on_event ~time = function
+          | Dsim.Trace.Deliver _ ->
+              if time < !last then monotone := false;
+              last := time
+          | _ -> ()
+        in
+        let r =
+          Mmb.Fmmb.run ~dual ~fprog ~rng:(Dsim.Rng.create ~seed)
+            ~policy:(Amac.Enhanced_mac.minimal_random ())
+            ~params:(Mmb.Fmmb.default_params ~n ~k ~c:2.)
+            ~assignment ~tracker ~backend ~on_event ()
+        in
+        check_run ~name ~tracker r;
+        Alcotest.(check bool) (name ^ ": stamps monotone") true !monotone;
+        Alcotest.(check (float 0.))
+          (name ^ ": last deliver")
+          (r.time -. fprog) !last)
+      [
+        ("rounds", Mmb.Fmmb.Rounds);
+        ("generous", Mmb.Fmmb.Continuous Amac.Round_sync.Generous);
+        ("minimal", Mmb.Fmmb.Continuous Amac.Round_sync.Minimal);
+      ];
+    let arrivals = Mmb.Problem.at_time_zero assignment in
+    let tracker = Mmb.Problem.tracker_timed ~dual arrivals in
+    check_run
+      ~name:(Printf.sprintf "streaming, seed %d" seed)
+      ~tracker
+      (Mmb.Fmmb.run_streaming ~dual ~fprog ~rng:(Dsim.Rng.create ~seed)
+         ~policy:(Amac.Enhanced_mac.minimal_random ())
+         ~c:2. ~arrivals ~tracker ~max_rounds:200_000)
+  done
+
 let suite =
   [
     ( "mmb.fmmb",
@@ -164,5 +233,7 @@ let suite =
           test_fmmb_under_all_round_policies;
         Alcotest.test_case "all messages at one node" `Slow
           test_fmmb_all_messages_at_one_node;
+        Alcotest.test_case "deliveries stamped by round" `Quick
+          test_fmmb_deliveries_stamped_by_round;
       ] );
   ]

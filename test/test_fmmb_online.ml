@@ -1,4 +1,4 @@
-(* The k-oblivious / online FMMB variant. *)
+(* The k-oblivious streaming FMMB composition, for online arrivals. *)
 
 let grey ~seed ~n =
   let rng = Dsim.Rng.create ~seed in
@@ -6,15 +6,10 @@ let grey ~seed ~n =
   Graphs.Dual.grey_zone_connected rng ~n ~width:side ~height:side ~c:2.
     ~p:0.4 ~max_tries:1000
 
-let run_online ~dual ~arrivals ~seed ~max_rounds =
-  let rng = Dsim.Rng.create ~seed in
-  let tracker = Mmb.Problem.tracker_timed ~dual arrivals in
-  let res =
-    Mmb.Fmmb_online.run ~dual ~fprog:1. ~rng
-      ~policy:(Amac.Enhanced_mac.minimal_random ())
-      ~c:2. ~arrivals ~tracker ~max_rounds ()
-  in
-  (res, tracker)
+let run_online ?(policy = Amac.Enhanced_mac.minimal_random ()) ~dual
+    ~arrivals ~seed ~max_rounds () =
+  Mmb.Runner.run_fmmb_online ~dual ~fprog:1. ~c:2. ~policy ~arrivals ~seed
+    ~max_rounds
 
 let test_batch_arrivals_complete () =
   let failures = ref 0 in
@@ -24,9 +19,9 @@ let test_batch_arrivals_complete () =
     let arrivals =
       Mmb.Problem.at_time_zero (Mmb.Problem.singleton rng ~n:30 ~k:4)
     in
-    let res, _ = run_online ~dual ~arrivals ~seed ~max_rounds:60_000 in
-    if not (res.Mmb.Fmmb_online.complete && res.Mmb.Fmmb_online.mis_valid)
-    then incr failures
+    let res = (run_online ~dual ~arrivals ~seed ~max_rounds:60_000 ()).fmmb in
+    if not (res.Mmb.Fmmb.complete && res.Mmb.Fmmb.mis_valid) then
+      incr failures
   done;
   Alcotest.(check int) "all batch runs complete" 0 !failures
 
@@ -35,25 +30,23 @@ let test_no_k_in_interface () =
      keeps working (k is discovered, not configured). *)
   let dual = grey ~seed:11 ~n:25 in
   let arrivals = [ (0., 0, 0); (0., 5, 1); (0., 9, 2); (0., 13, 3) ] in
-  let res, _ = run_online ~dual ~arrivals ~seed:2 ~max_rounds:60_000 in
+  let res = run_online ~dual ~arrivals ~seed:2 ~max_rounds:60_000 () in
   Alcotest.(check bool) "complete without knowing k" true
-    res.Mmb.Fmmb_online.complete
+    res.fmmb.Mmb.Fmmb.complete
 
 let test_late_arrivals_disseminated () =
   (* Messages injected long after the stream starts still reach everyone. *)
   let dual = grey ~seed:3 ~n:25 in
   let arrivals = [ (0., 1, 0); (3000., 7, 1); (6000., 2, 2) ] in
-  let res, tracker = run_online ~dual ~arrivals ~seed:4 ~max_rounds:120_000 in
-  Alcotest.(check bool) "complete" true res.Mmb.Fmmb_online.complete;
-  (* The late message cannot have completed before it arrived. *)
-  (match Mmb.Problem.message_completion_time tracker ~msg:2 with
-  | Some t -> Alcotest.(check bool) "causality" true (t >= 6000.)
-  | None -> Alcotest.fail "late message incomplete");
-  match Mmb.Problem.message_latency tracker ~msg:2 with
+  let res = run_online ~dual ~arrivals ~seed:4 ~max_rounds:120_000 () in
+  Alcotest.(check bool) "complete" true res.fmmb.Mmb.Fmmb.complete;
+  (* The late message cannot have completed before it arrived: its
+     latency, measured from its arrival at 6000, is positive. *)
+  match List.assoc_opt 2 res.latencies' with
   | Some l ->
       Alcotest.(check bool) "latency positive and bounded" true
         (l > 0. && l < 60_000.)
-  | None -> Alcotest.fail "no latency"
+  | None -> Alcotest.fail "late message incomplete"
 
 let test_streaming_overhead_vs_staged () =
   (* The interleaved stream should cost at most ~3x the staged algorithm on
@@ -66,15 +59,16 @@ let test_streaming_overhead_vs_staged () =
       ~policy:(Amac.Enhanced_mac.minimal_random ())
       ~assignment ~seed:7 ()
   in
-  let res, _ =
-    run_online ~dual
-      ~arrivals:(Mmb.Problem.at_time_zero assignment)
-      ~seed:7 ~max_rounds:200_000
+  let res =
+    (run_online ~dual
+       ~arrivals:(Mmb.Problem.at_time_zero assignment)
+       ~seed:7 ~max_rounds:200_000 ())
+      .fmmb
   in
   Alcotest.(check bool) "both complete" true
-    (staged.Mmb.Runner.fmmb.Mmb.Fmmb.complete && res.Mmb.Fmmb_online.complete);
+    (staged.Mmb.Runner.fmmb.Mmb.Fmmb.complete && res.Mmb.Fmmb.complete);
   let ratio =
-    float_of_int res.Mmb.Fmmb_online.total_rounds
+    float_of_int res.Mmb.Fmmb.total_rounds
     /. float_of_int staged.Mmb.Runner.fmmb.Mmb.Fmmb.total_rounds
   in
   Alcotest.(check bool)
@@ -84,17 +78,12 @@ let test_streaming_overhead_vs_staged () =
 
 let test_inject_rejects_nothing_and_dedups_delivery () =
   let dual = grey ~seed:8 ~n:20 in
-  let rng = Dsim.Rng.create ~seed:9 in
-  let arrivals = [ (0., 0, 0) ] in
-  let tracker = Mmb.Problem.tracker_timed ~dual arrivals in
   let res =
-    Mmb.Fmmb_online.run ~dual ~fprog:1. ~rng
-      ~policy:(Amac.Enhanced_mac.generous ())
-      ~c:2. ~arrivals ~tracker ~max_rounds:60_000 ()
+    run_online ~policy:(Amac.Enhanced_mac.generous ()) ~dual
+      ~arrivals:[ (0., 0, 0) ] ~seed:9 ~max_rounds:60_000 ()
   in
-  Alcotest.(check bool) "complete" true res.Mmb.Fmmb_online.complete;
-  Alcotest.(check int) "no duplicate deliveries" 0
-    (Mmb.Problem.duplicate_deliveries tracker)
+  Alcotest.(check bool) "complete" true res.fmmb.Mmb.Fmmb.complete;
+  Alcotest.(check int) "no duplicate deliveries" 0 res.duplicate_deliveries'
 
 let suite =
   [
