@@ -88,6 +88,9 @@ let stage x =
   x.engine <- Some engine;
   engine
 
+(* Problem-level events go to [on_event], not to [trace]: the stage
+   engines restart uids and times, so their MAC events must not share a
+   stream with the monotone MMB lifecycle. *)
 let record x ~time event =
   match x.on_event with None -> () | Some f -> f ~time event
 
