@@ -313,7 +313,7 @@ let e9_ablations () =
     List.for_all
       (fun m ->
         List.exists
-          (fun v -> Hashtbl.mem res.Mmb.Fmmb_gather.mis_sets.(v) m)
+          (fun v -> Dsim.Bitset.mem res.Mmb.Fmmb_gather.mis_sets.(v) m)
           mis_list)
       (List.init k Fun.id)
   in
@@ -350,23 +350,21 @@ let e9_ablations () =
     (* Credit gather-phase knowledge to the tracker first. *)
     Array.iteri
       (fun v set ->
-        Dsim.Tbl.sorted_iter ~cmp:Int.compare
-          (fun m () -> Mmb.Problem.on_deliver tracker ~node:v ~msg:m ~time:0.)
+        Dsim.Bitset.iter
+          (fun m -> Mmb.Problem.on_deliver tracker ~node:v ~msg:m ~time:0.)
           set)
       gr.Mmb.Fmmb_gather.mis_sets;
     let params =
       { (Mmb.Fmmb_spread.default_params ~n ~c) with Mmb.Fmmb_spread.relays }
     in
-    let known = Array.init n (fun _ -> Hashtbl.create 8) in
+    let known = Array.init n (fun _ -> Dsim.Bitset.create ~width:0) in
     let res =
       Mmb.Fmmb_spread.run ~dual ~rng
         ~policy:(Amac.Enhanced_mac.minimal_random ())
         ~params ~mis ~sets:gr.Mmb.Fmmb_gather.mis_sets
         ~on_payload:(fun ~node ~payload ->
-          if not (Hashtbl.mem known.(node) payload) then begin
-            Hashtbl.replace known.(node) payload ();
-            Mmb.Problem.on_deliver tracker ~node ~msg:payload ~time:0.
-          end)
+          if not (Dsim.Bitset.test_and_add known.(node) payload) then
+            Mmb.Problem.on_deliver tracker ~node ~msg:payload ~time:0.)
         ~stop:(fun () -> Mmb.Problem.complete tracker)
         ~max_phases:40 ()
     in

@@ -17,7 +17,9 @@
 #                           k = 16, pinned output), a large eager
 #                           checked run (same grid, pinned output), the
 #                           adversarial run on a churned dual (pinned
-#                           output and metrics-file MD5), a large serial run
+#                           output and metrics-file MD5), a large FMMB run
+#                           (n = 640 grey-zone, pinned output and MD5),
+#                           a large serial run
 #                           (n = 250000, pinned output),
 #                           the n = 10^6 partitioned grid run
 #                           (EXPERIMENTS.md E18) and an n = 10^5
@@ -238,6 +240,22 @@ else
         printf "%s\n" "$out" | grep -qx "engine: 378208 events executed" &&
         printf "%s\n" "$out" | grep -q "^compliance: OK" &&
         md5sum "$T/adv.jsonl" | grep -q "^a8d4ecc39e34e3185b58cb671fcb0e32 "'
+    # FMMB at scale: a 640-node grey-zone network runs 6,491 rounds of
+    # MIS, gather and spread, so every payload pick of gather and spread
+    # (a node's smallest pending or unsent payload) is exercised.  Its
+    # rounds, MIS and whole stdout must be reproduced exactly, also
+    # under randomized hashing.
+    gate "large FMMB run (geometric greyzone -n 640 -k 8, pinned rounds and MIS)" \
+      sh -c 'dune build bin/mmb_sim.exe &&
+        fmmb() { _build/default/bin/mmb_sim.exe run -p fmmb -t geometric \
+          -g greyzone -n 640 -k 8 --seed 3; } &&
+        out=$(fmmb) &&
+        printf "%s\n" "$out" | grep -x -e "complete: .*" -e "rounds: .*" -e "MIS: .*" &&
+        printf "%s\n" "$out" | grep -qx "complete: true" &&
+        printf "%s\n" "$out" | grep -qx "rounds: 6491 (mis 703 + gather 18 + spread 5770)" &&
+        printf "%s\n" "$out" | grep -qx "MIS: size 114, valid true" &&
+        printf "%s\n" "$out" | md5sum | grep -q "^b55eb9991c523e5bde7208478baaf7cc " &&
+        OCAMLRUNPARAM=R fmmb | md5sum | grep -q "^b55eb9991c523e5bde7208478baaf7cc "'
     # The serial engine (Dsim.Heap, Standard_mac, Bmmb) at scale: a
     # 250k-node grid, 2.5 M events, must reproduce its completion time
     # and event count exactly.
@@ -276,6 +294,7 @@ else
     skip "large adversarial checked run (grid -n 4096 -k 16 --scheduler adversarial --check)" "run with --full"
     skip "large eager checked run (grid -n 4096 -k 16 --scheduler eager --check)" "run with --full"
     skip "large churned adversarial checked run (grid -n 4096 -k 16 --scheduler adversarial --dynamic churn --check)" "run with --full"
+    skip "large FMMB run (geometric greyzone -n 640 -k 8, pinned rounds and MIS)" "run with --full"
     skip "large serial run (grid -n 250000 -k 2, pinned time and events)" "run with --full"
     skip "E18 million-node grid (-n 1000000 --partitions 8 --domains 2)" "run with --full"
     skip "large partitioned line (line -n 100000 --partitions 8, pinned time, events and windows)" "run with --full"

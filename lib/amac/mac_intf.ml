@@ -64,6 +64,7 @@ type 'msg policy = {
   pol_name : string;
   pol_plan : 'msg bcast_ctx -> unit;
   pol_forced : 'msg forced_ctx -> 'msg candidate;
+  pol_reads_received : bool;
 }
 
 type 'msg handlers = { on_rcv : src:int -> 'msg -> unit; on_ack : 'msg -> unit }

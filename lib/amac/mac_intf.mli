@@ -82,7 +82,11 @@ type 'msg forced_ctx = {
           never empty when the watchdog fires *)
   fc_has_received : 'msg -> bool;
       (** has this receiver already received a message with this body
-          (from any instance)?  Lets adversaries pick useless duplicates. *)
+          (from any instance)?  Lets adversaries pick useless duplicates.
+          Answered only under a policy that sets [pol_reads_received]:
+          the MAC keeps the (body, receiver) history it reads from for
+          such a policy alone, and under any other the call raises
+          [Invalid_argument] rather than answer from no history. *)
   fc_rng : Dsim.Rng.t;
 }
 (** Context of a forced progress-bound delivery: the engine's watchdog
@@ -95,6 +99,11 @@ type 'msg policy = {
       (** writes the broadcast's plan into [bc_plan] *)
   pol_forced : 'msg forced_ctx -> 'msg candidate;
       (** must return one of [fc_candidates] *)
+  pol_reads_received : bool;
+      (** does [pol_forced] call [fc_has_received]?  Set by the policy's
+          constructor; [true] makes the MAC intern every body and record
+          every delivered (body, receiver) pair, which costs a hash
+          lookup per bcast and a set insert per delivery. *)
 }
 
 (** {1 Node automata (standard model)} *)

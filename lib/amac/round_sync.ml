@@ -40,6 +40,7 @@ let policy ~mode =
       | Generous -> "round-sync-generous");
     pol_plan = plan;
     pol_forced = forced;
+    pol_reads_received = false;
   }
 
 let create ~mac () =

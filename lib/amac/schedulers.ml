@@ -11,7 +11,12 @@ let eager ?(latency_frac = 0.1) () =
     deliver_all p ctx.bc_g'_only_neighbors ~delay:p.ack_delay
   in
   let forced ctx = List.hd ctx.fc_candidates in
-  { pol_name = "eager"; pol_plan = plan; pol_forced = forced }
+  {
+    pol_name = "eager";
+    pol_plan = plan;
+    pol_forced = forced;
+    pol_reads_received = false;
+  }
 
 (* The plan of [random_compliant] and [bursty]: an ack drawn in
    [Fack/2, Fack], a delay below it for each G-neighbor, then for each
@@ -38,7 +43,12 @@ let random_compliant ?(p_unreliable = 0.5) () =
        without the copy. *)
     Dsim.Rng.pick_list ctx.fc_rng ctx.fc_candidates
   in
-  { pol_name = "random"; pol_plan = random_plan ~up; pol_forced = forced }
+  {
+    pol_name = "random";
+    pol_plan = random_plan ~up;
+    pol_forced = forced;
+    pol_reads_received = false;
+  }
 
 let adversarial () =
   let plan ctx =
@@ -59,7 +69,12 @@ let adversarial () =
     | [], c :: _ -> c
     | [], [] -> List.hd ctx.fc_candidates
   in
-  { pol_name = "adversarial"; pol_plan = plan; pol_forced = forced }
+  {
+    pol_name = "adversarial";
+    pol_plan = plan;
+    pol_forced = forced;
+    pol_reads_received = true;
+  }
 
 let bursty ?(p_bad = 0.15) ?(p_good = 0.1) () =
   let state : (int, bool) Hashtbl.t = Hashtbl.create 64 in
@@ -84,6 +99,7 @@ let bursty ?(p_bad = 0.15) ?(p_good = 0.1) () =
     pol_name = "bursty";
     pol_plan = random_plan ~up:edge_up;
     pol_forced = forced;
+    pol_reads_received = false;
   }
 
 let name p = p.pol_name

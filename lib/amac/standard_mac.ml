@@ -14,7 +14,9 @@ type 'msg instance = {
   uid : int;
   sender : int;
   body : 'msg;
-  body_id : int; (* [body] interned: structurally equal bodies share it *)
+  (* [body] interned, so structurally equal bodies share it; -1 under a
+     policy that does not read [fc_has_received]. *)
+  body_id : int;
   mutable status : status;
   (* The rows of the dual in force when the instance opened.  Terminate
      bookkeeping iterates the same G/G' neighborhoods bcast incremented,
@@ -63,7 +65,8 @@ type 'msg t = {
   scratch_cand : int array;
   (* Bodies by structural equality, interned once per bcast to dense ids,
      and every delivered (body id, receiver) pair, keyed [pair]: all
-     [fc_has_received] needs. *)
+     [fc_has_received] needs.  Both stay empty unless the policy sets
+     [pol_reads_received]. *)
   bodies : ('msg, int) Hashtbl.t;
   received : Dsim.Int_table.set Dsim.Int_table.t;
   (* Per sender, the [served]/[pending] buffers of its last discarded
@@ -190,6 +193,13 @@ let has_received t j body =
   | body_id -> Dsim.Int_table.mem t.received (pair t ~body_id j)
   | exception Not_found -> false
 
+(* [fc_has_received] under a policy that did not declare it reads it:
+   with no history kept, answering [false] would be a silent lie. *)
+let no_history _ =
+  invalid_arg
+    "Standard_mac: fc_has_received called by a policy that does not set \
+     pol_reads_received"
+
 (* --- Per-instance receiver state ----------------------------------------- *)
 
 let is_served inst s =
@@ -277,7 +287,8 @@ let deliver t inst s =
       t.cover.(j) <- t.cover.(j) + 1;
       recheck_watchdog t j
     end;
-    Dsim.Int_table.add t.received (pair t ~body_id:inst.body_id j);
+    if inst.body_id >= 0 then
+      Dsim.Int_table.add t.received (pair t ~body_id:inst.body_id j);
     t.n_rcv <- t.n_rcv + 1;
     (* Delivered-set probe for the adversary's oracle: the receiver now
        knows this message. *)
@@ -352,7 +363,10 @@ let fire_watchdog t j =
             Mac_intf.fc_receiver = j;
             fc_now = Dsim.Sim.now t.sim;
             fc_candidates = candidates;
-            fc_has_received = (fun body -> has_received t j body);
+            fc_has_received =
+              (if t.policy.Mac_intf.pol_reads_received then
+                 fun body -> has_received t j body
+               else no_history);
             fc_rng = t.rng;
           }
         in
@@ -591,8 +605,11 @@ let bcast t ~node body =
   in
   let id = take_id t in
   let inst =
-    { id; uid; sender = node; body; body_id = intern t body; status = Open;
-      g_row; g'_row; served; pending; ack_handle = Dsim.Sim.no_event }
+    { id; uid; sender = node; body;
+      body_id =
+        (if t.policy.Mac_intf.pol_reads_received then intern t body else -1);
+      status = Open; g_row; g'_row; served; pending;
+      ack_handle = Dsim.Sim.no_event }
   in
   store t inst;
   t.current.(node) <- id;

@@ -35,13 +35,3 @@ let sorted_fold ~cmp f t init =
    The name is the audit trail: call sites assert commutativity by
    choosing this function (see lint rule D1's message). *)
 let iter_commutative f t = Hashtbl.iter f t
-
-(* Minimum key under [cmp], skipping keys for which [skip] holds.  A plain
-   fold is safe here: min over a total order is commutative, so the result
-   is independent of traversal order (and O(n), unlike sorting). *)
-let min_key ?(skip = fun _ -> false) ~cmp t =
-  Hashtbl.fold
-    (fun k _ acc ->
-      if skip k then acc
-      else match acc with Some best when cmp best k <= 0 -> acc | _ -> Some k)
-    t None

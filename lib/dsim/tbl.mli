@@ -34,9 +34,3 @@ val iter_commutative : ('k -> 'v -> unit) -> ('k, 'v) Hashtbl.t -> unit
     bindings (e.g. cancelling independent events, bumping counters), so
     the final state cannot depend on traversal order.  Order-sensitive
     work must use {!sorted_iter}; lint rule D1's message points here. *)
-
-val min_key :
-  ?skip:('k -> bool) -> cmp:('k -> 'k -> int) -> ('k, 'v) Hashtbl.t -> 'k option
-(** Minimum key under [cmp] among keys for which [skip] is false
-    (default: none skipped).  O(n) and order-independent, since min over
-    a total order is commutative. *)

@@ -2,81 +2,36 @@
    messages.  Fed from the MAC's delivered-set probes (Dyn.Dual relays
    [note_bcast]/[note_delivery] here); read by the adversarial schedule
    to find the message frontier.  One growable bitset per node, indexed
-   by message id, so the frontier test on an edge is a byte-wise XOR. *)
+   by message id, so the frontier test on an edge is a row comparison. *)
 
 type t = {
   n : int;
-  mutable width : int; (* bytes per node bitset; grows with message ids *)
-  mutable known : Bytes.t array; (* length [n]; row u = u's known-message bits *)
+  known : Dsim.Bitset.t array; (* row u = u's known-message ids *)
   mutable notes : int; (* count of newly-set bits, for [any_known] *)
 }
 
 let create ~n =
   if n < 1 then invalid_arg "Oracle.create: need n >= 1";
-  { n; width = 1; known = Array.init n (fun _ -> Bytes.make 1 '\000'); notes = 0 }
+  { n; known = Array.init n (fun _ -> Dsim.Bitset.create ~width:8); notes = 0 }
 
 let n t = t.n
 
-let ensure t msg =
-  let need = (msg lsr 3) + 1 in
-  if need > t.width then begin
-    let w = max need ((2 * t.width) + 1) in
-    t.known <-
-      Array.map
-        (fun row ->
-          let row' = Bytes.make w '\000' in
-          Bytes.blit row 0 row' 0 (Bytes.length row);
-          row')
-        t.known;
-    t.width <- w
-  end
-
 let knows t ~node ~msg =
-  if node < 0 || node >= t.n || msg < 0 then false
-  else
-    let b = msg lsr 3 in
-    b < t.width
-    && Char.code (Bytes.get t.known.(node) b) land (1 lsl (msg land 7)) <> 0
+  node >= 0 && node < t.n && Dsim.Bitset.mem t.known.(node) msg
 
 let note t ~node ~msg =
   if node < 0 || node >= t.n then invalid_arg "Oracle.note: node out of range";
   if msg < 0 then invalid_arg "Oracle.note: negative message id";
-  if not (knows t ~node ~msg) then begin
-    ensure t msg;
-    let row = t.known.(node) in
-    let b = msg lsr 3 in
-    Bytes.set row b
-      (Char.chr (Char.code (Bytes.get row b) lor (1 lsl (msg land 7))));
+  if not (Dsim.Bitset.test_and_add t.known.(node) msg) then
     t.notes <- t.notes + 1
-  end
 
 let any_known t = t.notes > 0
 
 (* An edge crosses the message frontier iff some message is known at
-   exactly one endpoint — a byte-wise XOR over the two rows. *)
+   exactly one endpoint: the two rows differ. *)
 let crosses t u v =
-  if u < 0 || v < 0 || u >= t.n || v >= t.n then false
-  else begin
-    let a = t.known.(u) and b = t.known.(v) in
-    let diff = ref false in
-    for i = 0 to t.width - 1 do
-      if Char.code (Bytes.get a i) lxor Char.code (Bytes.get b i) <> 0 then
-        diff := true
-    done;
-    !diff
-  end
+  u >= 0 && v >= 0 && u < t.n && v < t.n
+  && not (Dsim.Bitset.equal t.known.(u) t.known.(v))
 
 let informed t ~node =
-  if node < 0 || node >= t.n then 0
-  else begin
-    let row = t.known.(node) in
-    let count = ref 0 in
-    for i = 0 to t.width - 1 do
-      let byte = ref (Char.code (Bytes.get row i)) in
-      while !byte <> 0 do
-        count := !count + (!byte land 1);
-        byte := !byte lsr 1
-      done
-    done;
-    !count
-  end
+  if node < 0 || node >= t.n then 0 else Dsim.Bitset.cardinal t.known.(node)

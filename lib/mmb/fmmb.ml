@@ -39,7 +39,7 @@ type driver = {
   on_event : (time:float -> Dsim.Trace.event -> unit) option;
   note_sim : Dsim.Sim.t -> unit;
   tracker : Problem.tracker;
-  known : (int, unit) Hashtbl.t array;
+  known : Dsim.Bitset.t array;
   mutable before : int;  (* rounds run by the stages before [engine]'s *)
   mutable engine : Fmmb_msg.t Amac.Round_engine.t option;
   mutable sims : Dsim.Sim.t list;  (* Continuous engines, newest first *)
@@ -57,7 +57,8 @@ let driver ~dual ~fprog ~rng ~policy ~backend ?trace ?on_event
     on_event;
     note_sim;
     tracker;
-    known = Array.init (Graphs.Dual.n dual) (fun _ -> Hashtbl.create 8);
+    known =
+      Array.init (Graphs.Dual.n dual) (fun _ -> Dsim.Bitset.create ~width:0);
     before = 0;
     engine = None;
     sims = [];
@@ -98,8 +99,7 @@ let record x ~time event =
    with the round it happens in: the rounds of the stages before this
    one plus the rounds done in it, times Fprog. *)
 let deliver x ~node ~payload =
-  if not (Hashtbl.mem x.known.(node) payload) then begin
-    Hashtbl.replace x.known.(node) payload ();
+  if not (Dsim.Bitset.test_and_add x.known.(node) payload) then begin
     let rounds =
       match x.engine with
       | Some e -> x.before + e.Amac.Round_engine.rounds_done ()
@@ -186,7 +186,7 @@ let run_streaming ~dual ~fprog ~rng ~policy ~c ~arrivals ~tracker ~max_rounds
   let engine = stage x in
   (* One set per node: custody at MIS nodes, payloads not yet
      acknowledged elsewhere. *)
-  let sets = Array.init n (fun _ -> Hashtbl.create 8) in
+  let sets = Array.init n (fun _ -> Dsim.Bitset.create ~width:0) in
   let params = Fmmb_spread.default_params ~n ~c in
   let gather =
     Fmmb_gather.init ~p_active:params.Fmmb_spread.p_active ~use_acks:true
@@ -244,7 +244,7 @@ let run_streaming ~dual ~fprog ~rng ~policy ~c ~arrivals ~tracker ~max_rounds
             (engine.Amac.Round_engine.run_until ~max_rounds:gap
                ~stop:(fun () -> false));
         deliver x ~node ~payload;
-        Hashtbl.replace sets.(node) payload ();
+        Dsim.Bitset.add sets.(node) payload;
         drive rest
   in
   drive by_round;

@@ -12,7 +12,7 @@ let default_params ~n ~k ~c =
   }
 
 type result = {
-  mis_sets : (int, unit) Hashtbl.t array;
+  mis_sets : Dsim.Bitset.t array;
   leftover : int;
   rounds_run : int;
   budget_rounds : int;
@@ -24,7 +24,7 @@ type state = {
   acks : bool;
   rng : Dsim.Rng.t;
   mis : bool array;
-  sets : (int, unit) Hashtbl.t array;
+  sets : Dsim.Bitset.t array;
   on_payload : node:int -> payload:int -> unit;
   heard_probe : bool array;
   absorbed : int option array;
@@ -69,7 +69,7 @@ let receive s ~node:v ~round inbox =
             match env.Amac.Message.body with
             | Fmmb_msg.Data { origin = _; payload }
               when env.Amac.Message.reliable ->
-                Hashtbl.replace s.sets.(v) payload ();
+                Dsim.Bitset.add s.sets.(v) payload;
                 if s.absorbed.(v) = None then s.absorbed.(v) <- Some payload
             | _ -> ())
           inbox
@@ -80,7 +80,7 @@ let receive s ~node:v ~round inbox =
             match env.Amac.Message.body with
             | Fmmb_msg.Ack_data { origin = _; payload }
               when env.Amac.Message.reliable ->
-                Hashtbl.remove s.sets.(v) payload
+                Dsim.Bitset.remove s.sets.(v) payload
             | _ -> ())
           inbox
 
@@ -94,7 +94,7 @@ let act s ~node:v ~round =
   | 1 -> (
       if s.mis.(v) || not s.heard_probe.(v) then Amac.Enhanced_mac.Listen
       else
-        match Dsim.Tbl.min_key ~cmp:Int.compare s.sets.(v) with
+        match Dsim.Bitset.min_elt s.sets.(v) with
         | Some payload ->
             s.data_broadcasts <- s.data_broadcasts + 1;
             Amac.Enhanced_mac.Broadcast (Fmmb_msg.Data { origin = v; payload })
@@ -108,17 +108,16 @@ let act s ~node:v ~round =
 let leftover s =
   let total = ref 0 in
   for v = 0 to Array.length s.mis - 1 do
-    if not s.mis.(v) then total := !total + Hashtbl.length s.sets.(v)
+    if not s.mis.(v) then total := !total + Dsim.Bitset.cardinal s.sets.(v)
   done;
   !total
 
 let run ~dual ~rng ~policy ~params ~mis ~initial ~on_payload ?engine ?trace
     ?(fprog = 1.) () =
   let n = Graphs.Dual.n dual in
-  let sets = Array.init n (fun _ -> Hashtbl.create 8) in
+  let sets = Array.init n (fun _ -> Dsim.Bitset.create ~width:0) in
   Array.iteri
-    (fun v payloads ->
-      List.iter (fun m -> Hashtbl.replace sets.(v) m ()) payloads)
+    (fun v payloads -> List.iter (Dsim.Bitset.add sets.(v)) payloads)
     initial;
   let s =
     init ~p_active:params.p_active ~use_acks:params.use_acks ~rng ~mis ~sets

@@ -22,7 +22,7 @@ type params = {
 val default_params : n:int -> k:int -> c:float -> params
 
 type result = {
-  mis_sets : (int, unit) Hashtbl.t array;
+  mis_sets : Dsim.Bitset.t array;
       (** per-node owned payload set after gathering (MIS custody sets) *)
   leftover : int;
       (** payloads still stranded at non-MIS nodes (0 on a w.h.p. run) *)
@@ -47,7 +47,7 @@ val init :
   use_acks:bool ->
   rng:Dsim.Rng.t ->
   mis:bool array ->
-  sets:(int, unit) Hashtbl.t array ->
+  sets:Dsim.Bitset.t array ->
   on_payload:(node:int -> payload:int -> unit) ->
   state
 (** [sets] holds each node's owned payloads: custody at MIS nodes,

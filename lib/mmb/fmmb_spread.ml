@@ -15,9 +15,9 @@ type state = {
   params : params;
   rng : Dsim.Rng.t;
   mis : bool array;
-  sets : (int, unit) Hashtbl.t array;
+  sets : Dsim.Bitset.t array;
   on_payload : node:int -> payload:int -> unit;
-  sent : (int, unit) Hashtbl.t array;
+  sent : Dsim.Bitset.t array;
   current : int option array;
   relay_buf : int option array;
 }
@@ -30,7 +30,7 @@ let init ~params ~rng ~mis ~sets ~on_payload =
     mis;
     sets;
     on_payload;
-    sent = Array.init n (fun _ -> Hashtbl.create 8);
+    sent = Array.init n (fun _ -> Dsim.Bitset.create ~width:0);
     current = Array.make n None;
     relay_buf = Array.make n None;
   }
@@ -41,7 +41,7 @@ let receive s ~node:v ~round inbox =
       match env.Amac.Message.body with
       | Fmmb_msg.Spread { payload } ->
           s.on_payload ~node:v ~payload;
-          if s.mis.(v) then Hashtbl.replace s.sets.(v) payload ();
+          if s.mis.(v) then Dsim.Bitset.add s.sets.(v) payload;
           if
             s.params.relays
             && round mod 3 < 2
@@ -60,11 +60,9 @@ let act s ~node:v ~round =
       (* Phase boundary: retire the previous phase's message, pick the
          next unsent one. *)
       (match s.current.(v) with
-      | Some m -> Hashtbl.replace s.sent.(v) m ()
+      | Some m -> Dsim.Bitset.add s.sent.(v) m
       | None -> ());
-      s.current.(v) <-
-        Dsim.Tbl.min_key ~skip:(Hashtbl.mem s.sent.(v)) ~cmp:Int.compare
-          s.sets.(v)
+      s.current.(v) <- Dsim.Bitset.min_diff s.sets.(v) s.sent.(v)
     end;
     if s.mis.(v) && Dsim.Rng.bernoulli s.rng ~p:s.params.p_active then
       match s.current.(v) with

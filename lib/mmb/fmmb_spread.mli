@@ -41,7 +41,7 @@ val init :
   params:params ->
   rng:Dsim.Rng.t ->
   mis:bool array ->
-  sets:(int, unit) Hashtbl.t array ->
+  sets:Dsim.Bitset.t array ->
   on_payload:(node:int -> payload:int -> unit) ->
   state
 (** [sets] holds each node's owned payloads; MIS nodes add what they
@@ -66,7 +66,7 @@ val run :
   policy:Fmmb_msg.t Amac.Enhanced_mac.round_policy ->
   params:params ->
   mis:bool array ->
-  sets:(int, unit) Hashtbl.t array ->
+  sets:Dsim.Bitset.t array ->
   on_payload:(node:int -> payload:int -> unit) ->
   stop:(unit -> bool) ->
   max_phases:int ->

@@ -53,7 +53,12 @@ let two_line_policy ~d =
     | [], c :: _ -> c
     | [], [] -> List.hd ctx.fc_candidates
   in
-  { pol_name = "two-line-adversary"; pol_plan = plan; pol_forced = forced }
+  {
+    pol_name = "two-line-adversary";
+    pol_plan = plan;
+    pol_forced = forced;
+    pol_reads_received = true;
+  }
 
 let run_two_line ~d ~fack ~fprog ?(discipline = `Fifo) ?(seed = 0) () =
   let dual = Graphs.Dual.two_line ~d in

@@ -3,8 +3,8 @@ type t = {
   comp : int array; (* G-component of each node *)
   msgs : Dsim.Int_table.map Dsim.Int_table.t; (* numbered at first sight *)
   mutable origin : int array; (* by number: the arrival's node, or -1 *)
-  mutable delivered : Bytes.t; (* bit [number * n + node] *)
-  rcvd : Bytes.t; (* by node: nonzero after its first MAC reception *)
+  delivered : Dsim.Bitset.t; (* [number * n + node] *)
+  rcvd : Dsim.Bitset.t; (* nodes after their first MAC reception *)
   mutable findings : string list; (* reversed *)
 }
 
@@ -16,31 +16,24 @@ let create ~dual =
     comp = Graphs.Bfs.components g;
     msgs = Dsim.Int_table.create_map ();
     origin = [||];
-    delivered = Bytes.empty;
-    rcvd = Bytes.make n '\000';
+    delivered = Dsim.Bitset.create ~width:0;
+    rcvd = Dsim.Bitset.create ~width:n;
     findings = [];
   }
 
 let add t fmt = Printf.ksprintf (fun s -> t.findings <- s :: t.findings) fmt
 
-(* The message's number, with room for it in [origin] and [delivered]. *)
+(* The message's number, with room for it in [origin]. *)
 let number t msg =
   let m = Dsim.Int_table.number t.msgs msg in
   if m = Array.length t.origin then begin
-    let cap = (2 * m) + 8 and bytes = Bytes.length t.delivered in
-    t.origin <- Array.init cap (fun i -> if i < m then t.origin.(i) else -1);
-    t.delivered <- Bytes.extend t.delivered 0 ((((cap * t.n) + 7) / 8) - bytes);
-    Bytes.fill t.delivered bytes (Bytes.length t.delivered - bytes) '\000'
+    let cap = (2 * m) + 8 in
+    t.origin <- Array.init cap (fun i -> if i < m then t.origin.(i) else -1)
   end;
   m
 
-(* Whether (node, message number m) was delivered; [set] marks it so. *)
-let delivered ?(set = false) t ~node m =
-  let bit = (m * t.n) + node in
-  let i = bit lsr 3 and mask = 1 lsl (bit land 7) in
-  let byte = Char.code (Bytes.get t.delivered i) in
-  if set then Bytes.set t.delivered i (Char.chr (byte lor mask));
-  byte land mask <> 0
+(* The [delivered] id of (node, message number m). *)
+let slot t ~node m = (m * t.n) + node
 
 let on_entry t { Dsim.Trace.event; _ } =
   match event with
@@ -49,17 +42,17 @@ let on_entry t { Dsim.Trace.event; _ } =
       if t.origin.(m) >= 0 then
         add t "message m%d arrived twice (MMB-well-formedness)" msg
       else t.origin.(m) <- node
-  | Dsim.Trace.Rcv { node; _ } -> Bytes.set t.rcvd node '\001'
+  | Dsim.Trace.Rcv { node; _ } -> Dsim.Bitset.add t.rcvd node
   | Dsim.Trace.Deliver { node; msg } ->
       let m = number t msg in
-      if delivered ~set:true t ~node m then
+      if Dsim.Bitset.test_and_add t.delivered (slot t ~node m) then
         add t "node %d delivered m%d twice (condition (b))" node msg;
       if t.origin.(m) < 0 then
         add t
           "node %d delivered m%d before (or without) its arrival (condition \
            (b))"
           node msg
-      else if node <> t.origin.(m) && Bytes.get t.rcvd node = '\000' then
+      else if node <> t.origin.(m) && not (Dsim.Bitset.mem t.rcvd node) then
         add t "node %d delivered m%d without any prior MAC reception" node msg
   | Dsim.Trace.Bcast _ | Dsim.Trace.Ack _ | Dsim.Trace.Abort _ -> ()
 
@@ -72,7 +65,9 @@ let finish t =
   |> List.sort (fun a b -> Int.compare (key a) (key b))
   |> List.iter (fun m ->
          for v = 0 to t.n - 1 do
-           if t.comp.(v) = t.comp.(t.origin.(m)) && not (delivered t ~node:v m)
+           if
+             t.comp.(v) = t.comp.(t.origin.(m))
+             && not (Dsim.Bitset.mem t.delivered (slot t ~node:v m))
            then add t "node %d never delivered m%d (condition (a))" v (key m)
          done);
   List.rev t.findings

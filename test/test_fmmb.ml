@@ -93,7 +93,7 @@ let test_gather_collects_everything () =
     for m = 0 to k - 1 do
       let held =
         List.exists
-          (fun v -> Hashtbl.mem res.Mmb.Fmmb_gather.mis_sets.(v) m)
+          (fun v -> Dsim.Bitset.mem res.Mmb.Fmmb_gather.mis_sets.(v) m)
           mis_list
       in
       if not held then incr failures

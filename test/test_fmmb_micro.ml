@@ -27,7 +27,7 @@ let test_gather_one_period_sequence () =
   Alcotest.(check int) "drained after one active period" 6
     res.Mmb.Fmmb_gather.rounds_run;
   Alcotest.(check bool) "hub owns the payload" true
-    (Hashtbl.mem res.Mmb.Fmmb_gather.mis_sets.(0) 7);
+    (Dsim.Bitset.mem res.Mmb.Fmmb_gather.mis_sets.(0) 7);
   Alcotest.(check int) "nothing left at leaves" 0
     res.Mmb.Fmmb_gather.leftover;
   Alcotest.(check int) "exactly one data broadcast" 1
@@ -87,8 +87,8 @@ let test_spread_three_hop_relay () =
      round 1 relay (reaches 2), round 2 relay (reaches 3). *)
   let dual = Graphs.Dual.of_equal (Graphs.Gen.line 4) in
   let mis = [| true; false; false; false |] in
-  let sets = Array.init 4 (fun _ -> Hashtbl.create 4) in
-  Hashtbl.replace sets.(0) 42 ();
+  let sets = Array.init 4 (fun _ -> Dsim.Bitset.create ~width:0) in
+  Dsim.Bitset.add sets.(0) 42;
   let rng = Dsim.Rng.create ~seed:0 in
   let got_at = Array.make 4 max_int in
   got_at.(0) <- 0;
@@ -113,8 +113,8 @@ let test_spread_three_hop_relay () =
 let test_spread_without_relays_stops_at_one_hop () =
   let dual = Graphs.Dual.of_equal (Graphs.Gen.line 4) in
   let mis = [| true; false; false; false |] in
-  let sets = Array.init 4 (fun _ -> Hashtbl.create 4) in
-  Hashtbl.replace sets.(0) 42 ();
+  let sets = Array.init 4 (fun _ -> Dsim.Bitset.create ~width:0) in
+  Dsim.Bitset.add sets.(0) 42;
   let rng = Dsim.Rng.create ~seed:0 in
   let reached = Array.make 4 false in
   reached.(0) <- true;

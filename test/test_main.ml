@@ -1,6 +1,6 @@
 let () =
   Alcotest.run "amac_mmb"
-    (Test_model_based.suite @ Test_heap.suite @ Test_stats_io.suite @ Test_sim.suite @ Test_rng.suite @ Test_trace.suite
+    (Test_model_based.suite @ Test_heap.suite @ Test_bitset.suite @ Test_stats_io.suite @ Test_sim.suite @ Test_rng.suite @ Test_trace.suite
    @ Test_graph.suite @ Test_bfs.suite @ Test_gen.suite @ Test_geometry.suite @ Test_dual.suite @ Test_dyn.suite
    @ Test_mis.suite @ Test_standard_mac.suite @ Test_enhanced_mac.suite
    @ Test_round_sync.suite @ Test_compliance.suite @ Test_compliance_mutation.suite @ Test_estimate.suite @ Test_schedulers.suite @ Test_problem.suite @ Test_bmmb.suite

@@ -95,6 +95,7 @@ let bad_plan_rejected name ~ack deliveries =
       Amac.Mac_intf.pol_name = "bad";
       pol_plan = plan_of;
       pol_forced = (fun ctx -> List.hd ctx.Amac.Mac_intf.fc_candidates);
+      pol_reads_received = false;
     }
   in
   let sim = Dsim.Sim.create () in
@@ -138,6 +139,7 @@ let test_forced_choice_validated () =
             cand_body = 0;
             cand_is_g_neighbor = true;
           });
+      pol_reads_received = false;
     }
   in
   let sim = Dsim.Sim.create () in

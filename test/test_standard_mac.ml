@@ -108,6 +108,27 @@ let test_progress_watchdog_forces_delivery () =
   Alcotest.(check int) "one forced delivery" 1
     (Amac.Standard_mac.forced_count mac)
 
+(* The MAC keeps the history [fc_has_received] reads only for a policy
+   that declares it reads it.  The adversary's forced choice with the
+   declaration taken away must fail by name when the watchdog fires,
+   not be told [false]. *)
+let test_undeclared_history_read_refused () =
+  let dual = Graphs.Dual.of_equal (Graphs.Gen.line 2) in
+  let policy =
+    {
+      (Amac.Schedulers.adversarial ()) with
+      Amac.Mac_intf.pol_reads_received = false;
+    }
+  in
+  let sim, mac, _, _ = make_env ~dual ~fack:100. ~fprog:3. ~policy () in
+  ignore
+    (Dsim.Sim.schedule_at sim ~time:0. (fun () ->
+         Amac.Standard_mac.bcast mac ~node:0 5));
+  Alcotest.check_raises "the forced choice's history read"
+    (Invalid_argument
+       "Standard_mac: fc_has_received called by a policy that does not set \
+        pol_reads_received") (fun () -> ignore (Dsim.Sim.run sim))
+
 let test_no_duplicate_instance_delivery () =
   (* The forced delivery must replace, not duplicate, the planned one. *)
   let dual = Graphs.Dual.of_equal (Graphs.Gen.line 2) in
@@ -147,6 +168,7 @@ let plan_policy plan =
     Amac.Mac_intf.pol_name = "test";
     pol_plan = plan;
     pol_forced = (fun ctx -> List.hd ctx.Amac.Mac_intf.fc_candidates);
+    pol_reads_received = false;
   }
 
 (* A policy that writes [every] on each call and [first] on its first
@@ -283,15 +305,19 @@ let test_abort_window_keeps_instance () =
    armed and cancelled once per bcast; past it each fires and forces a
    delivery.  The second of two equal rounds is measured, so the
    engine's and the MAC's arrays have grown. *)
-let star_words_per_bcast ~leaves ~delay =
+let star_words_per_bcast ~reads_received ~leaves ~delay =
   let dual = Graphs.Dual.of_equal (Graphs.Gen.star (leaves + 1)) in
   let hub = 0 in
   let rows = Graphs.Graph.neighbors (Graphs.Dual.unreliable dual) hub in
   let policy =
-    plan_policy (fun ctx ->
-        let p = ctx.Amac.Mac_intf.bc_plan in
-        Amac.Mac_intf.set_ack p ~delay;
-        Amac.Mac_intf.deliver_all p rows ~delay)
+    {
+      (plan_policy (fun ctx ->
+           let p = ctx.Amac.Mac_intf.bc_plan in
+           Amac.Mac_intf.set_ack p ~delay;
+           Amac.Mac_intf.deliver_all p rows ~delay))
+      with
+      Amac.Mac_intf.pol_reads_received = reads_received;
+    }
   in
   let sim = Dsim.Sim.create () in
   let mac =
@@ -333,32 +359,47 @@ let star_words_per_bcast ~leaves ~delay =
    MAC reuses, whose cells keep the policy's boxed delays, so writing,
    checking and posting it allocates nothing.  Deliveries, acks and
    watchdogs are int-coded events of handlers the MAC registers once,
-   and a delivery records its (body, receiver) pair in an int set, so
-   they allocate nothing either: widening the star from 8 to 32 leaves
-   quadruples the deliveries and watchdogs per bcast but must not add
-   words.  A fire allocates only what the forced-choice policy is
-   handed: its context (6 words), the boxed time (2), the
-   [fc_has_received] probe (5) and one candidate and its cons (8). *)
+   so they allocate nothing either: widening the star from 8 to 32
+   leaves quadruples the deliveries and watchdogs per bcast but must
+   not add words.  Under a policy that reads [fc_has_received] a bcast
+   also interns its body (a hit allocates nothing) and a delivery
+   records its (body, receiver) pair in an int set, so the same holds
+   with the history kept.  A fire allocates only what the forced-choice
+   policy is handed: its context (6 words), the boxed time (2), one
+   candidate and its cons (8) and, under such a policy, the
+   [fc_has_received] probe (5). *)
 let test_events_allocate_nothing () =
-  let narrow, forced_narrow = star_words_per_bcast ~leaves:8 ~delay:0.5 in
-  let wide, forced_wide = star_words_per_bcast ~leaves:32 ~delay:0.5 in
-  Alcotest.(check int) "no watchdog fired" 0 (forced_narrow + forced_wide);
-  Alcotest.(check bool)
-    (Printf.sprintf "%.1f words per bcast at 8 leaves" narrow)
-    true (narrow < 32.);
-  Alcotest.(check bool)
-    (Printf.sprintf "%.4f words per extra delivery" ((wide -. narrow) /. 24.))
-    true (wide -. narrow < 0.05 *. 24.);
-  let stalled_narrow, fired_narrow = star_words_per_bcast ~leaves:8 ~delay:4. in
-  let stalled_wide, fired_wide = star_words_per_bcast ~leaves:32 ~delay:4. in
-  Alcotest.(check int) "every delivery forced at 8 leaves" (2 * 2_000 * 8)
-    fired_narrow;
-  Alcotest.(check int) "every delivery forced at 32 leaves" (2 * 2_000 * 32)
-    fired_wide;
-  Alcotest.(check bool)
-    (Printf.sprintf "%.4f words per extra fire"
-       ((stalled_wide -. stalled_narrow) /. 24.))
-    true (stalled_wide -. stalled_narrow < 22. *. 24.)
+  List.iter
+    (fun reads_received ->
+      let words = star_words_per_bcast ~reads_received in
+      let label fmt =
+        Printf.ksprintf
+          (fun s -> Printf.sprintf "%s, reads_received %b" s reads_received)
+          fmt
+      in
+      let narrow, forced_narrow = words ~leaves:8 ~delay:0.5 in
+      let wide, forced_wide = words ~leaves:32 ~delay:0.5 in
+      Alcotest.(check int) (label "no watchdog fired") 0
+        (forced_narrow + forced_wide);
+      Alcotest.(check bool)
+        (label "%.1f words per bcast at 8 leaves" narrow)
+        true (narrow < 32.);
+      Alcotest.(check bool)
+        (label "%.4f words per extra delivery" ((wide -. narrow) /. 24.))
+        true
+        (wide -. narrow < 0.05 *. 24.);
+      let stalled_narrow, fired_narrow = words ~leaves:8 ~delay:4. in
+      let stalled_wide, fired_wide = words ~leaves:32 ~delay:4. in
+      Alcotest.(check int) (label "every delivery forced at 8 leaves")
+        (2 * 2_000 * 8) fired_narrow;
+      Alcotest.(check int) (label "every delivery forced at 32 leaves")
+        (2 * 2_000 * 32) fired_wide;
+      Alcotest.(check bool)
+        (label "%.4f words per extra fire"
+           ((stalled_wide -. stalled_narrow) /. 24.))
+        true
+        (stalled_wide -. stalled_narrow < 22. *. 24.))
+    [ false; true ]
 
 let suite =
   [
@@ -370,6 +411,8 @@ let suite =
         Alcotest.test_case "ack bound respected" `Quick test_ack_within_fack;
         Alcotest.test_case "progress watchdog forces delivery" `Quick
           test_progress_watchdog_forces_delivery;
+        Alcotest.test_case "undeclared history read refused by name" `Quick
+          test_undeclared_history_read_refused;
         Alcotest.test_case "no duplicate delivery per instance" `Quick
           test_no_duplicate_instance_delivery;
         Alcotest.test_case "invalid plans rejected" `Quick
