@@ -119,13 +119,16 @@ let describe_dual dual =
 
 (* A file [run] writes from the live event stream of whichever engine
    runs (the serial engine's MAC trace, the partitioned engine's merged
-   trace, or FMMB's problem-level lifecycle): [subscribe] before the
-   run, [write] after it. *)
-type surface = { subscribe : Dsim.Trace.t -> unit; write : unit -> unit }
+   trace, or FMMB's problem-level lifecycle) and the run's delivery
+   ledger: [subscribe] before the run, [write] after it. *)
+type surface = {
+  subscribe : Mmb.Problem.tracker -> Dsim.Trace.t -> unit;
+  write : unit -> unit;
+}
 
-let trace_surface ~meta ~n path =
+let trace_surface ~meta path =
   if Filename.check_suffix path ".json" then
-    let c = Obs.Tracing.Sim.create ~n () in
+    let c = Obs.Tracing.Sim.create () in
     {
       subscribe = Obs.Tracing.Sim.attach c;
       write =
@@ -140,7 +143,7 @@ let trace_surface ~meta ~n path =
     let sink = Dsim.Trace_io.sink_create ~path in
     {
       subscribe =
-        (fun tr -> Dsim.Trace.subscribe tr (Dsim.Trace_io.sink_write sink));
+        (fun _ tr -> Dsim.Trace.subscribe tr (Dsim.Trace_io.sink_write sink));
       write =
         (fun () ->
           Dsim.Trace_io.sink_close sink;
@@ -264,10 +267,10 @@ let run_cmd =
           files :=
             List.filter_map Fun.id
               [
-                Option.map (trace_surface ~meta ~n) trace_file;
+                Option.map (trace_surface ~meta) trace_file;
                 Option.map (provenance_surface ~meta ~n) provenance;
               ];
-          let keep kept tr =
+          let keep kept _ tr =
             Dsim.Trace.subscribe tr (fun { Dsim.Trace.time; event } ->
                 Dsim.Trace.record kept ~time event)
           in
@@ -277,7 +280,8 @@ let run_cmd =
               @ Option.to_list (Option.map keep kept)
             with
             | [] -> None
-            | subs -> Some (fun tr -> List.iter (fun f -> f tr) subs)
+            | subs ->
+                Some (fun ledger tr -> List.iter (fun f -> f ledger tr) subs)
           in
           Obs.Run.instrument ?obs:!obs ?attach ()
         in

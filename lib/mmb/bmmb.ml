@@ -20,12 +20,10 @@ type t = {
   discipline : discipline;
   relay : int -> bool;
   states : node_state array;
-  (* The received sets of all nodes, as one bitset: bit [msg * n + node]
-     says that [node] has [msg].  Rows exist for ids below [width]; a
-     larger id widens the bitset when it first arrives. *)
+  (* The received sets of all nodes, as one bitset: id [msg * n + node]
+     says that [node] has [msg]. *)
   n : int;
-  mutable width : int;
-  mutable rcvd : Bytes.t;
+  rcvd : Dsim.Bitset.t;
 }
 
 let now t = t.mac.Amac.Mac_handle.h_now ()
@@ -76,31 +74,13 @@ let maybe_send t node =
           st.in_flight <- Some m;
           t.mac.Amac.Mac_handle.h_bcast ~node m)
 
-let has t ~node ~msg =
-  msg < t.width
-  &&
-  let i = (msg * t.n) + node in
-  Char.code (Bytes.get t.rcvd (i lsr 3)) land (1 lsl (i land 7)) <> 0
-
-let set t ~node ~msg =
-  if msg >= t.width then begin
-    let width = max (msg + 1) (2 * t.width) in
-    let rcvd = Bytes.make (((width * t.n) + 7) / 8) '\000' in
-    Bytes.blit t.rcvd 0 rcvd 0 (Bytes.length t.rcvd);
-    t.width <- width;
-    t.rcvd <- rcvd
-  end;
-  let i = (msg * t.n) + node in
-  let b = i lsr 3 in
-  Bytes.set t.rcvd b
-    (Char.chr (Char.code (Bytes.get t.rcvd b) lor (1 lsl (i land 7))))
-
+(* The delivery reaches [on_deliver] (the run's ledger) before the trace
+   records it, so the trace's subscribers find it counted. *)
 let get t node msg ~from_env =
   let st = t.states.(node) in
-  if not (has t ~node ~msg) then begin
-    set t ~node ~msg;
-    if tracing t then record_trace t (Dsim.Trace.Deliver { node; msg });
+  if not (Dsim.Bitset.test_and_add t.rcvd ((msg * t.n) + node)) then begin
     t.on_deliver ~node ~msg ~time:(now t);
+    if tracing t then record_trace t (Dsim.Trace.Deliver { node; msg });
     (* Own arrivals are always broadcast; received messages only by relay
        nodes (backbone flooding). *)
     if from_env || t.relay node then begin
@@ -124,8 +104,7 @@ let install ?(discipline = `Fifo) ?(relay = fun _ -> true) ~mac ~on_deliver
         Array.init n (fun _ ->
             { front = []; back = []; queued = 0; in_flight = None });
       n;
-      width = 0;
-      rcvd = Bytes.empty;
+      rcvd = Dsim.Bitset.create ~width:0;
     }
   in
   for node = 0 to n - 1 do
@@ -155,4 +134,4 @@ let queue_length t ~node =
 
 let received t ~node ~msg =
   if node < 0 || node >= t.n then invalid_arg "Bmmb.received: node out of range";
-  msg >= 0 && has t ~node ~msg
+  Dsim.Bitset.mem t.rcvd ((msg * t.n) + node)

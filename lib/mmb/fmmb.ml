@@ -28,7 +28,7 @@ type result = {
 }
 
 (* One execution: the stage engines it runs one after another, the
-   clock they share, and the per-node first-delivery dedup. *)
+   clock they share, and the ledger that dedups its deliveries. *)
 type driver = {
   dual : Graphs.Dual.t;
   fprog : float;
@@ -39,7 +39,6 @@ type driver = {
   on_event : (time:float -> Dsim.Trace.event -> unit) option;
   note_sim : Dsim.Sim.t -> unit;
   tracker : Problem.tracker;
-  known : Dsim.Bitset.t array;
   mutable before : int;  (* rounds run by the stages before [engine]'s *)
   mutable engine : Fmmb_msg.t Amac.Round_engine.t option;
   mutable sims : Dsim.Sim.t list;  (* Continuous engines, newest first *)
@@ -57,8 +56,6 @@ let driver ~dual ~fprog ~rng ~policy ~backend ?trace ?on_event
     on_event;
     note_sim;
     tracker;
-    known =
-      Array.init (Graphs.Dual.n dual) (fun _ -> Dsim.Bitset.create ~width:0);
     before = 0;
     engine = None;
     sims = [];
@@ -95,19 +92,22 @@ let stage x =
 let record x ~time event =
   match x.on_event with None -> () | Some f -> f ~time event
 
-(* The tracker sees at most one deliver per (node, message), stamped
-   with the round it happens in: the rounds of the stages before this
-   one plus the rounds done in it, times Fprog. *)
+(* A payload reception is a delivery the first time the node gets the
+   payload, which the ledger says; it reads only the node's own bit,
+   and no protocol choice depends on it.  A first delivery is stamped
+   with the round it happens in (the rounds of the stages before this
+   one plus the rounds done in it, times Fprog), so a repeat, the
+   common case, costs one lookup and no time. *)
 let deliver x ~node ~payload =
-  if not (Dsim.Bitset.test_and_add x.known.(node) payload) then begin
+  if not (Problem.has x.tracker ~node ~msg:payload) then begin
     let rounds =
       match x.engine with
       | Some e -> x.before + e.Amac.Round_engine.rounds_done ()
       | None -> 0
     in
     let time = float_of_int rounds *. x.fprog in
-    record x ~time (Dsim.Trace.Deliver { node; msg = payload });
-    Problem.on_deliver x.tracker ~node ~msg:payload ~time
+    if Problem.deliver x.tracker ~node ~msg:payload ~time then
+      record x ~time (Dsim.Trace.Deliver { node; msg = payload })
   end
 
 let mis_stage x params =

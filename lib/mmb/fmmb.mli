@@ -7,10 +7,12 @@
 
     One driver runs both compositions: {!run} (MIS, then gather, then
     spread, each on an engine of its own) and {!run_streaming} (MIS, then
-    gather and spread periods alternating on one engine).  Both share
-    its per-node first-delivery dedup, which stamps each delivery with
-    the round it happens in (the rounds of the stages before it plus the
-    rounds done in its own, times [fprog]), and both return {!result}.
+    gather and spread periods alternating on one engine).  Both dedup
+    payload receptions through the [tracker] ({!Problem.deliver}: a
+    node's first copy of a payload is its delivery), stamp each delivery
+    with the round it happens in (the rounds of the stages before it
+    plus the rounds done in its own, times [fprog]), and return
+    {!result}.
 
     Faithfulness notes (also in DESIGN.md): nodes know [n] and the
     grey-zone constant [c] (as the paper's round budgets assume), and the

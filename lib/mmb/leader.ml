@@ -15,7 +15,9 @@ let flood ~dual ~fack ~fprog ~policy ~seed ~check_compliance ~max_events init =
   let n = Graphs.Dual.n dual in
   let (states, last_change, bcasts), violations, _ =
     Runner.drive ~dual ~fack ~fprog ~check_compliance
-      ~instrument:Instrument.none (fun trace ->
+      ~instrument:Instrument.none
+      ~ledger:(fun _ -> Problem.tracker ~dual [])
+      (fun trace ->
         let sim = Dsim.Sim.create () in
         let mac =
           Amac.Standard_mac.create ~sim ~dual ~fack ~fprog ~policy

@@ -4,8 +4,8 @@
     protocol); the problem is solved when every message [m] injected at node
     [u] has been delivered at every node of [u]'s connected component in
     [G].  This module provides arrival-assignment generators and the
-    external completion tracker (the protocol never detects completion
-    itself). *)
+    delivery ledger, the one record of who has which message outside
+    protocol state (the protocol never detects completion itself). *)
 
 type assignment = (int * int) list
 (** [(node, msg)] pairs; message ids must be distinct (each message is
@@ -20,10 +20,6 @@ val random : Dsim.Rng.t -> n:int -> k:int -> assignment
 
 val all_at : node:int -> k:int -> assignment
 (** All [k] messages at one node. *)
-
-val spread_line : k:int -> assignment
-(** Message [i] at node [i] (for line topologies; requires [k <= n] checked
-    at tracking time). *)
 
 (** {1 Online arrivals}
 
@@ -47,34 +43,60 @@ val staggered_arrivals : node:int -> k:int -> gap:float -> timed_assignment
 (** [k] messages at one node, [gap] apart — the adversarial shape for
     queue-discipline starvation. *)
 
-(** {1 Completion tracking} *)
+(** {1 The delivery ledger}
+
+    Per message, its origin, arrival, remaining count and completion time
+    sit in columns; who has it is one {!Dsim.Bitset} over
+    [number * n + node].  A message is required at its origin's
+    G-component.  The runner's completion, latencies and duplicate
+    counts, FMMB's first-delivery dedup and the observers' completion
+    ([Obs.Spans], [Obs.Provenance], [Obs.Tracing.Sim], handed the run's
+    ledger by [Mmb.Instrument]) all read it.  A delivery reaches the
+    ledger before the trace records it, so the first [Deliver] entry
+    that finds its message {!completed} is the completing one. *)
 
 type tracker
 
 val tracker : dual:Graphs.Dual.t -> assignment -> tracker
-(** Computes, per message, the set of nodes that must eventually deliver it
-    (the G-component of its origin). *)
+(** Every message of the assignment arrived at time 0; with [[]], an
+    empty ledger whose arrivals are learnt as they come ({!arrive}). *)
 
 val tracker_timed : dual:Graphs.Dual.t -> timed_assignment -> tracker
-(** Like {!tracker}, remembering each message's arrival time so
-    {!message_latency} can be computed. *)
+(** Each message arrived at its own time, from which {!latencies} are
+    measured.  Raises [Invalid_argument] on an origin out of range, a
+    negative time or a repeated message id. *)
 
-val k : tracker -> int
+val arrive : tracker -> node:int -> msg:int -> time:float -> bool
+(** [false], changing nothing, if the message had arrived already. *)
+
+val expect : tracker -> msg:int -> unit
+(** Keeps the message's deliveries before its arrival; they count once
+    it arrives.  For an auditor of deliveries without an arrival. *)
+
+val deliver : tracker -> node:int -> msg:int -> time:float -> bool
+(** Test-and-set: [true] iff it is [node]'s first delivery of a message
+    the ledger knows.  A repeat changes nothing; a message it does not
+    know counts as spurious.  Allocates nothing. *)
+
+val has : tracker -> node:int -> msg:int -> bool
+(** Whether {!deliver} has recorded [node]'s delivery of [msg]. *)
 
 val on_deliver : tracker -> node:int -> msg:int -> time:float -> unit
-(** Record one protocol-level [deliver(m)] event.  Duplicate deliveries at
-    the same node are recorded as spec violations (MMB condition (b)). *)
+(** {!deliver}, counting a repeat as a duplicate (MMB condition (b)). *)
+
+val on_entry : tracker -> Dsim.Trace.entry -> unit
+(** {!arrive} on [Arrive] (a second one is ignored), {!on_deliver} on
+    [Deliver]. *)
 
 val complete : tracker -> bool
 
 val completion_time : tracker -> float option
 (** Time of the delivery that completed the problem, once {!complete}. *)
 
-val message_completion_time : tracker -> msg:int -> float option
-(** When the given message finished reaching its component. *)
+val completed : tracker -> msg:int -> bool
+(** The message has arrived and reached its whole component. *)
 
-val message_latency : tracker -> msg:int -> float option
-(** Completion time minus arrival time, once the message completed. *)
+val message_completion_time : tracker -> msg:int -> float option
 
 val latencies : tracker -> (int * float) list
 (** [(msg, completion - arrival)] for every completed message, in the
@@ -85,12 +107,18 @@ val mean_latency : (int * float) list -> float option
 (** The mean of {!latencies}, summed in their order; [None] when no
     message completed. *)
 
+val origin : tracker -> msg:int -> int
+(** [-1] before the message's arrival. *)
+
+val iter_missing : tracker -> (node:int -> msg:int -> unit) -> unit
+(** Each node of an arrived message's component that lacks it, by
+    ascending message id, then node. *)
+
 val delivered_count : tracker -> int
 (** Total distinct (node, msg) deliveries so far. *)
 
 val duplicate_deliveries : tracker -> int
-(** Number of duplicate [deliver] violations observed. *)
 
 val spurious_deliveries : tracker -> int
-(** Deliveries of unknown messages or at nodes outside the message's
-    required set (harmless to completion, reported for auditing). *)
+(** Deliveries of unknown messages or outside the message's component
+    (harmless to completion, reported for auditing). *)

@@ -15,7 +15,9 @@
       node of its origin's G-component (condition (a)).
 
     The check streams, as {!Amac.Compliance} does, on a flag per node and
-    a bitset over (node, message). *)
+    a {!Problem} ledger of its own, fed only by the audited entries: its
+    exactly-once and completeness findings judge the trace, never the
+    callback the run's ledger took. *)
 
 type t
 

@@ -25,13 +25,15 @@ let bmmb_msg_id (m : int) = m
    so the verdict is what [Amac.Compliance.audit] returns on the same
    entries; an instrument's checker is already subscribed by [attach]. *)
 let drive ~dual ~fack ~fprog ~check_compliance ~(instrument : Instrument.t)
-    execute =
+    ~ledger execute =
   let trace =
     if check_compliance || instrument.want_trace then
       Some (Dsim.Trace.create ~enabled:false ())
     else None
   in
-  Option.iter instrument.attach trace;
+  (match trace with
+  | Some tr when instrument.want_trace -> instrument.attach (ledger tr) tr
+  | _ -> ());
   let checks =
     match trace with
     | Some tr when check_compliance ->
@@ -59,11 +61,6 @@ let drive ~dual ~fack ~fprog ~check_compliance ~(instrument : Instrument.t)
   instrument.finish ~allow_open;
   (result, violations, spec_violations)
 
-let completion_time tracker =
-  match Problem.completion_time tracker with
-  | Some t -> t
-  | None -> Float.infinity
-
 (* Whether a run met its upper bound. *)
 let within ~upper ~complete ~time =
   complete && time <= upper +. (1e-6 *. Float.max 1. upper)
@@ -76,7 +73,9 @@ let run_serial ~dual ~fack ~fprog ~policy ~arrivals ~upper_bound ~seed
     ?(max_events = 50_000_000) ?dyn ?(instrument = Instrument.none) ?setup () =
   let tracker = Problem.tracker_timed ~dual arrivals in
   let (outcome, sim, mac), violations, spec_violations =
-    drive ~dual ~fack ~fprog ~check_compliance ~instrument (fun trace ->
+    drive ~dual ~fack ~fprog ~check_compliance ~instrument
+      ~ledger:(fun _ -> tracker)
+      (fun trace ->
         let sim = Dsim.Sim.create () in
         let rng = Dsim.Rng.create ~seed in
         instrument.wire_sim sim;
@@ -106,7 +105,9 @@ let run_serial ~dual ~fack ~fprog ~policy ~arrivals ~upper_bound ~seed
         (outcome <> Dsim.Sim.Drained, (outcome, sim, mac)))
   in
   let complete = Problem.complete tracker in
-  let time = completion_time tracker in
+  let time =
+    Option.value (Problem.completion_time tracker) ~default:Float.infinity
+  in
   let upper_bound = upper_bound () in
   {
     complete;
@@ -202,9 +203,18 @@ let run_bmmb_pdes ~dual ~fack ~fprog ~policy ~assignment ~seed ~partitions
   end
   else begin
     (* The engine always runs until every heap drains, so an instance
-       left open would be a violation. *)
+       left open would be a violation.  It judges completion by its own
+       count (Mega's per-node delivered bytes); the instrument's ledger
+       reads the merged trace, subscribed ahead of the instrument so it
+       takes each delivery first. *)
+    let ledger trace =
+      let l = Problem.tracker ~dual assignment in
+      Dsim.Trace.subscribe trace (Problem.on_entry l);
+      l
+    in
     let r, violations, spec_violations =
-      drive ~dual ~fack ~fprog ~check_compliance ~instrument (fun trace ->
+      drive ~dual ~fack ~fprog ~check_compliance ~instrument ~ledger
+        (fun trace ->
           ( false,
             Pdes.Engine.run ~dual ?mk_dyn ~fprog ~assignment ~seed ~partitions
               ~domains ?trace () ))
@@ -259,7 +269,8 @@ let run_fmmb ~dual ~fprog ~c ~policy ~assignment ~seed ?backend ?params
   let tracker = Problem.tracker ~dual assignment in
   let fmmb =
     Fmmb.run ~dual ~fprog ~rng ~policy ~params ~assignment ~tracker ?backend
-      ?max_spread_phases ?on_event:instrument.Instrument.on_event
+      ?max_spread_phases
+      ?on_event:(instrument.Instrument.on_event tracker)
       ~note_sim:instrument.Instrument.note_sim ()
   in
   instrument.Instrument.finish ~allow_open:true;

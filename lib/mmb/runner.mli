@@ -14,15 +14,17 @@ val drive :
   fprog:float ->
   check_compliance:bool ->
   instrument:Instrument.t ->
+  ledger:(Dsim.Trace.t -> Problem.tracker) ->
   (Dsim.Trace.t option -> bool * 'a) ->
   'a * Amac.Compliance.violation list * string list
 (** [drive ... execute] runs [execute] on the trace the run records into
     (keeping no entries; [None] if nothing listens) between attaching and
     finishing [instrument]; [execute] says whether open instances are
-    allowed.  Under [check_compliance], [instrument.checker] (or one of
-    its own) and a {!Properties} checker take each entry as it comes,
-    and their findings are returned, the axioms' as
-    {!Amac.Compliance.audit} would return them. *)
+    allowed.  [ledger] gives the run's ledger for [instrument.attach]
+    and is called only then.  Under [check_compliance],
+    [instrument.checker] (or one of its own) and a {!Properties} checker
+    take each entry as it comes, and their findings are returned, the
+    axioms' as {!Amac.Compliance.audit} would return them. *)
 
 type bmmb_result = {
   complete : bool;

@@ -9,10 +9,10 @@ type t = {
   mutable finished : bool;
 }
 
-let create ~n ?dual ?fack ?fprog ?dyn ?(on_violation = fun _ _ -> ())
+let create ~n:_ ?dual ?fack ?fprog ?dyn ?(on_violation = fun _ _ -> ())
     ?(meta = []) () =
   let metrics = Metrics.create () in
-  let spans = Spans.create ~n ~metrics () in
+  let spans = Spans.create ~metrics () in
   let monitor =
     match (dual, fack, fprog) with
     | Some dual, Some fack, Some fprog ->
@@ -42,9 +42,9 @@ let metrics t = t.metrics
 let spans t = t.spans
 let monitor t = t.monitor
 
-let attach t trace =
+let attach t ledger trace =
   Dsim.Trace.subscribe trace (fun entry ->
-      Spans.on_entry t.spans entry;
+      Spans.on_entry t.spans ledger entry;
       match t.monitor with
       | Some m -> Compliance.on_entry m entry
       | None -> ())

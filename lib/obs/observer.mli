@@ -2,10 +2,10 @@
     {!Spans} deriver, an optional streaming {!Amac.Compliance} checker,
     and engine gauges, exported together as JSONL.
 
-    Typical wiring (what {!Mmb.Runner} does under [?obs]):
+    Typical wiring (what {!Run.instrument} does under [?obs]):
     {[
       let obs = Observer.create ~n ~dual ~fack ~fprog () in
-      Observer.attach obs trace;      (* subscribe spans + checker *)
+      Observer.attach obs ledger trace;  (* subscribe spans + checker *)
       Observer.wire_sim obs sim;      (* engine gauges *)
       (* ... run ... *)
       ignore (Observer.finish obs ~allow_open:(outcome <> Drained));
@@ -24,11 +24,12 @@ val create :
   ?meta:(string * Dsim.Json.t) list ->
   unit ->
   t
-(** [n] is the node count.  Passing [dual] (with [fack] and [fprog] —
-    [Invalid_argument] if either is missing) enables the streaming
-    compliance checker; [dyn] additionally enables its epoch-aware
-    axiom variants (see {!Amac.Compliance.create}).  [meta] fields are
-    appended to the export's leading meta line.
+(** [n] is the node count, unused since the run's ledger judges the
+    spans' completion ({!attach}).  Passing [dual] (with [fack] and
+    [fprog] — [Invalid_argument] if either is missing) enables the
+    streaming compliance checker; [dyn] additionally enables its
+    epoch-aware axiom variants (see {!Amac.Compliance.create}).  [meta]
+    fields are appended to the export's leading meta line.
 
     With the checker on, the registry also carries [monitor.violations]
     (counter, bumped before [on_violation] fires), [mac.progress_gap] (a
@@ -40,9 +41,10 @@ val metrics : t -> Metrics.t
 val spans : t -> Spans.t
 val monitor : t -> Amac.Compliance.t option
 
-val attach : t -> Dsim.Trace.t -> unit
+val attach : t -> Mmb.Problem.tracker -> Dsim.Trace.t -> unit
 (** Subscribe the span deriver and checker to a trace's record stream
-    (works on a trace that keeps no entries). *)
+    (works on a trace that keeps no entries); the spans judge completion
+    by the run's delivery ledger. *)
 
 val wire_sim : t -> Dsim.Sim.t -> unit
 (** Register engine gauges: [engine.executed], [engine.pending],

@@ -22,7 +22,9 @@
                                  starvation shows up here)
 
    and the per-message summary accumulates both along the causal path
-   to the receipt with the latest time (the critical path). *)
+   to the receipt with the latest time (the critical path).  Its
+   completion and the nodes it reached come from the run's delivery
+   ledger (Mmb.Problem), handed over by [attach]. *)
 
 let schema = "mmb-provenance/1"
 
@@ -51,13 +53,11 @@ type known = {
 type msg_state = {
   mutable origin : (int * float) option; (* root: Arrive node/time *)
   mutable rev_receipts : receipt list; (* reverse event order *)
-  mutable deliver_nodes : int; (* distinct first-knowledge count incl. root *)
-  mutable complete : float option;
-  mutable delivers : int; (* Deliver events seen (protocol-level) *)
 }
 
 type t = {
   n : int;
+  mutable ledger : Mmb.Problem.tracker option;
   meta : (string * Dsim.Json.t) list;
   msgs : (int, msg_state) Hashtbl.t;
   known : (int * int, known) Hashtbl.t; (* (msg, node) -> first knowledge *)
@@ -67,6 +67,7 @@ type t = {
 let create ?(meta = []) ~n () =
   {
     n;
+    ledger = None;
     meta;
     msgs = Hashtbl.create 16;
     known = Hashtbl.create 64;
@@ -77,15 +78,7 @@ let msg_state t msg =
   match Hashtbl.find_opt t.msgs msg with
   | Some s -> s
   | None ->
-      let s =
-        {
-          origin = None;
-          rev_receipts = [];
-          deliver_nodes = 0;
-          complete = None;
-          delivers = 0;
-        }
-      in
+      let s = { origin = None; rev_receipts = [] } in
       Hashtbl.replace t.msgs msg s;
       s
 
@@ -96,7 +89,6 @@ let on_entry t { Dsim.Trace.time; event } =
       if not (Hashtbl.mem t.known (msg, node)) then begin
         Hashtbl.replace t.known (msg, node)
           { k_time = time; k_depth = 0; k_cum_queue = 0.; k_cum_mac = 0. };
-        s.deliver_nodes <- s.deliver_nodes + 1;
         if s.origin = None then s.origin <- Some (node, time)
       end
   | Dsim.Trace.Bcast { node; msg; instance } ->
@@ -137,7 +129,6 @@ let on_entry t { Dsim.Trace.time; event } =
           }
         in
         s.rev_receipts <- r :: s.rev_receipts;
-        s.deliver_nodes <- s.deliver_nodes + 1;
         Hashtbl.replace t.known (msg, node)
           {
             k_time = time;
@@ -146,13 +137,12 @@ let on_entry t { Dsim.Trace.time; event } =
             k_cum_mac = r.r_cum_mac;
           }
       end
-  | Dsim.Trace.Deliver { node = _; msg } ->
-      let s = msg_state t msg in
-      s.delivers <- s.delivers + 1;
-      if s.delivers >= t.n && s.complete = None then s.complete <- Some time
+  | Dsim.Trace.Deliver { node = _; msg } -> ignore (msg_state t msg)
   | Dsim.Trace.Ack _ | Dsim.Trace.Abort _ -> ()
 
-let attach t trace = Dsim.Trace.subscribe trace (fun e -> on_entry t e)
+let attach t ledger trace =
+  t.ledger <- Some ledger;
+  Dsim.Trace.subscribe trace (fun e -> on_entry t e)
 
 (* --- Accessors (tests, breakdown tooling) --------------------------------- *)
 
@@ -187,7 +177,7 @@ let receipt_json r =
       ("depth", int r.r_depth);
     ]
 
-let msg_json msg s =
+let msg_json t msg s =
   let receipts = List.rev s.rev_receipts in
   (* Critical path: the receipt with the latest time (first such in event
      order on ties) carries the accumulated queue/mac split of the
@@ -201,6 +191,16 @@ let msg_json msg s =
       None receipts
   in
   let arrive = match s.origin with Some (_, ta) -> Some ta | None -> None in
+  let complete, reached =
+    match t.ledger with
+    | Some l ->
+        ( Mmb.Problem.message_completion_time l ~msg,
+          List.length
+            (List.filter
+               (fun node -> Mmb.Problem.has l ~node ~msg)
+               (List.init t.n Fun.id)) )
+    | None -> (None, 0)
+  in
   Dsim.Json.Obj
     [
       ("kind", Dsim.Json.String "msg");
@@ -208,11 +208,11 @@ let msg_json msg s =
       ( "origin",
         match s.origin with Some (u, _) -> int u | None -> Dsim.Json.Null );
       ("arrive", opt arrive);
-      ("complete", opt s.complete);
+      ("complete", opt complete);
       ("receipts", int (List.length receipts));
-      ("reached", int s.deliver_nodes);
+      ("reached", int reached);
       ( "latency",
-        match (arrive, s.complete) with
+        match (arrive, complete) with
         | Some a, Some c -> num (c -. a)
         | _ -> Dsim.Json.Null );
       ( "max_depth",
@@ -248,7 +248,7 @@ let jsonl t =
           | None -> []
         in
         acc
-        @ [ msg_json msg s ]
+        @ [ msg_json t msg s ]
         @ root
         @ List.rev_map receipt_json s.rev_receipts)
       t.msgs [ meta ]

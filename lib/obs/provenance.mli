@@ -15,7 +15,10 @@
       the Fack/Fprog bounds govern;
 
     and the per-message summary carries the accumulated split along the
-    critical path (the causal chain ending at the latest receipt).
+    critical path (the causal chain ending at the latest receipt).  The
+    summary's [complete] and [reached] come from the run's delivery
+    ledger ({!Mmb.Problem}): when the message reached its origin's whole
+    G-component, and how many nodes have delivered it.
 
     Export is JSONL, schema ["mmb-provenance/1"]: a [meta] line, then per
     message (ascending id) a [msg] summary, its [root], and its
@@ -28,13 +31,14 @@ val schema : string
 (** ["mmb-provenance/1"]. *)
 
 val create : ?meta:(string * Dsim.Json.t) list -> n:int -> unit -> t
-(** [n] is the node count — a message is complete at its [n]-th
-    [Deliver].  [meta] lands in the JSONL meta line. *)
+(** [n] is the node count, stamped into the meta line with [meta]. *)
 
 val on_entry : t -> Dsim.Trace.entry -> unit
 
-val attach : t -> Dsim.Trace.t -> unit
-(** Subscribe {!on_entry} to a live trace. *)
+val attach : t -> Mmb.Problem.tracker -> Dsim.Trace.t -> unit
+(** Subscribe {!on_entry} to a live trace, keeping the run's ledger for
+    the export's [complete] and [reached] (without one they read [null]
+    and 0). *)
 
 (** {1 Inspection} *)
 

@@ -16,23 +16,24 @@ let instrument ?obs ?attach () =
   match (obs, attach) with
   | None, None -> unobserved
   | _ ->
-      let subscribe tr =
-        Option.iter (fun o -> Observer.attach o tr) obs;
-        Option.iter (fun f -> f tr) attach
+      let subscribe ledger tr =
+        Option.iter (fun o -> Observer.attach o ledger tr) obs;
+        Option.iter (fun f -> f ledger tr) attach
       in
-      (* Engine-less runs (FMMB's round backends) report only their
-         problem-level lifecycle; it goes through a retention-free trace
-         of its own, so the same subscribers see it. *)
-      let lifecycle = Dsim.Trace.create ~enabled:false () in
-      subscribe lifecycle;
       {
         Mmb.Instrument.want_trace = true;
         attach = subscribe;
         checker = Option.bind obs Observer.monitor;
         wire_sim =
           (match obs with Some o -> Observer.wire_sim o | None -> ignore);
+        (* Engine-less runs (FMMB's round backends) report only their
+           problem-level lifecycle; it goes through a retention-free
+           trace of its own, so the same subscribers see it. *)
         on_event =
-          Some (fun ~time event -> Dsim.Trace.record lifecycle ~time event);
+          (fun ledger ->
+            let lifecycle = Dsim.Trace.create ~enabled:false () in
+            subscribe ledger lifecycle;
+            Some (fun ~time event -> Dsim.Trace.record lifecycle ~time event));
         finish =
           (fun ~allow_open ->
             Option.iter (fun o -> ignore (Observer.finish o ~allow_open)) obs);

@@ -8,7 +8,9 @@
     [Mmb.Runner] directly when none of this is wanted. *)
 
 val instrument :
-  ?obs:Observer.t -> ?attach:(Dsim.Trace.t -> unit) -> unit ->
+  ?obs:Observer.t ->
+  ?attach:(Mmb.Problem.tracker -> Dsim.Trace.t -> unit) ->
+  unit ->
   Mmb.Instrument.t
 (** Every serial run's engine and MAC counters fold into {!Global} (the
     campaign runner's per-job deltas and the benchmark read them; the
@@ -18,7 +20,9 @@ val instrument :
     engine produces it: the serial MAC trace, the partitioned engine's
     merged trace (recorded window by window, on the calling domain), or
     the [Arrive]/[Deliver] lifecycle of FMMB's round backends (each
-    delivery at its round's time).
+    delivery at its round's time).  Each subscriber also gets the run's
+    delivery ledger ({!Mmb.Instrument.attach}), by which spans,
+    {!Tracing.Sim} and {!Provenance} judge completion.
 
     - [obs]: spans and the streaming checker subscribe, engine gauges
       are wired (serial engines only), and the observer is finished with
@@ -28,9 +32,9 @@ val instrument :
       and Fprog.  For FMMB, create it
       without [dual]: its per-stage engines restart instance uids and
       clocks.
-    - [attach] receives each trace the run may record into, before the
-      run, to subscribe streaming consumers ({!Tracing.Sim},
-      {!Provenance}, a [Dsim.Trace_io] sink). *)
+    - [attach] receives the run's ledger and the trace it records
+      into, before the run, to subscribe streaming consumers
+      ({!Tracing.Sim}, {!Provenance}, a [Dsim.Trace_io] sink). *)
 
 val bmmb :
   dual:Graphs.Dual.t ->

@@ -1,5 +1,4 @@
 type t = {
-  n : int;
   (* Messages, numbered by id in order of first sight; the number
      indexes the columns below.  An unknown time is [nan] (trace times
      never are). *)
@@ -8,7 +7,7 @@ type t = {
   mutable first_bcast : float array;
   mutable delivers : int array; (* distinct delivering nodes (engines dedup) *)
   mutable last_deliver : float array;
-  mutable complete : float array; (* when delivers reached n *)
+  mutable complete : float array; (* the ledger's completion *)
   (* Instances, numbered by uid in order of first Bcast: the time of the
      Bcast that opened each, [nan] once an Ack or Abort closed it. *)
   inst_number : Dsim.Int_table.map Dsim.Int_table.t;
@@ -29,11 +28,10 @@ type t = {
   last_time : float array; (* one cell, unboxed *)
 }
 
-let create ~n ~metrics () =
+let create ~metrics () =
   let cap = 8 in
   let t =
     {
-      n;
       msg_number = Dsim.Int_table.create_map ();
       arrive = Array.make cap nan;
       first_bcast = Array.make cap nan;
@@ -92,7 +90,7 @@ let open_number t instance =
   let i = Dsim.Int_table.find t.inst_number instance in
   if i >= 0 && not (Float.is_nan t.opened.(i)) then i else -1
 
-let on_entry t { Dsim.Trace.time; event } =
+let on_entry t ledger { Dsim.Trace.time; event } =
   if time > t.last_time.(0) then t.last_time.(0) <- time;
   match event with
   | Dsim.Trace.Arrive { msg; _ } ->
@@ -107,7 +105,10 @@ let on_entry t { Dsim.Trace.time; event } =
       t.last_deliver.(i) <- time;
       let a = t.arrive.(i) in
       if not (Float.is_nan a) then Metrics.observe t.h_deliver (time -. a);
-      if t.delivers.(i) >= t.n && Float.is_nan t.complete.(i) then begin
+      (* The ledger took this delivery first: the first entry that finds
+         the message complete is the completing one. *)
+      if Float.is_nan t.complete.(i) && Mmb.Problem.completed ledger ~msg
+      then begin
         t.complete.(i) <- time;
         Metrics.incr t.c_complete;
         if not (Float.is_nan a) then Metrics.observe t.h_completion (time -. a)

@@ -1,11 +1,14 @@
 (** Message-lifecycle spans, derived online from trace events.
 
     A span follows one MMB message: environment arrival, first MAC
-    broadcast carrying it, per-node deliveries, and global completion
-    (delivered at all [n] nodes).  Feeding entries through {!on_entry} —
-    typically via {!Dsim.Trace.subscribe} — populates per-message latency
-    histograms and event counters in the registry without retaining the
-    trace itself.
+    broadcast carrying it, per-node deliveries, and completion, which
+    the run's delivery ledger ({!Mmb.Problem}) judges: the message has
+    reached every node of its origin's G-component.  The ledger takes
+    each delivery before the trace records it, so the span completes at
+    the first [Deliver] entry that finds the ledger complete.  Feeding
+    entries through {!on_entry} — typically via {!Dsim.Trace.subscribe} —
+    populates per-message latency histograms and event counters in the
+    registry without retaining the trace itself.
 
     Registered metrics: counters [events.{arrive,deliver,bcast,rcv,ack,
     abort,orphan}] and [span.msgs_complete]; probes [span.msgs_seen] and
@@ -29,11 +32,11 @@
 
 type t
 
-val create : n:int -> metrics:Metrics.t -> unit -> t
-(** [n] is the node count (a message completes at [n] distinct-node
-    deliveries; engines deduplicate [Deliver] per node). *)
+val create : metrics:Metrics.t -> unit -> t
 
-val on_entry : t -> Dsim.Trace.entry -> unit
+val on_entry : t -> Mmb.Problem.tracker -> Dsim.Trace.entry -> unit
+(** One entry, judged by the run's ledger, which must have taken every
+    delivery up to and including this entry's. *)
 
 val messages_seen : t -> int
 val messages_complete : t -> int

@@ -189,7 +189,8 @@ let validate_file ~path =
                           track, rcv/arrive/deliver are zero-width
                           slices so flow arrows have anchors
      pid 2  "messages"    one async span per MMB message, Arrive ->
-                          n-th distinct Deliver
+                          the Deliver that completes it, by the
+                          run's delivery ledger
    Flow arrows bind a Bcast to each Rcv it caused (one fresh flow id per
    (instance, receiver) pair, so fan-out renders as a fan, not a chain). *)
 
@@ -201,24 +202,22 @@ type open_inst = { i_node : int; i_msg : int; i_t0 : float }
 module Sim = struct
   type collector = {
     w : t;
-    n : int;
     insts : (int, open_inst) Hashtbl.t; (* live instance uid -> open slice *)
-    delivers : (int, int) Hashtbl.t; (* msg -> distinct deliver count *)
+    ended : Dsim.Int_table.set Dsim.Int_table.t; (* messages whose span ended *)
     named : (int, unit) Hashtbl.t; (* node tracks already labelled *)
     mutable flow_ids : int;
     mutable total_delivers : int;
     mutable last_time : float;
   }
 
-  let create ?(name = "simulation") ~n () =
+  let create ?(name = "simulation") () =
     let w = create () in
     process_name w ~pid:sim_pid name;
     process_name w ~pid:msg_pid "messages";
     {
       w;
-      n;
       insts = Hashtbl.create 64;
-      delivers = Hashtbl.create 16;
+      ended = Dsim.Int_table.create_set ();
       named = Hashtbl.create 64;
       flow_ids = 0;
       total_delivers = 0;
@@ -255,7 +254,7 @@ module Sim = struct
       ~pid:sim_pid ~tid:(node_track c tid) ~ts:t0 ~dur:(time -. t0)
       (Printf.sprintf "i%d %s" instance (mname msg))
 
-  let on_entry c { Dsim.Trace.time; event } =
+  let on_entry c ledger { Dsim.Trace.time; event } =
     if time > c.last_time then c.last_time <- time;
     match event with
     | Dsim.Trace.Arrive { node; msg } ->
@@ -265,15 +264,18 @@ module Sim = struct
           (mname msg)
     | Dsim.Trace.Deliver { node; msg } ->
         mark c ~node ~time (Printf.sprintf "deliver %s" (mname msg));
-        let seen =
-          match Hashtbl.find_opt c.delivers msg with Some d -> d | None -> 0
-        in
-        Hashtbl.replace c.delivers msg (seen + 1);
         c.total_delivers <- c.total_delivers + 1;
         counter c.w ~pid:sim_pid ~ts:time "frontier"
           [ ("delivers", float_of_int c.total_delivers) ];
-        if seen + 1 = c.n then
+        (* The ledger took this delivery first: the first entry that
+           finds the message complete is the completing one. *)
+        if
+          Mmb.Problem.completed ledger ~msg
+          && not (Dsim.Int_table.mem c.ended msg)
+        then begin
+          Dsim.Int_table.add c.ended msg;
           async_end c.w ~cat:"mmb" ~pid:msg_pid ~ts:time ~id:msg (mname msg)
+        end
     | Dsim.Trace.Bcast { node; msg; instance } ->
         ignore (node_track c node);
         Hashtbl.replace c.insts instance
@@ -296,7 +298,8 @@ module Sim = struct
     | Dsim.Trace.Abort { node; msg; instance } ->
         close_inst c ~instance ~node ~msg ~time ~how:"aborted"
 
-  let attach c trace = Dsim.Trace.subscribe trace (fun e -> on_entry c e)
+  let attach c ledger trace =
+    Dsim.Trace.subscribe trace (fun e -> on_entry c ledger e)
 
   (* Instances still open at the end of the run (never acked or aborted)
      render as slices reaching the last observed time, closed in sorted

@@ -108,19 +108,21 @@ val validate_file : path:string -> (int, string) result
       flow arrow links every [Bcast] to each [Rcv] it caused — the
       Fack/Fprog-bounded deliveries made visible per message.
     - pid 2 ("messages"): one async span per MMB message from [Arrive]
-      to its [n]-th distinct [Deliver].
+      to the [Deliver] that completes it: the first at which the run's
+      delivery ledger ({!Mmb.Problem}) finds it at every node of its
+      origin's G-component.
     - a "frontier" counter track sampling total deliveries. *)
 
 module Sim : sig
   type collector
 
-  val create : ?name:string -> n:int -> unit -> collector
-  (** [n] is the node count (a message's async span closes at [n]
-      delivers). *)
+  val create : ?name:string -> unit -> collector
 
-  val on_entry : collector -> Dsim.Trace.entry -> unit
+  val on_entry : collector -> Mmb.Problem.tracker -> Dsim.Trace.entry -> unit
+  (** One entry, judged by the run's ledger, which must have taken every
+      delivery up to and including this entry's. *)
 
-  val attach : collector -> Dsim.Trace.t -> unit
+  val attach : collector -> Mmb.Problem.tracker -> Dsim.Trace.t -> unit
   (** Subscribe {!on_entry} to a live trace. *)
 
   val finish : collector -> t

@@ -141,15 +141,27 @@ let test_hist_observe_allocates_nothing () =
 
 (* --- spans --------------------------------------------------------------- *)
 
-let feed spans entries =
+(* Feeds [entries] to [spans] as a run does: [ledger] takes each one
+   first. *)
+let feed spans ledger entries =
   List.iter
-    (fun (time, event) -> Obs.Spans.on_entry spans { Dsim.Trace.time; event })
+    (fun (time, event) ->
+      let entry = { Dsim.Trace.time; event } in
+      Mmb.Problem.on_entry ledger entry;
+      Obs.Spans.on_entry spans ledger entry)
     entries
+
+(* Nodes 0 and 1 joined by an edge, node 2 alone: a message from node 0
+   or 1 is required at those two nodes only. *)
+let two_components =
+  lazy (Graphs.Dual.of_equal (Graphs.Graph.of_edges ~n:3 [ (0, 1) ]))
 
 let test_span_lifecycle () =
   let m = M.create () in
-  let s = Obs.Spans.create ~n:2 ~metrics:m () in
+  let s = Obs.Spans.create ~metrics:m () in
+  let dual = Lazy.force two_components in
   feed s
+    (Mmb.Problem.tracker ~dual [ (0, 5) ])
     [
       (* Deliver before the arrival is seen: counted, latency skipped. *)
       (1., Dsim.Trace.Deliver { node = 0; msg = 5 });
@@ -157,7 +169,7 @@ let test_span_lifecycle () =
       (3., Dsim.Trace.Deliver { node = 1; msg = 5 });
     ];
   Alcotest.(check int) "one message seen" 1 (Obs.Spans.messages_seen s);
-  Alcotest.(check int) "complete at n deliveries" 1
+  Alcotest.(check int) "complete at its component, node 2 never delivers" 1
     (Obs.Spans.messages_complete s);
   Alcotest.(check int) "frontier counts both deliveries" 2
     (Obs.Spans.total_delivers s);
@@ -178,8 +190,10 @@ let test_span_lifecycle () =
 
 let test_span_orphans_and_aborts () =
   let m = M.create () in
-  let s = Obs.Spans.create ~n:3 ~metrics:m () in
+  let s = Obs.Spans.create ~metrics:m () in
+  let dual = Graphs.Dual.of_equal (Graphs.Gen.line 3) in
   feed s
+    (Mmb.Problem.tracker ~dual [ (0, 1) ])
     [
       (0., Dsim.Trace.Ack { node = 0; msg = 1; instance = 99 });
       (1., Dsim.Trace.Bcast { node = 0; msg = 1; instance = 7 });
@@ -195,12 +209,16 @@ let test_span_orphans_and_aborts () =
 
 (* Message ids and instance uids are whatever the trace says; both key
    nothing but a table.  The lines were computed by the spans that kept
-   their state in [Hashtbl]s. *)
+   their state in [Hashtbl]s and counted deliveries to n = 2; node 2
+   sits in a component of its own, so the ledger completes each message
+   where that count did. *)
 let test_span_sparse_ids () =
   let m = M.create () in
-  let s = Obs.Spans.create ~n:2 ~metrics:m () in
+  let s = Obs.Spans.create ~metrics:m () in
   let big = 1 lsl 40 in
+  let dual = Lazy.force two_components in
   feed s
+    (Mmb.Problem.tracker ~dual [ (0, big); (1, -5) ])
     [
       (0., Dsim.Trace.Arrive { node = 0; msg = big });
       (0., Dsim.Trace.Arrive { node = 1; msg = -5 });
@@ -250,9 +268,11 @@ let test_observer_words_per_entry () =
   let obs = Obs.Observer.create ~n:256 ~dual ~fack:20. ~fprog:1. () in
   let spans = Obs.Observer.spans obs in
   let checker = Option.get (Obs.Observer.monitor obs) in
+  let ledger = Mmb.Problem.tracker ~dual [] in
   List.iter
     (fun entry ->
-      Obs.Spans.on_entry spans entry;
+      Mmb.Problem.on_entry ledger entry;
+      Obs.Spans.on_entry spans ledger entry;
       Amac.Compliance.on_entry checker entry)
     entries;
   let vs = Obs.Observer.finish obs in
@@ -292,7 +312,8 @@ let test_checked_run_words_per_entry () =
     {
       Mmb.Instrument.none with
       want_trace = true;
-      attach = (fun tr -> Dsim.Trace.subscribe tr (fun _ -> incr entries));
+      attach =
+        (fun _ tr -> Dsim.Trace.subscribe tr (fun _ -> incr entries));
     }
   in
   let base = words ~check_compliance:false idle in
@@ -518,6 +539,171 @@ let test_fmmb_spans () =
   | None -> ()
   | Some _ -> Alcotest.fail "FMMB observer must not carry a monitor"
 
+(* --- one ledger: every observer completes where the runner does -------- *)
+
+(* A JSON number, or [None] for [null] or a missing member. *)
+let number json key =
+  match Dsim.Json.member_opt json key with
+  | Some (Dsim.Json.Number f) -> Some f
+  | _ -> None
+
+(* The lines of [docs] whose ["kind"] is [kind], by their ["msg"]. *)
+let by_msg kind docs =
+  List.filter_map
+    (fun d ->
+      match (Dsim.Json.member_opt d "kind", number d "msg") with
+      | Some (Dsim.Json.String k), Some m when k = kind ->
+          Some (int_of_float m, d)
+      | _ -> None)
+    docs
+
+(* One observed run: the instrument hands its ledger to spans,
+   provenance, the Perfetto collector and a trace that keeps the
+   entries, and to this harness. *)
+let observed ~dual run =
+  let n = Graphs.Dual.n dual in
+  let obs = Obs.Observer.create ~n () in
+  let prov = Obs.Provenance.create ~n () in
+  let perfetto = Obs.Tracing.Sim.create () in
+  let kept = Dsim.Trace.create () in
+  let ledger = ref None in
+  let attach l tr =
+    ledger := Some l;
+    Obs.Provenance.attach prov l tr;
+    Obs.Tracing.Sim.attach perfetto l tr;
+    Kept.attach kept l tr
+  in
+  let r = run (Obs.Run.instrument ~obs ~attach ()) in
+  (r, (obs, prov, Obs.Tracing.Sim.finish perfetto, kept), Option.get !ledger)
+
+(* Per message of [msgs]: the runner's completion ([runner]) is that of
+   the spans, the provenance summary and the end of the Perfetto message
+   slice; provenance's [reached] counts the message's [Deliver] entries;
+   and [Properties], fed the kept entries alone, finds every message
+   complete. *)
+let agree tag ~dual ~msgs ~runner (obs, prov, perfetto, kept) =
+  let spans = by_msg "span" (Obs.Spans.span_lines (Obs.Observer.spans obs)) in
+  let provenance =
+    by_msg "msg"
+      (List.map
+         (fun l -> Result.get_ok (Dsim.Json.parse l))
+         (Obs.Provenance.jsonl prov))
+  in
+  let slice_ends =
+    let doc = Result.get_ok (Dsim.Json.parse (Obs.Tracing.to_string perfetto)) in
+    Result.get_ok
+      (Result.bind (Dsim.Json.member doc "traceEvents") Dsim.Json.to_list)
+    |> List.filter_map (fun e ->
+           match (Dsim.Json.member_opt e "ph", number e "id", number e "ts") with
+           | Some (Dsim.Json.String "e"), Some id, Some ts ->
+               Some (int_of_float id, ts /. 1000.)
+           | _ -> None)
+  in
+  let delivers msg =
+    List.length
+      (List.filter
+         (fun e ->
+           match e.Dsim.Trace.event with
+           | Dsim.Trace.Deliver { msg = m; _ } -> m = msg
+           | _ -> false)
+         (Dsim.Trace.entries kept))
+  in
+  let check what msg want got =
+    Alcotest.(check (option (float 1e-9)))
+      (Printf.sprintf "%s m%d: %s" tag msg what)
+      want got
+  in
+  List.iter
+    (fun msg ->
+      let want = runner msg in
+      Alcotest.(check bool)
+        (Printf.sprintf "%s m%d completes" tag msg)
+        true (Option.is_some want);
+      check "spans" msg want (number (List.assoc msg spans) "complete");
+      let p = List.assoc msg provenance in
+      check "provenance" msg want (number p "complete");
+      Alcotest.(check (option (float 0.)))
+        (Printf.sprintf "%s m%d: provenance reached" tag msg)
+        (Some (float_of_int (delivers msg)))
+        (number p "reached");
+      check "Perfetto slice end" msg want (List.assoc_opt msg slice_ends))
+    msgs;
+  Alcotest.(check (list string))
+    (tag ^ ": Properties finds every message complete")
+    []
+    (List.filter
+       (fun f ->
+         let suffix = "(condition (a))" in
+         let ls = String.length f and lx = String.length suffix in
+         ls >= lx && String.sub f (ls - lx) lx = suffix)
+       (Mmb.Properties.check ~dual kept))
+
+let test_observers_complete_with_runner () =
+  let rng = Dsim.Rng.create ~seed:4 in
+  let dual =
+    Graphs.Dual.r_restricted_random rng ~g:(Graphs.Gen.grid ~rows:4 ~cols:5)
+      ~r:2 ~extra:6
+  in
+  let assignment = [ (0, 0); (7, 1); (19, 2) ] in
+  let msgs = List.map snd assignment in
+  let policy = Amac.Schedulers.random_compliant () in
+  (* Serial BMMB. *)
+  let r, seen, _ =
+    observed ~dual (fun instrument ->
+        Mmb.Runner.run_bmmb ~dual ~fack:8. ~fprog:1. ~policy ~assignment
+          ~seed:5 ~check_compliance:true ~instrument ())
+  in
+  Alcotest.(check (list string)) "serial: no MMB-spec findings" []
+    r.Mmb.Runner.spec_violations;
+  agree "serial" ~dual ~msgs
+    ~runner:(fun msg -> List.assoc_opt msg r.Mmb.Runner.latencies)
+    seen;
+  (* P = 2: the ledger reads the merged trace, and the engine's own
+     count agrees with it. *)
+  let r, seen, ledger =
+    observed ~dual (fun instrument ->
+        Mmb.Runner.run_bmmb_pdes ~dual ~fack:8. ~fprog:1. ~policy ~assignment
+          ~seed:5 ~partitions:2 ~domains:1 ~check_compliance:true ~instrument
+          ())
+  in
+  Alcotest.(check bool) "P=2: engine and ledger complete" true
+    (r.Mmb.Runner.pd_complete && Mmb.Problem.complete ledger);
+  Alcotest.(check (option (float 1e-9))) "P=2: engine time is the ledger's"
+    (Some r.Mmb.Runner.pd_time) (Mmb.Problem.completion_time ledger);
+  agree "P=2" ~dual ~msgs
+    ~runner:(fun msg -> Mmb.Problem.message_completion_time ledger ~msg)
+    seen;
+  (* Two disjoint 10-node lines: the message need reach its own line
+     only. *)
+  let lines =
+    Graphs.Dual.of_equal
+      (Graphs.Graph.of_edges ~n:20
+         (List.init 9 (fun i -> (i, i + 1))
+         @ List.init 9 (fun i -> (10 + i, 11 + i))))
+  in
+  let r, seen, _ =
+    observed ~dual:lines (fun instrument ->
+        Mmb.Runner.run_bmmb ~dual:lines ~fack:8. ~fprog:1. ~policy
+          ~assignment:[ (0, 0) ] ~seed:5 ~check_compliance:true ~instrument
+          ())
+  in
+  agree "two lines" ~dual:lines ~msgs:[ 0 ]
+    ~runner:(fun msg -> List.assoc_opt msg r.Mmb.Runner.latencies)
+    seen;
+  (* FMMB: the driver dedups through the ledger, and its lifecycle is
+     what the observers see. *)
+  let dual = Graphs.Dual.of_equal (Graphs.Gen.line 20) in
+  let assignment = [ (6, 0); (13, 1) ] in
+  let r, seen, _ =
+    observed ~dual (fun instrument ->
+        Mmb.Runner.run_fmmb ~dual ~fprog:1. ~c:2.
+          ~policy:(Amac.Enhanced_mac.minimal_random ())
+          ~assignment ~seed:3 ~instrument ())
+  in
+  agree "FMMB" ~dual ~msgs:(List.map snd assignment)
+    ~runner:(fun msg -> List.assoc_opt msg r.Mmb.Runner.latencies')
+    seen
+
 let suite =
   [
     ( "obs",
@@ -557,5 +743,7 @@ let suite =
         Alcotest.test_case "empirical Fack/Fprog match Estimate" `Quick
           test_estimate_consistency;
         Alcotest.test_case "FMMB span-only observer" `Quick test_fmmb_spans;
+        Alcotest.test_case "observers complete where the runner does" `Quick
+          test_observers_complete_with_runner;
       ] );
   ]

@@ -21,9 +21,9 @@ let test_latency_tracking () =
   let tr = Mmb.Problem.tracker_timed ~dual [ (5., 0, 0) ] in
   Mmb.Problem.on_deliver tr ~node:0 ~msg:0 ~time:5.;
   Mmb.Problem.on_deliver tr ~node:1 ~msg:0 ~time:9.;
-  Alcotest.(check (option (float 1e-9))) "latency = finish - arrival"
-    (Some 4.)
-    (Mmb.Problem.message_latency tr ~msg:0)
+  Alcotest.(check (list (pair int (float 1e-9)))) "latency = finish - arrival"
+    [ (0, 4.) ]
+    (Mmb.Problem.latencies tr)
 
 let test_online_bmmb_completes () =
   let dual = Graphs.Dual.of_equal (Graphs.Gen.line 10) in

@@ -26,7 +26,7 @@ let with_sink tag run =
       Mmb.Instrument.none with
       want_trace = true;
       attach =
-        (fun tr ->
+        (fun _ tr ->
           attached := Some tr;
           Dsim.Trace.subscribe tr (Dsim.Trace_io.sink_write sink));
     }

@@ -55,6 +55,44 @@ let test_duplicate_assignment_rejected () =
     (Invalid_argument "Problem.tracker: duplicate message id in assignment")
     (fun () -> ignore (Mmb.Problem.tracker ~dual [ (0, 0); (1, 0) ]))
 
+(* The ledger takes every delivery of a run: a first delivery, a repeat
+   and a message it does not know allocate nothing. *)
+let test_deliver_allocates_nothing () =
+  let dual = Graphs.Dual.of_equal (Graphs.Gen.line 64) in
+  let tr = Mmb.Problem.tracker ~dual [ (0, 0); (63, 1) ] in
+  let words f =
+    let w0 = Gc.minor_words () in
+    f ();
+    Gc.minor_words () -. w0
+  in
+  let first =
+    words (fun () ->
+        for node = 0 to 63 do
+          ignore (Mmb.Problem.deliver tr ~node ~msg:1 ~time:2.)
+        done)
+  in
+  let repeat =
+    words (fun () ->
+        for node = 0 to 63 do
+          ignore (Mmb.Problem.deliver tr ~node ~msg:1 ~time:3.)
+        done)
+  in
+  let unknown =
+    words (fun () ->
+        for node = 0 to 63 do
+          ignore (Mmb.Problem.deliver tr ~node ~msg:9 ~time:3.)
+        done)
+  in
+  Alcotest.(check (list (float 0.)))
+    "words: first deliveries, repeats, unknown message" [ 0.; 0.; 0. ]
+    [ first; repeat; unknown ];
+  Alcotest.(check (option (float 0.))) "the 64th delivery completed m1"
+    (Some 2.) (Mmb.Problem.message_completion_time tr ~msg:1);
+  Alcotest.(check int) "repeats are not duplicates here" 0
+    (Mmb.Problem.duplicate_deliveries tr);
+  Alcotest.(check int) "unknown deliveries are spurious" 64
+    (Mmb.Problem.spurious_deliveries tr)
+
 let suite =
   [
     ( "mmb.problem",
@@ -67,5 +105,7 @@ let suite =
           test_duplicates_flagged;
         Alcotest.test_case "duplicate assignment rejected" `Quick
           test_duplicate_assignment_rejected;
+        Alcotest.test_case "deliver allocates nothing" `Quick
+          test_deliver_allocates_nothing;
       ] );
   ]

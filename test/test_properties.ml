@@ -77,6 +77,56 @@ let test_spec_catches_premature_delivery () =
   Alcotest.(check bool) "delivery before arrival flagged" true
     (Mmb.Properties.check ~dual tr <> [])
 
+(* The findings, word for word, on streams no engine makes: deliveries
+   before the arrival count towards completeness once it comes, a
+   second one is a duplicate, and ids are whatever the trace says. *)
+let test_spec_findings_pinned () =
+  let dual = Graphs.Dual.of_equal (Graphs.Gen.line 3) in
+  let findings entries =
+    let tr = rebuild [] in
+    List.iter (fun (time, event) -> Dsim.Trace.record tr ~time event) entries;
+    Mmb.Properties.check ~dual tr
+  in
+  let open Dsim.Trace in
+  Alcotest.(check (list string))
+    "deliveries before the arrival"
+    [
+      "node 1 delivered m0 before (or without) its arrival (condition (b))";
+      "node 1 delivered m0 twice (condition (b))";
+      "node 1 delivered m0 before (or without) its arrival (condition (b))";
+      "node 2 never delivered m0 (condition (a))";
+    ]
+    (findings
+       [
+         (0., Deliver { node = 1; msg = 0 });
+         (0.5, Deliver { node = 1; msg = 0 });
+         (1., Arrive { node = 0; msg = 0 });
+         (2., Deliver { node = 0; msg = 0 });
+       ]);
+  Alcotest.(check (list string))
+    "a second arrival, a delivery without reception, sparse ids"
+    [
+      "message m0 arrived twice (MMB-well-formedness)";
+      "node 1 delivered m0 without any prior MAC reception";
+      "node 0 never delivered m-5 (condition (a))";
+      "node 1 never delivered m-5 (condition (a))";
+      "node 0 never delivered m1099511627776 (condition (a))";
+      "node 1 never delivered m1099511627776 (condition (a))";
+      "node 2 never delivered m1099511627776 (condition (a))";
+    ]
+    (findings
+       [
+         (0., Arrive { node = 0; msg = 0 });
+         (0., Deliver { node = 0; msg = 0 });
+         (1., Arrive { node = 1; msg = 0 });
+         (2., Rcv { node = 2; msg = 0; instance = 1 });
+         (3., Deliver { node = 2; msg = 0 });
+         (3., Deliver { node = 1; msg = 0 });
+         (4., Arrive { node = 0; msg = 1 lsl 40 });
+         (4., Arrive { node = 2; msg = -5 });
+         (5., Deliver { node = 2; msg = -5 });
+       ])
+
 (* --- engine defensive paths -------------------------------------------------- *)
 
 (* A policy that writes [ack] and [deliveries], (receiver, delay) pairs,
@@ -190,6 +240,8 @@ let suite =
           test_spec_catches_duplicate_delivery;
         Alcotest.test_case "premature delivery flagged" `Quick
           test_spec_catches_premature_delivery;
+        Alcotest.test_case "findings pinned on edge streams" `Quick
+          test_spec_findings_pinned;
       ] );
     ( "amac.defensive",
       [

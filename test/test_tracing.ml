@@ -16,10 +16,12 @@ let fresh_path name =
   rm_rf p;
   p
 
-(* One observed BMMB run, its entries kept. *)
+(* One observed BMMB run on a 12-node line, its entries kept. *)
+let line12 = lazy (Graphs.Dual.of_equal (Graphs.Gen.line 12))
+
 let traced_run ~seed =
   let n = 12 in
-  let dual = Graphs.Dual.of_equal (Graphs.Gen.line n) in
+  let dual = Lazy.force line12 in
   let rng = Dsim.Rng.create ~seed in
   let assignment = Mmb.Problem.random rng ~n ~k:3 in
   let kept = Dsim.Trace.create () in
@@ -31,9 +33,9 @@ let traced_run ~seed =
        ());
   (n, kept)
 
-let perfetto_string ~n tr =
-  let col = Obs.Tracing.Sim.create ~n () in
-  Dsim.Trace.iter tr (Obs.Tracing.Sim.on_entry col);
+let perfetto_string tr =
+  let col = Obs.Tracing.Sim.create () in
+  Kept.replay ~dual:(Lazy.force line12) tr (Obs.Tracing.Sim.attach col);
   Obs.Tracing.to_string (Obs.Tracing.Sim.finish col)
 
 (* --- Dsim.Trace dispatch: zero allocation when off ------------------------ *)
@@ -112,15 +114,15 @@ let test_subscribers_fire_in_registration_order () =
 (* --- Perfetto export ------------------------------------------------------- *)
 
 let test_trace_same_seed_byte_identical () =
-  let n, tr1 = traced_run ~seed:11 in
+  let _, tr1 = traced_run ~seed:11 in
   let _, tr2 = traced_run ~seed:11 in
   Alcotest.(check string)
-    "same seed, byte-identical Perfetto document" (perfetto_string ~n tr1)
-    (perfetto_string ~n tr2)
+    "same seed, byte-identical Perfetto document" (perfetto_string tr1)
+    (perfetto_string tr2)
 
 let test_trace_validates () =
-  let n, tr = traced_run ~seed:4 in
-  let doc = perfetto_string ~n tr in
+  let _, tr = traced_run ~seed:4 in
+  let doc = perfetto_string tr in
   (match Obs.Tracing.validate_string doc with
   | Ok count -> Alcotest.(check bool) "has events" true (count > 0)
   | Error e -> Alcotest.fail e);
@@ -138,7 +140,7 @@ let test_trace_validates () =
 
 let provenance_of ~n tr =
   let p = Obs.Provenance.create ~n () in
-  Dsim.Trace.iter tr (Obs.Provenance.on_entry p);
+  Kept.replay ~dual:(Lazy.force line12) tr (Obs.Provenance.attach p);
   p
 
 let test_provenance_dag_invariants () =
