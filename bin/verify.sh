@@ -22,7 +22,7 @@
 #                           a large serial run
 #                           (n = 250000, pinned output), a serial run's
 #                           memory (n = 16384, k = 32, pinned output and
-#                           a top-heap ceiling),
+#                           top-heap and minor-words ceilings),
 #                           the n = 10^6 partitioned grid run
 #                           (EXPERIMENTS.md E18) and an n = 10^5
 #                           partitioned line, both with pinned output
@@ -267,20 +267,26 @@ else
         printf "%s\n" "$out" | grep -x -e "time: .*" -e "engine: .*" &&
         printf "%s\n" "$out" | grep -qx "time: 489.484" &&
         printf "%s\n" "$out" | grep -qx "engine: 2496002 events executed"'
-    # The delivery ledger's memory: who has which message is one bit per
-    # (message, node), so a 16,384-node grid with 32 messages peaks near
-    # 4.9 M major-heap words.  Per-message bool arrays, 2·n words each,
-    # took it to 7.4 M.  The simulator runs from the build directory, so
-    # OCAMLRUNPARAM's exit report (v=0x400) is the simulator's alone.
-    gate "serial run memory (grid -n 16384 -k 32, top heap <= 5500000 words)" \
+    # A serial run's memory.  Who has which message is one bit per
+    # (message, node) in the delivery ledger, and the MAC reuses its
+    # contexts, plan and instance records, so a 16,384-node grid with 32
+    # messages peaks near 2.2 M major-heap words and allocates about
+    # 19 M minor words over its 2.6 M events.  Per-message bool arrays
+    # took the peak to 7.4 M; a fresh context, instance and boxed delays
+    # per bcast took it to 4.9 M and the minor words to 58.8 M.  The
+    # simulator runs from the build directory, so OCAMLRUNPARAM's exit
+    # report (v=0x400) is the simulator's alone.
+    gate "serial run memory (grid -n 16384 -k 32, top heap <= 3000000 words, minor <= 25000000 words)" \
       sh -c 'dune build bin/mmb_sim.exe &&
         out=$(OCAMLRUNPARAM=v=0x400 _build/default/bin/mmb_sim.exe run \
           -t grid -n 16384 -k 32 --fack 8 --seed 5 2>&1) &&
-        printf "%s\n" "$out" | grep -x -e "time: .*" -e "engine: .*" -e "top_heap_words: .*" &&
+        printf "%s\n" "$out" | grep -x -e "time: .*" -e "engine: .*" -e "top_heap_words: .*" -e "minor_words: .*" &&
         printf "%s\n" "$out" | grep -qx "time: 326.152" &&
         printf "%s\n" "$out" | grep -qx "engine: 2605088 events executed" &&
         words=$(printf "%s\n" "$out" | sed -n "s/^top_heap_words: //p") &&
-        [ "$words" -le 5500000 ]'
+        [ "$words" -le 3000000 ] &&
+        minor=$(printf "%s\n" "$out" | sed -n "s/^minor_words: //p") &&
+        [ "$minor" -le 25000000 ]'
     # EXPERIMENTS.md E18's reproducer: the million-node grid on the
     # partitioned engine's struct-of-arrays path must complete and
     # reproduce its completion time, events and windows exactly.
@@ -312,7 +318,7 @@ else
     skip "large churned adversarial checked run (grid -n 4096 -k 16 --scheduler adversarial --dynamic churn --check)" "run with --full"
     skip "large FMMB run (geometric greyzone -n 640 -k 8, pinned rounds and MIS)" "run with --full"
     skip "large serial run (grid -n 250000 -k 2, pinned time and events)" "run with --full"
-    skip "serial run memory (grid -n 16384 -k 32, top heap <= 5500000 words)" "run with --full"
+    skip "serial run memory (grid -n 16384 -k 32, top heap <= 3000000 words, minor <= 25000000 words)" "run with --full"
     skip "E18 million-node grid (-n 1000000 --partitions 8 --domains 2)" "run with --full"
     skip "large partitioned line (line -n 100000 --partitions 8, pinned time, events and windows)" "run with --full"
   fi

@@ -1,44 +1,58 @@
-type delivery = { mutable receiver : int; mutable delay : float }
-
 type plan = {
-  mutable ack_delay : float;
-  mutable cells : delivery array;
+  ack : float array;
+  mutable receivers : int array;
+  mutable delays : float array;
   mutable len : int;
 }
 
-let create_plan () = { ack_delay = Float.nan; cells = [||]; len = 0 }
+let create_plan () =
+  { ack = [| Float.nan |]; receivers = [||]; delays = [||]; len = 0 }
 
 let reset plan =
-  plan.ack_delay <- Float.nan;
+  plan.ack.(0) <- Float.nan;
   plan.len <- 0
 
-let set_ack plan ~delay = plan.ack_delay <- delay
+let set_ack plan ~delay = plan.ack.(0) <- delay
 
-(* Cells are allocated only when the buffer grows, and kept: a delivery
-   rewrites the cell at [len], storing the boxed [delay] it was given. *)
-let deliver plan ~receiver ~delay =
+(* Double the full columns.  The deliveries write their cells
+   themselves rather than call a shared append: a second call level per
+   delivery showed on a broadcast-heavy workload. *)
+let grow plan =
   let len = plan.len in
-  if len = Array.length plan.cells then
-    plan.cells <-
-      Array.init (max 8 (2 * len)) (fun i ->
-          if i < len then plan.cells.(i) else { receiver = 0; delay = 0. });
-  let c = plan.cells.(len) in
-  c.receiver <- receiver;
-  c.delay <- delay;
-  plan.len <- len + 1
+  let cap = max 8 (2 * len) in
+  let receivers = Array.make cap 0 and delays = Array.make cap 0. in
+  Array.blit plan.receivers 0 receivers 0 len;
+  Array.blit plan.delays 0 delays 0 len;
+  plan.receivers <- receivers;
+  plan.delays <- delays
+
+let deliver plan ~receiver ~delay =
+  let i = plan.len in
+  if i = Array.length plan.receivers then grow plan;
+  plan.receivers.(i) <- receiver;
+  plan.delays.(i) <- delay;
+  plan.len <- i + 1
 
 let deliver_all plan receivers ~delay =
   for i = 0 to Array.length receivers - 1 do
     deliver plan ~receiver:receivers.(i) ~delay
   done
 
+(* The draw's bound is the ack, copied into the delivery's cell, which
+   the draw then overwrites. *)
+let deliver_uniform plan rng ~receiver =
+  let i = plan.len in
+  if i = Array.length plan.receivers then grow plan;
+  plan.receivers.(i) <- receiver;
+  plan.delays.(i) <- plan.ack.(0);
+  plan.len <- i + 1;
+  Dsim.Rng.float_cell rng plan.delays i
+
 type 'msg bcast_ctx = {
-  bc_sender : int;
-  bc_uid : int;
-  bc_body : 'msg;
-  bc_now : float;
-  bc_g_neighbors : int array;
-  bc_g'_only_neighbors : int array;
+  mutable bc_sender : int;
+  mutable bc_body : 'msg;
+  mutable bc_g_neighbors : int array;
+  mutable bc_g'_only_neighbors : int array;
   bc_fack : float;
   bc_fprog : float;
   bc_rng : Dsim.Rng.t;
@@ -53,9 +67,9 @@ type 'msg candidate = {
 }
 
 type 'msg forced_ctx = {
-  fc_receiver : int;
-  fc_now : float;
-  fc_candidates : 'msg candidate list;
+  mutable fc_count : int;
+  mutable fc_bodies : 'msg array;
+  mutable fc_is_g_neighbor : bool array;
   fc_has_received : 'msg -> bool;
   fc_rng : Dsim.Rng.t;
 }
@@ -63,7 +77,7 @@ type 'msg forced_ctx = {
 type 'msg policy = {
   pol_name : string;
   pol_plan : 'msg bcast_ctx -> unit;
-  pol_forced : 'msg forced_ctx -> 'msg candidate;
+  pol_forced : 'msg forced_ctx -> int;
   pol_reads_received : bool;
 }
 

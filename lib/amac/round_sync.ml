@@ -28,11 +28,8 @@ let policy ~mode =
         deliver_all p ctx.bc_g_neighbors ~delay:early;
         deliver_all p ctx.bc_g'_only_neighbors ~delay:early
   in
-  let forced ctx =
-    (* The single draw [Rng.pick] makes on an array copy, without the
-       copy. *)
-    Dsim.Rng.pick_list ctx.Mac_intf.fc_rng ctx.Mac_intf.fc_candidates
-  in
+  (* A uniform candidate: the one draw [Rng.pick] makes. *)
+  let forced ctx = Dsim.Rng.int ctx.Mac_intf.fc_rng ctx.Mac_intf.fc_count in
   {
     Mac_intf.pol_name =
       (match mode with

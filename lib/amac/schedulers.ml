@@ -3,76 +3,81 @@ open Mac_intf
 let eager ?(latency_frac = 0.1) () =
   let plan ctx =
     let p = ctx.bc_plan in
-    set_ack p ~delay:(latency_frac *. ctx.bc_fprog);
-    (* Every delivery at the ack.  [p.ack_delay] is the float [set_ack]
-       was passed, already boxed: a float let would be boxed again at
-       each call. *)
-    deliver_all p ctx.bc_g_neighbors ~delay:p.ack_delay;
-    deliver_all p ctx.bc_g'_only_neighbors ~delay:p.ack_delay
+    let delay = latency_frac *. ctx.bc_fprog in
+    (* Every delivery at the ack. *)
+    set_ack p ~delay;
+    deliver_all p ctx.bc_g_neighbors ~delay;
+    deliver_all p ctx.bc_g'_only_neighbors ~delay
   in
-  let forced ctx = List.hd ctx.fc_candidates in
   {
     pol_name = "eager";
     pol_plan = plan;
-    pol_forced = forced;
+    pol_forced = (fun _ -> 0);
     pol_reads_received = false;
   }
 
 (* The plan of [random_compliant] and [bursty]: an ack drawn in
    [Fack/2, Fack], a delay below it for each G-neighbor, then for each
    G'-only neighbor one [up] draw and, if it holds, a delay.  The traces
-   depend on this draw order.  Each delay draw reads the ack back from
-   the plan, boxed once, as in [eager]. *)
+   depend on this draw order.  Every draw goes straight into the plan's
+   cells: the ack's uniform [u] is drawn into the ack's cell and scaled
+   there, since a float held in a variable would be boxed when passed
+   on. *)
 let random_plan ~up ctx =
   let rng = ctx.bc_rng and p = ctx.bc_plan in
-  set_ack p ~delay:((0.5 +. (0.5 *. Dsim.Rng.float rng 1.)) *. ctx.bc_fack);
+  let ack = p.ack in
+  ack.(0) <- 1.;
+  Dsim.Rng.float_cell rng ack 0;
+  ack.(0) <- (0.5 +. (0.5 *. ack.(0))) *. ctx.bc_fack;
   let g = ctx.bc_g_neighbors in
   for i = 0 to Array.length g - 1 do
-    deliver p ~receiver:g.(i) ~delay:(Dsim.Rng.float rng p.ack_delay)
+    deliver_uniform p rng ~receiver:g.(i)
   done;
   let g' = ctx.bc_g'_only_neighbors in
   for i = 0 to Array.length g' - 1 do
-    if up rng ctx.bc_sender g'.(i) then
-      deliver p ~receiver:g'.(i) ~delay:(Dsim.Rng.float rng p.ack_delay)
+    if up rng ctx.bc_sender g'.(i) then deliver_uniform p rng ~receiver:g'.(i)
   done
+
+(* A uniform candidate: the one draw [Rng.pick] makes. *)
+let uniform_forced ctx = Dsim.Rng.int ctx.fc_rng ctx.fc_count
 
 let random_compliant ?(p_unreliable = 0.5) () =
   let up rng _ _ = Dsim.Rng.bernoulli rng ~p:p_unreliable in
-  let forced ctx =
-    (* Same single length-bounded draw as [Rng.pick] on an array copy,
-       without the copy. *)
-    Dsim.Rng.pick_list ctx.fc_rng ctx.fc_candidates
-  in
   {
     pol_name = "random";
     pol_plan = random_plan ~up;
-    pol_forced = forced;
+    pol_forced = uniform_forced;
     pol_reads_received = false;
   }
+
+(* The first position in [i, fc_count) that satisfies [pred], or -1. *)
+let rec first ctx pred i =
+  if i >= ctx.fc_count then -1
+  else if pred ctx i then i
+  else first ctx pred (i + 1)
+
+let duplicate ctx i = ctx.fc_has_received ctx.fc_bodies.(i)
+let unreliable_only ctx i = not ctx.fc_is_g_neighbor.(i)
+
+let wasteful_forced ctx =
+  (* Preference order: a body the receiver already has (pure waste), then
+     an unreliable-only sender (out-of-pipeline injection), then the
+     first candidate. *)
+  let d = first ctx duplicate 0 in
+  if d >= 0 then d
+  else
+    let u = first ctx unreliable_only 0 in
+    if u >= 0 then u else 0
 
 let adversarial () =
   let plan ctx =
     set_ack ctx.bc_plan ~delay:ctx.bc_fack;
     deliver_all ctx.bc_plan ctx.bc_g_neighbors ~delay:ctx.bc_fack
   in
-  let forced ctx =
-    (* Preference order: a body the receiver already has (pure waste), then
-       an unreliable-only sender (out-of-pipeline injection), then anything. *)
-    let duplicates =
-      List.filter (fun c -> ctx.fc_has_received c.cand_body) ctx.fc_candidates
-    in
-    let unreliable_only =
-      List.filter (fun c -> not c.cand_is_g_neighbor) ctx.fc_candidates
-    in
-    match (duplicates, unreliable_only) with
-    | c :: _, _ -> c
-    | [], c :: _ -> c
-    | [], [] -> List.hd ctx.fc_candidates
-  in
   {
     pol_name = "adversarial";
     pol_plan = plan;
-    pol_forced = forced;
+    pol_forced = wasteful_forced;
     pol_reads_received = true;
   }
 
@@ -94,11 +99,10 @@ let bursty ?(p_bad = 0.15) ?(p_good = 0.1) () =
     Hashtbl.replace state key good';
     good'
   in
-  let forced ctx = Dsim.Rng.pick_list ctx.fc_rng ctx.fc_candidates in
   {
     pol_name = "bursty";
     pol_plan = random_plan ~up:edge_up;
-    pol_forced = forced;
+    pol_forced = uniform_forced;
     pol_reads_received = false;
   }
 

@@ -1,30 +1,35 @@
 exception Not_well_formed of string
 
-type status = Open | Acked | Aborted of float
-
-(* [Aborted] carries a payload, so [status] is not immediate; compare it
-   by shape, never with polymorphic (=). *)
-let is_open = function Open -> true | Acked | Aborted _ -> false
+(* An instance's status.  An aborted instance's abort time is
+   [aborted_at] of its id. *)
+let st_open = 0
+let st_acked = 1
+let st_aborted = 2
 
 (* Per-receiver state of an instance is indexed by the receiver's slot in
    [g'_row], the sender's sorted G'-row: a planned delivery's event
-   carries its slot, and a forced one finds it by binary search. *)
+   carries its slot, and a forced one finds it by binary search.  A
+   record lives as long as its id: a bcast that takes a released id
+   rewrites that id's record, so the fields a bcast sets are mutable,
+   and the record keeps its [served] and [pending] buffers, which only
+   grow, for the next instance under its id. *)
 type 'msg instance = {
   id : int; (* its index in [insts]: what its events carry *)
-  uid : int;
-  sender : int;
-  body : 'msg;
+  mutable uid : int;
+  mutable sender : int;
+  mutable body : 'msg;
   (* [body] interned, so structurally equal bodies share it; -1 under a
      policy that does not read [fc_has_received]. *)
-  body_id : int;
-  mutable status : status;
+  mutable body_id : int;
+  mutable status : int; (* [st_open], [st_acked] or [st_aborted] *)
   (* The rows of the dual in force when the instance opened.  Terminate
      bookkeeping iterates the same G/G' neighborhoods bcast incremented,
      even if the schedule has since churned the unreliable layer. *)
-  g_row : int array;
-  g'_row : int array;
-  served : Bytes.t; (* bit s: g'_row.(s) already received *)
-  pending : Dsim.Sim.handle array; (* by slot: planned delivery event *)
+  mutable g_row : int array;
+  mutable g'_row : int array;
+  (* By slot, for the first [Array.length g'_row] slots: *)
+  mutable served : Bytes.t; (* bit s: g'_row.(s) already received *)
+  mutable pending : Dsim.Sim.handle array; (* planned delivery event *)
   mutable ack_handle : Dsim.Sim.handle;
 }
 
@@ -69,11 +74,6 @@ type 'msg t = {
      [pol_reads_received]. *)
   bodies : ('msg, int) Hashtbl.t;
   received : Dsim.Int_table.set Dsim.Int_table.t;
-  (* Per sender, the [served]/[pending] buffers of its last discarded
-     instance, taken (and cleared) by its next bcast over a row of the
-     same length, so steady-state bcasts allocate none. *)
-  spare_served : Bytes.t array;
-  spare_pending : Dsim.Sim.handle array array;
   (* The policy's plan buffer, reset before every [pol_plan] call. *)
   plan : Mac_intf.plan;
   (* Epoch-stamped scratch for [validate_plan]: a slot is "marked" iff it
@@ -88,6 +88,24 @@ type 'msg t = {
   mutable n_ack : int;
   mutable n_abort : int;
   mutable n_forced : int;
+  (* The fields below come last so that those above keep the places the
+     event path was measured with: inserting them among those fields
+     moved fmmb_grey's events per second by several percent. *)
+  (* [| fprog; eps_abort + 1e-9 |]: the cells a watchdog and an ε_abort
+     clean-up are posted from. *)
+  delays : float array;
+  (* By instance id, as long as [insts]: an aborted instance's abort
+     time, written only when eps_abort > 0, the only case in which
+     [deliver] reads it. *)
+  mutable aborted_at : float array;
+  (* The policy's contexts, rewritten for every call: the bcast context
+     made by the first bcast, which brings a body to fill it with, and
+     the forced one, whose columns hold the fire's candidates in
+     descending uid order and whose [fc_has_received] asks about
+     [fire_receiver]. *)
+  mutable bctx : 'msg Mac_intf.bcast_ctx option;
+  mutable forced : 'msg Mac_intf.forced_ctx;
+  mutable fire_receiver : int;
 }
 
 let id_bits = 30
@@ -147,32 +165,64 @@ let forced_count t = t.n_forced
 
 (* --- Instances, by id ---------------------------------------------------- *)
 
-(* Store a new instance under its id, which is either released or the
-   next unused one: [insts] (and [free_ids] with it) grows only when the
-   id is one past its end. *)
+(* Store a new instance under the next unused id: [insts] (and
+   [free_ids] and [aborted_at] with it) grows only when the id is one
+   past its end. *)
 let store t inst =
   let cap = Array.length t.insts in
   if inst.id = cap then begin
     let cap' = if cap = 0 then 16 else 2 * cap in
     let insts = Array.make cap' inst and free_ids = Array.make cap' 0 in
+    let aborted_at = Array.make cap' 0. in
     Array.blit t.insts 0 insts 0 cap;
     Array.blit t.free_ids 0 free_ids 0 t.n_free;
+    Array.blit t.aborted_at 0 aborted_at 0 cap;
     t.insts <- insts;
-    t.free_ids <- free_ids
+    t.free_ids <- free_ids;
+    t.aborted_at <- aborted_at
   end;
   t.insts.(inst.id) <- inst
 
-let take_id t =
+(* The instance of a new bcast over [g'_row], with nothing served and
+   nothing pending: the record of the last released id, rewritten, its
+   buffers cleared or, when too short for the row, replaced by ones at
+   least twice as long; or a new record under the next unused id. *)
+let open_instance t ~uid ~sender body ~body_id ~g_row ~g'_row =
+  let d = Array.length g'_row in
+  let len = (d + 7) / 8 in
   if t.n_free > 0 then begin
     t.n_free <- t.n_free - 1;
-    t.free_ids.(t.n_free)
+    let inst = t.insts.(t.free_ids.(t.n_free)) in
+    inst.uid <- uid;
+    inst.sender <- sender;
+    inst.body <- body;
+    inst.body_id <- body_id;
+    inst.status <- st_open;
+    inst.g_row <- g_row;
+    inst.g'_row <- g'_row;
+    if Array.length inst.pending < d then
+      inst.pending <-
+        Array.make (max d (2 * Array.length inst.pending)) Dsim.Sim.no_event
+    else Array.fill inst.pending 0 d Dsim.Sim.no_event;
+    if Bytes.length inst.served < len then
+      inst.served <- Bytes.make (max len (2 * Bytes.length inst.served)) '\000'
+    else Bytes.fill inst.served 0 len '\000';
+    inst.ack_handle <- Dsim.Sim.no_event;
+    inst
   end
   else begin
     let id = t.n_ids in
     if id > id_mask then
       invalid_arg "Standard_mac: too many broadcast instances alive at once";
     t.n_ids <- id + 1;
-    id
+    let inst =
+      { id; uid; sender; body; body_id; status = st_open; g_row; g'_row;
+        served = Bytes.make len '\000';
+        pending = Array.make d Dsim.Sim.no_event;
+        ack_handle = Dsim.Sim.no_event }
+    in
+    store t inst;
+    inst
   end
 
 (* The id of [body], interned on first sight.  [Hashtbl.find] rather
@@ -188,9 +238,12 @@ let intern t body =
 (* The [received] key of (body id, receiver). *)
 let pair t ~body_id j = (body_id * Array.length t.busy) + j
 
-let has_received t j body =
+(* [fc_has_received] under a policy that reads it: the firing
+   watchdog's receiver's history. *)
+let has_received t body =
   match Hashtbl.find t.bodies body with
-  | body_id -> Dsim.Int_table.mem t.received (pair t ~body_id j)
+  | body_id ->
+      Dsim.Int_table.mem t.received (pair t ~body_id t.fire_receiver)
   | exception Not_found -> false
 
 (* [fc_has_received] under a policy that did not declare it reads it:
@@ -221,16 +274,13 @@ let slot_of inst j =
   !lo
 
 let cancel_pending t inst =
-  for s = 0 to Array.length inst.pending - 1 do
+  for s = 0 to Array.length inst.g'_row - 1 do
     Dsim.Sim.cancel t.sim inst.pending.(s)
   done
 
 (* Once an instance is unreachable (pending all cancelled, no longer its
-   sender's in-flight instance), its sender's next bcast may reuse its
-   buffers, and any bcast its id. *)
+   sender's in-flight instance), any bcast may reuse its id and record. *)
 let recycle t inst =
-  t.spare_served.(inst.sender) <- inst.served;
-  t.spare_pending.(inst.sender) <- inst.pending;
   t.free_ids.(t.n_free) <- inst.id;
   t.n_free <- t.n_free + 1
 
@@ -242,19 +292,12 @@ let current_exn t sender =
 
 (* --- Progress watchdog ------------------------------------------------- *)
 
-(* The sender of the candidate with [uid], or -1. *)
-let rec sender_of uid = function
-  | [] -> -1
-  | c :: rest ->
-      if c.Mac_intf.cand_uid = uid then c.Mac_intf.cand_sender
-      else sender_of uid rest
-
 let recheck_watchdog t j =
   let needed = t.connected_open.(j) > 0 && t.cover.(j) = 0 in
   let armed = t.watchdog.(j) <> Dsim.Sim.no_event in
   if needed && not armed then
     t.watchdog.(j) <-
-      Dsim.Sim.post t.sim ~delay:t.fprog t.events.(ev_watchdog) j
+      Dsim.Sim.post t.sim ~delays:t.delays ~at:0 t.events.(ev_watchdog) j
   else if armed && not needed then begin
     Dsim.Sim.cancel t.sim t.watchdog.(j);
     t.watchdog.(j) <- Dsim.Sim.no_event
@@ -265,14 +308,12 @@ let recheck_watchdog t j =
 let deliver t inst s =
   let deliverable =
     (not (is_served inst s))
-    &&
-    match inst.status with
-    | Open -> true
-    | Acked -> false
-    | Aborted at ->
-        (* Late deliveries of an aborted instance are allowed within the
-           model's eps_abort window. *)
-        Dsim.Sim.now t.sim <= at +. t.eps_abort +. 1e-12
+    && (inst.status = st_open
+       (* Late deliveries of an aborted instance are allowed within the
+          model's eps_abort window. *)
+       || inst.status = st_aborted
+          && Dsim.Sim.now t.sim
+             <= t.aborted_at.(inst.id) +. t.eps_abort +. 1e-12)
   in
   if deliverable then begin
     let j = inst.g'_row.(s) in
@@ -283,7 +324,7 @@ let deliver t inst s =
     mark_served inst s;
     (* Progress-cover bookkeeping only concerns open instances: a
        terminated one has already left [cover]. *)
-    if is_open inst.status then begin
+    if inst.status = st_open then begin
       t.cover.(j) <- t.cover.(j) + 1;
       recheck_watchdog t j
     end;
@@ -303,13 +344,15 @@ let deliver t inst s =
     (handlers_exn t j).Mac_intf.on_rcv ~src:inst.sender inst.body
   end
 
-(* Receiver [j]'s candidates: every open instance whose pinned G'-row
-   holds [j] and that has not served it.  An open instance is its
-   sender's in-flight one, and its row is its sender's row in some
-   epoch's G', a subset of the base dual's, so scanning j's G'-neighbours
-   in [t.dual] finds them all.  They are sorted into [scratch_cand] by
-   ascending uid and consed from there, so the list is in descending
-   uid order; the order feeds the forced-choice policy, so it is
+(* Receiver [j]'s candidates, and their number: every open instance
+   whose pinned G'-row holds [j] and that has not served it.  An open
+   instance is its sender's in-flight one, and its row is its sender's
+   row in some epoch's G', a subset of the base dual's, so scanning j's
+   G'-neighbours in [t.dual] finds them all.  They are sorted into
+   [scratch_cand] by ascending uid and written from there into the
+   forced context's columns backwards, so position p holds
+   [scratch_cand.(found - 1 - p)] and the columns are in descending uid
+   order; the order feeds the forced-choice policy, so it is
    load-bearing. *)
 let candidates t j =
   let nbrs = Graphs.Graph.neighbors (Graphs.Dual.unreliable t.dual) j in
@@ -334,49 +377,40 @@ let candidates t j =
       end
     end
   done;
-  let acc = ref [] in
-  for k = 0 to !found - 1 do
+  let found = !found in
+  let fc = t.forced in
+  if found > Array.length fc.Mac_intf.fc_bodies then begin
+    let cap = max found (2 * Array.length fc.Mac_intf.fc_bodies) in
+    fc.Mac_intf.fc_bodies <-
+      Array.make cap t.insts.(t.scratch_cand.(0)).body;
+    fc.Mac_intf.fc_is_g_neighbor <- Array.make cap false
+  end;
+  for k = 0 to found - 1 do
     let inst = t.insts.(t.scratch_cand.(k)) in
-    acc :=
-      {
-        Mac_intf.cand_uid = inst.uid;
-        cand_sender = inst.sender;
-        cand_body = inst.body;
-        cand_is_g_neighbor = Graphs.Dual.is_reliable t.dual inst.sender j;
-      }
-      :: !acc
+    let p = found - 1 - k in
+    fc.Mac_intf.fc_bodies.(p) <- inst.body;
+    fc.Mac_intf.fc_is_g_neighbor.(p) <-
+      Graphs.Dual.is_reliable t.dual inst.sender j
   done;
-  !acc
+  fc.Mac_intf.fc_count <- found;
+  found
 
 let fire_watchdog t j =
   t.watchdog.(j) <- Dsim.Sim.no_event;
   if t.connected_open.(j) > 0 && t.cover.(j) = 0 then begin
-    let candidates = candidates t j in
-    match candidates with
-    | [] ->
-        (* Cannot happen: connected_open > 0 with cover = 0 implies an open,
-           undelivered G-neighbor instance, which is a candidate. *)
-        assert false
-    | _ ->
-        let ctx =
-          {
-            Mac_intf.fc_receiver = j;
-            fc_now = Dsim.Sim.now t.sim;
-            fc_candidates = candidates;
-            fc_has_received =
-              (if t.policy.Mac_intf.pol_reads_received then
-                 fun body -> has_received t j body
-               else no_history);
-            fc_rng = t.rng;
-          }
-        in
-        let choice = t.policy.Mac_intf.pol_forced ctx in
-        let sender = sender_of choice.Mac_intf.cand_uid candidates in
-        if sender < 0 then
-          invalid_arg "Standard_mac: forced choice not among candidates";
-        let inst = current_exn t sender in
-        t.n_forced <- t.n_forced + 1;
-        deliver t inst (slot_of inst j)
+    let found = candidates t j in
+    (* Never 0: connected_open > 0 with cover = 0 implies an open,
+       undelivered G-neighbor instance, which is a candidate. *)
+    if found = 0 then assert false;
+    t.fire_receiver <- j;
+    let p = t.policy.Mac_intf.pol_forced t.forced in
+    if p < 0 || p >= found then
+      invalid_arg "Standard_mac: forced choice not among candidates";
+    (* The chosen instance is read before the delivery, whose handler
+       may start a bcast. *)
+    let inst = t.insts.(t.scratch_cand.(found - 1 - p)) in
+    t.n_forced <- t.n_forced + 1;
+    deliver t inst (slot_of inst j)
   end
 
 (* Shared bookkeeping for both terminating events: update watchdog state
@@ -401,7 +435,7 @@ let terminate t inst ~keep_late_deliveries =
   if not keep_late_deliveries then recycle t inst
 
 let ack t inst =
-  inst.status <- Acked;
+  inst.status <- st_acked;
   terminate t inst ~keep_late_deliveries:false;
   t.n_ack <- t.n_ack + 1;
   if tracing t then
@@ -420,7 +454,8 @@ let abort t ~node =
       (Not_well_formed
          (Printf.sprintf "node %d aborted with no broadcast in flight" node));
   let inst = current_exn t node in
-  inst.status <- Aborted (Dsim.Sim.now t.sim);
+  inst.status <- st_aborted;
+  if t.eps_abort > 0. then t.aborted_at.(inst.id) <- Dsim.Sim.now t.sim;
   (* With eps_abort = 0, [terminate ~keep_late_deliveries:false]
      cancels every pending delivery; with eps_abort > 0 they are
      kept and [deliver] applies the window cutoff at fire time. *)
@@ -433,8 +468,18 @@ let abort t ~node =
   if t.eps_abort > 0. then
     (* Drop the instance once the late window has passed. *)
     ignore
-      (Dsim.Sim.post t.sim ~delay:(t.eps_abort +. 1e-9) t.events.(ev_abort_gc)
+      (Dsim.Sim.post t.sim ~delays:t.delays ~at:1 t.events.(ev_abort_gc)
          inst.id)
+
+(* A forced context with empty columns. *)
+let forced_ctx ~rng has_received =
+  {
+    Mac_intf.fc_count = 0;
+    fc_bodies = [||];
+    fc_is_g_neighbor = [||];
+    fc_has_received = has_received;
+    fc_rng = rng;
+  }
 
 let create ~sim ~dual ~fack ~fprog ~policy ~rng ?(eps_abort = 0.) ?dyn ?trace
     ?msg_id () =
@@ -455,6 +500,7 @@ let create ~sim ~dual ~fack ~fprog ~policy ~rng ?(eps_abort = 0.) ?dyn ?trace
       fack;
       fprog;
       eps_abort;
+      delays = [| fprog; eps_abort +. 1e-9 |];
       policy;
       rng;
       trace;
@@ -466,16 +512,18 @@ let create ~sim ~dual ~fack ~fprog ~policy ~rng ?(eps_abort = 0.) ?dyn ?trace
       n_ids = 0;
       free_ids = [||];
       n_free = 0;
+      aborted_at = [||];
       events = [||];
       next_uid = 0;
       connected_open = Array.make n 0;
       cover = Array.make n 0;
       watchdog = Array.make n Dsim.Sim.no_event;
       scratch_cand = Array.make n 0;
+      bctx = None;
+      forced = forced_ctx ~rng no_history;
+      fire_receiver = -1;
       bodies = Hashtbl.create 16;
       received = Dsim.Int_table.create_set ();
-      spare_served = Array.make n Bytes.empty;
-      spare_pending = Array.make n [||];
       plan = Mac_intf.create_plan ();
       scratch_epoch = 0;
       scratch_nbr = Array.make n 0;
@@ -499,6 +547,8 @@ let create ~sim ~dual ~fack ~fprog ~policy ~rng ?(eps_abort = 0.) ?dyn ?trace
           cancel_pending t inst;
           recycle t inst);
     |];
+  if policy.Mac_intf.pol_reads_received then
+    t.forced <- forced_ctx ~rng (has_received t);
   t
 
 (* --- Plan validation ---------------------------------------------------- *)
@@ -506,7 +556,7 @@ let create ~sim ~dual ~fack ~fprog ~policy ~rng ?(eps_abort = 0.) ?dyn ?trace
 (* Also leaves, in [scratch_slot], each G'-neighbor's slot in [g'_row]
    for [bcast] to schedule the plan's deliveries with. *)
 let validate_plan t ~g_row ~g'_row (plan : Mac_intf.plan) =
-  let ack_delay = plan.Mac_intf.ack_delay in
+  let ack_delay = plan.Mac_intf.ack.(0) in
   if not (0. <= ack_delay && ack_delay <= t.fack) then
     invalid_arg
       (Printf.sprintf "Standard_mac: plan ack_delay %g outside [0, %g]"
@@ -520,7 +570,8 @@ let validate_plan t ~g_row ~g'_row (plan : Mac_intf.plan) =
     t.scratch_slot.(j) <- s
   done;
   for i = 0 to plan.Mac_intf.len - 1 do
-    let { Mac_intf.receiver; delay } = plan.Mac_intf.cells.(i) in
+    let receiver = plan.Mac_intf.receivers.(i) in
+    let delay = plan.Mac_intf.delays.(i) in
     if receiver < 0 || receiver >= n then
       invalid_arg "Standard_mac: plan delivers to a non-G'-neighbor";
     if t.scratch_seen.(receiver) = epoch then
@@ -567,51 +618,38 @@ let bcast t ~node body =
      per-broadcast filter used to produce. *)
   let g'_only = Graphs.Dual.g'_only_neighbors dual node in
   let ctx =
-    {
-      Mac_intf.bc_sender = node;
-      bc_uid = uid;
-      bc_body = body;
-      bc_now = Dsim.Sim.now t.sim;
-      bc_g_neighbors = g_row;
-      bc_g'_only_neighbors = g'_only;
-      bc_fack = t.fack;
-      bc_fprog = t.fprog;
-      bc_rng = t.rng;
-      bc_plan = t.plan;
-    }
+    match t.bctx with
+    | Some ctx ->
+        ctx.Mac_intf.bc_sender <- node;
+        ctx.Mac_intf.bc_body <- body;
+        ctx.Mac_intf.bc_g_neighbors <- g_row;
+        ctx.Mac_intf.bc_g'_only_neighbors <- g'_only;
+        ctx
+    | None ->
+        let ctx =
+          {
+            Mac_intf.bc_sender = node;
+            bc_body = body;
+            bc_g_neighbors = g_row;
+            bc_g'_only_neighbors = g'_only;
+            bc_fack = t.fack;
+            bc_fprog = t.fprog;
+            bc_rng = t.rng;
+            bc_plan = t.plan;
+          }
+        in
+        t.bctx <- Some ctx;
+        ctx
   in
   Mac_intf.reset t.plan;
   t.policy.Mac_intf.pol_plan ctx;
   let plan = t.plan in
   validate_plan t ~g_row ~g'_row plan;
-  let d = Array.length g'_row in
-  let pending =
-    let p = t.spare_pending.(node) in
-    if Array.length p = d then begin
-      t.spare_pending.(node) <- [||];
-      Array.fill p 0 d Dsim.Sim.no_event;
-      p
-    end
-    else Array.make d Dsim.Sim.no_event
+  let body_id =
+    if t.policy.Mac_intf.pol_reads_received then intern t body else -1
   in
-  let served =
-    let b = t.spare_served.(node) and len = (d + 7) / 8 in
-    if Bytes.length b = len then begin
-      t.spare_served.(node) <- Bytes.empty;
-      Bytes.fill b 0 len '\000';
-      b
-    end
-    else Bytes.make len '\000'
-  in
-  let id = take_id t in
-  let inst =
-    { id; uid; sender = node; body;
-      body_id =
-        (if t.policy.Mac_intf.pol_reads_received then intern t body else -1);
-      status = Open; g_row; g'_row; served; pending;
-      ack_handle = Dsim.Sim.no_event }
-  in
-  store t inst;
+  let inst = open_instance t ~uid ~sender:node body ~body_id ~g_row ~g'_row in
+  let id = inst.id and pending = inst.pending in
   t.current.(node) <- id;
   for i = 0 to Array.length g_row - 1 do
     let j = g_row.(i) in
@@ -622,10 +660,10 @@ let bcast t ~node body =
      deliveries execute first (the heap is FIFO-stable), preserving
      ack correctness. *)
   for i = 0 to plan.Mac_intf.len - 1 do
-    let { Mac_intf.receiver; delay } = plan.Mac_intf.cells.(i) in
-    let s = t.scratch_slot.(receiver) in
+    let s = t.scratch_slot.(plan.Mac_intf.receivers.(i)) in
     pending.(s) <-
-      Dsim.Sim.post t.sim ~delay t.events.(ev_deliver) ((s lsl id_bits) lor id)
+      Dsim.Sim.post t.sim ~delays:plan.Mac_intf.delays ~at:i
+        t.events.(ev_deliver) ((s lsl id_bits) lor id)
   done;
   inst.ack_handle <-
-    Dsim.Sim.post t.sim ~delay:plan.Mac_intf.ack_delay t.events.(ev_ack) id
+    Dsim.Sim.post t.sim ~delays:plan.Mac_intf.ack ~at:0 t.events.(ev_ack) id

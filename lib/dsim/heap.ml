@@ -313,7 +313,8 @@ let[@inline] lane_push t l time =
   t.ring_len.(l) <- len + 1;
   key
 
-let push_after t ~now ~delay =
+let push_after t ~now ~delays:cells ~at =
+  let delay = cells.(at) in
   let time = now.(0) +. delay in
   if Float.is_nan time then invalid_arg "Heap.push: NaN time";
   (* The lane of [delay], or the number of lanes plus one. *)

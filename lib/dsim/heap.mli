@@ -91,16 +91,18 @@ val push : t -> time:float -> handle
     arrays grow.  Raises [Invalid_argument] on a NaN [time] or past the
     handle's packing limits (see above). *)
 
-val push_after : t -> now:float array -> delay:float -> handle
-(** [push_after h ~now ~delay] pushes an entry at [now.(0) +. delay],
-    with the sum computed inside the queue so that it is never boxed: a
-    simulator keeps its clock in [now] and schedules relative to it
-    allocation-free.  It pops exactly as [push h ~time:(now.(0) +.
-    delay)] would, whatever [now] holds.  The entry takes the lane of
-    [delay] (see above) when its time is not before the lane's last
-    entry, which holds for every push of one delay as long as [now.(0)]
-    never decreases, as a simulator's clock does not.  Allocates
-    nothing, except when the queue's arrays grow or a lane opens. *)
+val push_after : t -> now:float array -> delays:float array -> at:int -> handle
+(** [push_after h ~now ~delays ~at] pushes an entry at [now.(0) +.
+    delays.(at)].  Both floats are read from the caller's unboxed cells
+    and summed inside the queue, so none is boxed: a simulator keeps
+    its clock in [now] and its delays in float arrays, and schedules
+    relative to the clock allocation-free.  It pops exactly as [push h
+    ~time:(now.(0) +. delays.(at))] would, whatever the cells hold.
+    The entry takes the lane of its delay (see above) when its time is
+    not before the lane's last entry, which holds for every push of one
+    delay as long as [now.(0)] never decreases, as a simulator's clock
+    does not.  Allocates nothing, except when the queue's arrays grow
+    or a lane opens. *)
 
 val cancel : t -> handle -> unit
 (** [cancel h hd] removes the entry identified by [hd] if it is still

@@ -21,14 +21,28 @@ let int t bound =
   if bound <= 0 then invalid_arg "Rng.int: non-positive bound";
   Random.State.int t bound
 
-let float t bound = Random.State.float t bound
+(* The top 53 bits of a 64-bit draw, redrawn while they are all zero:
+   the integer [Random.State.float] scales by 2^-53, drawn as an
+   immediate int.  [Random.State.float]'s own recursive draw returns a
+   boxed float and so allocates on every call. *)
+let rec bits53 t =
+  let n = Int64.to_int (Int64.shift_right_logical (Random.State.bits64 t) 11) in
+  if n <> 0 then n else bits53 t
+
+(* Bit for bit [Random.State.float t bound]: the same draw, and the same
+   two roundings in the same order. *)
+let float t bound = Float.of_int (bits53 t) *. 0x1.p-53 *. bound
+
+let float_cell t a i = a.(i) <- Float.of_int (bits53 t) *. 0x1.p-53 *. a.(i)
 
 let bool t = Random.State.bool t
 
+(* [Random.State.float t 1. < p]: scaling by 1 is exact, so it is
+   left out. *)
 let bernoulli t ~p =
   if p <= 0. then false
   else if p >= 1. then true
-  else Random.State.float t 1. < p
+  else Float.of_int (bits53 t) *. 0x1.p-53 < p
 
 let bits t ~n = Array.init n (fun _ -> Random.State.bool t)
 
@@ -43,8 +57,3 @@ let shuffle t a =
 let pick t a =
   if Array.length a = 0 then invalid_arg "Rng.pick: empty array";
   a.(Random.State.int t (Array.length a))
-
-let pick_list t l =
-  match l with
-  | [] -> invalid_arg "Rng.pick_list: empty list"
-  | _ -> List.nth l (Random.State.int t (List.length l))

@@ -57,17 +57,20 @@ val register : ?cat:string -> t -> (int -> unit) -> handler
     scheduled one (see {!category_stats}); without it they count only
     in {!executed_events}. *)
 
-val post : t -> delay:float -> handler -> int -> handle
-(** [post sim ~delay h arg] runs [h]'s function on [arg] when the clock
-    reaches [now sim +. delay], ordered with every other event by
-    [(time, scheduling order)] exactly as {!schedule}, and charged to
-    [h]'s category.  Allocates nothing once the queue has grown: the
-    sum is never boxed, and the category is [h]'s, interned when it
-    was registered.  Raises
-    [Invalid_argument] if [delay < 0.] or if [h]'s id is out of range
-    for [sim], i.e. [sim] has registered fewer handlers.  A handler
-    registered with another simulation is not detected when its id is
-    in range: it runs [sim]'s handler with that id. *)
+val post : t -> delays:float array -> at:int -> handler -> int -> handle
+(** [post sim ~delays ~at h arg] runs [h]'s function on [arg] when the
+    clock reaches [now sim +. delays.(at)], ordered with every other
+    event by [(time, scheduling order)] exactly as {!schedule}, and
+    charged to [h]'s category.  The delay is read from the caller's
+    float array, as the engine reads its clock from its own, so no
+    float is boxed on the way in; a caller keeps its constant delays
+    in such a cell and writes computed ones into one.  Allocates
+    nothing once the queue has grown: the category is [h]'s, interned
+    when it was registered.  Raises [Invalid_argument] if
+    [delays.(at) < 0.] or if [h]'s id is out of range for [sim], i.e.
+    [sim] has registered fewer handlers.  A handler registered with
+    another simulation is not detected when its id is in range: it
+    runs [sim]'s handler with that id. *)
 
 val cancel : t -> handle -> unit
 (** Cancel a pending event; a no-op if it already ran or was cancelled,

@@ -5,13 +5,15 @@
 
 type discipline = [ `Fifo | `Lifo ]
 
+(* A node's [bcastq], as a ring deque of message ids: [ring.(head)] is
+   sent next, and the [queued] ids follow it around the ring, whose
+   capacity is a power of two (or 0 before the first push).  FIFO pushes
+   at the back and LIFO at the front; both pop the front. *)
 type node_state = {
-  (* [bcastq] as a double-ended structure: [front] holds messages to send
-     next (in order), [back] holds newly enqueued ones in reverse. *)
-  mutable front : int list;
-  mutable back : int list;
+  mutable ring : int array;
+  mutable head : int;
   mutable queued : int;
-  mutable in_flight : int option;
+  mutable in_flight : int; (* the message awaiting its ack, or -1 *)
 }
 
 type t = {
@@ -34,30 +36,35 @@ let record_trace t event = Amac.Mac_handle.record t.mac event
    record even with tracing off. *)
 let tracing t = Option.is_some t.mac.Amac.Mac_handle.h_trace
 
+(* Double a full ring, unwrapping it to start at 0. *)
+let grow st =
+  let cap = Array.length st.ring in
+  let ring = Array.make (max 4 (2 * cap)) 0 in
+  for i = 0 to st.queued - 1 do
+    ring.(i) <- st.ring.((st.head + i) land (cap - 1))
+  done;
+  st.ring <- ring;
+  st.head <- 0
+
 let push t st msg =
+  if st.queued = Array.length st.ring then grow st;
+  let mask = Array.length st.ring - 1 in
   (match t.discipline with
-  | `Fifo -> st.back <- msg :: st.back
-  | `Lifo -> st.front <- msg :: st.front);
+  | `Fifo -> st.ring.((st.head + st.queued) land mask) <- msg
+  | `Lifo ->
+      st.head <- (st.head - 1) land mask;
+      st.ring.(st.head) <- msg);
   st.queued <- st.queued + 1
 
+(* The front message, removed, or -1 when the queue is empty. *)
 let pop st =
-  let refill () =
-    match List.rev st.back with
-    | [] -> None
-    | m :: rest ->
-        st.front <- m :: rest;
-        st.back <- [];
-        Some m
-  in
-  let head = match st.front with m :: _ -> Some m | [] -> refill () in
-  match head with
-  | None -> None
-  | Some m ->
-      (match st.front with
-      | _ :: rest -> st.front <- rest
-      | [] -> assert false);
-      st.queued <- st.queued - 1;
-      Some m
+  if st.queued = 0 then -1
+  else begin
+    let m = st.ring.(st.head) in
+    st.head <- (st.head + 1) land (Array.length st.ring - 1);
+    st.queued <- st.queued - 1;
+    m
+  end
 
 (* Hand the queue head to the MAC if idle ("immediately, without any
    time-passage").  The in-flight message is logically still the queue
@@ -65,14 +72,13 @@ let pop st =
    behaviorally identical. *)
 let maybe_send t node =
   let st = t.states.(node) in
-  match st.in_flight with
-  | Some _ -> ()
-  | None -> (
-      match pop st with
-      | None -> ()
-      | Some m ->
-          st.in_flight <- Some m;
-          t.mac.Amac.Mac_handle.h_bcast ~node m)
+  if st.in_flight < 0 then begin
+    let m = pop st in
+    if m >= 0 then begin
+      st.in_flight <- m;
+      t.mac.Amac.Mac_handle.h_bcast ~node m
+    end
+  end
 
 (* The delivery reaches [on_deliver] (the run's ledger) before the trace
    records it, so the trace's subscribers find it counted. *)
@@ -102,7 +108,7 @@ let install ?(discipline = `Fifo) ?(relay = fun _ -> true) ~mac ~on_deliver
       relay;
       states =
         Array.init n (fun _ ->
-            { front = []; back = []; queued = 0; in_flight = None });
+            { ring = [||]; head = 0; queued = 0; in_flight = -1 });
       n;
       rcvd = Dsim.Bitset.create ~width:0;
     }
@@ -115,9 +121,9 @@ let install ?(discipline = `Fifo) ?(relay = fun _ -> true) ~mac ~on_deliver
         on_ack =
           (fun msg ->
             let st = t.states.(node) in
-            (match st.in_flight with
-            | Some m when m = msg -> st.in_flight <- None
-            | _ -> invalid_arg "Bmmb: ack for a message not in flight");
+            if st.in_flight <> msg then
+              invalid_arg "Bmmb: ack for a message not in flight";
+            st.in_flight <- -1;
             maybe_send t node);
       }
   done;
@@ -130,7 +136,7 @@ let arrive t ~node ~msg =
 
 let queue_length t ~node =
   let st = t.states.(node) in
-  st.queued + match st.in_flight with Some _ -> 1 | None -> 0
+  st.queued + if st.in_flight >= 0 then 1 else 0
 
 let received t ~node ~msg =
   if node < 0 || node >= t.n then invalid_arg "Bmmb.received: node out of range";

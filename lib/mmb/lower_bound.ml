@@ -39,24 +39,12 @@ let two_line_policy ~d =
       deliver_all ctx.bc_plan ctx.bc_g_neighbors ~delay:0.
     end
   in
-  let forced ctx =
-    (* Waste the forced delivery: duplicates first, then unreliable-edge
-       senders, then whatever remains. *)
-    let duplicates =
-      List.filter (fun c -> ctx.fc_has_received c.cand_body) ctx.fc_candidates
-    in
-    let unreliable =
-      List.filter (fun c -> not c.cand_is_g_neighbor) ctx.fc_candidates
-    in
-    match (duplicates, unreliable) with
-    | c :: _, _ -> c
-    | [], c :: _ -> c
-    | [], [] -> List.hd ctx.fc_candidates
-  in
   {
     pol_name = "two-line-adversary";
     pol_plan = plan;
-    pol_forced = forced;
+    (* Waste the forced delivery: duplicates first, then unreliable-edge
+       senders, then whatever remains. *)
+    pol_forced = (Amac.Schedulers.adversarial ()).pol_forced;
     pol_reads_received = true;
   }
 

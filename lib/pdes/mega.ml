@@ -75,6 +75,9 @@ type t = {
   mutable c_delivered : int;
   mutable c_required : int;
   last_required : float array; (* [| time of the latest required delivery |] *)
+  (* [| the local batch's delay, drawn per bcast; fprog |]: the cells
+     the two handlers' events are posted from. *)
+  delays : float array;
 }
 
 (* Bit [msg] of [node]'s bytes in the delivered set: tested and set in
@@ -123,7 +126,8 @@ and bcast t ~node ~msg =
      function of the bcast count alone (degree-independent), and one
      batch event per instance keeps the heap at O(active instances),
      not O(active instances * degree). *)
-  let local_delay = Dsim.Rng.float t.rng t.fprog in
+  t.delays.(0) <- t.fprog;
+  Dsim.Rng.float_cell t.rng t.delays 0;
   let owned = ref false in
   for i = 0 to Array.length nbrs - 1 do
     let j = nbrs.(i) in
@@ -134,8 +138,8 @@ and bcast t ~node ~msg =
         { Mailbox.time = Dsim.Sim.now t.sim +. t.fprog; node = j; msg; inst = uid }
   done;
   if !owned then
-    ignore (Dsim.Sim.post t.sim ~delay:local_delay t.handlers.(0) node);
-  ignore (Dsim.Sim.post t.sim ~delay:t.fprog t.handlers.(1) node)
+    ignore (Dsim.Sim.post t.sim ~delays:t.delays ~at:0 t.handlers.(0) node);
+  ignore (Dsim.Sim.post t.sim ~delays:t.delays ~at:1 t.handlers.(1) node)
 
 (* The batch of [sender]'s in-flight instance.  It fires strictly
    before the instance's ack (or at the same time, scheduled first), so
@@ -206,6 +210,7 @@ let create ~sim ~dual ?dyn ~fprog ~shared ~me ~parts ~seed ~trace ~tracing
       c_delivered = 0;
       c_required = 0;
       last_required = [| 0. |];
+      delays = [| 0.; fprog |];
     }
   in
   t.handlers <-

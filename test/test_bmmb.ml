@@ -29,9 +29,10 @@ let test_disconnected () =
   let res = run dual [ (0, 0); (3, 1) ] in
   Alcotest.(check bool) "both components complete" true res.Mmb.Runner.complete
 
-let test_fifo_order_preserved () =
-  (* With the adversarial scheduler on a 2-node line, messages leave node 0
-     in FIFO order and arrive in that order. *)
+(* The order in which node 1 of a 2-node line delivers messages 10, 20
+   and 30, which arrive at node 0 in that order at time 0, under the
+   adversarial scheduler and [discipline]. *)
+let two_node_delivery_order ?discipline () =
   let dual = Graphs.Dual.of_equal (Graphs.Gen.line 2) in
   let order = ref [] in
   let sim = Dsim.Sim.create () in
@@ -41,7 +42,7 @@ let test_fifo_order_preserved () =
       ~policy:(Amac.Schedulers.adversarial ()) ~rng ()
   in
   let bmmb =
-    Mmb.Bmmb.install ~mac:(Amac.Mac_handle.of_standard mac)
+    Mmb.Bmmb.install ?discipline ~mac:(Amac.Mac_handle.of_standard mac)
       ~on_deliver:(fun ~node ~msg ~time:_ ->
         if node = 1 then order := msg :: !order)
       ()
@@ -52,8 +53,18 @@ let test_fifo_order_preserved () =
          Mmb.Bmmb.arrive bmmb ~node:0 ~msg:20;
          Mmb.Bmmb.arrive bmmb ~node:0 ~msg:30));
   ignore (Dsim.Sim.run sim);
+  List.rev !order
+
+let test_fifo_order_preserved () =
+  (* Messages leave node 0 in FIFO order and arrive in that order. *)
   Alcotest.(check (list int)) "FIFO delivery order" [ 10; 20; 30 ]
-    (List.rev !order)
+    (two_node_delivery_order ())
+
+let test_lifo_order () =
+  (* 10 goes out as it arrives; 20 and 30 wait, and the later one leaves
+     first. *)
+  Alcotest.(check (list int)) "LIFO delivery order" [ 10; 30; 20 ]
+    (two_node_delivery_order ~discipline:`Lifo ())
 
 let test_lifo_discipline () =
   let dual = Graphs.Dual.of_equal (Graphs.Gen.line 4) in
@@ -154,6 +165,37 @@ let test_received_bitset_widens () =
   done;
   Alcotest.(check (float 1e-9)) "completion time" 17.005204016919489 !finish
 
+(* A serial run allocates almost nothing per engine event: the MAC's
+   contexts, plan and instances are reused, the scheduler draws into
+   the plan's unboxed cells, and each node's queue is an int ring.  The
+   count starts in the runner's setup hook, once the MAC and the
+   automata are built, so it covers the run and the result; what it
+   finds is the buffers a run grows once and the boxed time of each
+   first delivery.  The instance is serial_grid's at a quarter of the
+   size. *)
+let test_serial_run_allocates_little () =
+  let rng = Dsim.Rng.create ~seed:5 in
+  let g = Graphs.Gen.grid ~rows:16 ~cols:16 in
+  let dual = Graphs.Dual.r_restricted_random rng ~g ~r:2 ~extra:512 in
+  let before = ref nan in
+  let res =
+    Mmb.Runner.run_bmmb ~dual ~fack:20. ~fprog:1.
+      ~policy:(Amac.Schedulers.random_compliant ())
+      ~assignment:(Mmb.Problem.all_at ~node:0 ~k:8)
+      ~seed:5
+      ~setup:(fun _ -> before := Gc.minor_words ())
+      ()
+  in
+  let per_event =
+    (Gc.minor_words () -. !before)
+    /. float_of_int res.Mmb.Runner.events_executed
+  in
+  Alcotest.(check bool) "complete" true res.Mmb.Runner.complete;
+  Alcotest.(check bool)
+    (Printf.sprintf "%.3f minor words per event (%d events)" per_event
+       res.Mmb.Runner.events_executed)
+    true (per_event <= 2.)
+
 (* Message ids are >= 0, one rule for both engines (the partitioned
    engine's check is in test_pdes.ml). *)
 let test_negative_id_rejected () =
@@ -210,6 +252,7 @@ let suite =
           test_multi_message_star;
         Alcotest.test_case "disconnected components" `Quick test_disconnected;
         Alcotest.test_case "FIFO order preserved" `Quick test_fifo_order_preserved;
+        Alcotest.test_case "LIFO order pinned" `Quick test_lifo_order;
         Alcotest.test_case "LIFO ablation variant" `Quick test_lifo_discipline;
         Alcotest.test_case "queue introspection" `Quick test_queue_introspection;
         Alcotest.test_case "duplicate arrival rejected" `Quick
@@ -218,6 +261,8 @@ let suite =
           test_received_bitset_widens;
         Alcotest.test_case "negative message id rejected" `Quick
           test_negative_id_rejected;
+        Alcotest.test_case "serial run allocates under 2 words per event"
+          `Quick test_serial_run_allocates_little;
         QCheck_alcotest.to_alcotest prop_bmmb_solves_and_respects_bounds;
       ] );
   ]

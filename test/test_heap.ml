@@ -133,16 +133,16 @@ let test_stale_handle_after_slot_reuse () =
    The clock stays at 0, so three delay-2 entries stay live. *)
 let test_push_allocates_nothing () =
   let h = Dsim.Heap.create () in
-  let cell = [| 0. |] and out = [| 0. |] in
+  let cell = [| 0. |] and out = [| 0. |] and delays = [| 1.; 2. |] in
   for _ = 1 to 3 do
-    ignore (Dsim.Heap.push_after h ~now:cell ~delay:2.)
+    ignore (Dsim.Heap.push_after h ~now:cell ~delays ~at:1)
   done;
   let cycle () =
     Dsim.Heap.cancel h (Dsim.Heap.push h ~time:1.);
-    Dsim.Heap.cancel h (Dsim.Heap.push_after h ~now:cell ~delay:1.);
+    Dsim.Heap.cancel h (Dsim.Heap.push_after h ~now:cell ~delays ~at:0);
     ignore (Dsim.Heap.pop_until h ~until:0. ~time:cell);
-    Dsim.Heap.cancel h (Dsim.Heap.push_after h ~now:cell ~delay:2.);
-    ignore (Dsim.Heap.push_after h ~now:cell ~delay:2.);
+    Dsim.Heap.cancel h (Dsim.Heap.push_after h ~now:cell ~delays ~at:1);
+    ignore (Dsim.Heap.push_after h ~now:cell ~delays ~at:1);
     ignore (Dsim.Heap.pop_until h ~until:infinity ~time:out)
   in
   for _ = 1 to 100 do
@@ -196,7 +196,7 @@ let test_dead_lane_head_after_slot_reuse () =
   let h = V.create () in
   let now = [| 0. |] in
   let push_after name =
-    let hd = Dsim.Heap.push_after h.V.heap ~now ~delay:1. in
+    let hd = Dsim.Heap.push_after h.V.heap ~now ~delays:[| 1. |] ~at:0 in
     V.store h (Dsim.Heap.slot hd) name;
     hd
   in
@@ -220,8 +220,8 @@ let test_lane_append_out_of_order () =
   let h = V.create () in
   let now = [| 5. |] in
   let push_after name =
-    V.store h (Dsim.Heap.slot (Dsim.Heap.push_after h.V.heap ~now ~delay:1.))
-      name
+    let hd = Dsim.Heap.push_after h.V.heap ~now ~delays:[| 1. |] ~at:0 in
+    V.store h (Dsim.Heap.slot hd) name
   in
   push_after "a";
   push_after "b" (* opens the lane: due at 6 *);
@@ -239,7 +239,9 @@ let test_nan_rejected () =
     (fun () -> ignore (Dsim.Heap.push h ~time:Float.nan));
   Alcotest.check_raises "nan sum" (Invalid_argument "Heap.push: NaN time")
     (fun () ->
-      ignore (Dsim.Heap.push_after h ~now:[| infinity |] ~delay:neg_infinity))
+      ignore
+        (Dsim.Heap.push_after h ~now:[| infinity |] ~delays:[| neg_infinity |]
+           ~at:0))
 
 (* Once cancels leave more dead keys than live ones the heap drops the
    dead keys and re-heapifies; pop order is the strict (time, seq) order

@@ -129,7 +129,7 @@ let run_heap_model ops =
           incr seq
       | Push_after d ->
           let t = cell.(0) +. d in
-          let h = Dsim.Heap.push_after heap ~now:cell ~delay:d in
+          let h = Dsim.Heap.push_after heap ~now:cell ~delays:[| d |] ~at:0 in
           values.(Dsim.Heap.slot h) <- !seq;
           handles := (List.length !handles, h, t, !seq) :: !handles;
           reference := (t, !seq, !seq) :: !reference;

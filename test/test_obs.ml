@@ -417,8 +417,8 @@ let test_sim_profiling () =
   (* A posted event is charged to its handler's category, if it has one. *)
   let a = Dsim.Sim.register ~cat:"a" sim ignore in
   let plain = Dsim.Sim.register sim ignore in
-  ignore (Dsim.Sim.post sim ~delay:1. a 0);
-  ignore (Dsim.Sim.post sim ~delay:1. plain 0);
+  ignore (Dsim.Sim.post sim ~delays:[| 1. |] ~at:0 a 0);
+  ignore (Dsim.Sim.post sim ~delays:[| 1. |] ~at:0 plain 0);
   ignore (Dsim.Sim.run sim);
   Alcotest.(check int) "posted events executed" 5
     (Dsim.Sim.executed_events sim);

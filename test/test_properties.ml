@@ -144,7 +144,7 @@ let bad_plan_rejected name ~ack deliveries =
     {
       Amac.Mac_intf.pol_name = "bad";
       pol_plan = plan_of;
-      pol_forced = (fun ctx -> List.hd ctx.Amac.Mac_intf.fc_candidates);
+      pol_forced = (fun _ -> 0);
       pol_reads_received = false;
     }
   in
@@ -170,7 +170,8 @@ let test_plan_validation_paths () =
   bad_plan_rejected "ack beyond Fack rejected" ~ack:99. [ (0, 1.); (2, 1.) ]
 
 let test_forced_choice_validated () =
-  (* A policy returning a non-candidate from pol_forced is rejected. *)
+  (* A policy returning a position past the candidates from pol_forced is
+     rejected, by name. *)
   let dual = Graphs.Dual.of_equal (Graphs.Gen.line 2) in
   let rogue =
     {
@@ -181,14 +182,7 @@ let test_forced_choice_validated () =
           Amac.Mac_intf.set_ack p ~delay:ctx.Amac.Mac_intf.bc_fack;
           Amac.Mac_intf.deliver_all p ctx.Amac.Mac_intf.bc_g_neighbors
             ~delay:ctx.Amac.Mac_intf.bc_fack);
-      pol_forced =
-        (fun _ ->
-          {
-            Amac.Mac_intf.cand_uid = 999_999;
-            cand_sender = 0;
-            cand_body = 0;
-            cand_is_g_neighbor = true;
-          });
+      pol_forced = (fun ctx -> ctx.Amac.Mac_intf.fc_count);
       pol_reads_received = false;
     }
   in
@@ -204,11 +198,9 @@ let test_forced_choice_validated () =
   ignore
     (Dsim.Sim.schedule_at sim ~time:0. (fun () ->
          Amac.Standard_mac.bcast mac ~node:0 1));
-  Alcotest.(check bool) "rogue forced choice raises" true
-    (try
-       ignore (Dsim.Sim.run sim);
-       false
-     with Invalid_argument _ -> true)
+  Alcotest.check_raises "rogue forced choice refused"
+    (Invalid_argument "Standard_mac: forced choice not among candidates")
+    (fun () -> ignore (Dsim.Sim.run sim))
 
 let test_double_attach_rejected () =
   let dual = Graphs.Dual.of_equal (Graphs.Gen.line 2) in

@@ -58,9 +58,76 @@ let test_pick () =
   for _ = 1 to 50 do
     let v = Dsim.Rng.pick rng a in
     if not (Array.mem v a) then Alcotest.fail "pick outside array"
-  done;
-  Alcotest.(check int) "pick_list singleton" 5
-    (Dsim.Rng.pick_list rng [ 5 ])
+  done
+
+(* The draws are [Random.State]'s, bit for bit: run side by side with the
+   stdlib on a copy of the same state, [float], [float_cell] and
+   [bernoulli] read the same values, and the two streams stay in step.
+   [bernoulli] draws nothing for p <= 0 or p >= 1, so p is drawn from
+   (0, 1). *)
+let prop_draws_match_stdlib =
+  let bound =
+    QCheck.Gen.(
+      frequency
+        [
+          (1, return 0.);
+          (1, return 1.);
+          (1, return 1e300);
+          (3, float_range 0. 1e6);
+        ])
+  in
+  let p = QCheck.Gen.float_range 1e-9 (1. -. 1e-9) in
+  QCheck.Test.make ~count:200
+    ~name:"float, float_cell and bernoulli are the stdlib's draws"
+    (QCheck.make
+       ~print:QCheck.Print.(triple int (list float) (list float))
+       QCheck.Gen.(
+         triple int (list_size (1 -- 20) bound) (list_size (1 -- 20) p)))
+    (fun (seed, bounds, ps) ->
+      let rng = Dsim.Rng.create ~seed in
+      let st = Random.State.copy (rng :> Random.State.t) in
+      let same a b =
+        Int64.equal (Int64.bits_of_float a) (Int64.bits_of_float b)
+      in
+      let cell = [| 0. |] in
+      List.for_all
+        (fun b ->
+          let x = Dsim.Rng.float rng b in
+          let y = Random.State.float st b in
+          cell.(0) <- b;
+          Dsim.Rng.float_cell rng cell 0;
+          same x y && same cell.(0) (Random.State.float st b))
+        bounds
+      && List.for_all
+           (fun p ->
+             Bool.equal (Dsim.Rng.bernoulli rng ~p)
+               (Random.State.float st 1. < p))
+           ps
+      && Int64.equal
+           (Random.State.bits64 (rng :> Random.State.t))
+           (Random.State.bits64 st))
+
+(* [int], [bernoulli] and [float_cell] allocate nothing, so a hot loop
+   draws at no minor-heap cost. *)
+let test_draws_allocate_nothing () =
+  let rng = Dsim.Rng.create ~seed:19 in
+  let cell = [| 0. |] in
+  let hits = ref 0 in
+  let draws () =
+    for i = 1 to 10_000 do
+      if Dsim.Rng.bernoulli rng ~p:0.5 then incr hits;
+      cell.(0) <- 2.;
+      Dsim.Rng.float_cell rng cell 0;
+      hits := !hits + Dsim.Rng.int rng (1 + (i land 15))
+    done
+  in
+  draws ();
+  let before = Gc.minor_words () in
+  draws ();
+  let words = Gc.minor_words () -. before in
+  Alcotest.(check bool) "the last cell draw is below its bound" true
+    (cell.(0) >= 0. && cell.(0) < 2.);
+  Alcotest.(check (float 0.)) "minor words over 30,000 draws" 0. words
 
 let suite =
   [
@@ -74,5 +141,8 @@ let suite =
         Alcotest.test_case "shuffle is a permutation" `Quick test_shuffle_permutation;
         Alcotest.test_case "bits length" `Quick test_bits_length;
         Alcotest.test_case "pick stays in range" `Quick test_pick;
+        QCheck_alcotest.to_alcotest prop_draws_match_stdlib;
+        Alcotest.test_case "draws allocate nothing" `Quick
+          test_draws_allocate_nothing;
       ] );
   ]

@@ -298,7 +298,7 @@ let test_eps_abort_allows_imminent_delivery () =
           Amac.Mac_intf.set_ack p ~delay:ctx.Amac.Mac_intf.bc_fack;
           Amac.Mac_intf.deliver_all p ctx.Amac.Mac_intf.bc_g_neighbors
             ~delay:2.);
-      pol_forced = (fun ctx -> List.hd ctx.Amac.Mac_intf.fc_candidates);
+      pol_forced = (fun _ -> 0);
       pol_reads_received = false;
     }
   in
@@ -342,7 +342,7 @@ let test_eps_abort_blocks_far_delivery () =
           Amac.Mac_intf.set_ack p ~delay:ctx.Amac.Mac_intf.bc_fack;
           Amac.Mac_intf.deliver_all p ctx.Amac.Mac_intf.bc_g_neighbors
             ~delay:5.);
-      pol_forced = (fun ctx -> List.hd ctx.Amac.Mac_intf.fc_candidates);
+      pol_forced = (fun _ -> 0);
       pol_reads_received = false;
     }
   in

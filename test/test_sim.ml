@@ -120,10 +120,12 @@ let test_run_allocates_nothing () =
    the heap.  [tick] posts at one constant delay, as a watchdog or a
    round edge does, so its posts go to a lane: each of the [n / 8]
    chains the loop starts re-posts itself until it has run 8 times, at
-   an advancing clock and with equal-time ties. *)
+   an advancing clock and with equal-time ties.  The delays are read
+   from cells of one float array: [| 1; 2; 0.25 |]. *)
 let test_post_allocates_nothing () =
   let n = 100_000 in
   let sim = Dsim.Sim.create () in
+  let delays = [| 1.; 2.; 0.25 |] in
   let sum = ref 0 and last = ref 0 and in_order = ref true in
   let h =
     Dsim.Sim.register sim (fun arg ->
@@ -142,7 +144,8 @@ let test_post_allocates_nothing () =
     if key <= !tick_last then tick_order := false;
     tick_last := key;
     if arg land 7 < 7 then
-      ignore (Dsim.Sim.post sim ~delay:0.25 (Lazy.force tick_id) (arg + 1))
+      ignore
+        (Dsim.Sim.post sim ~delays ~at:2 (Lazy.force tick_id) (arg + 1))
   and tick_id = lazy (Dsim.Sim.register sim tick) in
   let tick_id = Lazy.force tick_id in
   let round () =
@@ -150,9 +153,8 @@ let test_post_allocates_nothing () =
     last := 0;
     ticks := 0;
     for i = 1 to n do
-      ignore
-        (Dsim.Sim.post sim ~delay:(if i land 1 = 0 then 1. else 2.) h i);
-      if i land 7 = 0 then ignore (Dsim.Sim.post sim ~delay:0.25 tick_id i)
+      ignore (Dsim.Sim.post sim ~delays ~at:(i land 1) h i);
+      if i land 7 = 0 then ignore (Dsim.Sim.post sim ~delays ~at:2 tick_id i)
     done;
     tick_last := -1;
     ignore (Dsim.Sim.run sim)
@@ -177,10 +179,10 @@ let test_post_rejects () =
   let h = Dsim.Sim.register sim ignore in
   Alcotest.check_raises "negative delay"
     (Invalid_argument "Sim.post: negative delay") (fun () ->
-      ignore (Dsim.Sim.post sim ~delay:(-1.) h 0));
+      ignore (Dsim.Sim.post sim ~delays:[| 1.; -1. |] ~at:1 h 0));
   Alcotest.check_raises "handler id out of range"
     (Invalid_argument "Sim.post: handler id out of range for this simulation")
-    (fun () -> ignore (Dsim.Sim.post other ~delay:1. h 0))
+    (fun () -> ignore (Dsim.Sim.post other ~delays:[| 1. |] ~at:0 h 0))
 
 let suite =
   [

@@ -167,7 +167,7 @@ let plan_policy plan =
   {
     Amac.Mac_intf.pol_name = "test";
     pol_plan = plan;
-    pol_forced = (fun ctx -> List.hd ctx.Amac.Mac_intf.fc_candidates);
+    pol_forced = (fun _ -> 0);
     pol_reads_received = false;
   }
 
@@ -303,8 +303,10 @@ let test_abort_window_keeps_instance () =
    plan every time: every leaf receives at [delay] and the ack comes at
    the same time.  With [delay] below Fprog each leaf's watchdog is
    armed and cancelled once per bcast; past it each fires and forces a
-   delivery.  The second of two equal rounds is measured, so the
-   engine's and the MAC's arrays have grown. *)
+   delivery, chosen by the adversary's forced choice, which asks
+   [fc_has_received], when [reads_received], and else by position 0.
+   The second of two equal rounds is measured, so the engine's and the
+   MAC's arrays have grown. *)
 let star_words_per_bcast ~reads_received ~leaves ~delay =
   let dual = Graphs.Dual.of_equal (Graphs.Gen.star (leaves + 1)) in
   let hub = 0 in
@@ -316,7 +318,10 @@ let star_words_per_bcast ~reads_received ~leaves ~delay =
            Amac.Mac_intf.set_ack p ~delay;
            Amac.Mac_intf.deliver_all p rows ~delay))
       with
-      Amac.Mac_intf.pol_reads_received = reads_received;
+      Amac.Mac_intf.pol_forced =
+        (if reads_received then (Amac.Schedulers.adversarial ()).pol_forced
+         else fun _ -> 0);
+      pol_reads_received = reads_received;
     }
   in
   let sim = Dsim.Sim.create () in
@@ -354,20 +359,20 @@ let star_words_per_bcast ~reads_received ~leaves ~delay =
     (2 * bcasts * leaves) (Amac.Standard_mac.rcv_count mac);
   (words /. float_of_int bcasts, Amac.Standard_mac.forced_count mac)
 
-(* A bcast allocates the policy's context (11 words), its boxed [bc_now]
-   (2) and the instance record (12): the plan goes into the buffer the
-   MAC reuses, whose cells keep the policy's boxed delays, so writing,
-   checking and posting it allocates nothing.  Deliveries, acks and
-   watchdogs are int-coded events of handlers the MAC registers once,
-   so they allocate nothing either: widening the star from 8 to 32
-   leaves quadruples the deliveries and watchdogs per bcast but must
-   not add words.  Under a policy that reads [fc_has_received] a bcast
-   also interns its body (a hit allocates nothing) and a delivery
-   records its (body, receiver) pair in an int set, so the same holds
-   with the history kept.  A fire allocates only what the forced-choice
-   policy is handed: its context (6 words), the boxed time (2), one
-   candidate and its cons (8) and, under such a policy, the
-   [fc_has_received] probe (5). *)
+(* Nothing on the MAC's event path allocates once its buffers have
+   grown.  A bcast rewrites the MAC's one policy context and its plan
+   buffer, whose delays are unboxed and posted from their cells, and
+   the record of a released instance id, with its [served] and
+   [pending] buffers.  Deliveries, acks and watchdogs are
+   int-coded events of handlers the MAC registers once.  A fire writes
+   its candidates into the forced context's columns and the policy
+   answers with a position.  So widening the star from 8 to 32 leaves,
+   which quadruples the deliveries and watchdogs per bcast, adds no
+   word, and neither does stalling every delivery past Fprog so that
+   every one is forced.  Under a policy that reads [fc_has_received] a
+   bcast also interns its body (a hit allocates nothing), a delivery
+   records its (body, receiver) pair in an int set and a fire's choice
+   looks the pair up, so the same holds with the history kept. *)
 let test_events_allocate_nothing () =
   List.iter
     (fun reads_received ->
@@ -377,28 +382,23 @@ let test_events_allocate_nothing () =
           (fun s -> Printf.sprintf "%s, reads_received %b" s reads_received)
           fmt
       in
-      let narrow, forced_narrow = words ~leaves:8 ~delay:0.5 in
-      let wide, forced_wide = words ~leaves:32 ~delay:0.5 in
-      Alcotest.(check int) (label "no watchdog fired") 0
-        (forced_narrow + forced_wide);
-      Alcotest.(check bool)
-        (label "%.1f words per bcast at 8 leaves" narrow)
-        true (narrow < 32.);
-      Alcotest.(check bool)
-        (label "%.4f words per extra delivery" ((wide -. narrow) /. 24.))
-        true
-        (wide -. narrow < 0.05 *. 24.);
-      let stalled_narrow, fired_narrow = words ~leaves:8 ~delay:4. in
-      let stalled_wide, fired_wide = words ~leaves:32 ~delay:4. in
-      Alcotest.(check int) (label "every delivery forced at 8 leaves")
-        (2 * 2_000 * 8) fired_narrow;
-      Alcotest.(check int) (label "every delivery forced at 32 leaves")
-        (2 * 2_000 * 32) fired_wide;
-      Alcotest.(check bool)
-        (label "%.4f words per extra fire"
-           ((stalled_wide -. stalled_narrow) /. 24.))
-        true
-        (stalled_wide -. stalled_narrow < 22. *. 24.))
+      List.iter
+        (fun leaves ->
+          let planned, forced = words ~leaves ~delay:0.5 in
+          Alcotest.(check int) (label "no watchdog fired at %d leaves" leaves)
+            0 forced;
+          Alcotest.(check (float 0.))
+            (label "words per bcast at %d leaves" leaves)
+            0. planned;
+          let stalled, fired = words ~leaves ~delay:4. in
+          Alcotest.(check int)
+            (label "every delivery forced at %d leaves" leaves)
+            (2 * 2_000 * leaves) fired;
+          Alcotest.(check (float 0.))
+            (label "words per bcast at %d leaves, every delivery forced"
+               leaves)
+            0. stalled)
+        [ 8; 32 ])
     [ false; true ]
 
 let suite =
