@@ -85,7 +85,8 @@ let metrics_arg =
 let progress_arg =
   let doc =
     "Print a one-line frontier/heap status every INTERVAL simulated time \
-     units (default 10 when the flag is given bare)."
+     units (default 10 when the flag is given bare).  Serial BMMB only: \
+     its ticker is an event in the one engine's heap."
   in
   Arg.(
     value
@@ -191,21 +192,15 @@ let run_cmd =
         Error
           "--progress requires the serial engine (--partitions 1): its \
            ticker is an event in one engine's heap"
-      else
-        match trace_out with
-        | Some path
-          when spec.protocol = `Fmmb
-               && not (Filename.check_suffix path ".json") ->
-            Printf.eprintf
-              "note: fmmb --trace-out %s ignored (only .json Perfetto output \
-               is available for fmmb)\n"
-              path;
-            Ok (spec, None)
-        | trace_file -> Ok (spec, trace_file)
+      else if progress <> None && spec.protocol = `Fmmb then
+        Error
+          "--progress requires protocol \"bmmb\": FMMB's stages run on \
+           engines of their own, so no one engine's heap holds the ticker"
+      else Ok spec
     in
     match checked with
     | Error e -> `Error (false, e)
-    | Ok (spec, trace_file) ->
+    | Ok spec ->
         let resolved = Mmb.Scenario.spec_to_json spec in
         let sim_ref = ref None and obs = ref None and files = ref [] in
         (* --trace prints the run's entries, kept by a trace attached
@@ -267,7 +262,7 @@ let run_cmd =
           files :=
             List.filter_map Fun.id
               [
-                Option.map (trace_surface ~meta) trace_file;
+                Option.map (trace_surface ~meta) trace_out;
                 Option.map (provenance_surface ~meta ~n) provenance;
               ];
           let keep kept _ tr =

@@ -106,7 +106,9 @@ else
   # exports through the same live attach path.  A serial run's JSONL
   # trace must read back through estimate (Fprog = 1 recovered), and
   # the same file cut 3 bytes short, inside its last number, must be
-  # refused rather than read as a smaller instance id.
+  # refused rather than read as a smaller instance id.  FMMB's JSONL
+  # trace, its problem-level lifecycle alone, reads back with no MAC
+  # entries to estimate from.
   gate "trace smoke (run --trace-out/--provenance + trace-validate + estimate, torn trace refused)" \
     sh -c 'T=$(mktemp -d) && trap "rm -rf $T" 0 &&
       dune exec bin/mmb_sim.exe -- run -t line -n 10 -k 2 --seed 3 \
@@ -125,7 +127,11 @@ else
         --seed 3 | grep -q "Fprog>=1[.]000" &&
       head -c $(($(wc -c < "$T/t.jsonl") - 3)) "$T/t.jsonl" > "$T/torn.jsonl" &&
       ! dune exec bin/mmb_sim.exe -- estimate "$T/torn.jsonl" -t line -n 20 \
-        --seed 3 >/dev/null 2>&1'
+        --seed 3 >/dev/null 2>&1 &&
+      dune exec bin/mmb_sim.exe -- run -p fmmb -n 20 -k 2 --seed 3 \
+        --trace-out "$T/f.jsonl" >/dev/null &&
+      dune exec bin/mmb_sim.exe -- estimate "$T/f.jsonl" -t line -n 20 \
+        --seed 3 | grep -q "from 0 acks, 0 rcvs"'
 
   if [ "$MODE" = full ]; then
     # Randomized hash seeds catch order-dependent Hashtbl traversals

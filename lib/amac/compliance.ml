@@ -18,7 +18,7 @@ type t = {
   (* Instances, numbered 0, 1, ... in Bcast order and kept for the whole
      run.  [number] numbers their uids, and the columns below are indexed
      by number; each has room for [Array.length sender] instances. *)
-  number : Dsim.Int_table.map Dsim.Int_table.t;
+  number : Dsim.Int_table.t;
   mutable sender : int array;
   mutable state : state array;
   mutable bcast_at : float array;
@@ -28,17 +28,17 @@ type t = {
          instance opened, as an index in [views] *)
   mutable rcvd_off : int array;
       (* The receivers delivered to so far (until the instance
-         terminates, exactly those it covers), as one byte per position
-         in the sender's union G'-row: its [rcvd] bytes from
-         [rcvd_off.(x)] on, nonzero once that G'-neighbor received. *)
-  mutable rcvd : Bytes.t;
+         terminates, exactly those it covers), as one bit per position
+         in the sender's union G'-row: its [rcvd] members from
+         [rcvd_off.(x)] on, set once that G'-neighbor received. *)
+  rcvd : Dsim.Bitset.t;
   mutable rcvd_used : int;
   (* Receivers outside the sender's union G'-row, each a
      receive-correctness violation, as one list per instance: [strays]
      numbers the instances that have any, [stray_head] holds each one's
      newest cell c, and cell c names node [stray_node.(c)] and the cell
      before it, [stray_next.(c)] (-1 after the oldest). *)
-  strays : Dsim.Int_table.map Dsim.Int_table.t;
+  strays : Dsim.Int_table.t;
   mutable stray_head : int array;
   mutable stray_node : int array;
   mutable stray_next : int array;
@@ -105,16 +105,16 @@ let create ~dual ~fack ~fprog ?(eps_abort = 0.) ?dyn
     fprog;
     eps_abort;
     tol = 1e-9 *. Float.max 1. fack;
-    number = Dsim.Int_table.create_map ();
+    number = Dsim.Int_table.create ();
     sender = Array.make cap 0;
     state = Array.make cap Open;
     bcast_at = Array.make cap 0.;
     term_at = Array.make cap Float.infinity;
     view = (match dyn with None -> [||] | Some _ -> Array.make cap 0);
     rcvd_off = Array.make cap 0;
-    rcvd = Bytes.make (8 * cap) '\000';
+    rcvd = Dsim.Bitset.create ~width:(8 * cap);
     rcvd_used = 0;
-    strays = Dsim.Int_table.create_map ();
+    strays = Dsim.Int_table.create ();
     stray_head = [||];
     stray_node = [||];
     stray_next = [||];
@@ -179,19 +179,12 @@ let grow_insts t =
 
 (* Open an empty receiver set for instance [x] of [sender]. *)
 let open_rcvd t x sender =
-  let off = t.rcvd_used in
-  let used = off + Graphs.Graph.degree t.g' sender in
-  if used > Bytes.length t.rcvd then begin
-    let b = Bytes.make (max used (2 * Bytes.length t.rcvd)) '\000' in
-    Bytes.blit t.rcvd 0 b 0 off;
-    t.rcvd <- b
-  end;
-  t.rcvd_off.(x) <- off;
-  t.rcvd_used <- used
+  t.rcvd_off.(x) <- t.rcvd_used;
+  t.rcvd_used <- t.rcvd_used + Graphs.Graph.degree t.g' sender
 
-(* [x]'s [rcvd] byte for [j], or -1 if [j] is not in the sender's union
-   G'-row. *)
-let rcvd_byte t x j =
+(* [x]'s [rcvd] position for [j], or -1 if [j] is not in the sender's
+   union G'-row. *)
+let rcvd_pos t x j =
   let row = Graphs.Graph.neighbors t.g' t.sender.(x) in
   let lo = ref 0 and hi = ref (Array.length row) in
   while !lo < !hi do
@@ -234,8 +227,8 @@ let strays_of t x =
   end
 
 let has_rcvd t x j =
-  let b = rcvd_byte t x j in
-  if b >= 0 then Bytes.get t.rcvd b <> '\000' else is_stray t x j
+  let b = rcvd_pos t x j in
+  if b >= 0 then Dsim.Bitset.mem t.rcvd b else is_stray t x j
 
 (* Move receiver [j]'s full receipt segment to the end of the pool, with
    twice the room (at least 4). *)
@@ -413,7 +406,7 @@ let terminate t entry x ~time =
   let row = Graphs.Graph.neighbors t.g' sender and off = t.rcvd_off.(x) in
   let strays = ref (strays_of t x) in
   for p = 0 to Array.length row - 1 do
-    if Bytes.get t.rcvd (off + p) <> '\000' then begin
+    if Dsim.Bitset.mem t.rcvd (off + p) then begin
       strays := uncover_below t !strays row.(p) ~time;
       uncover t row.(p) ~time
     end
@@ -522,7 +515,7 @@ let rcv t entry ~node ~instance ~time =
            "instance %d delivered to its own sender %d" instance node);
     (* A node out of range raises here, as [Graph.mem_edge] would. *)
     ignore (Graphs.Graph.neighbors t.g' node);
-    let b = rcvd_byte t x node in
+    let b = rcvd_pos t x node in
     let in_pinned =
       match t.dyn with
       | None -> b >= 0 (* the pinned G' is the union G' *)
@@ -540,14 +533,14 @@ let rcv t entry ~node ~instance ~time =
              "instance %d delivered to %d, not a G'-neighbor of sender %d"
              instance node sender);
     let again =
-      if b >= 0 then Bytes.get t.rcvd b <> '\000' else is_stray t x node
+      if b >= 0 then Dsim.Bitset.test_and_add t.rcvd b else is_stray t x node
     in
     if again then
       add t entry
         (violation "receive-correctness"
            "instance %d delivered twice to node %d" instance node)
     else begin
-      if b >= 0 then Bytes.set t.rcvd b '\001' else add_stray t x node;
+      if b < 0 then add_stray t x node;
       if is_open t x then begin
         t.cover.(node) <- t.cover.(node) + 1;
         update_danger t node ~now:time

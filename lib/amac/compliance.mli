@@ -43,7 +43,8 @@
     The state is flat arrays: instance uids, whatever ints the trace
     uses, are numbered in [Bcast] order by a {!Dsim.Int_table}, and
     per-instance columns (sender, state, times, and a receiver set of
-    one byte per position in the sender's G'-row), per-receiver columns
+    one bit per position in the sender's G'-row, in one shared
+    {!Dsim.Bitset}), per-receiver columns
     and shared pools hold numbers, never pointers.  Past the amortized
     growth of those arrays an entry allocates nothing, unless it reports
     a violation or ends a starvation gap (which boxes the float

@@ -11,8 +11,8 @@ let st_aborted = 2
    carries its slot, and a forced one finds it by binary search.  A
    record lives as long as its id: a bcast that takes a released id
    rewrites that id's record, so the fields a bcast sets are mutable,
-   and the record keeps its [served] and [pending] buffers, which only
-   grow, for the next instance under its id. *)
+   and the record keeps its [served] set, cleared, and its [pending]
+   buffer, which only grows, for the next instance under its id. *)
 type 'msg instance = {
   id : int; (* its index in [insts]: what its events carry *)
   mutable uid : int;
@@ -28,7 +28,7 @@ type 'msg instance = {
   mutable g_row : int array;
   mutable g'_row : int array;
   (* By slot, for the first [Array.length g'_row] slots: *)
-  mutable served : Bytes.t; (* bit s: g'_row.(s) already received *)
+  served : Dsim.Bitset.t; (* slot s: g'_row.(s) already received *)
   mutable pending : Dsim.Sim.handle array; (* planned delivery event *)
   mutable ack_handle : Dsim.Sim.handle;
 }
@@ -73,7 +73,7 @@ type 'msg t = {
      [fc_has_received] needs.  Both stay empty unless the policy sets
      [pol_reads_received]. *)
   bodies : ('msg, int) Hashtbl.t;
-  received : Dsim.Int_table.set Dsim.Int_table.t;
+  received : Dsim.Bitset.t;
   (* The policy's plan buffer, reset before every [pol_plan] call. *)
   plan : Mac_intf.plan;
   (* Epoch-stamped scratch for [validate_plan]: a slot is "marked" iff it
@@ -185,11 +185,11 @@ let store t inst =
 
 (* The instance of a new bcast over [g'_row], with nothing served and
    nothing pending: the record of the last released id, rewritten, its
-   buffers cleared or, when too short for the row, replaced by ones at
-   least twice as long; or a new record under the next unused id. *)
+   set cleared and its pending buffer cleared or, when too short for
+   the row, replaced by one at least twice as long; or a new record
+   under the next unused id. *)
 let open_instance t ~uid ~sender body ~body_id ~g_row ~g'_row =
   let d = Array.length g'_row in
-  let len = (d + 7) / 8 in
   if t.n_free > 0 then begin
     t.n_free <- t.n_free - 1;
     let inst = t.insts.(t.free_ids.(t.n_free)) in
@@ -204,9 +204,7 @@ let open_instance t ~uid ~sender body ~body_id ~g_row ~g'_row =
       inst.pending <-
         Array.make (max d (2 * Array.length inst.pending)) Dsim.Sim.no_event
     else Array.fill inst.pending 0 d Dsim.Sim.no_event;
-    if Bytes.length inst.served < len then
-      inst.served <- Bytes.make (max len (2 * Bytes.length inst.served)) '\000'
-    else Bytes.fill inst.served 0 len '\000';
+    Dsim.Bitset.clear inst.served;
     inst.ack_handle <- Dsim.Sim.no_event;
     inst
   end
@@ -217,7 +215,7 @@ let open_instance t ~uid ~sender body ~body_id ~g_row ~g'_row =
     t.n_ids <- id + 1;
     let inst =
       { id; uid; sender; body; body_id; status = st_open; g_row; g'_row;
-        served = Bytes.make len '\000';
+        served = Dsim.Bitset.create ~width:d;
         pending = Array.make d Dsim.Sim.no_event;
         ack_handle = Dsim.Sim.no_event }
     in
@@ -243,7 +241,7 @@ let pair t ~body_id j = (body_id * Array.length t.busy) + j
 let has_received t body =
   match Hashtbl.find t.bodies body with
   | body_id ->
-      Dsim.Int_table.mem t.received (pair t ~body_id t.fire_receiver)
+      Dsim.Bitset.mem t.received (pair t ~body_id t.fire_receiver)
   | exception Not_found -> false
 
 (* [fc_has_received] under a policy that did not declare it reads it:
@@ -254,14 +252,6 @@ let no_history _ =
      pol_reads_received"
 
 (* --- Per-instance receiver state ----------------------------------------- *)
-
-let is_served inst s =
-  Char.code (Bytes.get inst.served (s lsr 3)) land (1 lsl (s land 7)) <> 0
-
-let mark_served inst s =
-  let b = s lsr 3 in
-  Bytes.set inst.served b
-    (Char.chr (Char.code (Bytes.get inst.served b) lor (1 lsl (s land 7))))
 
 (* The slot of receiver [j] in the instance's G'-row (j must be there). *)
 let slot_of inst j =
@@ -307,7 +297,7 @@ let recheck_watchdog t j =
 
 let deliver t inst s =
   let deliverable =
-    (not (is_served inst s))
+    (not (Dsim.Bitset.mem inst.served s))
     && (inst.status = st_open
        (* Late deliveries of an aborted instance are allowed within the
           model's eps_abort window. *)
@@ -321,7 +311,7 @@ let deliver t inst s =
        planned event itself is firing, its handle is already dead and the
        cancel is a no-op. *)
     Dsim.Sim.cancel t.sim inst.pending.(s);
-    mark_served inst s;
+    Dsim.Bitset.add inst.served s;
     (* Progress-cover bookkeeping only concerns open instances: a
        terminated one has already left [cover]. *)
     if inst.status = st_open then begin
@@ -329,7 +319,7 @@ let deliver t inst s =
       recheck_watchdog t j
     end;
     if inst.body_id >= 0 then
-      Dsim.Int_table.add t.received (pair t ~body_id:inst.body_id j);
+      Dsim.Bitset.add t.received (pair t ~body_id:inst.body_id j);
     t.n_rcv <- t.n_rcv + 1;
     (* Delivered-set probe for the adversary's oracle: the receiver now
        knows this message. *)
@@ -365,7 +355,7 @@ let candidates t j =
       if
         s < Array.length inst.g'_row
         && inst.g'_row.(s) = j
-        && not (is_served inst s)
+        && not (Dsim.Bitset.mem inst.served s)
       then begin
         let k = ref !found in
         while !k > 0 && t.insts.(t.scratch_cand.(!k - 1)).uid > inst.uid do
@@ -427,7 +417,7 @@ let terminate t inst ~keep_late_deliveries =
   done;
   for s = 0 to Array.length g'_row - 1 do
     let j = g'_row.(s) in
-    if is_served inst s then t.cover.(j) <- t.cover.(j) - 1;
+    if Dsim.Bitset.mem inst.served s then t.cover.(j) <- t.cover.(j) - 1;
     recheck_watchdog t j
   done;
   t.busy.(inst.sender) <- false;
@@ -523,7 +513,7 @@ let create ~sim ~dual ~fack ~fprog ~policy ~rng ?(eps_abort = 0.) ?dyn ?trace
       forced = forced_ctx ~rng no_history;
       fire_receiver = -1;
       bodies = Hashtbl.create 16;
-      received = Dsim.Int_table.create_set ();
+      received = Dsim.Bitset.create ~width:0;
       plan = Mac_intf.create_plan ();
       scratch_epoch = 0;
       scratch_nbr = Array.make n 0;

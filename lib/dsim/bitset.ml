@@ -1,6 +1,8 @@
 (* Bit [i land 7] of byte [i lsr 3] holds id [i].  For a negative id,
-   [i lsr 3] is past any byte string's end, so the read paths treat it
-   as absent with the same bounds test they make for a large one. *)
+   [i lsr 3] is past any byte string's end, so the one bounds test each
+   path makes sends it where a large id goes: the read paths treat it as
+   absent, and the write paths to [grow], which refuses it.  Past that
+   test the byte is in range, so it is read and written unchecked. *)
 type t = { mutable bits : Bytes.t }
 
 let create ~width =
@@ -10,37 +12,39 @@ let create ~width =
 let mem s i =
   let b = i lsr 3 in
   b < Bytes.length s.bits
-  && Bytes.get_uint8 s.bits b land (1 lsl (i land 7)) <> 0
+  && Char.code (Bytes.unsafe_get s.bits b) land (1 lsl (i land 7)) <> 0
 
-(* Room for byte [b]: at least double the width, so n adds grow it
-   O(log n) times. *)
-let grow s b =
+(* Room for id [i], or [Invalid_argument msg] if it is negative: at
+   least double the width, so n adds grow it O(log n) times. *)
+let grow s i msg =
+  if i < 0 then invalid_arg msg;
   let len = Bytes.length s.bits in
-  let bits = Bytes.make (max (b + 1) (2 * len)) '\000' in
+  let bits = Bytes.make (max ((i lsr 3) + 1) (2 * len)) '\000' in
   Bytes.blit s.bits 0 bits 0 len;
   s.bits <- bits
 
-(* Sets the bit of [i >= 0] and says whether it was set. *)
-let set s i =
+let test_and_add s i =
   let b = i lsr 3 in
-  if b >= Bytes.length s.bits then grow s b;
-  let byte = Bytes.get_uint8 s.bits b and bit = 1 lsl (i land 7) in
-  Bytes.set_uint8 s.bits b (byte lor bit);
+  if b >= Bytes.length s.bits then
+    grow s i "Bitset.test_and_add: ids must be >= 0";
+  let byte = Char.code (Bytes.unsafe_get s.bits b) and bit = 1 lsl (i land 7) in
+  Bytes.unsafe_set s.bits b (Char.unsafe_chr (byte lor bit));
   byte land bit <> 0
 
-let test_and_add s i =
-  if i < 0 then invalid_arg "Bitset.test_and_add: ids must be >= 0";
-  set s i
-
 let add s i =
-  if i < 0 then invalid_arg "Bitset.add: ids must be >= 0";
-  ignore (set s i)
+  let b = i lsr 3 in
+  if b >= Bytes.length s.bits then grow s i "Bitset.add: ids must be >= 0";
+  Bytes.unsafe_set s.bits b
+    (Char.unsafe_chr
+       (Char.code (Bytes.unsafe_get s.bits b) lor (1 lsl (i land 7))))
 
 let remove s i =
   let b = i lsr 3 in
   if b < Bytes.length s.bits then
     Bytes.set_uint8 s.bits b
       (Bytes.get_uint8 s.bits b land lnot (1 lsl (i land 7)))
+
+let clear s = Bytes.fill s.bits 0 (Bytes.length s.bits) '\000'
 
 let cardinal s =
   let count = ref 0 in

@@ -1,14 +1,19 @@
-(** Growable sets of non-negative ints, one bit per id.
+(** Growable sets of non-negative ints, one bit per id: [lib/]'s one
+    set type.  A set of pairs packs each into one id, such as
+    [uid * n + node].
 
     A set is a byte string whose bit [i land 7] of byte [i lsr 3] says
     whether [i] is a member.  It grows, doubling, to fit the largest id
     added, and never shrinks, so its memory follows the largest id it
     has held, not its size: meant for small dense ids such as message
-    numbers and node ids.
+    numbers and node ids.  A set created wide enough for every id it
+    will hold never grows, so its bytes never move: ids in different
+    bytes may then be written from different domains.
 
-    {!mem}, {!add}, {!remove} and {!test_and_add} allocate nothing on a
-    set already wide enough for the id.  Every query and traversal is
-    in ascending id order, so nothing here depends on hashing. *)
+    {!mem}, {!add}, {!remove}, {!test_and_add} and {!clear} allocate
+    nothing on a set already wide enough for the id.  Every query and
+    traversal is in ascending id order, so nothing here depends on
+    hashing. *)
 
 type t
 
@@ -31,6 +36,10 @@ val test_and_add : t -> int -> bool
 
 val remove : t -> int -> unit
 (** A no-op for an id that is not a member. *)
+
+val clear : t -> unit
+(** Removes every member, keeping the set's width: a set reused for
+    one owner after another is cleared, not rebuilt. *)
 
 val cardinal : t -> int
 

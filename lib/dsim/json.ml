@@ -206,6 +206,7 @@ let escape_string s =
 let rec to_string = function
   | Null -> "null"
   | Bool b -> string_of_bool b
+  | Number f when not (Float.is_finite f) -> "null"
   | Number f ->
       if Float.is_integer f && Float.abs f < 1e15 then
         Printf.sprintf "%.0f" f

@@ -17,7 +17,9 @@ val parse : string -> (t, string) result
 (** Parse one JSON document (the error string carries an offset). *)
 
 val to_string : t -> string
-(** Compact printing; round-trips through {!parse}. *)
+(** Compact printing; round-trips through {!parse}, except that a
+    non-finite number (an infinity or nan), which JSON cannot express,
+    prints as [null] and so reads back as [Null]. *)
 
 (** {1 Accessors} — each returns [Error] naming the missing/mistyped
     field. *)

@@ -26,10 +26,10 @@ let cmp_edge (a, b) (c, d) =
 (* Nodes whose G'-adjacency differs between two sorted extras sets: the
    endpoints of the symmetric difference, deduplicated, ascending. *)
 let dirty_nodes ~n old_e new_e =
-  let flags = Bytes.make n '\000' in
+  let flags = Dsim.Bitset.create ~width:n in
   let mark (u, v) =
-    Bytes.set flags u '\001';
-    Bytes.set flags v '\001'
+    Dsim.Bitset.add flags u;
+    Dsim.Bitset.add flags v
   in
   let lo = Array.length old_e and ln = Array.length new_e in
   let i = ref 0 and j = ref 0 in
@@ -56,14 +56,10 @@ let dirty_nodes ~n old_e new_e =
     mark new_e.(!j);
     incr j
   done;
-  let count = ref 0 in
-  for i = 0 to Bytes.length flags - 1 do
-    if Bytes.get flags i <> '\000' then incr count
-  done;
-  let out = Array.make !count 0 in
+  let out = Array.make (Dsim.Bitset.cardinal flags) 0 in
   let k = ref 0 in
   for u = 0 to n - 1 do
-    if Bytes.get flags u <> '\000' then begin
+    if Dsim.Bitset.mem flags u then begin
       out.(!k) <- u;
       incr k
     end

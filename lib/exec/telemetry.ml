@@ -60,13 +60,11 @@ let virtual_trace ?(name = "campaign (virtual time)") outcomes =
 let wall_trace ?(name = "campaign workers") outcomes =
   let w = Obs.Tracing.create () in
   Obs.Tracing.process_name w ~pid:campaign_pid name;
-  let named = Hashtbl.create 8 in
+  let named = Dsim.Bitset.create ~width:8 in
   let track worker =
-    if not (Hashtbl.mem named worker) then begin
-      Hashtbl.replace named worker ();
+    if not (Dsim.Bitset.test_and_add named worker) then
       Obs.Tracing.thread_name w ~pid:campaign_pid ~tid:worker
-        (Printf.sprintf "worker %d" worker)
-    end;
+        (Printf.sprintf "worker %d" worker);
     worker
   in
   Array.iter

@@ -3,7 +3,7 @@ type t = {
   g' : Graph.t;
   embedding : Geometry.point array option;
   g'_only : int array array;
-  reliable_bits : Bytes.t;
+  reliable_bits : Dsim.Bitset.t;
 }
 
 (* Cap on n for the n*n reliable-edge bitset (8 MiB at the cap); larger
@@ -38,21 +38,16 @@ let g'_only_row ~g ~g' u =
 let build_g'_only ~g ~g' =
   Array.init (Graph.n g) (fun u -> g'_only_row ~g ~g' u)
 
+(* Bit [u * n + v] for each G-edge, both ways; empty above the cap. *)
 let build_reliable_bits ~g =
   let n = Graph.n g in
-  if n > bitset_max_n then Bytes.empty
+  if n > bitset_max_n then Dsim.Bitset.create ~width:0
   else begin
-    let bits = Bytes.make (((n * n) + 7) / 8) '\000' in
-    let set u v =
-      let idx = (u * n) + v in
-      let b = idx lsr 3 in
-      Bytes.unsafe_set bits b
-        (Char.chr (Char.code (Bytes.unsafe_get bits b) lor (1 lsl (idx land 7))))
-    in
+    let bits = Dsim.Bitset.create ~width:(n * n) in
     Graph.fold_edges
       (fun u v () ->
-        set u v;
-        set v u)
+        Dsim.Bitset.add bits ((u * n) + v);
+        Dsim.Bitset.add bits ((v * n) + u))
       g ();
     bits
   end
@@ -100,13 +95,8 @@ let g'_only_neighbors t u = t.g'_only.(u)
 let is_reliable t u v =
   let n = Graph.n t.g in
   if u < 0 || v < 0 || u >= n || v >= n || u = v then false
-  else if Bytes.length t.reliable_bits = 0 then Graph.mem_edge t.g u v
-  else begin
-    let idx = (u * n) + v in
-    Char.code (Bytes.unsafe_get t.reliable_bits (idx lsr 3))
-    land (1 lsl (idx land 7))
-    <> 0
-  end
+  else if n > bitset_max_n then Graph.mem_edge t.g u v
+  else Dsim.Bitset.mem t.reliable_bits ((u * n) + v)
 
 let unreliable_only_edges t =
   List.filter (fun (u, v) -> not (Graph.mem_edge t.g u v)) (Graph.edges t.g')

@@ -14,7 +14,7 @@ type t = private {
   g'_only : int array array;
       (** derived cache: per-node [G' \ G] neighbors — use
           {!g'_only_neighbors} *)
-  reliable_bits : Bytes.t;
+  reliable_bits : Dsim.Bitset.t;
       (** derived cache: G-adjacency bitset — use {!is_reliable} *)
 }
 

@@ -61,21 +61,19 @@ let is_connected_dominating ~g ~member =
           ()
       | root :: _ ->
           (* BFS within the member-induced subgraph. *)
-          let seen = Hashtbl.create 16 in
+          let seen = Dsim.Bitset.create ~width:n in
           let queue = Queue.create () in
-          Hashtbl.replace seen root ();
+          Dsim.Bitset.add seen root;
           Queue.push root queue;
           while not (Queue.is_empty queue) do
             let u = Queue.pop queue in
             Array.iter
               (fun v ->
-                if member v && not (Hashtbl.mem seen v) then begin
-                  Hashtbl.replace seen v ();
-                  Queue.push v queue
-                end)
+                if member v && not (Dsim.Bitset.test_and_add seen v) then
+                  Queue.push v queue)
               (Graph.neighbors g u)
           done;
-          if List.exists (fun v -> not (Hashtbl.mem seen v)) members then
+          if List.exists (fun v -> not (Dsim.Bitset.mem seen v)) members then
             ok := false
     done;
     !ok

@@ -41,7 +41,7 @@ let staggered_arrivals ~node ~k ~gap =
 type tracker = {
   n : int;
   comp : int array; (* G-component of each node *)
-  numbers : Dsim.Int_table.map Dsim.Int_table.t;
+  numbers : Dsim.Int_table.t;
   mutable dense : int; (* ids below it number themselves *)
   mutable origin : int array; (* -1 until the message arrives *)
   mutable arrival : float array;
@@ -148,7 +148,7 @@ let tracker_timed ~dual timed =
     {
       n;
       comp = Graphs.Bfs.components g;
-      numbers = Dsim.Int_table.create_map ();
+      numbers = Dsim.Int_table.create ();
       dense = 0;
       origin = [||];
       arrival = [||];

@@ -48,8 +48,14 @@ let run ~dual ~rng ~policy ~c ?mis_params ?params ?(fprog = 1.) () =
   let mis = mis_res.Fmmb_mis.mis in
   (* Stages 2-3 on a fresh round engine. *)
   let mac = Amac.Enhanced_mac.create ~dual ~fprog ~policy ~rng () in
-  let doms = Array.init n (fun _ -> Hashtbl.create 4) in
-  Array.iteri (fun v m -> if m then Hashtbl.replace doms.(v) v ()) mis;
+  let doms = Array.init n (fun _ -> Dsim.Bitset.create ~width:0) in
+  Array.iteri (fun v m -> if m then Dsim.Bitset.add doms.(v) v) mis;
+  (* A node's dominators, ascending. *)
+  let doms_of v =
+    let l = ref [] in
+    Dsim.Bitset.iter (fun d -> l := d :: !l) doms.(v);
+    List.rev !l
+  in
   let heard : (int, int list) Hashtbl.t array =
     Array.init n (fun _ -> Hashtbl.create 8)
   in
@@ -62,7 +68,7 @@ let run ~dual ~rng ~policy ~c ?mis_params ?params ?(fprog = 1.) () =
           (fun env ->
             match env.Amac.Message.body with
             | Fmmb_msg.Announce { origin } when env.Amac.Message.reliable ->
-                Hashtbl.replace doms.(v) origin ()
+                Dsim.Bitset.add doms.(v) origin
             | Fmmb_msg.Doms { origin; doms = their }
               when env.Amac.Message.reliable ->
                 Hashtbl.replace heard.(v) origin their
@@ -80,7 +86,7 @@ let run ~dual ~rng ~policy ~c ?mis_params ?params ?(fprog = 1.) () =
                {
                  origin = v;
                  (* Sorted so the message payload itself is replayable. *)
-                 doms = Dsim.Tbl.sorted_keys ~cmp:Int.compare doms.(v);
+                 doms = doms_of v;
                })
         else Amac.Enhanced_mac.Listen)
   done;
@@ -101,7 +107,7 @@ let run ~dual ~rng ~policy ~c ?mis_params ?params ?(fprog = 1.) () =
   let volunteers v =
     if mis.(v) then false
     else begin
-      let my = Dsim.Tbl.sorted_keys ~cmp:Int.compare doms.(v) in
+      let my = doms_of v in
       let covers u_doms a b = List.mem a u_doms && List.mem b u_doms in
       let two_hop =
         List.exists
@@ -123,7 +129,7 @@ let run ~dual ~rng ~policy ~c ?mis_params ?params ?(fprog = 1.) () =
             acc
             || List.exists
                  (fun b ->
-                   (not (Hashtbl.mem doms.(v) b))
+                   (not (Dsim.Bitset.mem doms.(v) b))
                    && List.exists
                         (fun a ->
                           not

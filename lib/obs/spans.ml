@@ -2,7 +2,7 @@ type t = {
   (* Messages, numbered by id in order of first sight; the number
      indexes the columns below.  An unknown time is [nan] (trace times
      never are). *)
-  msg_number : Dsim.Int_table.map Dsim.Int_table.t;
+  msg_number : Dsim.Int_table.t;
   mutable arrive : float array; (* earliest Arrive *)
   mutable first_bcast : float array;
   mutable delivers : int array; (* distinct delivering nodes (engines dedup) *)
@@ -10,7 +10,7 @@ type t = {
   mutable complete : float array; (* the ledger's completion *)
   (* Instances, numbered by uid in order of first Bcast: the time of the
      Bcast that opened each, [nan] once an Ack or Abort closed it. *)
-  inst_number : Dsim.Int_table.map Dsim.Int_table.t;
+  inst_number : Dsim.Int_table.t;
   mutable opened : float array;
   c_arrive : Metrics.counter;
   c_deliver : Metrics.counter;
@@ -32,13 +32,13 @@ let create ~metrics () =
   let cap = 8 in
   let t =
     {
-      msg_number = Dsim.Int_table.create_map ();
+      msg_number = Dsim.Int_table.create ();
       arrive = Array.make cap nan;
       first_bcast = Array.make cap nan;
       delivers = Array.make cap 0;
       last_deliver = Array.make cap nan;
       complete = Array.make cap nan;
-      inst_number = Dsim.Int_table.create_map ();
+      inst_number = Dsim.Int_table.create ();
       opened = Array.make cap nan;
       c_arrive = Metrics.counter metrics "events.arrive";
       c_deliver = Metrics.counter metrics "events.deliver";

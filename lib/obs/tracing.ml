@@ -203,8 +203,8 @@ module Sim = struct
   type collector = {
     w : t;
     insts : (int, open_inst) Hashtbl.t; (* live instance uid -> open slice *)
-    ended : Dsim.Int_table.set Dsim.Int_table.t; (* messages whose span ended *)
-    named : (int, unit) Hashtbl.t; (* node tracks already labelled *)
+    ended : Dsim.Bitset.t; (* messages whose span ended *)
+    named : Dsim.Bitset.t; (* node tracks already labelled *)
     mutable flow_ids : int;
     mutable total_delivers : int;
     mutable last_time : float;
@@ -217,8 +217,8 @@ module Sim = struct
     {
       w;
       insts = Hashtbl.create 64;
-      ended = Dsim.Int_table.create_set ();
-      named = Hashtbl.create 64;
+      ended = Dsim.Bitset.create ~width:0;
+      named = Dsim.Bitset.create ~width:0;
       flow_ids = 0;
       total_delivers = 0;
       last_time = 0.;
@@ -228,10 +228,8 @@ module Sim = struct
      deterministic, so the labelling order is too, and million-node
      topologies don't pay for n metadata records up front. *)
   let node_track c node =
-    if not (Hashtbl.mem c.named node) then begin
-      Hashtbl.replace c.named node ();
-      thread_name c.w ~pid:sim_pid ~tid:node (Printf.sprintf "node %d" node)
-    end;
+    if not (Dsim.Bitset.test_and_add c.named node) then
+      thread_name c.w ~pid:sim_pid ~tid:node (Printf.sprintf "node %d" node);
     node
 
   let mname msg = Printf.sprintf "m%d" msg
@@ -271,11 +269,8 @@ module Sim = struct
            finds the message complete is the completing one. *)
         if
           Mmb.Problem.completed ledger ~msg
-          && not (Dsim.Int_table.mem c.ended msg)
-        then begin
-          Dsim.Int_table.add c.ended msg;
-          async_end c.w ~cat:"mmb" ~pid:msg_pid ~ts:time ~id:msg (mname msg)
-        end
+          && not (Dsim.Bitset.test_and_add c.ended msg)
+        then async_end c.w ~cat:"mmb" ~pid:msg_pid ~ts:time ~id:msg (mname msg)
     | Dsim.Trace.Bcast { node; msg; instance } ->
         ignore (node_track c node);
         Hashtbl.replace c.insts instance

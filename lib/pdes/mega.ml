@@ -5,8 +5,8 @@
    entries of the nodes it owns, so domains running different partitions
    never touch the same entry (the delivered set gives each node whole
    bytes for that reason).  Per node [v]:
-     - delivered set: bit [msg] of bytes [v*stride .. v*stride+stride-1]
-       of [rcvd];
+     - delivered set: member [v*width + msg] of [rcvd], where [width],
+       a multiple of 8, starts each node's bits on a byte boundary;
      - protocol FIFO: ring [qbuf.(v*k .. v*k+k-1)] with [qhead]/[qlen];
      - MAC instance: [in_flight.(v)] (message id, -1 idle),
        [inst_uid.(v)] (its instance id) and [rows.(v)] (the G' row it
@@ -22,10 +22,10 @@
 type shared = {
   part : int array; (* node -> owning partition: the one owner index *)
   k : int;
-  stride : int; (* bytes of [rcvd] per node *)
+  width : int; (* ids of [rcvd] per node *)
   component : int array; (* node -> its G-component *)
   origin_component : int array; (* message id -> its origin's, or -1 *)
-  rcvd : Bytes.t;
+  rcvd : Dsim.Bitset.t; (* sized here, so it never grows *)
   qbuf : int array; (* n rings of k slots *)
   qhead : int array;
   qlen : int array;
@@ -37,14 +37,14 @@ type shared = {
 let shared ~part ~k ~component ~origin_component =
   if k < 1 then invalid_arg "Pdes.Mega.shared: need k >= 1";
   let n = Array.length part in
-  let stride = (k + 7) / 8 in
+  let width = 8 * ((k + 7) / 8) in
   {
     part;
     k;
-    stride;
+    width;
     component;
     origin_component;
-    rcvd = Bytes.make (n * stride) '\000';
+    rcvd = Dsim.Bitset.create ~width:(n * width);
     qbuf = Array.make (n * k) 0;
     qhead = Array.make n 0;
     qlen = Array.make n 0;
@@ -79,17 +79,6 @@ type t = {
      the two handlers' events are posted from. *)
   delays : float array;
 }
-
-(* Bit [msg] of [node]'s bytes in the delivered set: tested and set in
-   one step, so a fresh delivery reads the byte once. *)
-let first_delivery s ~node ~msg =
-  let byte = (node * s.stride) + (msg lsr 3) and bit = 1 lsl (msg land 7) in
-  let b = Char.code (Bytes.unsafe_get s.rcvd byte) in
-  if b land bit <> 0 then false
-  else begin
-    Bytes.unsafe_set s.rcvd byte (Char.unsafe_chr (b lor bit));
-    true
-  end
 
 let record t event =
   Dsim.Trace.record t.trace ~time:(Dsim.Sim.now t.sim) event
@@ -161,7 +150,7 @@ and deliver_batch t sender =
 
 and accept t ~node ~msg =
   let s = t.s in
-  if first_delivery s ~node ~msg then begin
+  if not (Dsim.Bitset.test_and_add s.rcvd ((node * s.width) + msg)) then begin
     t.c_delivered <- t.c_delivered + 1;
     (* Events run in time order, so the latest required delivery is the
        current one. *)

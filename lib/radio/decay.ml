@@ -17,12 +17,7 @@ let default_params ~n ~max_contention =
   }
 
 module Over (R : Radio_intf.RADIO) = struct
-  type 'msg in_flight = {
-    fl_uid : int;
-    fl_body : 'msg;
-    fl_start : int;
-    fl_delivered : (int, unit) Hashtbl.t;
-  }
+  type 'msg in_flight = { fl_uid : int; fl_body : 'msg; fl_start : int }
 
   type 'msg t = {
     dual : Graphs.Dual.t;
@@ -32,7 +27,7 @@ module Over (R : Radio_intf.RADIO) = struct
     radio : 'msg Amac.Message.t R.t;
     handlers : 'msg Amac.Mac_intf.handlers option array;
     flying : 'msg in_flight option array;
-    seen : (int * int, unit) Hashtbl.t;
+    seen : Dsim.Bitset.t; (* uid * n + v: v has received instance uid *)
     mutable next_uid : int;
     mutable n_incomplete_acks : int;
   }
@@ -50,21 +45,14 @@ module Over (R : Radio_intf.RADIO) = struct
     let uid = t.next_uid in
     t.next_uid <- uid + 1;
     t.flying.(node) <-
-      Some
-        {
-          fl_uid = uid;
-          fl_body = body;
-          fl_start = R.slot t.radio;
-          fl_delivered = Hashtbl.create 8;
-        };
+      Some { fl_uid = uid; fl_body = body; fl_start = R.slot t.radio };
     record t (Dsim.Trace.Bcast { node; msg = uid; instance = uid })
 
   let ack t node fl =
     let g = Graphs.Dual.reliable t.dual in
+    let seen j = Dsim.Bitset.mem t.seen ((fl.fl_uid * Graphs.Graph.n g) + j) in
     let missed =
-      Array.exists
-        (fun j -> not (Hashtbl.mem fl.fl_delivered j))
-        (Graphs.Graph.neighbors g node)
+      Array.exists (fun j -> not (seen j)) (Graphs.Graph.neighbors g node)
     in
     if missed then t.n_incomplete_acks <- t.n_incomplete_acks + 1;
     t.flying.(node) <- None;
@@ -79,12 +67,8 @@ module Over (R : Radio_intf.RADIO) = struct
       (fun r ->
         let env = r.Slotted.rx_pkt in
         let uid = env.Amac.Message.uid in
-        if not (Hashtbl.mem t.seen (uid, v)) then begin
-          Hashtbl.replace t.seen (uid, v) ();
-          (match t.flying.(env.Amac.Message.src) with
-          | Some fl when fl.fl_uid = uid ->
-              Hashtbl.replace fl.fl_delivered v ()
-          | _ -> ());
+        let key = (uid * Graphs.Dual.n t.dual) + v in
+        if not (Dsim.Bitset.test_and_add t.seen key) then begin
           record t (Dsim.Trace.Rcv { node = v; msg = uid; instance = uid });
           match t.handlers.(v) with
           | Some h ->
@@ -123,7 +107,7 @@ module Over (R : Radio_intf.RADIO) = struct
         radio;
         handlers = Array.make n None;
         flying = Array.make n None;
-        seen = Hashtbl.create 1024;
+        seen = Dsim.Bitset.create ~width:0;
         next_uid = 0;
         n_incomplete_acks = 0;
       }

@@ -9,7 +9,7 @@ type 'msg t = {
   radio : 'msg Amac.Message.t Slotted.t;
   handlers : 'msg Amac.Mac_intf.handlers option array;
   flying : 'msg in_flight option array;
-  seen : (int * int, unit) Hashtbl.t;
+  seen : Dsim.Bitset.t; (* uid * n + v: v has received instance uid *)
   mutable next_uid : int;
 }
 
@@ -35,8 +35,8 @@ let node_fn t v ~slot ~received =
     (fun r ->
       let env = r.Slotted.rx_pkt in
       let uid = env.Amac.Message.uid in
-      if not (Hashtbl.mem t.seen (uid, v)) then begin
-        Hashtbl.replace t.seen (uid, v) ();
+      let key = (uid * n) + v in
+      if not (Dsim.Bitset.test_and_add t.seen key) then begin
         record t (Dsim.Trace.Rcv { node = v; msg = uid; instance = uid });
         match t.handlers.(v) with
         | Some h ->
@@ -79,7 +79,7 @@ let create ~dual ~rng ?(slot_len = 1.) ?oracle ?trace () =
       radio;
       handlers = Array.make n None;
       flying = Array.make n None;
-      seen = Hashtbl.create 1024;
+      seen = Dsim.Bitset.create ~width:0;
       next_uid = 0;
     }
   in

@@ -16,6 +16,7 @@ type op =
   | Min_diff
   | Cardinal
   | Equal
+  | Clear
   | Iter
 
 let op_of (tag, id) =
@@ -31,6 +32,7 @@ let op_of (tag, id) =
   | 8 -> Min_diff
   | 9 -> Cardinal
   | 10 -> Equal
+  | 11 -> Clear
   | _ -> Iter
 
 let show = function
@@ -45,6 +47,7 @@ let show = function
   | Min_diff -> "min_diff"
   | Cardinal -> "cardinal"
   | Equal -> "equal"
+  | Clear -> "clear"
   | Iter -> "iter"
 
 let model_add i l = if List.mem i l then l else List.sort Int.compare (i :: l)
@@ -93,6 +96,10 @@ let disagreement ~wa ~wb ops =
           B.min_diff a b = List.find_opt (fun x -> not (List.mem x !lb)) !la
       | Cardinal -> B.cardinal a = List.length !la
       | Equal -> B.equal a b = (!la = !lb) && B.equal b a = (!la = !lb)
+      | Clear ->
+          B.clear a;
+          la := [];
+          true
       | Iter -> elements a = !la && elements b = !lb
     in
     if ok then None else Some (show op)
@@ -103,7 +110,7 @@ let prop_matches_model =
   QCheck.Test.make ~name:"Bitset agrees with a sorted-list model" ~count:500
     QCheck.(
       pair (pair (int_bound 40) (int_bound 40))
-        (list_of_size Gen.(0 -- 120) (pair (int_bound 11) (int_bound 150))))
+        (list_of_size Gen.(0 -- 120) (pair (int_bound 12) (int_bound 150))))
     (fun ((wa, wb), ops) ->
       match disagreement ~wa ~wb ops with
       | None -> true
@@ -137,7 +144,8 @@ let test_equal_across_widths () =
   Alcotest.(check bool) "a member past the narrow width differs" false
     (B.equal narrow wide)
 
-(* On a set already wide enough, the receipt path allocates nothing. *)
+(* On a set already wide enough, the receipt path, and a clear between
+   rounds, allocate nothing. *)
 let test_no_allocation () =
   let s = B.create ~width:1024 and acc = ref 0 in
   let w0 = Gc.minor_words () in
@@ -146,10 +154,11 @@ let test_no_allocation () =
       if (i * r) land 3 = 0 then B.add s i else B.remove s i;
       if B.mem s i then incr acc;
       if not (B.test_and_add s i) then incr acc
-    done
+    done;
+    B.clear s
   done;
   let words = Gc.minor_words () -. w0 in
-  Alcotest.(check (float 0.)) "minor words over 307,200 operations" 0. words;
+  Alcotest.(check (float 0.)) "minor words over 307,300 operations" 0. words;
   Alcotest.(check bool) "work was done" true (!acc > 0)
 
 let suite =

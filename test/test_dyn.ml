@@ -149,6 +149,8 @@ let test_with_g'_shares_clean_rows () =
     == Graphs.Dual.g'_only_neighbors refreshed 3);
   Alcotest.(check (array int)) "dirty row rebuilt" [||]
     (Graphs.Dual.g'_only_neighbors refreshed 0);
+  Alcotest.(check bool) "reliable bits shared" true
+    (base.Graphs.Dual.reliable_bits == refreshed.Graphs.Dual.reliable_bits);
   Alcotest.(check bool) "reliability epoch-invariant" true
     (Graphs.Dual.is_reliable refreshed 0 1 && not (Graphs.Dual.is_reliable refreshed 0 2))
 
