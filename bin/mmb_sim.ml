@@ -120,8 +120,8 @@ let describe_dual dual =
 
 (* A file [run] writes from the live event stream of whichever engine
    runs (the serial engine's MAC trace, the partitioned engine's merged
-   trace, or FMMB's problem-level lifecycle) and the run's delivery
-   ledger: [subscribe] before the run, [write] after it. *)
+   trace, or FMMB's round engine's) and the run's delivery ledger:
+   [subscribe] before the run, [write] after it. *)
 type surface = {
   subscribe : Mmb.Problem.tracker -> Dsim.Trace.t -> unit;
   write : unit -> unit;
@@ -194,8 +194,8 @@ let run_cmd =
            ticker is an event in one engine's heap"
       else if progress <> None && spec.protocol = `Fmmb then
         Error
-          "--progress requires protocol \"bmmb\": FMMB's stages run on \
-           engines of their own, so no one engine's heap holds the ticker"
+          "--progress requires protocol \"bmmb\": FMMB's round engine has \
+           no event heap to hold the ticker"
       else Ok spec
     in
     match checked with
@@ -242,8 +242,8 @@ let run_cmd =
           (obs :=
              match spec.protocol with
              | `Fmmb when metrics <> None ->
-                 (* Span-only: FMMB's staged engines restart uids and
-                    clocks, so the streaming checker does not apply. *)
+                 (* Span-only: the streaming checker knows only the
+                    standard model. *)
                  Some
                    (Obs.Observer.create ~n
                       ~meta:(meta [ "protocol"; "n"; "k"; "fprog"; "seed" ])

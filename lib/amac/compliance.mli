@@ -52,9 +52,8 @@
 
     The checker is the independent half of model fidelity: the engines are
     built to satisfy the axioms, and this module verifies that they did on
-    each concrete execution.  Not applicable to FMMB traces: the
-    round-based stages use a fresh engine each (instance uids and times
-    restart per stage). *)
+    each concrete execution.  Not applicable to FMMB traces: the checker
+    knows only the standard model. *)
 
 type violation = {
   rule : string;  (** short rule identifier, e.g. "receive-correctness" *)

@@ -51,15 +51,14 @@ type 'msg t = {
   policy : 'msg round_policy;
   rng : Dsim.Rng.t;
   trace : Dsim.Trace.t option;
+  msg_id : ('msg -> int) option; (* payload id for trace msg fields *)
   nodes : 'msg node_fn option array;
   inbox : 'msg Message.t list array;
   mutable round : int;
   mutable next_uid : int;
-  mutable n_bcast : int;
-  mutable n_rcv : int;
 }
 
-let create ~dual ~fprog ~policy ~rng ?trace () =
+let create ~dual ~fprog ~policy ~rng ?trace ?msg_id () =
   if fprog <= 0. then invalid_arg "Enhanced_mac.create: need fprog > 0";
   let n = Graphs.Dual.n dual in
   {
@@ -68,29 +67,32 @@ let create ~dual ~fprog ~policy ~rng ?trace () =
     policy;
     rng;
     trace;
+    msg_id;
     nodes = Array.make n None;
     inbox = Array.make n [];
     round = 0;
     next_uid = 0;
-    n_bcast = 0;
-    n_rcv = 0;
   }
 
-let set_node t ~node fn =
-  (match t.nodes.(node) with
-  | Some _ -> invalid_arg "Enhanced_mac.set_node: node already set"
-  | None -> ());
-  t.nodes.(node) <- Some fn
+let set_node t ~node fn = t.nodes.(node) <- Some fn
 
 let round t = t.round
 let now t = float_of_int t.round *. t.fprog
-let bcast_count t = t.n_bcast
-let rcv_count t = t.n_rcv
+let trace t = t.trace
 
-let record t ~time event =
+(* An entry of instance [uid], whose [msg] is its body's MMB id under
+   [msg_id], else the uid: the event is built, and the body projected,
+   only when a trace is attached. *)
+let record t ~time kind ~node ~uid body =
   match t.trace with
   | None -> ()
-  | Some tr -> Dsim.Trace.record tr ~time event
+  | Some tr ->
+      let msg = match t.msg_id with Some f -> f body | None -> uid in
+      Dsim.Trace.record tr ~time
+        (match kind with
+        | `Bcast -> Dsim.Trace.Bcast { node; msg; instance = uid }
+        | `Rcv -> Dsim.Trace.Rcv { node; msg; instance = uid }
+        | `Abort -> Dsim.Trace.Abort { node; msg; instance = uid })
 
 let validate_choice ~must ~candidates chosen =
   let mem c =
@@ -111,7 +113,10 @@ let run_round t =
   let g = Graphs.Dual.reliable t.dual in
   let g' = Graphs.Dual.unreliable t.dual in
   let t_start = now t in
-  let t_end = t_start +. t.fprog in
+  (* The next round's start as [now] will compute it: [t_start +.
+     fprog] can exceed it by an ulp, putting this round's last entries
+     after that round's first. *)
+  let t_end = float_of_int (t.round + 1) *. t.fprog in
   (* Phase 1: collect every node's action for this round. *)
   let broadcasting : 'msg Message.t option array = Array.make n None in
   for v = 0 to n - 1 do
@@ -125,12 +130,10 @@ let run_round t =
         | Broadcast body ->
             let uid = t.next_uid in
             t.next_uid <- uid + 1;
-            t.n_bcast <- t.n_bcast + 1;
             (* The sender's own record of its broadcast; trivially on a
                reliable "edge" (itself). *)
             broadcasting.(v) <- Some (Message.make ~uid ~src:v ~reliable:true body);
-            record t ~time:t_start
-              (Dsim.Trace.Bcast { node = v; msg = uid; instance = uid }))
+            record t ~time:t_start `Bcast ~node:v ~uid body)
   done;
   (* Phase 2: resolve deliveries per receiver. *)
   for j = 0 to n - 1 do
@@ -159,10 +162,8 @@ let run_round t =
       let envelopes =
         List.map
           (fun c ->
-            t.n_rcv <- t.n_rcv + 1;
-            record t ~time:t_end
-              (Dsim.Trace.Rcv
-                 { node = j; msg = c.Mac_intf.cand_uid; instance = c.Mac_intf.cand_uid });
+            record t ~time:t_end `Rcv ~node:j ~uid:c.Mac_intf.cand_uid
+              c.Mac_intf.cand_body;
             Message.make ~uid:c.Mac_intf.cand_uid ~src:c.Mac_intf.cand_sender
               ~reliable:c.Mac_intf.cand_is_g_neighbor c.Mac_intf.cand_body)
           chosen
@@ -176,9 +177,8 @@ let run_round t =
       match env_opt with
       | None -> ()
       | Some env ->
-          record t ~time:t_end
-            (Dsim.Trace.Abort
-               { node = v; msg = env.Message.uid; instance = env.Message.uid }))
+          record t ~time:t_end `Abort ~node:v ~uid:env.Message.uid
+            env.Message.body)
     broadcasting;
   t.round <- t.round + 1
 

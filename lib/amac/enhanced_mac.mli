@@ -60,11 +60,15 @@ val create :
   policy:'msg round_policy ->
   rng:Dsim.Rng.t ->
   ?trace:Dsim.Trace.t ->
+  ?msg_id:('msg -> int) ->
   unit ->
   'msg t
+(** [trace] gets each round's [Bcast]s at its start and its [Rcv]s and
+    [Abort]s at its end, their [msg] the body's [msg_id] (called only
+    when a trace is attached), or the instance uid without one. *)
 
 val set_node : 'msg t -> node:int -> 'msg node_fn -> unit
-(** Install a node automaton (once per node, before running). *)
+(** Install a node automaton, replacing any earlier one. *)
 
 val round : 'msg t -> int
 (** Number of completed rounds. *)
@@ -72,12 +76,11 @@ val round : 'msg t -> int
 val now : 'msg t -> float
 (** Virtual time, [round * fprog]. *)
 
+val trace : 'msg t -> Dsim.Trace.t option
+
 val run_round : 'msg t -> unit
 (** Execute one lock-step round. *)
 
 val run_until : 'msg t -> max_rounds:int -> stop:(unit -> bool) -> int
 (** Run rounds until [stop ()] holds (checked before each round) or the
     budget is exhausted; returns the number of completed rounds. *)
-
-val bcast_count : 'msg t -> int
-val rcv_count : 'msg t -> int

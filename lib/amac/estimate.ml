@@ -38,7 +38,9 @@ let estimate ~dual ?(tolerance = 1e-6) trace =
     else begin
       let lo = ref (tolerance *. duration) and hi = ref duration in
       while !hi -. !lo > tolerance *. duration do
-        let mid = 0.5 *. (!lo +. !hi) in
+        (* Not [0.5 *. (lo +. hi)]: past max_float / 2 the sum is
+           infinite, and so is every later [hi -. lo]. *)
+        let mid = !lo +. (0.5 *. (!hi -. !lo)) in
         if progress_ok ~dual ~fprog:mid trace then hi := mid else lo := mid
       done;
       !hi

@@ -16,8 +16,22 @@ type 'msg t = {
       (** run rounds until [stop] (checked at round boundaries) or the
           budget; returns rounds executed *)
   rounds_done : unit -> int;
+  now : unit -> float;
+      (** [round * fprog] on {!Enhanced_mac}, the simulator's clock on
+          {!Round_sync} *)
+  trace : Dsim.Trace.t option;
 }
 
 val of_enhanced : 'msg Enhanced_mac.t -> 'msg t
 
 val of_round_sync : 'msg Round_sync.t -> 'msg t
+
+val stage : 'msg t -> 'msg t
+(** A view for a stage that starts now: its automata's rounds and its
+    [rounds_done] count from the engine's next round, as on a fresh
+    engine, while the clock, trace and instance uids run on.  Its first
+    inbox holds the previous stage's last round's receptions. *)
+
+val record : 'msg t -> Dsim.Trace.event -> unit
+(** Record a problem-level event ([Arrive]/[Deliver]) on the engine's
+    trace at its clock, as {!Mac_handle.record} does (check A4). *)

@@ -7,7 +7,6 @@ type 'msg t = {
   previous : 'msg Message.t list array; (* handed to automata *)
   broadcasting : bool array;
   mutable round : int;
-  mutable n_bcast : int;
   mutable next_env_uid : int;
 }
 
@@ -52,7 +51,6 @@ let create ~mac () =
       previous = Array.make n [];
       broadcasting = Array.make n false;
       round = 0;
-      n_bcast = 0;
       next_env_uid = 0;
     }
   in
@@ -72,14 +70,9 @@ let create ~mac () =
   done;
   t
 
-let set_node t ~node fn =
-  (match t.nodes.(node) with
-  | Some _ -> invalid_arg "Round_sync.set_node: node already set"
-  | None -> ());
-  t.nodes.(node) <- Some fn
-
+let set_node t ~node fn = t.nodes.(node) <- Some fn
+let mac t = t.mac
 let round t = t.round
-let bcast_count t = t.n_bcast
 
 let abort_in_flight t =
   Array.iteri
@@ -115,7 +108,6 @@ let start_round t =
           match fn ~round:t.round ~inbox:t.previous.(v) with
           | Enhanced_mac.Listen -> ()
           | Enhanced_mac.Broadcast body ->
-              t.n_bcast <- t.n_bcast + 1;
               t.broadcasting.(v) <- true;
               Standard_mac.bcast t.mac ~node:v body))
     t.nodes

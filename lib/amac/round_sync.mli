@@ -36,11 +36,13 @@ val create : mac:'msg Standard_mac.t -> unit -> 'msg t
     [fprog < fack].  [create] attaches handlers to every node of [mac]. *)
 
 val set_node : 'msg t -> node:int -> 'msg Enhanced_mac.node_fn -> unit
+(** Install a node automaton, replacing any earlier one. *)
+
+val mac : 'msg t -> 'msg Standard_mac.t
+(** The engine the rounds are constructed on. *)
 
 val round : 'msg t -> int
 (** Completed rounds. *)
-
-val bcast_count : 'msg t -> int
 
 val run_until : 'msg t -> max_rounds:int -> stop:(unit -> bool) -> int
 (** Run rounds until [stop ()] (checked at boundaries) or the budget is

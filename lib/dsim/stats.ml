@@ -74,7 +74,14 @@ let histogram ?(bins = 10) xs =
              counts.(b) ))
         [@mmb.alloc_ok "post-run histogram report"])
 
+(* A non-finite value by name: [%.2f] prints the sign libc gives a
+   NaN, which glibc writes as "-nan". *)
+let pp_value ppf x =
+  if Float.is_finite x then Fmt.pf ppf "%.2f" x
+  else if Float.is_nan x then Fmt.string ppf "nan"
+  else Fmt.string ppf (if x > 0. then "inf" else "-inf")
+
 let pp_summary ppf s =
-  Fmt.pf ppf
-    "n=%d mean=%.2f sd=%.2f min=%.2f p50=%.2f p90=%.2f p99=%.2f max=%.2f"
-    s.count s.mean s.stddev s.min s.p50 s.p90 s.p99 s.max
+  Fmt.pf ppf "n=%d mean=%a sd=%a min=%a p50=%a p90=%a p99=%a max=%a" s.count
+    pp_value s.mean pp_value s.stddev pp_value s.min pp_value s.p50 pp_value
+    s.p90 pp_value s.p99 pp_value s.max

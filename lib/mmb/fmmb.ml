@@ -27,106 +27,68 @@ type result = {
   gather_leftover : int;
 }
 
-(* One execution: the stage engines it runs one after another, the
-   clock they share, and the ledger that dedups its deliveries. *)
+(* One execution: the round engine its stages run on one after
+   another, and the ledger that dedups its deliveries. *)
 type driver = {
+  tracker : Problem.tracker;
+  engine : Fmmb_msg.t Amac.Round_engine.t;
+  sim : Dsim.Sim.t option;  (* the [Continuous] engine's simulator *)
   dual : Graphs.Dual.t;
   fprog : float;
-  rng : Dsim.Rng.t;
-  policy : Fmmb_msg.t Amac.Enhanced_mac.round_policy;
-  backend : backend;
-  trace : Dsim.Trace.t option;
-  on_event : (time:float -> Dsim.Trace.event -> unit) option;
-  note_sim : Dsim.Sim.t -> unit;
-  tracker : Problem.tracker;
-  mutable before : int;  (* rounds run by the stages before [engine]'s *)
-  mutable engine : Fmmb_msg.t Amac.Round_engine.t option;
-  mutable sims : Dsim.Sim.t list;  (* Continuous engines, newest first *)
 }
 
-let driver ~dual ~fprog ~rng ~policy ~backend ?trace ?on_event
-    ?(note_sim = ignore) ~tracker () =
-  {
-    dual;
-    fprog;
-    rng;
-    policy;
-    backend;
-    trace;
-    on_event;
-    note_sim;
-    tracker;
-    before = 0;
-    engine = None;
-    sims = [];
-  }
+(* The engine records a body under its payload, and a control body
+   under -1, so its MAC entries and the lifecycle share message ids. *)
+let msg_id body = Option.value (Fmmb_msg.payload body) ~default:(-1)
 
-(* The next stage's engine; the current one's rounds join [before]. *)
-let stage x =
-  Option.iter
-    (fun e -> x.before <- x.before + e.Amac.Round_engine.rounds_done ())
-    x.engine;
-  let engine =
-    match x.backend with
+let driver ~dual ~fprog ~rng ~policy ~backend ?trace ~tracker () =
+  let engine, sim =
+    match backend with
     | Rounds ->
-        Amac.Round_engine.of_enhanced
-          (Amac.Enhanced_mac.create ~dual:x.dual ~fprog:x.fprog
-             ~policy:x.policy ~rng:x.rng ?trace:x.trace ())
+        ( Amac.Round_engine.of_enhanced
+            (Amac.Enhanced_mac.create ~dual ~fprog ~policy ~rng ?trace ~msg_id
+               ()),
+          None )
     | Continuous mode ->
         let sim = Dsim.Sim.create () in
-        x.sims <- sim :: x.sims;
         let mac =
-          Amac.Standard_mac.create ~sim ~dual:x.dual ~fack:(100. *. x.fprog)
-            ~fprog:x.fprog
+          Amac.Standard_mac.create ~sim ~dual ~fack:(100. *. fprog) ~fprog
             ~policy:(Amac.Round_sync.policy ~mode)
-            ~rng:x.rng ?trace:x.trace ()
+            ~rng ?trace ~msg_id ()
         in
-        Amac.Round_engine.of_round_sync (Amac.Round_sync.create ~mac ())
+        ( Amac.Round_engine.of_round_sync (Amac.Round_sync.create ~mac ()),
+          Some sim )
   in
-  x.engine <- Some engine;
-  engine
+  { tracker; engine; sim; dual; fprog }
 
-(* Problem-level events go to [on_event], not to [trace]: the stage
-   engines restart uids and times, so their MAC events must not share a
-   stream with the monotone MMB lifecycle. *)
-let record x ~time event =
-  match x.on_event with None -> () | Some f -> f ~time event
+(* The next stage's view of the engine: its rounds count from here. *)
+let stage x = Amac.Round_engine.stage x.engine
 
 (* A payload reception is a delivery the first time the node gets the
    payload, which the ledger says; it reads only the node's own bit,
    and no protocol choice depends on it.  A first delivery is stamped
-   with the round it happens in (the rounds of the stages before this
-   one plus the rounds done in it, times Fprog), so a repeat, the
+   at the engine's clock, the round it happens in, so a repeat, the
    common case, costs one lookup and no time. *)
 let deliver x ~node ~payload =
   if not (Problem.has x.tracker ~node ~msg:payload) then begin
-    let rounds =
-      match x.engine with
-      | Some e -> x.before + e.Amac.Round_engine.rounds_done ()
-      | None -> 0
-    in
-    let time = float_of_int rounds *. x.fprog in
+    let time = x.engine.Amac.Round_engine.now () in
     if Problem.deliver x.tracker ~node ~msg:payload ~time then
-      record x ~time (Dsim.Trace.Deliver { node; msg = payload })
+      Amac.Round_engine.record x.engine
+        (Dsim.Trace.Deliver { node; msg = payload })
   end
 
-let mis_stage x params =
-  Fmmb_mis.run ~dual:x.dual ~rng:x.rng ~policy:x.policy ~params
-    ~engine:(stage x) ()
-
-let finish x ~mis ~rounds_gather ~rounds_spread ~gather_leftover =
-  List.iter x.note_sim (List.rev x.sims);
+let finish x ~mis ~rounds_gather ~gather_leftover =
   let n = Graphs.Dual.n x.dual in
   let mis_list =
     List.filter (fun v -> mis.Fmmb_mis.mis.(v)) (List.init n Fun.id)
   in
   let rounds_mis = mis.Fmmb_mis.rounds_run in
-  let total_rounds = rounds_mis + rounds_gather + rounds_spread in
+  let total_rounds = x.engine.Amac.Round_engine.rounds_done () in
   {
     complete = Problem.complete x.tracker;
     rounds_mis;
     rounds_gather;
-    rounds_spread;
+    rounds_spread = total_rounds - rounds_mis - rounds_gather;
     total_rounds;
     time = float_of_int total_rounds *. x.fprog;
     mis_valid =
@@ -136,20 +98,19 @@ let finish x ~mis ~rounds_gather ~rounds_spread ~gather_leftover =
   }
 
 let run ~dual ~fprog ~rng ~policy ~params ~assignment ~tracker
-    ?(backend = Rounds) ?max_spread_phases ?trace ?on_event ?note_sim () =
-  let x =
-    driver ~dual ~fprog ~rng ~policy ~backend ?trace ?on_event ?note_sim
-      ~tracker ()
-  in
+    ?(backend = Rounds) ?max_spread_phases ?trace ?(note_sim = ignore) () =
+  let x = driver ~dual ~fprog ~rng ~policy ~backend ?trace ~tracker () in
   (* Arrivals: payloads are delivered at their origins at time 0. *)
   let initial = Array.make (Graphs.Dual.n dual) [] in
   List.iter
     (fun (node, msg) ->
       initial.(node) <- msg :: initial.(node);
-      record x ~time:0. (Dsim.Trace.Arrive { node; msg });
+      Amac.Round_engine.record x.engine (Dsim.Trace.Arrive { node; msg });
       deliver x ~node ~payload:msg)
     assignment;
-  let mis = mis_stage x params.mis in
+  let mis =
+    Fmmb_mis.run ~dual ~rng ~policy ~params:params.mis ~engine:(stage x) ()
+  in
   let gather =
     Fmmb_gather.run ~dual ~rng ~policy ~params:params.gather ~mis:mis.Fmmb_mis.mis
       ~initial ~on_payload:(deliver x) ~engine:(stage x) ()
@@ -162,14 +123,14 @@ let run ~dual ~fprog ~rng ~policy ~params ~assignment ~tracker
         let d = Graphs.Bfs.diameter (Graphs.Dual.reliable dual) in
         (4 * (d + List.length assignment)) + 8
   in
-  let spread =
+  let (_ : Fmmb_spread.result) =
     Fmmb_spread.run ~dual ~rng ~policy ~params:params.spread ~mis:mis.Fmmb_mis.mis
       ~sets:gather.Fmmb_gather.mis_sets ~on_payload:(deliver x)
       ~stop:(fun () -> Problem.complete tracker)
       ~max_phases ~engine:(stage x) ()
   in
+  Option.iter note_sim x.sim;
   finish x ~mis ~rounds_gather:gather.Fmmb_gather.rounds_run
-    ~rounds_spread:spread.Fmmb_spread.rounds_run
     ~gather_leftover:gather.Fmmb_gather.leftover
 
 (* Stream round [r] is in period [r / 3]: even periods gather and odd
@@ -182,7 +143,11 @@ let run_streaming ~dual ~fprog ~rng ~policy ~c ~arrivals ~tracker ~max_rounds
     =
   let n = Graphs.Dual.n dual in
   let x = driver ~dual ~fprog ~rng ~policy ~backend:Rounds ~tracker () in
-  let mis = mis_stage x (Fmmb_mis.default_params ~n ~c) in
+  let mis =
+    Fmmb_mis.run ~dual ~rng ~policy
+      ~params:(Fmmb_mis.default_params ~n ~c)
+      ~engine:(stage x) ()
+  in
   let engine = stage x in
   (* One set per node: custody at MIS nodes, payloads not yet
      acknowledged elsewhere. *)
@@ -249,6 +214,6 @@ let run_streaming ~dual ~fprog ~rng ~policy ~c ~arrivals ~tracker ~max_rounds
   in
   drive by_round;
   let stream = rounds () in
-  let rounds_gather = (stream / 6 * 3) + min (stream mod 6) 3 in
-  finish x ~mis ~rounds_gather ~rounds_spread:(stream - rounds_gather)
+  finish x ~mis
+    ~rounds_gather:((stream / 6 * 3) + min (stream mod 6) 3)
     ~gather_leftover:(Fmmb_gather.leftover gather)

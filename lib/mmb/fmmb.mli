@@ -5,14 +5,14 @@
     [fprog].  Under a grey-zone restricted G' it solves MMB w.h.p. in
     [O((D log n + k log n + log³ n) · Fprog)] time, with no [Fack] term.
 
-    One driver runs both compositions: {!run} (MIS, then gather, then
-    spread, each on an engine of its own) and {!run_streaming} (MIS, then
-    gather and spread periods alternating on one engine).  Both dedup
-    payload receptions through the [tracker] ({!Problem.deliver}: a
-    node's first copy of a payload is its delivery), stamp each delivery
-    with the round it happens in (the rounds of the stages before it
-    plus the rounds done in its own, times [fprog]), and return
-    {!result}.
+    One driver runs both compositions on one round engine, each stage
+    on a view of it whose rounds count from the stage's first
+    ({!Amac.Round_engine.stage}): {!run} (MIS, then gather, then
+    spread) and {!run_streaming} (MIS, then gather and spread periods
+    alternating).  Both dedup payload receptions through the [tracker]
+    ({!Problem.deliver}: a node's first copy of a payload is its
+    delivery), stamp each delivery at the engine's clock in the round
+    it happens in, and return {!result}.
 
     Faithfulness notes (also in DESIGN.md): nodes know [n] and the
     grey-zone constant [c] (as the paper's round budgets assume), and the
@@ -64,23 +64,18 @@ val run :
   ?backend:backend ->
   ?max_spread_phases:int ->
   ?trace:Dsim.Trace.t ->
-  ?on_event:(time:float -> Dsim.Trace.event -> unit) ->
   ?note_sim:(Dsim.Sim.t -> unit) ->
   unit ->
   result
 (** The staged composition.  [max_spread_phases] defaults to
-    [4 * (D + k) + 8].  [note_sim] is called once per stage engine after
-    all stages have run, with each [Continuous]-backend engine's
-    simulator, so engine-cost accounting ({!Mmb.Instrument.note_sim} →
-    [Obs.Global]) covers FMMB runs; the [Rounds] backend has no engine
-    and notes nothing.  [trace] is handed to each per-stage MAC engine
-    (stage-local uids and times — suitable for inspection, not for a
-    single-stream audit); [on_event] receives only the problem-level
-    [Arrive]/[Deliver] lifecycle, each delivery at its round's monotone
-    time, which is what span derivation ({!Obs.Spans}) wants —
-    {!Obs.Run} points it at an observer-attached trace.  Handing out a
-    callback instead of recording into a trace here keeps trace emission
-    out of the protocol layer (check A4). *)
+    [4 * (D + k) + 8].  [trace] receives the run's one stream: the
+    [Arrive]s, then the three stages' MAC entries, their uids and clock
+    running on across stages and their [msg] the body's payload or [-1]
+    for a control body, and each [Deliver] at the engine's clock
+    ([round * fprog] on [Rounds], the simulator's on [Continuous]).
+    [note_sim] gets the [Continuous] backend's one simulator after the
+    run, so engine-cost accounting ({!Instrument.note_sim} →
+    [Obs.Global]) covers FMMB runs; the [Rounds] backend notes nothing. *)
 
 val run_streaming :
   dual:Graphs.Dual.t ->

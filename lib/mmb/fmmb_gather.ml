@@ -112,7 +112,7 @@ let leftover s =
   done;
   !total
 
-let run ~dual ~rng ~policy ~params ~mis ~initial ~on_payload ?engine ?trace
+let run ~dual ~rng ~policy ~params ~mis ~initial ~on_payload ?engine
     ?(fprog = 1.) () =
   let n = Graphs.Dual.n dual in
   let sets = Array.init n (fun _ -> Dsim.Bitset.create ~width:0) in
@@ -128,7 +128,7 @@ let run ~dual ~rng ~policy ~params ~mis ~initial ~on_payload ?engine ?trace
     | Some e -> e
     | None ->
         Amac.Round_engine.of_enhanced
-          (Amac.Enhanced_mac.create ~dual ~fprog ~policy ~rng ?trace ())
+          (Amac.Enhanced_mac.create ~dual ~fprog ~policy ~rng ())
   in
   for v = 0 to n - 1 do
     engine.Amac.Round_engine.set_node ~node:v (fun ~round ~inbox ->

@@ -78,7 +78,6 @@ val run :
   initial:int list array ->
   on_payload:(node:int -> payload:int -> unit) ->
   ?engine:Fmmb_msg.t Amac.Round_engine.t ->
-  ?trace:Dsim.Trace.t ->
   ?fprog:float ->
   unit ->
   result

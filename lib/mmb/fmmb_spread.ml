@@ -78,7 +78,7 @@ let act s ~node:v ~round =
     | None -> Amac.Enhanced_mac.Listen
 
 let run ~dual ~rng ~policy ~params ~mis ~sets ~on_payload ~stop ~max_phases
-    ?engine ?trace ?(fprog = 1.) () =
+    ?engine ?(fprog = 1.) () =
   let n = Graphs.Dual.n dual in
   let phase_len = 3 * params.periods_per_phase in
   let s = init ~params ~rng ~mis ~sets ~on_payload in
@@ -87,7 +87,7 @@ let run ~dual ~rng ~policy ~params ~mis ~sets ~on_payload ~stop ~max_phases
     | Some e -> e
     | None ->
         Amac.Round_engine.of_enhanced
-          (Amac.Enhanced_mac.create ~dual ~fprog ~policy ~rng ?trace ())
+          (Amac.Enhanced_mac.create ~dual ~fprog ~policy ~rng ())
   in
   for v = 0 to n - 1 do
     engine.Amac.Round_engine.set_node ~node:v (fun ~round ~inbox ->

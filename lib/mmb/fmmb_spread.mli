@@ -71,7 +71,6 @@ val run :
   stop:(unit -> bool) ->
   max_phases:int ->
   ?engine:Fmmb_msg.t Amac.Round_engine.t ->
-  ?trace:Dsim.Trace.t ->
   ?fprog:float ->
   unit ->
   result

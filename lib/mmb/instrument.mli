@@ -15,19 +15,14 @@ type t = {
           [attach] is called only when this is set *)
   attach : Problem.tracker -> Dsim.Trace.t -> unit;
       (** called once, before the run, with the run's delivery ledger
-          and the trace the run records into (the serial MAC's or the
-          partitioned engine's merged one).  The ledger takes each
-          delivery before the trace records it. *)
+          and the trace the run records into (the serial MAC's, the
+          partitioned engine's merged one, or FMMB's round engine's).
+          The ledger takes each delivery before the trace records it. *)
   checker : Amac.Compliance.t option;
       (** a checker [attach] subscribes, built for the run's dual, Fack
           and Fprog: a checked run takes its verdict from it *)
   wire_sim : Dsim.Sim.t -> unit;
-      (** called once with the engine before the run starts *)
-  on_event : Problem.tracker -> (time:float -> Dsim.Trace.event -> unit) option;
-      (** called once, before the run, by engine-less runs (FMMB's round
-          backends) with the run's ledger; the callback it returns takes
-          their problem-level [Arrive]/[Deliver] lifecycle, each
-          delivery after the ledger has it *)
+      (** called once with the serial engine before the run starts *)
   finish : allow_open:bool -> unit;
       (** called after the run; [allow_open] is false only when the run
           drained naturally and open instances would be a violation *)

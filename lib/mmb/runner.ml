@@ -267,13 +267,16 @@ let run_fmmb ~dual ~fprog ~c ~policy ~assignment ~seed ?backend ?params
     match params with Some p -> p | None -> Fmmb.default_params ~n ~k ~c
   in
   let tracker = Problem.tracker ~dual assignment in
-  let fmmb =
-    Fmmb.run ~dual ~fprog ~rng ~policy ~params ~assignment ~tracker ?backend
-      ?max_spread_phases
-      ?on_event:(instrument.Instrument.on_event tracker)
-      ~note_sim:instrument.Instrument.note_sim ()
+  (* No checker applies to FMMB: [drive] builds none, so reads no Fack. *)
+  let fmmb, _, _ =
+    drive ~dual ~fack:fprog ~fprog ~check_compliance:false ~instrument
+      ~ledger:(fun _ -> tracker)
+      (fun trace ->
+        ( true,
+          Fmmb.run ~dual ~fprog ~rng ~policy ~params ~assignment ~tracker
+            ?backend ?max_spread_phases ?trace
+            ~note_sim:instrument.Instrument.note_sim () ))
   in
-  instrument.Instrument.finish ~allow_open:true;
   let d = Graphs.Bfs.diameter (Graphs.Dual.reliable dual) in
   fmmb_result ~tracker ~shape_bound:(Bounds.fmmb_shape ~n ~d ~k) fmmb
 

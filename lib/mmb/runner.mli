@@ -1,9 +1,10 @@
 (** End-to-end wiring: network × protocol × scheduler → executed run with
     metrics.  This is the entry point examples, tests, and benchmarks use.
 
-    Every BMMB run, serial or partitioned, batch or online, is wired by
-    {!drive}, and no run result carries a trace: a caller that wants the
-    entries attaches a trace that keeps them through the instrument.
+    Every BMMB run, serial or partitioned, batch or online, and staged
+    FMMB are wired by {!drive}, and no run result carries a trace: a
+    caller that wants the entries attaches a trace that keeps them
+    through the instrument.
     One function runs every serial BMMB execution, whatever its
     arrivals, and returns the one record below: {!run_bmmb} and
     {!run_bmmb_online} are its two entry points. *)
@@ -189,11 +190,11 @@ val run_fmmb :
   ?instrument:Instrument.t ->
   unit ->
   fmmb_result
-(** Staged FMMB ({!Fmmb.run}).  The problem-level [Arrive]/[Deliver]
-    lifecycle feeds [instrument.on_event], each delivery at its round's
-    time; [Obs.Run.fmmb] points it at an observer's spans.  No checker
-    applies to FMMB, so [instrument.checker] is not read: its per-stage
-    engines restart instance uids and clocks. *)
+(** Staged FMMB ({!Fmmb.run}), wired by {!drive}: the instrument's
+    subscribers get the run's ledger and its one stream ({!Fmmb.run}'s
+    [trace]), and [note_sim] its [Continuous] simulator; [wire_sim] and
+    [note_mac] are not called.  No checker applies to FMMB, so
+    [instrument.checker] is not read: it knows only the standard model. *)
 
 val run_fmmb_online :
   dual:Graphs.Dual.t ->

@@ -446,8 +446,8 @@ let check_spec s =
     Error "check: only protocol \"bmmb\" is audited"
   else if s.dynamic <> None && s.protocol <> `Bmmb then
     Error
-      "dynamic: protocol must be \"bmmb\" (FMMB's per-stage engines do not \
-       take epoch schedules)"
+      "dynamic: protocol must be \"bmmb\" (FMMB's round engine takes no \
+       epoch schedule)"
   else if s.domains > s.partitions then
     Error
       (Printf.sprintf

@@ -91,6 +91,11 @@ let on_entry t { Dsim.Trace.time; event } =
           { k_time = time; k_depth = 0; k_cum_queue = 0.; k_cum_mac = 0. };
         if s.origin = None then s.origin <- Some (node, time)
       end
+  (* A negative id that no [Arrive] or [Deliver] introduced is no
+     message: FMMB records its control bodies as -1. *)
+  | Dsim.Trace.Bcast { msg; _ } | Dsim.Trace.Rcv { msg; _ }
+    when msg < 0 && not (Hashtbl.mem t.msgs msg) ->
+      ()
   | Dsim.Trace.Bcast { node; msg; instance } ->
       Hashtbl.replace t.insts instance (node, msg, time)
   | Dsim.Trace.Rcv { node; msg; instance } ->

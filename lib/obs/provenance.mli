@@ -2,7 +2,9 @@
 
     For each MMB message the collector records which broadcast instance
     first carried it to each node — the causal edge behind the node's
-    first receipt.  Roots are environment injections ([Arrive]); every
+    first receipt.  A [Bcast] or [Rcv] with a negative message id that
+    no [Arrive] or [Deliver] introduced carries no MMB message (FMMB
+    records its control bodies as [-1]) and is skipped.  Roots are environment injections ([Arrive]); every
     other vertex has exactly one incoming edge whose source knew the
     message strictly earlier, so the graph is acyclic by construction.
 

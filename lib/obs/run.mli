@@ -19,19 +19,18 @@ val instrument :
     Otherwise the run's event stream is subscribed live, whichever
     engine produces it: the serial MAC trace, the partitioned engine's
     merged trace (recorded window by window, on the calling domain), or
-    the [Arrive]/[Deliver] lifecycle of FMMB's round backends (each
-    delivery at its round's time).  Each subscriber also gets the run's
-    delivery ledger ({!Mmb.Instrument.attach}), by which spans,
-    {!Tracing.Sim} and {!Provenance} judge completion.
+    FMMB's round engine's trace, its lifecycle included (each delivery
+    at its round's time).  Each subscriber also gets the run's delivery
+    ledger ({!Mmb.Instrument.attach}), by which spans, {!Tracing.Sim}
+    and {!Provenance} judge completion.
 
     - [obs]: spans and the streaming checker subscribe, engine gauges
       are wired (serial engines only), and the observer is finished with
       [allow_open] set iff the run did not drain.  Its checker is the
       instrument's [checker], the one a checked run takes its verdict
       from ({!Mmb.Runner.drive}), so build it for the run's dual, Fack
-      and Fprog.  For FMMB, create it
-      without [dual]: its per-stage engines restart instance uids and
-      clocks.
+      and Fprog.  For FMMB, create it without [dual]: the checker knows
+      only the standard model.
     - [attach] receives the run's ledger and the trace it records
       into, before the run, to subscribe streaming consumers
       ({!Tracing.Sim}, {!Provenance}, a [Dsim.Trace_io] sink). *)
@@ -86,6 +85,6 @@ val fmmb :
   ?obs:Observer.t ->
   unit ->
   Mmb.Runner.fmmb_result
-(** [obs] as in {!instrument}.  On the [Continuous] backend each stage
-    engine's counters fold into {!Global} (through [note_sim]); the
-    [Rounds] backend has no engine and folds nothing. *)
+(** [obs] as in {!instrument}.  On the [Continuous] backend the run's
+    one simulator's counters fold into {!Global} (through [note_sim]);
+    the [Rounds] backend has no simulator and folds nothing. *)

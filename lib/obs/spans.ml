@@ -116,8 +116,12 @@ let on_entry t ledger { Dsim.Trace.time; event } =
   | Dsim.Trace.Bcast { msg; instance; _ } ->
       Metrics.incr t.c_bcast;
       open_instance t instance time;
-      let i = span t msg in
-      if Float.is_nan t.first_bcast.(i) then begin
+      (* A negative id opens no span here: FMMB's control bodies carry
+         -1.  It may still time a span its [Arrive] opened. *)
+      let i =
+        if msg >= 0 then span t msg else Dsim.Int_table.find t.msg_number msg
+      in
+      if i >= 0 && Float.is_nan t.first_bcast.(i) then begin
         t.first_bcast.(i) <- time;
         let a = t.arrive.(i) in
         if not (Float.is_nan a) then Metrics.observe t.h_first_bcast (time -. a)

@@ -20,7 +20,10 @@
 
     Robust to imperfect streams: deliveries before the arrival is seen
     skip latency observations, acks/aborts of unknown instances count as
-    [events.orphan], aborted instances never contribute ack latency.
+    [events.orphan], aborted instances never contribute ack latency.  A
+    [Bcast] with a negative message id opens no span (FMMB records its
+    control bodies as [-1]); it times only a span an [Arrive] or
+    [Deliver] opened.
 
     Storage: message ids and instance uids, whatever ints the trace uses,
     are numbered on first sight by a {!Dsim.Int_table}, and the state

@@ -70,12 +70,29 @@ let test_estimate_on_decay_mac () =
     true
     (est.Amac.Estimate.est_fprog < est.Amac.Estimate.est_fack /. 4.)
 
+(* A trace whose one instance acks at 1e308, past max_float / 2: the
+   binary search for Fprog must end, as it did before its midpoint
+   overflowed near there, with both bounds finite. *)
+let test_estimate_near_max_float () =
+  let dual = Graphs.Dual.of_equal (Graphs.Gen.line 3) in
+  let tr = Dsim.Trace.create () in
+  Dsim.Trace.record tr ~time:0.
+    (Dsim.Trace.Bcast { node = 0; msg = 0; instance = 0 });
+  Dsim.Trace.record tr ~time:1e308
+    (Dsim.Trace.Ack { node = 0; msg = 0; instance = 0 });
+  let est = Amac.Estimate.estimate ~dual tr in
+  Alcotest.(check (float 0.)) "est Fack" 1e308 est.Amac.Estimate.est_fack;
+  Alcotest.(check bool) "est Fprog finite" true
+    (Float.is_finite est.Amac.Estimate.est_fprog)
+
 let suite =
   [
     ( "amac.estimate",
       [
         Alcotest.test_case "recovers the engine's constants" `Quick
           test_estimates_engine_parameters;
+        Alcotest.test_case "a trace near max_float ends" `Quick
+          test_estimate_near_max_float;
         Alcotest.test_case "eager traces look fast" `Quick
           test_eager_trace_estimates_small;
         Alcotest.test_case "decay MAC: empirical Fprog << Fack" `Slow

@@ -186,17 +186,18 @@ let test_fmmb_deliveries_stamped_by_round () =
         let name = Printf.sprintf "%s, seed %d" label seed in
         let tracker = Mmb.Problem.tracker ~dual assignment in
         let last = ref 0. and monotone = ref true in
-        let on_event ~time = function
-          | Dsim.Trace.Deliver _ ->
-              if time < !last then monotone := false;
-              last := time
-          | _ -> ()
-        in
+        let trace = Dsim.Trace.create ~enabled:false () in
+        Dsim.Trace.subscribe trace (fun { Dsim.Trace.time; event } ->
+            match event with
+            | Dsim.Trace.Deliver _ ->
+                if time < !last then monotone := false;
+                last := time
+            | _ -> ());
         let r =
           Mmb.Fmmb.run ~dual ~fprog ~rng:(Dsim.Rng.create ~seed)
             ~policy:(Amac.Enhanced_mac.minimal_random ())
             ~params:(Mmb.Fmmb.default_params ~n ~k ~c:2.)
-            ~assignment ~tracker ~backend ~on_event ()
+            ~assignment ~tracker ~backend ~trace ()
         in
         check_run ~name ~tracker r;
         Alcotest.(check bool) (name ^ ": stamps monotone") true !monotone;

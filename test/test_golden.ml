@@ -68,10 +68,12 @@ let test_golden_is_compliant () =
 
 let md5_of_trace tr = Digest.to_hex (Digest.string (Dsim.Trace_io.to_jsonl tr))
 
-(* Continuous FMMB in [mode] on a 5x5 lattice of spacing 0.7 jittered by
-   up to 0.1 (the benchmark's fmmb_grey shape), with G' the grey zone
-   out to c = 2: whether it completed, and its trace. *)
-let fmmb_lattice_trace mode =
+(* FMMB on [backend] at [fprog] (default 1) on a 5x5 lattice of spacing
+   0.7 jittered by up to 0.1 (the benchmark's fmmb_grey shape), with G'
+   the grey zone out to c = 2: the dual, the messages, whether the run
+   completed, and its trace, the run's one stream (its 4 arrivals and
+   100 deliveries among the MAC entries of its three stages). *)
+let fmmb_lattice ?(fprog = 1.) backend =
   let seed = 3 and side = 5 and k = 4 in
   let rng = Dsim.Rng.create ~seed in
   let n = side * side in
@@ -87,12 +89,16 @@ let fmmb_lattice_trace mode =
   let tracker = Mmb.Problem.tracker ~dual assignment in
   let tr = Dsim.Trace.create () in
   let r =
-    Mmb.Fmmb.run ~dual ~fprog:1. ~rng:(Dsim.Rng.create ~seed)
+    Mmb.Fmmb.run ~dual ~fprog ~rng:(Dsim.Rng.create ~seed)
       ~policy:(Amac.Enhanced_mac.minimal_random ())
       ~params:(Mmb.Fmmb.default_params ~n ~k ~c:2.)
-      ~assignment ~tracker ~backend:(Mmb.Fmmb.Continuous mode) ~trace:tr ()
+      ~assignment ~tracker ~backend ~trace:tr ()
   in
-  (r.Mmb.Fmmb.complete, tr)
+  (dual, List.map snd assignment, r.Mmb.Fmmb.complete, tr)
+
+let fmmb_lattice_trace mode =
+  let _, _, complete, tr = fmmb_lattice (Mmb.Fmmb.Continuous mode) in
+  (complete, tr)
 
 (* Generous mode: every round delivers each instance to all contenders
    at one instant (about 46,000 of its 54,000 entries share their time
@@ -101,8 +107,8 @@ let fmmb_lattice_trace mode =
 let test_fmmb_generous_pinned () =
   let complete, tr = fmmb_lattice_trace Amac.Round_sync.Generous in
   Alcotest.(check bool) "completes" true complete;
-  Alcotest.(check int) "trace entries" 53_983 (Dsim.Trace.length tr);
-  Alcotest.(check string) "trace md5" "2508984f9bbd3ecd82118fbf0d6a1fb0"
+  Alcotest.(check int) "trace entries" 54_087 (Dsim.Trace.length tr);
+  Alcotest.(check string) "trace md5" "a85900a98143a33626d73d7b5627c3f1"
     (md5_of_trace tr)
 
 (* Minimal mode: each bcast plans its reliable deliveries and its ack at
@@ -112,9 +118,77 @@ let test_fmmb_generous_pinned () =
 let test_fmmb_minimal_pinned () =
   let complete, tr = fmmb_lattice_trace Amac.Round_sync.Minimal in
   Alcotest.(check bool) "completes" true complete;
-  Alcotest.(check int) "trace entries" 10_973 (Dsim.Trace.length tr);
-  Alcotest.(check string) "trace md5" "08542e053a860fbfd640dfe72621a6e6"
+  Alcotest.(check int) "trace entries" 11_077 (Dsim.Trace.length tr);
+  Alcotest.(check string) "trace md5" "77227abddb9461266f908c38df6d9262"
     (md5_of_trace tr)
+
+(* One stream on every backend: its times never decrease, each
+   instance opens with one [Bcast], it passes [Trace_io.check], each MAC
+   entry's [msg] is a payload or -1 (a control body), and spans and
+   provenance replaying it see exactly the run's messages, each
+   completed and each with receipt edges. *)
+let test_fmmb_one_stream () =
+  List.iter
+    (fun (label, fprog, backend) ->
+      let dual, msgs, complete, tr = fmmb_lattice ~fprog backend in
+      let n = Graphs.Dual.n dual and k = List.length msgs in
+      let check_bool what = Alcotest.(check bool) (label ^ ": " ^ what) true in
+      check_bool "completes" complete;
+      let entries = Dsim.Trace.entries tr in
+      let last = ref 0. and monotone = ref true in
+      let opened = Dsim.Bitset.create ~width:0 and reopened = ref 0 in
+      let foreign = ref 0 in
+      List.iter
+        (fun { Dsim.Trace.time; event } ->
+          if time < !last then monotone := false;
+          last := time;
+          match event with
+          | Dsim.Trace.Arrive _ | Dsim.Trace.Deliver _ -> ()
+          | Dsim.Trace.Bcast { msg; instance; _ } ->
+              if Dsim.Bitset.test_and_add opened instance then incr reopened;
+              if msg <> -1 && not (List.mem msg msgs) then incr foreign
+          | Dsim.Trace.Rcv { msg; _ }
+          | Dsim.Trace.Ack { msg; _ }
+          | Dsim.Trace.Abort { msg; _ } ->
+              if msg <> -1 && not (List.mem msg msgs) then incr foreign)
+        entries;
+      check_bool "times never decrease" !monotone;
+      Alcotest.(check int) (label ^ ": one Bcast per instance") 0 !reopened;
+      Alcotest.(check (result unit string))
+        (label ^ ": Trace_io.check") (Ok ())
+        (Dsim.Trace_io.check ~n entries);
+      Alcotest.(check int) (label ^ ": MAC msg is a payload or -1") 0 !foreign;
+      let spans = Obs.Spans.create ~metrics:(Obs.Metrics.create ()) () in
+      let prov = Obs.Provenance.create ~n () in
+      Kept.replay ~dual tr (fun ledger live ->
+          Dsim.Trace.subscribe live (Obs.Spans.on_entry spans ledger);
+          Obs.Provenance.attach prov ledger live);
+      Alcotest.(check int) (label ^ ": spans see the k messages") k
+        (Obs.Spans.messages_seen spans);
+      Alcotest.(check int) (label ^ ": spans complete them") k
+        (Obs.Spans.messages_complete spans);
+      Alcotest.(check (list int))
+        (label ^ ": provenance sees the k messages")
+        (List.sort Int.compare msgs)
+        (Obs.Provenance.messages prov);
+      List.iter
+        (fun m ->
+          check_bool
+            (Printf.sprintf "m%d has receipts" m)
+            (Obs.Provenance.receipts prov m <> []))
+        msgs)
+    [
+      ("rounds", 1., Mmb.Fmmb.Rounds);
+      ("generous", 1., Mmb.Fmmb.Continuous Amac.Round_sync.Generous);
+      ("minimal", 1., Mmb.Fmmb.Continuous Amac.Round_sync.Minimal);
+      (* Fprog = 0.1: a round's end, r * 0.1 + 0.1, exceeds the next
+         round's start, (r + 1) * 0.1, from r = 12 on in 2131 of the
+         first 10,001 rounds, so the engine stamps it as the latter. *)
+      ("rounds at Fprog 0.1", 0.1, Mmb.Fmmb.Rounds);
+      ( "generous at Fprog 0.1",
+        0.1,
+        Mmb.Fmmb.Continuous Amac.Round_sync.Generous );
+    ]
 
 (* BMMB on a 16x16 grid with an r-restricted G' (r = 2, 512 extra
    edges) and 8 messages at random nodes, under [policy]: the run, its
@@ -217,6 +291,8 @@ let suite =
           test_fmmb_generous_pinned;
         Alcotest.test_case "FMMB minimal trace pinned" `Quick
           test_fmmb_minimal_pinned;
+        Alcotest.test_case "FMMB records one stream on every backend" `Quick
+          test_fmmb_one_stream;
         Alcotest.test_case "serial eager-scheduler trace pinned" `Quick
           test_serial_eager_pinned;
         Alcotest.test_case "serial random-scheduler trace pinned" `Quick

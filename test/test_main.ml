@@ -7,4 +7,4 @@ let () =
    @ Test_fmmb.suite @ Test_fmmb_micro.suite @ Test_bounds.suite @ Test_lower_bound.suite
    @ Test_radio.suite @ Test_sinr.suite @ Test_fmmb_online.suite @ Test_online.suite @ Test_structuring.suite @ Test_scenario.suite @ Test_golden.suite @ Test_properties.suite @ Test_matrix.suite @ Test_integration.suite
    @ Test_determinism.suite @ Test_lint.suite @ Test_check.suite @ Test_race.suite @ Test_hot.suite @ Test_obs.suite
-   @ Test_exec.suite @ Test_tracing.suite @ Test_pdes.suite @ Test_metamorphic.suite)
+   @ Test_exec.suite @ Test_tracing.suite @ Test_pdes.suite @ Test_metamorphic.suite @ Test_fuzz.suite)

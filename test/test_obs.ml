@@ -690,8 +690,8 @@ let test_observers_complete_with_runner () =
   agree "two lines" ~dual:lines ~msgs:[ 0 ]
     ~runner:(fun msg -> List.assoc_opt msg r.Mmb.Runner.latencies)
     seen;
-  (* FMMB: the driver dedups through the ledger, and its lifecycle is
-     what the observers see. *)
+  (* FMMB: the driver dedups through the ledger, and its one stream,
+     MAC entries and lifecycle, is what the observers see. *)
   let dual = Graphs.Dual.of_equal (Graphs.Gen.line 20) in
   let assignment = [ (6, 0); (13, 1) ] in
   let r, seen, _ =

@@ -9,6 +9,21 @@ let test_summary_basics () =
   Alcotest.(check (float 1e-9)) "p50" 3. s.Dsim.Stats.p50;
   Alcotest.(check (float 1e-6)) "stddev" (sqrt 2.) s.Dsim.Stats.stddev
 
+(* Non-finite values print by name, whatever sign libc would give a
+   NaN: the NaN standard deviation of [inf] is [-nan] under glibc's
+   [%.2f]. *)
+let test_summary_non_finite () =
+  let line xs = Fmt.str "%a" Dsim.Stats.pp_summary (Dsim.Stats.summarize xs) in
+  Alcotest.(check string) "one infinity"
+    "n=1 mean=inf sd=nan min=inf p50=inf p90=inf p99=inf max=inf"
+    (line [ infinity ]);
+  Alcotest.(check string) "both infinities"
+    "n=2 mean=nan sd=nan min=-inf p50=-inf p90=inf p99=inf max=inf"
+    (line [ infinity; neg_infinity ]);
+  Alcotest.(check string) "finite values keep two decimals"
+    "n=2 mean=-0.50 sd=1.50 min=-2.00 p50=-2.00 p90=1.00 p99=1.00 max=1.00"
+    (line [ 1.; -2. ])
+
 let test_percentiles () =
   let xs = List.init 100 (fun i -> float_of_int (i + 1)) in
   Alcotest.(check (float 1e-9)) "p90 of 1..100" 90.
@@ -122,6 +137,8 @@ let suite =
     ( "dsim.stats",
       [
         Alcotest.test_case "summary basics" `Quick test_summary_basics;
+        Alcotest.test_case "non-finite values printed by name" `Quick
+          test_summary_non_finite;
         Alcotest.test_case "percentiles" `Quick test_percentiles;
         Alcotest.test_case "histogram" `Quick test_histogram;
         QCheck_alcotest.to_alcotest prop_percentile_monotone;

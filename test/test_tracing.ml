@@ -296,6 +296,29 @@ let test_campaign_telemetry_and_cache_counters () =
     "wall trace of a fully-cached run has only metadata" 1
     (Obs.Tracing.event_count (Exec.Telemetry.wall_trace outcomes))
 
+(* A negative message id is a message once an [Arrive] introduces it;
+   one nothing introduced, as FMMB's control bodies' -1, is skipped. *)
+let test_provenance_negative_ids () =
+  let dual = Graphs.Dual.of_equal (Graphs.Gen.line 2) in
+  let p = Obs.Provenance.create ~n:2 () in
+  let tr = Dsim.Trace.create ~enabled:false () in
+  Obs.Provenance.attach p (Mmb.Problem.tracker ~dual [ (0, -5) ]) tr;
+  List.iter
+    (fun (time, event) -> Dsim.Trace.record tr ~time event)
+    [
+      (0., Dsim.Trace.Arrive { node = 0; msg = -5 });
+      (1., Dsim.Trace.Bcast { node = 0; msg = -5; instance = 0 });
+      (1., Dsim.Trace.Bcast { node = 1; msg = -1; instance = 1 });
+      (2., Dsim.Trace.Rcv { node = 1; msg = -5; instance = 0 });
+      (2., Dsim.Trace.Rcv { node = 0; msg = -1; instance = 1 });
+    ];
+  Alcotest.(check (list int)) "messages" [ -5 ] (Obs.Provenance.messages p);
+  Alcotest.(check (list int))
+    "the arrived one's receipt" [ 1 ]
+    (List.map
+       (fun r -> r.Obs.Provenance.r_node)
+       (Obs.Provenance.receipts p (-5)))
+
 let suite =
   [
     ( "tracing",
@@ -314,6 +337,8 @@ let suite =
           test_provenance_dag_invariants;
         Alcotest.test_case "provenance export validates" `Quick
           test_provenance_export_validates;
+        Alcotest.test_case "provenance skips unintroduced negative ids"
+          `Quick test_provenance_negative_ids;
         Alcotest.test_case "campaign timeline identical for jobs 1/2/4" `Slow
           test_campaign_trace_identity_across_jobs;
         Alcotest.test_case "campaign timeline identical ran vs cached" `Slow
